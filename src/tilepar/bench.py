@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .autotuner import CostProbe, SearchConfig, autotune, estimate_bounds
 from .cachesim import CacheModel, simulate_program
 from .ir import desugar_allpairs, parse_program
-from .ndarray import ArrayValue, NdArray, as_view, indices
+from .ndarray import ArrayValue, NdArray, as_view, offsets
 from .semantics import EvalConfig, eval_program
 from .tiling import register_tile, tile_program
 
@@ -85,10 +85,11 @@ def checksum(value):
     if not isinstance(value, ArrayValue):
         return f"scalar:{value!r}"
     v = as_view(value)
+    data = v.root.data
     acc = 0.0
     weight = 1.0
-    for idx in indices(v.shape):
-        acc += weight * float(v.get(idx))
+    for o in offsets(v):
+        acc += weight * float(data[o])
         weight = weight * 1.000000119 % 1e9
     return f"{'x'.join(map(str, v.shape))}:{acc:.10e}"
 
@@ -103,7 +104,8 @@ def values_close(a, b, rtol=1e-9):
     av, bv = as_view(a), as_view(b)
     if av.shape != bv.shape:
         return False
-    return all(_close(av.get(i), bv.get(i), rtol) for i in indices(av.shape))
+    adata, bdata = av.root.data, bv.root.data
+    return all(_close(adata[i], bdata[j], rtol) for i, j in zip(offsets(av), offsets(bv)))
 
 
 def _close(x, y, rtol):

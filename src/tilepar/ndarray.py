@@ -4,12 +4,17 @@ Arrays hold int64 or float64 elements in row- or column-major order over a
 flat buffer. Views (slices and tiles) share the buffer; a tile keeps the
 rank of its base, a slice drops the sliced axis. Every element is 8 bytes
 for address-trace purposes.
+
+`offsets` is the only walk over a view's elements: it yields flat buffer
+offsets in index order (last axis fastest). Every whole-array copy --
+materializing, concatenating, stacking -- goes through the one kernel on
+top of it, `copy`, which also reports each element's read and write to a
+trace sink; `elementwise` walks its operands' offsets the same way.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+import operator
 
 ELEM_SIZE = 8
 
@@ -91,11 +96,7 @@ class NdArray:
         return self.addr + self.flat_index(idx) * ELEM_SIZE
 
     def to_nested(self):
-        if not self.shape:
-            return self.data[0]
-        if self.rank == 1:
-            return [self.get((i,)) for i in range(self.shape[0])]
-        return [slice_axis(self, 0, i).to_nested() for i in range(self.shape[0])]
+        return as_view(self).to_nested()
 
     @classmethod
     def from_nested(cls, nested, dtype=None, layout="row"):
@@ -107,13 +108,7 @@ class NdArray:
         flat = _flatten(nested, len(shape))
         if dtype is None:
             dtype = "f64" if any(isinstance(v, float) for v in flat) else "i64"
-        arr = cls(shape, dtype, layout)
-        if layout == "row":
-            arr.data = list(flat)
-        else:
-            for idx, v in zip(itertools.product(*map(range, shape)), flat):
-                arr.set(idx, v)
-        return arr
+        return copy(cls(shape, dtype, "row", flat), cls(shape, dtype, layout))
 
     @classmethod
     def scalar(cls, value):
@@ -175,11 +170,11 @@ class View:
         return self.root.addr + self.flat_index(idx) * ELEM_SIZE
 
     def to_nested(self):
-        if not self.shape:
-            return self.root.data[self.offset]
-        if self.rank == 1:
-            return [self.get((i,)) for i in range(self.shape[0])]
-        return [slice_axis(self, 0, i).to_nested() for i in range(self.shape[0])]
+        if self.rank > 1:
+            return [slice_axis(self, 0, i).to_nested() for i in range(self.shape[0])]
+        data = self.root.data
+        items = [data[o] for o in offsets(self)]
+        return items if self.shape else items[0]
 
     def __repr__(self):
         tag = ", straggler" if self.is_straggler else ""
@@ -246,56 +241,103 @@ def slice_axis(x, axis, i):
     return View(v.root, v.offset + i * v.strides[axis], shape, strides)
 
 
-def materialize(x, layout=None):
-    """Copy a view into a fresh dense NdArray."""
+def offsets(x):
+    """Flat buffer offsets of every element of `x`, in index order (last
+    axis fastest). This is the one walk over a view's elements."""
     v = as_view(x)
-    out = NdArray(v.shape, v.dtype, layout or v.layout)
-    for idx in indices(v.shape):
-        out.set(idx, v.get(idx))
+    out = [v.offset]
+    for extent, stride in zip(v.shape, v.strides):
+        steps = [i * stride for i in range(extent)]
+        out = [o + s for o in out for s in steps]
     return out
 
 
-def concat(parts, axis):
-    """Concatenate arrays/views along `axis` into a dense NdArray."""
+def _addresses(x):
+    """Byte addresses of every element of `x`, in index order."""
+    v = as_view(x)
+    base = v.root.addr
+    return [base + o * ELEM_SIZE for o in offsets(v)]
+
+
+def copy(src, dst, trace=None):
+    """Copy the elements of `src` into the equal-shaped `dst`; returns dst.
+
+    With a trace sink, each element is reported as a read of `src`
+    followed by a write of `dst`, in index order.
+    """
+    s, d = as_view(src), as_view(dst)
+    if s.shape != d.shape:
+        raise ShapeError(f"copy shape mismatch: {s.shape} vs {d.shape}")
+    sdata, ddata = s.root.data, d.root.data
+    for i, j in zip(offsets(s), offsets(d)):
+        ddata[j] = sdata[i]
+    if trace is not None:
+        read, write = trace.read, trace.write
+        for r, w in zip(_addresses(s), _addresses(d)):
+            read(r)
+            write(w)
+    return dst
+
+
+def materialize(x):
+    """Copy a view into a fresh dense NdArray of the same layout."""
+    v = as_view(x)
+    return copy(v, NdArray(v.shape, v.dtype, v.layout))
+
+
+def concat(parts, axis, trace=None, new_array=NdArray):
+    """Concatenate arrays/views along `axis` into a dense row-major array.
+
+    `new_array(shape, dtype)` makes the output before any element is
+    copied (the interpreter passes its allocating constructor); `trace`
+    receives the copy traffic.
+    """
     if not parts:
         raise ShapeError("cannot concatenate zero parts")
-    first = as_view(parts[0])
+    views = [as_view(p) for p in parts]
+    first = views[0]
     rank = first.rank
     if not 0 <= axis < rank:
         raise ShapeError(f"axis {axis} out of range for rank {rank}")
-    total = 0
-    for p in parts:
-        pv = as_view(p)
-        if pv.rank != rank:
+    for v in views:
+        if v.rank != rank:
             raise ShapeError("rank mismatch in concat")
         for a in range(rank):
-            if a != axis and pv.shape[a] != first.shape[a]:
+            if a != axis and v.shape[a] != first.shape[a]:
                 raise ShapeError(f"extent mismatch on axis {a} in concat")
-        total += pv.shape[axis]
     shape = list(first.shape)
-    shape[axis] = total
-    dtype = first.dtype
-    for p in parts:
-        if as_view(p).dtype == "f64":
-            dtype = "f64"
-    out = NdArray(shape, dtype, first.layout)
+    shape[axis] = sum(v.shape[axis] for v in views)
+    out = new_array(tuple(shape), result_dtype(views))
     base = 0
-    for p in parts:
-        pv = as_view(p)
-        for idx in indices(pv.shape):
-            out_idx = idx[:axis] + (idx[axis] + base,) + idx[axis + 1:]
-            out.set(out_idx, pv.get(idx))
-        base += pv.shape[axis]
+    for v in views:
+        copy(v, tile_view(out, axis, base, v.shape[axis]), trace)
+        base += v.shape[axis]
     return out
-
-
-def indices(shape):
-    return itertools.product(*(range(s) for s in shape))
 
 
 # ---------------------------------------------------------------------------
 # Scalar and elementwise arithmetic
 # ---------------------------------------------------------------------------
+
+def result_dtype(values):
+    """'f64' when any value is a float scalar or an f64 array, else 'i64'."""
+    for x in values:
+        if as_view(x).dtype == "f64" if isinstance(x, ArrayValue) else isinstance(x, float):
+            return "f64"
+    return "i64"
+
+
+def _min(a, b):
+    return a if a <= b else b
+
+
+def _max(a, b):
+    return a if a >= b else b
+
+
+BINARY_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv, "min": _min, "max": _max}
+
 
 def apply_op(op, a, b):
     """Binary scalar arithmetic with int/float promotion.
@@ -303,61 +345,60 @@ def apply_op(op, a, b):
     `/` always produces float64; the other operators keep int64 when both
     operands are int64.
     """
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    if op == "min":
-        return a if a <= b else b
-    if op == "max":
-        return a if a >= b else b
-    raise ValueError(f"unknown operator {op!r}")
+    return _binary(op)(a, b)
 
 
-def elementwise(op, a, b, reader=None, writer=None):
+def _binary(op):
+    try:
+        return BINARY_OPS[op]
+    except KeyError:
+        raise ValueError(f"unknown operator {op!r}") from None
+
+
+def elementwise(op, a, b, trace=None, new_array=NdArray):
     """Apply a binary operator over arrays/scalars with scalar broadcast.
 
-    Shapes must match exactly unless one operand is a scalar. `reader` and
-    `writer`, when given, are callbacks (value_source, idx) used to trace
-    element traffic.
+    Shapes must match exactly unless one operand is a scalar. The result
+    comes from `new_array(shape, dtype, layout)`, in the layout of the
+    first array operand. With a trace sink, each element is reported as a
+    read of every array operand (a, then b) followed by the result write.
     """
     a_arr = isinstance(a, ArrayValue)
     b_arr = isinstance(b, ArrayValue)
+    f = _binary(op)
     if not a_arr and not b_arr:
-        return apply_op(op, a, b)
-    if a_arr and b_arr and as_view(a).shape != as_view(b).shape:
-        raise ShapeError(f"elementwise shape mismatch: {as_view(a).shape} vs {as_view(b).shape}")
-    shape = as_view(a).shape if a_arr else as_view(b).shape
-    dtype = "i64"
-    if op == "/":
-        dtype = "f64"
-    if a_arr and as_view(a).dtype == "f64" or not a_arr and isinstance(a, float):
-        dtype = "f64"
-    if b_arr and as_view(b).dtype == "f64" or not b_arr and isinstance(b, float):
-        dtype = "f64"
-    out = NdArray(shape, dtype, as_view(a).layout if a_arr else as_view(b).layout)
+        return f(a, b)
     av = as_view(a) if a_arr else None
     bv = as_view(b) if b_arr else None
-    for idx in indices(shape):
-        if av is not None:
-            x = av.get(idx)
-            if reader:
-                reader(av, idx)
+    if av is not None and bv is not None and av.shape != bv.shape:
+        raise ShapeError(f"elementwise shape mismatch: {av.shape} vs {bv.shape}")
+    like = av if av is not None else bv
+    dtype = "f64" if op == "/" else result_dtype((a, b))
+    out = new_array(like.shape, dtype, like.layout)
+    odata = out.data
+    if av is not None and bv is not None:
+        adata, bdata = av.root.data, bv.root.data
+        for i, j, k in zip(offsets(av), offsets(bv), offsets(out)):
+            odata[k] = f(adata[i], bdata[j])
+    elif av is not None:
+        adata = av.root.data
+        for i, k in zip(offsets(av), offsets(out)):
+            odata[k] = f(adata[i], b)
+    else:
+        bdata = bv.root.data
+        for j, k in zip(offsets(bv), offsets(out)):
+            odata[k] = f(a, bdata[j])
+    if trace is not None:
+        read, write = trace.read, trace.write
+        if av is not None and bv is not None:
+            for x, y, w in zip(_addresses(av), _addresses(bv), _addresses(out)):
+                read(x)
+                read(y)
+                write(w)
         else:
-            x = a
-        if bv is not None:
-            y = bv.get(idx)
-            if reader:
-                reader(bv, idx)
-        else:
-            y = b
-        out.set(idx, apply_op(op, x, y))
-        if writer:
-            writer(out, idx)
+            for x, w in zip(_addresses(like), _addresses(out)):
+                read(x)
+                write(w)
     return out
 
 
@@ -397,26 +438,6 @@ class Allocator:
 
     def _release(self, nbytes, addr):
         self.free_blocks.setdefault(nbytes, []).append(addr)
-
-
-def trace_addresses(x, axis_order=None):
-    """Byte addresses of every element visit in the given loop order.
-
-    `axis_order` lists axes outermost-first; default is 0..rank-1 (for a
-    2-D array: row by row).
-    """
-    v = as_view(x)
-    if axis_order is None:
-        axis_order = tuple(range(v.rank))
-    if sorted(axis_order) != list(range(v.rank)):
-        raise ShapeError(f"axis order {axis_order} is not a permutation of 0..{v.rank - 1}")
-    addresses = []
-    for combo in itertools.product(*(range(v.shape[a]) for a in axis_order)):
-        idx = [0] * v.rank
-        for a, i in zip(axis_order, combo):
-            idx[a] = i
-        addresses.append(v.addr_of(tuple(idx)))
-    return addresses
 
 
 # ---------------------------------------------------------------------------

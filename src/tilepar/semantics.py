@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 from . import ir
 from .ndarray import (
-    Allocator, ArrayValue, NdArray, View, apply_op, as_view, indices,
-    slice_axis, decompose,
+    ELEM_SIZE, Allocator, ArrayValue, NdArray, View, apply_op, as_view, concat, copy,
+    decompose, elementwise, result_dtype, slice_axis,
 )
 
 
@@ -227,7 +227,7 @@ class Interpreter:
             return self._index(self.eval_expr(e.array, frame, fn),
                                self.eval_expr(e.index, frame, fn))
         if t is ir.ArrayLit:
-            return self._array_lit([self.eval_expr(x, frame, fn) for x in e.items])
+            return self._stack([self.eval_expr(x, frame, fn) for x in e.items])
         if t is ir.Map:
             args = [self.eval_expr(a, frame, fn) for a in e.args]
             return self.eval_map(e.fn, args, e.axes, frame,
@@ -272,15 +272,7 @@ class Interpreter:
         return self._elementwise(op, a, b)
 
     def _elementwise(self, op, a, b):
-        from .ndarray import elementwise
-        trace = self.config.trace
-        if trace is None:
-            out = elementwise(op, a, b)
-        else:
-            out = elementwise(op, a, b,
-                              reader=lambda v, idx: trace.read(v.addr_of(idx)),
-                              writer=lambda v, idx: trace.write(v.addr_of(idx)))
-        return self._register(out)
+        return self._register(elementwise(op, a, b, self.config.trace))
 
     def _index(self, arr, i):
         if not isinstance(arr, ArrayValue):
@@ -293,18 +285,6 @@ class Interpreter:
         if not 0 <= i < v.shape[0]:
             raise EvalError(f"index {i} out of bounds for extent {v.shape[0]}")
         return self._slice_value(v, 0, i)
-
-    def _array_lit(self, items):
-        if any(isinstance(x, ArrayValue) for x in items):
-            return self._stack(items)
-        dtype = "f64" if any(isinstance(x, float) for x in items) else "i64"
-        out = self._new_array((len(items),), dtype)
-        trace = self.config.trace
-        for i, x in enumerate(items):
-            out.data[i] = x
-            if trace is not None:
-                trace.write(out.addr_of((i,)))
-        return out
 
     # -- array plumbing (all traced) --------------------------------------------
 
@@ -333,56 +313,26 @@ class Interpreter:
             return root.data[offset]
         return slice_axis(v, axis, i)
 
-    def _read_element(self, v, idx):
-        if self.config.trace is not None:
-            self.config.trace.read(v.addr_of(idx))
-        return v.get(idx)
-
-    def _write_element(self, arr, idx, value):
-        arr.set(idx, value)
-        if self.config.trace is not None:
-            self.config.trace.write(arr.addr_of(idx))
-
-    def _stack(self, values):
-        """Stack equal-shaped values along a new leading axis (Map output)."""
-        first = values[0]
-        if not isinstance(first, ArrayValue):
-            dtype = "f64" if any(isinstance(x, float) for x in values) else "i64"
-            out = self._new_array((len(values),), dtype)
-            for i, x in enumerate(values):
-                self._write_element(out, (i,), x)
+    def _stack(self, values, axis=0):
+        """Stack equal-shaped values along a new `axis`: Map and Scan
+        outputs, array literals, and tiled-scan steps."""
+        trace = self.config.trace
+        if not any(isinstance(x, ArrayValue) for x in values):
+            out = self._new_array((len(values),), result_dtype(values))
+            out.data[:] = values
+            if trace is not None:
+                for i in range(len(values)):
+                    trace.write(out.addr + i * ELEM_SIZE)
             return out
-        shape = as_view(first).shape
-        dtype = "i64"
-        for x in values:
-            xv = as_view(x)
-            if xv.shape != shape:
-                raise EvalError(f"cannot stack shapes {shape} and {xv.shape}")
-            if xv.dtype == "f64":
-                dtype = "f64"
-        out = self._new_array((len(values),) + shape, dtype)
-        for i, x in enumerate(values):
-            xv = as_view(x)
-            for idx in indices(shape):
-                self._write_element(out, (i,) + idx, self._read_element(xv, idx))
-        return out
-
-    def _concat(self, parts, axis):
-        """Concatenate array values along an existing axis (tiled outputs)."""
-        views = [as_view(p) for p in parts]
-        rank = views[0].rank
-        shape = list(views[0].shape)
-        shape[axis] = sum(v.shape[axis] for v in views)
-        dtype = "f64" if any(v.dtype == "f64" for v in views) else "i64"
-        out = self._new_array(tuple(shape), dtype)
-        base = 0
-        for v in views:
-            if v.rank != rank:
-                raise EvalError("rank mismatch in tiled result assembly")
-            for idx in indices(v.shape):
-                out_idx = idx[:axis] + (idx[axis] + base,) + idx[axis + 1:]
-                self._write_element(out, out_idx, self._read_element(v, idx))
-            base += v.shape[axis]
+        shapes = [as_view(x).shape if isinstance(x, ArrayValue) else "scalar" for x in values]
+        shape = shapes[0]
+        for xshape in shapes:
+            if xshape != shape:
+                raise EvalError(f"cannot stack shapes {shape} and {xshape}")
+        out = self._new_array(shape[:axis] + (len(values),) + shape[axis:],
+                              result_dtype(values))
+        for j, x in enumerate(values):
+            copy(x, slice_axis(out, axis, j), trace)
         return out
 
     # -- untiled operators -------------------------------------------------------
@@ -579,7 +529,7 @@ class Interpreter:
         results = self._dispatch_tiles(node, tile_args, full, k, env)
         if not all(isinstance(r, ArrayValue) for r in results):
             raise EvalError("tiled map tiles must produce arrays")
-        return self._concat(results, node.depth)
+        return concat(results, node.depth, self.config.trace, self._new_array)
 
     def eval_tiled_reduce(self, node, init, args, env):
         tile_args, full, k, extent = self._tile_sets(node, args)
@@ -610,26 +560,10 @@ class Interpreter:
                 for j in range(pv.shape[axis]):
                     piece = slice_axis(pv, axis, j) if pv.rank > 1 else self._slice_value(pv, axis, j)
                     steps.append(self.call_function(comb_fn, [last, piece], comb_captured))
-                part = self._stack_at(steps, axis, pv.shape)
+                part = self._stack(steps, axis)
                 pv = as_view(part)
             last_piece = slice_axis(pv, axis, pv.shape[axis] - 1) if pv.rank > 1 \
                 else self._slice_value(pv, axis, pv.shape[axis] - 1)
             last = last_piece
             adjusted.append(part)
-        return self._concat(adjusted, axis)
-
-    def _stack_at(self, pieces, axis, shape):
-        """Reassemble scan steps along `axis` (inverse of slicing there)."""
-        if axis == 0:
-            return self._stack(pieces)
-        out_shape = shape[:axis] + (len(pieces),) + shape[axis + 1:]
-        dtype = "f64" if any(isinstance(p, float) or
-                             (isinstance(p, ArrayValue) and as_view(p).dtype == "f64")
-                             for p in pieces) else "i64"
-        out = self._new_array(out_shape, dtype)
-        for j, piece in enumerate(pieces):
-            pv = as_view(piece)
-            for idx in indices(pv.shape):
-                out_idx = idx[:axis] + (j,) + idx[axis:]
-                self._write_element(out, out_idx, self._read_element(pv, idx))
-        return out
+        return concat(adjusted, axis, self.config.trace, self._new_array)

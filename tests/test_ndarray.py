@@ -2,7 +2,7 @@ import pytest
 
 from tilepar.ndarray import (
     Allocator, NdArray, ShapeError, View, concat, decompose, dump_array,
-    elementwise, load_array, materialize, slice_axis, trace_addresses,
+    elementwise, load_array, materialize, offsets, slice_axis,
 )
 
 
@@ -100,30 +100,30 @@ def test_min_max_ops():
     assert elementwise("max", a, b).to_nested() == [3, 2, 4]
 
 
-def test_trace_addresses_row_major():
+def test_offsets_row_major():
     x = NdArray((2, 2), "i64", "row")
-    assert trace_addresses(x) == [0, 8, 16, 24]
+    assert offsets(x) == [0, 1, 2, 3]
 
 
-def test_trace_addresses_col_major():
+def test_offsets_col_major():
     x = NdArray((2, 2), "i64", "col")
-    assert trace_addresses(x) == [0, 16, 8, 24]
+    assert offsets(x) == [0, 2, 1, 3]
 
 
-def test_trace_addresses_tiled_blocks():
+def test_offsets_tiled_blocks():
     # 4x4 row-major visited as 2x2 blocks, row-by-row inside each block:
-    # addresses stay inside one 2x2 block before moving to the next.
+    # offsets stay inside one 2x2 block before moving to the next.
     x = NdArray((4, 4), "i64", "row")
     expected = []
     for br in range(2):
         for bc in range(2):
             for r in range(2):
                 for c in range(2):
-                    expected.append(((br * 2 + r) * 4 + (bc * 2 + c)) * 8)
+                    expected.append((br * 2 + r) * 4 + (bc * 2 + c))
     got = []
     for row_tile in decompose(x, 0, 2):
         for block in decompose(row_tile, 1, 2):
-            got.extend(trace_addresses(block))
+            got.extend(offsets(block))
     assert got == expected
 
 
