@@ -272,7 +272,7 @@ class Interpreter:
         return self._elementwise(op, a, b)
 
     def _elementwise(self, op, a, b):
-        return self._register(elementwise(op, a, b, self.config.trace))
+        return elementwise(op, a, b, self.config.trace, self._new_array)
 
     def _index(self, arr, i):
         if not isinstance(arr, ArrayValue):
@@ -293,11 +293,6 @@ class Interpreter:
         if self.config.trace is not None:
             self.config.allocator.allocate(out)
         return out
-
-    def _register(self, arr):
-        if self.config.trace is not None and isinstance(arr, NdArray) and arr.addr == 0:
-            self.config.allocator.allocate(arr)
-        return arr
 
     def _slice_value(self, v, axis, i):
         """Slice one step along `axis`; scalars are read out (and traced)."""

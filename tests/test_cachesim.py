@@ -172,6 +172,18 @@ def test_matmul_trace_input_read_count():
     assert stats.accesses == len(trace)
 
 
+def test_elementwise_result_written_where_it_is_read():
+    p = parse_program("fn main(X, Y) { t = X * Y; return t + X; }")
+    X = NdArray((4,), "i64", "row", [1, 2, 3, 4])
+    Y = NdArray((4,), "i64", "row", [5, 6, 7, 8])
+    trace = trace_program(p, [X, Y])
+    # t = X * Y: per element R X, R Y, W t; then t + X: R t, R X, W result.
+    t_writes = [a for a, k in trace[:12] if k == "W"]
+    t_reads = [a for a, k in trace[12:] if k == "R"][0::2]
+    assert t_writes == t_reads
+    assert min(t_writes) >= 128  # past the 64-byte blocks of X and Y
+
+
 def test_locality_row_sum_column_major():
     # The motivating scenario: column-major layout, long rows. Tiling with
     # a conflict-free working set turns the untiled thrash into line reuse.
