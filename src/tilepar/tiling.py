@@ -406,19 +406,23 @@ class _Tiler:
 
     def tile_assign(self, s, state, path):
         e = s.value
-        merged = {}
-        for y in sorted(free_vars(e, Program(self.out))):
-            for d, axis in state.depths.get(y, ()):
-                merged.setdefault(d, axis)
-        new_depths = tuple(sorted(merged.items()))
+        recorded = [rec for y in sorted(free_vars(e, Program(self.out)))
+                    for rec in state.depths.get(y, ())]
+        depths = sorted({d for d, _ in recorded})
         rank = self.ranks.expr_rank(e, state.ranks)
         if contains_parallel_op(e):
             value = self.tile_expr(e, state, path)
-        elif new_depths:
+        elif depths:
             # Wrap the scalar statement in one Map per recorded depth to
             # peel the tile ranks added by enclosing operators (axis 0 at
             # every level, matching slicing at the leading remaining axis).
-            levels = [(d, OpLevel("map", axes=(0,))) for d, _ in new_depths]
+            # A tile axis recorded elsewhere would be peeled in the wrong
+            # order, so such programs are left untiled.
+            if any(axis != 0 for _, axis in recorded):
+                raise UnsupportedNesting(
+                    f"scalar statement {s.target!r} reads a tile whose axis is not "
+                    f"leading ({path})")
+            levels = [(d, OpLevel("map", axes=(0,))) for d in depths]
             fv_order = tuple(sorted(free_vars(e)))
             wrap_eps = {v: state.depths.get(v, ()) for v in fv_order}
             value = self.build_operator_nest(levels, wrap_eps, fv_order,
@@ -426,9 +430,9 @@ class _Tiler:
                                              force_axis0=True)
         else:
             value = e
-        state.depths[s.target] = tuple((d, 0) for d, _ in new_depths)
+        state.depths[s.target] = tuple((d, 0) for d in depths)
         state.ranks[s.target] = rank
-        offset = len(new_depths)
+        offset = len(depths)
         state.remaining[s.target] = tuple(range(offset, offset + rank))
         return Assign(s.target, value)
 

@@ -9,6 +9,10 @@ Generates small operator nests (depth <= 3) over int64 arrays with extents
   Map-wrapping of scalar statements is exact;
 * pure nests (no interleaved statements) pick arbitrary valid local axes
   to exercise the local-to-global axis remapping.
+
+`generate(seed, wide=True)` lifts the axis-0 restriction on statement-heavy
+programs. Tiling must then either reproduce the untiled result or leave
+the program unchanged with a reason.
 """
 
 import random
@@ -25,9 +29,10 @@ MAX_DEPTH = 3
 
 
 class _Builder:
-    def __init__(self, rng, pure):
+    def __init__(self, rng, pure, wide=False):
         self.rng = rng
         self.pure = pure
+        self.any_axis = pure or wide
         self.fns = {}
         self.counter = 0
         self.use_c = (not pure) and rng.random() < 0.5
@@ -89,7 +94,7 @@ class _Builder:
         if depth >= MAX_DEPTH and trank >= 1:
             kind_pool.append("return")
         kind = rng.choice(kind_pool)
-        axis = rng.randrange(trank) if self.pure else 0
+        axis = rng.randrange(trank) if self.any_axis else 0
         if kind == "return":
             stmts.append(Return(Var(target)))
             return tuple(stmts), trank
@@ -131,16 +136,17 @@ def _walk(e):
         yield from _walk(e.right)
 
 
-def generate(seed):
-    """Build one random case: (program, input arrays, entry arg ranks)."""
+def generate(seed, wide=False):
+    """Build one random case: (program, input arrays, entry arg ranks).
+    `wide` lets statement-heavy programs slice at any axis."""
     rng = random.Random(seed)
     pure = rng.random() < 0.4
-    b = _Builder(rng, pure)
+    b = _Builder(rng, pure, wide)
     rank = rng.randrange(1, 4)
     shape = tuple(rng.randrange(2, 8) for _ in range(rank))
 
     top_fn, _ = b.make_fn(rank - 1, 1)
-    axis = rng.randrange(rank) if pure else 0
+    axis = rng.randrange(rank) if b.any_axis else 0
     stmts = []
     params = ["X"]
     arg_ranks = [rank]

@@ -519,6 +519,25 @@ def test_unsupported_nesting_bails_gracefully():
     assert print_program(res.program) == before
 
 
+def test_scalar_statement_under_non_leading_axis_left_untiled():
+    # `t = v * 2` reads a tile of X cut along axis 1; wrapping the
+    # statement at axis 0 would transpose it, so the tiler must bail out.
+    src = """
+    fn ident(x) { return x; }
+    fn add2(a, b) { return a + b; }
+    fn f(v) { t = v * 2; return reduce(ident, combine=add2, init=0, t; axes=[0]); }
+    fn main(X) { return map(f, X; axes=[1]); }
+    """
+    p = parse_program(src)
+    before = print_program(p)
+    X = NdArray.from_nested([[1, 2, 3], [4, 5, 6]])
+    assert eval_program(p, [X]).to_nested() == [10, 14, 18]
+    res = tile_program(p)
+    assert not res.changed
+    assert "scalar statement 't'" in res.reason
+    assert print_program(res.program) == before
+
+
 # -- randomized oracle --------------------------------------------------------------
 
 
@@ -533,6 +552,26 @@ def test_random_program_oracle(seed):
         sizes = randprog.sample_tile_sizes(res.spec, rng)
         out = eval_program(res.program, inputs, EvalConfig(tile_sizes=sizes))
         assert norm_value(out) == norm_value(base), sizes
+
+
+@pytest.mark.parametrize("chunk", range(10))
+def test_widened_random_program_oracle(chunk):
+    # Statement-heavy programs slicing at any axis, 100 seeds per chunk,
+    # through both passes: every seed matches untiled or bails with a reason.
+    for seed in range(chunk * 100, chunk * 100 + 100):
+        program, inputs, arg_ranks = randprog.generate(seed, wide=True)
+        base = norm_value(eval_program(program, inputs))
+        res = tile_program(program, arg_ranks=arg_ranks)
+        if not res.changed:
+            assert res.reason, seed
+            continue
+        reg_program, reg_spec = register_tile(res.program, res.spec, 16)
+        rng = random.Random(seed * 977 + 13)
+        for prog, spec in ((res.program, res.spec), (reg_program, reg_spec)):
+            for _ in range(2):
+                sizes = spec.sizes(overrides=randprog.sample_tile_sizes(spec, rng))
+                out = eval_program(prog, inputs, EvalConfig(tile_sizes=sizes))
+                assert norm_value(out) == base, (seed, sizes)
 
 
 # -- register pass -------------------------------------------------------------------
