@@ -15,6 +15,7 @@ trace sink; `elementwise` walks its operands' offsets the same way.
 from __future__ import annotations
 
 import operator
+import weakref
 
 ELEM_SIZE = 8
 
@@ -422,8 +423,11 @@ class Allocator:
         self.next = 0
         self.free_blocks = {}
 
-    def allocate(self, arr):
-        import weakref
+    def allocate(self, arr, reclaim=True):
+        """Give `arr` a line-aligned block. With `reclaim` the block returns
+        to the free list when `arr` dies. Run inputs outlive the run and
+        are placed without it: their finalizer would keep this allocator
+        alive for as long as the input."""
         nbytes = max(1, arr.size) * ELEM_SIZE
         nbytes = (nbytes + self.align - 1) // self.align * self.align
         blocks = self.free_blocks.get(nbytes)
@@ -433,7 +437,8 @@ class Allocator:
             addr = self.next
             self.next += nbytes
         arr.addr = addr
-        weakref.finalize(arr, self._release, nbytes, addr)
+        if reclaim:
+            weakref.finalize(arr, self._release, nbytes, addr)
         return arr
 
     def _release(self, nbytes, addr):

@@ -123,7 +123,7 @@ class Interpreter:
         if self.config.trace is not None:
             for a in args:
                 if isinstance(a, NdArray):
-                    self.config.allocator.allocate(a)
+                    self.config.allocator.allocate(a, reclaim=False)
         self._entry_fn = fn
         return self.call_function(fn, list(args), {})
 

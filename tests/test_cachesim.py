@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 
@@ -8,7 +9,7 @@ from tilepar.cachesim import (
     simulate, simulate_program, trace_program,
 )
 from tilepar.ir import parse_program
-from tilepar.ndarray import NdArray
+from tilepar.ndarray import Allocator, NdArray
 from tilepar.tiling import tile_program
 
 import programs
@@ -199,6 +200,24 @@ def test_locality_row_sum_column_major():
     assert tiled_val.to_nested() == base_val.to_nested()
     assert tiled.misses < untiled.misses
     assert untiled.miss_ratio / tiled.miss_ratio >= 2.0
+
+
+def test_traced_runs_do_not_leak_allocators():
+    # Each run gets its own Allocator; reusing one input across runs must
+    # not keep them alive.
+    p = parse_program(programs.SUM_ROWS)
+    m = NdArray((4, 4), "i64", "row", list(range(16)))
+    model = CacheModel(1024, 64, 2)
+
+    def live_allocators():
+        gc.collect()
+        return sum(isinstance(o, Allocator) for o in gc.get_objects())
+
+    simulate_program(p, [m], model)
+    before = live_allocators()
+    for _ in range(50):
+        simulate_program(p, [m], model)
+    assert live_allocators() == before
 
 
 def test_streaming_matches_materialized():
