@@ -136,14 +136,13 @@ class View:
     `offset` is a flat element offset; `strides` are per remaining axis.
     """
 
-    __slots__ = ("root", "offset", "shape", "strides", "is_straggler")
+    __slots__ = ("root", "offset", "shape", "strides")
 
-    def __init__(self, root, offset, shape, strides, is_straggler=False):
+    def __init__(self, root, offset, shape, strides):
         self.root = root
         self.offset = offset
         self.shape = tuple(shape)
         self.strides = tuple(strides)
-        self.is_straggler = is_straggler
 
     @property
     def rank(self):
@@ -167,9 +166,6 @@ class View:
     def get(self, idx):
         return self.root.data[self.flat_index(idx)]
 
-    def addr_of(self, idx):
-        return self.root.addr + self.flat_index(idx) * ELEM_SIZE
-
     def to_nested(self):
         if self.rank > 1:
             return [slice_axis(self, 0, i).to_nested() for i in range(self.shape[0])]
@@ -178,8 +174,7 @@ class View:
         return items if self.shape else items[0]
 
     def __repr__(self):
-        tag = ", straggler" if self.is_straggler else ""
-        return f"View(shape={self.shape}{tag})"
+        return f"View(shape={self.shape})"
 
 
 def as_view(x):
@@ -188,14 +183,10 @@ def as_view(x):
     return View(x, 0, x.shape, x.strides)
 
 
-def root_of(x):
-    return x.root if isinstance(x, View) else x
-
-
 ArrayValue = (NdArray, View)
 
 
-def tile_view(x, axis, start, extent, is_straggler=False):
+def tile_view(x, axis, start, extent):
     """Same-rank window covering [start, start+extent) along `axis`."""
     v = as_view(x)
     if not 0 <= axis < v.rank:
@@ -204,7 +195,7 @@ def tile_view(x, axis, start, extent, is_straggler=False):
         raise ShapeError(f"tile [{start}, {start + extent}) exceeds extent {v.shape[axis]}")
     shape = list(v.shape)
     shape[axis] = extent
-    return View(v.root, v.offset + start * v.strides[axis], shape, v.strides, is_straggler)
+    return View(v.root, v.offset + start * v.strides[axis], shape, v.strides)
 
 
 def decompose(x, axis, k):
@@ -226,7 +217,7 @@ def decompose(x, axis, k):
         tiles.append(tile_view(v, axis, t * k, k))
     rem = length - full * k
     if rem:
-        tiles.append(tile_view(v, axis, full * k, rem, is_straggler=True))
+        tiles.append(tile_view(v, axis, full * k, rem))
     return tiles
 
 

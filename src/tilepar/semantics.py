@@ -60,7 +60,6 @@ class TraceSink:
         self.events = [] if consumer is None else None
         self.consumer = consumer
         self.phase_consumer = phase_consumer
-        self.phases = []  # (event index, label) when materializing
 
     def emit(self, addr, kind):
         if self.consumer is not None:
@@ -77,11 +76,6 @@ class TraceSink:
     def phase(self, label):
         if self.phase_consumer is not None:
             self.phase_consumer(label)
-        elif self.events is not None:
-            self.phases.append((len(self.events), label))
-
-    def __len__(self):
-        return len(self.events) if self.events is not None else 0
 
 
 @dataclass
@@ -89,14 +83,12 @@ class EvalConfig:
     parallelism: int = 1
     tile_sizes: dict = field(default_factory=dict)  # slot id -> extent
     trace: TraceSink | None = None
-    check_fixed_dispatch: bool = True
     counters: Counters = field(default_factory=Counters)
     allocator: Allocator = field(default_factory=Allocator)
 
     def child(self):
         """Copy for a worker evaluating tiles of the outermost operator."""
         return EvalConfig(parallelism=1, tile_sizes=self.tile_sizes, trace=None,
-                          check_fixed_dispatch=self.check_fixed_dispatch,
                           counters=Counters(), allocator=self.allocator)
 
 
@@ -126,9 +118,6 @@ class Interpreter:
                     self.config.allocator.allocate(a, reclaim=False)
         self._entry_fn = fn
         return self.call_function(fn, list(args), {})
-
-    def apply_named(self, name, args, env=None):
-        return self.call_function(self.program.fn(name), args, env or {})
 
     # -- function calls ------------------------------------------------------
 
@@ -485,11 +474,10 @@ class Interpreter:
             tiles = tile_args[t]
             is_full = t < full
             if is_full:
-                if self.config.check_fixed_dispatch:
-                    for tv, axis in zip(tiles, node.axes):
-                        if tv.shape[axis] != k:
-                            raise EvalError(
-                                f"full tile extent {tv.shape[axis]} != tile size {k} (slot {node.slot})")
+                for tv, axis in zip(tiles, node.axes):
+                    if tv.shape[axis] != k:
+                        raise EvalError(
+                            f"full tile extent {tv.shape[axis]} != tile size {k} (slot {node.slot})")
                 if fixed_fn is not None:
                     if fixed_fn.fixed_extent is not None and fixed_fn.fixed_extent != k:
                         raise EvalError(

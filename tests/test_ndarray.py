@@ -13,20 +13,17 @@ def arange(n):
 def test_decompose_with_straggler():
     tiles = decompose(arange(10), 0, 3)
     assert [t.shape[0] for t in tiles] == [3, 3, 3, 1]
-    assert [t.is_straggler for t in tiles] == [False, False, False, True]
 
 
 def test_decompose_exact_division():
     tiles = decompose(arange(9), 0, 3)
     assert [t.shape[0] for t in tiles] == [3, 3, 3]
-    assert not any(t.is_straggler for t in tiles)
 
 
 def test_decompose_k_larger_than_extent():
     tiles = decompose(arange(5), 0, 8)
     assert len(tiles) == 1
     assert tiles[0].shape == (5,)
-    assert tiles[0].is_straggler
     assert concat(tiles, 0).data == arange(5).data
 
 
