@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .autotuner import CostProbe, SearchConfig, autotune, estimate_bounds
 from .cachesim import CacheModel, simulate_program
 from .ir import desugar_allpairs, parse_program
-from .ndarray import ArrayValue, NdArray, as_view, offsets
+from .ndarray import ArrayValue, NdArray, as_view, elements
 from .semantics import EvalConfig, eval_program
 from .tiling import register_tile, tile_program
 
@@ -85,11 +85,10 @@ def checksum(value):
     if not isinstance(value, ArrayValue):
         return f"scalar:{value!r}"
     v = as_view(value)
-    data = v.root.data
     acc = 0.0
     weight = 1.0
-    for o in offsets(v):
-        acc += weight * float(data[o])
+    for x in elements(v):
+        acc += weight * float(x)
         weight = weight * 1.000000119 % 1e9
     return f"{'x'.join(map(str, v.shape))}:{acc:.10e}"
 
@@ -104,8 +103,7 @@ def values_close(a, b, rtol=1e-9):
     av, bv = as_view(a), as_view(b)
     if av.shape != bv.shape:
         return False
-    adata, bdata = av.root.data, bv.root.data
-    return all(_close(adata[i], bdata[j], rtol) for i, j in zip(offsets(av), offsets(bv)))
+    return all(_close(x, y, rtol) for x, y in zip(elements(av), elements(bv)))
 
 
 def _close(x, y, rtol):

@@ -14,6 +14,7 @@ trace sink; `elementwise` walks its operands' offsets the same way.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import weakref
 
@@ -109,7 +110,11 @@ class NdArray:
         flat = _flatten(nested, len(shape))
         if dtype is None:
             dtype = "f64" if any(isinstance(v, float) for v in flat) else "i64"
-        return copy(cls(shape, dtype, "row", flat), cls(shape, dtype, layout))
+        arr = cls(shape, dtype, layout)
+        data = arr.data
+        for o, x in zip(offsets(arr), flat):
+            data[o] = x
+        return arr
 
     @classmethod
     def scalar(cls, value):
@@ -169,8 +174,7 @@ class View:
     def to_nested(self):
         if self.rank > 1:
             return [slice_axis(self, 0, i).to_nested() for i in range(self.shape[0])]
-        data = self.root.data
-        items = [data[o] for o in offsets(self)]
+        items = list(elements(self))
         return items if self.shape else items[0]
 
     def __repr__(self):
@@ -234,21 +238,52 @@ def slice_axis(x, axis, i):
 
 
 def offsets(x):
-    """Flat buffer offsets of every element of `x`, in index order (last
-    axis fastest). This is the one walk over a view's elements."""
+    """Iterate the flat buffer offsets of every element of `x` in index
+    order (last axis fastest). This is the one walk over a view's elements."""
+    return _walk(as_view(x), 0, 1)
+
+
+def elements(x):
+    """Iterate the element values of `x` in index order."""
     v = as_view(x)
-    out = [v.offset]
-    for extent, stride in zip(v.shape, v.strides):
-        steps = [i * stride for i in range(extent)]
-        out = [o + s for o in out for s in steps]
-    return out
+    return map(v.root.data.__getitem__, offsets(v))
 
 
 def _addresses(x):
-    """Byte addresses of every element of `x`, in index order."""
+    """Iterate the byte addresses of every element of `x` in index order."""
     v = as_view(x)
-    base = v.root.addr
-    return [base + o * ELEM_SIZE for o in offsets(v)]
+    return _walk(v, v.root.addr, ELEM_SIZE)
+
+
+def _walk(v, base, scale):
+    """base + scale * offset for every element of view `v`, in index order:
+    one range per run along the last axis."""
+    if not v.shape:
+        return iter((base + scale * v.offset,))
+    if 0 in v.shape:
+        return iter(())
+    starts = [base + scale * v.offset]
+    for extent, stride in zip(v.shape[:-1], v.strides[:-1]):
+        steps = [i * stride * scale for i in range(extent)]
+        starts = [b + s for b in starts for s in steps]
+    step = v.strides[-1] * scale
+    length = v.shape[-1] * step
+    return itertools.chain.from_iterable(range(b, b + length, step) for b in starts)
+
+
+def _trace(trace, sources, dst):
+    """Report each element, in index order, as a read of every view in
+    `sources` (one or two) followed by a write of `dst`."""
+    read, write = trace.read, trace.write
+    if len(sources) == 1:
+        for r, w in zip(_addresses(sources[0]), _addresses(dst)):
+            read(r)
+            write(w)
+        return
+    for r, q, w in zip(_addresses(sources[0]), _addresses(sources[1]), _addresses(dst)):
+        read(r)
+        read(q)
+        write(w)
 
 
 def copy(src, dst, trace=None):
@@ -264,10 +299,7 @@ def copy(src, dst, trace=None):
     for i, j in zip(offsets(s), offsets(d)):
         ddata[j] = sdata[i]
     if trace is not None:
-        read, write = trace.read, trace.write
-        for r, w in zip(_addresses(s), _addresses(d)):
-            read(r)
-            write(w)
+        _trace(trace, [s], d)
     return dst
 
 
@@ -327,8 +359,8 @@ def _max(a, b):
     return a if a >= b else b
 
 
-BINARY_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-              "/": operator.truediv, "min": _min, "max": _max}
+_BINARY_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": operator.truediv, "min": _min, "max": _max}
 
 
 def apply_op(op, a, b):
@@ -342,7 +374,7 @@ def apply_op(op, a, b):
 
 def _binary(op):
     try:
-        return BINARY_OPS[op]
+        return _BINARY_OPS[op]
     except KeyError:
         raise ValueError(f"unknown operator {op!r}") from None
 
@@ -368,29 +400,12 @@ def elementwise(op, a, b, trace=None, new_array=NdArray):
     dtype = "f64" if op == "/" else result_dtype((a, b))
     out = new_array(like.shape, dtype, like.layout)
     odata = out.data
-    if av is not None and bv is not None:
-        adata, bdata = av.root.data, bv.root.data
-        for i, j, k in zip(offsets(av), offsets(bv), offsets(out)):
-            odata[k] = f(adata[i], bdata[j])
-    elif av is not None:
-        adata = av.root.data
-        for i, k in zip(offsets(av), offsets(out)):
-            odata[k] = f(adata[i], b)
-    else:
-        bdata = bv.root.data
-        for j, k in zip(offsets(bv), offsets(out)):
-            odata[k] = f(a, bdata[j])
+    xs = elements(av) if av is not None else itertools.repeat(a)
+    ys = elements(bv) if bv is not None else itertools.repeat(b)
+    for k, x, y in zip(offsets(out), xs, ys):
+        odata[k] = f(x, y)
     if trace is not None:
-        read, write = trace.read, trace.write
-        if av is not None and bv is not None:
-            for x, y, w in zip(_addresses(av), _addresses(bv), _addresses(out)):
-                read(x)
-                read(y)
-                write(w)
-        else:
-            for x, w in zip(_addresses(like), _addresses(out)):
-                read(x)
-                write(w)
+        _trace(trace, [v for v in (av, bv) if v is not None], out)
     return out
 
 

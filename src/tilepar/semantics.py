@@ -293,7 +293,7 @@ class Interpreter:
                 offset = i * v.strides[0]
                 root = v
             if self.config.trace is not None:
-                self.config.trace.read(root.addr + offset * 8)
+                self.config.trace.read(root.addr + offset * ELEM_SIZE)
             return root.data[offset]
         return slice_axis(v, axis, i)
 
@@ -301,18 +301,20 @@ class Interpreter:
         """Stack equal-shaped values along a new `axis`: Map and Scan
         outputs, array literals, and tiled-scan steps."""
         trace = self.config.trace
-        if not any(isinstance(x, ArrayValue) for x in values):
+        arrays = [isinstance(x, ArrayValue) for x in values]
+        if not any(arrays):
             out = self._new_array((len(values),), result_dtype(values))
             out.data[:] = values
             if trace is not None:
                 for i in range(len(values)):
                     trace.write(out.addr + i * ELEM_SIZE)
             return out
-        shapes = [as_view(x).shape if isinstance(x, ArrayValue) else "scalar" for x in values]
-        shape = shapes[0]
-        for xshape in shapes:
-            if xshape != shape:
-                raise EvalError(f"cannot stack shapes {shape} and {xshape}")
+        if not all(arrays):
+            raise EvalError("cannot stack scalars with arrays")
+        shape = as_view(values[0]).shape
+        for x in values:
+            if as_view(x).shape != shape:
+                raise EvalError(f"cannot stack shapes {shape} and {as_view(x).shape}")
         out = self._new_array(shape[:axis] + (len(values),) + shape[axis:],
                               result_dtype(values))
         for j, x in enumerate(values):

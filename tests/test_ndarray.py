@@ -99,12 +99,12 @@ def test_min_max_ops():
 
 def test_offsets_row_major():
     x = NdArray((2, 2), "i64", "row")
-    assert offsets(x) == [0, 1, 2, 3]
+    assert list(offsets(x)) == [0, 1, 2, 3]
 
 
 def test_offsets_col_major():
     x = NdArray((2, 2), "i64", "col")
-    assert offsets(x) == [0, 2, 1, 3]
+    assert list(offsets(x)) == [0, 2, 1, 3]
 
 
 def test_offsets_tiled_blocks():
