@@ -1,10 +1,12 @@
 """Benchmark corpus: matrix multiply, row sums, and k-means clustering.
 
-Each benchmark runs as three variants -- untiled, cache-tiled with the
-midpoint of the analytic bounds, and cache(+register)-tiled with sizes
-found by the miss-count autotuner -- over seeded, reproducible inputs.
-Variants must agree on their outputs (exactly for int64, within 1e-9
-relative for float64); wall times are reported but never asserted.
+Matrix multiply and row sums run as three variants -- untiled,
+cache-tiled with the midpoint of the analytic bounds, and
+cache(+register)-tiled with sizes found by the miss-count autotuner --
+over seeded, reproducible inputs. K-means runs two: untiled and
+cache-tiled at the midpoint. Variants must agree on their outputs
+(exactly for int64, within 1e-9 relative for float64; k-means on its
+labels); wall times are reported but never asserted.
 """
 
 from __future__ import annotations

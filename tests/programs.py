@@ -30,6 +30,14 @@ fn add2(a, b) { return a + b; }
 fn main(xs) { return scan(ident, combine=add2, init=0, xs; axes=[0]); }
 """
 
+# Prefix sums along every row.
+ROW_SCAN = """
+fn ident(x) { return x; }
+fn add2(a, b) { return a + b; }
+fn row_scan(row) { return scan(ident, combine=add2, init=0, row; axes=[0]); }
+fn main(Xs) { return map(row_scan, Xs; axes=[0]); }
+"""
+
 SQDIST = """
 fn ident(x) { return x; }
 fn add2(a, b) { return a + b; }
