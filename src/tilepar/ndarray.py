@@ -15,7 +15,6 @@ trace sink; `elementwise` walks its operands' offsets the same way.
 from __future__ import annotations
 
 import itertools
-import operator
 import weakref
 
 ELEM_SIZE = 8
@@ -351,32 +350,25 @@ def result_dtype(values):
     return "i64"
 
 
-def _min(a, b):
-    return a if a <= b else b
-
-
-def _max(a, b):
-    return a if a >= b else b
-
-
-_BINARY_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-               "/": operator.truediv, "min": _min, "max": _max}
-
-
 def apply_op(op, a, b):
     """Binary scalar arithmetic with int/float promotion.
 
     `/` always produces float64; the other operators keep int64 when both
     operands are int64.
     """
-    return _binary(op)(a, b)
-
-
-def _binary(op):
-    try:
-        return _BINARY_OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown operator {op!r}") from None
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    if op == "/":
+        return a / b
+    if op == "min":
+        return a if a <= b else b
+    if op == "max":
+        return a if a >= b else b
+    raise ValueError(f"unknown operator {op!r}")
 
 
 def elementwise(op, a, b, trace=None, new_array=NdArray):
@@ -389,9 +381,8 @@ def elementwise(op, a, b, trace=None, new_array=NdArray):
     """
     a_arr = isinstance(a, ArrayValue)
     b_arr = isinstance(b, ArrayValue)
-    f = _binary(op)
     if not a_arr and not b_arr:
-        return f(a, b)
+        return apply_op(op, a, b)
     av = as_view(a) if a_arr else None
     bv = as_view(b) if b_arr else None
     if av is not None and bv is not None and av.shape != bv.shape:
@@ -403,7 +394,7 @@ def elementwise(op, a, b, trace=None, new_array=NdArray):
     xs = elements(av) if av is not None else itertools.repeat(a)
     ys = elements(bv) if bv is not None else itertools.repeat(b)
     for k, x, y in zip(offsets(out), xs, ys):
-        odata[k] = f(x, y)
+        odata[k] = apply_op(op, x, y)
     if trace is not None:
         _trace(trace, [v for v in (av, bv) if v is not None], out)
     return out
