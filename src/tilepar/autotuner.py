@@ -1,8 +1,8 @@
 """Online tile-size search: Gaussian sampling around the best-known point.
 
 The search space is seeded by a pessimistic/optimistic pair of analytic
-bounds per slot (conservative stand-ins for published cache-model
-estimators, pluggable via `estimate_bounds`'s `estimator` hook). The
+bounds per slot (`default_estimator`, a conservative stand-in for
+published cache-model estimators). The
 starting point is the midpoint of the bounds; each round draws a batch of
 candidates, one Gaussian sample per slot with standard deviation half the
 bound gap, clamped into bounds. Any candidate beating the best point
@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from . import ir
@@ -102,7 +101,7 @@ class SearchConfig:
     max_evaluations: int = 40
     no_improve_limit: int = 3
     seed: int = 0
-    parallelism: int = 1
+    parallelism: int = 1  # unread: candidates run in order; benchmarks/run.py still passes it
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +120,7 @@ def default_estimator(n_slots, n_arrays, l1_bytes):
     return min(lo, hi), hi
 
 
-def estimate_bounds(program, spec, hw, extents=None, estimator=default_estimator):
+def estimate_bounds(program, spec, hw, extents=None):
     """Per-slot [lo, hi] tile-size bounds for the runtime-tunable slots.
 
     Slots of one operator nest (one entry-level tiled operator tree) share
@@ -139,7 +138,7 @@ def estimate_bounds(program, spec, hw, extents=None, estimator=default_estimator
     l1 = getattr(hw, "l1_bytes", None) or 32 * 1024
     for nest, group in groups.items():
         n_arrays = max(arrays_by_nest.get(nest, 1) + 1, 2)  # inputs + output
-        lo, hi = estimator(len(group), n_arrays, l1)
+        lo, hi = default_estimator(len(group), n_arrays, l1)
         for slot in group:
             s_lo, s_hi = lo, hi
             if extents and slot.id in extents:
@@ -175,10 +174,10 @@ def _count_nest_arrays(program, spec):
 # Search
 # ---------------------------------------------------------------------------
 
-def start_search(space, probe, config):
+def start_search(space, probe):
     """Evaluate the midpoint of the bounds as the initial best point."""
     initial = space.midpoint()
-    cost = _evaluate_all(probe, [initial], config)[0]
+    cost = _evaluate_all(probe, [initial])[0]
     state = SearchState(space, initial, cost if cost is not None else math.inf,
                         space.sigmas(), evaluations=1)
     state.log.append(LogRecord(0, initial, cost, state.best, state.best_cost))
@@ -194,28 +193,25 @@ def draw_candidate(state, rng):
     return sizes
 
 
-def _evaluate_all(probe, candidates, config):
-    def one(sizes):
+def _evaluate_all(probe, candidates):
+    """Cost of each candidate in order; None where the probe raises."""
+    costs = []
+    for sizes in candidates:
         try:
-            return probe.evaluate(sizes)
+            costs.append(probe.evaluate(sizes))
         except Exception:
-            return None
-
-    if config.parallelism > 1 and len(candidates) > 1:
-        with ThreadPoolExecutor(max_workers=min(config.parallelism, len(candidates))) as pool:
-            return list(pool.map(one, candidates))
-    return [one(c) for c in candidates]
+            costs.append(None)
+    return costs
 
 
 def search_step(state, probe, config, rng):
-    """One round: draw a batch, evaluate (possibly concurrently), accept
-    the best candidate if it improves. The outcome depends only on the
-    candidate set and costs, never on evaluation completion order; cost
-    ties break toward the lexicographically smallest candidate."""
+    """One round: draw a batch, evaluate it in order, accept the best
+    candidate if it improves. Cost ties break toward the lexicographically
+    smallest candidate."""
     if state.terminated:
         raise AutotuneError("search already terminated")
     candidates = [draw_candidate(state, rng) for _ in range(config.batch_size)]
-    costs = _evaluate_all(probe, candidates, config)
+    costs = _evaluate_all(probe, candidates)
     state.rounds += 1
     state.evaluations += len(candidates)
     scored = sorted((cost, sizes) for sizes, cost in zip(candidates, costs)
@@ -241,7 +237,7 @@ def should_terminate(state, config):
 def run_search(space, probe, config):
     """Drive rounds until the budget or the no-improvement limit is hit."""
     rng = random.Random(config.seed)
-    state = start_search(space, probe, config)
+    state = start_search(space, probe)
     while not should_terminate(state, config):
         search_step(state, probe, config, rng)
     state.terminated = True

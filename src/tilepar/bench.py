@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 
 from .autotuner import CostProbe, SearchConfig, autotune, estimate_bounds
-from .cachesim import CacheModel, simulate_program
+from .cachesim import simulate_program
 from .ir import desugar_allpairs, parse_program
 from .ndarray import ArrayValue, NdArray, as_view, elements
 from .semantics import EvalConfig, eval_program
@@ -157,7 +157,7 @@ def prepare(src, arg_ranks, hw, extents=None, registers=False):
 
 def tune(prepared, inputs, hw, model=None, seed=0, max_evaluations=12, batch=4,
          extents=None):
-    model = model or CacheModel(hw.l1_bytes, hw.line_bytes)
+    model = model or hw.l1_model()
     slot_ids = estimate_bounds(prepared.tiled, prepared.spec, hw,
                                extents=extents).slot_ids
 
@@ -208,7 +208,7 @@ def bench_matmul(hw, n=64, seed=0, misses=False, variants=VARIANTS, registers=Tr
     b = generate_array((n, n), "f64", "row", seed + 1)
     extents = None
     prepared = prepare(MATMUL_SRC, [2, 2], hw, extents=extents, registers=registers)
-    model = CacheModel(hw.l1_bytes, hw.line_bytes) if misses else None
+    model = hw.l1_model() if misses else None
     if "tiled+autotuned" in variants:
         tune(prepared, [a, b], hw, seed=seed, max_evaluations=tune_evals)
     return _run_all("matmul", prepared, [a, b], variants, model)
@@ -219,7 +219,7 @@ def bench_sum_rows(hw, rows=256, cols=256, layout="col", seed=0, misses=False,
     m = generate_array((rows, cols), "f64", layout, seed)
     extents = {0: rows, 1: cols}
     prepared = prepare(SUM_ROWS_SRC, [2], hw, extents=extents)
-    model = CacheModel(hw.l1_bytes, hw.line_bytes) if misses else None
+    model = hw.l1_model() if misses else None
     if "tiled+autotuned" in variants:
         tune(prepared, [m], hw, seed=seed, max_evaluations=tune_evals, extents=extents)
     return _run_all("sum_rows", prepared, [m], variants, model)

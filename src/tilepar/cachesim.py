@@ -75,8 +75,8 @@ class HardwareInfo:
     registers: int = DEFAULT_REGISTERS
     provenance: str = "default"  # probed | configured | default
 
-    def l1_model(self, associativity=DEFAULT_ASSOCIATIVITY):
-        return CacheModel(self.l1_bytes, self.line_bytes, associativity)
+    def l1_model(self):
+        return CacheModel(self.l1_bytes, self.line_bytes)
 
 
 class Simulator:

@@ -3,7 +3,8 @@
 Subcommands: run (evaluate a program), tile (print the tiled IR and slot
 table), autotune (search tile sizes), cachesim (trace + simulate), bench
 (run the benchmark corpus). Exit codes: 0 success, 1 usage or parse
-error, 2 runtime error, 3 correctness-check failure.
+error, 2 runtime error (an invalid cache geometry too), 3 correctness-check
+failure.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .bench import (
     BENCHMARKS, CorrectnessError, bench_kmeans, bench_matmul, bench_sum_rows,
     checksum, generate_array,
 )
-from .cachesim import CacheModel, probe_hardware, simulate_program
+from .cachesim import CacheConfigError, CacheModel, probe_hardware, simulate_program
 from .ir import IRError, desugar_allpairs, parse_program, print_program
 from .ndarray import ArrayValue, NdArray, ShapeError, as_view, load_array
 from .semantics import EvalConfig, EvalError, eval_program
@@ -41,7 +42,7 @@ def main(argv=None):
     except (UsageError, IRError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (EvalError, TilingError, AutotuneError) as exc:
+    except (EvalError, TilingError, AutotuneError, CacheConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except CorrectnessError as exc:
@@ -57,8 +58,6 @@ def build_parser():
     _program_args(run)
     run.add_argument("--tiling", choices=["off", "cache", "cache+register"], default="off")
     run.add_argument("--tile-sizes", help="comma-separated sizes for runtime slots")
-    run.add_argument("--parallelism", type=int, default=0,
-                     help="worker threads for the outermost tiled operator (0: probed cores)")
     run.add_argument("--format", choices=["human", "csv"], default="human")
     run.set_defaults(handler=cmd_run)
 
@@ -71,7 +70,8 @@ def build_parser():
     tune = sub.add_parser("autotune", help="search tile sizes for a program")
     _program_args(tune)
     tune.add_argument("--probe", choices=["misses", "walltime"], default="misses")
-    tune.add_argument("--batch", type=int, default=0, help="candidates per round (0: cores)")
+    tune.add_argument("--batch", type=int, default=SearchConfig.batch_size,
+                      help="candidates per round")
     tune.add_argument("--budget", type=int, default=16, help="max candidate evaluations")
     tune.add_argument("--cache", help="best-sizes cache file (skips the search on a hit)")
     tune.add_argument("--format", choices=["human", "csv"], default="human")
@@ -231,8 +231,7 @@ def cmd_run(args):
     if spec is not None:
         overrides = _parse_sizes(args.tile_sizes, spec)
         sizes = spec.sizes(overrides=overrides or _default_sizes(tiled, spec, hw))
-    parallelism = args.parallelism or hw.cores
-    config = EvalConfig(parallelism=parallelism, tile_sizes=sizes)
+    config = EvalConfig(tile_sizes=sizes)
     start = time.perf_counter()
     value = eval_program(tiled, inputs, config)
     wall = time.perf_counter() - start
@@ -272,6 +271,8 @@ def cmd_autotune(args):
     inputs = _load_inputs(args)
     if not inputs:
         raise UsageError("autotune needs --input or --gen")
+    if args.batch < 1:
+        raise UsageError("--batch must be >= 1")
     hw = _hardware()
     tiled, spec = _prepare_tiled(program, inputs, "cache", hw)
     if spec is None:
@@ -285,7 +286,7 @@ def cmd_autotune(args):
         if cached is not None:
             print(f"cached sizes: {cached}")
             return EXIT_OK
-    model = CacheModel(hw.l1_bytes, hw.line_bytes)
+    model = hw.l1_model()
     from .autotuner import estimate_bounds
     slot_ids = estimate_bounds(tiled, spec, hw).slot_ids
 
@@ -301,9 +302,8 @@ def cmd_autotune(args):
                          EvalConfig(tile_sizes=spec.sizes(overrides=dict(zip(slot_ids, sizes)))))
             return time.perf_counter() - start
 
-    config = SearchConfig(batch_size=args.batch or hw.cores,
-                          max_evaluations=args.budget, seed=args.seed,
-                          parallelism=hw.cores)
+    config = SearchConfig(batch_size=args.batch, max_evaluations=args.budget,
+                          seed=args.seed)
     tuned, state = autotune(tiled, spec, CostProbe(probe_fn), hw, config)
     if args.cache and key is not None:
         from .autotuner import store_cached_sizes

@@ -101,28 +101,16 @@ class Index(Expr):
 
 
 @dataclass(frozen=True)
-class Lambda(Expr):
-    """Inline function, only valid transiently while building programs.
-
-    `lift_lambdas` replaces every Lambda used as an operator function with
-    a fresh named function; validation rejects any that remain.
-    """
-
-    params: tuple[str, ...]
-    body: tuple[Stmt, ...]
-
-
-@dataclass(frozen=True)
 class Map(Expr):
-    fn: str | Lambda
+    fn: str
     args: tuple[Expr, ...]
     axes: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class Reduce(Expr):
-    fn: str | Lambda
-    combine: str | Lambda
+    fn: str
+    combine: str
     init: Expr
     args: tuple[Expr, ...]
     axes: tuple[int, ...]
@@ -130,9 +118,9 @@ class Reduce(Expr):
 
 @dataclass(frozen=True)
 class Scan(Expr):
-    fn: str | Lambda
-    combine: str | Lambda
-    emit: str | Lambda | None
+    fn: str
+    combine: str
+    emit: str | None
     init: Expr
     args: tuple[Expr, ...]
     axes: tuple[int, ...]
@@ -140,7 +128,7 @@ class Scan(Expr):
 
 @dataclass(frozen=True)
 class AllPairs(Expr):
-    fn: str | Lambda
+    fn: str
     arg1: Expr
     arg2: Expr
     axes: tuple[int, int]
@@ -254,31 +242,20 @@ class Program:
 # ---------------------------------------------------------------------------
 
 def sub_exprs(e):
-    """Direct child expressions of `e` (inline lambdas included)."""
+    """Direct child expressions of `e`: operands and init values."""
     if isinstance(e, BinOp):
         return (e.left, e.right)
     if isinstance(e, ArrayLit):
         return e.items
     if isinstance(e, Index):
         return (e.array, e.index)
-    if isinstance(e, Map):
-        return e.args + _lambda_refs(e)
+    if isinstance(e, (Map, TiledMap)):
+        return e.args
     if isinstance(e, (Reduce, Scan, TiledReduce, TiledScan)):
-        return (e.init, *e.args, *_lambda_refs(e))
+        return (e.init, *e.args)
     if isinstance(e, AllPairs):
-        return (e.arg1, e.arg2) + _lambda_refs(e)
-    if isinstance(e, TiledMap):
-        return e.args + _lambda_refs(e)
+        return (e.arg1, e.arg2)
     return ()
-
-
-def _lambda_refs(e):
-    refs = [e.fn]
-    if isinstance(e, (Reduce, Scan, TiledReduce, TiledScan)):
-        refs.append(e.combine)
-    if isinstance(e, (Scan, TiledScan)):
-        refs.append(e.emit)
-    return tuple(r for r in refs if isinstance(r, Lambda))
 
 
 def walk_exprs(node):
@@ -295,9 +272,6 @@ def walk_exprs(node):
         e = stack.pop()
         yield e
         stack.extend(sub_exprs(e))
-        if isinstance(e, Lambda):
-            for s in e.body:
-                stack.extend(_stmt_exprs(s))
 
 
 def _stmt_exprs(s):
@@ -334,7 +308,7 @@ def referenced_functions(e):
         names.append(e.fn)
     if isinstance(e, TILED_OPS) and e.fixed is not None:
         names.append(e.fixed)
-    return [n for n in names if isinstance(n, str)]
+    return names
 
 
 def contains_parallel_op(node, program=None):
@@ -420,9 +394,6 @@ def free_vars(node, program=None):
 def _expr_free(e, program):
     if isinstance(e, Var):
         return {e.name}
-    if isinstance(e, Lambda):
-        inner, _ = _block_free(e.body, program)
-        return inner - set(e.params)
     free = set()
     for c in sub_exprs(e):
         free |= _expr_free(c, program)
@@ -522,8 +493,6 @@ def _validate_block(program, fn, block, bound, allow_tiled):
 
 def _validate_expr(program, fn, expr, bound, allow_tiled):
     for e in walk_exprs(expr):
-        if isinstance(e, Lambda):
-            raise ValidationError("unlifted-lambda", f"{fn.name}: Lambda must be lifted to a named function")
         if isinstance(e, TILED_OPS) and not allow_tiled:
             raise ValidationError("tiled-in-user-program",
                                   f"{fn.name}: {type(e).__name__} is internal-only syntax")
@@ -546,8 +515,6 @@ def _validate_op(program, fn, e, bound):
     if not args:
         raise ValidationError("no-operands", f"{fn.name}: {kind} needs at least one argument")
     for role, ref, arity in _op_refs(e, len(args)):
-        if not isinstance(ref, str):
-            continue  # Lambda: caught by unlifted-lambda
         if ref not in program.functions:
             raise ValidationError("missing-function", f"{fn.name}: {kind} references unknown {role} {ref!r}")
         target = program.functions[ref]
@@ -577,71 +544,6 @@ def _op_refs(e, nargs):
     if isinstance(e, TILED_OPS) and e.fixed is not None:
         refs.append(("fixed function", e.fixed, nargs))
     return refs
-
-
-# ---------------------------------------------------------------------------
-# Lambda lifting
-# ---------------------------------------------------------------------------
-
-def lift_lambdas(program):
-    """Replace Lambda operator functions with fresh named functions."""
-    out = Program(dict(program.functions))
-    changed = True
-    while changed:
-        changed = False
-        for name, fn in list(out.functions.items()):
-            new_body = _lift_block(out, fn.body)
-            if new_body != fn.body:
-                out.functions[name] = replace(fn, body=new_body)
-                changed = True
-    return out
-
-
-def _lift_block(program, block):
-    return tuple(_lift_stmt(program, s) for s in block)
-
-
-def _lift_stmt(program, s):
-    if isinstance(s, Assign):
-        return Assign(s.target, _lift_expr(program, s.value))
-    if isinstance(s, Return):
-        return Return(_lift_expr(program, s.value))
-    if isinstance(s, If):
-        return If(_lift_expr(program, s.cond), _lift_block(program, s.then), _lift_block(program, s.orelse))
-    if isinstance(s, For):
-        return For(s.var, _lift_expr(program, s.seq), _lift_block(program, s.body))
-    raise TypeError(s)
-
-
-def _lift_expr(program, e):
-    def lift_ref(ref, site_names):
-        if not isinstance(ref, Lambda):
-            return ref
-        body = _lift_block(program, ref.body)
-        fv, _ = _block_free(body, program)
-        closures = tuple(sorted(fv - set(ref.params)))
-        name = program.fresh_name("lam$0")
-        program.functions[name] = Function(name, ref.params, closures, body)
-        return name
-
-    if isinstance(e, BinOp):
-        return BinOp(e.op, _lift_expr(program, e.left), _lift_expr(program, e.right))
-    if isinstance(e, ArrayLit):
-        return ArrayLit(tuple(_lift_expr(program, x) for x in e.items))
-    if isinstance(e, Index):
-        return Index(_lift_expr(program, e.array), _lift_expr(program, e.index))
-    if isinstance(e, Map):
-        return Map(lift_ref(e.fn, None), tuple(_lift_expr(program, a) for a in e.args), e.axes)
-    if isinstance(e, Reduce):
-        return Reduce(lift_ref(e.fn, None), lift_ref(e.combine, None), _lift_expr(program, e.init),
-                      tuple(_lift_expr(program, a) for a in e.args), e.axes)
-    if isinstance(e, Scan):
-        emit = lift_ref(e.emit, None) if e.emit is not None else None
-        return Scan(lift_ref(e.fn, None), lift_ref(e.combine, None), emit, _lift_expr(program, e.init),
-                    tuple(_lift_expr(program, a) for a in e.args), e.axes)
-    if isinstance(e, AllPairs):
-        return AllPairs(lift_ref(e.fn, None), _lift_expr(program, e.arg1), _lift_expr(program, e.arg2), e.axes)
-    return e
 
 
 # ---------------------------------------------------------------------------
@@ -1169,8 +1071,6 @@ def print_expr(e, prec=0):
         return (f"tiledscan({e.fn}{_print_fixed(e)}, slot={e.slot}, depth={e.depth}, "
                 f"combine={e.combine}, {emit}init={print_expr(e.init)}"
                 f"{_print_args(e.args)}; axes={_print_axes(e.axes)})")
-    if isinstance(e, Lambda):
-        raise ValidationError("unlifted-lambda", "cannot print a Lambda; lift it first")
     raise TypeError(e)
 
 

@@ -9,18 +9,15 @@ Tiled operators decompose their arguments into full tiles plus an
 optional straggler, dispatch full tiles to the fixed-size function clone
 when one is attached (otherwise to the generic one), always dispatch the
 straggler to the generic function, and reassemble results so that the
-outcome equals the untiled operator. Distinct full tiles of the outermost
-tiled operator may be evaluated concurrently; combination order stays
-fixed, so results are independent of the parallelism degree.
+outcome equals the untiled operator. Tiles are evaluated one after
+another in tile order.
 
 When a trace sink is attached, every array element read/write is reported
-as (byte address, R|W) for cache simulation, and evaluation is forced
-sequential so the trace order is well defined.
+as (byte address, R|W) for cache simulation.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import ir
@@ -41,11 +38,6 @@ class Counters:
     full_tile_calls: int = 0
     straggler_calls: int = 0
     bounds_checks: int = 0
-
-    def merge(self, other):
-        self.full_tile_calls += other.full_tile_calls
-        self.straggler_calls += other.straggler_calls
-        self.bounds_checks += other.bounds_checks
 
 
 class TraceSink:
@@ -80,16 +72,10 @@ class TraceSink:
 
 @dataclass
 class EvalConfig:
-    parallelism: int = 1
     tile_sizes: dict = field(default_factory=dict)  # slot id -> extent
     trace: TraceSink | None = None
     counters: Counters = field(default_factory=Counters)
     allocator: Allocator = field(default_factory=Allocator)
-
-    def child(self):
-        """Copy for a worker evaluating tiles of the outermost operator."""
-        return EvalConfig(parallelism=1, tile_sizes=self.tile_sizes, trace=None,
-                          counters=Counters(), allocator=self.allocator)
 
 
 def eval_program(program, args, config=None, entry="main"):
@@ -102,7 +88,6 @@ class Interpreter:
         self.program = program
         self.config = config or EvalConfig()
         self._shape_cache = {}
-        self._parallel_free = self.config.parallelism > 1 and self.config.trace is None
 
     # -- entry points --------------------------------------------------------
 
@@ -461,21 +446,17 @@ class Interpreter:
         return tile_args, full, k, extent
 
     def _dispatch_tiles(self, node, tile_args, full, k, env):
-        """Evaluate every tile, full tiles via the fixed clone when present.
-
-        Returns per-tile results in tile order. Full tiles of the
-        outermost tiled operator may run in parallel.
-        """
+        """Evaluate every tile in order, full tiles via the fixed clone when
+        present. Returns per-tile results in tile order."""
         fn, captured = self._capture(node.fn, env)
         fixed_fn = fixed_captured = None
         if node.fixed is not None:
             fixed_fn, fixed_captured = self._capture(node.fixed, env)
         counters = self.config.counters
 
-        def eval_tile(t, interp):
+        def eval_tile(t):
             tiles = tile_args[t]
-            is_full = t < full
-            if is_full:
+            if t < full:
                 for tv, axis in zip(tiles, node.axes):
                     if tv.shape[axis] != k:
                         raise EvalError(
@@ -485,24 +466,10 @@ class Interpreter:
                         raise EvalError(
                             f"fixed-size clone {fixed_fn.name} specialised for "
                             f"{fixed_fn.fixed_extent}, dispatched with k={k}")
-                    return interp.call_function(fixed_fn, list(tiles), fixed_captured)
-                return interp.call_function(fn, list(tiles), captured)
-            return interp.call_function(fn, list(tiles), captured)
+                    return self.call_function(fixed_fn, list(tiles), fixed_captured)
+            return self.call_function(fn, list(tiles), captured)
 
-        parallel = self._parallel_free and full > 1
-        if parallel:
-            self._parallel_free = False  # only the outermost operator fans out
-            workers = min(self.config.parallelism, full)
-            configs = [self.config.child() for _ in range(full)]
-            interps = [Interpreter(self.program, c) for c in configs]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(eval_tile, t, interps[t]) for t in range(full)]
-                results = [f.result() for f in futures]
-            for c in configs:
-                counters.merge(c.counters)
-            results += [eval_tile(t, self) for t in range(full, len(tile_args))]
-        else:
-            results = [eval_tile(t, self) for t in range(len(tile_args))]
+        results = [eval_tile(t) for t in range(len(tile_args))]
         counters.full_tile_calls += min(full, len(tile_args))
         counters.straggler_calls += max(0, len(tile_args) - full)
         return results

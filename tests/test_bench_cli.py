@@ -279,3 +279,21 @@ def test_cli_env_overrides_hardware(program_file, capsys, monkeypatch):
     assert main(["cachesim", "--program", prog, "--gen", "shape=8x8"]) == 0
     out = capsys.readouterr().out
     assert "capacity=2048" in out
+
+
+@pytest.mark.parametrize("l1_bytes, argv", [
+    ("40000", ["autotune", "--gen", "shape=16x16"]),
+    ("40000", ["cachesim", "--gen", "shape=16x16"]),
+    ("40000", ["bench", "--name", "sum_rows", "--rows", "16", "--cols", "16", "--misses"]),
+    (None, ["cachesim", "--gen", "shape=16x16", "--capacity", "1000"]),
+], ids=["autotune", "cachesim", "bench", "cachesim-capacity"])
+def test_cli_invalid_cache_geometry_is_an_error_line(l1_bytes, argv, program_file, capsys,
+                                                     monkeypatch):
+    if l1_bytes is not None:
+        monkeypatch.setenv("TILEPAR_L1_BYTES", l1_bytes)
+    if argv[0] != "bench":
+        argv = argv[:1] + ["--program", program_file(programs.SUM_ROWS)] + argv[1:]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err

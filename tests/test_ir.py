@@ -145,8 +145,6 @@ def test_validation_closure_in_scope():
 
 def test_free_vars_basics():
     assert free_vars(BinOp("+", Var("x"), Var("y"))) == {"x", "y"}
-    lam = ir.Lambda(("a",), (Return(BinOp("+", Var("a"), Var("b"))),))
-    assert free_vars(lam) == {"b"}
 
 
 def test_free_vars_block_scoping():
@@ -244,15 +242,3 @@ def test_round_trip_random_programs(seed):
     again = parse_program(text)
     assert again == program
     assert print_program(again) == text
-
-
-def test_lift_lambdas():
-    lam = ir.Lambda(("t",), (Return(BinOp("+", Var("t"), Const(1))),))
-    prog = Program({"main": Function("main", ("xs",), (),
-                                     (Return(Map(lam, (Var("xs"),), (0,))),))})
-    lifted = ir.lift_lambdas(prog)
-    ret = lifted.fn("main").body[-1].value
-    assert isinstance(ret.fn, str)
-    ir.validate_program(lifted)
-    with pytest.raises(ValidationError, match="unlifted-lambda"):
-        ir.validate_program(prog)

@@ -272,23 +272,6 @@ def test_tiled_missing_slot_size():
         run(TILED_MAP, [vec([1, 2, 3])], allow_internal=True, config=EvalConfig())
 
 
-def test_parallel_determinism():
-    xs = vec(range(1, 26))
-    seq = run(TILED_SUM, [xs], allow_internal=True, config=tiled_config(4, parallelism=1))
-    for degree in (2, 4, 7):
-        par = run(TILED_SUM, [xs], allow_internal=True,
-                  config=tiled_config(4, parallelism=degree))
-        assert par == seq
-
-
-@pytest.mark.parametrize("src", [TILED_MAP, TILED_SCAN])
-def test_parallel_determinism_map_scan(src):
-    xs = vec(range(1, 30))
-    seq = run(src, [xs], allow_internal=True, config=tiled_config(4, parallelism=1))
-    par = run(src, [xs], allow_internal=True, config=tiled_config(4, parallelism=3))
-    assert par.to_nested() == seq.to_nested()
-
-
 def test_fixed_clone_dispatch_and_bounds_checks():
     p = parse_program(TILED_MAP, allow_internal=True)
     fast = replace(p.fn("tile_map"), name="tile_map$k", fixed_extent=4)
