@@ -1,9 +1,12 @@
-"""Pinned address traces.
+"""Pinned address traces and tiled IR.
 
 Each case traces a small fixed-size tiled program and compares the sha256
 of its (address, kind) event stream, and its event count, against pinned
 values. A change that claims byte-identical traces must keep these; one
-that moves addresses on purpose re-pins them and says why.
+that moves addresses on purpose re-pins them and says why. The printed
+IR of each case after the cache pass (and after the register pass, where
+the case uses one) is pinned the same way: generated names and slot ids
+depend on the order in which the tiler visits the program.
 """
 
 import hashlib
@@ -11,7 +14,7 @@ import hashlib
 import pytest
 
 from tilepar.cachesim import trace_program
-from tilepar.ir import desugar_allpairs, parse_program
+from tilepar.ir import desugar_allpairs, parse_program, print_program
 from tilepar.ndarray import NdArray
 from tilepar.tiling import register_tile, tile_program
 
@@ -32,13 +35,20 @@ def matrix(rows, cols, dtype, layout):
     return NdArray((rows, cols), dtype, layout, data)
 
 
-def trace_case(src, inputs, registers, sizes):
+def tile_case(src, inputs, registers):
+    """The program after each tiling pass the case uses, and the final spec."""
     program = desugar_allpairs(parse_program(src))
     res = tile_program(program, arg_ranks=[x.rank for x in inputs])
-    tiled, spec = res.program, res.spec
+    passes, spec = [res.program], res.spec
     if registers:
-        tiled, spec = register_tile(tiled, spec, registers)
-    return trace_program(tiled, inputs, spec.sizes(overrides=sizes))
+        tiled, spec = register_tile(res.program, spec, registers)
+        passes.append(tiled)
+    return passes, spec
+
+
+def trace_case(src, inputs, registers, sizes):
+    passes, spec = tile_case(src, inputs, registers)
+    return trace_program(passes[-1], inputs, spec.sizes(overrides=sizes))
 
 
 CASES = {
@@ -62,3 +72,19 @@ PINS = {
 def test_trace_pinned(name):
     events = trace_case(*CASES[name])
     assert (len(events), digest(events)) == PINS[name]
+
+
+IR_PINS = {
+    "sum_rows_col": ("9da30a40cbae5e2f46360a249929597d9d4a5901df34a6b0d6c0d54d80aaaa3b",),
+    "matmul_reg": ("734a826fb4a1a8e753af61d14a6d17185e2bbbd1dbf5f6f0e316cffaa57b938d",
+                   "011930989242a58df29e34d869ba8fbb81d20d8affe707730cabea79d2403f37"),
+    "row_scan": ("31a01c5c3d8773562f6d0f3a1bea76107020a9d1c084edac2e38fb965534c90c",),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_tiled_ir_pinned(name):
+    src, inputs, registers, _ = CASES[name]
+    passes, _ = tile_case(src, inputs, registers)
+    texts = tuple(hashlib.sha256(print_program(p).encode()).hexdigest() for p in passes)
+    assert texts == IR_PINS[name]
