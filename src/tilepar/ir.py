@@ -20,7 +20,9 @@ scope enclosing the operator expression.
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass, field, replace
+from itertools import count
 
 BINARY_OPS = ("+", "-", "*", "/", "min", "max")
 
@@ -228,34 +230,82 @@ class Program:
         table[fn.name] = fn
         return Program(table)
 
-    def fresh_name(self, base):
-        if base not in self.functions:
-            return base
-        i = 2
-        while f"{base}_{i}" in self.functions:
-            i += 1
-        return f"{base}_{i}"
-
 
 # ---------------------------------------------------------------------------
 # Traversal helpers
 # ---------------------------------------------------------------------------
 
+# Child-expression fields of each expression kind, in visit order. Fields
+# named in _TUPLE_FIELDS hold a tuple of expressions; the rest hold one.
+_CHILD_FIELDS = {
+    BinOp: ("left", "right"),
+    ArrayLit: ("items",),
+    Index: ("array", "index"),
+    Map: ("args",),
+    Reduce: ("init", "args"),
+    Scan: ("init", "args"),
+    AllPairs: ("arg1", "arg2"),
+    TiledMap: ("args",),
+    TiledReduce: ("init", "args"),
+    TiledScan: ("init", "args"),
+}
+_TUPLE_FIELDS = frozenset({"items", "args"})
+
+# Function-reference fields of each operator kind, in the order function,
+# combine, emit, fixed function. A field holding None references nothing.
+_REF_FIELDS = {
+    Map: ("fn",),
+    Reduce: ("fn", "combine"),
+    Scan: ("fn", "combine", "emit"),
+    AllPairs: ("fn",),
+    TiledMap: ("fn", "fixed"),
+    TiledReduce: ("fn", "combine", "fixed"),
+    TiledScan: ("fn", "combine", "emit", "fixed"),
+}
+
+
 def sub_exprs(e):
     """Direct child expressions of `e`: operands and init values."""
-    if isinstance(e, BinOp):
-        return (e.left, e.right)
-    if isinstance(e, ArrayLit):
-        return e.items
-    if isinstance(e, Index):
-        return (e.array, e.index)
-    if isinstance(e, (Map, TiledMap)):
-        return e.args
-    if isinstance(e, (Reduce, Scan, TiledReduce, TiledScan)):
-        return (e.init, *e.args)
-    if isinstance(e, AllPairs):
-        return (e.arg1, e.arg2)
-    return ()
+    out = ()
+    for name in _CHILD_FIELDS.get(type(e), ()):
+        value = getattr(e, name)
+        out += value if name in _TUPLE_FIELDS else (value,)
+    return out
+
+
+def map_children(e, f):
+    """`e` rebuilt with each direct child c replaced by f(c), called in
+    visit order."""
+    fields = _CHILD_FIELDS.get(type(e))
+    if fields is None:
+        return e
+    values = dict(vars(e))
+    for name in fields:
+        value = values[name]
+        values[name] = tuple(map(f, value)) if name in _TUPLE_FIELDS else f(value)
+    return type(e)(**values)
+
+
+def map_block(block, f):
+    """`block` rebuilt with each statement's expression x replaced by
+    f(x, prelude, stmt), nested blocks included. Statements that f appends
+    to `prelude` are placed before the statement being rebuilt."""
+    out = []
+    for s in block:
+        prelude = []
+        if isinstance(s, Assign):
+            s = Assign(s.target, f(s.value, prelude, s))
+        elif isinstance(s, Return):
+            s = Return(f(s.value, prelude, s))
+        elif isinstance(s, If):
+            s = If(f(s.cond, prelude, s), map_block(s.then, f), map_block(s.orelse, f))
+        elif isinstance(s, For):
+            s = For(s.var, f(s.seq, prelude, s), map_block(s.body, f))
+        else:
+            raise TypeError(f"not a statement: {s!r}")
+        out.extend(prelude)
+        out.append(s)
+    return tuple(out)
 
 
 def walk_exprs(node):
@@ -296,79 +346,53 @@ def _stmt_exprs(s):
 def referenced_functions(e):
     """Function names referenced by an operator expression."""
     names = []
-    if isinstance(e, (Map, AllPairs)):
-        names.append(e.fn)
-    elif isinstance(e, (Reduce, TiledReduce)):
-        names.extend([e.fn, e.combine])
-    elif isinstance(e, (Scan, TiledScan)):
-        names.extend([e.fn, e.combine])
-        if e.emit is not None:
-            names.append(e.emit)
-    elif isinstance(e, TiledMap):
-        names.append(e.fn)
-    if isinstance(e, TILED_OPS) and e.fixed is not None:
-        names.append(e.fixed)
+    for name in _REF_FIELDS.get(type(e), ()):
+        ref = getattr(e, name)
+        if ref is not None:
+            names.append(ref)
     return names
 
 
-def contains_parallel_op(node, program=None):
-    """True if any parallel operator occurs under `node`.
-
-    With `program`, the search also follows operator function references
-    (cycle-safe), so it sees operators in nested functions.
-    """
+def reachable(program, roots):
+    """Names of the functions in `program` reachable from the names in
+    `roots` through operator references, roots included, in breadth-first
+    discovery order."""
+    order = []
     seen = set()
-    if any(isinstance(e, PARALLEL_OPS) for e in walk_exprs(node)):
-        return True
-    if program is None:
-        return False
-    # Follow references breadth-first.
-    pending = [f for e in walk_exprs(node) for f in referenced_functions(e)]
+    pending = deque(roots)
     while pending:
-        name = pending.pop()
+        name = pending.popleft()
         if name in seen or name not in program.functions:
             continue
         seen.add(name)
-        body = program.functions[name].body
-        for e in walk_exprs(body):
-            if isinstance(e, PARALLEL_OPS):
-                return True
+        order.append(name)
+        for e in walk_exprs(program.functions[name].body):
             pending.extend(referenced_functions(e))
-    return False
+    return order
+
+
+def fresh_name(base, taken):
+    """`base`, or the first of `base_2`, `base_3`, ... not in `taken`."""
+    name, i = base, 2
+    while name in taken:
+        name = f"{base}_{i}"
+        i += 1
+    return name
+
+
+def contains_parallel_op(node):
+    """True if any parallel operator occurs under `node`."""
+    return any(isinstance(e, PARALLEL_OPS) for e in walk_exprs(node))
 
 
 def contains_control_flow(program, fn):
-    """True if `fn` or any function reachable from its operators has If/For."""
-    if isinstance(fn, str):
-        fn = program.fn(fn)
-    seen = set()
-    pending = [fn]
-    while pending:
-        f = pending.pop()
-        if f.name in seen:
-            continue
-        seen.add(f.name)
-        if _block_has_control_flow(f.body):
-            return True
-        for e in walk_exprs(f.body):
-            for name in referenced_functions(e):
-                if name in program.functions:
-                    pending.append(program.functions[name])
-    return False
-
-
-def _block_has_control_flow(block):
-    for s in block:
-        if isinstance(s, (If, For)):
-            return True
-    # If/For nest only inside If/For, so the flat scan above suffices for
-    # the outer block; nested blocks are reached through their parents.
-    for s in block:
-        if isinstance(s, If) and (_block_has_control_flow(s.then) or _block_has_control_flow(s.orelse)):
-            return True
-        if isinstance(s, For) and _block_has_control_flow(s.body):
-            return True
-    return False
+    """True if `fn` (a name or Function) or any function reachable from
+    its operators has If/For."""
+    name = program.fn(fn).name if isinstance(fn, str) else fn.name
+    # If/For nest only inside If/For, so scanning each top-level block
+    # finds any of them.
+    return any(isinstance(s, (If, For))
+               for f in reachable(program, [name]) for s in program.functions[f].body)
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +538,7 @@ def _validate_op(program, fn, e, bound):
         raise ValidationError("negative-axis", f"{fn.name}: {kind} axis entries must be >= 0")
     if not args:
         raise ValidationError("no-operands", f"{fn.name}: {kind} needs at least one argument")
-    for role, ref, arity in _op_refs(e, len(args)):
+    for role, ref, arity in _op_refs(e):
         if ref not in program.functions:
             raise ValidationError("missing-function", f"{fn.name}: {kind} references unknown {role} {ref!r}")
         target = program.functions[ref]
@@ -534,16 +558,13 @@ def _validate_op(program, fn, e, bound):
             raise ValidationError("bad-depth", f"{fn.name}: {kind} depth must be >= 0")
 
 
-def _op_refs(e, nargs):
+def _op_refs(e):
     """(role, name, required positional arity) triples for an operator."""
-    refs = [("function", e.fn, nargs)]
-    if isinstance(e, (Reduce, TiledReduce, Scan, TiledScan)):
-        refs.append(("combine", e.combine, 2))
-    if isinstance(e, (Scan, TiledScan)) and e.emit is not None:
-        refs.append(("emit", e.emit, 1))
-    if isinstance(e, TILED_OPS) and e.fixed is not None:
-        refs.append(("fixed function", e.fixed, nargs))
-    return refs
+    nargs = 2 if isinstance(e, AllPairs) else len(e.args)
+    role = {"fn": "function", "combine": "combine", "emit": "emit", "fixed": "fixed function"}
+    arity = {"fn": nargs, "combine": 2, "emit": 1, "fixed": nargs}
+    return [(role[f], getattr(e, f), arity[f])
+            for f in _REF_FIELDS[type(e)] if getattr(e, f) is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -559,70 +580,33 @@ def desugar_allpairs(program):
     variable. Semantics are unchanged.
     """
     out = Program(dict(program.functions))
-    counter = [0]
+    counter = count(1)
+
+    def desugar(e, prelude):
+        e = map_children(e, lambda c: desugar(c, prelude))
+        if not isinstance(e, AllPairs):
+            return e
+        f = out.fn(e.fn)
+        first, second = f.params[0], f.params[1]
+        arg2 = e.arg2
+        if not isinstance(arg2, Var) or arg2.name == first:
+            tmp = f"tmp$ap{next(counter)}"
+            prelude.append(Assign(tmp, arg2))
+            arg2 = Var(tmp)
+        inner_name = fresh_name(f"{e.fn}$api", out.functions)
+        out.functions[inner_name] = Function(
+            inner_name, (second,), (first,) + f.closure_params, f.body)
+        outer_name = fresh_name(f"{e.fn}$apo", out.functions)
+        outer_body = (Return(Map(inner_name, (arg2,), (e.axes[1],))),)
+        out.functions[outer_name] = Function(
+            outer_name, (first,), (arg2.name,) + f.closure_params, outer_body)
+        return Map(outer_name, (e.arg1,), (e.axes[0],))
+
     for name, fn in list(out.functions.items()):
-        new_body = _desugar_block(out, fn.body, counter)
+        new_body = map_block(fn.body, lambda x, prelude, stmt: desugar(x, prelude))
         if new_body != fn.body:
             out.functions[name] = replace(fn, body=new_body)
     return out
-
-
-def _desugar_block(program, block, counter):
-    result = []
-    for s in block:
-        prelude = []
-        if isinstance(s, Assign):
-            s = Assign(s.target, _desugar_expr(program, s.value, prelude, counter))
-        elif isinstance(s, Return):
-            s = Return(_desugar_expr(program, s.value, prelude, counter))
-        elif isinstance(s, If):
-            cond = _desugar_expr(program, s.cond, prelude, counter)
-            s = If(cond, _desugar_block(program, s.then, counter),
-                   _desugar_block(program, s.orelse, counter))
-        elif isinstance(s, For):
-            seq = _desugar_expr(program, s.seq, prelude, counter)
-            s = For(s.var, seq, _desugar_block(program, s.body, counter))
-        result.extend(prelude)
-        result.append(s)
-    return tuple(result)
-
-
-def _desugar_expr(program, e, prelude, counter):
-    if isinstance(e, BinOp):
-        return BinOp(e.op, _desugar_expr(program, e.left, prelude, counter),
-                     _desugar_expr(program, e.right, prelude, counter))
-    if isinstance(e, ArrayLit):
-        return ArrayLit(tuple(_desugar_expr(program, x, prelude, counter) for x in e.items))
-    if isinstance(e, Index):
-        return Index(_desugar_expr(program, e.array, prelude, counter),
-                     _desugar_expr(program, e.index, prelude, counter))
-    if isinstance(e, Map):
-        return Map(e.fn, tuple(_desugar_expr(program, a, prelude, counter) for a in e.args), e.axes)
-    if isinstance(e, Reduce):
-        return Reduce(e.fn, e.combine, _desugar_expr(program, e.init, prelude, counter),
-                      tuple(_desugar_expr(program, a, prelude, counter) for a in e.args), e.axes)
-    if isinstance(e, Scan):
-        return Scan(e.fn, e.combine, e.emit, _desugar_expr(program, e.init, prelude, counter),
-                    tuple(_desugar_expr(program, a, prelude, counter) for a in e.args), e.axes)
-    if isinstance(e, AllPairs):
-        arg1 = _desugar_expr(program, e.arg1, prelude, counter)
-        arg2 = _desugar_expr(program, e.arg2, prelude, counter)
-        f = program.fn(e.fn)
-        first, second = f.params[0], f.params[1]
-        if not isinstance(arg2, Var) or arg2.name == first:
-            counter[0] += 1
-            tmp = f"tmp$ap{counter[0]}"
-            prelude.append(Assign(tmp, arg2))
-            arg2 = Var(tmp)
-        inner_name = program.fresh_name(f"{e.fn}$api")
-        program.functions[inner_name] = Function(
-            inner_name, (second,), (first,) + f.closure_params, f.body)
-        outer_name = program.fresh_name(f"{e.fn}$apo")
-        outer_body = (Return(Map(inner_name, (arg2,), (e.axes[1],))),)
-        program.functions[outer_name] = Function(
-            outer_name, (first,), (arg2.name,) + f.closure_params, outer_body)
-        return Map(outer_name, (arg1,), (e.axes[0],))
-    return e
 
 
 # ---------------------------------------------------------------------------

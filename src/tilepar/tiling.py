@@ -23,20 +23,25 @@ the extra tile ranks are peeled off before the original expression runs.
 Control flow anywhere in the entry or in an operator-reachable function
 aborts the whole transformation and returns the input unchanged.
 
+Before the walk, ``normalize_for_tiling`` makes every operator the whole
+right-hand side of its statement, with variable or constant arguments.
+
 Running the transformation once produces cache tiles (sizes chosen at run
 time); running it again over the reconstructed nests produces register
-tiles with small fixed sizes and fixed-extent function specializations.
+tiles with small fixed sizes and fixed-extent function specializations
+(``specialize_fixed`` clones).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import chain, count
 
 from . import ir
 from .ir import (
     Assign, BinOp, Const, Function, Map, Program, Reduce, Return, Scan,
     TiledMap, TiledReduce, TiledScan, Var, contains_control_flow,
-    contains_parallel_op, free_vars, validate_program,
+    contains_parallel_op, free_vars, fresh_name, validate_program,
 )
 
 UNTILED_OPS = (Map, Reduce, Scan)
@@ -252,91 +257,48 @@ def normalize_for_tiling(program):
     functions are innermost computations the transformation never splits.
     """
     out = Program(dict(program.functions))
-    counter = [0]
+    counter = count(1)
+
+    def normalize(e, prelude, stmt):
+        def bind(x):
+            tmp = f"t$n{next(counter)}"
+            prelude.append(Assign(tmp, x))
+            return Var(tmp)
+
+        e = _norm_expr(e, bind, top=isinstance(stmt, (Assign, Return)))
+        if isinstance(stmt, Return) and not isinstance(e, (Var, Const) + ir.PARALLEL_OPS):
+            e = bind(e)
+        return e
+
     for name, fn in list(out.functions.items()):
         if not any(isinstance(e, UNTILED_OPS) for e in ir.walk_exprs(fn.body)):
             continue
         if any(isinstance(e, ir.TILED_OPS) for e in ir.walk_exprs(fn.body)):
             continue  # already tiled and normalized by the first pass
-        body = _norm_block(out, fn.body, counter)
+        body = ir.map_block(fn.body, normalize)
         if body != fn.body:
             out.functions[name] = replace(fn, body=body)
     return out
 
 
-def _norm_block(program, block, counter):
-    stmts = []
-    for s in block:
-        prelude = []
-        if isinstance(s, Assign):
-            value = _norm_expr(program, s.value, prelude, counter, top=True)
-            stmts.extend(prelude)
-            stmts.append(Assign(s.target, value))
-        elif isinstance(s, Return):
-            value = _norm_expr(program, s.value, prelude, counter, top=True)
-            if not isinstance(value, (Var, Const) + ir.PARALLEL_OPS):
-                tmp = _fresh_tmp(counter)
-                prelude.append(Assign(tmp, value))
-                value = Var(tmp)
-            stmts.extend(prelude)
-            stmts.append(Return(value))
-        elif isinstance(s, ir.If):
-            cond = _norm_expr(program, s.cond, prelude, counter, top=False)
-            stmts.extend(prelude)
-            stmts.append(ir.If(cond, _norm_block(program, s.then, counter),
-                               _norm_block(program, s.orelse, counter)))
-        elif isinstance(s, ir.For):
-            seq = _norm_expr(program, s.seq, prelude, counter, top=False)
-            stmts.extend(prelude)
-            stmts.append(ir.For(s.var, seq, _norm_block(program, s.body, counter)))
-        else:
-            raise TilingError(f"unknown statement {type(s).__name__}")
-    return tuple(stmts)
-
-
-def _fresh_tmp(counter):
-    counter[0] += 1
-    return f"t$n{counter[0]}"
-
-
-def _norm_expr(program, e, prelude, counter, top):
-    if isinstance(e, (Var, Const)):
-        return e
-    if isinstance(e, BinOp):
-        return BinOp(e.op,
-                     _norm_expr(program, e.left, prelude, counter, top=False),
-                     _norm_expr(program, e.right, prelude, counter, top=False))
-    if isinstance(e, ir.ArrayLit):
-        return ir.ArrayLit(tuple(_norm_expr(program, x, prelude, counter, top=False)
-                                 for x in e.items))
-    if isinstance(e, ir.Index):
-        return ir.Index(_norm_expr(program, e.array, prelude, counter, top=False),
-                        _norm_expr(program, e.index, prelude, counter, top=False))
-    if isinstance(e, UNTILED_OPS):
-        args = []
-        for a in e.args:
-            a = _norm_expr(program, a, prelude, counter, top=False)
-            if not isinstance(a, (Var, Const)):
-                tmp = _fresh_tmp(counter)
-                prelude.append(Assign(tmp, a))
-                a = Var(tmp)
-            args.append(a)
-        if isinstance(e, Map):
-            e = Map(e.fn, tuple(args), e.axes)
-        elif isinstance(e, Reduce):
-            init = _norm_expr(program, e.init, prelude, counter, top=False)
-            e = Reduce(e.fn, e.combine, init, tuple(args), e.axes)
-        else:
-            init = _norm_expr(program, e.init, prelude, counter, top=False)
-            e = Scan(e.fn, e.combine, e.emit, init, tuple(args), e.axes)
-        if not top:
-            tmp = _fresh_tmp(counter)
-            prelude.append(Assign(tmp, e))
-            return Var(tmp)
-        return e
+def _norm_expr(e, bind, top):
+    """`e` with every operator argument a variable or constant, and every
+    operator below the top bound to a temporary by `bind`."""
     if isinstance(e, ir.AllPairs):
         raise TilingError("AllPairs must be desugared before tiling")
-    raise TilingError(f"cannot normalize {type(e).__name__}")
+    if not isinstance(e, UNTILED_OPS):
+        return ir.map_children(e, lambda c: _norm_expr(c, bind, top=False))
+
+    def operand(a):
+        a = _norm_expr(a, bind, top=False)
+        return a if isinstance(a, (Var, Const)) else bind(a)
+
+    args = tuple(operand(a) for a in e.args)
+    if isinstance(e, Map):
+        e = replace(e, args=args)
+    else:
+        e = replace(e, args=args, init=_norm_expr(e.init, bind, top=False))
+    return e if top else bind(e)
 
 
 # ---------------------------------------------------------------------------
@@ -355,14 +317,6 @@ class _Tiler:
         self._combine_cache = {}
 
     # -- infrastructure ------------------------------------------------------
-
-    def fresh(self, base):
-        if base not in self.out:
-            return base
-        i = 2
-        while f"{base}_{i}" in self.out:
-            i += 1
-        return f"{base}_{i}"
 
     def define(self, name, params, body):
         """Create a function, deriving closure parameters from free names."""
@@ -467,20 +421,26 @@ class _Tiler:
             global_axes.append(remaining[axis])
         return names, tuple(global_axes)
 
+    def _enter(self, e, level, names, state, path):
+        """The state inside operator `e`'s nested function (one level
+        deeper, each sliced axis removed), its path, and a new slot for `e`."""
+        depth = len(state.visited)
+        inner = state.clone()
+        inner.visited = state.visited + (level,)
+        for axis, name, param in zip(e.axes, names, self.out[e.fn].params):
+            inner.depths[param] = state.depths.get(name, ()) + ((depth, axis),)
+            rem = list(state.remaining[name])
+            rem.pop(axis)
+            inner.remaining[param] = tuple(rem)
+            inner.ranks[param] = len(rem)
+        node_path = f"{path}/{e.fn}@d{depth}"
+        return inner, node_path, self.new_slot(node_path, len(names))
+
     def tile_map(self, e, state, path):
         names, global_axes = self._operand_info(e, state, "Map")
         fn = self.out[e.fn]
         depth = len(state.visited)
-        inner = state.clone()
-        inner.visited = state.visited + (OpLevel("map", e.axes),)
-        for pos, (name, param) in enumerate(zip(names, fn.params)):
-            inner.depths[param] = state.depths.get(name, ()) + ((depth, e.axes[pos]),)
-            rem = list(state.remaining[name])
-            rem.pop(e.axes[pos])
-            inner.remaining[param] = tuple(rem)
-            inner.ranks[param] = len(rem)
-        node_path = f"{path}/{e.fn}@d{depth}"
-        slot = self.new_slot(node_path, len(names))
+        inner, node_path, slot = self._enter(e, OpLevel("map", e.axes), names, state, path)
         if contains_parallel_op(fn.body):
             body = self.tile_block(fn.body, inner, node_path)
         else:
@@ -488,7 +448,7 @@ class _Tiler:
                 list(enumerate(inner.visited)), inner.depths,
                 self._nest_universe(fn, inner), fn.body, node_path)
             body = (Return(nest),)
-        clone = self.define(self.fresh(f"{fn.name}$t{depth}"), fn.params, body)
+        clone = self.define(fresh_name(f"{fn.name}$t{depth}", self.out), fn.params, body)
         return TiledMap(clone.name, None, slot.id, depth, e.args, global_axes)
 
     def _nest_universe(self, fn, state):
@@ -506,25 +466,16 @@ class _Tiler:
         names, global_axes = self._operand_info(e, state, what)
         fn = self.out[e.fn]
         depth = len(state.visited)
-        inner = state.clone()
-        level = OpLevel(what.lower(), e.axes, e.combine,
-                        getattr(e, "emit", None), e.init)
-        inner.visited = state.visited + (level,)
-        for pos, (name, param) in enumerate(zip(names, fn.params)):
-            inner.depths[param] = state.depths.get(name, ()) + ((depth, e.axes[pos]),)
-            rem = list(state.remaining[name])
-            rem.pop(e.axes[pos])
-            inner.remaining[param] = tuple(rem)
-            inner.ranks[param] = len(rem)
-        node_path = f"{path}/{e.fn}@d{depth}"
-        slot = self.new_slot(node_path, len(names))
+        level = OpLevel(what.lower(), e.axes, e.combine, getattr(e, "emit", None), e.init)
+        inner, node_path, slot = self._enter(e, level, names, state, path)
         # A reduction always terminates the walk: partial results of one
         # reduction cannot feed another, so the nested function is rebuilt
         # from the visited nest even if it contains further operators.
         nest = self.build_operator_nest(
             list(enumerate(inner.visited)), inner.depths,
             self._nest_universe(fn, inner), fn.body, node_path)
-        clone = self.define(self.fresh(f"{fn.name}$t{depth}"), fn.params, (Return(nest),))
+        clone = self.define(fresh_name(f"{fn.name}$t{depth}", self.out), fn.params,
+                            (Return(nest),))
         lifted = self.lift_combine(e.combine, max((len(state.depths.get(n, ())) for n in names),
                                                   default=0))
         if isinstance(e, Reduce):
@@ -546,7 +497,7 @@ class _Tiler:
         eps = {p: tuple((j, 0) for j in range(added_ranks)) for p in fn.params}
         nest = self.build_operator_nest(levels, eps, fn.params, fn.body,
                                         f"combine:{combine}", force_axis0=True)
-        clone = self.define(self.fresh(f"{combine}$t{added_ranks}"), fn.params,
+        clone = self.define(fresh_name(f"{combine}$t{added_ranks}", self.out), fn.params,
                             (Return(nest),))
         self._combine_cache[key] = clone.name
         return clone.name
@@ -585,7 +536,7 @@ class _Tiler:
             inner_body = (Return(inner_expr),)
         else:
             inner_body = block
-        inner_fn = self.define(self.fresh(f"{_path_base(path)}$u{depth_key}"),
+        inner_fn = self.define(fresh_name(f"{_path_base(path)}$u{depth_key}", self.out),
                                sliced, inner_body)
         args = tuple(Var(v) for v in sliced)
         axes = tuple(axes)
@@ -621,7 +572,7 @@ def tile_program(program, arg_ranks=None, entry="main"):
                 raise TilingError("AllPairs must be desugared before tiling")
             if isinstance(e, ir.TILED_OPS):
                 raise TilingError("input already contains tiled operators")
-    if not contains_parallel_op(main.body, program):
+    if not contains_parallel_op(main.body):
         return TilingResult(False, program, None, "no data-parallel operators")
     if contains_control_flow(program, main):
         return TilingResult(False, program, None,
@@ -658,7 +609,7 @@ def specialize_fixed(program, fname, k, axes=None):
     if k < 1:
         raise TilingError(f"fixed extent must be >= 1, got {k}")
     fn = program.fn(fname)
-    name = program.fresh_name(f"{fname}$k{k}")
+    name = fresh_name(f"{fname}$k{k}", program.functions)
     clone = replace(fn, name=name, fixed_extent=k,
                     fixed_axes=tuple(axes) if axes is not None else None)
     return clone
@@ -685,12 +636,12 @@ def register_tile(program, spec, hw, heuristic=None, entry="main"):
         has_tiled = any(isinstance(e, ir.TILED_OPS) for e in ir.walk_exprs(body))
         return has_plain and not has_tiled
 
-    for name in _reachable(Program(out), entry):
+    for name in ir.reachable(Program(out), [entry]):
         fn = out[name]
         if not eligible(fn):
             continue
         probe = Program(out)
-        if name not in _reachable(probe, entry):
+        if name not in ir.reachable(probe, [entry]):
             continue  # superseded by an earlier rewrite in this pass
         if contains_control_flow(probe, fn):
             continue
@@ -713,102 +664,32 @@ def register_tile(program, spec, hw, heuristic=None, entry="main"):
     return tiled, new_spec
 
 
-def _reachable(program, entry):
-    """Function names reachable from the entry through operator references,
-    in deterministic discovery order."""
-    order = []
-    seen = set()
-    pending = [entry]
-    while pending:
-        name = pending.pop(0)
-        if name in seen or name not in program.functions:
-            continue
-        seen.add(name)
-        order.append(name)
-        for e in ir.walk_exprs(program.functions[name].body):
-            pending.extend(ir.referenced_functions(e))
-    return order
-
-
 def _attach_fixed_clones(table, spec):
     """Give every fixed-size tiled operator a fixed-extent function clone.
 
-    All bodies are rewritten to reference their clone names first, and the
-    clones are materialized afterwards from the rewritten functions, so a
-    clone of a function that itself holds fixed-size operators carries the
-    inner references too."""
+    A clone is made from its function's body as it stands and is itself
+    rewritten afterwards, so a clone of a function that holds fixed-size
+    operators references the inner clones too."""
     sizes = {s.id: s.size for s in spec.slots if s.size is not None}
-    planned = {}  # (fname, k, axes) -> clone name
-    reserved = set(table)
+    clones = {}  # (fname, k, axes) -> clone name
 
-    def clone_name(fname, k, axes):
-        key = (fname, k, axes)
-        if key not in planned:
-            base = f"{fname}$k{k}"
-            name = base
-            i = 2
-            while name in reserved:
-                name = f"{base}_{i}"
-                i += 1
-            reserved.add(name)
-            planned[key] = name
-        return planned[key]
-
-    def rewrite(e):
+    def attach(e):
+        e = ir.map_children(e, attach)
         if isinstance(e, ir.TILED_OPS) and e.fixed is None and e.slot in sizes:
-            return replace(e, fixed=clone_name(e.fn, sizes[e.slot], e.axes))
+            key = (e.fn, sizes[e.slot], e.axes)
+            if key not in clones:
+                clone = specialize_fixed(Program(table), *key)
+                table[clone.name] = clone
+                clones[key] = clone.name
+            e = replace(e, fixed=clones[key])
         return e
 
-    for name in list(table):
+    # The clones are rewritten last. Each copies a function of the original
+    # table, whose operators the first pass has already given clones, so
+    # rewriting the clones makes no new one (iterating `clones` would fail
+    # if it did).
+    for name in chain(list(table), clones.values()):
         fn = table[name]
-        new_body = _rewrite_block(fn.body, rewrite)
+        new_body = ir.map_block(fn.body, lambda x, prelude, stmt: attach(x))
         if new_body != fn.body:
             table[name] = replace(fn, body=new_body)
-    for (fname, k, axes), name in planned.items():
-        table[name] = replace(table[fname], name=name, fixed_extent=k, fixed_axes=axes)
-
-
-def _rewrite_block(block, rewrite):
-    return tuple(_rewrite_stmt(s, rewrite) for s in block)
-
-
-def _rewrite_stmt(s, rewrite):
-    if isinstance(s, Assign):
-        return Assign(s.target, _rewrite_expr(s.value, rewrite))
-    if isinstance(s, Return):
-        return Return(_rewrite_expr(s.value, rewrite))
-    if isinstance(s, ir.If):
-        return ir.If(_rewrite_expr(s.cond, rewrite),
-                     _rewrite_block(s.then, rewrite), _rewrite_block(s.orelse, rewrite))
-    if isinstance(s, ir.For):
-        return ir.For(s.var, _rewrite_expr(s.seq, rewrite), _rewrite_block(s.body, rewrite))
-    raise TilingError(f"unknown statement {type(s).__name__}")
-
-
-def _rewrite_expr(e, rewrite):
-    if isinstance(e, BinOp):
-        e = BinOp(e.op, _rewrite_expr(e.left, rewrite), _rewrite_expr(e.right, rewrite))
-    elif isinstance(e, ir.ArrayLit):
-        e = ir.ArrayLit(tuple(_rewrite_expr(x, rewrite) for x in e.items))
-    elif isinstance(e, ir.Index):
-        e = ir.Index(_rewrite_expr(e.array, rewrite), _rewrite_expr(e.index, rewrite))
-    elif isinstance(e, Map):
-        e = Map(e.fn, tuple(_rewrite_expr(a, rewrite) for a in e.args), e.axes)
-    elif isinstance(e, Reduce):
-        e = Reduce(e.fn, e.combine, _rewrite_expr(e.init, rewrite),
-                   tuple(_rewrite_expr(a, rewrite) for a in e.args), e.axes)
-    elif isinstance(e, Scan):
-        e = Scan(e.fn, e.combine, e.emit, _rewrite_expr(e.init, rewrite),
-                 tuple(_rewrite_expr(a, rewrite) for a in e.args), e.axes)
-    elif isinstance(e, TiledMap):
-        e = TiledMap(e.fn, e.fixed, e.slot, e.depth,
-                     tuple(_rewrite_expr(a, rewrite) for a in e.args), e.axes)
-    elif isinstance(e, TiledReduce):
-        e = TiledReduce(e.fn, e.fixed, e.slot, e.depth, e.combine,
-                        _rewrite_expr(e.init, rewrite),
-                        tuple(_rewrite_expr(a, rewrite) for a in e.args), e.axes)
-    elif isinstance(e, TiledScan):
-        e = TiledScan(e.fn, e.fixed, e.slot, e.depth, e.combine, e.emit,
-                      _rewrite_expr(e.init, rewrite),
-                      tuple(_rewrite_expr(a, rewrite) for a in e.args), e.axes)
-    return rewrite(e)

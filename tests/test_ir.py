@@ -171,8 +171,7 @@ def test_contains_parallel_op():
     assert contains_parallel_op(p.fn("main").body)
     assert contains_parallel_op(p.fn("sum_row").body)
     assert not contains_parallel_op(p.fn("add2").body)
-    # Deep search through function references.
-    assert contains_parallel_op(p.fn("main").body[-1].value, p)
+    assert contains_parallel_op(p.fn("main").body[-1].value)
 
 
 def test_contains_control_flow_deep():
