@@ -155,17 +155,23 @@ def prepare(src, arg_ranks, hw, extents=None, registers=False):
     return PreparedProgram(program, tiled, spec, midpoint)
 
 
+def miss_probe(tiled, spec, slot_ids, inputs, model):
+    """Tuner cost function: the simulated misses of `tiled` on `inputs`
+    with the runtime slots `slot_ids` set to a candidate's sizes."""
+    def misses(sizes):
+        stats, _ = simulate_program(tiled, inputs, model,
+                                    tile_sizes=spec.sizes(overrides=dict(zip(slot_ids, sizes))))
+        return float(stats.misses)
+    return misses
+
+
 def tune(prepared, inputs, hw, model=None, seed=0, max_evaluations=12, batch=4,
          extents=None):
     model = model or hw.l1_model()
     slot_ids = estimate_bounds(prepared.tiled, prepared.spec, hw,
                                extents=extents).slot_ids
 
-    def probe_fn(sizes):
-        ts = prepared.spec.sizes(overrides=dict(zip(slot_ids, sizes)))
-        stats, _ = simulate_program(prepared.tiled, inputs, model, tile_sizes=ts)
-        return float(stats.misses)
-
+    probe_fn = miss_probe(prepared.tiled, prepared.spec, slot_ids, inputs, model)
     tuned_spec, state = autotune(prepared.tiled, prepared.spec, CostProbe(probe_fn),
                                  hw, SearchConfig(batch_size=batch,
                                                   max_evaluations=max_evaluations,

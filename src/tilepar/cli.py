@@ -10,15 +10,19 @@ failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
-from .autotuner import AutotuneError, CostProbe, SearchConfig, autotune, format_log
+from .autotuner import (
+    AutotuneError, CostProbe, SearchConfig, autotune, cache_key, estimate_bounds,
+    format_log, load_cached_sizes, store_cached_sizes,
+)
 from .bench import (
     BENCHMARKS, CorrectnessError, bench_kmeans, bench_matmul, bench_sum_rows,
-    checksum, generate_array,
+    checksum, generate_array, miss_probe,
 )
-from .cachesim import CacheConfigError, CacheModel, probe_hardware, simulate_program
+from .cachesim import CacheConfigError, CacheModel, Simulator, probe_hardware, simulate_program
 from .ir import IRError, desugar_allpairs, parse_program, print_program
 from .ndarray import ArrayValue, NdArray, ShapeError, as_view, load_array
 from .semantics import EvalConfig, EvalError, eval_program
@@ -117,7 +121,6 @@ def _program_args(sub):
 
 def _hardware():
     """Probed hardware with environment-variable overrides."""
-    import os
     info = probe_hardware()
     overrides = {
         "l1_bytes": os.environ.get("TILEPAR_L1_BYTES"),
@@ -128,14 +131,18 @@ def _hardware():
     for key, value in overrides.items():
         if value is None:
             continue
-        try:
-            n = int(value)
-        except ValueError:
-            raise UsageError(f"environment override {key} must be an integer, got {value!r}")
+        n = _int(value, f"environment override {key}")
         if n >= 1:
             setattr(info, key, n)
             info.provenance = "configured"
     return info
+
+
+def _int(text, what):
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"{what} must be an integer, got {text!r}") from None
 
 
 def _load_program(args):
@@ -169,14 +176,15 @@ def _generated_input(spec, default_seed):
         fields[key.strip()] = value.strip()
     if "shape" not in fields:
         raise UsageError("--gen needs shape=DIMxDIM...")
-    shape = tuple(int(d) for d in fields["shape"].lower().split("x"))
-    return generate_array(shape, fields["dtype"], fields["layout"], int(fields["seed"]))
+    shape = tuple(_int(d, "--gen shape dimension") for d in fields["shape"].lower().split("x"))
+    return generate_array(shape, fields["dtype"], fields["layout"],
+                          _int(fields["seed"], "--gen seed"))
 
 
 def _parse_sizes(text, spec):
     if not text:
         return {}
-    sizes = [int(t) for t in text.split(",")]
+    sizes = [_int(t, "tile size") for t in text.split(",")]
     runtime = spec.runtime_slots()
     if len(sizes) != len(runtime):
         raise UsageError(f"{len(runtime)} runtime slot(s) but {len(sizes)} size(s) given")
@@ -202,7 +210,6 @@ def _prepare_tiled(program, inputs, tiling, hw):
 
 
 def _default_sizes(program, spec, hw):
-    from .autotuner import estimate_bounds
     space = estimate_bounds(program, spec, hw)
     return dict(zip(space.slot_ids, space.midpoint()))
 
@@ -249,7 +256,7 @@ def cmd_tile(args):
     program = desugar_allpairs(program)
     ranks = None
     if args.ranks:
-        ranks = [int(t) for t in args.ranks.split(",")]
+        ranks = [_int(t, "rank") for t in args.ranks.split(",")]
     elif args.input or args.gen:
         ranks = _arg_ranks(program, _load_inputs(args))
     result = tile_program(program, arg_ranks=ranks)
@@ -279,7 +286,6 @@ def cmd_autotune(args):
         raise UsageError("program has nothing to tune")
     key = None
     if args.cache:
-        from .autotuner import cache_key, load_cached_sizes
         shapes = [as_view(v).shape for v in inputs if isinstance(v, ArrayValue)]
         key = cache_key(tiled, shapes, hw)
         cached = load_cached_sizes(args.cache, key)
@@ -287,14 +293,10 @@ def cmd_autotune(args):
             print(f"cached sizes: {cached}")
             return EXIT_OK
     model = hw.l1_model()
-    from .autotuner import estimate_bounds
     slot_ids = estimate_bounds(tiled, spec, hw).slot_ids
 
     if args.probe == "misses":
-        def probe_fn(sizes):
-            stats, _ = simulate_program(tiled, inputs, model,
-                                        tile_sizes=spec.sizes(overrides=dict(zip(slot_ids, sizes))))
-            return float(stats.misses)
+        probe_fn = miss_probe(tiled, spec, slot_ids, inputs, model)
     else:
         def probe_fn(sizes):
             start = time.perf_counter()
@@ -306,7 +308,6 @@ def cmd_autotune(args):
                           seed=args.seed)
     tuned, state = autotune(tiled, spec, CostProbe(probe_fn), hw, config)
     if args.cache and key is not None:
-        from .autotuner import store_cached_sizes
         store_cached_sizes(args.cache, key, tuned.sizes())
     if args.format == "csv":
         print("round,candidate,cost,best,best_cost")
@@ -333,7 +334,6 @@ def cmd_cachesim(args):
     if spec is not None:
         overrides = _parse_sizes(args.tile_sizes, spec)
         sizes = spec.sizes(overrides=overrides or _default_sizes(tiled, spec, hw))
-    from .cachesim import Simulator
     sim = Simulator(model)
     stats, value = simulate_program(tiled, inputs, model, tile_sizes=sizes,
                                     simulator=sim)

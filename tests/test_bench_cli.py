@@ -297,3 +297,17 @@ def test_cli_invalid_cache_geometry_is_an_error_line(l1_bytes, argv, program_fil
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--gen", "shape=8x8", "--tiling", "cache", "--tile-sizes", "a,b"],
+    ["run", "--gen", "shape=8xq"],
+    ["run", "--gen", "shape=8x8,seed=z"],
+    ["tile", "--ranks", "x"],
+], ids=["tile-sizes", "gen-shape", "gen-seed", "ranks"])
+def test_cli_non_integer_argument_is_a_usage_error(argv, program_file, capsys):
+    argv = argv[:1] + ["--program", program_file(programs.SUM_ROWS)] + argv[1:]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
