@@ -1,8 +1,9 @@
-"""Pinned address traces and tiled IR.
+"""Pinned address traces, dispatch counters and tiled IR.
 
-Each case traces a small fixed-size tiled program and compares the sha256
-of its (address, kind) event stream, and its event count, against pinned
-values. A change that claims byte-identical traces must keep these; one
+Each case traces a small fixed-size program, untiled and tiled, and
+compares the sha256 of each (address, kind) event stream, and its event
+count, against pinned values; the tiled run's dispatch counters are
+pinned too. A change that claims byte-identical traces must keep these; one
 that moves addresses on purpose re-pins them and says why. The printed
 IR of each case after the cache pass (and after the register pass, where
 the case uses one) is pinned the same way: generated names and slot ids
@@ -10,12 +11,16 @@ depend on the order in which the tiler visits the program.
 """
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
 from tilepar.cachesim import trace_program
-from tilepar.ir import desugar_allpairs, parse_program, print_program
+from tilepar.ir import (
+    Assign, BinOp, Program, Return, Var, desugar_allpairs, parse_program, print_program,
+)
 from tilepar.ndarray import NdArray
+from tilepar.semantics import EvalConfig, TraceSink, eval_program
 from tilepar.tiling import register_tile, tile_program
 
 import programs
@@ -46,9 +51,17 @@ def tile_case(src, inputs, registers):
     return passes, spec
 
 
+def traced_run(program, inputs, tile_sizes=None):
+    """(trace events, dispatch counters) of one traced evaluation."""
+    sink = TraceSink()
+    config = EvalConfig(tile_sizes=dict(tile_sizes or {}), trace=sink)
+    value = eval_program(program, inputs, config)
+    return value, sink.events, config.counters
+
+
 def trace_case(src, inputs, registers, sizes):
     passes, spec = tile_case(src, inputs, registers)
-    return trace_program(passes[-1], inputs, spec.sizes(overrides=sizes))
+    return traced_run(passes[-1], inputs, spec.sizes(overrides=sizes))
 
 
 CASES = {
@@ -68,10 +81,86 @@ PINS = {
 }
 
 
+UNTILED_PINS = {
+    "sum_rows_col": (70, "3568e8e07678dee3a8391537435cbea55993186280a9b619af4286f06f3834c9"),
+    "matmul_reg": (1519, "d72408e95f7feb78a6896e5804357c90c91e9145285cc0cb71365b2f9cacbbbf"),
+    "row_scan": (192, "e7ab43c329870bd6bb59e98a1e6c6dc8381a6ea6b642075f20548b360383cea6"),
+}
+
+# Tiled run: (full-tile calls, straggler calls, bounds checks).
+COUNTER_PINS = {
+    "sum_rows_col": (8, 4, 112),
+    "matmul_reg": (26, 151, 903),
+    "row_scan": (5, 3, 126),
+}
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_trace_pinned(name):
-    events = trace_case(*CASES[name])
+    _, events, counters = trace_case(*CASES[name])
     assert (len(events), digest(events)) == PINS[name]
+    assert (counters.full_tile_calls, counters.straggler_calls,
+            counters.bounds_checks) == COUNTER_PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_untiled_trace_pinned(name):
+    src, inputs, _, _ = CASES[name]
+    events = trace_program(desugar_allpairs(parse_program(src)), inputs)
+    assert (len(events), digest(events)) == UNTILED_PINS[name]
+
+
+MAP2 = """
+fn add2(a, b) { return a + b; }
+fn row_add(x, y) { return map(add2, x, y; axes=[0, 0]); }
+fn main(Xs, Ys) { return map(row_add, Xs, Ys; axes=[0, 0]); }
+"""
+
+
+def with_generic_bodies(program):
+    """`program` with every `return x` / `return a OP b` body rewritten to
+    bind a temporary before returning: the same values, through the
+    evaluator's generic call path instead of its elementary one."""
+    table = dict(program.functions)
+    for name, fn in program.functions.items():
+        body = fn.body
+        if (len(body) == 1 and isinstance(body[0], Return)
+                and isinstance(body[0].value, (Var, BinOp))):
+            table[name] = replace(fn, body=(Assign("t$g", body[0].value),
+                                            Return(Var("t$g"))))
+    return Program(table)
+
+
+GENERIC_CASES = {
+    # Reduce over column-major row views, with straggler tiles on both axes.
+    "sum_rows_col": ([matrix(7, 9, "i64", "col")], {0: 3, 1: 4}),
+    "row_scan": ([matrix(6, 8, "i64", "col")], {0: 4, 1: 3}),
+    "map2": ([matrix(5, 7, "i64", "col"), matrix(5, 7, "i64", "row")], {0: 2, 1: 3}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERIC_CASES))
+@pytest.mark.parametrize("tiled", [False, True])
+def test_generic_callee_matches_elementary_one(name, tiled):
+    """A callee that is not a bare `return x` / `return a OP b` gives the
+    same value, trace and counters as the elementary one it computes."""
+    src = MAP2 if name == "map2" else getattr(programs, name.upper().replace("_COL", ""))
+    inputs, sizes = GENERIC_CASES[name]
+    program = desugar_allpairs(parse_program(src))
+    if tiled:
+        program = tile_program(program, arg_ranks=[x.rank for x in inputs]).program
+    else:
+        sizes = {}
+    generic = with_generic_bodies(program)
+    assert generic != program
+    runs = []
+    for p in (program, generic):
+        value, events, c = traced_run(p, inputs, sizes)
+        runs.append((value.to_nested(), len(events), digest(events),
+                     (c.full_tile_calls, c.straggler_calls, c.bounds_checks)))
+    assert runs[0] == runs[1]
+    if tiled:
+        assert runs[0][3][1] > 0  # straggler tiles ran
 
 
 IR_PINS = {
