@@ -380,6 +380,22 @@ def fresh_name(base, taken):
     return name
 
 
+def body_shape(fn):
+    """("ident",) when `fn`'s whole body is `return x` over its one
+    parameter, ("binop", OP) when it is `return a OP b` over its two
+    parameters in order, and None otherwise or when `fn` has closure
+    parameters."""
+    if fn.closure_params or len(fn.body) != 1 or not isinstance(fn.body[0], Return):
+        return None
+    e, params = fn.body[0].value, fn.params
+    if isinstance(e, Var) and params == (e.name,):
+        return ("ident",)
+    if (isinstance(e, BinOp) and isinstance(e.left, Var) and isinstance(e.right, Var)
+            and len(params) == 2 and params == (e.left.name, e.right.name)):
+        return ("binop", e.op)
+    return None
+
+
 def contains_parallel_op(node):
     """True if any parallel operator occurs under `node`."""
     return any(isinstance(e, PARALLEL_OPS) for e in walk_exprs(node))

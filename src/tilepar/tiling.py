@@ -21,7 +21,10 @@ functions being tiled are wrapped in one Map per recorded depth so that
 the extra tile ranks are peeled off before the original expression runs.
 
 Control flow anywhere in the entry or in an operator-reachable function
-aborts the whole transformation and returns the input unchanged.
+aborts the whole transformation and returns the input unchanged, and so
+does a Reduce or Scan whose combine is not `return a OP b` with OP one of
++, *, min, max and whose init is not OP's identity: tiles fold from the
+init independently, so only then does tiling leave the result unchanged.
 
 Before the walk, ``normalize_for_tiling`` makes every operator the whole
 right-hand side of its statement, with variable or constant arguments.
@@ -46,6 +49,17 @@ from .ir import (
 
 UNTILED_OPS = (Map, Reduce, Scan)
 
+INT64_MIN, INT64_MAX = -(2 ** 63), 2 ** 63 - 1
+
+# The combine operators a reduction or scan may be tiled with, and the
+# init values that are their identities.
+IDENTITIES = {
+    "+": (0,),
+    "*": (1,),
+    "min": (float("inf"), INT64_MAX),
+    "max": (float("-inf"), INT64_MIN),
+}
+
 
 class TilingError(Exception):
     pass
@@ -53,8 +67,9 @@ class TilingError(Exception):
 
 class UnsupportedNesting(TilingError):
     """The operator nest cannot be reconstructed faithfully (for example a
-    nesting level at which no variable was sliced); the program is left
-    untiled rather than transformed incorrectly."""
+    nesting level at which no variable was sliced, or a reduction whose
+    combine is not an associative operator with its identity as init);
+    the program is left untiled rather than transformed incorrectly."""
 
 
 @dataclass(frozen=True)
@@ -463,6 +478,7 @@ class _Tiler:
 
     def tile_reduce_scan(self, e, state, path):
         what = "Reduce" if isinstance(e, Reduce) else "Scan"
+        self._check_exact_combine(e, path)
         names, global_axes = self._operand_info(e, state, what)
         fn = self.out[e.fn]
         depth = len(state.visited)
@@ -483,6 +499,21 @@ class _Tiler:
                                e.args, global_axes)
         return TiledScan(clone.name, None, slot.id, depth, lifted, e.emit, e.init,
                          e.args, global_axes)
+
+    def _check_exact_combine(self, e, path):
+        """Each tile folds from `init` and the per-tile partials are then
+        combined, which equals the untiled fold only for an associative
+        combine whose init is its identity."""
+        shape = ir.body_shape(self.out[e.combine])
+        if shape is None or shape[0] != "binop" or shape[1] not in IDENTITIES:
+            raise UnsupportedNesting(
+                f"combine {e.combine!r} is not `return a OP b` with OP one of "
+                f"{', '.join(IDENTITIES)} ({path})")
+        op = shape[1]
+        if not (isinstance(e.init, Const) and e.init.value in IDENTITIES[op]):
+            raise UnsupportedNesting(
+                f"init {ir.print_expr(e.init)} of combine {e.combine!r} is not the "
+                f"identity of {op!r} ({path})")
 
     def lift_combine(self, combine, added_ranks):
         """Wrap the combine in one Map per rank added by enclosing tiling,

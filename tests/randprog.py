@@ -2,7 +2,8 @@
 
 Generates small operator nests (depth <= 3) over int64 arrays with extents
 <= 7, interleaved with scalar statements, combine functions restricted to
-+ and max with their identity inits, and no control flow. Two flavours:
++ and max with their identity inits (see `wide` below), and no control
+flow. Two flavours:
 
 * statement-heavy programs slice at local axis 0 everywhere (the leading
   remaining axis), which keeps tile ranks leading-dimension-major so the
@@ -11,8 +12,10 @@ Generates small operator nests (depth <= 3) over int64 arrays with extents
   to exercise the local-to-global axis remapping.
 
 `generate(seed, wide=True)` lifts the axis-0 restriction on statement-heavy
-programs. Tiling must then either reproduce the untiled result or leave
-the program unchanged with a reason.
+programs, and draws reductions and scans whose combine or init tiling
+cannot keep exact: non-identity inits, `-` and `*` combines, and a combine
+whose body is not a single binop. Tiling must then either reproduce the
+untiled result or leave the program unchanged with a reason.
 """
 
 import random
@@ -33,12 +36,18 @@ class _Builder:
         self.rng = rng
         self.pure = pure
         self.any_axis = pure or wide
+        self.wide = wide
         self.fns = {}
         self.counter = 0
         self.use_c = (not pure) and rng.random() < 0.5
         self.define("add2", ("a", "b"), (), (Return(BinOp("+", Var("a"), Var("b"))),))
         self.define("max2", ("a", "b"), (), (Return(BinOp("max", Var("a"), Var("b"))),))
         self.define("ident", ("x",), (), (Return(Var("x")),))
+        if wide:
+            self.define("sub2", ("a", "b"), (), (Return(BinOp("-", Var("a"), Var("b"))),))
+            self.define("mul2", ("a", "b"), (), (Return(BinOp("*", Var("a"), Var("b"))),))
+            self.define("add2b", ("a", "b"), (),
+                        (Assign("t", BinOp("+", Var("a"), Var("b"))), Return(Var("t"))))
 
     def define(self, name, params, closures, body):
         self.fns[name] = Function(name, tuple(params), tuple(closures), tuple(body))
@@ -50,8 +59,19 @@ class _Builder:
 
     def pick_combine(self):
         if self.rng.random() < 0.6:
-            return "add2", Const(0)
-        return "max2", Const(INT64_MIN)
+            combine, init = "add2", Const(0)
+        else:
+            combine, init = "max2", Const(INT64_MIN)
+        if not self.wide or self.rng.random() < 0.5:
+            return combine, init
+        return self.rng.choice([
+            ("add2", Const(self.rng.randrange(1, 10))),
+            ("max2", Const(0)),
+            ("sub2", Const(0)),
+            ("mul2", Const(1)),
+            ("mul2", Const(2)),
+            ("add2b", Const(0)),
+        ])
 
     def scalar_expr(self, candidates):
         """Element-wise arithmetic over in-scope values; returns (expr, rank)."""
