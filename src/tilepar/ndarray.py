@@ -15,6 +15,7 @@ trace sink; `elementwise` walks its operands' offsets the same way.
 from __future__ import annotations
 
 import itertools
+import operator
 import weakref
 
 ELEM_SIZE = 8
@@ -350,25 +351,28 @@ def result_dtype(values):
     return "i64"
 
 
-def apply_op(op, a, b):
-    """Binary scalar arithmetic with int/float promotion.
+def _min(a, b):
+    return a if a <= b else b
+
+
+def _max(a, b):
+    return a if a >= b else b
+
+
+_SCALAR_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": operator.truediv, "min": _min, "max": _max}
+
+
+def scalar_op(op):
+    """The scalar function of binary operator `op`, with int/float promotion.
 
     `/` always produces float64; the other operators keep int64 when both
     operands are int64.
     """
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    if op == "min":
-        return a if a <= b else b
-    if op == "max":
-        return a if a >= b else b
-    raise ValueError(f"unknown operator {op!r}")
+    try:
+        return _SCALAR_OPS[op]
+    except KeyError:
+        raise ValueError(f"unknown operator {op!r}") from None
 
 
 def elementwise(op, a, b, trace=None, new_array=NdArray):
@@ -381,8 +385,9 @@ def elementwise(op, a, b, trace=None, new_array=NdArray):
     """
     a_arr = isinstance(a, ArrayValue)
     b_arr = isinstance(b, ArrayValue)
+    f = scalar_op(op)
     if not a_arr and not b_arr:
-        return apply_op(op, a, b)
+        return f(a, b)
     av = as_view(a) if a_arr else None
     bv = as_view(b) if b_arr else None
     if av is not None and bv is not None and av.shape != bv.shape:
@@ -394,7 +399,7 @@ def elementwise(op, a, b, trace=None, new_array=NdArray):
     xs = elements(av) if av is not None else itertools.repeat(a)
     ys = elements(bv) if bv is not None else itertools.repeat(b)
     for k, x, y in zip(offsets(out), xs, ys):
-        odata[k] = apply_op(op, x, y)
+        odata[k] = f(x, y)
     if trace is not None:
         _trace(trace, [v for v in (av, bv) if v is not None], out)
     return out

@@ -12,18 +12,29 @@ straggler to the generic function, and reassemble results so that the
 outcome equals the untiled operator. Tiles are evaluated one after
 another in tile order.
 
+Each function is built once, on its first call, into nested closures;
+callees are looked up by name when an operator first runs, so a missing
+function raises only when execution reaches it. A Map, Reduce or Scan
+whose operands are all rank 1 and whose callee is `return x` or
+`return a OP b` (for Reduce/Scan also: a `return a OP b` combine, a
+scalar init and no emit) runs as one loop over the flat buffers instead
+of one call per element, with the same trace events, allocations and
+counters as the per-element path.
+
 When a trace sink is attached, every array element read/write is reported
 as (byte address, R|W) for cache simulation.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 
 from . import ir
 from .ndarray import (
-    ELEM_SIZE, Allocator, ArrayValue, NdArray, View, apply_op, as_view, concat, copy,
-    decompose, elementwise, result_dtype, slice_axis,
+    ELEM_SIZE, Allocator, ArrayValue, NdArray, View, as_view, concat, copy, decompose,
+    elementwise, offsets, result_dtype, scalar_op, slice_axis,
 )
 
 
@@ -83,11 +94,65 @@ def eval_program(program, args, config=None, entry="main"):
     return Interpreter(program, config).run(args, entry)
 
 
+# What a block returns when it runs to its end without a return statement.
+_NO_RETURN = object()
+
+
+class _Compiled:
+    """One function, built once per interpreter.
+
+    `call(args, captured)` applies it to positional arguments and its
+    captured closure values. `op` is set for the elementary bodies the
+    fused operator loops run inline: the identity for `return x`, the
+    scalar operator for `return a OP b`. Fixed-size clones always take the
+    generic path, so their extent assertions stay observable.
+    """
+
+    __slots__ = ("fn", "call", "op")
+
+    def __init__(self, fn, call, op=None):
+        self.fn = fn
+        self.call = call
+        self.op = op
+
+
+def _identity(x):
+    return x
+
+
+def _strict(e, enclosing):
+    """True when operator `e` slices the enclosing function's own
+    parameters along the axes a fixed-size clone was specialised for."""
+    if enclosing.fixed_extent is None:
+        return False
+    for arg, axis in zip(e.args, e.axes):
+        if not (isinstance(arg, ir.Var) and arg.name in enclosing.params):
+            continue
+        if enclosing.fixed_axes is None:
+            return True
+        pos = enclosing.params.index(arg.name)
+        if pos < len(enclosing.fixed_axes) and axis == enclosing.fixed_axes[pos]:
+            return True
+    return False
+
+
+def _failing(message):
+    def fail(frame):
+        raise EvalError(message)
+    return fail
+
+
 class Interpreter:
+    """Evaluates a program by building each function into closures on its
+    first call: statements and expressions become nested Python closures
+    over a frame dict, with callees, closure-parameter names, fixed
+    extents and strictness resolved once instead of on every call."""
+
     def __init__(self, program, config=None):
         self.program = program
         self.config = config or EvalConfig()
-        self._shape_cache = {}
+        self._functions = {}  # name -> _Compiled
+        self._entry = None
 
     # -- entry points --------------------------------------------------------
 
@@ -101,152 +166,184 @@ class Interpreter:
             for a in args:
                 if isinstance(a, NdArray):
                     self.config.allocator.allocate(a, reclaim=False)
-        self._entry_fn = fn
-        return self.call_function(fn, list(args), {})
+        self._entry = fn  # its statements announce trace phases when built
+        self._functions = {}
+        return self._function(entry).call(list(args), {})
 
-    # -- function calls ------------------------------------------------------
+    # -- building functions ----------------------------------------------------
 
-    def call_function(self, fn, args, env):
-        """Apply `fn` to positional args; closures resolved from `env`."""
-        shape = self._body_shape(fn)
-        if shape[0] == "ident":
-            return args[0]
-        if shape[0] == "binop":
-            return self._binop(shape[1], args[0], args[1])
-        frame = dict(zip(fn.params, args))
-        for c in fn.closure_params:
+    def _function(self, name):
+        compiled = self._functions.get(name)
+        if compiled is None:
+            compiled = self._functions[name] = self._build(self.program.fn(name))
+        return compiled
+
+    def _callee(self, name, env):
+        """The built function `name` and its closure values from `env`."""
+        f = self._function(name)
+        captured = {}
+        for c in f.fn.closure_params:
             if c not in env:
-                raise EvalError(f"closure parameter {c!r} of {fn.name} is unbound at the call site")
-            frame[c] = env[c]
-        done, value = self._exec_block(fn.body, frame, fn)
-        if not done:
-            raise EvalError(f"{fn.name} finished without returning")
-        return value
+                raise EvalError(f"closure parameter {c!r} of {name} is unbound at the call site")
+            captured[c] = env[c]
+        return f, captured
 
-    def _body_shape(self, fn):
-        """Classify trivial bodies so hot combine/identity calls skip frames."""
-        cached = self._shape_cache.get(fn.name)
-        if cached is not None:
-            return cached
-        shape = ("generic",)
-        if fn.fixed_extent is not None:
-            # Specialised clones must go through the generic path so their
-            # extent assertions and fast-path gating stay observable.
-            self._shape_cache[fn.name] = shape
-            return shape
-        if not fn.closure_params and len(fn.body) == 1 and isinstance(fn.body[0], ir.Return):
-            e = fn.body[0].value
-            if isinstance(e, ir.Var) and len(fn.params) == 1 and e.name == fn.params[0]:
-                shape = ("ident",)
-            elif (isinstance(e, ir.BinOp) and len(fn.params) == 2
-                  and isinstance(e.left, ir.Var) and e.left.name == fn.params[0]
-                  and isinstance(e.right, ir.Var) and e.right.name == fn.params[1]):
-                shape = ("binop", e.op)
-        self._shape_cache[fn.name] = shape
-        return shape
+    def _build(self, fn):
+        shape = ir.body_shape(fn) if fn.fixed_extent is None else None
+        if shape == ("ident",):
+            return _Compiled(fn, lambda args, captured: args[0], _identity)
+        if shape is not None:
+            op = scalar_op(shape[1])
+            binop = self._binop(shape[1], op)
+            return _Compiled(fn, lambda args, captured: binop(args[0], args[1]), op)
+        mark = self.config.trace is not None and fn is self._entry
+        body = self._block(fn.body, fn, mark)
+        params, name = fn.params, fn.name
+
+        def call(args, captured):
+            frame = dict(zip(params, args))
+            frame.update(captured)
+            value = body(frame)
+            if value is _NO_RETURN:
+                raise EvalError(f"{name} finished without returning")
+            return value
+
+        return _Compiled(fn, call)
 
     # -- statements ------------------------------------------------------------
 
-    def _exec_block(self, block, frame, fn):
-        trace = self.config.trace
-        mark = trace is not None and fn is getattr(self, "_entry_fn", None)
-        for s in block:
-            t = type(s)
-            if t is ir.Assign:
-                if mark:
-                    trace.phase(f"{s.target} =")
-                frame[s.target] = self.eval_expr(s.value, frame, fn)
-            elif t is ir.Return:
-                if mark:
-                    trace.phase("return")
-                return True, self.eval_expr(s.value, frame, fn)
-            elif t is ir.If:
-                cond = self.eval_expr(s.cond, frame, fn)
-                if isinstance(cond, ArrayValue):
+    def _block(self, block, fn, mark):
+        """A closure running `block` on a frame; it returns the value of
+        the first return statement reached, or _NO_RETURN."""
+        steps = tuple(self._statement(s, fn, mark) for s in block)
+        if len(steps) == 1:
+            return steps[0]
+
+        def run(frame):
+            for step in steps:
+                value = step(frame)
+                if value is not _NO_RETURN:
+                    return value
+            return _NO_RETURN
+
+        return run
+
+    def _statement(self, s, fn, mark):
+        phase = self.config.trace.phase if mark else None
+        t = type(s)
+        if t is ir.Assign:
+            target, value = s.target, self._expr(s.value, fn)
+            label = f"{target} ="
+
+            def assign(frame):
+                if phase is not None:
+                    phase(label)
+                frame[target] = value(frame)
+                return _NO_RETURN
+            return assign
+        if t is ir.Return:
+            value = self._expr(s.value, fn)
+
+            def ret(frame):
+                if phase is not None:
+                    phase("return")
+                return value(frame)
+            return ret
+        if t is ir.If:
+            cond = self._expr(s.cond, fn)
+            then, orelse = self._block(s.then, fn, mark), self._block(s.orelse, fn, mark)
+
+            def branch(frame):
+                c = cond(frame)
+                if isinstance(c, ArrayValue):
                     raise EvalError("if condition must be a scalar")
-                done, value = self._exec_block(s.then if cond != 0 else s.orelse, frame, fn)
-                if done:
-                    return True, value
-            elif t is ir.For:
-                seq = self.eval_expr(s.seq, frame, fn)
-                if not isinstance(seq, ArrayValue):
+                return then(frame) if c != 0 else orelse(frame)
+            return branch
+        if t is ir.For:
+            var, seq, body = s.var, self._expr(s.seq, fn), self._block(s.body, fn, mark)
+
+            def loop(frame):
+                xs = seq(frame)
+                if not isinstance(xs, ArrayValue):
                     raise EvalError("for-loop sequence must be an array")
-                v = as_view(seq)
+                v = as_view(xs)
                 if v.rank == 0:
                     raise EvalError("cannot iterate a rank-0 array")
                 for i in range(v.shape[0]):
-                    frame[s.var] = self._slice_value(v, 0, i)
-                    done, value = self._exec_block(s.body, frame, fn)
-                    if done:
-                        return True, value
-            else:
-                raise EvalError(f"unknown statement {type(s).__name__}")
-        return False, None
+                    frame[var] = self._slice_value(v, 0, i)
+                    value = body(frame)
+                    if value is not _NO_RETURN:
+                        return value
+                return _NO_RETURN
+            return loop
+        return _failing(f"unknown statement {t.__name__}")
 
     # -- expressions -----------------------------------------------------------
 
-    def eval_expr(self, e, frame, fn):
+    def _expr(self, e, fn):
+        """A closure evaluating expression `e` of function `fn` on a frame."""
         t = type(e)
         if t is ir.Const:
-            return e.value
+            value = e.value
+            return lambda frame: value
         if t is ir.Var:
-            try:
-                return frame[e.name]
-            except KeyError:
-                raise EvalError(f"unbound variable {e.name!r}") from None
+            name = e.name
+
+            def var(frame):
+                try:
+                    return frame[name]
+                except KeyError:
+                    raise EvalError(f"unbound variable {name!r}") from None
+            return var
         if t is ir.BinOp:
-            return self._binop(e.op, self.eval_expr(e.left, frame, fn),
-                               self.eval_expr(e.right, frame, fn))
+            left, right = self._expr(e.left, fn), self._expr(e.right, fn)
+            binop = self._binop(e.op, scalar_op(e.op))
+            return lambda frame: binop(left(frame), right(frame))
         if t is ir.Index:
-            return self._index(self.eval_expr(e.array, frame, fn),
-                               self.eval_expr(e.index, frame, fn))
+            array, index = self._expr(e.array, fn), self._expr(e.index, fn)
+            return lambda frame: self._index(array(frame), index(frame))
         if t is ir.ArrayLit:
-            return self._stack([self.eval_expr(x, frame, fn) for x in e.items])
-        if t is ir.Map:
-            args = [self.eval_expr(a, frame, fn) for a in e.args]
-            return self.eval_map(e.fn, args, e.axes, frame,
-                                 fixed_extent=self._fixed_for(e, fn),
-                                 strict=self._slices_own_params(e, fn))
-        if t is ir.Reduce:
-            args = [self.eval_expr(a, frame, fn) for a in e.args]
-            init = self.eval_expr(e.init, frame, fn)
-            return self.eval_reduce(e.fn, e.combine, init, args, e.axes, frame,
-                                    fixed_extent=self._fixed_for(e, fn),
-                                    strict=self._slices_own_params(e, fn))
-        if t is ir.Scan:
-            args = [self.eval_expr(a, frame, fn) for a in e.args]
-            init = self.eval_expr(e.init, frame, fn)
-            return self.eval_scan(e.fn, e.combine, e.emit, init, args, e.axes, frame,
-                                  fixed_extent=self._fixed_for(e, fn),
-                                  strict=self._slices_own_params(e, fn))
-        if t is ir.TiledMap:
-            args = [self.eval_expr(a, frame, fn) for a in e.args]
-            return self.eval_tiled_map(e, args, frame)
-        if t is ir.TiledReduce:
-            args = [self.eval_expr(a, frame, fn) for a in e.args]
-            init = self.eval_expr(e.init, frame, fn)
-            return self.eval_tiled_reduce(e, init, args, frame)
-        if t is ir.TiledScan:
-            args = [self.eval_expr(a, frame, fn) for a in e.args]
-            init = self.eval_expr(e.init, frame, fn)
-            return self.eval_tiled_scan(e, init, args, frame)
+            items = tuple(self._expr(x, fn) for x in e.items)
+            return lambda frame: self._stack([item(frame) for item in items])
+        if isinstance(e, ir.TILED_OPS) or t in (ir.Map, ir.Reduce, ir.Scan):
+            return self._operator(e, fn)
         if t is ir.AllPairs:
-            raise EvalError("AllPairs must be desugared before evaluation")
-        raise EvalError(f"cannot evaluate {type(e).__name__}")
+            return _failing("AllPairs must be desugared before evaluation")
+        return _failing(f"cannot evaluate {t.__name__}")
 
-    def _binop(self, op, a, b):
-        if not isinstance(a, ArrayValue) and not isinstance(b, ArrayValue):
-            if op == "+":
-                return a + b
-            if op == "*":
-                return a * b
-            if op == "-":
-                return a - b
-            return apply_op(op, a, b)
-        return self._elementwise(op, a, b)
+    def _operator(self, e, fn):
+        """Operands evaluate first, in order, then the init value."""
+        args = tuple(self._expr(a, fn) for a in e.args)
+        init = self._expr(e.init, fn) if hasattr(e, "init") else None
+        t = type(e)
+        if t is ir.TiledMap:
+            return lambda frame: self._tiled_map(e, [a(frame) for a in args], frame)
+        if t in (ir.TiledReduce, ir.TiledScan):
+            tiled = self._tiled_reduce if t is ir.TiledReduce else self._tiled_scan
 
-    def _elementwise(self, op, a, b):
-        return elementwise(op, a, b, self.config.trace, self._new_array)
+            def tiled_fold(frame):
+                values = [a(frame) for a in args]
+                return tiled(e, init(frame), values, frame)
+            return tiled_fold
+        fixed, strict = fn.fixed_extent, _strict(e, fn)
+        if t is ir.Map:
+            return lambda frame: self._map(
+                e.fn, [a(frame) for a in args], e.axes, frame, fixed, strict)
+        emit = e.emit if t is ir.Scan else None
+
+        def fold(frame):
+            values = [a(frame) for a in args]
+            return self._fold(t is ir.Scan, e.fn, e.combine, emit, init(frame), values,
+                              e.axes, frame, fixed, strict)
+        return fold
+
+    def _binop(self, op, f):
+        """Scalar `f` on two scalars, else the elementwise kernel."""
+        def binop(a, b):
+            if isinstance(a, ArrayValue) or isinstance(b, ArrayValue):
+                return elementwise(op, a, b, self.config.trace, self._new_array)
+            return f(a, b)
+        return binop
 
     def _index(self, arr, i):
         if not isinstance(arr, ArrayValue):
@@ -324,35 +421,6 @@ class Interpreter:
             views.append(v)
         return views, extent
 
-    def _capture(self, fname, env):
-        fn = self.program.fn(fname)
-        captured = {}
-        for c in fn.closure_params:
-            if c not in env:
-                raise EvalError(f"closure parameter {c!r} of {fname} is unbound at the call site")
-            captured[c] = env[c]
-        return fn, captured
-
-    @staticmethod
-    def _fixed_for(e, enclosing):
-        return enclosing.fixed_extent if enclosing is not None else None
-
-    @staticmethod
-    def _slices_own_params(e, enclosing):
-        """True when the operator slices the enclosing function's own
-        parameters along the axes a fixed-size clone was specialised for."""
-        if enclosing is None or enclosing.fixed_extent is None:
-            return False
-        for arg, axis in zip(e.args, e.axes):
-            if not (isinstance(arg, ir.Var) and arg.name in enclosing.params):
-                continue
-            if enclosing.fixed_axes is None:
-                return True
-            pos = enclosing.params.index(arg.name)
-            if pos < len(enclosing.fixed_axes) and axis == enclosing.fixed_axes[pos]:
-                return True
-        return False
-
     def _gate_fixed(self, extent, fixed_extent, strict, what):
         """Fast path (no per-iteration bounds checks) when the extent matches
         the specialisation; a mismatch on the specialised tile itself is a
@@ -366,60 +434,73 @@ class Interpreter:
                 f"{what} specialised for extent {fixed_extent} invoked on extent {extent}")
         return False
 
-    def eval_map(self, fname, args, axes, env, fixed_extent=None, strict=False):
-        fn, captured = self._capture(fname, env)
+    def _elementary(self, f, views):
+        """Results of elementary callee `f` (see _Compiled) at every index
+        of rank-1 `views`, computed in one loop over the flat buffers. Each
+        element's reads are reported as the generic path reports them: one
+        read per view, in argument order."""
+        roots = [v.root if isinstance(v, View) else v for v in views]
+        offs = [list(offsets(v)) for v in views]
+        trace = self.config.trace
+        if trace is not None:
+            read = trace.read
+            addresses = [[root.addr + o * ELEM_SIZE for o in column]
+                         for root, column in zip(roots, offs)]
+            for addr in itertools.chain.from_iterable(zip(*addresses)):
+                read(addr)
+        columns = [map(root.data.__getitem__, o) for root, o in zip(roots, offs)]
+        if f.op is _identity:
+            return list(columns[0])
+        return list(map(f.op, *columns))
+
+    def _fused(self, f, views):
+        """True when `f` is elementary and takes every operand as a scalar."""
+        return (f.op is not None and len(views) == len(f.fn.params)
+                and all(v.rank == 1 for v in views))
+
+    def _map(self, fname, args, axes, env, fixed_extent, strict):
+        f, captured = self._callee(fname, env)
         views, extent = self._operand_views(args, axes, "Map")
-        fast = self._gate_fixed(extent, fixed_extent, strict, "Map")
-        counters = self.config.counters
-        results = []
-        nargs = len(views)
-        for i in range(extent):
-            if not fast:
-                counters.bounds_checks += nargs
-                for v, axis in zip(views, axes):
-                    if i >= v.shape[axis]:
-                        raise EvalError("slice index out of bounds")
-            slices = [self._slice_value(v, axis, i) for v, axis in zip(views, axes)]
-            results.append(self.call_function(fn, slices, captured))
+        if not self._gate_fixed(extent, fixed_extent, strict, "Map"):
+            self.config.counters.bounds_checks += len(views) * extent
         if extent == 0:
             return self._new_array((0,), views[0].dtype if views else "i64")
+        if self._fused(f, views):
+            return self._stack(self._elementary(f, views))
+        results = []
+        for i in range(extent):
+            slices = [self._slice_value(v, axis, i) for v, axis in zip(views, axes)]
+            results.append(f.call(slices, captured))
         return self._stack(results)
 
-    def eval_reduce(self, fname, combine, init, args, axes, env, fixed_extent=None, strict=False):
-        fn, captured = self._capture(fname, env)
-        comb_fn, comb_captured = self._capture(combine, env)
-        views, extent = self._operand_views(args, axes, "Reduce")
-        fast = self._gate_fixed(extent, fixed_extent, strict, "Reduce")
-        counters = self.config.counters
-        acc = init
-        nargs = len(views)
-        for i in range(extent):
-            if not fast:
-                counters.bounds_checks += nargs
-            slices = [self._slice_value(v, axis, i) for v, axis in zip(views, axes)]
-            acc = self.call_function(comb_fn, [acc, self.call_function(fn, slices, captured)],
-                                     comb_captured)
-        return acc
-
-    def eval_scan(self, fname, combine, emit, init, args, axes, env, fixed_extent=None, strict=False):
-        fn, captured = self._capture(fname, env)
-        comb_fn, comb_captured = self._capture(combine, env)
+    def _fold(self, scan, fname, combine, emit, init, args, axes, env, fixed_extent, strict):
+        """Reduce (scan=False) or Scan: fold `combine` over the callee's
+        results from `init`; a scan stacks every step, through `emit`."""
+        what = "Scan" if scan else "Reduce"
+        f, captured = self._callee(fname, env)
+        comb, comb_captured = self._callee(combine, env)
         emit_fn = emit_captured = None
         if emit is not None:
-            emit_fn, emit_captured = self._capture(emit, env)
-        views, extent = self._operand_views(args, axes, "Scan")
-        fast = self._gate_fixed(extent, fixed_extent, strict, "Scan")
-        counters = self.config.counters
-        acc = init
-        outs = []
-        nargs = len(views)
-        for i in range(extent):
-            if not fast:
-                counters.bounds_checks += nargs
-            slices = [self._slice_value(v, axis, i) for v, axis in zip(views, axes)]
-            acc = self.call_function(comb_fn, [acc, self.call_function(fn, slices, captured)],
-                                     comb_captured)
-            outs.append(self.call_function(emit_fn, [acc], emit_captured) if emit_fn else acc)
+            emit_fn, emit_captured = self._callee(emit, env)
+        views, extent = self._operand_views(args, axes, what)
+        if not self._gate_fixed(extent, fixed_extent, strict, what):
+            self.config.counters.bounds_checks += len(views) * extent
+        if (self._fused(f, views) and comb.op is not None and emit is None
+                and not isinstance(init, ArrayValue)):
+            values = self._elementary(f, views)
+            if not scan:
+                return functools.reduce(comb.op, values, init)
+            outs = list(itertools.accumulate(values, comb.op, initial=init))[1:]
+        else:
+            acc = init
+            outs = []
+            for i in range(extent):
+                slices = [self._slice_value(v, axis, i) for v, axis in zip(views, axes)]
+                acc = comb.call([acc, f.call(slices, captured)], comb_captured)
+                if scan:
+                    outs.append(emit_fn.call([acc], emit_captured) if emit_fn else acc)
+            if not scan:
+                return acc
         if extent == 0:
             return self._new_array((0,), views[0].dtype if views else "i64")
         return self._stack(outs)
@@ -448,10 +529,10 @@ class Interpreter:
     def _dispatch_tiles(self, node, tile_args, full, k, env):
         """Evaluate every tile in order, full tiles via the fixed clone when
         present. Returns per-tile results in tile order."""
-        fn, captured = self._capture(node.fn, env)
-        fixed_fn = fixed_captured = None
+        f, captured = self._callee(node.fn, env)
+        fixed = fixed_captured = None
         if node.fixed is not None:
-            fixed_fn, fixed_captured = self._capture(node.fixed, env)
+            fixed, fixed_captured = self._callee(node.fixed, env)
         counters = self.config.counters
 
         def eval_tile(t):
@@ -461,20 +542,21 @@ class Interpreter:
                     if tv.shape[axis] != k:
                         raise EvalError(
                             f"full tile extent {tv.shape[axis]} != tile size {k} (slot {node.slot})")
-                if fixed_fn is not None:
-                    if fixed_fn.fixed_extent is not None and fixed_fn.fixed_extent != k:
+                if fixed is not None:
+                    extent = fixed.fn.fixed_extent
+                    if extent is not None and extent != k:
                         raise EvalError(
-                            f"fixed-size clone {fixed_fn.name} specialised for "
-                            f"{fixed_fn.fixed_extent}, dispatched with k={k}")
-                    return self.call_function(fixed_fn, list(tiles), fixed_captured)
-            return self.call_function(fn, list(tiles), captured)
+                            f"fixed-size clone {fixed.fn.name} specialised for "
+                            f"{extent}, dispatched with k={k}")
+                    return fixed.call(list(tiles), fixed_captured)
+            return f.call(list(tiles), captured)
 
         results = [eval_tile(t) for t in range(len(tile_args))]
         counters.full_tile_calls += min(full, len(tile_args))
         counters.straggler_calls += max(0, len(tile_args) - full)
         return results
 
-    def eval_tiled_map(self, node, args, env):
+    def _tiled_map(self, node, args, env):
         tile_args, full, k, extent = self._tile_sets(node, args)
         if extent == 0:
             return self._new_array((0,), "i64")
@@ -483,22 +565,22 @@ class Interpreter:
             raise EvalError("tiled map tiles must produce arrays")
         return concat(results, node.depth, self.config.trace, self._new_array)
 
-    def eval_tiled_reduce(self, node, init, args, env):
+    def _tiled_reduce(self, node, init, args, env):
         tile_args, full, k, extent = self._tile_sets(node, args)
         if extent == 0:
             return init
-        comb_fn, comb_captured = self._capture(node.combine, env)
+        comb, comb_captured = self._callee(node.combine, env)
         results = self._dispatch_tiles(node, tile_args, full, k, env)
         acc = results[0]
         for part in results[1:]:
-            acc = self.call_function(comb_fn, [acc, part], comb_captured)
+            acc = comb.call([acc, part], comb_captured)
         return acc
 
-    def eval_tiled_scan(self, node, init, args, env):
+    def _tiled_scan(self, node, init, args, env):
         tile_args, full, k, extent = self._tile_sets(node, args)
         if extent == 0:
             return self._new_array((0,), "i64")
-        comb_fn, comb_captured = self._capture(node.combine, env)
+        comb, comb_captured = self._callee(node.combine, env)
         results = self._dispatch_tiles(node, tile_args, full, k, env)
         axis = node.depth
         adjusted = []
@@ -511,7 +593,7 @@ class Interpreter:
                 steps = []
                 for j in range(pv.shape[axis]):
                     piece = slice_axis(pv, axis, j) if pv.rank > 1 else self._slice_value(pv, axis, j)
-                    steps.append(self.call_function(comb_fn, [last, piece], comb_captured))
+                    steps.append(comb.call([last, piece], comb_captured))
                 part = self._stack(steps, axis)
                 pv = as_view(part)
             last_piece = slice_axis(pv, axis, pv.shape[axis] - 1) if pv.rank > 1 \

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from tilepar.ir import parse_program
+from tilepar.ir import ValidationError, parse_program
 from tilepar.ndarray import NdArray
 from tilepar.semantics import EvalConfig, EvalError, eval_program
 
@@ -304,3 +304,37 @@ def test_generic_path_counts_bounds_checks():
     cfg = EvalConfig()
     run(programs.ADD1_MAP, [vec([1, 2, 3, 4])], config=cfg)
     assert cfg.counters.bounds_checks == 4
+
+
+@pytest.mark.parametrize("op", [
+    "map(ident, t; axes=[0])",
+    "reduce(ident, combine=add2, init=0, t; axes=[0])",
+    "scan(ident, combine=add2, init=0, t; axes=[0])",
+])
+def test_fixed_clone_extent_assertion_precedes_fused_loop(op):
+    # The operator's callee and combine are elementary, so it would run as
+    # one fused loop; the clone's extent assertion must still fire first.
+    src = f"""
+    fn ident(x) {{ return x; }}
+    fn add2(a, b) {{ return a + b; }}
+    fn row_op(t) {{ return {op}; }}
+    fn main(Xs) {{ return map(row_op, Xs; axes=[0]); }}
+    """
+    p = parse_program(src)
+    p.functions["row_op"] = replace(p.fn("row_op"), fixed_extent=3)
+    with pytest.raises(EvalError, match="specialised for extent 3 invoked on extent 4"):
+        eval_program(p, [NdArray.from_nested([[1, 2, 3, 4]])])
+    cfg = EvalConfig()
+    eval_program(p, [NdArray.from_nested([[1, 2, 3]])], cfg)
+    assert cfg.counters.bounds_checks == 1  # the outer map only
+
+
+def test_missing_function_raises_only_when_reached():
+    p = parse_program("""
+    fn ident(x) { return x; }
+    fn main(c, xs) { if c { return map(ident, xs; axes=[0]); } else { return 0; } }
+    """)
+    del p.functions["ident"]
+    assert eval_program(p, [0, vec([1, 2])]) == 0
+    with pytest.raises(ValidationError, match="no function named 'ident'"):
+        eval_program(p, [1, vec([1, 2])])
