@@ -235,11 +235,23 @@ def should_terminate(state, config):
 
 
 def run_search(space, probe, config):
-    """Drive rounds until the budget or the no-improvement limit is hit."""
+    """Drive rounds until the budget or the no-improvement limit is hit.
+
+    Each distinct candidate is probed once: a duplicate (clamping makes
+    them common) reuses the first result, cost or failure, and is still
+    logged as its own candidate."""
+    results = {}
+
+    def first_result(sizes):
+        if sizes not in results:
+            results[sizes] = _evaluate_all(probe, [sizes])[0]
+        return results[sizes]
+
+    memo = CostProbe(first_result)
     rng = random.Random(config.seed)
-    state = start_search(space, probe)
+    state = start_search(space, memo)
     while not should_terminate(state, config):
-        search_step(state, probe, config, rng)
+        search_step(state, memo, config, rng)
     state.terminated = True
     if math.isinf(state.best_cost):
         # No candidate ever produced a cost: fall back to the midpoint.

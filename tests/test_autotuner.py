@@ -282,3 +282,25 @@ def test_autotune_identical_logs_same_seed():
     _, s2 = autotune(res.program, res.spec, CostProbe(probe_fn), hw, cfg,
                      extents={0: n, 1: n})
     assert format_log(s1) == format_log(s2)
+
+
+def test_duplicate_candidates_probed_once():
+    # A 3x3 space makes most candidates duplicates; odd sizes fail.
+    calls = []
+
+    def counting(sizes):
+        calls.append(sizes)
+        if sizes[0] % 2:
+            raise RuntimeError("odd")
+        return bowl(sizes)
+
+    space = SearchSpace((0, 1), ((1, 3), (1, 3)))
+    cfg = SearchConfig(batch_size=4, max_evaluations=24, no_improve_limit=50, seed=5)
+    state = run_search(space, CostProbe(counting), cfg)
+    candidates = [r.candidate for r in state.log]
+    assert len(candidates) == state.evaluations > len(set(candidates))
+    assert sorted(calls) == sorted(set(candidates))
+    first = {}
+    for r in state.log:
+        assert first.setdefault(r.candidate, r.cost) == r.cost
+    assert any(r.cost is None for r in state.log)
