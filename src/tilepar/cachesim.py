@@ -74,9 +74,10 @@ class HardwareInfo:
     cores: int = DEFAULT_CORES
     registers: int = DEFAULT_REGISTERS
     provenance: str = "default"  # probed | configured | default
+    associativity: int = DEFAULT_ASSOCIATIVITY
 
     def l1_model(self):
-        return CacheModel(self.l1_bytes, self.line_bytes)
+        return CacheModel(self.l1_bytes, self.line_bytes, self.associativity)
 
 
 class Simulator:
@@ -178,7 +179,8 @@ def _parse_size(text):
 
 
 def _probe_sysfs():
-    """L1 data cache parameters from /sys; None when unavailable."""
+    """L1 data cache size, line size and (when readable) way count from
+    /sys; None when size or line size is unavailable."""
     try:
         entries = sorted(os.listdir(SYSFS_CACHE_DIR))
     except OSError:
@@ -196,9 +198,15 @@ def _probe_sysfs():
                 size = _parse_size(f.read())
             with open(os.path.join(base, "coherency_line_size")) as f:
                 line = int(f.read().strip())
-            return {"l1_bytes": size, "line_bytes": line}
         except (OSError, ValueError):
             continue
+        found = {"l1_bytes": size, "line_bytes": line}
+        try:
+            with open(os.path.join(base, "ways_of_associativity")) as f:
+                found["associativity"] = int(f.read().strip())
+        except (OSError, ValueError):
+            pass  # the default way count stands in
+        return found
     return None
 
 
@@ -230,8 +238,8 @@ def probe_hardware(config_path=None, env=None):
     usable field counts as no config: /sys (the L1 data cache of cpu0) is
     consulted instead. Whatever is still missing or below 1 falls back
     per-field to the defaults (32KB L1, 64-byte lines, 4 cores, 16
-    registers). The provenance field records which source won: configured,
-    probed or default.
+    registers, 8 ways). The way count comes only from /sys. The provenance
+    field records which source won: configured, probed or default.
     """
     env = os.environ if env is None else env
     values = {}
@@ -256,7 +264,8 @@ def probe_hardware(config_path=None, env=None):
     for field_name, default in (("l1_bytes", DEFAULT_L1_BYTES),
                                 ("line_bytes", DEFAULT_LINE_BYTES),
                                 ("cores", DEFAULT_CORES),
-                                ("registers", DEFAULT_REGISTERS)):
+                                ("registers", DEFAULT_REGISTERS),
+                                ("associativity", DEFAULT_ASSOCIATIVITY)):
         v = values.get(field_name, default)
         if not isinstance(v, int) or v < 1:
             v = default

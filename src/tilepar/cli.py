@@ -85,7 +85,7 @@ def build_parser():
     _program_args(sim)
     sim.add_argument("--capacity", type=int, default=0, help="bytes (0: probed L1)")
     sim.add_argument("--line", type=int, default=0, help="line size bytes (0: probed)")
-    sim.add_argument("--assoc", type=int, default=8)
+    sim.add_argument("--assoc", type=int, default=0, help="ways (0: probed L1)")
     sim.add_argument("--tiling", choices=["off", "cache", "cache+register"], default="off")
     sim.add_argument("--tile-sizes", help="comma-separated sizes for runtime slots")
     sim.add_argument("--format", choices=["human", "csv"], default="human")
@@ -328,7 +328,7 @@ def cmd_cachesim(args):
         raise UsageError("cachesim needs --input or --gen")
     hw = _hardware()
     model = CacheModel(args.capacity or hw.l1_bytes, args.line or hw.line_bytes,
-                       args.assoc)
+                       args.assoc or hw.associativity)
     tiled, spec = _prepare_tiled(program, inputs, args.tiling, hw)
     sizes = {}
     if spec is not None:

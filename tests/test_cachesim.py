@@ -148,14 +148,18 @@ def test_probe_drops_non_integer_fields_per_field(tmp_path, monkeypatch):
     assert info.provenance == "configured"
 
 
-def _fake_cache_tree(root, l1d_size):
-    """A cpu0/cache directory with an L1 instruction and an L1 data entry."""
+def _fake_cache_tree(root, l1d_size, l1d_ways=None):
+    """A cpu0/cache directory with an L1 instruction and an L1 data entry;
+    the data entry has a way count file only when `l1d_ways` is given."""
     for index, ctype, size in (("index0", "Instruction", "32K"),
                                ("index1", "Data", l1d_size)):
         entry = root / index
         entry.mkdir(parents=True)
-        for name, text in (("level", "1"), ("type", ctype), ("size", size),
-                           ("coherency_line_size", "64")):
+        files = [("level", "1"), ("type", ctype), ("size", size),
+                 ("coherency_line_size", "64")]
+        if l1d_ways is not None:
+            files.append(("ways_of_associativity", l1d_ways if ctype == "Data" else "4"))
+        for name, text in files:
             (entry / name).write_text(text + "\n")
     return str(root)
 
@@ -169,6 +173,18 @@ def test_probe_reads_l1_data_cache_from_sysfs(tmp_path, monkeypatch):
     assert info.l1_bytes == 49152
     assert info.line_bytes == 64
     assert info.provenance == "probed"
+
+
+@pytest.mark.parametrize("ways, expected", [("12", 12), (None, 8), ("many", 8), ("0", 8)])
+def test_probe_reads_l1_associativity_from_sysfs(tmp_path, monkeypatch, ways, expected):
+    monkeypatch.setattr("tilepar.cachesim.SYSFS_CACHE_DIR",
+                        _fake_cache_tree(tmp_path / "cache", "48K", ways))
+    info = probe_hardware(env={})
+    assert (info.l1_bytes, info.line_bytes, info.provenance) == (49152, 64, "probed")
+    assert info.associativity == expected
+    model = info.l1_model()
+    assert (model.capacity, model.line_size, model.associativity) == (49152, 64, expected)
+    assert model.num_sets == 49152 // (64 * expected)
 
 
 def test_probe_garbage_sysfs_size_falls_back_to_defaults(tmp_path, monkeypatch):
