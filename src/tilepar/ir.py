@@ -391,7 +391,7 @@ def body_shape(fn):
     if isinstance(e, Var) and params == (e.name,):
         return ("ident",)
     if (isinstance(e, BinOp) and isinstance(e.left, Var) and isinstance(e.right, Var)
-            and len(params) == 2 and params == (e.left.name, e.right.name)):
+            and params == (e.left.name, e.right.name)):
         return ("binop", e.op)
     return None
 

@@ -23,7 +23,7 @@ the extra tile ranks are peeled off before the original expression runs.
 Control flow anywhere in the entry or in an operator-reachable function
 aborts the whole transformation and returns the input unchanged, and so
 does a Reduce or Scan whose combine is not `return a OP b` with OP one of
-+, *, min, max and whose init is not OP's identity: tiles fold from the
++, *, min, max, or whose init is not OP's identity: tiles fold from the
 init independently, so only then does tiling leave the result unchanged.
 
 Before the walk, ``normalize_for_tiling`` makes every operator the whole
