@@ -680,11 +680,13 @@ def register_tile(program, spec, hw, heuristic=None, entry="main"):
         ranks = required_ranks(normalized, name)
         tiler = _Tiler(normalized, new_spec, "register",
                        slot_size_fn=lambda nops: heuristic.size_for(nops, registers))
+        slots_before = len(new_spec.slots)
         try:
             body = tiler.tile_function_body(
                 normalized.fn(name), [ranks[p] for p in fn.params], name,
                 closure_ranks={c: ranks[c] for c in fn.closure_params})
         except UnsupportedNesting:
+            del new_spec.slots[slots_before:]  # slots of operators left untiled
             continue
         tiler.out[name] = replace(normalized.fn(name), body=body)
         out = tiler.out

@@ -567,8 +567,9 @@ def test_inexact_combine_left_untiled(op, combine_body, init, row0, reason):
     assert tiled == base
     assert not res.changed
     assert reason in res.reason
-    reg_program, _ = register_tile(p, TileSpec(), 16)
+    reg_program, reg_spec = register_tile(p, TileSpec(), 16)
     assert print_program(reg_program) == print_program(p)
+    assert reg_spec.slots == []  # no slot for an operator left untiled
 
 
 @pytest.mark.parametrize("combine_body, init", [
