@@ -262,12 +262,15 @@ def _walk(v, base, scale):
         return iter((base + scale * v.offset,))
     if 0 in v.shape:
         return iter(())
-    starts = [base + scale * v.offset]
+    step = v.strides[-1] * scale
+    length = v.shape[-1] * step
+    start = base + scale * v.offset
+    if len(v.shape) == 1:
+        return range(start, start + length, step)
+    starts = [start]
     for extent, stride in zip(v.shape[:-1], v.strides[:-1]):
         steps = [i * stride * scale for i in range(extent)]
         starts = [b + s for b in starts for s in steps]
-    step = v.strides[-1] * scale
-    length = v.shape[-1] * step
     return itertools.chain.from_iterable(range(b, b + length, step) for b in starts)
 
 

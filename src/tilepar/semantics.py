@@ -167,8 +167,13 @@ class Interpreter:
                 if isinstance(a, NdArray):
                     self.config.allocator.allocate(a, reclaim=False)
         self._entry = fn  # its statements announce trace phases when built
-        self._functions = {}
-        return self._function(entry).call(list(args), {})
+        try:
+            return self._function(entry).call(list(args), {})
+        finally:
+            # The built closures refer back to this interpreter; dropping
+            # them lets reference counting free it, with its trace sink,
+            # as soon as the caller does.
+            self._functions = {}
 
     # -- building functions ----------------------------------------------------
 

@@ -1,11 +1,13 @@
+import gc
 import random
+import weakref
 from dataclasses import replace
 
 import pytest
 
 from tilepar.ir import ValidationError, parse_program
 from tilepar.ndarray import NdArray
-from tilepar.semantics import EvalConfig, EvalError, eval_program
+from tilepar.semantics import EvalConfig, EvalError, TraceSink, eval_program
 
 import programs
 
@@ -338,3 +340,19 @@ def test_missing_function_raises_only_when_reached():
     assert eval_program(p, [0, vec([1, 2])]) == 0
     with pytest.raises(ValidationError, match="no function named 'ident'"):
         eval_program(p, [1, vec([1, 2])])
+
+
+def test_finished_run_is_freed_without_the_cycle_collector():
+    # The built closures refer back to the interpreter; a finished run
+    # must not keep it, its config and its trace sink alive in a cycle.
+    sink = TraceSink(consumer=lambda addr, kind: None)
+    ref = weakref.ref(sink)
+    config = EvalConfig(trace=sink)
+    gc.disable()
+    try:
+        assert run(programs.SUM_ROWS, [NdArray.from_nested([[1, 2], [3, 4]])],
+                   config=config).to_nested() == [3, 7]
+        del sink, config
+        assert ref() is None
+    finally:
+        gc.enable()
