@@ -52,7 +52,7 @@ def tile_case(src, inputs, registers):
 
 
 def traced_run(program, inputs, tile_sizes=None):
-    """(trace events, dispatch counters) of one traced evaluation."""
+    """(value, trace events, dispatch counters) of one traced evaluation."""
     sink = TraceSink()
     config = EvalConfig(tile_sizes=dict(tile_sizes or {}), trace=sink)
     value = eval_program(program, inputs, config)
@@ -133,9 +133,9 @@ def with_generic_bodies(program):
 
 GENERIC_CASES = {
     # Reduce over column-major row views, with straggler tiles on both axes.
-    "sum_rows_col": ([matrix(7, 9, "i64", "col")], {0: 3, 1: 4}),
-    "row_scan": ([matrix(6, 8, "i64", "col")], {0: 4, 1: 3}),
-    "map2": ([matrix(5, 7, "i64", "col"), matrix(5, 7, "i64", "row")], {0: 2, 1: 3}),
+    "sum_rows_col": (programs.SUM_ROWS, [matrix(7, 9, "i64", "col")], {0: 3, 1: 4}),
+    "row_scan": (programs.ROW_SCAN, [matrix(6, 8, "i64", "col")], {0: 4, 1: 3}),
+    "map2": (MAP2, [matrix(5, 7, "i64", "col"), matrix(5, 7, "i64", "row")], {0: 2, 1: 3}),
 }
 
 
@@ -144,8 +144,7 @@ GENERIC_CASES = {
 def test_generic_callee_matches_elementary_one(name, tiled):
     """A callee that is not a bare `return x` / `return a OP b` gives the
     same value, trace and counters as the elementary one it computes."""
-    src = MAP2 if name == "map2" else getattr(programs, name.upper().replace("_COL", ""))
-    inputs, sizes = GENERIC_CASES[name]
+    src, inputs, sizes = GENERIC_CASES[name]
     program = desugar_allpairs(parse_program(src))
     if tiled:
         program = tile_program(program, arg_ranks=[x.rank for x in inputs]).program
