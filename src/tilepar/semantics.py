@@ -137,7 +137,7 @@ def _strict(e, enclosing):
 
 
 def _failing(message):
-    def fail(frame):
+    def fail(frame, hold=None):
         raise EvalError(message)
     return fail
 
@@ -219,14 +219,19 @@ class Interpreter:
 
     def _block(self, block, fn, mark):
         """A closure running `block` on a frame; it returns the value of
-        the first return statement reached, or _NO_RETURN."""
+        the first return statement reached, or _NO_RETURN.
+
+        A for loop's sequence stays alive until its block ends (`hold`):
+        when a temporary dies decides which free block the allocator hands
+        out next, so this keeps every traced address where it was."""
         steps = tuple(self._statement(s, fn, mark) for s in block)
         if len(steps) == 1:
             return steps[0]
 
         def run(frame):
+            hold = []
             for step in steps:
-                value = step(frame)
+                value = step(frame, hold)
                 if value is not _NO_RETURN:
                     return value
             return _NO_RETURN
@@ -240,7 +245,7 @@ class Interpreter:
             target, value = s.target, self._expr(s.value, fn)
             label = f"{target} ="
 
-            def assign(frame):
+            def assign(frame, hold=None):
                 if phase is not None:
                     phase(label)
                 frame[target] = value(frame)
@@ -249,7 +254,7 @@ class Interpreter:
         if t is ir.Return:
             value = self._expr(s.value, fn)
 
-            def ret(frame):
+            def ret(frame, hold=None):
                 if phase is not None:
                     phase("return")
                 return value(frame)
@@ -258,7 +263,7 @@ class Interpreter:
             cond = self._expr(s.cond, fn)
             then, orelse = self._block(s.then, fn, mark), self._block(s.orelse, fn, mark)
 
-            def branch(frame):
+            def branch(frame, hold=None):
                 c = cond(frame)
                 if isinstance(c, ArrayValue):
                     raise EvalError("if condition must be a scalar")
@@ -267,11 +272,13 @@ class Interpreter:
         if t is ir.For:
             var, seq, body = s.var, self._expr(s.seq, fn), self._block(s.body, fn, mark)
 
-            def loop(frame):
+            def loop(frame, hold=None):
                 xs = seq(frame)
                 if not isinstance(xs, ArrayValue):
                     raise EvalError("for-loop sequence must be an array")
                 v = as_view(xs)
+                if hold is not None:
+                    hold[:] = (xs, v)
                 if v.rank == 0:
                     raise EvalError("cannot iterate a rank-0 array")
                 for i in range(v.shape[0]):
@@ -317,7 +324,8 @@ class Interpreter:
         return _failing(f"cannot evaluate {t.__name__}")
 
     def _operator(self, e, fn):
-        """Operands evaluate first, in order, then the init value."""
+        """Operands evaluate first, in order, then the init value; both are
+        released in that order once the operator returns."""
         args = tuple(self._expr(a, fn) for a in e.args)
         init = self._expr(e.init, fn) if hasattr(e, "init") else None
         t = type(e)
@@ -328,7 +336,8 @@ class Interpreter:
 
             def tiled_fold(frame):
                 values = [a(frame) for a in args]
-                return tiled(e, init(frame), values, frame)
+                start = init(frame)
+                return tiled(e, start, values, frame)
             return tiled_fold
         fixed, strict = fn.fixed_extent, _strict(e, fn)
         if t is ir.Map:
@@ -338,7 +347,8 @@ class Interpreter:
 
         def fold(frame):
             values = [a(frame) for a in args]
-            return self._fold(t is ir.Scan, e.fn, e.combine, emit, init(frame), values,
+            start = init(frame)
+            return self._fold(t is ir.Scan, e.fn, e.combine, emit, start, values,
                               e.axes, frame, fixed, strict)
         return fold
 
@@ -490,6 +500,10 @@ class Interpreter:
         views, extent = self._operand_views(args, axes, what)
         if not self._gate_fixed(extent, fixed_extent, strict, what):
             self.config.counters.bounds_checks += len(views) * extent
+        # `acc` is named before `outs`: on return the frame releases its
+        # locals in that order, and with them the last step's temporaries.
+        acc = init
+        outs = []
         if (self._fused(f, views) and comb.op is not None and emit is None
                 and not isinstance(init, ArrayValue)):
             values = self._elementary(f, views)
@@ -497,8 +511,6 @@ class Interpreter:
                 return functools.reduce(comb.op, values, init)
             outs = list(itertools.accumulate(values, comb.op, initial=init))[1:]
         else:
-            acc = init
-            outs = []
             for i in range(extent):
                 slices = [self._slice_value(v, axis, i) for v, axis in zip(views, axes)]
                 acc = comb.call([acc, f.call(slices, captured)], comb_captured)

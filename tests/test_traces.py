@@ -110,6 +110,35 @@ def test_untiled_trace_pinned(name):
     assert (len(events), digest(events)) == UNTILED_PINS[name]
 
 
+# When a temporary dies decides which free block the allocator hands out
+# next, so these untiled programs pin the evaluator's temporary lifetimes:
+# a for loop's sequence lives until its block ends, and a scan releases its
+# last accumulator before its other steps.
+LIFETIME_CASES = {
+    "for_over_temporaries": ("""
+fn main(X) {
+  s = 0;
+  for r in X + 1 { for x in r * 2 { s = s + x; } q = r * 3; s = s + q[0]; }
+  return s;
+}
+""", [matrix(3, 4, "i64", "row")], (87, "e81798849691e8a51720b54b0a4038de593bc034459adc707a1eca1ae0d8d2c7")),
+    "scan_of_array_steps": ("""
+fn add2(a, b) { return a + b; }
+fn g1(x) { return 2 max x max 2; }
+fn f2(v) { return scan(g1, combine=add2, init=0, v; axes=[0]); }
+fn main(X) { return map(f2, X; axes=[0]); }
+""", [NdArray((3, 4, 6), "i64", "col", [(7 * i) % 11 - 5 for i in range(72)])],
+        (774, "77a80865f616f06128e1c6528d2f3e94a8414cb2c559cb61672debda6bbd5a0d")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIFETIME_CASES))
+def test_temporary_lifetimes_pinned(name):
+    src, inputs, pin = LIFETIME_CASES[name]
+    events = trace_program(parse_program(src), inputs)
+    assert (len(events), digest(events)) == pin
+
+
 MAP2 = """
 fn add2(a, b) { return a + b; }
 fn row_add(x, y) { return map(add2, x, y; axes=[0, 0]); }
