@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import pytest
 
-from tilepar.cachesim import trace_program
+from tilepar.cachesim import CacheModel, Simulator, simulate_program, trace_program
 from tilepar.ir import (
     Assign, BinOp, Program, Return, Var, desugar_allpairs, parse_program, print_program,
 )
@@ -189,6 +189,58 @@ def test_generic_callee_matches_elementary_one(name, tiled):
     assert runs[0] == runs[1]
     if tiled:
         assert runs[0][3][1] > 0  # straggler tiles ran
+
+
+SIM_MODEL = CacheModel(1024, 64, 2)
+
+# (accesses, hits, misses, evictions) under SIM_MODEL: untiled, then tiled.
+SIM_PINS = {
+    "sum_rows_col": ((70, 61, 9, 0), (140, 125, 15, 0)),
+    "matmul_reg": ((1519, 1487, 32, 16), (5537, 5126, 411, 395)),
+    "row_scan": ((192, 174, 18, 2), (534, 500, 34, 18)),
+}
+
+
+def totals(stats):
+    return (stats.accesses, stats.hits, stats.misses, stats.evictions)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_simulated_totals_pinned(name):
+    src, inputs, registers, sizes = CASES[name]
+    passes, spec = tile_case(src, inputs, registers)
+    untiled, _ = simulate_program(desugar_allpairs(parse_program(src)), inputs, SIM_MODEL)
+    tiled, _ = simulate_program(passes[-1], inputs, SIM_MODEL,
+                                tile_sizes=spec.sizes(overrides=sizes))
+    assert (totals(untiled), totals(tiled)) == SIM_PINS[name]
+
+
+# Every statement of the entry function is a phase, also one inside an if.
+PHASED = """
+fn ident(x) { return x; }
+fn add2(a, b) { return a + b; }
+fn sum_row(row) { return reduce(ident, combine=add2, init=0, row; axes=[0]); }
+fn main(X) {
+  Y = X * 2;
+  s = map(sum_row, Y; axes=[0]);
+  if s[0] { t = s + 1; } else { t = s; }
+  return t;
+}
+"""
+
+
+def test_phase_stats_pinned():
+    sim = Simulator(SIM_MODEL)
+    stats, value = simulate_program(parse_program(PHASED), [matrix(7, 9, "i64", "col")],
+                                    SIM_MODEL, simulator=sim)
+    assert value.to_nested() == [7, 1, -5, 11, 5, -1, -7]
+    assert totals(stats) == (211, 193, 18, 2)
+    assert [(label, *totals(ph)) for label, ph in sim.phase_stats] == [
+        ("Y =", 126, 110, 16, 0),
+        ("s =", 71, 70, 1, 1),
+        ("t =", 14, 13, 1, 1),
+        ("return", 0, 0, 0, 0),
+    ]
 
 
 IR_PINS = {
