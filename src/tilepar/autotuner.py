@@ -286,36 +286,35 @@ def cache_key(program, input_shapes, hw):
     from .ir import print_program
     blob = (print_program(program)
             + repr(sorted(tuple(s) for s in input_shapes))
-            + f"|{hw.l1_bytes}/{hw.line_bytes}/{hw.cores}/{hw.registers}")
+            + f"|{hw.l1_bytes}/{hw.line_bytes}/{hw.cores}/{hw.registers}/{hw.associativity}")
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def load_cached_sizes(path, key):
+def _cache_table(path):
+    """The JSON object stored at `path`; {} when the file is missing,
+    unreadable, not JSON or not a JSON object."""
     import json
-    import os
-    if not os.path.exists(path):
-        return None
     try:
         with open(path) as f:
             table = json.load(f)
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError, RecursionError):
+        return {}
+    return table if isinstance(table, dict) else {}
+
+
+def load_cached_sizes(path, key):
+    """The sizes stored under `key`; None unless the entry maps integer
+    slot ids to integer sizes."""
+    entry = _cache_table(path).get(key)
+    if not isinstance(entry, dict) or not all(
+            slot.isdecimal() and type(size) is int for slot, size in entry.items()):
         return None
-    entry = table.get(key)
-    if not isinstance(entry, dict):
-        return None
-    return {int(slot): int(size) for slot, size in entry.items()}
+    return {int(slot): size for slot, size in entry.items()}
 
 
 def store_cached_sizes(path, key, sizes):
     import json
-    import os
-    table = {}
-    if os.path.exists(path):
-        try:
-            with open(path) as f:
-                table = json.load(f)
-        except (OSError, json.JSONDecodeError):
-            table = {}
+    table = _cache_table(path)
     table[key] = {str(slot): size for slot, size in sizes.items()}
     with open(path, "w") as f:
         json.dump(table, f, indent=2, sort_keys=True)

@@ -1,10 +1,14 @@
 """Trace-driven set-associative LRU cache simulation and hardware probing.
 
-The simulator replays (address, R|W) element traffic produced by the
-interpreter's trace sink against a single-level cache model:
+The simulator replays element traffic against a single-level cache model:
 write-allocate, write-back, LRU replacement within each set. It exists to
 make the locality effect of tiling measurable: the same program traced
 untiled and tiled can be compared in misses instead of wall time.
+
+A `Simulator` is itself a trace sink (`read`, `write`, `phase`; see
+`semantics`), so a traced run feeds it directly. Its hot path keeps only
+global counters: each `phase` call records a snapshot of them, and a
+phase's stats are the next snapshot (or the final totals) minus its own.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import json
 import os
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .semantics import EvalConfig, TraceSink, eval_program
 
@@ -62,6 +66,10 @@ class TraceStats:
     def miss_ratio(self):
         return self.misses / self.accesses if self.accesses else 0.0
 
+    def __sub__(self, other):
+        return TraceStats(self.accesses - other.accesses, self.hits - other.hits,
+                          self.misses - other.misses, self.evictions - other.evictions)
+
     def check(self):
         assert self.hits + self.misses == self.accesses
         return self
@@ -81,60 +89,49 @@ class HardwareInfo:
 
 
 class Simulator:
-    """Incremental simulator; feed accesses, read stats at any point."""
+    """Incremental simulator and trace sink; feed accesses, read stats at
+    any point."""
 
     def __init__(self, model):
         self.model = model
         self.stats = TraceStats()
-        self.phase_stats = []  # (label, TraceStats) in first-seen order
-        self._phase = None
-        self._line_bits = model.line_size.bit_length() - 1
-        if model.line_size != 1 << self._line_bits:
-            self._line_bits = None  # non-power-of-two line size: use division
+        self._snapshots = []  # (label, TraceStats at the phase's start)
+        self._line_size = model.line_size
         self._num_sets = model.num_sets
         self._ways = model.associativity
         self._sets = [OrderedDict() for _ in range(self._num_sets)]
 
-    def begin_phase(self, label):
-        stats = TraceStats()
-        self.phase_stats.append((label, stats))
-        self._phase = stats
+    def phase(self, label):
+        self._snapshots.append((label, replace(self.stats)))
 
-    def access(self, addr, kind="R"):
+    @property
+    def phase_stats(self):
+        """(label, TraceStats) per phase, in the order they began."""
+        ends = [snap for _, snap in self._snapshots[1:]] + [self.stats]
+        return [(label, end - start) for (label, start), end in zip(self._snapshots, ends)]
+
+    def access(self, addr):
         if addr < 0:
             raise CacheConfigError(f"negative address {addr}")
-        if self._line_bits is not None:
-            line = addr >> self._line_bits
-        else:
-            line = addr // self.model.line_size
+        line = addr // self._line_size
         s = self._sets[line % self._num_sets]
         stats = self.stats
-        phase = self._phase
         stats.accesses += 1
-        if phase is not None:
-            phase.accesses += 1
         if line in s:
             stats.hits += 1
-            if phase is not None:
-                phase.hits += 1
             s.move_to_end(line)
         else:
             stats.misses += 1
-            if phase is not None:
-                phase.misses += 1
             if len(s) >= self._ways:
                 s.popitem(last=False)
                 stats.evictions += 1
-                if phase is not None:
-                    phase.evictions += 1
             s[line] = True
+
+    read = write = access
 
     def feed(self, trace):
         for item in trace:
-            if isinstance(item, tuple):
-                self.access(item[0], item[1])
-            else:
-                self.access(item)
+            self.access(item[0] if isinstance(item, tuple) else item)
         return self.stats
 
 
@@ -155,12 +152,11 @@ def trace_program(program, inputs, tile_sizes=None):
 
 
 def simulate_program(program, inputs, model, tile_sizes=None, simulator=None):
-    """Trace and simulate in one pass, streaming accesses into the model
-    without materializing the trace. Returns (stats, program result); pass
-    a Simulator to keep it (for per-phase miss counts)."""
+    """Trace and simulate in one pass, with the simulator as the trace sink,
+    so the trace is never materialized. Returns (stats, program result);
+    pass a Simulator to keep it (for per-phase miss counts)."""
     sim = simulator or Simulator(model)
-    sink = TraceSink(consumer=sim.access, phase_consumer=sim.begin_phase)
-    config = EvalConfig(tile_sizes=dict(tile_sizes or {}), trace=sink)
+    config = EvalConfig(tile_sizes=dict(tile_sizes or {}), trace=sim)
     result = eval_program(program, inputs, config)
     return sim.stats.check(), result
 

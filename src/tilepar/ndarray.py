@@ -471,14 +471,17 @@ def load_array(text):
     for key in ("shape", "dtype", "layout"):
         if key not in header:
             raise ShapeError(f"array file missing {key!r} header")
-    shape = tuple(int(t) for t in header["shape"].split())
     dtype = header["dtype"]
     layout = {"row": "row", "col": "col"}.get(header["layout"])
     if layout is None:
         raise ShapeError(f"layout must be 'row' or 'col', got {header['layout']!r}")
     tokens = " ".join(lines[body_start:]).split()
     conv = int if dtype == "i64" else float
-    data = [conv(t) for t in tokens]
+    try:
+        shape = tuple(int(t) for t in header["shape"].split())
+        data = [conv(t) for t in tokens]
+    except ValueError as e:
+        raise ShapeError(f"array file holds a non-number: {e}") from None
     return NdArray(shape, dtype, layout, data)
 
 

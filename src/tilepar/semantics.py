@@ -21,8 +21,13 @@ scalar init and no emit) runs as one loop over the flat buffers instead
 of one call per element, with the same trace events, allocations and
 counters as the per-element path.
 
-When a trace sink is attached, every array element read/write is reported
-as (byte address, R|W) for cache simulation.
+A trace sink is any object with `read(addr)`, `write(addr)` and
+`phase(label)`. When one is attached (`EvalConfig.trace`), every array
+element read or write is reported to it by byte address, and each
+statement of the entry function announces itself with `phase` before it
+runs. Each traced run places its arrays in a fresh simulated address
+space, so addresses start at 0. `TraceSink` records the events;
+`cachesim.Simulator` consumes them as they come.
 """
 
 from __future__ import annotations
@@ -52,41 +57,28 @@ class Counters:
 
 
 class TraceSink:
-    """Collects (address, kind) events; kind is 'R' or 'W'.
+    """Records each event in `events` as (address, 'R' | 'W'); ignores
+    phases. A trace sink is any object with `read(addr)`, `write(addr)`
+    and `phase(label)`; `cachesim.Simulator` is the streaming one."""
 
-    Subclass or pass `consumer` to stream events instead of storing them.
-    Entry-level statements announce themselves via `phase`, so consumers
-    can attribute traffic to program phases.
-    """
-
-    def __init__(self, consumer=None, phase_consumer=None):
-        self.events = [] if consumer is None else None
-        self.consumer = consumer
-        self.phase_consumer = phase_consumer
-
-    def emit(self, addr, kind):
-        if self.consumer is not None:
-            self.consumer(addr, kind)
-        else:
-            self.events.append((addr, kind))
+    def __init__(self):
+        self.events = []
 
     def read(self, addr):
-        self.emit(addr, "R")
+        self.events.append((addr, "R"))
 
     def write(self, addr):
-        self.emit(addr, "W")
+        self.events.append((addr, "W"))
 
     def phase(self, label):
-        if self.phase_consumer is not None:
-            self.phase_consumer(label)
+        pass
 
 
 @dataclass
 class EvalConfig:
     tile_sizes: dict = field(default_factory=dict)  # slot id -> extent
-    trace: TraceSink | None = None
+    trace: object = None  # a trace sink, or None
     counters: Counters = field(default_factory=Counters)
-    allocator: Allocator = field(default_factory=Allocator)
 
 
 def eval_program(program, args, config=None, entry="main"):
@@ -153,6 +145,7 @@ class Interpreter:
         self.config = config or EvalConfig()
         self._functions = {}  # name -> _Compiled
         self._entry = None
+        self._allocator = None
 
     # -- entry points --------------------------------------------------------
 
@@ -163,9 +156,10 @@ class Interpreter:
         if fn.closure_params:
             raise EvalError(f"entry function {entry} must not have closure parameters")
         if self.config.trace is not None:
+            self._allocator = Allocator()
             for a in args:
                 if isinstance(a, NdArray):
-                    self.config.allocator.allocate(a, reclaim=False)
+                    self._allocator.allocate(a, reclaim=False)
         self._entry = fn  # its statements announce trace phases when built
         try:
             return self._function(entry).call(list(args), {})
@@ -377,7 +371,7 @@ class Interpreter:
     def _new_array(self, shape, dtype, layout="row"):
         out = NdArray(shape, dtype, layout)
         if self.config.trace is not None:
-            self.config.allocator.allocate(out)
+            self._allocator.allocate(out)
         return out
 
     def _slice_value(self, v, axis, i):

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -247,6 +248,38 @@ def test_cached_sizes_round_trip(tmp_path):
     other = cache_key(res.program, [(32, 32)], HardwareInfo(l1_bytes=1024))
     assert other != key
     assert load_cached_sizes(path, other) is None
+
+
+def test_cache_key_includes_associativity():
+    from tilepar.autotuner import cache_key
+    p = tile_program(parse_program(programs.SUM_ROWS)).program
+    assert (cache_key(p, [(32, 32)], HardwareInfo(associativity=12))
+            != cache_key(p, [(32, 32)], HardwareInfo()))
+
+
+@pytest.mark.parametrize("entry", [[8, 16], {"a": 8}, {"0": "8"}, {"0": 8.5}, {"0": True}],
+                         ids=["list", "slot", "str-size", "float-size", "bool-size"])
+def test_unusable_cached_entry_is_a_miss(entry, tmp_path):
+    from tilepar.autotuner import load_cached_sizes
+    path = tmp_path / "tiles.json"
+    path.write_text(json.dumps({"k": entry}))
+    assert load_cached_sizes(str(path), "k") is None
+
+
+def test_cli_autotune_cache_file_not_an_object(tmp_path, capsys):
+    from tilepar.cli import main
+    prog = tmp_path / "p.ir"
+    prog.write_text(programs.SUM_ROWS)
+    cache = tmp_path / "cache.json"
+    cache.write_text("[]")
+    argv = ["autotune", "--program", str(prog), "--gen", "shape=16x16,dtype=f64,layout=col",
+            "--budget", "4", "--batch", "2", "--cache", str(cache)]
+    assert main(argv) == 0
+    table = json.loads(cache.read_text())
+    assert isinstance(table, dict) and len(table) == 1
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("cached sizes:")
 
 
 def test_cli_autotune_cache_hit(tmp_path, capsys):

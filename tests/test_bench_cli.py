@@ -311,3 +311,16 @@ def test_cli_non_integer_argument_is_a_usage_error(argv, program_file, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [
+    "shape: 2 q\ndtype: i64\nlayout: row\n1 2\n",
+    "shape: 4\ndtype: i64\nlayout: row\n1 2 x 4\n",
+], ids=["shape", "element"])
+def test_cli_array_file_not_numbers_is_a_usage_error(text, program_file, tmp_path, capsys):
+    arr = tmp_path / "bad.arr"
+    arr.write_text(text)
+    assert main(["run", "--program", program_file(programs.SUM_ROWS), "--input", str(arr)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from tilepar.cachesim import CacheModel, Simulator
 from tilepar.ir import ValidationError, parse_program
 from tilepar.ndarray import NdArray
 from tilepar.semantics import EvalConfig, EvalError, TraceSink, eval_program
@@ -342,10 +343,12 @@ def test_missing_function_raises_only_when_reached():
         eval_program(p, [1, vec([1, 2])])
 
 
-def test_finished_run_is_freed_without_the_cycle_collector():
+@pytest.mark.parametrize("make_sink", [TraceSink, lambda: Simulator(CacheModel(1024, 64, 2))],
+                         ids=["TraceSink", "Simulator"])
+def test_finished_run_is_freed_without_the_cycle_collector(make_sink):
     # The built closures refer back to the interpreter; a finished run
     # must not keep it, its config and its trace sink alive in a cycle.
-    sink = TraceSink(consumer=lambda addr, kind: None)
+    sink = make_sink()
     ref = weakref.ref(sink)
     config = EvalConfig(trace=sink)
     gc.disable()
