@@ -15,6 +15,7 @@ from dataclasses import replace
 
 import pytest
 
+from tilepar.bench import MATMUL_SRC, SQDIST_SRC, SUM_ROWS_SRC
 from tilepar.cachesim import CacheModel, Simulator, simulate_program, trace_program
 from tilepar.ir import (
     Assign, BinOp, Program, Return, Var, desugar_allpairs, parse_program, print_program,
@@ -24,6 +25,7 @@ from tilepar.semantics import EvalConfig, TraceSink, eval_program
 from tilepar.tiling import register_tile, tile_program
 
 import programs
+import randprog
 
 
 def digest(events):
@@ -257,3 +259,34 @@ def test_tiled_ir_pinned(name):
     passes, _ = tile_case(src, inputs, registers)
     texts = tuple(hashlib.sha256(print_program(p).encode()).hexdigest() for p in passes)
     assert texts == IR_PINS[name]
+
+
+def corpus_digest():
+    """One sha256 over the printed IR and slot table after each tiling
+    pass, or the bail-out reason, for every program of the corpus."""
+    cases = []
+    for seed in range(200):
+        for wide in (False, True):
+            program, _, arg_ranks = randprog.generate(seed, wide=wide)
+            cases.append((program, arg_ranks))
+    for src, arg_ranks in ((MATMUL_SRC, [2, 2]), (SUM_ROWS_SRC, [2]), (SQDIST_SRC, [2, 2])):
+        cases.append((desugar_allpairs(parse_program(src)), arg_ranks))
+    h = hashlib.sha256()
+    for program, arg_ranks in cases:
+        res = tile_program(program, arg_ranks=arg_ranks)
+        if not res.changed:
+            h.update(f"untiled: {res.reason}\n".encode())
+            continue
+        for p, spec in ((res.program, res.spec), register_tile(res.program, res.spec, 16)):
+            h.update(print_program(p).encode())
+            h.update(spec.table().encode())
+    return h.hexdigest()
+
+
+CORPUS_PIN = "f82b2be6440abfff113b9b779e802a90bec0ed783522e9ca64e58953df242332"
+
+
+def test_tiled_ir_corpus_pinned():
+    """Both tiling passes print the same IR and slot tables over the
+    random-program corpus and the benchmark sources."""
+    assert corpus_digest() == CORPUS_PIN
