@@ -225,11 +225,6 @@ class Program:
         except KeyError:
             raise ValidationError("missing-function", f"no function named {name!r}") from None
 
-    def with_function(self, fn):
-        table = dict(self.functions)
-        table[fn.name] = fn
-        return Program(table)
-
 
 # ---------------------------------------------------------------------------
 # Traversal helpers
@@ -250,6 +245,15 @@ _CHILD_FIELDS = {
     TiledScan: ("init", "args"),
 }
 _TUPLE_FIELDS = frozenset({"items", "args"})
+
+# The statement counterpart of _CHILD_FIELDS: each statement kind's expression
+# fields, then its nested-block fields (control flow has some), in visit order.
+_STMT_FIELDS = {
+    Assign: (("value",), ()),
+    Return: (("value",), ()),
+    If: (("cond",), ("then", "orelse")),
+    For: (("seq",), ("body",)),
+}
 
 # Function-reference fields of each operator kind, in the order function,
 # combine, emit, fixed function. A field holding None references nothing.
@@ -292,55 +296,39 @@ def map_block(block, f):
     to `prelude` are placed before the statement being rebuilt."""
     out = []
     for s in block:
+        exprs, blocks = _STMT_FIELDS[type(s)]
         prelude = []
-        if isinstance(s, Assign):
-            s = Assign(s.target, f(s.value, prelude, s))
-        elif isinstance(s, Return):
-            s = Return(f(s.value, prelude, s))
-        elif isinstance(s, If):
-            s = If(f(s.cond, prelude, s), map_block(s.then, f), map_block(s.orelse, f))
-        elif isinstance(s, For):
-            s = For(s.var, f(s.seq, prelude, s), map_block(s.body, f))
-        else:
-            raise TypeError(f"not a statement: {s!r}")
+        values = dict(vars(s))
+        for name in exprs:
+            values[name] = f(values[name], prelude, s)
+        for name in blocks:
+            values[name] = map_block(values[name], f)
         out.extend(prelude)
-        out.append(s)
+        out.append(type(s)(**values))
     return tuple(out)
 
 
 def walk_exprs(node):
     """Yield every expression under `node` (an Expr, Stmt, or block)."""
-    stack = []
     if isinstance(node, Expr):
-        stack.append(node)
-    elif isinstance(node, Stmt):
-        stack.extend(_stmt_exprs(node))
+        stack = [node]
     else:
-        for s in node:
-            stack.extend(_stmt_exprs(s))
+        stack = _block_exprs((node,) if isinstance(node, Stmt) else node)
     while stack:
         e = stack.pop()
         yield e
         stack.extend(sub_exprs(e))
 
 
-def _stmt_exprs(s):
-    if isinstance(s, Assign):
-        return [s.value]
-    if isinstance(s, Return):
-        return [s.value]
-    if isinstance(s, If):
-        out = [s.cond]
-        for b in (s.then, s.orelse):
-            for t in b:
-                out.extend(_stmt_exprs(t))
-        return out
-    if isinstance(s, For):
-        out = [s.seq]
-        for t in s.body:
-            out.extend(_stmt_exprs(t))
-        return out
-    raise TypeError(f"not a statement: {s!r}")
+def _block_exprs(block):
+    """Each statement's expressions, then those of its nested blocks."""
+    out = []
+    for s in block:
+        exprs, blocks = _STMT_FIELDS[type(s)]
+        out += [getattr(s, name) for name in exprs]
+        for name in blocks:
+            out += _block_exprs(getattr(s, name))
+    return out
 
 
 def referenced_functions(e):
@@ -405,9 +393,9 @@ def contains_control_flow(program, fn):
     """True if `fn` (a name or Function) or any function reachable from
     its operators has If/For."""
     name = program.fn(fn).name if isinstance(fn, str) else fn.name
-    # If/For nest only inside If/For, so scanning each top-level block
-    # finds any of them.
-    return any(isinstance(s, (If, For))
+    # Control flow nests only inside control flow, so scanning each
+    # top-level block finds any of it.
+    return any(_STMT_FIELDS[type(s)][1]
                for f in reachable(program, [name]) for s in program.functions[f].body)
 
 
@@ -476,7 +464,13 @@ def _block_free(block, program):
 def validate_program(program, allow_tiled=False):
     """Check all structural invariants; raises ValidationError on the first
     violation, naming the invariant."""
-    for name, fn in program.functions.items():
+    return validate_functions(program, program.functions, allow_tiled)
+
+
+def validate_functions(program, names, allow_tiled=False):
+    """`validate_program`, for the functions `names` of `program` only."""
+    for name in names:
+        fn = program.functions[name]
         if name != fn.name:
             raise ValidationError("function-table", f"table key {name!r} != function name {fn.name!r}")
         _validate_function(program, fn, allow_tiled)

@@ -25,8 +25,9 @@ A trace sink is any object with `read(addr)`, `write(addr)` and
 `phase(label)`. When one is attached (`EvalConfig.trace`), every array
 element read or write is reported to it by byte address, and each
 statement of the entry function announces itself with `phase` before it
-runs. Each traced run places its arrays in a fresh simulated address
-space, so addresses start at 0. `TraceSink` records the events;
+runs; a `for` loop is one phase, `for VAR`, and its body announces none.
+Each traced run places its arrays in a fresh simulated address space, so
+addresses start at 0. `TraceSink` records the events;
 `cachesim.Simulator` consumes them as they come.
 """
 
@@ -264,9 +265,11 @@ class Interpreter:
                 return then(frame) if c != 0 else orelse(frame)
             return branch
         if t is ir.For:
-            var, seq, body = s.var, self._expr(s.seq, fn), self._block(s.body, fn, mark)
+            var, seq, body = s.var, self._expr(s.seq, fn), self._block(s.body, fn, False)
 
             def loop(frame, hold=None):
+                if phase is not None:
+                    phase(f"for {var}")
                 xs = seq(frame)
                 if not isinstance(xs, ArrayValue):
                     raise EvalError("for-loop sequence must be an array")

@@ -1,6 +1,7 @@
 """Automatic tiling: rewrites Map/Reduce/Scan nests into tiled-operator nests.
 
-The transformation walks the entry function keeping three pieces of state:
+One transformation tiles one function (``_Tiler.tile_function``). It
+walks the function's body keeping three pieces of state:
 
   * ``visited``  -- the ordered sequence of operators seen on the way down,
     each recorded with its original (local) axes and reduce/scan payload;
@@ -20,18 +21,19 @@ one Map per rank added by enclosing tiling. Scalar statements inside
 functions being tiled are wrapped in one Map per recorded depth so that
 the extra tile ranks are peeled off before the original expression runs.
 
-Control flow anywhere in the entry or in an operator-reachable function
-aborts the whole transformation and returns the input unchanged, and so
-does a Reduce or Scan whose combine is not `return a OP b` with OP one of
-+, *, min, max, or whose init is not OP's identity: tiles fold from the
-init independently, so only then does tiling leave the result unchanged.
+A function is left untiled when control flow is reachable from it, or
+when it has a Reduce or Scan whose combine is not `return a OP b` with OP
+one of +, *, min, max, or whose init is not OP's identity: tiles fold
+from the init independently, so only then does tiling keep the result.
 
-Before the walk, ``normalize_for_tiling`` makes every operator the whole
-right-hand side of its statement, with variable or constant arguments.
-
-Running the transformation once produces cache tiles (sizes chosen at run
-time); running it again over the reconstructed nests produces register
-tiles with small fixed sizes and fixed-extent function specializations
+The transformation is applied twice, by two passes. Each normalizes the
+program once (``normalize_for_tiling``: every operator the whole
+right-hand side of its statement, with variable or constant arguments)
+and validates only the functions it created or replaced. The cache pass,
+``tile_program``, tiles the entry function with sizes chosen at run time,
+or returns the input unchanged with a reason. The register pass,
+``register_tile``, tiles the reconstructed nests with small fixed sizes
+(``register_tile_size``) and adds fixed-extent function specializations
 (``specialize_fixed`` clones).
 """
 
@@ -142,25 +144,21 @@ class TilingResult:
     reason: str | None = None
 
 
-@dataclass
-class RegisterHeuristic:
-    """Fixed register-tile sizing: the largest power of two k with
-    (operand count) * k <= budget_fraction * registers, clamped to
-    [min_size, max_size]."""
+# Register tiles take at most this share of the registers, and a size
+# from REGISTER_TILE_MIN to REGISTER_TILE_MAX.
+REGISTER_BUDGET = 0.75
+REGISTER_TILE_MIN = 1
+REGISTER_TILE_MAX = 8
 
-    budget_fraction: float = 0.75
-    min_size: int = 1
-    max_size: int = 8
 
-    def size_for(self, n_operands, registers):
-        budget = self.budget_fraction * registers
-        k = self.min_size
-        candidate = 1
-        while candidate * 2 <= self.max_size and n_operands * candidate * 2 <= budget:
-            candidate *= 2
-        if n_operands * candidate <= budget:
-            k = max(self.min_size, candidate)
-        return max(self.min_size, min(self.max_size, k))
+def register_tile_size(n_operands, registers):
+    """The largest power of two k <= REGISTER_TILE_MAX with
+    n_operands * k <= REGISTER_BUDGET * registers, or REGISTER_TILE_MIN
+    when not even that fits."""
+    k = REGISTER_TILE_MIN
+    while k * 2 <= REGISTER_TILE_MAX and n_operands * k * 2 <= REGISTER_BUDGET * registers:
+        k *= 2
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -171,43 +169,59 @@ def required_ranks(program, entry="main"):
     """Minimal ranks of the entry parameters, inferred from slicing usage.
 
     A parameter sliced along axis a needs rank >= a+1, plus one more rank
-    for every requirement its slice inherits in the nested function. The
-    tiled program's axis bookkeeping only consults the axes a variable
-    actually gets sliced along, so minimal ranks are sufficient.
+    for every requirement its slice inherits in the nested function. A
+    statement passes its target's requirement back to the variables its
+    right-hand side reads, one rank higher through an index. The tiled
+    program's axis bookkeeping only consults the axes a variable actually
+    gets sliced along, so minimal ranks are sufficient.
     """
     req = {}  # (fname, varname) -> rank
 
     def get(fname, var):
         return req.get((fname, var), 0)
 
-    changed = True
-    passes = 0
-    while changed:
-        changed = False
-        passes += 1
-        if passes > 100:
-            raise TilingError("rank inference failed to converge")
-        for fname, fn in program.functions.items():
-            for e in ir.walk_exprs(fn.body):
-                if not isinstance(e, UNTILED_OPS):
+    def need(fname, var, rank):
+        req[(fname, var)] = max(rank, get(fname, var))
+
+    table = program.functions.items()
+    assigns = [(fname, s) for fname, fn in table for s in fn.body if isinstance(s, Assign)]
+    ops = [(fname, e) for fname, fn in table
+           for e in ir.walk_exprs(fn.body) if isinstance(e, UNTILED_OPS)]
+    for _ in range(100):
+        before = dict(req)
+        for fname, s in assigns:
+            for var, rank in _reads(s.value, get(fname, s.target)):
+                need(fname, var, rank)
+        for fname, e in ops:
+            nested = program.functions.get(e.fn)
+            for pos, (arg, axis) in enumerate(zip(e.args, e.axes)):
+                if not isinstance(arg, Var):
                     continue
-                nested = program.functions.get(e.fn)
-                for pos, (arg, axis) in enumerate(zip(e.args, e.axes)):
-                    if not isinstance(arg, Var):
-                        continue
-                    need = axis + 1
-                    if nested is not None and pos < len(nested.params):
-                        need = max(need, get(e.fn, nested.params[pos]) + 1)
-                    if need > get(fname, arg.name):
-                        req[(fname, arg.name)] = need
-                        changed = True
-                if nested is not None:
-                    for c in nested.closure_params:
-                        if get(e.fn, c) > get(fname, c):
-                            req[(fname, c)] = get(e.fn, c)
-                            changed = True
+                rank = axis + 1
+                if nested is not None and pos < len(nested.params):
+                    rank = max(rank, get(e.fn, nested.params[pos]) + 1)
+                need(fname, arg.name, rank)
+            if nested is not None:
+                for c in nested.closure_params:
+                    need(fname, c, get(e.fn, c))
+        if req == before:
+            break
+    else:
+        raise TilingError("rank inference failed to converge")
     main = program.fn(entry)
     return {p: get(entry, p) for p in main.params + main.closure_params}
+
+
+def _reads(e, rank):
+    """(variable, rank) pairs: what a value of rank `rank` computed by `e`
+    requires of the variables it reads through arithmetic and indexing."""
+    if isinstance(e, Var):
+        yield e.name, rank
+    elif isinstance(e, BinOp):
+        yield from _reads(e.left, rank)
+        yield from _reads(e.right, rank)
+    elif isinstance(e, ir.Index):
+        yield from _reads(e.array, rank + 1)
 
 
 class _RankOracle:
@@ -268,8 +282,9 @@ def normalize_for_tiling(program):
     constants. Compound non-operator return expressions are bound to a
     temporary first so the statement rules cover them.
 
-    Only functions that contain operators are touched; operator-free
-    functions are innermost computations the transformation never splits.
+    Only functions with untiled operators and no tiled ones are touched;
+    operator-free functions are innermost computations the transformation
+    never splits.
     """
     out = Program(dict(program.functions))
     counter = count(1)
@@ -286,14 +301,18 @@ def normalize_for_tiling(program):
         return e
 
     for name, fn in list(out.functions.items()):
-        if not any(isinstance(e, UNTILED_OPS) for e in ir.walk_exprs(fn.body)):
+        if not _untiled_nest(fn):
             continue
-        if any(isinstance(e, ir.TILED_OPS) for e in ir.walk_exprs(fn.body)):
-            continue  # already tiled and normalized by the first pass
         body = ir.map_block(fn.body, normalize)
         if body != fn.body:
             out.functions[name] = replace(fn, body=body)
     return out
+
+
+def _untiled_nest(fn):
+    """True if `fn` holds untiled operators and no tiled ones."""
+    kinds = [type(e) for e in ir.walk_exprs(fn.body)]
+    return any(k in UNTILED_OPS for k in kinds) and not any(k in ir.TILED_OPS for k in kinds)
 
 
 def _norm_expr(e, bind, top):
@@ -321,13 +340,15 @@ def _norm_expr(e, bind, top):
 # ---------------------------------------------------------------------------
 
 class _Tiler:
-    def __init__(self, program, spec, slot_kind, slot_size_fn=None):
-        self.source = program
-        self.out = dict(program.functions)
+    """Tiles one function of `program` into a copy of its function table:
+    for cache, with runtime-tunable slots, or, given `registers`, for
+    registers, with fixed-size slots."""
+
+    def __init__(self, program, spec, registers=0):
+        self.program = Program(dict(program.functions))
+        self.out = self.program.functions
         self.spec = spec
-        self.slot_kind = slot_kind
-        # slot_size_fn(n_operands) -> fixed size, or None for runtime slots
-        self.slot_size_fn = slot_size_fn
+        self.registers = registers
         self.ranks = _RankOracle(program)
         self._combine_cache = {}
 
@@ -335,36 +356,31 @@ class _Tiler:
 
     def define(self, name, params, body):
         """Create a function, deriving closure parameters from free names."""
-        probe = Program(self.out)
-        fv = free_vars(body, probe)
+        fv = free_vars(body, self.program)
         closures = tuple(sorted(fv - set(params)))
         fn = Function(name, tuple(params), closures, tuple(body))
         self.out[name] = fn
         return fn
 
     def new_slot(self, path, nargs):
-        size = self.slot_size_fn(nargs + 1) if self.slot_size_fn else None
-        return self.spec.new_slot(self.slot_kind, path, size)
+        size = register_tile_size(nargs + 1, self.registers) if self.registers else None
+        return self.spec.new_slot("register" if self.registers else "cache", path, size)
 
     # -- blocks and statements -------------------------------------------------
 
-    def tile_function_body(self, fn, arg_ranks, path, closure_ranks=None):
+    def tile_function(self, name, ranks):
+        """The program with function `name` tiled, given the untiled rank
+        of each of its parameters and closure parameters (0 if missing)."""
+        fn = self.out[name]
         state = TilingState()
-        for p, r in zip(fn.params, arg_ranks):
-            state.remaining[p] = tuple(range(r))
-            state.ranks[p] = r
-        for c in fn.closure_params:
-            r = (closure_ranks or {}).get(c, 0)
-            state.remaining[c] = tuple(range(r))
-            state.ranks[c] = r
-        return self.tile_block(fn.body, state, path)
+        for p in fn.params + fn.closure_params:
+            state.ranks[p] = ranks.get(p, 0)
+            state.remaining[p] = tuple(range(state.ranks[p]))
+        self.out[name] = replace(fn, body=self.tile_block(fn.body, state, name))
+        return self.program
 
     def tile_block(self, block, state, path):
-        stmts = []
-        for s in block:
-            s2 = self.tile_statement(s, state, path)
-            stmts.append(s2)
-        return tuple(stmts)
+        return tuple(self.tile_statement(s, state, path) for s in block)
 
     def tile_statement(self, s, state, path):
         if isinstance(s, Return):
@@ -375,7 +391,7 @@ class _Tiler:
 
     def tile_assign(self, s, state, path):
         e = s.value
-        recorded = [rec for y in sorted(free_vars(e, Program(self.out)))
+        recorded = [rec for y in sorted(free_vars(e, self.program))
                     for rec in state.depths.get(y, ())]
         depths = sorted({d for d, _ in recorded})
         rank = self.ranks.expr_rank(e, state.ranks)
@@ -459,22 +475,22 @@ class _Tiler:
         if contains_parallel_op(fn.body):
             body = self.tile_block(fn.body, inner, node_path)
         else:
-            nest = self.build_operator_nest(
-                list(enumerate(inner.visited)), inner.depths,
-                self._nest_universe(fn, inner), fn.body, node_path)
-            body = (Return(nest),)
+            body = self._rebuilt_nest(fn, inner, node_path)
         clone = self.define(fresh_name(f"{fn.name}$t{depth}", self.out), fn.params, body)
         return TiledMap(clone.name, None, slot.id, depth, e.args, global_axes)
 
-    def _nest_universe(self, fn, state):
-        """Variables the rebuilt nest may slice: the nested function's own
-        parameters plus any free variable of its body whose lineage was
-        sliced by an enclosing operator (tiles arriving through closures)."""
+    def _rebuilt_nest(self, fn, state, path):
+        """`fn`'s body inside the untiled nest of the operators visited so
+        far. The nest may slice `fn`'s parameters and any free variable of
+        its body whose lineage an enclosing operator sliced (tiles arriving
+        through closures)."""
         universe = list(fn.params)
-        for v in sorted(free_vars(fn.body, Program(self.out))):
+        for v in sorted(free_vars(fn.body, self.program)):
             if v not in universe and state.depths.get(v):
                 universe.append(v)
-        return tuple(universe)
+        nest = self.build_operator_nest(list(enumerate(state.visited)), state.depths,
+                                        tuple(universe), fn.body, path)
+        return (Return(nest),)
 
     def tile_reduce_scan(self, e, state, path):
         what = "Reduce" if isinstance(e, Reduce) else "Scan"
@@ -487,11 +503,8 @@ class _Tiler:
         # A reduction always terminates the walk: partial results of one
         # reduction cannot feed another, so the nested function is rebuilt
         # from the visited nest even if it contains further operators.
-        nest = self.build_operator_nest(
-            list(enumerate(inner.visited)), inner.depths,
-            self._nest_universe(fn, inner), fn.body, node_path)
         clone = self.define(fresh_name(f"{fn.name}$t{depth}", self.out), fn.params,
-                            (Return(nest),))
+                            self._rebuilt_nest(fn, inner, node_path))
         lifted = self.lift_combine(e.combine, max((len(state.depths.get(n, ())) for n in names),
                                                   default=0))
         if isinstance(e, Reduce):
@@ -597,12 +610,9 @@ def tile_program(program, arg_ranks=None, entry="main"):
     """
     validate_program(program)
     main = program.fn(entry)
-    for fn in program.functions.values():
-        for e in ir.walk_exprs(fn.body):
-            if isinstance(e, ir.AllPairs):
-                raise TilingError("AllPairs must be desugared before tiling")
-            if isinstance(e, ir.TILED_OPS):
-                raise TilingError("input already contains tiled operators")
+    for fn in program.functions.values():  # validation has ruled out tiled operators
+        if any(isinstance(e, ir.AllPairs) for e in ir.walk_exprs(fn.body)):
+            raise TilingError("AllPairs must be desugared before tiling")
     if not contains_parallel_op(main.body):
         return TilingResult(False, program, None, "no data-parallel operators")
     if contains_control_flow(program, main):
@@ -618,15 +628,12 @@ def tile_program(program, arg_ranks=None, entry="main"):
                           f"got {len(arg_ranks)} ranks")
 
     spec = TileSpec()
-    tiler = _Tiler(normalized, spec, "cache")
     try:
-        body = tiler.tile_function_body(normalized.fn(entry), arg_ranks, entry)
+        tiled = _Tiler(normalized, spec).tile_function(
+            entry, dict(zip(main.params, arg_ranks)))
     except UnsupportedNesting as exc:
         return TilingResult(False, program, None, str(exc))
-    tiler.out[entry] = replace(normalized.fn(entry), body=body)
-    tiled = Program(tiler.out)
-    validate_program(tiled, allow_tiled=True)
-    return TilingResult(True, tiled, spec)
+    return TilingResult(True, _validated(program, tiled), spec)
 
 
 def specialize_fixed(program, fname, k, axes=None):
@@ -641,68 +648,62 @@ def specialize_fixed(program, fname, k, axes=None):
         raise TilingError(f"fixed extent must be >= 1, got {k}")
     fn = program.fn(fname)
     name = fresh_name(f"{fname}$k{k}", program.functions)
-    clone = replace(fn, name=name, fixed_extent=k,
-                    fixed_axes=tuple(axes) if axes is not None else None)
-    return clone
+    return replace(fn, name=name, fixed_extent=k,
+                   fixed_axes=tuple(axes) if axes is not None else None)
 
 
-def register_tile(program, spec, hw, heuristic=None, entry="main"):
+def register_tile(program, spec, hw, entry="main"):
     """Second tiling pass: fixed-size register tiles inside the nests the
     cache pass rebuilt, plus fixed-extent specializations.
 
-    Functions containing control flow are skipped (left untiled), as are
-    functions already holding tiled operators. With no registers reported
-    the pass is disabled and the program returned unchanged."""
+    Each function still reachable from the entry with untiled operators
+    and no tiled ones is tiled, unless control flow is reachable from it
+    or its nest cannot be rebuilt. If none is, or no registers are
+    reported, the program is returned as given."""
     registers = getattr(hw, "registers", hw if isinstance(hw, int) else 0)
-    heuristic = heuristic or RegisterHeuristic()
     if registers <= 0:
         return program, spec
 
     new_spec = TileSpec(list(spec.slots))
-    out = dict(program.functions)
-
-    def eligible(fn):
-        body = fn.body
-        has_plain = any(isinstance(e, UNTILED_OPS) for e in ir.walk_exprs(body))
-        has_tiled = any(isinstance(e, ir.TILED_OPS) for e in ir.walk_exprs(body))
-        return has_plain and not has_tiled
-
-    for name in ir.reachable(Program(out), [entry]):
-        fn = out[name]
-        if not eligible(fn):
+    tiled = normalized = normalize_for_tiling(program)
+    order = ir.reachable(program, [entry])
+    live = set(order)
+    # Tiling adds no control flow: check each function only if there is any.
+    flow = bool(order) and contains_control_flow(program, entry)
+    for name in order:
+        fn = tiled.functions[name]
+        if name not in live or not _untiled_nest(fn) or (
+                flow and contains_control_flow(tiled, name)):
             continue
-        probe = Program(out)
-        if name not in ir.reachable(probe, [entry]):
-            continue  # superseded by an earlier rewrite in this pass
-        if contains_control_flow(probe, fn):
-            continue
-        normalized = normalize_for_tiling(probe)
-        ranks = required_ranks(normalized, name)
-        tiler = _Tiler(normalized, new_spec, "register",
-                       slot_size_fn=lambda nops: heuristic.size_for(nops, registers))
-        slots_before = len(new_spec.slots)
+        slots = len(new_spec.slots)
         try:
-            body = tiler.tile_function_body(
-                normalized.fn(name), [ranks[p] for p in fn.params], name,
-                closure_ranks={c: ranks[c] for c in fn.closure_params})
+            tiled = _Tiler(tiled, new_spec, registers).tile_function(
+                name, required_ranks(tiled, name))
         except UnsupportedNesting:
-            del new_spec.slots[slots_before:]  # slots of operators left untiled
+            del new_spec.slots[slots:]  # slots of operators left untiled
             continue
-        tiler.out[name] = replace(normalized.fn(name), body=body)
-        out = tiler.out
+        live = set(ir.reachable(tiled, [entry]))  # a rewrite can orphan functions
 
+    out = Program(dict((program if tiled is normalized else tiled).functions))
     _attach_fixed_clones(out, new_spec)
-    tiled = Program(out)
-    validate_program(tiled, allow_tiled=True)
-    return tiled, new_spec
+    return _validated(program, out), new_spec
 
 
-def _attach_fixed_clones(table, spec):
+def _validated(source, tiled):
+    """`tiled`, after checking the functions that are not those of `source`.
+    A replaced function keeps its name, parameters and closure parameters,
+    so the others need no second check."""
+    changed = [n for n, fn in tiled.functions.items() if source.functions.get(n) is not fn]
+    return ir.validate_functions(tiled, changed, allow_tiled=True)
+
+
+def _attach_fixed_clones(program, spec):
     """Give every fixed-size tiled operator a fixed-extent function clone.
 
     A clone is made from its function's body as it stands and is itself
     rewritten afterwards, so a clone of a function that holds fixed-size
     operators references the inner clones too."""
+    table = program.functions
     sizes = {s.id: s.size for s in spec.slots if s.size is not None}
     clones = {}  # (fname, k, axes) -> clone name
 
@@ -711,7 +712,7 @@ def _attach_fixed_clones(table, spec):
         if isinstance(e, ir.TILED_OPS) and e.fixed is None and e.slot in sizes:
             key = (e.fn, sizes[e.slot], e.axes)
             if key not in clones:
-                clone = specialize_fixed(Program(table), *key)
+                clone = specialize_fixed(program, *key)
                 table[clone.name] = clone
                 clones[key] = clone.name
             e = replace(e, fixed=clones[key])

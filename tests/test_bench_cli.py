@@ -194,6 +194,16 @@ def test_cli_tile_prints_slot_table(program_file, capsys):
     assert "tunable" in out
 
 
+def test_cli_tile_infers_matmul_ranks(program_file, capsys):
+    # `p = x * y` passes the rank its reduction needs back to x and y.
+    prog = program_file(bench.MATMUL_SRC)
+    assert main(["tile", "--program", prog, "--ranks", "2,2"]) == 0
+    given = capsys.readouterr().out
+    assert main(["tile", "--program", prog]) == 0
+    assert capsys.readouterr().out == given
+    assert "tiledreduce" in given
+
+
 def test_cli_tile_unchanged_program(program_file, capsys):
     prog = program_file("fn main(x) { return x + 1; }")
     assert main(["tile", "--program", prog]) == 0
@@ -222,6 +232,18 @@ def test_cli_cachesim_csv_per_phase(program_file, capsys):
     phase_rows = [line.split(",") for line in lines[1:-1]]
     assert phase_rows, "expected at least one phase row"
     assert sum(int(r[3]) for r in phase_rows) == int(total[3])
+
+
+def test_cli_cachesim_csv_for_loop_is_one_phase(program_file, capsys):
+    prog = program_file("fn main(X) { s = 0; for r in X { s = s + r[0]; } return s; }")
+    assert main(["cachesim", "--program", prog, "--gen", "shape=6x4",
+                 "--format", "csv"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:-1]]
+    assert [(r[0], *map(int, r[1:5])) for r in rows] == [
+        ('"s ="', 0, 0, 0, 0),
+        ('"for r"', 6, 3, 3, 0),
+        ('"return"', 0, 0, 0, 0),
+    ]
 
 
 def test_cli_autotune_deterministic(program_file, capsys):

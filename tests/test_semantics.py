@@ -278,7 +278,7 @@ def test_tiled_missing_slot_size():
 def test_fixed_clone_dispatch_and_bounds_checks():
     p = parse_program(TILED_MAP, allow_internal=True)
     fast = replace(p.fn("tile_map"), name="tile_map$k", fixed_extent=4)
-    p = p.with_function(fast)
+    p.functions[fast.name] = fast
     node = p.fn("main").body[-1].value
     p.functions["main"] = replace(p.fn("main"), body=(
         type(p.fn("main").body[-1])(replace(node, fixed="tile_map$k")),))
@@ -295,7 +295,7 @@ def test_fixed_clone_dispatch_and_bounds_checks():
 def test_fixed_clone_wrong_extent_asserts():
     p = parse_program(TILED_MAP, allow_internal=True)
     wrong = replace(p.fn("tile_map"), name="tile_map$k", fixed_extent=3)
-    p = p.with_function(wrong)
+    p.functions[wrong.name] = wrong
     node = p.fn("main").body[-1].value
     p.functions["main"] = replace(p.fn("main"), body=(
         type(p.fn("main").body[-1])(replace(node, fixed="tile_map$k")),))

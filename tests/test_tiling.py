@@ -11,8 +11,8 @@ from tilepar.ir import (
 from tilepar.ndarray import ArrayValue, NdArray, as_view
 from tilepar.semantics import EvalConfig, eval_program
 from tilepar.tiling import (
-    RegisterHeuristic, TileSpec, TilingError, normalize_for_tiling, register_tile,
-    required_ranks, specialize_fixed, tile_program,
+    REGISTER_BUDGET, TileSpec, TilingError, normalize_for_tiling, register_tile,
+    register_tile_size, required_ranks, specialize_fixed, tile_program,
 )
 
 import programs
@@ -632,12 +632,24 @@ def test_widened_random_program_oracle(chunk):
 # -- register pass -------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("wide", [False, True])
+def test_register_pass_on_raw_programs_matches_untiled(wide):
+    # Raw programs reach the register pass with operators on scalar
+    # statements' targets (`t = x * c; reduce(..., t)`): rank inference
+    # must give `x` the rank `t` needs, or the pass raises.
+    for seed in range(400):
+        program, inputs, _ = randprog.generate(seed, wide=wide)
+        base = norm_value(eval_program(program, inputs))
+        reg_program, reg_spec = register_tile(program, TileSpec(), 16)
+        out = eval_program(reg_program, inputs, EvalConfig(tile_sizes=reg_spec.sizes()))
+        assert norm_value(out) == base, seed
+
+
 def test_register_heuristic_sizes():
-    h = RegisterHeuristic()
-    assert h.size_for(2, 16) == 4   # 2 operands: 2*4 <= 12 < 2*8
-    assert h.size_for(3, 16) == 4   # 3*4 = 12 <= 12
-    assert h.size_for(2, 64) == 8   # clamped to max_size
-    assert h.size_for(5, 4) == 1    # nothing fits: clamp floor
+    assert register_tile_size(2, 16) == 4   # 2 operands: 2*4 <= 12 < 2*8
+    assert register_tile_size(3, 16) == 4   # 3*4 = 12 <= 12
+    assert register_tile_size(2, 64) == 8   # clamped to max_size
+    assert register_tile_size(5, 4) == 1    # nothing fits: clamp floor
 
 
 def test_register_pass_disabled_without_registers():
@@ -673,14 +685,13 @@ def test_register_pass_heuristic_bound_respected():
     p = desugar_allpairs(parse_program(programs.MATMUL))
     res = tile_program(p, arg_ranks=[2, 2])
     registers = 16
-    h = RegisterHeuristic()
-    prog2, spec2 = register_tile(res.program, res.spec, registers, h)
+    prog2, spec2 = register_tile(res.program, res.spec, registers)
     for slot in spec2.slots:
         if slot.kind != "register":
             continue
         node = _node_for_slot(prog2, slot.id)
         operands = len(node.args) + 1
-        assert operands * slot.size <= h.budget_fraction * registers or slot.size == 1
+        assert operands * slot.size <= REGISTER_BUDGET * registers or slot.size == 1
 
 
 def _node_for_slot(program, slot_id):
@@ -716,7 +727,7 @@ def test_doubly_tiled_matmul_exact():
 def test_specialize_fixed_identity_behaviour():
     p = parse_program(programs.ADD1_MAP)
     clone = specialize_fixed(p, "main", 4, axes=(0,))
-    p = p.with_function(clone)
+    p.functions[clone.name] = clone
     xs = NdArray((4,), "i64", "row", [1, 2, 3, 4])
     cfg = EvalConfig()
     out = eval_program(p, [xs], cfg, entry=clone.name)
@@ -730,7 +741,7 @@ def test_specialize_fixed_identity_behaviour():
 def test_specialize_fixed_k1_degenerate():
     p = parse_program(programs.ADD1_MAP)
     clone = specialize_fixed(p, "main", 1, axes=(0,))
-    p = p.with_function(clone)
+    p.functions[clone.name] = clone
     xs = NdArray((1,), "i64", "row", [41])
     assert eval_program(p, [xs], entry=clone.name).to_nested() == [42]
 
@@ -755,6 +766,20 @@ def test_required_ranks_through_closures():
     ranks = required_ranks(p)
     assert ranks["Ys"] == 3  # sliced at axis 0, then its slice at axis 1
     assert ranks["Xs"] == 1
+
+
+def test_required_ranks_through_statements():
+    # A statement passes its target's requirement back to what it reads,
+    # one rank higher through an index.
+    src = """
+    fn ident(x) { return x; }
+    fn add2(a, b) { return a + b; }
+    fn main(X, Y) {
+      p = X + Y[0];
+      return reduce(ident, combine=add2, init=0, p; axes=[1]);
+    }
+    """
+    assert required_ranks(normalize_for_tiling(parse_program(src))) == {"X": 2, "Y": 3}
 
 
 def test_unchanged_program_reprints_identically():
