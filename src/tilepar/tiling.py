@@ -180,9 +180,6 @@ def required_ranks(program, entry="main"):
     def get(fname, var):
         return req.get((fname, var), 0)
 
-    def need(fname, var, rank):
-        req[(fname, var)] = max(rank, get(fname, var))
-
     table = program.functions.items()
     assigns = [(fname, s) for fname, fn in table for s in fn.body if isinstance(s, Assign)]
     ops = [(fname, e) for fname, fn in table
@@ -191,7 +188,7 @@ def required_ranks(program, entry="main"):
         before = dict(req)
         for fname, s in assigns:
             for var, rank in _reads(s.value, get(fname, s.target)):
-                need(fname, var, rank)
+                req[(fname, var)] = max(rank, get(fname, var))
         for fname, e in ops:
             nested = program.functions.get(e.fn)
             for pos, (arg, axis) in enumerate(zip(e.args, e.axes)):
@@ -200,10 +197,10 @@ def required_ranks(program, entry="main"):
                 rank = axis + 1
                 if nested is not None and pos < len(nested.params):
                     rank = max(rank, get(e.fn, nested.params[pos]) + 1)
-                need(fname, arg.name, rank)
+                req[(fname, arg.name)] = max(rank, get(fname, arg.name))
             if nested is not None:
                 for c in nested.closure_params:
-                    need(fname, c, get(e.fn, c))
+                    req[(fname, c)] = max(get(e.fn, c), get(fname, c))
         if req == before:
             break
     else:
@@ -648,8 +645,9 @@ def specialize_fixed(program, fname, k, axes=None):
         raise TilingError(f"fixed extent must be >= 1, got {k}")
     fn = program.fn(fname)
     name = fresh_name(f"{fname}$k{k}", program.functions)
-    return replace(fn, name=name, fixed_extent=k,
-                   fixed_axes=tuple(axes) if axes is not None else None)
+    clone = replace(fn, name=name, fixed_extent=k,
+                    fixed_axes=tuple(axes) if axes is not None else None)
+    return clone
 
 
 def register_tile(program, spec, hw, entry="main"):
@@ -684,9 +682,9 @@ def register_tile(program, spec, hw, entry="main"):
             continue
         live = set(ir.reachable(tiled, [entry]))  # a rewrite can orphan functions
 
-    out = Program(dict((program if tiled is normalized else tiled).functions))
-    _attach_fixed_clones(out, new_spec)
-    return _validated(program, out), new_spec
+    table = dict((program if tiled is normalized else tiled).functions)
+    _attach_fixed_clones(table, new_spec)
+    return _validated(program, Program(table)), new_spec
 
 
 def _validated(source, tiled):
@@ -697,13 +695,12 @@ def _validated(source, tiled):
     return ir.validate_functions(tiled, changed, allow_tiled=True)
 
 
-def _attach_fixed_clones(program, spec):
+def _attach_fixed_clones(table, spec):
     """Give every fixed-size tiled operator a fixed-extent function clone.
 
     A clone is made from its function's body as it stands and is itself
     rewritten afterwards, so a clone of a function that holds fixed-size
     operators references the inner clones too."""
-    table = program.functions
     sizes = {s.id: s.size for s in spec.slots if s.size is not None}
     clones = {}  # (fname, k, axes) -> clone name
 
@@ -712,7 +709,7 @@ def _attach_fixed_clones(program, spec):
         if isinstance(e, ir.TILED_OPS) and e.fixed is None and e.slot in sizes:
             key = (e.fn, sizes[e.slot], e.axes)
             if key not in clones:
-                clone = specialize_fixed(program, *key)
+                clone = specialize_fixed(Program(table), *key)
                 table[clone.name] = clone
                 clones[key] = clone.name
             e = replace(e, fixed=clones[key])
