@@ -648,7 +648,7 @@ def test_register_pass_on_raw_programs_matches_untiled(wide):
 def test_register_heuristic_sizes():
     assert register_tile_size(2, 16) == 4   # 2 operands: 2*4 <= 12 < 2*8
     assert register_tile_size(3, 16) == 4   # 3*4 = 12 <= 12
-    assert register_tile_size(2, 64) == 8   # clamped to max_size
+    assert register_tile_size(2, 64) == 8   # clamped to REGISTER_TILE_MAX
     assert register_tile_size(5, 4) == 1    # nothing fits: clamp floor
 
 
