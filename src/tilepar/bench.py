@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .autotuner import CostProbe, SearchConfig, autotune, estimate_bounds
 from .cachesim import simulate_program
 from .ir import desugar_allpairs, parse_program
-from .ndarray import ArrayValue, NdArray, as_view, elements
+from .ndarray import ArrayValue, NdArray, elements
 from .semantics import EvalConfig, eval_program
 from .tiling import register_tile, tile_program
 
@@ -86,13 +86,12 @@ def checksum(value):
     """Order-sensitive digest of a result for display and CSV output."""
     if not isinstance(value, ArrayValue):
         return f"scalar:{value!r}"
-    v = as_view(value)
     acc = 0.0
     weight = 1.0
-    for x in elements(v):
+    for x in elements(value):
         acc += weight * float(x)
         weight = weight * 1.000000119 % 1e9
-    return f"{'x'.join(map(str, v.shape))}:{acc:.10e}"
+    return f"{'x'.join(map(str, value.shape))}:{acc:.10e}"
 
 
 def values_close(a, b, rtol=1e-9):
@@ -102,31 +101,15 @@ def values_close(a, b, rtol=1e-9):
         return False
     if not a_arr:
         return _close(a, b, rtol)
-    av, bv = as_view(a), as_view(b)
-    if av.shape != bv.shape:
+    if a.shape != b.shape:
         return False
-    return all(_close(x, y, rtol) for x, y in zip(elements(av), elements(bv)))
+    return all(_close(x, y, rtol) for x, y in zip(elements(a), elements(b)))
 
 
 def _close(x, y, rtol):
     if isinstance(x, int) and isinstance(y, int):
         return x == y
     return abs(x - y) <= rtol * max(1.0, abs(x), abs(y))
-
-
-def naive_matmul(a, b):
-    """Triple-loop reference; `b` holds the right matrix pre-transposed
-    (rows of `b` are columns of the mathematical right operand)."""
-    n, inner = a.shape
-    m = b.shape[0]
-    out = NdArray((n, m), "f64")
-    for i in range(n):
-        for j in range(m):
-            s = 0.0
-            for k in range(inner):
-                s += a.get((i, k)) * b.get((j, k))
-            out.set((i, j), s)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .bench import (
 )
 from .cachesim import CacheConfigError, CacheModel, Simulator, probe_hardware, simulate_program
 from .ir import IRError, desugar_allpairs, parse_program, print_program
-from .ndarray import ArrayValue, NdArray, ShapeError, as_view, load_array
+from .ndarray import ArrayValue, NdArray, ShapeError, load_array
 from .semantics import EvalConfig, EvalError, eval_program
 from .tiling import TilingError, register_tile, tile_program
 
@@ -192,7 +192,7 @@ def _parse_sizes(text, spec):
 
 
 def _arg_ranks(program, inputs):
-    return [as_view(v).rank if isinstance(v, ArrayValue) else 0 for v in inputs]
+    return [v.rank if isinstance(v, ArrayValue) else 0 for v in inputs]
 
 
 def _prepare_tiled(program, inputs, tiling, hw):
@@ -217,9 +217,8 @@ def _default_sizes(program, spec, hw):
 def _render_value(value):
     if not isinstance(value, ArrayValue):
         return str(value)
-    v = as_view(value)
-    if v.size <= 64:
-        return str(v.to_nested())
+    if value.size <= 64:
+        return str(value.to_nested())
     return checksum(value)
 
 
@@ -286,7 +285,7 @@ def cmd_autotune(args):
         raise UsageError("program has nothing to tune")
     key = None
     if args.cache:
-        shapes = [as_view(v).shape for v in inputs if isinstance(v, ArrayValue)]
+        shapes = [v.shape for v in inputs if isinstance(v, ArrayValue)]
         key = cache_key(tiled, shapes, hw)
         cached = load_cached_sizes(args.cache, key)
         if cached is not None:

@@ -5,11 +5,16 @@ flat buffer. Views (slices and tiles) share the buffer; a tile keeps the
 rank of its base, a slice drops the sliced axis. Every element is 8 bytes
 for address-trace purposes.
 
-`offsets` is the only walk over a view's elements: it yields flat buffer
-offsets in index order (last axis fastest). Every whole-array copy --
-materializing, concatenating, stacking -- goes through the one kernel on
-top of it, `copy`, which also reports each element's read and write to a
-trace sink; `elementwise` walks its operands' offsets the same way.
+An NdArray is its own view: it has the view fields `root` (itself) and
+`offset` (0), so every function here takes either without wrapping it.
+
+`offsets` is the one walk over a view's elements: it yields flat buffer
+offsets in index order (last axis fastest); `elementwise` walks its
+operands that way. Every whole-array copy -- materializing,
+concatenating, stacking -- goes through one kernel, `copy`, which moves
+each run along the last axis with one slice assignment (a rank-1 view is
+one run, the slice `span`) and reports each element's read and write to
+a trace sink in index order.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ def _product(xs):
 
 
 class NdArray:
-    """Owning dense array.
+    """Owning dense array, and its own view (`root`, `offset`).
 
     `addr` is the byte address of element 0 in the simulated address
     space; the evaluator's allocator assigns it, otherwise it is 0.
@@ -56,9 +61,11 @@ class NdArray:
 
     __slots__ = ("shape", "dtype", "layout", "data", "strides", "addr", "__weakref__")
 
+    offset = 0
+
     def __init__(self, shape, dtype, layout="row", data=None, addr=0):
-        shape = tuple(int(s) for s in shape)
-        if any(s < 0 for s in shape):
+        shape = tuple(map(int, shape))
+        if min(shape, default=0) < 0:
             raise ShapeError(f"negative extent in shape {shape}")
         if dtype not in DTYPES:
             raise ShapeError(f"unknown dtype {dtype!r}")
@@ -66,16 +73,24 @@ class NdArray:
             raise ShapeError(f"unknown layout {layout!r}")
         size = _product(shape)
         if data is None:
-            fill = 0 if dtype == "i64" else 0.0
-            data = [fill] * size
+            data = [0 if dtype == "i64" else 0.0] * size
         elif len(data) != size:
             raise ShapeError(f"shape {shape} needs {size} elements, got {len(data)}")
+        else:
+            data = list(data)
         self.shape = shape
         self.dtype = dtype
         self.layout = layout
-        self.data = list(data)
+        self.data = data
         self.strides = make_strides(shape, layout)
         self.addr = addr
+
+    @property
+    def root(self):
+        # A property, not a slot: a slot holding `self` would be a reference
+        # cycle, and the array would no longer die (and free its simulated
+        # block) the moment its last reference goes.
+        return self
 
     @property
     def rank(self):
@@ -94,11 +109,8 @@ class NdArray:
     def set(self, idx, value):
         self.data[self.flat_index(idx)] = value
 
-    def addr_of(self, idx):
-        return self.addr + self.flat_index(idx) * ELEM_SIZE
-
     def to_nested(self):
-        return as_view(self).to_nested()
+        return _nested(self)
 
     @classmethod
     def from_nested(cls, nested, dtype=None, layout="row"):
@@ -172,19 +184,22 @@ class View:
         return self.root.data[self.flat_index(idx)]
 
     def to_nested(self):
-        if self.rank > 1:
-            return [slice_axis(self, 0, i).to_nested() for i in range(self.shape[0])]
-        items = list(elements(self))
-        return items if self.shape else items[0]
+        return _nested(self)
 
     def __repr__(self):
         return f"View(shape={self.shape})"
 
 
+def _nested(v):
+    if len(v.shape) > 1:
+        return [_nested(slice_axis(v, 0, i)) for i in range(v.shape[0])]
+    items = list(elements(v))
+    return items if v.shape else items[0]
+
+
 def as_view(x):
-    if isinstance(x, View):
-        return x
-    return View(x, 0, x.shape, x.strides)
+    """`x` itself: an NdArray is its own view."""
+    return x
 
 
 ArrayValue = (NdArray, View)
@@ -192,14 +207,13 @@ ArrayValue = (NdArray, View)
 
 def tile_view(x, axis, start, extent):
     """Same-rank window covering [start, start+extent) along `axis`."""
-    v = as_view(x)
-    if not 0 <= axis < v.rank:
-        raise ShapeError(f"axis {axis} out of range for rank {v.rank}")
-    if start < 0 or start + extent > v.shape[axis]:
-        raise ShapeError(f"tile [{start}, {start + extent}) exceeds extent {v.shape[axis]}")
-    shape = list(v.shape)
+    if not 0 <= axis < len(x.shape):
+        raise ShapeError(f"axis {axis} out of range for rank {len(x.shape)}")
+    if start < 0 or start + extent > x.shape[axis]:
+        raise ShapeError(f"tile [{start}, {start + extent}) exceeds extent {x.shape[axis]}")
+    shape = list(x.shape)
     shape[axis] = extent
-    return View(v.root, v.offset + start * v.strides[axis], shape, v.strides)
+    return View(x.root, x.offset + start * x.strides[axis], shape, x.strides)
 
 
 def decompose(x, axis, k):
@@ -211,48 +225,51 @@ def decompose(x, axis, k):
     """
     if k <= 0:
         raise ShapeError(f"tile extent must be positive, got {k}")
-    v = as_view(x)
-    if not 0 <= axis < v.rank:
-        raise ShapeError(f"axis {axis} out of range for rank {v.rank}")
-    length = v.shape[axis]
-    tiles = []
-    full = length // k
-    for t in range(full):
-        tiles.append(tile_view(v, axis, t * k, k))
-    rem = length - full * k
+    if not 0 <= axis < len(x.shape):
+        raise ShapeError(f"axis {axis} out of range for rank {len(x.shape)}")
+    root, offset, shape, strides = x.root, x.offset, x.shape, x.strides
+    length = shape[axis]
+    full, rem = divmod(length, k)
+    step = k * strides[axis]
+    tile = shape[:axis] + (k,) + shape[axis + 1:]
+    tiles = [View(root, offset + t * step, tile, strides) for t in range(full)]
     if rem:
-        tiles.append(tile_view(v, axis, full * k, rem))
+        tiles.append(View(root, offset + full * step,
+                          shape[:axis] + (rem,) + shape[axis + 1:], strides))
     return tiles
 
 
 def slice_axis(x, axis, i):
     """Rank-reducing slice: drop `axis`, fixing it at index i."""
-    v = as_view(x)
-    if not 0 <= axis < v.rank:
-        raise ShapeError(f"axis {axis} out of range for rank {v.rank}")
-    if not 0 <= i < v.shape[axis]:
-        raise ShapeError(f"index {i} out of bounds for extent {v.shape[axis]}")
-    shape = v.shape[:axis] + v.shape[axis + 1:]
-    strides = v.strides[:axis] + v.strides[axis + 1:]
-    return View(v.root, v.offset + i * v.strides[axis], shape, strides)
+    if not 0 <= axis < len(x.shape):
+        raise ShapeError(f"axis {axis} out of range for rank {len(x.shape)}")
+    if not 0 <= i < x.shape[axis]:
+        raise ShapeError(f"index {i} out of bounds for extent {x.shape[axis]}")
+    shape = x.shape[:axis] + x.shape[axis + 1:]
+    strides = x.strides[:axis] + x.strides[axis + 1:]
+    return View(x.root, x.offset + i * x.strides[axis], shape, strides)
+
+
+def span(v):
+    """The slice of `v.root.data` that holds rank-1 view `v`, in index order."""
+    n, step = v.shape[0], v.strides[0]
+    return slice(v.offset, v.offset + n * step, step) if n else slice(0, 0)
 
 
 def offsets(x):
     """Iterate the flat buffer offsets of every element of `x` in index
     order (last axis fastest). This is the one walk over a view's elements."""
-    return _walk(as_view(x), 0, 1)
+    return _walk(x, 0, 1)
 
 
 def elements(x):
     """Iterate the element values of `x` in index order."""
-    v = as_view(x)
-    return map(v.root.data.__getitem__, offsets(v))
+    return map(x.root.data.__getitem__, offsets(x))
 
 
-def _addresses(x):
+def addresses(x):
     """Iterate the byte addresses of every element of `x` in index order."""
-    v = as_view(x)
-    return _walk(v, v.root.addr, ELEM_SIZE)
+    return _walk(x, x.root.addr, ELEM_SIZE)
 
 
 def _walk(v, base, scale):
@@ -264,26 +281,32 @@ def _walk(v, base, scale):
         return iter(())
     step = v.strides[-1] * scale
     length = v.shape[-1] * step
-    start = base + scale * v.offset
     if len(v.shape) == 1:
+        start = base + scale * v.offset
         return range(start, start + length, step)
-    starts = [start]
+    return itertools.chain.from_iterable(
+        range(base + scale * b, base + scale * b + length, step) for b in _starts(v))
+
+
+def _starts(v):
+    """The flat offset of the first element of every run of view `v` along
+    its last axis, in index order."""
+    starts = [v.offset]
     for extent, stride in zip(v.shape[:-1], v.strides[:-1]):
-        steps = [i * stride * scale for i in range(extent)]
-        starts = [b + s for b in starts for s in steps]
-    return itertools.chain.from_iterable(range(b, b + length, step) for b in starts)
+        starts = [b + i * stride for b in starts for i in range(extent)]
+    return starts
 
 
-def _trace(trace, sources, dst):
+def trace_copy(trace, sources, dst):
     """Report each element, in index order, as a read of every view in
     `sources` (one or two) followed by a write of `dst`."""
     read, write = trace.read, trace.write
     if len(sources) == 1:
-        for r, w in zip(_addresses(sources[0]), _addresses(dst)):
+        for r, w in zip(addresses(sources[0]), addresses(dst)):
             read(r)
             write(w)
         return
-    for r, q, w in zip(_addresses(sources[0]), _addresses(sources[1]), _addresses(dst)):
+    for r, q, w in zip(addresses(sources[0]), addresses(sources[1]), addresses(dst)):
         read(r)
         read(q)
         write(w)
@@ -291,25 +314,30 @@ def _trace(trace, sources, dst):
 
 def copy(src, dst, trace=None):
     """Copy the elements of `src` into the equal-shaped `dst`; returns dst.
+    Each run along the last axis is one slice assignment: a rank-1 view
+    is one run.
 
     With a trace sink, each element is reported as a read of `src`
     followed by a write of `dst`, in index order.
     """
-    s, d = as_view(src), as_view(dst)
-    if s.shape != d.shape:
-        raise ShapeError(f"copy shape mismatch: {s.shape} vs {d.shape}")
-    sdata, ddata = s.root.data, d.root.data
-    for i, j in zip(offsets(s), offsets(d)):
-        ddata[j] = sdata[i]
+    shape = dst.shape
+    if src.shape != shape:
+        raise ShapeError(f"copy shape mismatch: {src.shape} vs {shape}")
+    sdata, ddata = src.root.data, dst.root.data
+    if not shape:
+        ddata[dst.offset] = sdata[src.offset]
+    elif 0 not in shape:
+        n, s, d = shape[-1], src.strides[-1], dst.strides[-1]
+        for i, j in zip(_starts(src), _starts(dst)):
+            ddata[j:j + n * d:d] = sdata[i:i + n * s:s]
     if trace is not None:
-        _trace(trace, [s], d)
+        trace_copy(trace, [src], dst)
     return dst
 
 
 def materialize(x):
     """Copy a view into a fresh dense NdArray of the same layout."""
-    v = as_view(x)
-    return copy(v, NdArray(v.shape, v.dtype, v.layout))
+    return copy(x, NdArray(x.shape, x.dtype, x.layout))
 
 
 def concat(parts, axis, trace=None, new_array=NdArray):
@@ -321,22 +349,21 @@ def concat(parts, axis, trace=None, new_array=NdArray):
     """
     if not parts:
         raise ShapeError("cannot concatenate zero parts")
-    views = [as_view(p) for p in parts]
-    first = views[0]
-    rank = first.rank
+    first = parts[0]
+    rank = len(first.shape)
     if not 0 <= axis < rank:
         raise ShapeError(f"axis {axis} out of range for rank {rank}")
-    for v in views:
-        if v.rank != rank:
+    for v in parts:
+        if len(v.shape) != rank:
             raise ShapeError("rank mismatch in concat")
         for a in range(rank):
             if a != axis and v.shape[a] != first.shape[a]:
                 raise ShapeError(f"extent mismatch on axis {a} in concat")
     shape = list(first.shape)
-    shape[axis] = sum(v.shape[axis] for v in views)
-    out = new_array(tuple(shape), result_dtype(views))
+    shape[axis] = sum(v.shape[axis] for v in parts)
+    out = new_array(tuple(shape), result_dtype(parts))
     base = 0
-    for v in views:
+    for v in parts:
         copy(v, tile_view(out, axis, base, v.shape[axis]), trace)
         base += v.shape[axis]
     return out
@@ -349,7 +376,7 @@ def concat(parts, axis, trace=None, new_array=NdArray):
 def result_dtype(values):
     """'f64' when any value is a float scalar or an f64 array, else 'i64'."""
     for x in values:
-        if as_view(x).dtype == "f64" if isinstance(x, ArrayValue) else isinstance(x, float):
+        if x.dtype == "f64" if isinstance(x, ArrayValue) else isinstance(x, float):
             return "f64"
     return "i64"
 
@@ -391,8 +418,8 @@ def elementwise(op, a, b, trace=None, new_array=NdArray):
     f = scalar_op(op)
     if not a_arr and not b_arr:
         return f(a, b)
-    av = as_view(a) if a_arr else None
-    bv = as_view(b) if b_arr else None
+    av = a if a_arr else None
+    bv = b if b_arr else None
     if av is not None and bv is not None and av.shape != bv.shape:
         raise ShapeError(f"elementwise shape mismatch: {av.shape} vs {bv.shape}")
     like = av if av is not None else bv
@@ -404,7 +431,7 @@ def elementwise(op, a, b, trace=None, new_array=NdArray):
     for k, x, y in zip(offsets(out), xs, ys):
         odata[k] = f(x, y)
     if trace is not None:
-        _trace(trace, [v for v in (av, bv) if v is not None], out)
+        trace_copy(trace, [v for v in (av, bv) if v is not None], out)
     return out
 
 
@@ -483,14 +510,3 @@ def load_array(text):
     except ValueError as e:
         raise ShapeError(f"array file holds a non-number: {e}") from None
     return NdArray(shape, dtype, layout, data)
-
-
-def dump_array(arr):
-    v = materialize(arr) if isinstance(arr, View) else arr
-    lines = [
-        "shape: " + " ".join(str(s) for s in v.shape),
-        f"dtype: {v.dtype}",
-        f"layout: {v.layout}",
-        " ".join(repr(x) if isinstance(x, float) else str(x) for x in v.data),
-    ]
-    return "\n".join(lines) + "\n"

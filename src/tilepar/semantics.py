@@ -1,16 +1,18 @@
 """Reference interpreter for untiled and tiled programs.
 
 Evaluation is eager and deterministic. Scalars are Python ints/floats;
-arrays are NdArray/View values. Nested functions of parallel operators
-receive sliced arguments positionally; their closure parameters are
-resolved by name in the frame enclosing the operator expression.
+arrays are NdArray/View values, and an NdArray is its own view. Nested
+functions of parallel operators receive sliced arguments positionally;
+their closure parameters are resolved by name in the frame enclosing the
+operator expression.
 
 Tiled operators decompose their arguments into full tiles plus an
 optional straggler, dispatch full tiles to the fixed-size function clone
 when one is attached (otherwise to the generic one), always dispatch the
 straggler to the generic function, and reassemble results so that the
 outcome equals the untiled operator. Tiles are evaluated one after
-another in tile order.
+another in tile order. A tiled scan's tiles scan without `emit`; it is
+applied once the tile boundaries are fixed up.
 
 Each function is built once, on its first call, into nested closures;
 callees are looked up by name when an operator first runs, so a missing
@@ -18,8 +20,12 @@ function raises only when execution reaches it. A Map, Reduce or Scan
 whose operands are all rank 1 and whose callee is `return x` or
 `return a OP b` (for Reduce/Scan also: a `return a OP b` combine, a
 scalar init and no emit) runs as one loop over the flat buffers instead
-of one call per element, with the same trace events, allocations and
-counters as the per-element path.
+of one call per element, reading each operand with one slice of its
+flat buffer. Stacking scalars, or equal-shaped rank-1 rows along axis 0
+(Map outputs) or axis 1 (tiled-scan steps), fills the output buffer in
+one pass from the values or the rows' slices. All of these give the same
+values, trace events, allocations and counters as the per-element path,
+traced or not.
 
 A trace sink is any object with `read(addr)`, `write(addr)` and
 `phase(label)`. When one is attached (`EvalConfig.trace`), every array
@@ -35,12 +41,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import types
 from dataclasses import dataclass, field
 
 from . import ir
 from .ndarray import (
-    ELEM_SIZE, Allocator, ArrayValue, NdArray, View, as_view, concat, copy, decompose,
-    elementwise, offsets, result_dtype, scalar_op, slice_axis,
+    ELEM_SIZE, Allocator, ArrayValue, NdArray, View, addresses, concat, copy, decompose,
+    elementwise, result_dtype, scalar_op, slice_axis, span, trace_copy,
 )
 
 
@@ -89,6 +96,12 @@ def eval_program(program, args, config=None, entry="main"):
 
 # What a block returns when it runs to its end without a return statement.
 _NO_RETURN = object()
+
+# The captured values of a callee without closure parameters.
+_NO_CAPTURES = types.MappingProxyType({})
+
+# The element types `_stack` takes as scalars without a per-value check.
+_SCALARS = frozenset((int, float))
 
 
 class _Compiled:
@@ -181,6 +194,8 @@ class Interpreter:
     def _callee(self, name, env):
         """The built function `name` and its closure values from `env`."""
         f = self._function(name)
+        if not f.fn.closure_params:
+            return f, _NO_CAPTURES
         captured = {}
         for c in f.fn.closure_params:
             if c not in env:
@@ -273,13 +288,12 @@ class Interpreter:
                 xs = seq(frame)
                 if not isinstance(xs, ArrayValue):
                     raise EvalError("for-loop sequence must be an array")
-                v = as_view(xs)
                 if hold is not None:
-                    hold[:] = (xs, v)
-                if v.rank == 0:
+                    hold[:] = (xs,)
+                if not xs.shape:
                     raise EvalError("cannot iterate a rank-0 array")
-                for i in range(v.shape[0]):
-                    frame[var] = self._slice_value(v, 0, i)
+                for i in range(xs.shape[0]):
+                    frame[var] = self._slice_value(xs, 0, i)
                     value = body(frame)
                     if value is not _NO_RETURN:
                         return value
@@ -362,12 +376,11 @@ class Interpreter:
             raise EvalError("cannot index a scalar")
         if isinstance(i, ArrayValue) or isinstance(i, float):
             raise EvalError("array index must be an integer scalar")
-        v = as_view(arr)
-        if v.rank == 0:
+        if not arr.shape:
             raise EvalError("cannot index a rank-0 array")
-        if not 0 <= i < v.shape[0]:
-            raise EvalError(f"index {i} out of bounds for extent {v.shape[0]}")
-        return self._slice_value(v, 0, i)
+        if not 0 <= i < arr.shape[0]:
+            raise EvalError(f"index {i} out of bounds for extent {arr.shape[0]}")
+        return self._slice_value(arr, 0, i)
 
     # -- array plumbing (all traced) --------------------------------------------
 
@@ -379,40 +392,72 @@ class Interpreter:
 
     def _slice_value(self, v, axis, i):
         """Slice one step along `axis`; scalars are read out (and traced)."""
-        if v.rank == 1:
-            if isinstance(v, View):
-                offset = v.offset + i * v.strides[0]
-                root = v.root
-            else:
-                offset = i * v.strides[0]
-                root = v
+        if len(v.shape) == 1:
+            offset = v.offset + i * v.strides[0]
             if self.config.trace is not None:
-                self.config.trace.read(root.addr + offset * ELEM_SIZE)
-            return root.data[offset]
+                self.config.trace.read(v.root.addr + offset * ELEM_SIZE)
+            return v.root.data[offset]
         return slice_axis(v, axis, i)
+
+    def _slicer(self, v, axis):
+        """`i -> self._slice_value(v, axis, i)` for every in-bounds i, with
+        the slice's shape and strides, or the element's address, worked
+        out once."""
+        root, offset, stride = v.root, v.offset, v.strides[axis]
+        if len(v.shape) > 1:
+            shape = v.shape[:axis] + v.shape[axis + 1:]
+            strides = v.strides[:axis] + v.strides[axis + 1:]
+            return lambda i: View(root, offset + i * stride, shape, strides)
+        data, trace = root.data, self.config.trace
+        if trace is None:
+            return lambda i: data[offset + i * stride]
+        read, base = trace.read, root.addr + offset * ELEM_SIZE
+
+        def element(i):
+            read(base + i * stride * ELEM_SIZE)
+            return data[offset + i * stride]
+        return element
 
     def _stack(self, values, axis=0):
         """Stack equal-shaped values along a new `axis`: Map and Scan
         outputs, array literals, and tiled-scan steps."""
         trace = self.config.trace
-        arrays = [isinstance(x, ArrayValue) for x in values]
-        if not any(arrays):
-            out = self._new_array((len(values),), result_dtype(values))
-            out.data[:] = values
-            if trace is not None:
-                for i in range(len(values)):
-                    trace.write(out.addr + i * ELEM_SIZE)
-            return out
-        if not all(arrays):
+        kinds = set(map(type, values))
+        if kinds <= _SCALARS:
+            dtype = "f64" if float in kinds else "i64"
+        elif not any(isinstance(x, ArrayValue) for x in values):
+            dtype = result_dtype(values)
+        else:
+            return self._stack_arrays(values, axis)
+        out = self._new_array((len(values),), dtype)
+        out.data[:] = values
+        if trace is not None:
+            for addr in range(out.addr, out.addr + len(values) * ELEM_SIZE, ELEM_SIZE):
+                trace.write(addr)
+        return out
+
+    def _stack_arrays(self, values, axis):
+        """_stack of arrays. Rank-1 rows stacked along axis 0 or 1 fill the
+        output in one pass from the rows' slices; with a trace sink each
+        row is then reported as `copy` reports it."""
+        if not all(isinstance(x, ArrayValue) for x in values):
             raise EvalError("cannot stack scalars with arrays")
-        shape = as_view(values[0]).shape
+        shape = values[0].shape
         for x in values:
-            if as_view(x).shape != shape:
-                raise EvalError(f"cannot stack shapes {shape} and {as_view(x).shape}")
+            if x.shape != shape:
+                raise EvalError(f"cannot stack shapes {shape} and {x.shape}")
         out = self._new_array(shape[:axis] + (len(values),) + shape[axis:],
                               result_dtype(values))
-        for j, x in enumerate(values):
-            copy(x, slice_axis(out, axis, j), trace)
+        trace = self.config.trace
+        if len(shape) != 1 or axis > 1:
+            for j, x in enumerate(values):
+                copy(x, slice_axis(out, axis, j), trace)
+            return out
+        rows = [x.root.data[span(x)] for x in values]
+        out.data[:] = itertools.chain.from_iterable(rows if axis == 0 else zip(*rows))
+        if trace is not None:
+            for j, x in enumerate(values):
+                trace_copy(trace, [x], slice_axis(out, axis, j))
         return out
 
     # -- untiled operators -------------------------------------------------------
@@ -423,14 +468,13 @@ class Interpreter:
         for a, axis in zip(args, axes):
             if not isinstance(a, ArrayValue):
                 raise EvalError(f"{what} argument must be an array, got a scalar")
-            v = as_view(a)
-            if axis >= v.rank:
-                raise EvalError(f"{what} axis {axis} out of range for rank {v.rank}")
+            if axis >= len(a.shape):
+                raise EvalError(f"{what} axis {axis} out of range for rank {len(a.shape)}")
             if extent is None:
-                extent = v.shape[axis]
-            elif v.shape[axis] != extent:
-                raise EvalError(f"{what} sliced extents differ: {extent} vs {v.shape[axis]}")
-            views.append(v)
+                extent = a.shape[axis]
+            elif a.shape[axis] != extent:
+                raise EvalError(f"{what} sliced extents differ: {extent} vs {a.shape[axis]}")
+            views.append(a)
         return views, extent
 
     def _gate_fixed(self, extent, fixed_extent, strict, what):
@@ -448,27 +492,23 @@ class Interpreter:
 
     def _elementary(self, f, views):
         """Results of elementary callee `f` (see _Compiled) at every index
-        of rank-1 `views`, computed in one loop over the flat buffers. Each
-        element's reads are reported as the generic path reports them: one
-        read per view, in argument order."""
-        roots = [v.root if isinstance(v, View) else v for v in views]
-        offs = [list(offsets(v)) for v in views]
+        of rank-1 `views`, computed in one loop over slices of the flat
+        buffers. Each element's reads are reported as the generic path
+        reports them: one read per view, in argument order."""
         trace = self.config.trace
         if trace is not None:
             read = trace.read
-            addresses = [[root.addr + o * ELEM_SIZE for o in column]
-                         for root, column in zip(roots, offs)]
-            for addr in itertools.chain.from_iterable(zip(*addresses)):
+            for addr in itertools.chain.from_iterable(zip(*map(addresses, views))):
                 read(addr)
-        columns = [map(root.data.__getitem__, o) for root, o in zip(roots, offs)]
+        columns = [v.root.data[span(v)] for v in views]
         if f.op is _identity:
-            return list(columns[0])
+            return columns[0]
         return list(map(f.op, *columns))
 
     def _fused(self, f, views):
         """True when `f` is elementary and takes every operand as a scalar."""
         return (f.op is not None and len(views) == len(f.fn.params)
-                and all(v.rank == 1 for v in views))
+                and all(len(v.shape) == 1 for v in views))
 
     def _map(self, fname, args, axes, env, fixed_extent, strict):
         f, captured = self._callee(fname, env)
@@ -479,10 +519,13 @@ class Interpreter:
             return self._new_array((0,), views[0].dtype if views else "i64")
         if self._fused(f, views):
             return self._stack(self._elementary(f, views))
+        slicers = [self._slicer(v, axis) for v, axis in zip(views, axes)]
         results = []
         for i in range(extent):
-            slices = [self._slice_value(v, axis, i) for v, axis in zip(views, axes)]
+            slices = [s(i) for s in slicers]
             results.append(f.call(slices, captured))
+        # The last `slices` stays alive until the results are stacked: when
+        # a temporary dies decides which block the allocator hands out next.
         return self._stack(results)
 
     def _fold(self, scan, fname, combine, emit, init, args, axes, env, fixed_extent, strict):
@@ -508,8 +551,9 @@ class Interpreter:
                 return functools.reduce(comb.op, values, init)
             outs = list(itertools.accumulate(values, comb.op, initial=init))[1:]
         else:
+            slicers = [self._slicer(v, axis) for v, axis in zip(views, axes)]
             for i in range(extent):
-                slices = [self._slice_value(v, axis, i) for v, axis in zip(views, axes)]
+                slices = [s(i) for s in slicers]
                 acc = comb.call([acc, f.call(slices, captured)], comb_captured)
                 if scan:
                     outs.append(emit_fn.call([acc], emit_captured) if emit_fn else acc)
@@ -591,27 +635,44 @@ class Interpreter:
         return acc
 
     def _tiled_scan(self, node, init, args, env):
+        """Each tile scans without `emit`. Every tile after the first is
+        fixed up by combining the previous tile's last accumulator into
+        each of its steps; only then is `emit` applied to every step, so
+        the result equals the untiled scan for any emit."""
         tile_args, full, k, extent = self._tile_sets(node, args)
         if extent == 0:
             return self._new_array((0,), "i64")
         comb, comb_captured = self._callee(node.combine, env)
+        emit = emit_captured = None
+        if node.emit is not None:
+            emit, emit_captured = self._callee(node.emit, env)
         results = self._dispatch_tiles(node, tile_args, full, k, env)
         axis = node.depth
+        # On return the frame releases its locals in the order they are
+        # first named, and that order decides traced addresses: the last
+        # fix-up's steps die first, then the tile they fixed up (held by
+        # `piece` when the steps are slices), then the fixed-up tile (held
+        # by `last`).
         adjusted = []
-        last = None
         for part in results:
             if not isinstance(part, ArrayValue):
                 raise EvalError("tiled scan tiles must produce arrays")
-            pv = as_view(part)
-            if last is not None:
+            n = part.shape[axis]
+            if adjusted:
                 steps = []
-                for j in range(pv.shape[axis]):
-                    piece = slice_axis(pv, axis, j) if pv.rank > 1 else self._slice_value(pv, axis, j)
+                for j in range(n):
+                    piece = self._slice_value(part, axis, j)
                     steps.append(comb.call([last, piece], comb_captured))
                 part = self._stack(steps, axis)
-                pv = as_view(part)
-            last_piece = slice_axis(pv, axis, pv.shape[axis] - 1) if pv.rank > 1 \
-                else self._slice_value(pv, axis, pv.shape[axis] - 1)
-            last = last_piece
+            last = self._slice_value(part, axis, n - 1)
+            if emit is not None:
+                part = self._emit_steps(emit, emit_captured, part, axis)
             adjusted.append(part)
         return concat(adjusted, axis, self.config.trace, self._new_array)
+
+    def _emit_steps(self, emit, captured, part, axis):
+        """`emit` applied to every step of `part` along `axis`, stacked. (A
+        comprehension in `_tiled_scan` would turn the locals it reads into
+        cells, which are released last.)"""
+        return self._stack([emit.call([self._slice_value(part, axis, j)], captured)
+                            for j in range(part.shape[axis])], axis)

@@ -16,10 +16,12 @@ Every operator becomes its tiled counterpart. A Map whose nested function
 contains further operators recurses; otherwise (and always for Reduce and
 Scan, which terminate the walk) the nested function's body is rebuilt as
 the original operator nest, stripped of non-operator statements, via
-``build_operator_nest``. Combine functions are lifted by wrapping them in
-one Map per rank added by enclosing tiling. Scalar statements inside
-functions being tiled are wrapped in one Map per recorded depth so that
-the extra tile ranks are peeled off before the original expression runs.
+``build_operator_nest``. Combine functions, and a scan's emit, are lifted
+by wrapping them in one Map per rank added by enclosing tiling; a scan's
+tiles scan without emit, which the evaluator applies after fixing up
+the tile boundaries. Scalar statements inside functions being tiled are
+wrapped in one Map per recorded depth so that the extra tile ranks are
+peeled off before the original expression runs.
 
 A function is left untiled when control flow is reachable from it, or
 when it has a Reduce or Scan whose combine is not `return a OP b` with OP
@@ -34,7 +36,7 @@ and validates only the functions it created or replaced. The cache pass,
 or returns the input unchanged with a reason. The register pass,
 ``register_tile``, tiles the reconstructed nests with small fixed sizes
 (``register_tile_size``) and adds fixed-extent function specializations
-(``specialize_fixed`` clones).
+(``specialize_fixed`` clones); it infers the untiled ranks once per pass.
 """
 
 from __future__ import annotations
@@ -81,7 +83,6 @@ class OpLevel:
     kind: str  # 'map' | 'reduce' | 'scan'
     axes: tuple[int, ...]  # local axes, by argument position
     combine: str | None = None
-    emit: str | None = None
     init: object | None = None
 
 
@@ -175,6 +176,17 @@ def required_ranks(program, entry="main"):
     program's axis bookkeeping only consults the axes a variable actually
     gets sliced along, so minimal ranks are sufficient.
     """
+    return _function_ranks(_rank_table(program), program.fn(entry))
+
+
+def _function_ranks(req, fn):
+    """The ranks of `fn`'s parameters and closure parameters in `req`."""
+    return {p: req.get((fn.name, p), 0) for p in fn.params + fn.closure_params}
+
+
+def _rank_table(program):
+    """(function name, variable) -> minimal rank, for every variable of
+    every function of `program` with a requirement (see required_ranks)."""
     req = {}  # (fname, varname) -> rank
 
     def get(fname, var):
@@ -205,8 +217,7 @@ def required_ranks(program, entry="main"):
             break
     else:
         raise TilingError("rank inference failed to converge")
-    main = program.fn(entry)
-    return {p: get(entry, p) for p in main.params + main.closure_params}
+    return req
 
 
 def _reads(e, rank):
@@ -495,19 +506,22 @@ class _Tiler:
         names, global_axes = self._operand_info(e, state, what)
         fn = self.out[e.fn]
         depth = len(state.visited)
-        level = OpLevel(what.lower(), e.axes, e.combine, getattr(e, "emit", None), e.init)
+        # A scan's tiles scan without `emit` (a rebuilt Scan has none): the
+        # evaluator fixes up tile boundaries on the accumulators, then emits.
+        level = OpLevel(what.lower(), e.axes, e.combine, e.init)
         inner, node_path, slot = self._enter(e, level, names, state, path)
         # A reduction always terminates the walk: partial results of one
         # reduction cannot feed another, so the nested function is rebuilt
         # from the visited nest even if it contains further operators.
         clone = self.define(fresh_name(f"{fn.name}$t{depth}", self.out), fn.params,
                             self._rebuilt_nest(fn, inner, node_path))
-        lifted = self.lift_combine(e.combine, max((len(state.depths.get(n, ())) for n in names),
-                                                  default=0))
+        added = max((len(state.depths.get(n, ())) for n in names), default=0)
+        lifted = self.lift_combine(e.combine, added)
         if isinstance(e, Reduce):
             return TiledReduce(clone.name, None, slot.id, depth, lifted, e.init,
                                e.args, global_axes)
-        return TiledScan(clone.name, None, slot.id, depth, lifted, e.emit, e.init,
+        emit = self.lift_combine(e.emit, added) if e.emit is not None else None
+        return TiledScan(clone.name, None, slot.id, depth, lifted, emit, e.init,
                          e.args, global_axes)
 
     def _check_exact_combine(self, e, path):
@@ -526,8 +540,9 @@ class _Tiler:
                 f"identity of {op!r} ({path})")
 
     def lift_combine(self, combine, added_ranks):
-        """Wrap the combine in one Map per rank added by enclosing tiling,
-        so it is applied to matching elements of partial-result tiles."""
+        """Wrap the combine (or a scan's emit) in one Map per rank added by
+        enclosing tiling, so it is applied to matching elements of
+        partial-result tiles."""
         if added_ranks == 0:
             return combine
         key = (combine, added_ranks)
@@ -585,7 +600,7 @@ class _Tiler:
             return Map(inner_fn.name, args, axes)
         if level.kind == "reduce":
             return Reduce(inner_fn.name, level.combine, level.init, args, axes)
-        return Scan(inner_fn.name, level.combine, level.emit, level.init, args, axes)
+        return Scan(inner_fn.name, level.combine, None, level.init, args, axes)
 
 
 def _path_base(path):
@@ -664,6 +679,7 @@ def register_tile(program, spec, hw, entry="main"):
 
     new_spec = TileSpec(list(spec.slots))
     tiled = normalized = normalize_for_tiling(program)
+    ranks = _rank_table(normalized)
     order = ir.reachable(program, [entry])
     live = set(order)
     # Tiling adds no control flow: check each function only if there is any.
@@ -676,7 +692,7 @@ def register_tile(program, spec, hw, entry="main"):
         slots = len(new_spec.slots)
         try:
             tiled = _Tiler(tiled, new_spec, registers).tile_function(
-                name, required_ranks(tiled, name))
+                name, _function_ranks(ranks, fn))
         except UnsupportedNesting:
             del new_spec.slots[slots:]  # slots of operators left untiled
             continue

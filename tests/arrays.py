@@ -1,0 +1,31 @@
+"""Array helpers shared across the test suite: the CLI array-file writer
+and a triple-loop matmul reference."""
+
+from tilepar.ndarray import NdArray, View, materialize
+
+
+def dump_array(arr):
+    """The CLI array format (see `ndarray.load_array`) of `arr`."""
+    v = materialize(arr) if isinstance(arr, View) else arr
+    lines = [
+        "shape: " + " ".join(str(s) for s in v.shape),
+        f"dtype: {v.dtype}",
+        f"layout: {v.layout}",
+        " ".join(repr(x) if isinstance(x, float) else str(x) for x in v.data),
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def naive_matmul(a, b):
+    """Triple-loop reference; `b` holds the right matrix pre-transposed
+    (rows of `b` are columns of the mathematical right operand)."""
+    n, inner = a.shape
+    m = b.shape[0]
+    out = NdArray((n, m), "f64")
+    for i in range(n):
+        for j in range(m):
+            s = 0.0
+            for k in range(inner):
+                s += a.get((i, k)) * b.get((j, k))
+            out.set((i, j), s)
+    return out

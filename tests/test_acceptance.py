@@ -28,25 +28,25 @@ from tilepar.autotuner import (
 )
 from tilepar.bench import (
     MATMUL_SRC, generate_array, kmeans_reference, make_ir_distance,
-    naive_matmul, values_close,
+    values_close,
 )
 from tilepar.cachesim import CacheModel, HardwareInfo, simulate_program
 from tilepar.ir import desugar_allpairs, parse_program, print_program
-from tilepar.ndarray import ArrayValue, NdArray, as_view
+from tilepar.ndarray import ArrayValue, NdArray
 from tilepar.semantics import EvalConfig, eval_program
 from tilepar.tiling import REGISTER_BUDGET, REGISTER_TILE_MIN, register_tile, tile_program
 
 import programs
 import randprog
+from arrays import naive_matmul
 
 DATA = Path(__file__).parent / "data"
 
 
 def norm_value(v):
     if isinstance(v, ArrayValue):
-        vv = as_view(v)
-        items = tuple(vv.get(i) for i in itertools.product(*(range(s) for s in vv.shape)))
-        return ("array", vv.shape, items)
+        items = tuple(v.get(i) for i in itertools.product(*(range(s) for s in v.shape)))
+        return ("array", v.shape, items)
     return ("scalar", v)
 
 

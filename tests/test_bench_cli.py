@@ -4,7 +4,7 @@ import pytest
 
 from tilepar import bench
 from tilepar.bench import (
-    checksum, generate_array, kmeans_reference, make_ir_distance, naive_matmul,
+    checksum, generate_array, kmeans_reference, make_ir_distance,
     values_close,
 )
 from tilepar.cachesim import HardwareInfo
@@ -12,6 +12,7 @@ from tilepar.cli import main
 from tilepar.ndarray import NdArray
 
 import programs
+from arrays import dump_array, naive_matmul
 
 HW = HardwareInfo()
 
@@ -28,7 +29,6 @@ def program_file(tmp_path):
 @pytest.fixture
 def array_file(tmp_path):
     def write(arr, name="input.arr"):
-        from tilepar.ndarray import dump_array
         path = tmp_path / name
         path.write_text(dump_array(arr))
         return str(path)

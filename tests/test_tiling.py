@@ -8,7 +8,7 @@ from tilepar.ir import (
     Map, Reduce, Return, TiledMap, TiledReduce, TiledScan, Var,
     desugar_allpairs, parse_program, print_program,
 )
-from tilepar.ndarray import ArrayValue, NdArray, as_view
+from tilepar.ndarray import ArrayValue, NdArray
 from tilepar.semantics import EvalConfig, eval_program
 from tilepar.tiling import (
     REGISTER_BUDGET, TileSpec, TilingError, normalize_for_tiling, register_tile,
@@ -21,9 +21,8 @@ import randprog
 
 def norm_value(v):
     if isinstance(v, ArrayValue):
-        vv = as_view(v)
-        items = tuple(vv.get(i) for i in itertools.product(*(range(s) for s in vv.shape)))
-        return ("array", vv.shape, items)
+        items = tuple(v.get(i) for i in itertools.product(*(range(s) for s in v.shape)))
+        return ("array", v.shape, items)
     return ("scalar", v)
 
 
@@ -479,6 +478,44 @@ def test_scan_with_emit_through_tiling():
     for k in (1, 3, 4, 11, 20):
         out = eval_program(res.program, [xs], EvalConfig(tile_sizes={0: k}))
         assert norm_value(out) == norm_value(base)
+
+
+SQUARED_SCAN = """
+fn ident(x) { return x; }
+fn add2(a, b) { return a + b; }
+fn sq(x) { return x * x; }
+fn row_scan(row) { return scan(ident, combine=add2, emit=sq, init=0, row; axes=[0]); }
+"""
+
+
+def test_scan_with_nonlinear_emit_through_tiling():
+    # Squaring does not distribute over +, so tiles must scan without
+    # emit, fix up their boundaries on the accumulators and emit last.
+    p = parse_program(SQUARED_SCAN.replace("fn row_scan(row)", "fn main(row)"))
+    res = tile_program(p, arg_ranks=[1])
+    node = res.program.fn("main").body[-1].value
+    assert isinstance(node, TiledScan) and node.emit == "sq"
+    xs = NdArray((6,), "i64", "row", [1, 2, 3, 4, 5, 6])
+    assert eval_program(p, [xs]).data == [1, 9, 36, 100, 225, 441]
+    for k in (1, 2, 3, 4, 5, 6, 8):
+        out = eval_program(res.program, [xs], EvalConfig(tile_sizes={0: k}))
+        assert out.data == [1, 9, 36, 100, 225, 441], k
+
+
+def test_nested_scan_with_nonlinear_emit_through_both_passes():
+    # Under a tiled map the emit is lifted over the added tile rank, like
+    # the combine; the register pass must keep the result too.
+    p = parse_program(SQUARED_SCAN + "fn main(Xs) { return map(row_scan, Xs; axes=[0]); }")
+    m = int_matrix(7, 9, seed=3, layout="col")
+    base = norm_value(eval_program(p, [m]))
+    res = tile_program(p, arg_ranks=[2])
+    reg_program, reg_spec = register_tile(res.program, res.spec, 16)
+    for rows, cols in ((1, 1), (2, 4), (3, 2), (7, 9), (4, 20)):
+        sizes = {0: rows, 1: cols}
+        out = eval_program(res.program, [m], EvalConfig(tile_sizes=sizes))
+        assert norm_value(out) == base, sizes
+        out = eval_program(reg_program, [m], EvalConfig(tile_sizes=reg_spec.sizes(sizes)))
+        assert norm_value(out) == base, sizes
 
 
 def test_closure_tile_sliced_in_rebuilt_nest():
