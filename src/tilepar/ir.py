@@ -371,8 +371,10 @@ def fresh_name(base, taken):
 def body_shape(fn):
     """("ident",) when `fn`'s whole body is `return x` over its one
     parameter, ("binop", OP) when it is `return a OP b` over its two
-    parameters in order, and None otherwise or when `fn` has closure
-    parameters."""
+    parameters in order, ("fold", G, COMBINE, INIT) when it is
+    `return reduce(G, combine=COMBINE, init=INIT, p1..pn; axes=[0, ...])`
+    over its parameters in order with an int or float constant INIT, and
+    None otherwise or when `fn` has closure parameters."""
     if fn.closure_params or len(fn.body) != 1 or not isinstance(fn.body[0], Return):
         return None
     e, params = fn.body[0].value, fn.params
@@ -381,6 +383,9 @@ def body_shape(fn):
     if (isinstance(e, BinOp) and isinstance(e.left, Var) and isinstance(e.right, Var)
             and params == (e.left.name, e.right.name)):
         return ("binop", e.op)
+    if (type(e) is Reduce and type(e.init) is Const and type(e.init.value) in (int, float)
+            and params and e.args == tuple(map(Var, params)) and not any(e.axes)):
+        return ("fold", e.fn, e.combine, e.init.value)
     return None
 
 

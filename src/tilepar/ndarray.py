@@ -10,8 +10,8 @@ An NdArray is its own view: it has the view fields `root` (itself) and
 
 `offsets` is the one walk over a view's elements: it yields flat buffer
 offsets in index order (last axis fastest); `elementwise` walks its
-operands that way. Every whole-array copy -- materializing,
-concatenating, stacking -- goes through one kernel, `copy`, which moves
+operands that way above rank 1. Every whole-array copy -- concatenating,
+stacking -- goes through one kernel, `copy`, which moves
 each run along the last axis with one slice assignment (a rank-1 view is
 one run, the slice `span`) and reports each element's read and write to
 a trace sink in index order.
@@ -335,11 +335,6 @@ def copy(src, dst, trace=None):
     return dst
 
 
-def materialize(x):
-    """Copy a view into a fresh dense NdArray of the same layout."""
-    return copy(x, NdArray(x.shape, x.dtype, x.layout))
-
-
 def concat(parts, axis, trace=None, new_array=NdArray):
     """Concatenate arrays/views along `axis` into a dense row-major array.
 
@@ -410,7 +405,8 @@ def elementwise(op, a, b, trace=None, new_array=NdArray):
 
     Shapes must match exactly unless one operand is a scalar. The result
     comes from `new_array(shape, dtype, layout)`, in the layout of the
-    first array operand. With a trace sink, each element is reported as a
+    first array operand; a rank-1 result is filled with one slice per
+    operand. With a trace sink, each element is reported as a
     read of every array operand (a, then b) followed by the result write.
     """
     a_arr = isinstance(a, ArrayValue)
@@ -425,11 +421,16 @@ def elementwise(op, a, b, trace=None, new_array=NdArray):
     like = av if av is not None else bv
     dtype = "f64" if op == "/" else result_dtype((a, b))
     out = new_array(like.shape, dtype, like.layout)
-    odata = out.data
-    xs = elements(av) if av is not None else itertools.repeat(a)
-    ys = elements(bv) if bv is not None else itertools.repeat(b)
-    for k, x, y in zip(offsets(out), xs, ys):
-        odata[k] = f(x, y)
+    if len(like.shape) == 1:
+        xs = av.root.data[span(av)] if av is not None else itertools.repeat(a)
+        ys = bv.root.data[span(bv)] if bv is not None else itertools.repeat(b)
+        out.data[span(out)] = map(f, xs, ys)
+    else:
+        odata = out.data
+        xs = elements(av) if av is not None else itertools.repeat(a)
+        ys = elements(bv) if bv is not None else itertools.repeat(b)
+        for k, x, y in zip(offsets(out), xs, ys):
+            odata[k] = f(x, y)
     if trace is not None:
         trace_copy(trace, [v for v in (av, bv) if v is not None], out)
     return out

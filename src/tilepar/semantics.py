@@ -21,9 +21,12 @@ whose operands are all rank 1 and whose callee is `return x` or
 `return a OP b` (for Reduce/Scan also: a `return a OP b` combine, a
 scalar init and no emit) runs as one loop over the flat buffers instead
 of one call per element, reading each operand with one slice of its
-flat buffer. Stacking scalars, or equal-shaped rank-1 rows along axis 0
-(Map outputs) or axis 1 (tiled-scan steps), fills the output buffer in
-one pass from the values or the rows' slices. All of these give the same
+flat buffer. A Map whose operands are all rank 2 and whose callee is a
+row fold, `return reduce(G, combine=C, init=K, params; axes=[0, ...])`
+with a number K and G and C as above, runs as one such fold per row,
+with no call of the callee. Stacking scalars, or equal-shaped rank-1
+rows along axis 0 (Map outputs) or axis 1 (tiled-scan steps), fills the
+output buffer in one pass from the values or the rows' slices. All of these give the same
 values, trace events, allocations and counters as the per-element path,
 traced or not.
 
@@ -110,16 +113,19 @@ class _Compiled:
     `call(args, captured)` applies it to positional arguments and its
     captured closure values. `op` is set for the elementary bodies the
     fused operator loops run inline: the identity for `return x`, the
-    scalar operator for `return a OP b`. Fixed-size clones always take the
-    generic path, so their extent assertions stay observable.
+    scalar operator for `return a OP b`. `fold` is (G, COMBINE, INIT) for
+    a row fold, `return reduce(G, combine=COMBINE, init=INIT, ...)` (see
+    `ir.body_shape`), which a Map may run inline. Fixed-size clones always
+    take the generic path, so their extent assertions stay observable.
     """
 
-    __slots__ = ("fn", "call", "op")
+    __slots__ = ("fn", "call", "op", "fold")
 
-    def __init__(self, fn, call, op=None):
+    def __init__(self, fn, call, op=None, fold=None):
         self.fn = fn
         self.call = call
         self.op = op
+        self.fold = fold
 
 
 def _identity(x):
@@ -207,7 +213,7 @@ class Interpreter:
         shape = ir.body_shape(fn) if fn.fixed_extent is None else None
         if shape == ("ident",):
             return _Compiled(fn, lambda args, captured: args[0], _identity)
-        if shape is not None:
+        if shape is not None and shape[0] == "binop":
             op = scalar_op(shape[1])
             binop = self._binop(shape[1], op)
             return _Compiled(fn, lambda args, captured: binop(args[0], args[1]), op)
@@ -223,7 +229,7 @@ class Interpreter:
                 raise EvalError(f"{name} finished without returning")
             return value
 
-        return _Compiled(fn, call)
+        return _Compiled(fn, call, fold=shape[1:] if shape is not None else None)
 
     # -- statements ------------------------------------------------------------
 
@@ -519,6 +525,10 @@ class Interpreter:
             return self._new_array((0,), views[0].dtype if views else "i64")
         if self._fused(f, views):
             return self._stack(self._elementary(f, views))
+        if f.fold is not None:
+            folded = self._row_folds(f.fold, views, axes, extent)
+            if folded is not None:
+                return self._stack(folded)
         slicers = [self._slicer(v, axis) for v, axis in zip(views, axes)]
         results = []
         for i in range(extent):
@@ -527,6 +537,34 @@ class Interpreter:
         # The last `slices` stays alive until the results are stacked: when
         # a temporary dies decides which block the allocator hands out next.
         return self._stack(results)
+
+    def _row_folds(self, fold, views, axes, extent):
+        """Row fold `fold` (see _Compiled) of every slice of `views` along
+        `axes`, in one loop that reads each slice through `_elementary`,
+        with the reads, counters and errors of one generic call per slice.
+        None, before any side effect, unless every operand is rank 2 and
+        the fold's callee and combine are elementary and take every
+        operand and the accumulator as scalars."""
+        if any(len(v.shape) != 2 for v in views):
+            return None
+        g = self._function(fold[0])
+        if g.op is None or len(g.fn.params) != len(views):
+            return None
+        comb, init = self._function(fold[1]), fold[2]
+        if comb.op is None:
+            return None
+        rows = []  # per operand: the View fields of slice i, less i * stride
+        n = views[0].shape[1 - axes[0]]
+        for v, axis in zip(views, axes):
+            if v.shape[1 - axis] != n:
+                raise EvalError(f"Reduce sliced extents differ: {n} vs {v.shape[1 - axis]}")
+            rows.append((v.root, v.offset, v.strides[axis], (n,), (v.strides[1 - axis],)))
+        self.config.counters.bounds_checks += len(views) * n * extent
+        op, elementary = comb.op, self._elementary
+        return [functools.reduce(op, elementary(g, [
+                    View(root, offset + i * stride, shape, strides)
+                    for root, offset, stride, shape, strides in rows]), init)
+                for i in range(extent)]
 
     def _fold(self, scan, fname, combine, emit, init, args, axes, env, fixed_extent, strict):
         """Reduce (scan=False) or Scan: fold `combine` over the callee's

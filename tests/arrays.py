@@ -1,7 +1,12 @@
-"""Array helpers shared across the test suite: the CLI array-file writer
-and a triple-loop matmul reference."""
+"""Array helpers shared across the test suite: a dense copy of a view,
+the CLI array-file writer and a triple-loop matmul reference."""
 
-from tilepar.ndarray import NdArray, View, materialize
+from tilepar.ndarray import NdArray, View, copy
+
+
+def materialize(x):
+    """Copy a view into a fresh dense NdArray of the same layout."""
+    return copy(x, NdArray(x.shape, x.dtype, x.layout))
 
 
 def dump_array(arr):

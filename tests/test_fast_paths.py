@@ -1,24 +1,32 @@
 """Differential tests of the evaluator's flat-buffer fast paths.
 
-Stacking and copying use one slice of the flat buffer per rank-1 view (or
-per run along the last axis) where the reference below walks every
-element's offset. Both must give the same
-values (element by element, int or float), the same trace events and the
-same simulated addresses. An NdArray must also behave as the View over
-all of itself.
+Stacking, copying and rank-1 elementwise arithmetic use one slice of the
+flat buffer per rank-1 view (or per run along the last axis) where the
+reference below walks every element's offset; a Map of a row fold runs as
+one loop where the reference makes one call per row. Both must give the
+same values (element by element, int or float), the same trace events,
+the same simulated addresses and the same counters. An NdArray must also
+behave as the View over all of itself.
 """
 
+import collections
+import dataclasses
+import functools
 import itertools
+import operator
 import random
 
 import pytest
 
-from tilepar.ir import Program, parse_program
+from tilepar.ir import Function, Map, Program, Return, Var, body_shape, parse_program
 from tilepar.ndarray import (
-    ELEM_SIZE, Allocator, NdArray, View, as_view, copy, decompose, offsets,
-    result_dtype, slice_axis,
+    ELEM_SIZE, Allocator, NdArray, View, as_view, copy, decompose, elements, elementwise,
+    offsets, result_dtype, scalar_op, slice_axis,
 )
-from tilepar.semantics import EvalConfig, EvalError, Interpreter, TraceSink
+from tilepar.semantics import EvalConfig, EvalError, Interpreter, TraceSink, eval_program
+from tilepar.tiling import register_tile, specialize_fixed, tile_program
+
+import programs
 
 
 def reference_copy(src, dst, sink):
@@ -229,3 +237,270 @@ def test_elementary_reads_match_offsets():
             map(a.root.data.__getitem__, offsets(a)), map(b.root.data.__getitem__, offsets(b)))]
         reads = [[v.root.addr + o * ELEM_SIZE for o in offsets(v)] for v in (a, b)]
         assert interp.config.trace.events == [(addr, "R") for pair in zip(*reads) for addr in pair]
+
+
+def test_rank1_elementwise_matches_per_element_walk():
+    # A rank-1 result is filled with one slice per array operand; the
+    # reference reads every element through its offset.
+    col, row = matrix(7, 5, "i64", "col", 21), matrix(5, 6, "f64", "row", 22)
+    alloc = Allocator()
+    for x in (col, row):
+        alloc.allocate(x, reclaim=False)
+    strided, contiguous = slice_axis(col, 0, 2), slice_axis(row, 1, 3)
+    straggler, empty = decompose(slice_axis(col, 1, 4), 0, 3)[2], NdArray((0,), "i64")
+    for a, b in ((strided, contiguous), (contiguous, 3), (2.5, straggler), (empty, empty)):
+        arrays = [v for v in (a, b) if isinstance(v, (NdArray, View))]
+        for op in ("+", "-", "*", "/", "min", "max"):
+            sink = TraceSink()
+            out = elementwise(op, a, b, sink, lambda *shape: alloc.allocate(NdArray(*shape)))
+            operands = [elements(v) if isinstance(v, (NdArray, View)) else itertools.repeat(v)
+                        for v in (a, b)]
+            assert typed(out.data) == typed(list(map(scalar_op(op), *operands)))
+            expected = []
+            reads = zip(*([v.root.addr + o * ELEM_SIZE for o in offsets(v)] for v in arrays))
+            for i, addrs in enumerate(reads):
+                expected += [(r, "R") for r in addrs] + [(out.addr + i * ELEM_SIZE, "W")]
+            assert sink.events == expected
+
+
+# -- row folds under Map ------------------------------------------------------
+#
+# A Map whose callee is a row fold, `return reduce(G, combine=C, init=K,
+# params; axes=[0, ...])`, runs as one loop over the rows. Each program
+# below is compared with a twin whose fold starts with a no-op `r = x;`:
+# `body_shape` does not match the twin, so it makes one generic call per
+# row.
+
+FOLD_LIB = """
+fn ident(x) { return x; }
+fn add2(a, b) { return a + b; }
+fn max2(a, b) { return a max b; }
+fn mul2(a, b) { return a * b; }
+fn sq(x) { return x * x; }
+fn add2b(a, b) { c = a + b; return c; }
+"""
+
+
+def fold_program(params, body, main, uses=""):
+    """FOLD_LIB plus `fold(params) {uses} { body }` and `main`, and the
+    twin whose fold first runs `r = <first param>;`."""
+    first = params.split(",")[0].strip()
+    return tuple(parse_program(FOLD_LIB + f"fn fold({params}) {uses} {{ {pre}{body} }}\n" + main)
+                 for pre in ("", f"r = {first}; "))
+
+
+def counting_build(monkeypatch):
+    """Count the calls of every function built from here on, by name."""
+    calls = collections.Counter()
+    build = Interpreter._build
+
+    def counted_build(self, fn):
+        compiled = build(self, fn)
+        call = compiled.call
+
+        def counted(args, captured):
+            calls[fn.name] += 1
+            return call(args, captured)
+        compiled.call = counted
+        return compiled
+    monkeypatch.setattr(Interpreter, "_build", counted_build)
+    return calls
+
+
+def observe(program, args, calls, traced=True, fold="fold"):
+    """Value (or EvalError text), trace events, counters and calls of
+    `fold` of one run of `program`."""
+    calls.clear()
+    config = EvalConfig(trace=TraceSink() if traced else None)
+    try:
+        value = Interpreter(program, config).run(args)
+        out = (value.shape, value.dtype, value.addr, typed(value.data)) \
+            if isinstance(value, NdArray) else typed([value])
+    except EvalError as exc:
+        out = str(exc)
+    events = config.trace.events if traced else None
+    return out, events, config.counters, calls[fold]
+
+
+def assert_same_as_twin(pair, args, monkeypatch, fused):
+    """Values, events, addresses and counters of `pair` agree, traced and
+    untraced; the first makes no per-row fold call when `fused`."""
+    calls = counting_build(monkeypatch)
+    for traced in (True, False):
+        fast, slow = (observe(p, args, calls, traced) for p in pair)
+        assert fast[:3] == slow[:3]
+        assert slow[3] > 0 and fast[3] == (0 if fused else slow[3])
+    return fast[0]
+
+
+def views_of(base, k):
+    """`base`, and its last tile along each axis at tile size `k`."""
+    return [base] + [decompose(base, axis, k)[-1] for axis in (0, 1)]
+
+
+ONE_OPERAND = [
+    ("reduce(ident, combine=add2, init=0, x; axes=[0]);", True),
+    ("reduce(ident, combine=max2, init=-inf, x; axes=[0]);", True),
+    ("reduce(sq, combine=add2, init=0, x; axes=[0]);", False),  # non-elementary G
+    ("reduce(ident, combine=add2b, init=0, x; axes=[0]);", False),  # non-elementary combine
+    ("reduce(ident, combine=add2, init=1 - 1, x; axes=[0]);", False),  # init not a Const
+]
+
+
+@pytest.mark.parametrize("body,fused", ONE_OPERAND)
+@pytest.mark.parametrize("axis", [0, 1])
+def test_row_fold_matches_generic_call_per_row(body, fused, axis, monkeypatch):
+    pair = fold_program("x", f"return {body}",
+                        f"fn main(X) {{ return map(fold, X; axes=[{axis}]); }}")
+    bases = [matrix(7, 5, "i64", "col", 11), matrix(6, 9, "f64", "row", 12),
+             matrix(5, 4, "f64", "col", 13)]
+    for base in bases:
+        base.addr = 4096
+        for x in views_of(base, 3):
+            assert_same_as_twin(pair, [x], monkeypatch, fused)
+
+
+def test_row_fold_of_empty_rows_is_init(monkeypatch):
+    pair = fold_program("x", "return reduce(ident, combine=add2, init=7, x; axes=[0]);",
+                        "fn main(X) { return map(fold, X; axes=[0]); }")
+    for dtype in ("i64", "f64"):
+        value = assert_same_as_twin(pair, [NdArray((3, 0), dtype, "col")], monkeypatch, True)
+        assert value == ((3,), "i64", 0, typed([7, 7, 7]))
+    # No rows at all: the Map's own empty result, before any fold.
+    calls = counting_build(monkeypatch)
+    fast, slow = (observe(p, [NdArray((0, 4), "f64")], calls) for p in pair)
+    assert fast == slow and fast[0][:2] == ((0,), "f64")
+
+
+def test_row_fold_of_f64_rows_with_int_init(monkeypatch):
+    pair = fold_program("x", "return reduce(ident, combine=add2, init=0, x; axes=[0]);",
+                        "fn main(X) { return map(fold, X; axes=[1]); }")
+    x = matrix(4, 6, "f64", "row", 14)
+    value = assert_same_as_twin(pair, [x], monkeypatch, True)
+    assert value[1] == "f64"
+
+
+@pytest.mark.parametrize("axes", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_two_operand_row_fold(axes, monkeypatch):
+    pair = fold_program("x, y", "return reduce(mul2, combine=add2, init=0, x, y; axes=[0, 0]);",
+                        f"fn main(X, Y) {{ return map(fold, X, Y; axes=[{axes[0]}, {axes[1]}]); }}")
+    x = matrix(6, 4, "i64", "row", 15)
+    y = matrix(*((6, 4) if axes[0] == axes[1] else (4, 6)), "f64", "col", 16)
+    for a, b in ((x, y), (decompose(x, 1 - axes[0], 3)[-1], decompose(y, 1 - axes[1], 3)[-1])):
+        a.root.addr, b.root.addr = 1024, 8192
+        assert_same_as_twin(pair, [a, b], monkeypatch, True)
+
+
+def test_row_fold_rejects_unequal_row_extents(monkeypatch):
+    pair = fold_program("x, y", "return reduce(mul2, combine=add2, init=0, x, y; axes=[0, 0]);",
+                        "fn main(X, Y) { return map(fold, X, Y; axes=[0, 0]); }")
+    x, y = matrix(3, 4, "i64", "row", 17), matrix(3, 5, "i64", "col", 18)
+    calls = counting_build(monkeypatch)
+    fast, slow = (observe(p, [x, y], calls) for p in pair)
+    assert fast[:3] == slow[:3]
+    assert fast[0] == "Reduce sliced extents differ: 4 vs 5"
+    assert fast[2].bounds_checks == 6  # the Map's own checks only
+
+
+def test_row_fold_near_misses_take_the_generic_path(monkeypatch):
+    body = "return reduce(ident, combine=add2, init=0, x; axes=[0]);"
+    x = matrix(5, 4, "i64", "col", 19)
+    # A closure parameter on the fold.
+    pair = fold_program("x", body, "fn main(X, s) { return map(fold, X; axes=[0]); }", "uses s")
+    assert_same_as_twin(pair, [x, 3], monkeypatch, False)
+    # Rank-3 operands: each row is a matrix, folded elementwise.
+    cube = NdArray((3, 4, 2), "i64", "col", list(range(24)))
+    pair = fold_program("x", body, "fn main(X) { return map(fold, X; axes=[0]); }")
+    assert_same_as_twin(pair, [cube], monkeypatch, False)
+    # A G that takes two scalars over one operand (validation rejects it)
+    # fails as the generic call per row does.
+    for p in pair:
+        fold = p.fn("fold")
+        reduce = dataclasses.replace(fold.body[-1].value, fn="mul2")
+        bad = dataclasses.replace(fold, body=fold.body[:-1] + (Return(reduce),))
+        with pytest.raises(IndexError):
+            Interpreter(Program({**p.functions, "fold": bad})).run([x])
+    # A fixed-size clone keeps its generic path and its extent gate.
+    clones = []
+    for p in pair:
+        clone = specialize_fixed(p, "fold", 4)
+        main = Function("main", ("X",), (), (Return(Map(clone.name, (Var("X"),), (0,))),))
+        clones.append(Program({**p.functions, clone.name: clone, "main": main}))
+    calls = counting_build(monkeypatch)
+    fast, slow = (observe(p, [x], calls, fold="fold$k4") for p in clones)
+    assert fast == slow
+    assert fast[3] == 5 and fast[2].bounds_checks == 5
+
+
+def test_tiled_row_sums_make_one_call_per_tile(monkeypatch):
+    # 256 rows at tile size 23 are 12 tiles (11 full, 1 straggler) per
+    # slot: main, 12 `sum_row$t0` calls, and in each of them 12 tiles of
+    # `ident$t1` and 11 lifted combines. A per-row fold call would add
+    # 3,072 more, and 256 to the untiled eval.
+    program = parse_program(programs.SUM_ROWS)
+    tiled = tile_program(program).program
+    x = matrix(256, 256, "f64", "col", 20)
+    calls = counting_build(monkeypatch)
+    tiled_value = eval_program(tiled, [x], EvalConfig(tile_sizes={0: 23, 1: 23}))
+    assert sum(calls.values()) == 1 + 12 + 12 * (12 + 11)
+    calls.clear()
+    assert eval_program(program, [x]).data == tiled_value.data
+    assert sum(calls.values()) == 1
+
+
+def random_row_fold(seed):
+    """A Map of a row fold over one or two random matrices, mapped along
+    either axis, with a combine and init the tiler accepts. Values are
+    small integers or quarters, so every order of summing is exact."""
+    rng = random.Random(seed)
+    two = rng.random() < 0.5
+    rows, cols = rng.randint(1, 11), rng.randint(1, 11)
+    dtype = rng.choice(("i64", "f64"))
+    combine, init = rng.choice([("add2", 0), ("max2", "-inf")]
+                               + [("mul2", 1)] * (dtype == "i64"))
+    g = rng.choice(("mul2", "add2")) if two else "ident"
+    axes = [rng.randrange(2) for _ in range(1 + two)]
+    inputs = []
+    for axis in axes:
+        shape = (rows, cols) if axis == 0 else (cols, rows)
+        data = [rng.randint(-3, 3) for _ in range(rows * cols)]
+        if dtype == "f64":
+            data = [x / 4 for x in data]
+        inputs.append(NdArray(shape, dtype, rng.choice(("row", "col")), data))
+    params, names = ("x, y", "X, Y") if two else ("x", "X")
+    source = FOLD_LIB + (
+        f"fn fold({params}) {{ return reduce({g}, combine={combine}, init={init}, "
+        f"{params}; axes=[{', '.join('0' * len(axes))}]); }}\n"
+        f"fn main({names}) {{ return map(fold, {names}; axes=[{', '.join(map(str, axes))}]); }}")
+    op = {"add2": operator.add, "mul2": operator.mul, "max2": max}
+    slices = [[[x.get((i, j) if axis == 0 else (j, i)) for j in range(cols)]
+               for i in range(rows)] for x, axis in zip(inputs, axes)]
+    start = float(init) if init == "-inf" else init
+    expected = [functools.reduce(op[combine], map(op[g], *row) if two else row[0], start)
+                for row in zip(*slices)]
+    return parse_program(source), inputs, expected, rng
+
+
+def row_folds(program):
+    return {f.name for f in program.functions.values()
+            if f.fixed_extent is None and (body_shape(f) or ("",))[0] == "fold"}
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_random_row_folds_through_both_tiling_passes(block, monkeypatch):
+    # Every row fold in these programs maps over rank-2 tiles with
+    # elementary functions, so none of them is ever called.
+    calls = counting_build(monkeypatch)
+    for seed in range(block * 25, block * 25 + 25):
+        program, inputs, expected, rng = random_row_fold(seed)
+        assert eval_program(program, inputs).data == expected, seed
+        result = tile_program(program)
+        assert result.changed, (seed, result.reason)
+        reg_program, reg_spec = register_tile(result.program, result.spec, 16)
+        extent = max(inputs[0].shape)
+        for _ in range(3):
+            sizes = {s.id: rng.randint(1, extent + 1) for s in result.spec.runtime_slots()}
+            for tiled, spec in ((result.program, result.spec), (reg_program, reg_spec)):
+                out = eval_program(tiled, inputs, EvalConfig(tile_sizes=spec.sizes(sizes)))
+                assert out.data == expected, (seed, sizes)
+                assert not any(calls[name] for name in row_folds(tiled)), seed

@@ -241,3 +241,37 @@ def test_round_trip_random_programs(seed):
     again = parse_program(text)
     assert again == program
     assert print_program(again) == text
+
+
+BODY_SHAPES = """
+fn g(x) { return x; }
+fn g2(a, b) { return a * b; }
+fn c(a, b) { return a + b; }
+fn ident(x) { return x; }
+fn binop(a, b) { return a max b; }
+fn fold(x) { return reduce(g, combine=c, init=0, x; axes=[0]); }
+fn fold2(x, y) { return reduce(g2, combine=c, init=1.5, x, y; axes=[0, 0]); }
+fn fold_neg(x) { return reduce(g, combine=c, init=-inf, x; axes=[0]); }
+fn swapped(a, b) { return b max a; }
+fn squared(x) { return x * x; }
+fn closure(x) uses s { return reduce(g, combine=c, init=0, x; axes=[0]); }
+fn two_stmts(x) { r = x; return reduce(g, combine=c, init=0, x; axes=[0]); }
+fn expr_init(x) { return reduce(g, combine=c, init=1 - 1, x; axes=[0]); }
+fn axis1(x) { return reduce(g, combine=c, init=0, x; axes=[1]); }
+fn reordered(x, y) { return reduce(g2, combine=c, init=0, y, x; axes=[0, 0]); }
+fn fewer_args(x, y) { return reduce(g, combine=c, init=0, x; axes=[0]); }
+fn scan_fold(x) { return scan(g, combine=c, init=0, x; axes=[0]); }
+fn map_fold(x) { return map(g, x; axes=[0]); }
+"""
+
+
+def test_body_shape():
+    p = parse_program(BODY_SHAPES)
+    assert ir.body_shape(p.fn("ident")) == ("ident",)
+    assert ir.body_shape(p.fn("binop")) == ("binop", "max")
+    assert ir.body_shape(p.fn("fold")) == ("fold", "g", "c", 0)
+    assert ir.body_shape(p.fn("fold2")) == ("fold", "g2", "c", 1.5)
+    assert ir.body_shape(p.fn("fold_neg")) == ("fold", "g", "c", float("-inf"))
+    for near_miss in ("swapped", "squared", "closure", "two_stmts", "expr_init", "axis1",
+                      "reordered", "fewer_args", "scan_fold", "map_fold"):
+        assert ir.body_shape(p.fn(near_miss)) is None, near_miss

@@ -2,10 +2,10 @@ import pytest
 
 from tilepar.ndarray import (
     Allocator, NdArray, ShapeError, View, concat, decompose,
-    elementwise, load_array, materialize, offsets, slice_axis,
+    elementwise, load_array, offsets, slice_axis,
 )
 
-from arrays import dump_array
+from arrays import dump_array, materialize
 
 
 def arange(n):
