@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import random
-import time
 from dataclasses import dataclass, field, replace
 
 from . import ir
@@ -52,7 +51,7 @@ class SearchSpace:
 class LogRecord:
     round: int
     candidate: tuple[int, ...]
-    cost: float | None  # None: probe failed / over time cap
+    cost: float | None  # None: probe failed
     best: tuple[int, ...]
     best_cost: float
 
@@ -80,19 +79,13 @@ class SearchState:
 class CostProbe:
     """Evaluates one tile-size vector to a cost (seconds or misses).
 
-    A candidate whose evaluation raises, or whose wall time exceeds
-    `time_cap` seconds, is discarded (logged with no cost).
+    A candidate whose evaluation raises is discarded (logged with no cost).
     """
 
     fn: object
-    time_cap: float | None = None
 
     def evaluate(self, sizes):
-        start = time.perf_counter()
-        cost = self.fn(sizes)
-        if self.time_cap is not None and time.perf_counter() - start > self.time_cap:
-            return None
-        return cost
+        return self.fn(sizes)
 
 
 @dataclass

@@ -369,23 +369,34 @@ def fresh_name(base, taken):
 
 
 def body_shape(fn):
-    """("ident",) when `fn`'s whole body is `return x` over its one
-    parameter, ("binop", OP) when it is `return a OP b` over its two
-    parameters in order, ("fold", G, COMBINE, INIT) when it is
-    `return reduce(G, combine=COMBINE, init=INIT, p1..pn; axes=[0, ...])`
-    over its parameters in order with an int or float constant INIT, and
-    None otherwise or when `fn` has closure parameters."""
-    if fn.closure_params or len(fn.body) != 1 or not isinstance(fn.body[0], Return):
+    """How `fn`'s whole body `return E` is built, or None: ("leaf", OP,
+    NAMES) for E `x` (OP None) or `a OP b` over parameters or closure
+    parameters; (KIND, G, COMBINE, INIT) for a map, reduce or scan of G over
+    fn's own parameters in order along axis 0 in a function without closure
+    parameters, with no emit and an int or float constant INIT (COMBINE and
+    INIT None for a map). G is described by its own shape. A fixed-size clone
+    has none, so that its extent assumption is checked wherever it runs."""
+    if fn.fixed_extent is not None or len(fn.body) != 1 or not isinstance(fn.body[0], Return):
         return None
-    e, params = fn.body[0].value, fn.params
-    if isinstance(e, Var) and params == (e.name,):
-        return ("ident",)
-    if (isinstance(e, BinOp) and isinstance(e.left, Var) and isinstance(e.right, Var)
-            and params == (e.left.name, e.right.name)):
-        return ("binop", e.op)
-    if (type(e) is Reduce and type(e.init) is Const and type(e.init.value) in (int, float)
-            and params and e.args == tuple(map(Var, params)) and not any(e.axes)):
-        return ("fold", e.fn, e.combine, e.init.value)
+    e, names = fn.body[0].value, fn.params + fn.closure_params
+    operands = (e,) if isinstance(e, Var) else (e.left, e.right) if isinstance(e, BinOp) else ()
+    if operands and all(isinstance(x, Var) and x.name in names for x in operands):
+        return ("leaf", getattr(e, "op", None), tuple(x.name for x in operands))
+    if (type(e) not in (Map, Reduce, Scan) or fn.closure_params or getattr(e, "emit", None)
+            or e.args != tuple(map(Var, fn.params)) or any(e.axes)):
+        return None
+    if type(e) is Map:
+        return ("map", e.fn, None, None)
+    if type(e.init) is Const and type(e.init.value) in (int, float):
+        return (type(e).__name__.lower(), e.fn, e.combine, e.init.value)
+    return None
+
+
+def combine_op(fn):
+    """OP if `fn` is `return a OP b` over its own parameters, else None."""
+    shape = body_shape(fn)
+    if shape and shape[0] == "leaf" and shape[2] == fn.params and not fn.closure_params:
+        return shape[1]
     return None
 
 

@@ -16,19 +16,15 @@ applied once the tile boundaries are fixed up.
 
 Each function is built once, on its first call, into nested closures;
 callees are looked up by name when an operator first runs, so a missing
-function raises only when execution reaches it. A Map, Reduce or Scan
-whose operands are all rank 1 and whose callee is `return x` or
-`return a OP b` (for Reduce/Scan also: a `return a OP b` combine, a
-scalar init and no emit) runs as one loop over the flat buffers instead
-of one call per element, reading each operand with one slice of its
-flat buffer. A Map whose operands are all rank 2 and whose callee is a
-row fold, `return reduce(G, combine=C, init=K, params; axes=[0, ...])`
-with a number K and G and C as above, runs as one such fold per row,
-with no call of the callee. Stacking scalars, or equal-shaped rank-1
-rows along axis 0 (Map outputs) or axis 1 (tiled-scan steps), fills the
-output buffer in one pass from the values or the rows' slices. All of these give the same
-values, trace events, allocations and counters as the per-element path,
-traced or not.
+function raises only when execution reaches it. An operator runs a
+callee that `ir.body_shape` describes without a call per slice: a leaf
+over rank-1 operands as one loop over a slice of each flat buffer (scalar
+closure operands broadcast), a map, reduce or scan of the callee's own
+parameters once per row without a frame, its callee by the same rule. A
+fold (Reduce or Scan) runs only a leaf so, with a scalar init, no emit
+and a combine `return a OP b`. Stacking scalars, or equal rank-1 rows
+along axis 0 or 1, fills the output in one pass. All give the values,
+trace events, allocations, counters and errors of one call per slice.
 
 A trace sink is any object with `read(addr)`, `write(addr)` and
 `phase(label)`. When one is attached (`EvalConfig.trace`), every array
@@ -111,25 +107,14 @@ class _Compiled:
     """One function, built once per interpreter.
 
     `call(args, captured)` applies it to positional arguments and its
-    captured closure values. `op` is set for the elementary bodies the
-    fused operator loops run inline: the identity for `return x`, the
-    scalar operator for `return a OP b`. `fold` is (G, COMBINE, INIT) for
-    a row fold, `return reduce(G, combine=COMBINE, init=INIT, ...)` (see
-    `ir.body_shape`), which a Map may run inline. Fixed-size clones always
-    take the generic path, so their extent assertions stay observable.
-    """
+    captured closure values. `kernels` maps operand ranks to its kernel
+    or None (see `Interpreter._kernel`); `op` is its scalar operator as a
+    combine (`ir.combine_op`)."""
 
-    __slots__ = ("fn", "call", "op", "fold")
+    __slots__ = ("fn", "call", "op", "kernels")
 
-    def __init__(self, fn, call, op=None, fold=None):
-        self.fn = fn
-        self.call = call
-        self.op = op
-        self.fold = fold
-
-
-def _identity(x):
-    return x
+    def __init__(self, fn, call, op):
+        self.fn, self.call, self.op, self.kernels = fn, call, op, {}
 
 
 def _strict(e, enclosing):
@@ -210,13 +195,7 @@ class Interpreter:
         return f, captured
 
     def _build(self, fn):
-        shape = ir.body_shape(fn) if fn.fixed_extent is None else None
-        if shape == ("ident",):
-            return _Compiled(fn, lambda args, captured: args[0], _identity)
-        if shape is not None and shape[0] == "binop":
-            op = scalar_op(shape[1])
-            binop = self._binop(shape[1], op)
-            return _Compiled(fn, lambda args, captured: binop(args[0], args[1]), op)
+        op = ir.combine_op(fn)
         mark = self.config.trace is not None and fn is self._entry
         body = self._block(fn.body, fn, mark)
         params, name = fn.params, fn.name
@@ -229,7 +208,76 @@ class Interpreter:
                 raise EvalError(f"{name} finished without returning")
             return value
 
-        return _Compiled(fn, call, fold=shape[1:] if shape is not None else None)
+        return _Compiled(fn, call, op and scalar_op(op))
+
+    def _kernel(self, f, ranks):
+        """The kernel of `f` for operands of `ranks` (see the module docstring) or
+        None: `kernel(views, axes, extent, captured)` lists f's results at every slice
+        of `views` along `axes`, or is None before any side effect. A node's callee has
+        no closure parameters; a fold node needs rank 2 and a combine with `op`."""
+        if ranks not in f.kernels:
+            f.kernels[ranks] = self._new_kernel(f.fn, ranks)
+        return f.kernels[ranks]
+
+    def _new_kernel(self, fn, ranks):
+        shape = ir.body_shape(fn)
+        if shape is None or len(ranks) != len(fn.params):
+            return None
+        if shape[0] == "leaf":
+            return self._leaf(fn, shape[1], shape[2]) if set(ranks) == {1} else None
+        kind, g, combine, init = shape
+        functions = self.program.functions
+        if min(ranks) < 2 or g not in functions or functions[g].closure_params:
+            return None
+        op = self._function(combine).op if combine in functions else None
+        if kind != "map" and (op is None or set(ranks) != {2}):
+            return None
+        inner = self._kernel(self._function(g), tuple(r - 1 for r in ranks))
+        return inner and self._node(kind, inner, op, init, len(ranks))
+
+    def _leaf(self, fn, op, names):
+        """Kernel of leaf `fn`, None for an array closure operand. It reports
+        reads as the generic path does: per index, one per view in order."""
+        shared = [c for c in fn.closure_params if c in names]
+        picks = [(fn.params + tuple(shared)).index(n) for n in names]  # into `columns`
+        f, trace = op and scalar_op(op), self.config.trace
+
+        def leaf(views, axes, extent, captured):
+            columns = [v.root.data[span(v)] for v in views]
+            for n in shared:
+                if isinstance(captured[n], ArrayValue):
+                    return None
+                columns.append([captured[n]] * extent)
+            if trace is not None:
+                read = trace.read
+                for addr in itertools.chain.from_iterable(zip(*map(addresses, views))):
+                    read(addr)
+            return list(map(f, *map(columns.__getitem__, picks))) if f else columns[picks[0]]
+        return leaf
+
+    def _node(self, kind, inner, op, init, arity):
+        """Kernel of a node whose callee's kernel is `inner`: per row, `_map`
+        or `_fold` without a frame."""
+        what, zeros, counters = kind.capitalize(), (0,) * arity, self.config.counters
+
+        def node(views, axes, extent, captured):
+            slicers = [self._slicer(v, axis) for v, axis in zip(views, axes)]
+            # Every row has the extents of row 0, and only row 0 checks them.
+            n = extent and self._operand_views([s(0) for s in slicers], zeros, what)[1]
+            results = []
+            for rows in zip(*[map(s, range(extent)) for s in slicers]):
+                counters.bounds_checks += arity * n
+                if kind == "reduce":
+                    results.append(functools.reduce(op, inner(rows, zeros, n, None), init))
+                elif n == 0:
+                    results.append(self._new_array((0,), rows[0].dtype))
+                elif kind == "map":
+                    results.append(self._stack(inner(rows, zeros, n, None)))
+                else:
+                    results.append(self._stack(list(itertools.accumulate(
+                        inner(rows, zeros, n, None), op, initial=init))[1:]))
+            return results
+        return node
 
     # -- statements ------------------------------------------------------------
 
@@ -326,8 +374,14 @@ class Interpreter:
             return var
         if t is ir.BinOp:
             left, right = self._expr(e.left, fn), self._expr(e.right, fn)
-            binop = self._binop(e.op, scalar_op(e.op))
-            return lambda frame: binop(left(frame), right(frame))
+            op, f = e.op, scalar_op(e.op)
+
+            def binop(frame):
+                a, b = left(frame), right(frame)
+                if isinstance(a, ArrayValue) or isinstance(b, ArrayValue):
+                    return elementwise(op, a, b, self.config.trace, self._new_array)
+                return f(a, b)
+            return binop
         if t is ir.Index:
             array, index = self._expr(e.array, fn), self._expr(e.index, fn)
             return lambda frame: self._index(array(frame), index(frame))
@@ -368,14 +422,6 @@ class Interpreter:
             return self._fold(t is ir.Scan, e.fn, e.combine, emit, start, values,
                               e.axes, frame, fixed, strict)
         return fold
-
-    def _binop(self, op, f):
-        """Scalar `f` on two scalars, else the elementwise kernel."""
-        def binop(a, b):
-            if isinstance(a, ArrayValue) or isinstance(b, ArrayValue):
-                return elementwise(op, a, b, self.config.trace, self._new_array)
-            return f(a, b)
-        return binop
 
     def _index(self, arr, i):
         if not isinstance(arr, ArrayValue):
@@ -496,26 +542,6 @@ class Interpreter:
                 f"{what} specialised for extent {fixed_extent} invoked on extent {extent}")
         return False
 
-    def _elementary(self, f, views):
-        """Results of elementary callee `f` (see _Compiled) at every index
-        of rank-1 `views`, computed in one loop over slices of the flat
-        buffers. Each element's reads are reported as the generic path
-        reports them: one read per view, in argument order."""
-        trace = self.config.trace
-        if trace is not None:
-            read = trace.read
-            for addr in itertools.chain.from_iterable(zip(*map(addresses, views))):
-                read(addr)
-        columns = [v.root.data[span(v)] for v in views]
-        if f.op is _identity:
-            return columns[0]
-        return list(map(f.op, *columns))
-
-    def _fused(self, f, views):
-        """True when `f` is elementary and takes every operand as a scalar."""
-        return (f.op is not None and len(views) == len(f.fn.params)
-                and all(len(v.shape) == 1 for v in views))
-
     def _map(self, fname, args, axes, env, fixed_extent, strict):
         f, captured = self._callee(fname, env)
         views, extent = self._operand_views(args, axes, "Map")
@@ -523,48 +549,17 @@ class Interpreter:
             self.config.counters.bounds_checks += len(views) * extent
         if extent == 0:
             return self._new_array((0,), views[0].dtype if views else "i64")
-        if self._fused(f, views):
-            return self._stack(self._elementary(f, views))
-        if f.fold is not None:
-            folded = self._row_folds(f.fold, views, axes, extent)
-            if folded is not None:
-                return self._stack(folded)
-        slicers = [self._slicer(v, axis) for v, axis in zip(views, axes)]
-        results = []
-        for i in range(extent):
-            slices = [s(i) for s in slicers]
-            results.append(f.call(slices, captured))
+        kernel = self._kernel(f, tuple([len(v.shape) for v in views]))
+        results = kernel and kernel(views, axes, extent, captured)
+        if results is None:
+            slicers = [self._slicer(v, axis) for v, axis in zip(views, axes)]
+            results = []
+            for i in range(extent):
+                slices = [s(i) for s in slicers]
+                results.append(f.call(slices, captured))
         # The last `slices` stays alive until the results are stacked: when
         # a temporary dies decides which block the allocator hands out next.
         return self._stack(results)
-
-    def _row_folds(self, fold, views, axes, extent):
-        """Row fold `fold` (see _Compiled) of every slice of `views` along
-        `axes`, in one loop that reads each slice through `_elementary`,
-        with the reads, counters and errors of one generic call per slice.
-        None, before any side effect, unless every operand is rank 2 and
-        the fold's callee and combine are elementary and take every
-        operand and the accumulator as scalars."""
-        if any(len(v.shape) != 2 for v in views):
-            return None
-        g = self._function(fold[0])
-        if g.op is None or len(g.fn.params) != len(views):
-            return None
-        comb, init = self._function(fold[1]), fold[2]
-        if comb.op is None:
-            return None
-        rows = []  # per operand: the View fields of slice i, less i * stride
-        n = views[0].shape[1 - axes[0]]
-        for v, axis in zip(views, axes):
-            if v.shape[1 - axis] != n:
-                raise EvalError(f"Reduce sliced extents differ: {n} vs {v.shape[1 - axis]}")
-            rows.append((v.root, v.offset, v.strides[axis], (n,), (v.strides[1 - axis],)))
-        self.config.counters.bounds_checks += len(views) * n * extent
-        op, elementary = comb.op, self._elementary
-        return [functools.reduce(op, elementary(g, [
-                    View(root, offset + i * stride, shape, strides)
-                    for root, offset, stride, shape, strides in rows]), init)
-                for i in range(extent)]
 
     def _fold(self, scan, fname, combine, emit, init, args, axes, env, fixed_extent, strict):
         """Reduce (scan=False) or Scan: fold `combine` over the callee's
@@ -582,21 +577,22 @@ class Interpreter:
         # locals in that order, and with them the last step's temporaries.
         acc = init
         outs = []
-        if (self._fused(f, views) and comb.op is not None and emit is None
-                and not isinstance(init, ArrayValue)):
-            values = self._elementary(f, views)
+        fused = (comb.op is not None and emit is None and not isinstance(init, ArrayValue)
+                 and all(len(v.shape) == 1 for v in views))
+        kernel = fused and self._kernel(f, (1,) * len(views))
+        values = kernel and kernel(views, axes, extent, captured)
+        if values:  # else the generic loop, which gives the same with no slices
             if not scan:
                 return functools.reduce(comb.op, values, init)
-            outs = list(itertools.accumulate(values, comb.op, initial=init))[1:]
-        else:
-            slicers = [self._slicer(v, axis) for v, axis in zip(views, axes)]
-            for i in range(extent):
-                slices = [s(i) for s in slicers]
-                acc = comb.call([acc, f.call(slices, captured)], comb_captured)
-                if scan:
-                    outs.append(emit_fn.call([acc], emit_captured) if emit_fn else acc)
-            if not scan:
-                return acc
+            return self._stack(list(itertools.accumulate(values, comb.op, initial=init))[1:])
+        slicers = [self._slicer(v, axis) for v, axis in zip(views, axes)]
+        for i in range(extent):
+            slices = [s(i) for s in slicers]
+            acc = comb.call([acc, f.call(slices, captured)], comb_captured)
+            if scan:
+                outs.append(emit_fn.call([acc], emit_captured) if emit_fn else acc)
+        if not scan:
+            return acc
         if extent == 0:
             return self._new_array((0,), views[0].dtype if views else "i64")
         return self._stack(outs)

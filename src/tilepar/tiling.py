@@ -528,12 +528,11 @@ class _Tiler:
         """Each tile folds from `init` and the per-tile partials are then
         combined, which equals the untiled fold only for an associative
         combine whose init is its identity."""
-        shape = ir.body_shape(self.out[e.combine])
-        if shape is None or shape[0] != "binop" or shape[1] not in IDENTITIES:
+        op = ir.combine_op(self.out[e.combine])
+        if op not in IDENTITIES:
             raise UnsupportedNesting(
                 f"combine {e.combine!r} is not `return a OP b` with OP one of "
                 f"{', '.join(IDENTITIES)} ({path})")
-        op = shape[1]
         if not (isinstance(e.init, Const) and e.init.value in IDENTITIES[op]):
             raise UnsupportedNesting(
                 f"init {ir.print_expr(e.init)} of combine {e.combine!r} is not the "

@@ -151,17 +151,6 @@ def test_all_probes_failing_falls_back_to_midpoint():
     assert state.best == space.midpoint()
 
 
-def test_time_cap_marks_candidate_failed():
-    import time
-
-    def slow(sizes):
-        time.sleep(0.05)
-        return 1.0
-
-    probe = CostProbe(slow, time_cap=0.001)
-    assert probe.evaluate((1,)) is None
-
-
 def test_deterministic_logs_for_fixed_seed():
     cfg = SearchConfig(batch_size=4, max_evaluations=20, no_improve_limit=3, seed=42)
     a = run_search(bowl_space(), CostProbe(bowl), cfg)

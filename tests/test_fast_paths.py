@@ -2,23 +2,26 @@
 
 Stacking, copying and rank-1 elementwise arithmetic use one slice of the
 flat buffer per rank-1 view (or per run along the last axis) where the
-reference below walks every element's offset; a Map of a row fold runs as
-one loop where the reference makes one call per row. Both must give the
-same values (element by element, int or float), the same trace events,
-the same simulated addresses and the same counters. An NdArray must also
-behave as the View over all of itself.
+reference below walks every element's offset; a callee that is a nest of
+Map, Reduce and Scan runs through its kernel where the reference makes one
+call per row. Both must give the same values (element by element, int or
+float), the same trace events, the same simulated addresses and the same
+counters. An NdArray must also behave as the View over all of itself.
 """
 
 import collections
 import dataclasses
 import functools
 import itertools
+import math
 import operator
 import random
 
 import pytest
 
-from tilepar.ir import Function, Map, Program, Return, Var, body_shape, parse_program
+from tilepar.ir import (
+    Function, Map, Program, Return, Var, body_shape, desugar_allpairs, parse_program,
+)
 from tilepar.ndarray import (
     ELEM_SIZE, Allocator, NdArray, View, as_view, copy, decompose, elements, elementwise,
     offsets, result_dtype, scalar_op, slice_axis,
@@ -71,12 +74,16 @@ def typed(data):
     return [(type(x), x) for x in data]
 
 
-def matrix(rows, cols, dtype, layout, seed):
+def random_array(shape, dtype, layout, seed):
     rng = random.Random(seed)
-    data = [rng.randrange(-50, 50) for _ in range(rows * cols)]
+    data = [rng.randrange(-50, 50) for _ in range(math.prod(shape))]
     if dtype == "f64":
         data = [x / 4 for x in data]
-    return NdArray((rows, cols), dtype, layout, data)
+    return NdArray(shape, dtype, layout, data)
+
+
+def matrix(rows, cols, dtype, layout, seed):
+    return random_array((rows, cols), dtype, layout, seed)
 
 
 def rank1_rows(base, tile):
@@ -219,7 +226,7 @@ def test_ndarray_dies_with_its_last_reference():
 
 
 def test_elementary_reads_match_offsets():
-    # A fused loop reads each rank-1 operand with one slice, and reports
+    # A leaf's kernel reads each rank-1 operand with one slice, and reports
     # one read per operand per index, in argument order.
     program = parse_program("fn add2(a, b) { return a + b; } fn main(x) { return x; }")
     interp = traced_interpreter(program)
@@ -232,7 +239,8 @@ def test_elementary_reads_match_offsets():
              (decompose(slice_axis(col, 1, 0), 0, 3)[2], slice_axis(decompose(row, 0, 4)[1], 1, 1))]
     for a, b in pairs:
         interp.config.trace.events.clear()
-        values = interp._elementary(interp._function("add2"), [a, b])
+        kernel = interp._kernel(interp._function("add2"), (1, 1))
+        values = kernel([a, b], (0, 0), a.shape[0], {})
         assert values == [x + y for x, y in zip(
             map(a.root.data.__getitem__, offsets(a)), map(b.root.data.__getitem__, offsets(b)))]
         reads = [[v.root.addr + o * ELEM_SIZE for o in offsets(v)] for v in (a, b)]
@@ -263,12 +271,13 @@ def test_rank1_elementwise_matches_per_element_walk():
             assert sink.events == expected
 
 
-# -- row folds under Map ------------------------------------------------------
+# -- nests under Map ----------------------------------------------------------
 #
-# A Map whose callee is a row fold, `return reduce(G, combine=C, init=K,
-# params; axes=[0, ...])`, runs as one loop over the rows. Each program
-# below is compared with a twin whose fold starts with a no-op `r = x;`:
-# `body_shape` does not match the twin, so it makes one generic call per
+# A Map whose callee is a nest (see `ir.body_shape`), such as a row fold
+# `return reduce(G, combine=C, init=K, params; axes=[0, ...])`, runs through
+# the callee's kernel, without one call per row. Each program below is
+# compared with a twin whose `fold` starts with a no-op `r = x;`:
+# `body_shape` does not describe the twin, so it makes one generic call per
 # row.
 
 FOLD_LIB = """
@@ -278,6 +287,10 @@ fn max2(a, b) { return a max b; }
 fn mul2(a, b) { return a * b; }
 fn sq(x) { return x * x; }
 fn add2b(a, b) { c = a + b; return c; }
+fn rowsum(y) { return reduce(ident, combine=add2, init=0, y; axes=[0]); }
+fn rowscan(y) { return scan(sq, combine=max2, init=-inf, y; axes=[0]); }
+fn rowsq(y) { return map(sq, y; axes=[0]); }
+fn rowmul(a, b) { return map(mul2, a, b; axes=[0, 0]); }
 """
 
 
@@ -335,13 +348,13 @@ def assert_same_as_twin(pair, args, monkeypatch, fused):
 
 def views_of(base, k):
     """`base`, and its last tile along each axis at tile size `k`."""
-    return [base] + [decompose(base, axis, k)[-1] for axis in (0, 1)]
+    return [base] + [decompose(base, axis, k)[-1] for axis in range(len(base.shape))]
 
 
 ONE_OPERAND = [
     ("reduce(ident, combine=add2, init=0, x; axes=[0]);", True),
     ("reduce(ident, combine=max2, init=-inf, x; axes=[0]);", True),
-    ("reduce(sq, combine=add2, init=0, x; axes=[0]);", False),  # non-elementary G
+    ("reduce(sq, combine=add2, init=0, x; axes=[0]);", True),
     ("reduce(ident, combine=add2b, init=0, x; axes=[0]);", False),  # non-elementary combine
     ("reduce(ident, combine=add2, init=1 - 1, x; axes=[0]);", False),  # init not a Const
 ]
@@ -418,7 +431,7 @@ def test_row_fold_near_misses_take_the_generic_path(monkeypatch):
         fold = p.fn("fold")
         reduce = dataclasses.replace(fold.body[-1].value, fn="mul2")
         bad = dataclasses.replace(fold, body=fold.body[:-1] + (Return(reduce),))
-        with pytest.raises(IndexError):
+        with pytest.raises(EvalError, match="unbound variable 'b'"):
             Interpreter(Program({**p.functions, "fold": bad})).run([x])
     # A fixed-size clone keeps its generic path and its extent gate.
     clones = []
@@ -430,6 +443,92 @@ def test_row_fold_near_misses_take_the_generic_path(monkeypatch):
     fast, slow = (observe(p, [x], calls, fold="fold$k4") for p in clones)
     assert fast == slow
     assert fast[3] == 5 and fast[2].bounds_checks == 5
+
+
+# (fold's parameters, its body, the rank of the Map's operands)
+NESTS = [
+    ("x", "map(sq, x; axes=[0])", 2),  # Map of Map
+    ("x", "scan(ident, combine=add2, init=0, x; axes=[0])", 2),  # Map of Scan
+    ("x", "scan(sq, combine=max2, init=-inf, x; axes=[0])", 2),
+    ("x, y", "map(mul2, x, y; axes=[0, 0])", 2),
+    ("x", "map(rowsum, x; axes=[0])", 3),  # Map of Map of Reduce
+    ("x", "map(rowscan, x; axes=[0])", 3),  # Map of Map of Scan
+    ("x", "map(rowsq, x; axes=[0])", 3),  # Map of Map of Map
+    ("x, y", "map(rowmul, x, y; axes=[0, 0])", 3),
+]
+
+
+@pytest.mark.parametrize("params,body,rank", NESTS)
+def test_nest_matches_generic_call_per_row(params, body, rank, monkeypatch):
+    # Row- and column-major operands and their last tiles (stragglers
+    # included) along every axis, mapped along every axis.
+    operands = len(params.split(","))
+    bases = [random_array((7, 5, 4)[:rank], "i64", "col", 31),
+             random_array((6, 3, 5)[:rank], "f64", "row", 32)]
+    for axis in range(rank):
+        names, axes = ", ".join(["X"] * operands), ", ".join([str(axis)] * operands)
+        pair = fold_program(params, f"return {body};",
+                            f"fn main(X) {{ return map(fold, {names}; axes=[{axes}]); }}")
+        for base in bases:
+            base.addr = 4096
+            for x in views_of(base, 3):
+                assert_same_as_twin(pair, [x], monkeypatch, True)
+
+
+def test_leaf_closure_operands(monkeypatch):
+    # A scalar closure operand is broadcast, on either side of the
+    # operator and alone; an array one takes the generic path.
+    vector = random_array((7,), "i64", "row", 33)
+    array = random_array((2,), "f64", "col", 34)
+    for body in ("return x * s;", "return s - x;", "return s;"):
+        mapped = fold_program("x", body, "fn main(X, s) { return map(fold, X; axes=[0]); }",
+                              "uses s")
+        value = assert_same_as_twin(mapped, [vector, 3], monkeypatch, True)
+        assert len(value[3]) == 7
+        assert_same_as_twin(mapped, [vector, array], monkeypatch, False)
+        folded = fold_program("x", body, "fn main(X, s) { return "
+                              "scan(fold, combine=add2, init=0, X; axes=[0]); }", "uses s")
+        assert_same_as_twin(folded, [vector, 2.5], monkeypatch, True)
+    # `return x * x` reads its one operand once per element.
+    squared = fold_program("x", "return x * x;", "fn main(X) { return map(fold, X; axes=[0]); }")
+    assert_same_as_twin(squared, [vector], monkeypatch, True)
+
+
+def test_folds_over_zero_rows_return_as_generic(monkeypatch):
+    # A Reduce or Scan over zero rows never runs its callee: a function
+    # missing below the callee, or callee rows of different extents, must
+    # not raise.
+    calls = counting_build(monkeypatch)
+    gone = "fn gone(x) { return x; }\n"
+    for op in ("reduce", "scan"):
+        main = (gone + f"fn main(X, Y) {{ return {op}(fold, combine=add2, init=7, X, Y; "
+                "axes=[0, 0]); }")
+        for body in ("return map(gone, x; axes=[0]);", "return map(mul2, x, y; axes=[0, 0]);"):
+            pair = fold_program("x, y", body, main)
+            for p in pair:
+                del p.functions["gone"]
+            args = [NdArray((0, 4), "i64"), NdArray((0, 5), "i64", "col")]
+            fast, slow = (observe(p, args, calls) for p in pair)
+            assert fast == slow
+            if op == "reduce":
+                assert fast[0] == typed([7])
+            else:
+                assert fast[0][:2] == ((0,), "i64")
+    # A Map of nests whose rows hold zero rows each.
+    inner = "fn inner(y) { return map(gone, y; axes=[0]); }\n"
+    for params, body, names in (("x, y", "map(rowmul, x, y; axes=[0, 0])", "X, Y; axes=[0, 0]"),
+                                ("x", "map(inner, x; axes=[0])", "X; axes=[0]")):
+        pair = fold_program(params, f"return {body};",
+                            gone + inner + f"fn main(X, Y) {{ return map(fold, {names}); }}")
+        for p in pair:
+            del p.functions["gone"]
+        args = [NdArray((2, 0, 4), "i64"), NdArray((2, 0, 5), "i64", "col")]
+        fast, slow = (observe(p, args, calls) for p in pair)
+        assert fast[:3] == slow[:3] and fast[0][:2] == ((2, 0), "i64")
+    # A node's kernel checks the extents of its first row only if it has one.
+    interp = Interpreter(pair[0])
+    kernel = interp._kernel(interp._function("rowmul"), (2, 2))
+    assert kernel([NdArray((0, 4), "i64"), NdArray((0, 5), "i64")], (0, 0), 0, None) == []
 
 
 def test_tiled_row_sums_make_one_call_per_tile(monkeypatch):
@@ -445,6 +544,32 @@ def test_tiled_row_sums_make_one_call_per_tile(monkeypatch):
     assert sum(calls.values()) == 1 + 12 + 12 * (12 + 11)
     calls.clear()
     assert eval_program(program, [x]).data == tiled_value.data
+    assert sum(calls.values()) == 1
+
+
+def test_tiled_matmul_and_row_scan_calls(monkeypatch):
+    # Only tiles, fixed-size clones, lifted combines and `x * y` with its
+    # array closure operand are called; every Map of a nest runs through
+    # its kernel (one call per row would add 448 calls to the cache pass,
+    # 1,456 to the register pass and 448 to the tiled row scan).
+    calls = counting_build(monkeypatch)
+    program = desugar_allpairs(parse_program(programs.MATMUL))
+    res = tile_program(program, arg_ranks=[2, 2])
+    reg_program, reg_spec = register_tile(res.program, res.spec, 16)
+    x, y = matrix(16, 16, "f64", "row", 35), matrix(16, 16, "f64", "col", 36)
+    for tiled, spec, total in ((res.program, res.spec, 453), (reg_program, reg_spec, 1594)):
+        calls.clear()
+        eval_program(tiled, [x, y], EvalConfig(tile_sizes=spec.sizes(overrides={0: 5, 1: 5, 2: 5})))
+        assert sum(calls.values()) == total
+    program = parse_program(programs.ROW_SCAN)
+    calls.clear()
+    eval_program(tile_program(program).program, [matrix(64, 64, "i64", "col", 37)],
+                 EvalConfig(tile_sizes={0: 10, 1: 10}))
+    # main, 7 row tiles, 7 column tiles in each, and one carry fix-up per
+    # step of every column tile after the first: 5 * 10 + 4 per row tile.
+    assert sum(calls.values()) == 1 + 7 + 7 * 7 + 7 * (5 * 10 + 4)
+    calls.clear()
+    eval_program(program, [matrix(64, 64, "i64", "col", 37)])
     assert sum(calls.values()) == 1
 
 
@@ -482,8 +607,7 @@ def random_row_fold(seed):
 
 
 def row_folds(program):
-    return {f.name for f in program.functions.values()
-            if f.fixed_extent is None and (body_shape(f) or ("",))[0] == "fold"}
+    return {f.name for f in program.functions.values() if (body_shape(f) or ("",))[0] == "reduce"}
 
 
 @pytest.mark.parametrize("block", range(4))

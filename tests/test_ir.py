@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from tilepar import ir
@@ -262,16 +264,35 @@ fn reordered(x, y) { return reduce(g2, combine=c, init=0, y, x; axes=[0, 0]); }
 fn fewer_args(x, y) { return reduce(g, combine=c, init=0, x; axes=[0]); }
 fn scan_fold(x) { return scan(g, combine=c, init=0, x; axes=[0]); }
 fn map_fold(x) { return map(g, x; axes=[0]); }
+fn scaled(x) uses s { return x * s; }
+fn captured(x) uses s { return s; }
+fn scan_emit(x) { return scan(g, combine=c, emit=g, init=0, x; axes=[0]); }
 """
 
 
 def test_body_shape():
     p = parse_program(BODY_SHAPES)
-    assert ir.body_shape(p.fn("ident")) == ("ident",)
-    assert ir.body_shape(p.fn("binop")) == ("binop", "max")
-    assert ir.body_shape(p.fn("fold")) == ("fold", "g", "c", 0)
-    assert ir.body_shape(p.fn("fold2")) == ("fold", "g2", "c", 1.5)
-    assert ir.body_shape(p.fn("fold_neg")) == ("fold", "g", "c", float("-inf"))
-    for near_miss in ("swapped", "squared", "closure", "two_stmts", "expr_init", "axis1",
-                      "reordered", "fewer_args", "scan_fold", "map_fold"):
+    shapes = {
+        "ident": ("leaf", None, ("x",)),
+        "binop": ("leaf", "max", ("a", "b")),
+        "swapped": ("leaf", "max", ("b", "a")),
+        "squared": ("leaf", "*", ("x", "x")),
+        "scaled": ("leaf", "*", ("x", "s")),
+        "captured": ("leaf", None, ("s",)),
+        "fold": ("reduce", "g", "c", 0),
+        "fold2": ("reduce", "g2", "c", 1.5),
+        "fold_neg": ("reduce", "g", "c", float("-inf")),
+        "scan_fold": ("scan", "g", "c", 0),
+        "map_fold": ("map", "g", None, None),
+    }
+    for name, shape in shapes.items():
+        assert ir.body_shape(p.fn(name)) == shape, name
+    for near_miss in ("closure", "two_stmts", "expr_init", "axis1", "reordered", "fewer_args",
+                      "scan_emit"):
         assert ir.body_shape(p.fn(near_miss)) is None, near_miss
+    # A fixed-size clone has no shape, so its extent assumption stays checked.
+    assert ir.body_shape(replace(p.fn("binop"), fixed_extent=4)) is None
+    # A combine is `return a OP b` over its own two parameters, in order.
+    assert [ir.combine_op(p.fn(name)) for name in
+            ("binop", "c", "swapped", "squared", "scaled", "ident", "fold")] == \
+        ["max", "+", None, None, None, None, None]

@@ -11,6 +11,7 @@ depend on the order in which the tiler visits the program.
 """
 
 import hashlib
+import random
 from dataclasses import replace
 
 import pytest
@@ -18,7 +19,8 @@ import pytest
 from tilepar.bench import MATMUL_SRC, SQDIST_SRC, SUM_ROWS_SRC
 from tilepar.cachesim import CacheModel, Simulator, simulate_program, trace_program
 from tilepar.ir import (
-    Assign, BinOp, Program, Return, Var, desugar_allpairs, parse_program, print_program,
+    Assign, BinOp, Map, Program, Reduce, Return, Scan, Var, desugar_allpairs, parse_program,
+    print_program,
 )
 from tilepar.ndarray import NdArray
 from tilepar.semantics import EvalConfig, TraceSink, eval_program
@@ -149,14 +151,15 @@ fn main(Xs, Ys) { return map(row_add, Xs, Ys; axes=[0, 0]); }
 
 
 def with_generic_bodies(program):
-    """`program` with every `return x` / `return a OP b` body rewritten to
-    bind a temporary before returning: the same values, through the
-    evaluator's generic call path instead of its elementary one."""
+    """`program` with every `return x`, `return a OP b` and single-operator
+    `return map|reduce|scan(...)` body rewritten to bind a temporary before
+    returning: the same values, through the evaluator's generic call path
+    instead of its kernels."""
     table = dict(program.functions)
     for name, fn in program.functions.items():
         body = fn.body
         if (len(body) == 1 and isinstance(body[0], Return)
-                and isinstance(body[0].value, (Var, BinOp))):
+                and isinstance(body[0].value, (Var, BinOp, Map, Reduce, Scan))):
             table[name] = replace(fn, body=(Assign("t$g", body[0].value),
                                             Return(Var("t$g"))))
     return Program(table)
@@ -173,8 +176,8 @@ GENERIC_CASES = {
 @pytest.mark.parametrize("name", sorted(GENERIC_CASES))
 @pytest.mark.parametrize("tiled", [False, True])
 def test_generic_callee_matches_elementary_one(name, tiled):
-    """A callee that is not a bare `return x` / `return a OP b` gives the
-    same value, trace and counters as the elementary one it computes."""
+    """A callee whose body `ir.body_shape` does not describe gives the same
+    value, trace and counters as the described one it computes."""
     src, inputs, sizes = GENERIC_CASES[name]
     program = desugar_allpairs(parse_program(src))
     if tiled:
@@ -191,6 +194,39 @@ def test_generic_callee_matches_elementary_one(name, tiled):
     assert runs[0] == runs[1]
     if tiled:
         assert runs[0][3][1] > 0  # straggler tiles ran
+
+
+def observed(program, inputs, tile_sizes):
+    """Value (with element types), trace length and digest, and dispatch
+    counters of one traced run."""
+    value, events, c = traced_run(program, inputs, tile_sizes)
+    if isinstance(value, NdArray):
+        value = (value.shape, value.dtype, [(type(x), x) for x in value.data])
+    else:
+        value = (type(value), value)
+    return value, len(events), digest(events), \
+        (c.full_tile_calls, c.straggler_calls, c.bounds_checks)
+
+
+@pytest.mark.parametrize("wide", [False, True])
+@pytest.mark.parametrize("chunk", range(4))
+def test_random_programs_match_generic_twins(wide, chunk):
+    """Every random program, untiled and after each tiling pass, gives the
+    value, trace and counters of its twin whose nests all take the generic
+    call path."""
+    for seed in range(chunk * 50, chunk * 50 + 50):
+        program, inputs, arg_ranks = randprog.generate(seed, wide=wide)
+        runs = [(program, {})]
+        res = tile_program(program, arg_ranks=arg_ranks)
+        if res.changed:
+            reg_program, reg_spec = register_tile(res.program, res.spec, 16)
+            sizes = randprog.sample_tile_sizes(res.spec, random.Random(seed))
+            runs += [(res.program, res.spec.sizes(overrides=sizes)),
+                     (reg_program, reg_spec.sizes(overrides=sizes))]
+        for p, tile_sizes in runs:
+            twin = with_generic_bodies(p)
+            assert twin != p
+            assert observed(p, inputs, tile_sizes) == observed(twin, inputs, tile_sizes), seed
 
 
 SIM_MODEL = CacheModel(1024, 64, 2)
