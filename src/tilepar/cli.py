@@ -83,9 +83,9 @@ def build_parser():
 
     sim = sub.add_parser("cachesim", help="trace a program through a cache model")
     _program_args(sim)
-    sim.add_argument("--capacity", type=int, default=0, help="bytes (0: probed L1)")
-    sim.add_argument("--line", type=int, default=0, help="line size bytes (0: probed)")
-    sim.add_argument("--assoc", type=int, default=0, help="ways (0: probed L1)")
+    sim.add_argument("--capacity", type=int, help="bytes (default: probed L1)")
+    sim.add_argument("--line", type=int, help="line size bytes (default: probed)")
+    sim.add_argument("--assoc", type=int, help="ways (default: probed L1)")
     sim.add_argument("--tiling", choices=["off", "cache", "cache+register"], default="off")
     sim.add_argument("--tile-sizes", help="comma-separated sizes for runtime slots")
     sim.add_argument("--format", choices=["human", "csv"], default="human")
@@ -283,7 +283,6 @@ def cmd_autotune(args):
     tiled, spec = _prepare_tiled(program, inputs, "cache", hw)
     if spec is None:
         raise UsageError("program has nothing to tune")
-    key = None
     if args.cache:
         shapes = [v.shape for v in inputs if isinstance(v, ArrayValue)]
         key = cache_key(tiled, shapes, hw)
@@ -306,8 +305,6 @@ def cmd_autotune(args):
     config = SearchConfig(batch_size=args.batch, max_evaluations=args.budget,
                           seed=args.seed)
     tuned, state = autotune(tiled, spec, CostProbe(probe_fn), hw, config)
-    if args.cache and key is not None:
-        store_cached_sizes(args.cache, key, tuned.sizes())
     if args.format == "csv":
         print("round,candidate,cost,best,best_cost")
         for r in state.log:
@@ -317,6 +314,11 @@ def cmd_autotune(args):
     else:
         print(format_log(state))
         print(f"chosen sizes: { {s.id: s.size for s in tuned.slots} }")
+    if args.cache:
+        try:
+            store_cached_sizes(args.cache, key, tuned.sizes())
+        except OSError as exc:
+            raise UsageError(f"cannot write --cache file: {exc}")
     return EXIT_OK
 
 
@@ -326,8 +328,9 @@ def cmd_cachesim(args):
     if not inputs:
         raise UsageError("cachesim needs --input or --gen")
     hw = _hardware()
-    model = CacheModel(args.capacity or hw.l1_bytes, args.line or hw.line_bytes,
-                       args.assoc or hw.associativity)
+    model = CacheModel(hw.l1_bytes if args.capacity is None else args.capacity,
+                       hw.line_bytes if args.line is None else args.line,
+                       hw.associativity if args.assoc is None else args.assoc)
     tiled, spec = _prepare_tiled(program, inputs, args.tiling, hw)
     sizes = {}
     if spec is not None:
@@ -365,6 +368,8 @@ def cmd_bench(args):
                                  layout=args.layout, seed=args.seed,
                                  misses=args.misses)
     else:
+        if not 1 <= args.k <= args.points:
+            raise UsageError(f"--k must be between 1 and --points ({args.points}), got {args.k}")
         results = bench_kmeans(hw, points=args.points, features=args.features,
                                k=args.k, iters=args.iters, seed=args.seed)
     if args.format == "csv":

@@ -9,7 +9,18 @@ parser rejects them unless the internal dialect is enabled.
 
 The textual format is one `fn` block per function:
 
-    fn NAME(PARAMS) [uses CLOSUREPARAMS] { STMT* }
+    fn NAME(PARAMS) [uses CLOSUREPARAMS] [assumes extent=N[, axes=[AXES]]] { STMT* }
+
+An operator is written as its keyword and its fields in declaration order,
+where a bracketed field is optional and ARGS and AXES are comma-separated:
+
+    map(F, ARGS; axes=[AXES])
+    reduce(F, combine=C, init=EXPR, ARGS; axes=[AXES])
+    scan(F, combine=C, [emit=E,] init=EXPR, ARGS; axes=[AXES])
+    allpairs(F, ARG1, ARG2; axes=[AXIS1, AXIS2])
+    tiledmap(F, [fixed=G,] slot=N, depth=N, ARGS; axes=[AXES])
+    tiledreduce(F, [fixed=G,] slot=N, depth=N, combine=C, init=EXPR, ARGS; axes=[AXES])
+    tiledscan(F, [fixed=G,] slot=N, depth=N, combine=C, [emit=E,] init=EXPR, ARGS; axes=[AXES])
 
 Closure parameters are bound by name at the operator application site:
 an operator expression `map(f, xs; axes=[0])` slices `xs` into f's
@@ -21,19 +32,10 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import count
 
 BINARY_OPS = ("+", "-", "*", "/", "min", "max")
-
-KEYWORDS = {
-    "fn", "uses", "return", "if", "else", "for", "in",
-    "map", "reduce", "scan", "allpairs",
-    "tiledmap", "tiledreduce", "tiledscan",
-    "combine", "init", "emit", "axes", "fixed", "slot", "depth",
-    "assumes", "extent",
-    "min", "max", "inf",
-}
 
 
 class IRError(Exception):
@@ -174,6 +176,34 @@ class TiledScan(Expr):
 PARALLEL_OPS = (Map, Reduce, Scan, AllPairs, TiledMap, TiledReduce, TiledScan)
 TILED_OPS = (TiledMap, TiledReduce, TiledScan)
 
+# How each operator field is written (see the module docstring): the bare
+# callee name; `, NAME=VALUE` for a function name, int or expression VALUE;
+# `, EXPR` per operand; `; axes=[...]`. _OPTIONAL_FIELDS are left out when None.
+_FIELD_SYNTAX = {
+    "fn": "callee", "fixed": "function", "slot": "int", "depth": "int",
+    "combine": "function", "emit": "function", "init": "expr",
+    "args": "operands", "arg1": "operand", "arg2": "operand", "axes": "axes",
+}
+_OPTIONAL_FIELDS = frozenset({"fixed", "emit"})
+
+# Each operator's keyword (its lowercased class name) and its fields in
+# source order, which is their declaration order.
+_OPERATOR_SYNTAX = {op: (op.__name__.lower(), tuple(f.name for f in fields(op)))
+                   for op in PARALLEL_OPS}
+_OPERATOR_KEYWORDS = {keyword: op for op, (keyword, _) in _OPERATOR_SYNTAX.items()}
+
+KEYWORDS = {
+    "fn", "uses", "return", "if", "else", "for", "in", "assumes", "extent", "min", "max", "inf",
+    *_OPERATOR_KEYWORDS,
+    *(name for name, kind in _FIELD_SYNTAX.items() if kind in ("function", "int", "expr", "axes")),
+}
+
+
+def _operator_fields(kinds):
+    """Each operator's fields of the given syntax kinds, in source order."""
+    return {op: tuple(name for name in names if _FIELD_SYNTAX[name] in kinds)
+            for op, (_, names) in _OPERATOR_SYNTAX.items()}
+
 
 @dataclass(frozen=True)
 class Assign(Stmt):
@@ -236,13 +266,7 @@ _CHILD_FIELDS = {
     BinOp: ("left", "right"),
     ArrayLit: ("items",),
     Index: ("array", "index"),
-    Map: ("args",),
-    Reduce: ("init", "args"),
-    Scan: ("init", "args"),
-    AllPairs: ("arg1", "arg2"),
-    TiledMap: ("args",),
-    TiledReduce: ("init", "args"),
-    TiledScan: ("init", "args"),
+    **_operator_fields(("expr", "operand", "operands")),
 }
 _TUPLE_FIELDS = frozenset({"items", "args"})
 
@@ -255,17 +279,9 @@ _STMT_FIELDS = {
     For: (("seq",), ("body",)),
 }
 
-# Function-reference fields of each operator kind, in the order function,
-# combine, emit, fixed function. A field holding None references nothing.
-_REF_FIELDS = {
-    Map: ("fn",),
-    Reduce: ("fn", "combine"),
-    Scan: ("fn", "combine", "emit"),
-    AllPairs: ("fn",),
-    TiledMap: ("fn", "fixed"),
-    TiledReduce: ("fn", "combine", "fixed"),
-    TiledScan: ("fn", "combine", "emit", "fixed"),
-}
+# Function-reference fields of each operator kind, in source order. A field
+# holding None references nothing.
+_REF_FIELDS = _operator_fields(("callee", "function"))
 
 
 def sub_exprs(e):
@@ -280,11 +296,11 @@ def sub_exprs(e):
 def map_children(e, f):
     """`e` rebuilt with each direct child c replaced by f(c), called in
     visit order."""
-    fields = _CHILD_FIELDS.get(type(e))
-    if fields is None:
+    names = _CHILD_FIELDS.get(type(e))
+    if names is None:
         return e
     values = dict(vars(e))
-    for name in fields:
+    for name in names:
         value = values[name]
         values[name] = tuple(map(f, value)) if name in _TUPLE_FIELDS else f(value)
     return type(e)(**values)
@@ -709,14 +725,20 @@ class _Parser:
     def at(self, text):
         return self.peek().text == text
 
+    def accept(self, text):
+        """Consume the next token if it is `text`; whether it was."""
+        if self.at(text):
+            self.next()
+            return True
+        return False
+
     def ident(self, what="identifier"):
         tok = self.next()
         if tok.kind != "ident":
             self.error(f"expected {what}, found {tok.text!r}", tok)
-        if tok.text in KEYWORDS and tok.text not in ("min", "max", "inf"):
-            self.error(f"keyword {tok.text!r} cannot be used as {what}", tok)
-        if tok.text in ("min", "max", "inf"):
-            self.error(f"reserved word {tok.text!r} cannot be used as {what}", tok)
+        if tok.text in KEYWORDS:
+            word = "reserved word" if tok.text in ("min", "max", "inf") else "keyword"
+            self.error(f"{word} {tok.text!r} cannot be used as {what}", tok)
         if "$" in tok.text and not self.allow_internal:
             self.error(f"{tok.text!r}: '$' names are reserved for generated code", tok)
         return tok.text
@@ -739,12 +761,11 @@ class _Parser:
         self.expect("fn")
         name = self.ident("function name")
         self.expect("(")
-        params = self.name_list(")")
+        params = self.comma_list((")",), self.ident)
         self.expect(")")
         closure = ()
-        if self.at("uses"):
-            self.next()
-            closure = self.name_list_until(("{", "assumes"))
+        if self.accept("uses"):
+            closure = self.comma_list(("{", "assumes"), self.ident)
         fixed_extent = None
         fixed_axes = None
         if self.at("assumes"):
@@ -752,19 +773,9 @@ class _Parser:
             if not self.allow_internal:
                 self.error("'assumes' clauses appear only in generated code")
             self.next()
-            self.expect("extent"); self.expect("=")
-            fixed_extent = self.int_lit()
-            if self.at(","):
-                self.next()
-                self.expect("axes"); self.expect("=")
-                self.expect("[")
-                axes = []
-                while not self.at("]"):
-                    if axes:
-                        self.expect(",")
-                    axes.append(self.int_lit())
-                self.expect("]")
-                fixed_axes = tuple(axes)
+            fixed_extent = self.named("extent", "int")
+            if self.accept(","):
+                fixed_axes = self.named("axes", "axes")
         self.expect("{")
         body = self.block()
         self.expect("}")
@@ -772,16 +783,14 @@ class _Parser:
             self.error(f"function {name!r} has an empty body")
         return Function(name, params, closure, body, fixed_extent, fixed_axes)
 
-    def name_list(self, stop):
-        return self.name_list_until((stop,))
-
-    def name_list_until(self, stops):
-        names = []
+    def comma_list(self, stops, item):
+        """What `item()` parses, comma-separated, up to a token in `stops`."""
+        items = []
         while self.peek().text not in stops:
-            if names:
+            if items:
                 self.expect(",")
-            names.append(self.ident())
-        return tuple(names)
+            items.append(item())
+        return tuple(items)
 
     def block(self):
         stmts = []
@@ -790,14 +799,11 @@ class _Parser:
         return tuple(stmts)
 
     def statement(self):
-        tok = self.peek()
-        if tok.text == "return":
-            self.next()
+        if self.accept("return"):
             value = self.expr()
             self.expect(";")
             return Return(value)
-        if tok.text == "if":
-            self.next()
+        if self.accept("if"):
             cond = self.expr()
             self.expect("{")
             then = self.block()
@@ -807,8 +813,7 @@ class _Parser:
             orelse = self.block()
             self.expect("}")
             return If(cond, then, orelse)
-        if tok.text == "for":
-            self.next()
+        if self.accept("for"):
             var = self.ident("loop variable")
             self.expect("in")
             seq = self.expr()
@@ -849,8 +854,7 @@ class _Parser:
         return left
 
     def unary(self):
-        if self.at("-"):
-            tok = self.next()
+        if self.accept("-"):
             operand = self.unary()
             if isinstance(operand, Const):
                 return Const(-operand.value)
@@ -859,8 +863,7 @@ class _Parser:
 
     def postfix(self):
         e = self.atom()
-        while self.at("["):
-            self.next()
+        while self.accept("["):
             idx = self.expr()
             self.expect("]")
             e = Index(e, idx)
@@ -874,93 +877,68 @@ class _Parser:
         if tok.kind == "float":
             self.next()
             return Const(float(tok.text))
-        if tok.text == "inf":
-            self.next()
+        if self.accept("inf"):
             return Const(float("inf"))
-        if tok.text == "(":
-            self.next()
+        if self.accept("("):
             e = self.expr()
             self.expect(")")
             return e
-        if tok.text == "[":
-            self.next()
+        if self.accept("["):
             items = [self.expr()]
-            while self.at(","):
-                self.next()
+            while self.accept(","):
                 items.append(self.expr())
             self.expect("]")
             return ArrayLit(tuple(items))
-        if tok.text in ("map", "reduce", "scan", "allpairs"):
-            return self.operator_call(tok.text)
-        if tok.text in ("tiledmap", "tiledreduce", "tiledscan"):
-            if not self.allow_internal:
+        op = _OPERATOR_KEYWORDS.get(tok.text)
+        if op is not None:
+            if op in TILED_OPS and not self.allow_internal:
                 self.error(f"{tok.text!r} is internal-only syntax and not accepted in input programs", tok)
-            return self.operator_call(tok.text)
+            return self.operator_call(op)
         if tok.kind == "ident":
             return Var(self.ident())
         self.error(f"expected expression, found {tok.text!r}", tok)
 
-    def operator_call(self, kind):
+    def operator_call(self, op):
         self.next()
         self.expect("(")
-        fn = self.ident("function name")
-        fixed = None
-        slot = depth = None
-        combine = emit = None
-        init = None
-        if kind in ("tiledmap", "tiledreduce", "tiledscan"):
-            self.expect(",")
-            if self.at("fixed"):
-                self.next(); self.expect("=")
-                fixed = self.ident("function name")
+        values = {}
+        for name in _OPERATOR_SYNTAX[op][1]:
+            kind = _FIELD_SYNTAX[name]
+            if kind == "callee":
+                values[name] = self.ident("function name")
+            elif kind == "operands":
+                args = []
+                while self.accept(","):
+                    args.append(self.expr())
+                values[name] = tuple(args)
+            elif kind == "axes":
+                self.expect(";")
+                values[name] = self.named(name, kind)
+            # An optional field is there when `, NAME` follows; eof ends the tokens.
+            elif name in _OPTIONAL_FIELDS and not (
+                    self.at(",") and self.tokens[self.pos + 1].text == name):
+                values[name] = None
+            else:
                 self.expect(",")
-            self.expect("slot"); self.expect("=")
-            slot = self.int_lit()
-            self.expect(",")
-            self.expect("depth"); self.expect("=")
-            depth = self.int_lit()
-        if kind in ("reduce", "scan", "tiledreduce", "tiledscan"):
-            self.expect(",")
-            self.expect("combine"); self.expect("=")
-            combine = self.ident("function name")
-            self.expect(",")
-            if kind in ("scan", "tiledscan") and self.at("emit"):
-                self.next(); self.expect("=")
-                emit = self.ident("function name")
-                self.expect(",")
-            self.expect("init"); self.expect("=")
-            init = self.expr()
-        args = []
-        while self.at(","):
-            self.next()
-            args.append(self.expr())
-        self.expect(";")
-        self.expect("axes"); self.expect("=")
-        self.expect("[")
-        axes = []
-        while not self.at("]"):
-            if axes:
-                self.expect(",")
-            axes.append(self.int_lit())
-        self.expect("]")
+                values[name] = self.expr() if kind == "operand" else self.named(name, kind)
         self.expect(")")
-        args = tuple(args)
-        axes = tuple(axes)
-        if kind == "map":
-            return Map(fn, args, axes)
-        if kind == "reduce":
-            return Reduce(fn, combine, init, args, axes)
-        if kind == "scan":
-            return Scan(fn, combine, emit, init, args, axes)
-        if kind == "allpairs":
-            if len(args) != 2 or len(axes) != 2:
-                self.error("allpairs takes exactly two arguments and two axes")
-            return AllPairs(fn, args[0], args[1], (axes[0], axes[1]))
-        if kind == "tiledmap":
-            return TiledMap(fn, fixed, slot, depth, args, axes)
-        if kind == "tiledreduce":
-            return TiledReduce(fn, fixed, slot, depth, combine, init, args, axes)
-        return TiledScan(fn, fixed, slot, depth, combine, emit, init, args, axes)
+        return op(**values)
+
+    def named(self, name, kind):
+        """The VALUE of `NAME=VALUE`, a function name, an integer, an
+        expression or an axes list as `kind` says."""
+        self.expect(name)
+        self.expect("=")
+        if kind == "function":
+            return self.ident("function name")
+        if kind == "int":
+            return self.int_lit()
+        if kind == "expr":
+            return self.expr()
+        self.expect("[")
+        axes = self.comma_list(("]",), self.int_lit)
+        self.expect("]")
+        return axes
 
     def int_lit(self):
         tok = self.next()
@@ -1002,10 +980,7 @@ def print_program(program):
     programs containing tiled operators or generated '$' names the text is
     in the debug dialect and needs allow_internal=True to re-parse.
     """
-    chunks = []
-    for fn in program.functions.values():
-        chunks.append(_print_function(fn))
-    return "\n".join(chunks)
+    return "\n".join(_print_function(fn) for fn in program.functions.values())
 
 
 def _print_function(fn):
@@ -1057,39 +1032,26 @@ def print_expr(e, prec=0):
         return "[" + ", ".join(print_expr(x) for x in e.items) + "]"
     if isinstance(e, Index):
         return f"{print_expr(e.array, _PREC_POSTFIX)}[{print_expr(e.index)}]"
-    if isinstance(e, Map):
-        return f"map({e.fn}{_print_args(e.args)}; axes={_print_axes(e.axes)})"
-    if isinstance(e, Reduce):
-        return (f"reduce({e.fn}, combine={e.combine}, init={print_expr(e.init)}"
-                f"{_print_args(e.args)}; axes={_print_axes(e.axes)})")
-    if isinstance(e, Scan):
-        emit = f"emit={e.emit}, " if e.emit is not None else ""
-        return (f"scan({e.fn}, combine={e.combine}, {emit}init={print_expr(e.init)}"
-                f"{_print_args(e.args)}; axes={_print_axes(e.axes)})")
-    if isinstance(e, AllPairs):
-        return (f"allpairs({e.fn}, {print_expr(e.arg1)}, {print_expr(e.arg2)}; "
-                f"axes={_print_axes(e.axes)})")
-    if isinstance(e, TiledMap):
-        return (f"tiledmap({e.fn}{_print_fixed(e)}, slot={e.slot}, depth={e.depth}"
-                f"{_print_args(e.args)}; axes={_print_axes(e.axes)})")
-    if isinstance(e, TiledReduce):
-        return (f"tiledreduce({e.fn}{_print_fixed(e)}, slot={e.slot}, depth={e.depth}, "
-                f"combine={e.combine}, init={print_expr(e.init)}"
-                f"{_print_args(e.args)}; axes={_print_axes(e.axes)})")
-    if isinstance(e, TiledScan):
-        emit = f"emit={e.emit}, " if e.emit is not None else ""
-        return (f"tiledscan({e.fn}{_print_fixed(e)}, slot={e.slot}, depth={e.depth}, "
-                f"combine={e.combine}, {emit}init={print_expr(e.init)}"
-                f"{_print_args(e.args)}; axes={_print_axes(e.axes)})")
-    raise TypeError(e)
-
-
-def _print_fixed(e):
-    return f", fixed={e.fixed}" if e.fixed is not None else ""
-
-
-def _print_args(args):
-    return "".join(f", {print_expr(a)}" for a in args)
+    syntax = _OPERATOR_SYNTAX.get(type(e))
+    if syntax is None:
+        raise TypeError(e)
+    keyword, names = syntax
+    text = ""
+    for name in names:
+        kind, value = _FIELD_SYNTAX[name], getattr(e, name)
+        if kind == "callee":
+            text += value
+        elif kind == "operands":
+            text += "".join(f", {print_expr(a)}" for a in value)
+        elif kind == "operand":
+            text += f", {print_expr(value)}"
+        elif kind == "axes":
+            text += f"; axes={_print_axes(value)}"
+        elif kind == "expr":
+            text += f", {name}={print_expr(value)}"
+        elif value is not None:
+            text += f", {name}={value}"
+    return f"{keyword}({text})"
 
 
 def _print_axes(axes):

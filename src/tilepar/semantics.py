@@ -168,6 +168,8 @@ class Interpreter:
         self._entry = fn  # its statements announce trace phases when built
         try:
             return self._function(entry).call(list(args), {})
+        except ArithmeticError as exc:  # division by zero, float overflow
+            raise EvalError(f"arithmetic error: {exc}") from exc
         finally:
             # The built closures refer back to this interpreter; dropping
             # them lets reference counting free it, with its trace sink,

@@ -38,6 +38,16 @@ fn row_scan(row) { return scan(ident, combine=add2, init=0, row; axes=[0]); }
 fn main(Xs) { return map(row_scan, Xs; axes=[0]); }
 """
 
+# Row prefix sums of squares. Squaring does not distribute over +, so a
+# tiled scan fixes up its tile boundaries first and emits last.
+ROW_SCAN_EMIT = """
+fn ident(x) { return x; }
+fn add2(a, b) { return a + b; }
+fn sq(x) { return x * x; }
+fn row_scan(row) { return scan(ident, combine=add2, emit=sq, init=0, row; axes=[0]); }
+fn main(Xs) { return map(row_scan, Xs; axes=[0]); }
+"""
+
 SQDIST = """
 fn ident(x) { return x; }
 fn add2(a, b) { return a + b; }

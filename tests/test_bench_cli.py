@@ -184,6 +184,19 @@ def test_cli_run_runtime_error_exit_2(program_file, capsys):
     assert main(["run", "--program", prog, "--gen", "shape=4,dtype=i64"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--gen", "shape=4,dtype=i64"],
+    ["--gen", "shape=4,dtype=f64"],
+    ["--gen", "shape=40,dtype=f64", "--tiling", "cache"],
+], ids=["i64", "f64", "tiled"])
+def test_cli_run_division_by_zero_is_an_error_line(argv, program_file, capsys):
+    prog = program_file("fn div(a) { return a / 0; }\nfn main(X) { return map(div, X; axes=[0]); }")
+    assert main(["run", "--program", prog, *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: arithmetic error")
+    assert "Traceback" not in err
+
+
 def test_cli_tile_prints_slot_table(program_file, capsys):
     prog = program_file(programs.SUM_ROWS)
     assert main(["tile", "--program", prog]) == 0
@@ -275,6 +288,25 @@ def test_cli_autotune_walltime_probe(program_file, capsys):
     assert "chosen sizes" in out
 
 
+def test_cli_autotune_unwritable_cache_is_a_usage_error(program_file, tmp_path, capsys):
+    prog = program_file(programs.SUM_ROWS)
+    cache = tmp_path / "missing" / "sizes.json"
+    assert main(["autotune", "--program", prog, "--gen", "shape=12x12,layout=col",
+                 "--budget", "2", "--batch", "2", "--cache", str(cache)]) == 1
+    captured = capsys.readouterr()
+    assert "chosen sizes" in captured.out
+    assert captured.err.startswith("error: cannot write --cache file")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("points, k", [(2, 5), (5, 0)], ids=["k-above-points", "k-zero"])
+def test_cli_bench_kmeans_k_out_of_range_is_a_usage_error(points, k, capsys):
+    assert main(["bench", "--name", "kmeans", "--points", str(points), "--k", str(k)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --k must be between 1 and --points")
+    assert "Traceback" not in err
+
+
 def test_cli_bench_csv_schema(capsys):
     assert main(["bench", "--name", "sum_rows", "--size", "24",
                  "--format", "csv"]) == 0
@@ -308,7 +340,11 @@ def test_cli_env_overrides_hardware(program_file, capsys, monkeypatch):
     ("40000", ["cachesim", "--gen", "shape=16x16"]),
     ("40000", ["bench", "--name", "sum_rows", "--rows", "16", "--cols", "16", "--misses"]),
     (None, ["cachesim", "--gen", "shape=16x16", "--capacity", "1000"]),
-], ids=["autotune", "cachesim", "bench", "cachesim-capacity"])
+    (None, ["cachesim", "--gen", "shape=16x16", "--capacity", "0"]),
+    (None, ["cachesim", "--gen", "shape=16x16", "--line", "0"]),
+    (None, ["cachesim", "--gen", "shape=16x16", "--assoc", "0"]),
+], ids=["autotune", "cachesim", "bench", "cachesim-capacity", "cachesim-capacity-0",
+        "cachesim-line-0", "cachesim-assoc-0"])
 def test_cli_invalid_cache_geometry_is_an_error_line(l1_bytes, argv, program_file, capsys,
                                                      monkeypatch):
     if l1_bytes is not None:

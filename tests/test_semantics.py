@@ -211,6 +211,14 @@ def tiled_config(k, **kw):
     return EvalConfig(tile_sizes={0: k}, **kw)
 
 
+@pytest.mark.parametrize("divisor", ["0", "0.0"])
+@pytest.mark.parametrize("tiled", [False, True], ids=["untiled", "tiled"])
+def test_division_by_zero_is_an_eval_error(tiled, divisor):
+    src = (TILED_MAP if tiled else programs.ADD1_MAP).replace("x + 1", f"x / {divisor}")
+    with pytest.raises(EvalError, match="arithmetic error: .*division by zero"):
+        run(src, [vec([1, 2, 3])], allow_internal=tiled, config=tiled_config(2))
+
+
 def test_tiled_map_matches_untiled():
     xs = vec(range(1, 11))
     out = run(TILED_MAP, [xs], allow_internal=True, config=tiled_config(4))

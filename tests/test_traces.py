@@ -19,8 +19,8 @@ import pytest
 from tilepar.bench import MATMUL_SRC, SQDIST_SRC, SUM_ROWS_SRC
 from tilepar.cachesim import CacheModel, Simulator, simulate_program, trace_program
 from tilepar.ir import (
-    Assign, BinOp, Map, Program, Reduce, Return, Scan, Var, desugar_allpairs, parse_program,
-    print_program,
+    Assign, BinOp, IRError, Map, Program, Reduce, Return, Scan, Var, desugar_allpairs,
+    parse_program, print_program,
 )
 from tilepar.ndarray import NdArray
 from tilepar.semantics import EvalConfig, TraceSink, eval_program
@@ -297,9 +297,25 @@ def test_tiled_ir_pinned(name):
     assert texts == IR_PINS[name]
 
 
-def corpus_digest():
-    """One sha256 over the printed IR and slot table after each tiling
-    pass, or the bail-out reason, for every program of the corpus."""
+def test_truncated_tiled_ir_raises_only_ir_errors():
+    """Every proper prefix of printed tiled IR either parses or raises an
+    IRError: matmul after both passes (`fixed=`, `assumes extent=...,
+    axes=[...]`), row sums, and a row scan with `emit`."""
+    cases = (CASES["matmul_reg"][:3], CASES["sum_rows_col"][:3],
+             (programs.ROW_SCAN_EMIT, [matrix(6, 8, "i64", "row")], 0))
+    texts = [print_program(tile_case(*case)[0][-1]) for case in cases]
+    assert "fixed=" in texts[0] and "assumes extent=" in texts[0] and "emit=" in texts[2]
+    for text in texts:
+        for end in range(len(text)):
+            try:
+                parse_program(text[:end], allow_internal=True)
+            except IRError:
+                pass
+
+
+def corpus_passes():
+    """For every program of the corpus: the bail-out reason and no passes,
+    or None and the (program, spec) after each tiling pass."""
     cases = []
     for seed in range(200):
         for wide in (False, True):
@@ -307,13 +323,22 @@ def corpus_digest():
             cases.append((program, arg_ranks))
     for src, arg_ranks in ((MATMUL_SRC, [2, 2]), (SUM_ROWS_SRC, [2]), (SQDIST_SRC, [2, 2])):
         cases.append((desugar_allpairs(parse_program(src)), arg_ranks))
-    h = hashlib.sha256()
     for program, arg_ranks in cases:
         res = tile_program(program, arg_ranks=arg_ranks)
         if not res.changed:
-            h.update(f"untiled: {res.reason}\n".encode())
-            continue
-        for p, spec in ((res.program, res.spec), register_tile(res.program, res.spec, 16)):
+            yield res.reason, ()
+        else:
+            yield None, ((res.program, res.spec), register_tile(res.program, res.spec, 16))
+
+
+def corpus_digest():
+    """One sha256 over the printed IR and slot table after each tiling
+    pass, or the bail-out reason, for every program of the corpus."""
+    h = hashlib.sha256()
+    for reason, passes in corpus_passes():
+        if reason is not None:
+            h.update(f"untiled: {reason}\n".encode())
+        for p, spec in passes:
             h.update(print_program(p).encode())
             h.update(spec.table().encode())
     return h.hexdigest()
@@ -326,3 +351,17 @@ def test_tiled_ir_corpus_pinned():
     """Both tiling passes print the same IR and slot tables over the
     random-program corpus and the benchmark sources."""
     assert corpus_digest() == CORPUS_PIN
+
+
+def test_tiled_ir_corpus_round_trips():
+    """Every program both tiling passes produce over the corpus, and a
+    row scan whose tiled scan keeps an emit, parses back in the debug
+    dialect to the same program and prints the same text."""
+    tiled = [p for _, passes in corpus_passes() for p, _ in passes]
+    tiled += tile_case(programs.ROW_SCAN_EMIT, [matrix(6, 8, "i64", "row")], 16)[0]
+    assert any("emit=" in print_program(p) for p in tiled[-2:])
+    for p in tiled:
+        text = print_program(p)
+        again = parse_program(text, allow_internal=True)
+        assert again == p
+        assert print_program(again) == text
