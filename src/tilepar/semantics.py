@@ -6,13 +6,18 @@ functions of parallel operators receive sliced arguments positionally;
 their closure parameters are resolved by name in the frame enclosing the
 operator expression.
 
-Tiled operators decompose their arguments into full tiles plus an
-optional straggler, dispatch full tiles to the fixed-size function clone
-when one is attached (otherwise to the generic one), always dispatch the
-straggler to the generic function, and reassemble results so that the
-outcome equals the untiled operator. Tiles are evaluated one after
-another in tile order. A tiled scan's tiles scan without `emit`; it is
-applied once the tile boundaries are fixed up.
+The three tiled operators run through one method (`Interpreter._tiled`).
+It cuts every operand into full tiles plus an optional straggler and
+runs the tiles one after another in tile order: full tiles through the
+fixed-size function clone when one is attached (otherwise the generic
+one), the straggler always through the generic function. The results are
+put back together so that the outcome equals the untiled operator:
+concatenated for a map, folded with the combine for a reduce, and for a
+scan fixed up with each tile's carry, then emitted, then concatenated (a
+tiled scan's tiles scan without `emit`). An empty extent at depth 0 gives
+what the untiled operator gives for zero slices; below depth 0 one empty
+straggler runs through the generic function, which builds the nest's own
+empty result.
 
 Each function is built once, on its first call, into nested closures;
 callees are looked up by name when an operator first runs, so a missing
@@ -348,8 +353,9 @@ class Interpreter:
                     hold[:] = (xs,)
                 if not xs.shape:
                     raise EvalError("cannot iterate a rank-0 array")
+                step = self._slicer(xs, 0)
                 for i in range(xs.shape[0]):
-                    frame[var] = self._slice_value(xs, 0, i)
+                    frame[var] = step(i)
                     value = body(frame)
                     if value is not _NO_RETURN:
                         return value
@@ -402,16 +408,12 @@ class Interpreter:
         args = tuple(self._expr(a, fn) for a in e.args)
         init = self._expr(e.init, fn) if hasattr(e, "init") else None
         t = type(e)
-        if t is ir.TiledMap:
-            return lambda frame: self._tiled_map(e, [a(frame) for a in args], frame)
-        if t in (ir.TiledReduce, ir.TiledScan):
-            tiled = self._tiled_reduce if t is ir.TiledReduce else self._tiled_scan
-
-            def tiled_fold(frame):
+        if t in ir.TILED_OPS:
+            def tiled(frame):
                 values = [a(frame) for a in args]
-                start = init(frame)
-                return tiled(e, start, values, frame)
-            return tiled_fold
+                start = init and init(frame)
+                return self._tiled(e, start, values, frame)
+            return tiled
         fixed, strict = fn.fixed_extent, _strict(e, fn)
         if t is ir.Map:
             return lambda frame: self._map(
@@ -434,7 +436,7 @@ class Interpreter:
             raise EvalError("cannot index a rank-0 array")
         if not 0 <= i < arr.shape[0]:
             raise EvalError(f"index {i} out of bounds for extent {arr.shape[0]}")
-        return self._slice_value(arr, 0, i)
+        return self._slicer(arr, 0)(i)
 
     # -- array plumbing (all traced) --------------------------------------------
 
@@ -444,18 +446,10 @@ class Interpreter:
             self._allocator.allocate(out)
         return out
 
-    def _slice_value(self, v, axis, i):
-        """Slice one step along `axis`; scalars are read out (and traced)."""
-        if len(v.shape) == 1:
-            offset = v.offset + i * v.strides[0]
-            if self.config.trace is not None:
-                self.config.trace.read(v.root.addr + offset * ELEM_SIZE)
-            return v.root.data[offset]
-        return slice_axis(v, axis, i)
-
     def _slicer(self, v, axis):
-        """`i -> self._slice_value(v, axis, i)` for every in-bounds i, with
-        the slice's shape and strides, or the element's address, worked
+        """`i ->` the slice of `v` at index i along `axis`, for every in-bounds
+        i; a rank-1 `v` gives its element, read out (and traced). The
+        slice's shape and strides, or the element's address, are worked
         out once."""
         root, offset, stride = v.root, v.offset, v.strides[axis]
         if len(v.shape) > 1:
@@ -609,106 +603,76 @@ class Interpreter:
             raise EvalError(f"tile size for slot {node.slot} must be >= 1, got {k}")
         return k
 
-    def _tile_sets(self, node, args):
-        """Decompose all arguments; returns (list of per-tile argument lists,
-        number of full tiles, k)."""
+    def _tiled(self, node, init, args, env):
+        """A TiledMap, TiledReduce or TiledScan (see the module docstring);
+        `init` is None for a map."""
+        kind = type(node)
         k = self._tile_size(node)
-        views, extent = self._operand_views(args, node.axes, type(node).__name__)
-        per_arg = [decompose(v, axis, k) for v, axis in zip(views, node.axes)]
-        ntiles = len(per_arg[0]) if per_arg else 0
-        tile_args = [[tiles[t] for tiles in per_arg] for t in range(ntiles)]
-        full = extent // k
-        return tile_args, full, k, extent
-
-    def _dispatch_tiles(self, node, tile_args, full, k, env):
-        """Evaluate every tile in order, full tiles via the fixed clone when
-        present. Returns per-tile results in tile order."""
+        views, extent = self._operand_views(args, node.axes, kind.__name__)
+        if extent == 0 and node.depth == 0:
+            return init if kind is ir.TiledReduce else self._new_array((0,), views[0].dtype)
+        if kind is not ir.TiledMap:
+            comb, comb_captured = self._callee(node.combine, env)
+        emit = emit_captured = None
+        if kind is ir.TiledScan and node.emit is not None:
+            emit, emit_captured = self._callee(node.emit, env)
         f, captured = self._callee(node.fn, env)
-        fixed = fixed_captured = None
+        full = extent // k
         if node.fixed is not None:
             fixed, fixed_captured = self._callee(node.fixed, env)
+            if full and fixed.fn.fixed_extent not in (None, k):
+                raise EvalError(f"fixed-size clone {fixed.fn.name} specialised for "
+                                f"{fixed.fn.fixed_extent}, dispatched with k={k}")
+        results = []
+        for t, tiles in enumerate(zip(*[decompose(v, axis, k) or [v]
+                                        for v, axis in zip(views, node.axes)])):
+            if t < full and node.fixed is not None:
+                results.append(fixed.call(tiles, fixed_captured))
+            else:
+                results.append(f.call(tiles, captured))
         counters = self.config.counters
-
-        def eval_tile(t):
-            tiles = tile_args[t]
-            if t < full:
-                for tv, axis in zip(tiles, node.axes):
-                    if tv.shape[axis] != k:
-                        raise EvalError(
-                            f"full tile extent {tv.shape[axis]} != tile size {k} (slot {node.slot})")
-                if fixed is not None:
-                    extent = fixed.fn.fixed_extent
-                    if extent is not None and extent != k:
-                        raise EvalError(
-                            f"fixed-size clone {fixed.fn.name} specialised for "
-                            f"{extent}, dispatched with k={k}")
-                    return fixed.call(list(tiles), fixed_captured)
-            return f.call(list(tiles), captured)
-
-        results = [eval_tile(t) for t in range(len(tile_args))]
-        counters.full_tile_calls += min(full, len(tile_args))
-        counters.straggler_calls += max(0, len(tile_args) - full)
-        return results
-
-    def _tiled_map(self, node, args, env):
-        tile_args, full, k, extent = self._tile_sets(node, args)
-        if extent == 0:
-            return self._new_array((0,), "i64")
-        results = self._dispatch_tiles(node, tile_args, full, k, env)
+        counters.full_tile_calls += full
+        counters.straggler_calls += len(results) - full
+        if kind is ir.TiledReduce:
+            acc = results[0]
+            for partial in results[1:]:
+                acc = comb.call([acc, partial], comb_captured)
+            return acc
+        what = kind.__name__[5:].lower()
         if not all(isinstance(r, ArrayValue) for r in results):
-            raise EvalError("tiled map tiles must produce arrays")
-        return concat(results, node.depth, self.config.trace, self._new_array)
-
-    def _tiled_reduce(self, node, init, args, env):
-        tile_args, full, k, extent = self._tile_sets(node, args)
-        if extent == 0:
-            return init
-        comb, comb_captured = self._callee(node.combine, env)
-        results = self._dispatch_tiles(node, tile_args, full, k, env)
-        acc = results[0]
-        for part in results[1:]:
-            acc = comb.call([acc, part], comb_captured)
-        return acc
-
-    def _tiled_scan(self, node, init, args, env):
-        """Each tile scans without `emit`. Every tile after the first is
-        fixed up by combining the previous tile's last accumulator into
-        each of its steps; only then is `emit` applied to every step, so
-        the result equals the untiled scan for any emit."""
-        tile_args, full, k, extent = self._tile_sets(node, args)
-        if extent == 0:
-            return self._new_array((0,), "i64")
-        comb, comb_captured = self._callee(node.combine, env)
-        emit = emit_captured = None
-        if node.emit is not None:
-            emit, emit_captured = self._callee(node.emit, env)
-        results = self._dispatch_tiles(node, tile_args, full, k, env)
-        axis = node.depth
-        # On return the frame releases its locals in the order they are
-        # first named, and that order decides traced addresses: the last
-        # fix-up's steps die first, then the tile they fixed up (held by
-        # `piece` when the steps are slices), then the fixed-up tile (held
-        # by `last`).
-        adjusted = []
+            raise EvalError(f"tiled {what} tiles must produce arrays")
+        if any(len(r.shape) <= node.depth for r in results):
+            raise EvalError(f"tiled {what} tiles have no axis {node.depth} to join along")
+        if kind is ir.TiledMap:
+            return concat(results, node.depth, self.config.trace, self._new_array)
+        # A scan's tiles scan without `emit`. Every tile after the first is
+        # fixed up by combining the previous tile's last accumulator into
+        # each of its steps; only then is `emit` applied to every step, so
+        # the result equals the untiled scan for any emit. On return the
+        # frame releases its locals in the order they are first named, and
+        # that order decides traced addresses: the last fix-up's steps die
+        # first, then the tile they fixed up (held by `piece` when the
+        # steps are slices), then the fixed-up tile (held by `last`).
+        axis, adjusted = node.depth, []
         for part in results:
-            if not isinstance(part, ArrayValue):
-                raise EvalError("tiled scan tiles must produce arrays")
             n = part.shape[axis]
             if adjusted:
+                step = self._slicer(part, axis)
                 steps = []
                 for j in range(n):
-                    piece = self._slice_value(part, axis, j)
+                    piece = step(j)
                     steps.append(comb.call([last, piece], comb_captured))
                 part = self._stack(steps, axis)
-            last = self._slice_value(part, axis, n - 1)
-            if emit is not None:
-                part = self._emit_steps(emit, emit_captured, part, axis)
+            if n:  # else the one empty straggler, already the nest's result
+                last = self._slicer(part, axis)(n - 1)
+                if emit is not None:
+                    part = self._emit_steps(emit, emit_captured, part, axis)
             adjusted.append(part)
         return concat(adjusted, axis, self.config.trace, self._new_array)
 
     def _emit_steps(self, emit, captured, part, axis):
         """`emit` applied to every step of `part` along `axis`, stacked. (A
-        comprehension in `_tiled_scan` would turn the locals it reads into
+        comprehension in `_tiled` would turn the locals it reads into
         cells, which are released last.)"""
-        return self._stack([emit.call([self._slice_value(part, axis, j)], captured)
-                            for j in range(part.shape[axis])], axis)
+        step = self._slicer(part, axis)
+        return self._stack([emit.call([step(j)], captured) for j in range(part.shape[axis])], axis)

@@ -93,10 +93,9 @@ class TilingState:
     visited: tuple[OpLevel, ...] = ()
     remaining: dict = field(default_factory=dict)  # name -> tuple of original axes
     depths: dict = field(default_factory=dict)     # name -> tuple of (depth, local axis)
-    ranks: dict = field(default_factory=dict)      # name -> untiled rank
 
     def clone(self):
-        return TilingState(self.visited, dict(self.remaining), dict(self.depths), dict(self.ranks))
+        return TilingState(self.visited, dict(self.remaining), dict(self.depths))
 
 
 @dataclass
@@ -382,8 +381,7 @@ class _Tiler:
         fn = self.out[name]
         state = TilingState()
         for p in fn.params + fn.closure_params:
-            state.ranks[p] = ranks.get(p, 0)
-            state.remaining[p] = tuple(range(state.ranks[p]))
+            state.remaining[p] = tuple(range(ranks.get(p, 0)))
         self.out[name] = replace(fn, body=self.tile_block(fn.body, state, name))
         return self.program
 
@@ -402,7 +400,7 @@ class _Tiler:
         recorded = [rec for y in sorted(free_vars(e, self.program))
                     for rec in state.depths.get(y, ())]
         depths = sorted({d for d, _ in recorded})
-        rank = self.ranks.expr_rank(e, state.ranks)
+        rank = self.ranks.expr_rank(e, {v: len(r) for v, r in state.remaining.items()})
         if contains_parallel_op(e):
             value = self.tile_expr(e, state, path)
         elif depths:
@@ -424,7 +422,6 @@ class _Tiler:
         else:
             value = e
         state.depths[s.target] = tuple((d, 0) for d in depths)
-        state.ranks[s.target] = rank
         offset = len(depths)
         state.remaining[s.target] = tuple(range(offset, offset + rank))
         return Assign(s.target, value)
@@ -471,7 +468,6 @@ class _Tiler:
             rem = list(state.remaining[name])
             rem.pop(axis)
             inner.remaining[param] = tuple(rem)
-            inner.ranks[param] = len(rem)
         node_path = f"{path}/{e.fn}@d{depth}"
         return inner, node_path, self.new_slot(node_path, len(names))
 

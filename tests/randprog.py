@@ -16,6 +16,10 @@ programs, and draws reductions and scans whose combine or init tiling
 cannot keep exact: non-identity inits, `-` and `*` combines, and a combine
 whose body is not a single binop. Tiling must then either reproduce the
 untiled result or leave the program unchanged with a reason.
+
+`generate(seed, edge=True)` builds the same program but draws every input
+extent from 0-3 instead of 2-7, so operators see empty extents, single
+elements and tiles wider than their operand.
 """
 
 import random
@@ -156,14 +160,15 @@ def _walk(e):
         yield from _walk(e.right)
 
 
-def generate(seed, wide=False):
+def generate(seed, wide=False, edge=False):
     """Build one random case: (program, input arrays, entry arg ranks).
-    `wide` lets statement-heavy programs slice at any axis."""
+    `wide` lets statement-heavy programs slice at any axis; `edge` draws
+    input extents from 0-3."""
     rng = random.Random(seed)
     pure = rng.random() < 0.4
     b = _Builder(rng, pure, wide)
     rank = rng.randrange(1, 4)
-    shape = tuple(rng.randrange(2, 8) for _ in range(rank))
+    shape = tuple(rng.randrange(0, 4) if edge else rng.randrange(2, 8) for _ in range(rank))
 
     top_fn, _ = b.make_fn(rank - 1, 1)
     axis = rng.randrange(rank) if b.any_axis else 0

@@ -32,8 +32,8 @@ from tilepar.bench import (
 )
 from tilepar.cachesim import CacheModel, HardwareInfo, simulate_program
 from tilepar.ir import desugar_allpairs, parse_program, print_program
-from tilepar.ndarray import ArrayValue, NdArray
-from tilepar.semantics import EvalConfig, eval_program
+from tilepar.ndarray import ArrayValue, NdArray, ShapeError
+from tilepar.semantics import EvalConfig, EvalError, eval_program
 from tilepar.tiling import REGISTER_BUDGET, REGISTER_TILE_MIN, register_tile, tile_program
 
 import programs
@@ -355,6 +355,41 @@ def test_register_pass_preserves_oracle_50_programs():
                                           EvalConfig(tile_sizes=sizes)))
             assert out == base, f"seed {seed}, sizes {overrides}"
     print("ACCEPTANCE two-pass-tiling (50 programs): PASS")
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["narrow", "wide"])
+def test_edge_shape_oracle_both_passes(wide):
+    # Input extents from 0-3: empty operands, single elements and tiles
+    # wider than their operand. A tiled run must reproduce the untiled
+    # value, shape and dtype, or fail with an evaluation or shape error;
+    # any other outcome is a bug. An untiled Map over zero slices gives a
+    # rank-1 result whatever its callee returns, which some tiled nests
+    # cannot join along their depth: those raise, and must not grow.
+    raised = []
+    for seed in range(1000):
+        program, inputs, arg_ranks = randprog.generate(seed, wide=wide, edge=True)
+        base = eval_program(program, inputs)
+        result = tile_program(program, arg_ranks=arg_ranks)
+        if not result.changed:
+            continue
+        reg_prog, reg_spec = register_tile(result.program, result.spec, 16)
+        sizes = randprog.sample_tile_sizes(result.spec, random.Random(seed))
+        for tiled, tile_sizes in ((result.program, sizes),
+                                  (reg_prog, reg_spec.sizes(overrides=sizes))):
+            try:
+                out = eval_program(tiled, inputs, EvalConfig(tile_sizes=tile_sizes))
+            except (EvalError, ShapeError):
+                raised.append(seed)
+                continue
+            assert (norm_value(out), _dtype(out)) == (norm_value(base), _dtype(base)), \
+                (seed, tile_sizes)
+    assert len(raised) <= (46 if not wide else 20), sorted(set(raised))
+    print(f"ACCEPTANCE edge-shape-oracle ({'wide' if wide else 'narrow'}): "
+          f"{len(raised)} tiled runs raise")
+
+
+def _dtype(v):
+    return v.dtype if isinstance(v, ArrayValue) else type(v).__name__
 
 
 def _node_for_slot(program, slot_id):

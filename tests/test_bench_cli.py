@@ -307,6 +307,25 @@ def test_cli_bench_kmeans_k_out_of_range_is_a_usage_error(points, k, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("tiling", ["cache", "cache+register"])
+def test_cli_run_tiled_sqdist_on_zero_width_rows(tiling, program_file, capsys):
+    # Each distance reduces an empty row: the tiled reduce runs one empty
+    # straggler and every distance is its init.
+    prog = program_file(bench.SQDIST_SRC)
+    gen = ["--gen", "shape=5x0", "--gen", "shape=2x0"]
+    assert main(["run", "--program", prog, *gen]) == 0
+    untiled = capsys.readouterr().out.splitlines()[0]
+    assert untiled == str([[0.0, 0.0]] * 5)
+    assert main(["run", "--program", prog, *gen, "--tiling", tiling]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == untiled
+
+
+def test_cli_bench_kmeans_without_features(capsys):
+    assert main(["bench", "--name", "kmeans", "--points", "5", "--k", "2",
+                 "--features", "0"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_cli_bench_csv_schema(capsys):
     assert main(["bench", "--name", "sum_rows", "--size", "24",
                  "--format", "csv"]) == 0

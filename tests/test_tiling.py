@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from tilepar import ir
+from tilepar import bench, ir
 from tilepar.ir import (
     Map, Reduce, Return, TiledMap, TiledReduce, TiledScan, Var,
     desugar_allpairs, parse_program, print_program,
@@ -759,6 +759,36 @@ def test_doubly_tiled_matmul_exact():
     sizes = spec2.sizes(overrides={s.id: 4 for s in spec2.runtime_slots()})
     out = eval_program(prog2, [A, B], EvalConfig(tile_sizes=sizes))
     assert norm_value(out) == norm_value(base)
+
+
+# -- empty extents ---------------------------------------------------------------------
+
+# Operand shapes with an empty extent at depth 0 (0x3) or below it (x0).
+EMPTY_CASES = {
+    "sum_rows-3x0": (bench.SUM_ROWS_SRC, [(3, 0)]),
+    "sum_rows-0x3": (bench.SUM_ROWS_SRC, [(0, 3)]),
+    "row_scan-3x0": (programs.ROW_SCAN, [(3, 0)]),
+    "row_scan-0x3": (programs.ROW_SCAN, [(0, 3)]),
+    "row_scan_emit-3x0": (programs.ROW_SCAN_EMIT, [(3, 0)]),
+    "matmul-2x0-3x0": (bench.MATMUL_SRC, [(2, 0), (3, 0)]),
+    "matmul-0x3-0x3": (bench.MATMUL_SRC, [(0, 3), (0, 3)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_CASES))
+def test_empty_extents_match_untiled(name):
+    src, shapes = EMPTY_CASES[name]
+    program = desugar_allpairs(parse_program(src))
+    inputs = [NdArray(shape, "f64") for shape in shapes]
+    base = eval_program(program, inputs)
+    res = tile_program(program)
+    reg, reg_spec = register_tile(res.program, res.spec, 16)
+    slots = [s.id for s in res.spec.runtime_slots()]
+    for sizes in itertools.product(range(1, 4), repeat=len(slots)):
+        overrides = dict(zip(slots, sizes))
+        for tiled, spec in ((res.program, res.spec), (reg, reg_spec)):
+            out = eval_program(tiled, inputs, EvalConfig(tile_sizes=spec.sizes(overrides)))
+            assert (out.shape, out.dtype, out.data) == (base.shape, base.dtype, base.data), sizes
 
 
 def test_specialize_fixed_identity_behaviour():
