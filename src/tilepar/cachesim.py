@@ -5,8 +5,10 @@ write-allocate, write-back, LRU replacement within each set. It exists to
 make the locality effect of tiling measurable: the same program traced
 untiled and tiled can be compared in misses instead of wall time.
 
-A `Simulator` is itself a trace sink (`read`, `write`, `phase`; see
-`semantics`), so a traced run feeds it directly. Its hot path keeps only
+A `Simulator` is itself a trace sink (`run`, `phase`; see `semantics`),
+so a traced run feeds it directly, one run of addresses per call. It
+replays a run in one loop with its counters in locals, and an access to
+the line already most recent in its set is only counted. It keeps only
 global counters: each `phase` call records a snapshot of them, and a
 phase's stats are the next snapshot (or the final totals) minus its own.
 """
@@ -96,10 +98,10 @@ class Simulator:
         self.model = model
         self.stats = TraceStats()
         self._snapshots = []  # (label, TraceStats at the phase's start)
-        self._line_size = model.line_size
-        self._num_sets = model.num_sets
-        self._ways = model.associativity
-        self._sets = [OrderedDict() for _ in range(self._num_sets)]
+        self._sets = [OrderedDict() for _ in range(model.num_sets)]
+        # Per set, its most recently used line (the last key of its
+        # OrderedDict), or None while it is empty.
+        self._recent = [None] * model.num_sets
 
     def phase(self, label):
         self._snapshots.append((label, replace(self.stats)))
@@ -110,28 +112,48 @@ class Simulator:
         ends = [snap for _, snap in self._snapshots[1:]] + [self.stats]
         return [(label, end - start) for (label, start), end in zip(self._snapshots, ends)]
 
-    def access(self, addr):
-        if addr < 0:
-            raise CacheConfigError(f"negative address {addr}")
-        line = addr // self._line_size
-        s = self._sets[line % self._num_sets]
-        stats = self.stats
-        stats.accesses += 1
-        if line in s:
-            stats.hits += 1
-            s.move_to_end(line)
-        else:
-            stats.misses += 1
-            if len(s) >= self._ways:
-                s.popitem(last=False)
-                stats.evictions += 1
-            s[line] = True
+    def run(self, addrs, kinds):
+        """Replay the addresses of one run in order. `kinds` is ignored:
+        with write-allocate a write moves the cache as a read does. An
+        access to the line already most recent in its set only counts as
+        a hit: it changes no LRU state. A negative address raises
+        CacheConfigError; the accesses before it stay counted."""
+        line_size, num_sets, ways = self.model.line_size, len(self._sets), self.model.associativity
+        sets, recent = self._sets, self._recent
+        hits = misses = evictions = 0
+        try:
+            for addr in addrs:
+                line = addr // line_size
+                k = line % num_sets
+                if recent[k] == line:
+                    hits += 1
+                    continue
+                s = sets[k]
+                if line in s:
+                    hits += 1
+                    s.move_to_end(line)
+                else:
+                    if addr < 0:
+                        raise CacheConfigError(f"negative address {addr}")
+                    misses += 1
+                    if len(s) >= ways:
+                        s.popitem(last=False)
+                        evictions += 1
+                    s[line] = True
+                recent[k] = line
+        finally:
+            stats = self.stats
+            stats.accesses += hits + misses
+            stats.hits += hits
+            stats.misses += misses
+            stats.evictions += evictions
 
-    read = write = access
+    def access(self, addr):
+        self.run((addr,), "R")
 
     def feed(self, trace):
-        for item in trace:
-            self.access(item[0] if isinstance(item, tuple) else item)
+        """Replay a trace of addresses or (address, kind) pairs as one run."""
+        self.run((item[0] if isinstance(item, tuple) else item for item in trace), "R")
         return self.stats
 
 

@@ -13,8 +13,8 @@ offsets in index order (last axis fastest); `elementwise` walks its
 operands that way above rank 1. Every whole-array copy -- concatenating,
 stacking -- goes through one kernel, `copy`, which moves
 each run along the last axis with one slice assignment (a rank-1 view is
-one run, the slice `span`) and reports each element's read and write to
-a trace sink in index order.
+one run, the slice `span`) and reports the elements' reads and writes to
+a trace sink, in index order, as one run.
 """
 
 from __future__ import annotations
@@ -299,17 +299,9 @@ def _starts(v):
 
 def trace_copy(trace, sources, dst):
     """Report each element, in index order, as a read of every view in
-    `sources` (one or two) followed by a write of `dst`."""
-    read, write = trace.read, trace.write
-    if len(sources) == 1:
-        for r, w in zip(addresses(sources[0]), addresses(dst)):
-            read(r)
-            write(w)
-        return
-    for r, q, w in zip(addresses(sources[0]), addresses(sources[1]), addresses(dst)):
-        read(r)
-        read(q)
-        write(w)
+    `sources` (one or two) followed by a write of `dst`: one run."""
+    trace.run(itertools.chain.from_iterable(zip(*map(addresses, sources), addresses(dst))),
+              "R" * len(sources) + "W")
 
 
 def copy(src, dst, trace=None):

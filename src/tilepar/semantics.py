@@ -31,11 +31,15 @@ and a combine `return a OP b`. Stacking scalars, or equal rank-1 rows
 along axis 0 or 1, fills the output in one pass. All give the values,
 trace events, allocations, counters and errors of one call per slice.
 
-A trace sink is any object with `read(addr)`, `write(addr)` and
-`phase(label)`. When one is attached (`EvalConfig.trace`), every array
-element read or write is reported to it by byte address, and each
-statement of the entry function announces itself with `phase` before it
-runs; a `for` loop is one phase, `for VAR`, and its body announces none.
+A trace sink is any object with `run(addrs, kinds)` and `phase(label)`.
+When one is attached (`EvalConfig.trace`), every array element read or
+write is reported to it by byte address, a run of them per call: `addrs`
+iterates the addresses in event order and `kinds`, a non-empty string of
+`R` and `W`, is cycled over them to give each one's kind ("R" for a
+leaf's reads, "W" for a stack's writes, "RW" or "RRW" for a copy from
+one or two sources). Each statement of the entry function announces
+itself with `phase` before it runs, never within a run; a `for` loop is
+one phase, `for VAR`, and its body announces none.
 Each traced run places its arrays in a fresh simulated address space, so
 addresses start at 0. `TraceSink` records the events;
 `cachesim.Simulator` consumes them as they come.
@@ -69,18 +73,16 @@ class Counters:
 
 
 class TraceSink:
-    """Records each event in `events` as (address, 'R' | 'W'); ignores
-    phases. A trace sink is any object with `read(addr)`, `write(addr)`
-    and `phase(label)`; `cachesim.Simulator` is the streaming one."""
+    """Records each event of a run in `events` as (address, 'R' | 'W'),
+    pairing the run's addresses with its kinds cycled; ignores phases. A
+    trace sink is any object with `run(addrs, kinds)` and `phase(label)`;
+    `cachesim.Simulator` is the streaming one."""
 
     def __init__(self):
         self.events = []
 
-    def read(self, addr):
-        self.events.append((addr, "R"))
-
-    def write(self, addr):
-        self.events.append((addr, "W"))
+    def run(self, addrs, kinds):
+        self.events.extend(zip(addrs, itertools.cycle(kinds)))
 
     def phase(self, label):
         pass
@@ -256,9 +258,8 @@ class Interpreter:
                     return None
                 columns.append([captured[n]] * extent)
             if trace is not None:
-                read = trace.read
-                for addr in itertools.chain.from_iterable(zip(*map(addresses, views))):
-                    read(addr)
+                trace.run(addresses(views[0]) if len(views) == 1 else
+                          itertools.chain.from_iterable(zip(*map(addresses, views))), "R")
             return list(map(f, *map(columns.__getitem__, picks))) if f else columns[picks[0]]
         return leaf
 
@@ -459,10 +460,10 @@ class Interpreter:
         data, trace = root.data, self.config.trace
         if trace is None:
             return lambda i: data[offset + i * stride]
-        read, base = trace.read, root.addr + offset * ELEM_SIZE
+        run, base = trace.run, root.addr + offset * ELEM_SIZE
 
         def element(i):
-            read(base + i * stride * ELEM_SIZE)
+            run((base + i * stride * ELEM_SIZE,), "R")
             return data[offset + i * stride]
         return element
 
@@ -480,8 +481,7 @@ class Interpreter:
         out = self._new_array((len(values),), dtype)
         out.data[:] = values
         if trace is not None:
-            for addr in range(out.addr, out.addr + len(values) * ELEM_SIZE, ELEM_SIZE):
-                trace.write(addr)
+            trace.run(range(out.addr, out.addr + len(values) * ELEM_SIZE, ELEM_SIZE), "W")
         return out
 
     def _stack_arrays(self, values, axis):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from tilepar.cachesim import (
-    CacheConfigError, CacheModel, HardwareInfo, Simulator, probe_hardware,
+    CacheConfigError, CacheModel, HardwareInfo, Simulator, TraceStats, probe_hardware,
     simulate, simulate_program, trace_program,
 )
 from tilepar.ir import parse_program
@@ -72,6 +72,101 @@ def test_write_accesses_counted():
     stats = simulate([(0, "R"), (0, "W"), (64, "W")], CacheModel(4096, 64, 8))
     assert stats.accesses == 3
     assert stats.misses == 2
+
+
+class ReferenceLRU:
+    """Plain per-address LRU: each set a list of lines, least recent first.
+    Each phase counts its own accesses."""
+
+    def __init__(self, model):
+        self.model = model
+        self.sets = [[] for _ in range(model.num_sets)]
+        self.stats = TraceStats()
+        self.phase_stats = []
+
+    def phase(self, label):
+        self.phase_stats.append((label, TraceStats()))
+
+    def access(self, addr):
+        line = addr // self.model.line_size
+        s = self.sets[line % self.model.num_sets]
+        hit = line in s
+        evicted = not hit and len(s) == self.model.associativity
+        if hit:
+            s.remove(line)
+        elif evicted:
+            del s[0]
+        s.append(line)
+        for stats in [self.stats] + [st for _, st in self.phase_stats[-1:]]:
+            stats.accesses += 1
+            stats.hits += hit
+            stats.misses += not hit
+            stats.evictions += evicted
+
+
+def random_stream(rng, model):
+    """Addresses mixing random ones, long runs within one line, sequential
+    sweeps, and two or more lines of one set taking turns."""
+    stream = []
+    line_size, num_sets = model.line_size, model.num_sets
+    while len(stream) < 3000:
+        shape = rng.randrange(4)
+        if shape == 0:
+            stream += [rng.randrange(1 << 16) for _ in range(rng.randrange(1, 40))]
+        elif shape == 1:
+            base = rng.randrange(1 << 10) * line_size
+            stream += [base + rng.randrange(line_size) for _ in range(rng.randrange(20, 120))]
+        elif shape == 2:
+            start = rng.randrange(1 << 16)
+            stream += range(start, start + 8 * rng.randrange(1, 100), 8)
+        else:
+            k = rng.randrange(num_sets)
+            lines = [rng.randrange(64) * num_sets + k
+                     for _ in range(rng.randrange(2, model.associativity + 3))]
+            for _ in range(rng.randrange(10, 60)):
+                stream += [line * line_size + rng.randrange(line_size) for line in lines[:2]]
+                if rng.random() < 0.2:
+                    stream.append(rng.choice(lines) * line_size)
+    return stream
+
+
+@pytest.mark.parametrize("model", [CacheModel(128, 64, 2), CacheModel(8 * 1024, 64, 4),
+                                   CacheModel(32 * 1024, 64, 8)],
+                         ids=["1set-2way", "8K-4way", "32K-8way"])
+@pytest.mark.parametrize("seed", range(4))
+def test_run_matches_per_address_access(model, seed):
+    rng = random.Random(seed)
+    stream = random_stream(rng, model)
+    sim, ref = Simulator(model), ReferenceLRU(model)
+    pos = 0
+    while pos < len(stream):
+        if rng.random() < 0.3:
+            label = f"phase {pos}"
+            sim.phase(label)
+            ref.phase(label)
+        n = rng.randrange(1, 200)
+        addrs = stream[pos:pos + n]
+        pos += len(addrs)
+        kinds = rng.choice(["R", "W", "RW", "RRW"])
+        sim.run(rng.choice([list, tuple, iter])(addrs), kinds)
+        for addr in addrs:
+            ref.access(addr)
+    assert sim.stats == ref.stats
+    assert sim.stats.check().misses > 0 and sim.stats.hits > 0
+    assert sim.phase_stats == ref.phase_stats
+    assert [list(s) for s in sim._sets] == ref.sets
+
+
+def test_run_stops_at_a_negative_address_and_keeps_the_counts_before_it():
+    sim = Simulator(CacheModel(128, 64, 2))
+    sim.run([0, 8], "R")
+    with pytest.raises(CacheConfigError, match="negative address -8"):
+        sim.run(iter([64, 64, 0, -8, 128]), "RW")
+    assert sim.stats == TraceStats(accesses=5, hits=3, misses=2, evictions=0)
+    assert [list(s) for s in sim._sets] == [[1, 0]]
+    with pytest.raises(CacheConfigError):
+        sim.access(-1)
+    assert sim.stats.accesses == 5
 
 
 # -- hardware probing -------------------------------------------------------------

@@ -39,8 +39,8 @@ def reference_copy(src, dst, sink):
     for i, j in zip(offsets(src), offsets(dst)):
         ddata[j] = sdata[i]
         if sink is not None:
-            sink.read(src.root.addr + i * ELEM_SIZE)
-            sink.write(dst.root.addr + j * ELEM_SIZE)
+            sink.run((src.root.addr + i * ELEM_SIZE,), "R")
+            sink.run((dst.root.addr + j * ELEM_SIZE,), "W")
     return dst
 
 
@@ -51,7 +51,7 @@ def reference_stack(interp, values, axis):
         out = interp._new_array((len(values),), result_dtype(values))
         out.data[:] = values
         for i in range(len(values)):
-            sink.write(out.addr + i * ELEM_SIZE)
+            sink.run((out.addr + i * ELEM_SIZE,), "W")
         return out
     shape = values[0].shape
     out = interp._new_array(shape[:axis] + (len(values),) + shape[axis:], result_dtype(values))

@@ -99,6 +99,20 @@ COUNTER_PINS = {
 }
 
 
+@pytest.mark.parametrize("kinds, expected", [
+    ("R", "RRRRRR"), ("W", "WWWWWW"), ("RW", "RWRWRW"), ("RRW", "RRWRRW"),
+])
+def test_trace_sink_run_expands_kinds(kinds, expected):
+    """A run records the events that one-address runs would, in order:
+    its kinds cycled over its addresses."""
+    addrs = [0, 8, 64, 16, 1024, 72]
+    run, singles = TraceSink(), TraceSink()
+    run.run(iter(addrs), kinds)
+    for addr, kind in zip(addrs, expected):
+        singles.run((addr,), kind)
+    assert run.events == singles.events == list(zip(addrs, expected))
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_trace_pinned(name):
     _, events, counters = trace_case(*CASES[name])
