@@ -195,8 +195,7 @@ def bench_matmul(hw, n=64, seed=0, misses=False, variants=VARIANTS, registers=Tr
                  tune_evals=8):
     a = generate_array((n, n), "f64", "row", seed)
     b = generate_array((n, n), "f64", "row", seed + 1)
-    extents = None
-    prepared = prepare(MATMUL_SRC, [2, 2], hw, extents=extents, registers=registers)
+    prepared = prepare(MATMUL_SRC, [2, 2], hw, registers=registers)
     model = hw.l1_model() if misses else None
     if "tiled+autotuned" in variants:
         tune(prepared, [a, b], hw, seed=seed, max_evaluations=tune_evals)

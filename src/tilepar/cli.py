@@ -94,8 +94,8 @@ def build_parser():
     bench = sub.add_parser("bench", help="run a corpus benchmark over all variants")
     bench.add_argument("--name", choices=BENCHMARKS, required=True)
     bench.add_argument("--size", type=int, default=64, help="matrix dimension")
-    bench.add_argument("--rows", type=int, default=0)
-    bench.add_argument("--cols", type=int, default=0)
+    bench.add_argument("--rows", type=int, help="sum_rows rows (default: --size)")
+    bench.add_argument("--cols", type=int, help="sum_rows columns (default: --size)")
     bench.add_argument("--layout", choices=["row", "col"], default="col")
     bench.add_argument("--points", type=int, default=500)
     bench.add_argument("--features", type=int, default=16)
@@ -191,7 +191,7 @@ def _parse_sizes(text, spec):
     return {slot.id: size for slot, size in zip(runtime, sizes)}
 
 
-def _arg_ranks(program, inputs):
+def _arg_ranks(inputs):
     return [v.rank if isinstance(v, ArrayValue) else 0 for v in inputs]
 
 
@@ -199,7 +199,7 @@ def _prepare_tiled(program, inputs, tiling, hw):
     program = desugar_allpairs(program)
     if tiling == "off":
         return program, None
-    result = tile_program(program, arg_ranks=_arg_ranks(program, inputs) if inputs else None)
+    result = tile_program(program, arg_ranks=_arg_ranks(inputs) if inputs else None)
     if not result.changed:
         print(f"note: program left untiled ({result.reason})", file=sys.stderr)
         return program, None
@@ -209,9 +209,20 @@ def _prepare_tiled(program, inputs, tiling, hw):
     return tiled, spec
 
 
-def _default_sizes(program, spec, hw):
-    space = estimate_bounds(program, spec, hw)
-    return dict(zip(space.slot_ids, space.midpoint()))
+def _tiled_with_sizes(args, program, inputs, hw):
+    """The program tiled as `--tiling` asks, and its slot sizes: the
+    runtime slots take `--tile-sizes`, else the midpoint of their
+    estimated bounds. Untiled, the sizes are empty."""
+    if args.tile_sizes and args.tiling == "off":
+        raise UsageError("--tile-sizes requires --tiling cache or cache+register")
+    tiled, spec = _prepare_tiled(program, inputs, args.tiling, hw)
+    if spec is None:
+        return tiled, {}
+    overrides = _parse_sizes(args.tile_sizes, spec)
+    if not overrides:
+        space = estimate_bounds(tiled, spec, hw)
+        overrides = dict(zip(space.slot_ids, space.midpoint()))
+    return tiled, spec.sizes(overrides=overrides)
 
 
 def _render_value(value):
@@ -229,14 +240,7 @@ def _render_value(value):
 def cmd_run(args):
     program = _load_program(args)
     inputs = _load_inputs(args)
-    if args.tile_sizes and args.tiling == "off":
-        raise UsageError("--tile-sizes requires --tiling cache or cache+register")
-    hw = _hardware()
-    tiled, spec = _prepare_tiled(program, inputs, args.tiling, hw)
-    sizes = {}
-    if spec is not None:
-        overrides = _parse_sizes(args.tile_sizes, spec)
-        sizes = spec.sizes(overrides=overrides or _default_sizes(tiled, spec, hw))
+    tiled, sizes = _tiled_with_sizes(args, program, inputs, _hardware())
     config = EvalConfig(tile_sizes=sizes)
     start = time.perf_counter()
     value = eval_program(tiled, inputs, config)
@@ -257,7 +261,7 @@ def cmd_tile(args):
     if args.ranks:
         ranks = [_int(t, "rank") for t in args.ranks.split(",")]
     elif args.input or args.gen:
-        ranks = _arg_ranks(program, _load_inputs(args))
+        ranks = _arg_ranks(_load_inputs(args))
     result = tile_program(program, arg_ranks=ranks)
     if not result.changed:
         print(f"unchanged: {result.reason}")
@@ -331,11 +335,7 @@ def cmd_cachesim(args):
     model = CacheModel(hw.l1_bytes if args.capacity is None else args.capacity,
                        hw.line_bytes if args.line is None else args.line,
                        hw.associativity if args.assoc is None else args.assoc)
-    tiled, spec = _prepare_tiled(program, inputs, args.tiling, hw)
-    sizes = {}
-    if spec is not None:
-        overrides = _parse_sizes(args.tile_sizes, spec)
-        sizes = spec.sizes(overrides=overrides or _default_sizes(tiled, spec, hw))
+    tiled, sizes = _tiled_with_sizes(args, program, inputs, hw)
     sim = Simulator(model)
     stats, value = simulate_program(tiled, inputs, model, tile_sizes=sizes,
                                     simulator=sim)
@@ -363,8 +363,8 @@ def cmd_bench(args):
     if args.name == "matmul":
         results = bench_matmul(hw, n=args.size, seed=args.seed, misses=args.misses)
     elif args.name == "sum_rows":
-        results = bench_sum_rows(hw, rows=args.rows or args.size,
-                                 cols=args.cols or args.size,
+        results = bench_sum_rows(hw, rows=args.size if args.rows is None else args.rows,
+                                 cols=args.size if args.cols is None else args.cols,
                                  layout=args.layout, seed=args.seed,
                                  misses=args.misses)
     else:

@@ -19,6 +19,12 @@ what the untiled operator gives for zero slices; below depth 0 one empty
 straggler runs through the generic function, which builds the nest's own
 empty result.
 
+The untiled ones run through one method too (`Interpreter._untiled`):
+one callee call per slice, each result folded into the accumulator
+before the next call, or the callee's kernel (below), whose results
+`_assemble` stacks, folds or scans. Zero slices give a reduce its init,
+else an empty rank-1 array of the first operand's dtype.
+
 Each function is built once, on its first call, into nested closures;
 callees are looked up by name when an operator first runs, so a missing
 function raises only when execution reaches it. An operator runs a
@@ -264,26 +270,19 @@ class Interpreter:
         return leaf
 
     def _node(self, kind, inner, op, init, arity):
-        """Kernel of a node whose callee's kernel is `inner`: per row, `_map`
-        or `_fold` without a frame."""
+        """Kernel of a node whose callee's kernel is `inner`: per row, the
+        untiled operator without a frame."""
         what, zeros, counters = kind.capitalize(), (0,) * arity, self.config.counters
+        assemble = self._assemble
 
         def node(views, axes, extent, captured):
             slicers = [self._slicer(v, axis) for v, axis in zip(views, axes)]
             # Every row has the extents of row 0, and only row 0 checks them.
             n = extent and self._operand_views([s(0) for s in slicers], zeros, what)[1]
-            results = []
+            dtype, results = views[0].dtype, []
             for rows in zip(*[map(s, range(extent)) for s in slicers]):
                 counters.bounds_checks += arity * n
-                if kind == "reduce":
-                    results.append(functools.reduce(op, inner(rows, zeros, n, None), init))
-                elif n == 0:
-                    results.append(self._new_array((0,), rows[0].dtype))
-                elif kind == "map":
-                    results.append(self._stack(inner(rows, zeros, n, None)))
-                else:
-                    results.append(self._stack(list(itertools.accumulate(
-                        inner(rows, zeros, n, None), op, initial=init))[1:]))
+                results.append(assemble(what, inner(rows, zeros, n, None), op, init, dtype))
             return results
         return node
 
@@ -408,25 +407,19 @@ class Interpreter:
         released in that order once the operator returns."""
         args = tuple(self._expr(a, fn) for a in e.args)
         init = self._expr(e.init, fn) if hasattr(e, "init") else None
-        t = type(e)
-        if t in ir.TILED_OPS:
+        if type(e) in ir.TILED_OPS:
             def tiled(frame):
                 values = [a(frame) for a in args]
                 start = init and init(frame)
                 return self._tiled(e, start, values, frame)
             return tiled
         fixed, strict = fn.fixed_extent, _strict(e, fn)
-        if t is ir.Map:
-            return lambda frame: self._map(
-                e.fn, [a(frame) for a in args], e.axes, frame, fixed, strict)
-        emit = e.emit if t is ir.Scan else None
 
-        def fold(frame):
+        def untiled(frame):
             values = [a(frame) for a in args]
-            start = init(frame)
-            return self._fold(t is ir.Scan, e.fn, e.combine, emit, start, values,
-                              e.axes, frame, fixed, strict)
-        return fold
+            start = init and init(frame)
+            return self._untiled(e, start, values, frame, fixed, strict)
+        return untiled
 
     def _index(self, arr, i):
         if not isinstance(arr, ArrayValue):
@@ -525,73 +518,58 @@ class Interpreter:
             views.append(a)
         return views, extent
 
-    def _gate_fixed(self, extent, fixed_extent, strict, what):
-        """Fast path (no per-iteration bounds checks) when the extent matches
-        the specialisation; a mismatch on the specialised tile itself is a
-        dispatch bug and raises."""
-        if fixed_extent is None:
-            return False
-        if extent == fixed_extent:
-            return True
-        if strict:
-            raise EvalError(
-                f"{what} specialised for extent {fixed_extent} invoked on extent {extent}")
-        return False
-
-    def _map(self, fname, args, axes, env, fixed_extent, strict):
-        f, captured = self._callee(fname, env)
-        views, extent = self._operand_views(args, axes, "Map")
-        if not self._gate_fixed(extent, fixed_extent, strict, "Map"):
+    def _untiled(self, node, init, args, env, fixed_extent, strict):
+        """A Map, Reduce or Scan (see the module docstring); `init` is None for a
+        map. At the enclosing fixed-size clone's extent it skips bounds checks;
+        another extent on the axes the clone is specialised for raises."""
+        kind = type(node).__name__
+        f, captured = self._callee(node.fn, env)
+        op = emit = None
+        if kind != "Map":
+            comb, comb_captured = self._callee(node.combine, env)
+            op = comb.op
+            if kind == "Scan" and node.emit is not None:
+                emit, emit_captured = self._callee(node.emit, env)
+        views, extent = self._operand_views(args, node.axes, kind)
+        if extent != fixed_extent:
+            if strict:
+                raise EvalError(
+                    f"{kind} specialised for extent {fixed_extent} invoked on extent {extent}")
             self.config.counters.bounds_checks += len(views) * extent
         if extent == 0:
-            return self._new_array((0,), views[0].dtype if views else "i64")
-        kernel = self._kernel(f, tuple([len(v.shape) for v in views]))
-        results = kernel and kernel(views, axes, extent, captured)
-        if results is None:
-            slicers = [self._slicer(v, axis) for v, axis in zip(views, axes)]
-            results = []
-            for i in range(extent):
-                slices = [s(i) for s in slicers]
-                results.append(f.call(slices, captured))
-        # The last `slices` stays alive until the results are stacked: when
-        # a temporary dies decides which block the allocator hands out next.
-        return self._stack(results)
-
-    def _fold(self, scan, fname, combine, emit, init, args, axes, env, fixed_extent, strict):
-        """Reduce (scan=False) or Scan: fold `combine` over the callee's
-        results from `init`; a scan stacks every step, through `emit`."""
-        what = "Scan" if scan else "Reduce"
-        f, captured = self._callee(fname, env)
-        comb, comb_captured = self._callee(combine, env)
-        emit_fn = emit_captured = None
-        if emit is not None:
-            emit_fn, emit_captured = self._callee(emit, env)
-        views, extent = self._operand_views(args, axes, what)
-        if not self._gate_fixed(extent, fixed_extent, strict, what):
-            self.config.counters.bounds_checks += len(views) * extent
-        # `acc` is named before `outs`: on return the frame releases its
-        # locals in that order, and with them the last step's temporaries.
-        acc = init
-        outs = []
-        fused = (comb.op is not None and emit is None and not isinstance(init, ArrayValue)
-                 and all(len(v.shape) == 1 for v in views))
-        kernel = fused and self._kernel(f, (1,) * len(views))
-        values = kernel and kernel(views, axes, extent, captured)
-        if values:  # else the generic loop, which gives the same with no slices
-            if not scan:
-                return functools.reduce(comb.op, values, init)
-            return self._stack(list(itertools.accumulate(values, comb.op, initial=init))[1:])
-        slicers = [self._slicer(v, axis) for v, axis in zip(views, axes)]
+            return self._assemble(kind, (), op, init, views[0].dtype)
+        if kind == "Map" or (op is not None and emit is None and not isinstance(init, ArrayValue)
+                             and all(len(v.shape) == 1 for v in views)):
+            kernel = self._kernel(f, tuple([len(v.shape) for v in views]))
+            values = kernel and kernel(views, node.axes, extent, captured)
+            if values is not None:
+                return self._assemble(kind, values, op, init, views[0].dtype)
+        # `acc` is named before `outs`: on return the frame releases its locals
+        # in that order. Each step's callee result, then the old accumulator,
+        # die before the next call.
+        acc, outs = init, []
+        slicers = [self._slicer(v, axis) for v, axis in zip(views, node.axes)]
         for i in range(extent):
             slices = [s(i) for s in slicers]
+            if kind == "Map":
+                outs.append(f.call(slices, captured))
+                continue
             acc = comb.call([acc, f.call(slices, captured)], comb_captured)
-            if scan:
-                outs.append(emit_fn.call([acc], emit_captured) if emit_fn else acc)
-        if not scan:
-            return acc
-        if extent == 0:
-            return self._new_array((0,), views[0].dtype if views else "i64")
-        return self._stack(outs)
+            if kind == "Scan":
+                outs.append(emit.call([acc], emit_captured) if emit else acc)
+        return acc if kind == "Reduce" else self._stack(outs)
+
+    def _assemble(self, kind, values, op, init, dtype):
+        """The value of untiled operator `kind` ("Map", "Reduce" or "Scan") from
+        its callee's results (see the module docstring); `dtype` is the first
+        operand's."""
+        if kind == "Reduce":
+            return functools.reduce(op, values, init)
+        if not values:
+            return self._new_array((0,), dtype)
+        if kind == "Scan":
+            values = list(itertools.accumulate(values, op, initial=init))[1:]
+        return self._stack(values)
 
     # -- tiled operators -----------------------------------------------------------
 

@@ -231,6 +231,13 @@ def test_cli_tile_size_override_requires_tiling(program_file, array_file):
                  "--tile-sizes", "2,2"]) == 1
 
 
+def test_cli_cachesim_tile_size_override_requires_tiling(program_file, capsys):
+    assert main(["cachesim", "--program", program_file(programs.SUM_ROWS),
+                 "--gen", "shape=4x4", "--tile-sizes", "3,4"]) == 1
+    assert capsys.readouterr().err == (
+        "error: --tile-sizes requires --tiling cache or cache+register\n")
+
+
 def test_cli_cachesim_csv_per_phase(program_file, capsys):
     prog = program_file(programs.SUM_ROWS)
     assert main(["cachesim", "--program", prog, "--gen", "shape=16x16,dtype=f64,layout=col",
@@ -333,6 +340,15 @@ def test_cli_bench_csv_schema(capsys):
     assert lines[0] == "benchmark,variant,wall_seconds,misses,checksum"
     assert len(lines) == 4
     assert len({line.split(",")[4] for line in lines[1:]}) == 1
+
+
+@pytest.mark.parametrize("rows, cols", [(3, 0), (0, 3)])
+def test_cli_bench_zero_rows_or_cols_is_not_the_default(rows, cols, capsys):
+    assert main(["bench", "--name", "sum_rows", "--rows", str(rows), "--cols", str(cols),
+                 "--format", "csv"]) == 0
+    checksums = {line.split(",")[4] for line in capsys.readouterr().out.strip().splitlines()[1:]}
+    expected = {r.checksum for r in bench.bench_sum_rows(HW, rows=rows, cols=cols)}
+    assert checksums == expected == {f"{rows}:0.0000000000e+00"}
 
 
 def test_cli_run_cache_register_matches_untiled(program_file, array_file, capsys):

@@ -147,6 +147,27 @@ fn f2(v) { return scan(g1, combine=add2, init=0, v; axes=[0]); }
 fn main(X) { return map(f2, X; axes=[0]); }
 """, [NdArray((3, 4, 6), "i64", "col", [(7 * i) % 11 - 5 for i in range(72)])],
         (774, "77a80865f616f06128e1c6528d2f3e94a8414cb2c559cb61672debda6bbd5a0d")),
+    # The generic fold loop over array slices: each step's accumulator and
+    # callee result die before the next call.
+    "reduce_of_array_rows": ("""
+fn addv(a, b) { return a + b; }
+fn inc(r) { return r + 1; }
+fn main(X) { return reduce(inc, combine=addv, init=0, X; axes=[0]); }
+""", [matrix(5, 6, "i64", "row")], (144, "42e5c8edb2c43f20864fde515542d65623f261fa28092d0d8090b912a2b5244f")),
+    "scan_emit_of_array_rows": ("""
+fn addv(a, b) { return a + b; }
+fn dbl(v) { return v * 2; }
+fn ident(r) { return r; }
+fn main(X) { return scan(ident, combine=addv, emit=dbl, init=0, X; axes=[0]); }
+""", [matrix(5, 6, "i64", "row")], (204, "414b148ec5664cb866d979355a1b4dfd0594cc4a9fbe83fc898cdf8ebc94c8f2")),
+    "scan_emit_of_array_steps": ("""
+fn add2(a, b) { return a + b; }
+fn dbl(v) { return v * 2; }
+fn g1(x) { return 2 max x max 2; }
+fn f2(v) { return scan(g1, combine=add2, emit=dbl, init=0, v; axes=[0]); }
+fn main(X) { return map(f2, X; axes=[0]); }
+""", [NdArray((3, 4, 6), "i64", "col", [(7 * i) % 11 - 5 for i in range(72)])],
+        (918, "9b8e51f22691a43d556079bdb22cc1145a93f98533ae539563cc6cf031717207")),
 }
 
 
