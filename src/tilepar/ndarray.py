@@ -8,6 +8,12 @@ for address-trace purposes.
 An NdArray is its own view: it has the view fields `root` (itself) and
 `offset` (0), so every function here takes either without wrapping it.
 
+`NdArray(...)`, `NdArray.from_nested` and `load_array` take input from
+outside the program and check all of it. `adopt` is the interpreter's way
+to build an array: it takes a finished element list as is, with a shape,
+dtype and layout the interpreter derived itself, and checks nothing.
+Strides are worked out once per (shape, layout).
+
 `offsets` is the one walk over a view's elements: it yields flat buffer
 offsets in index order (last axis fastest); `elementwise` walks its
 operands that way above rank 1. Every whole-array copy -- concatenating,
@@ -19,7 +25,9 @@ a trace sink, in index order, as one run.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import operator
 import weakref
 
@@ -33,8 +41,10 @@ class ShapeError(Exception):
     pass
 
 
+@functools.lru_cache(maxsize=1024)
 def make_strides(shape, layout):
-    """Element strides for a dense array of `shape` in the given layout."""
+    """Element strides for a dense array of `shape` (a tuple) in the given
+    layout."""
     n = len(shape)
     strides = [0] * n
     acc = 1
@@ -43,13 +53,6 @@ def make_strides(shape, layout):
         strides[i] = acc
         acc *= shape[i]
     return tuple(strides)
-
-
-def _product(xs):
-    p = 1
-    for x in xs:
-        p *= x
-    return p
 
 
 class NdArray:
@@ -71,7 +74,7 @@ class NdArray:
             raise ShapeError(f"unknown dtype {dtype!r}")
         if layout not in LAYOUTS:
             raise ShapeError(f"unknown layout {layout!r}")
-        size = _product(shape)
+        size = math.prod(shape)
         if data is None:
             data = [0 if dtype == "i64" else 0.0] * size
         elif len(data) != size:
@@ -114,19 +117,23 @@ class NdArray:
 
     @classmethod
     def from_nested(cls, nested, dtype=None, layout="row"):
+        """The array of nested lists (or tuples) `nested`, whose shape is
+        read along its first items. Ragged input raises ShapeError. Without
+        `dtype` it is f64 when any element is a float, else i64."""
         shape = []
         probe = nested
         while isinstance(probe, (list, tuple)):
             shape.append(len(probe))
             probe = probe[0] if probe else None
-        flat = _flatten(nested, len(shape))
+        shape = tuple(shape)
+        if shape:
+            data, kinds = [0] * math.prod(shape), set()
+            _fill(data, kinds, nested, shape, make_strides(shape, layout), 0, 0)
+        else:
+            data, kinds = [nested], {type(nested)}
         if dtype is None:
-            dtype = "f64" if any(isinstance(v, float) for v in flat) else "i64"
-        arr = cls(shape, dtype, layout)
-        data = arr.data
-        for o, x in zip(offsets(arr), flat):
-            data[o] = x
-        return arr
+            dtype = "f64" if any(issubclass(k, float) for k in kinds) else "i64"
+        return cls(shape, dtype, layout, data)
 
     @classmethod
     def scalar(cls, value):
@@ -137,13 +144,35 @@ class NdArray:
         return f"NdArray(shape={self.shape}, dtype={self.dtype}, layout={self.layout})"
 
 
-def _flatten(nested, depth):
-    if depth == 0:
-        return [nested]
-    out = []
-    for item in nested:
-        out.extend(_flatten(item, depth - 1))
-    return out
+def adopt(shape, dtype, layout, data):
+    """An NdArray over `data`, the finished list of its elements in
+    `layout` order, taken as is (zeros when None). Nothing is checked:
+    `shape` must be a tuple of extents that `data` fills, `dtype` and
+    `layout` valid names."""
+    arr = NdArray.__new__(NdArray)
+    arr.shape, arr.dtype, arr.layout, arr.addr = shape, dtype, layout, 0
+    arr.data = [0 if dtype == "i64" else 0.0] * math.prod(shape) if data is None else data
+    arr.strides = make_strides(shape, layout)
+    return arr
+
+
+def _fill(data, kinds, nested, shape, strides, depth, base):
+    """Write the elements of `nested`, axis `depth` on, into `data` from
+    offset `base`: one slice assignment per innermost list. Adds each
+    element's type to `kinds`."""
+    n, stride = shape[depth], strides[depth]
+    if not isinstance(nested, (list, tuple)) or len(nested) != n:
+        found = f"{len(nested)} items" if isinstance(nested, (list, tuple)) else "a scalar"
+        raise ShapeError(f"ragged input: expected {n} items on axis {depth}, got {found}")
+    if depth + 1 < len(shape):
+        for i, item in enumerate(nested):
+            _fill(data, kinds, item, shape, strides, depth + 1, base + i * stride)
+        return
+    row = set(map(type, nested))
+    if any(issubclass(k, (list, tuple)) for k in row):
+        raise ShapeError(f"ragged input: a list where axis {depth} holds scalars")
+    kinds |= row
+    data[base:base + n * stride:stride] = nested
 
 
 class View:
@@ -175,7 +204,7 @@ class View:
 
     @property
     def size(self):
-        return _product(self.shape)
+        return math.prod(self.shape)
 
     def flat_index(self, idx):
         return self.offset + sum(i * s for i, s in zip(idx, self.strides))
@@ -396,10 +425,12 @@ def elementwise(op, a, b, trace=None, new_array=NdArray):
     """Apply a binary operator over arrays/scalars with scalar broadcast.
 
     Shapes must match exactly unless one operand is a scalar. The result
-    comes from `new_array(shape, dtype, layout)`, in the layout of the
-    first array operand; a rank-1 result is filled with one slice per
-    operand. With a trace sink, each element is reported as a
-    read of every array operand (a, then b) followed by the result write.
+    is in the layout of the first array operand. A rank-1 result comes from
+    `new_array(shape, dtype, layout, data)` with its finished elements,
+    computed from one slice per operand; any other from
+    `new_array(shape, dtype, layout)`, filled in place. With a trace sink,
+    each element is reported as a read of every array operand (a, then b)
+    followed by the result write.
     """
     a_arr = isinstance(a, ArrayValue)
     b_arr = isinstance(b, ArrayValue)
@@ -412,12 +443,12 @@ def elementwise(op, a, b, trace=None, new_array=NdArray):
         raise ShapeError(f"elementwise shape mismatch: {av.shape} vs {bv.shape}")
     like = av if av is not None else bv
     dtype = "f64" if op == "/" else result_dtype((a, b))
-    out = new_array(like.shape, dtype, like.layout)
     if len(like.shape) == 1:
         xs = av.root.data[span(av)] if av is not None else itertools.repeat(a)
         ys = bv.root.data[span(bv)] if bv is not None else itertools.repeat(b)
-        out.data[span(out)] = map(f, xs, ys)
+        out = new_array(like.shape, dtype, like.layout, list(map(f, xs, ys)))
     else:
+        out = new_array(like.shape, dtype, like.layout)
         odata = out.data
         xs = elements(av) if av is not None else itertools.repeat(a)
         ys = elements(bv) if bv is not None else itertools.repeat(b)

@@ -14,7 +14,10 @@ one), the straggler always through the generic function. The results are
 put back together so that the outcome equals the untiled operator:
 concatenated for a map, folded with the combine for a reduce, and for a
 scan fixed up with each tile's carry, then emitted, then concatenated (a
-tiled scan's tiles scan without `emit`). An empty extent at depth 0 gives
+tiled scan's tiles scan without `emit`). A fix-up step whose lifted
+combine is `return map(G, a, b; axes=[0, 0])` runs that map as the
+untiled operator would, through G's kernel and without a frame; any
+other combine is called. An empty extent at depth 0 gives
 what the untiled operator gives for zero slices; below depth 0 one empty
 straggler runs through the generic function, which builds the nest's own
 empty result.
@@ -36,6 +39,12 @@ fold (Reduce or Scan) runs only a leaf so, with a scalar init, no emit
 and a combine `return a OP b`. Stacking scalars, or equal rank-1 rows
 along axis 0 or 1, fills the output in one pass. All give the values,
 trace events, allocations, counters and errors of one call per slice.
+
+The interpreter builds its arrays with `ndarray.adopt`, from a finished
+element list and a shape, dtype and layout it derived itself, so nothing
+is zero-filled first or checked again. Every array is placed in the
+simulated address space when it is built, so the order of allocations,
+and of the frees that reference counting makes, decides each address.
 
 A trace sink is any object with `run(addrs, kinds)` and `phase(label)`.
 When one is attached (`EvalConfig.trace`), every array element read or
@@ -60,7 +69,7 @@ from dataclasses import dataclass, field
 
 from . import ir
 from .ndarray import (
-    ELEM_SIZE, Allocator, ArrayValue, NdArray, View, addresses, concat, copy, decompose,
+    ELEM_SIZE, Allocator, ArrayValue, NdArray, View, addresses, adopt, concat, copy, decompose,
     elementwise, result_dtype, scalar_op, slice_axis, span, trace_copy,
 )
 
@@ -434,8 +443,11 @@ class Interpreter:
 
     # -- array plumbing (all traced) --------------------------------------------
 
-    def _new_array(self, shape, dtype, layout="row"):
-        out = NdArray(shape, dtype, layout)
+    def _new_array(self, shape, dtype, layout="row", data=None):
+        """`ndarray.adopt(shape, dtype, layout, data)`: an array over its
+        finished element list `data`, or zeros for a copy to fill. With a
+        trace sink it is placed in the run's address space."""
+        out = adopt(shape, dtype, layout, data)
         if self.config.trace is not None:
             self._allocator.allocate(out)
         return out
@@ -462,7 +474,8 @@ class Interpreter:
 
     def _stack(self, values, axis=0):
         """Stack equal-shaped values along a new `axis`: Map and Scan
-        outputs, array literals, and tiled-scan steps."""
+        outputs, array literals, and tiled-scan steps. `values` is a list;
+        stacked scalars keep it as the output's elements."""
         trace = self.config.trace
         kinds = set(map(type, values))
         if kinds <= _SCALARS:
@@ -471,31 +484,32 @@ class Interpreter:
             dtype = result_dtype(values)
         else:
             return self._stack_arrays(values, axis)
-        out = self._new_array((len(values),), dtype)
-        out.data[:] = values
+        out = self._new_array((len(values),), dtype, "row", values)
         if trace is not None:
             trace.run(range(out.addr, out.addr + len(values) * ELEM_SIZE, ELEM_SIZE), "W")
         return out
 
     def _stack_arrays(self, values, axis):
-        """_stack of arrays. Rank-1 rows stacked along axis 0 or 1 fill the
-        output in one pass from the rows' slices; with a trace sink each
-        row is then reported as `copy` reports it."""
+        """_stack of arrays. Rank-1 rows stacked along axis 0 or 1 give the
+        output's element list in one pass over the rows' slices; with a
+        trace sink each row is then reported as `copy` reports it. Other
+        values are copied into a zero-filled output."""
         if not all(isinstance(x, ArrayValue) for x in values):
             raise EvalError("cannot stack scalars with arrays")
         shape = values[0].shape
         for x in values:
             if x.shape != shape:
                 raise EvalError(f"cannot stack shapes {shape} and {x.shape}")
-        out = self._new_array(shape[:axis] + (len(values),) + shape[axis:],
-                              result_dtype(values))
-        trace = self.config.trace
+        out_shape = shape[:axis] + (len(values),) + shape[axis:]
+        dtype, trace = result_dtype(values), self.config.trace
         if len(shape) != 1 or axis > 1:
+            out = self._new_array(out_shape, dtype)
             for j, x in enumerate(values):
                 copy(x, slice_axis(out, axis, j), trace)
             return out
         rows = [x.root.data[span(x)] for x in values]
-        out.data[:] = itertools.chain.from_iterable(rows if axis == 0 else zip(*rows))
+        out = self._new_array(out_shape, dtype, "row", list(
+            itertools.chain.from_iterable(rows if axis == 0 else zip(*rows))))
         if trace is not None:
             for j, x in enumerate(values):
                 trace_copy(trace, [x], slice_axis(out, axis, j))
@@ -625,12 +639,14 @@ class Interpreter:
             return concat(results, node.depth, self.config.trace, self._new_array)
         # A scan's tiles scan without `emit`. Every tile after the first is
         # fixed up by combining the previous tile's last accumulator into
-        # each of its steps; only then is `emit` applied to every step, so
+        # each of its steps, through the combine's kernel when it has one
+        # (`_step_kernel`); only then is `emit` applied to every step, so
         # the result equals the untiled scan for any emit. On return the
         # frame releases its locals in the order they are first named, and
         # that order decides traced addresses: the last fix-up's steps die
         # first, then the tile they fixed up (held by `piece` when the
-        # steps are slices), then the fixed-up tile (held by `last`).
+        # steps are slices), then the fixed-up tile (held by `last`). So no
+        # step's result is bound to a local.
         axis, adjusted = node.depth, []
         for part in results:
             n = part.shape[axis]
@@ -639,7 +655,10 @@ class Interpreter:
                 steps = []
                 for j in range(n):
                     piece = step(j)
-                    steps.append(comb.call([last, piece], comb_captured))
+                    if not j:  # so that `last` is first named after `piece`
+                        kernel = self._step_kernel(comb, last, piece)
+                    steps.append(comb.call([last, piece], comb_captured) if kernel is None
+                                 else self._map_step(kernel, last, piece))
                 part = self._stack(steps, axis)
             if n:  # else the one empty straggler, already the nest's result
                 last = self._slicer(part, axis)(n - 1)
@@ -647,6 +666,27 @@ class Interpreter:
                     part = self._emit_steps(emit, emit_captured, part, axis)
             adjusted.append(part)
         return concat(adjusted, axis, self.config.trace, self._new_array)
+
+    def _step_kernel(self, comb, a, b):
+        """The kernel of G for operands `a` and `b` when combine `comb` is
+        `return map(G, a, b; axes=[0, 0])` and G has no closure parameters;
+        else None, and the fix-up calls `comb`."""
+        shape = ir.body_shape(comb.fn)
+        if (shape is None or shape[0] != "map" or len(comb.fn.params) != 2
+                or not isinstance(a, ArrayValue) or not isinstance(b, ArrayValue)):
+            return None
+        g = self.program.functions.get(shape[1])
+        if g is None or g.closure_params:
+            return None
+        return self._kernel(self._function(g.name), (len(a.shape), len(b.shape)))
+
+    def _map_step(self, kernel, a, b):
+        """`map(G, a, b; axes=[0, 0])` as `_untiled` runs it, without a
+        frame, given G's `kernel`."""
+        views, extent = self._operand_views((a, b), (0, 0), "Map")
+        self.config.counters.bounds_checks += 2 * extent
+        values = kernel(views, (0, 0), extent, _NO_CAPTURES) if extent else ()
+        return self._assemble("Map", values, None, None, views[0].dtype)
 
     def _emit_steps(self, emit, captured, part, axis):
         """`emit` applied to every step of `part` along `axis`, stacked. (A

@@ -149,6 +149,31 @@ def test_stack_untraced_matches_traced():
         assert typed(untraced._stack(values, axis).data) == typed(traced.data)
 
 
+def test_interpreter_arrays_equal_checked_ones():
+    """Arrays the interpreter builds from their finished elements
+    (`ndarray.adopt`) have the fields that the checked constructor gives
+    the same elements."""
+    interp = Interpreter(Program({}))
+    m, f = matrix(4, 3, "i64", "col", 11), matrix(2, 3, "f64", "row", 12)
+    rows, nested = [slice_axis(m, 0, i) for i in range(4)], m.to_nested()
+    column = slice_axis(m, 1, 0)
+    cases = [
+        (interp._stack([3, -1, 4]), NdArray((3,), "i64", "row", [3, -1, 4])),
+        (interp._stack([1, 2.5]), NdArray((2,), "f64", "row", [1, 2.5])),
+        (interp._stack([]), NdArray((0,), "i64", "row", [])),
+        (interp._stack(rows, 0), NdArray((4, 3), "i64", "row", sum(nested, []))),
+        (interp._stack(rows, 1), NdArray((3, 4), "i64", "row", sum(map(list, zip(*nested)), []))),
+        (elementwise("*", column, 0.5, None, interp._new_array),
+         NdArray((4,), "f64", "col", [x * 0.5 for x in column.to_nested()])),
+        (elementwise("+", slice_axis(f, 0, 1), rows[2], None, interp._new_array),
+         NdArray((3,), "f64", "row", [x + y for x, y in zip(f.to_nested()[1], nested[2])])),
+    ]
+    for got, want in cases:
+        assert type(got) is NdArray
+        assert (got.shape, got.strides, got.dtype, got.layout, typed(got.data), got.addr) == \
+               (want.shape, want.strides, want.dtype, want.layout, typed(want.data), want.addr)
+
+
 def test_stack_rejects_mixed_and_unequal_values():
     interp = traced_interpreter()
     row = slice_axis(BASES[0], 0, 0)
@@ -565,12 +590,18 @@ def test_tiled_matmul_and_row_scan_calls(monkeypatch):
     calls.clear()
     eval_program(tile_program(program).program, [matrix(64, 64, "i64", "col", 37)],
                  EvalConfig(tile_sizes={0: 10, 1: 10}))
-    # main, 7 row tiles, 7 column tiles in each, and one carry fix-up per
-    # step of every column tile after the first: 5 * 10 + 4 per row tile.
-    assert sum(calls.values()) == 1 + 7 + 7 * 7 + 7 * (5 * 10 + 4)
+    # main, 7 row tiles and 7 column tiles in each. The carry fix-up of
+    # every step runs the lifted combine `map(add2$u0, a, b)` through its
+    # leaf kernel, without a call.
+    assert sum(calls.values()) == 1 + 7 + 7 * 7
     calls.clear()
     eval_program(program, [matrix(64, 64, "i64", "col", 37)])
     assert sum(calls.values()) == 1
+    # The benchmark's prefix scan: 192 x 192, column-major, tiles 23 x 23.
+    calls.clear()
+    eval_program(tile_program(program).program, [matrix(192, 192, "i64", "col", 38)],
+                 EvalConfig(tile_sizes={0: 23, 1: 23}))
+    assert sum(calls.values()) <= 200
 
 
 def random_row_fold(seed):

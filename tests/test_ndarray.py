@@ -172,3 +172,29 @@ def test_materialize_preserves_values():
     d = materialize(t)
     assert isinstance(d, NdArray)
     assert d.to_nested() == [[3], [6]]
+
+
+@pytest.mark.parametrize("layout", ["row", "col"])
+def test_from_nested_places_every_element(layout):
+    nested = [[[1, 2], [3, 4], [5, 6]], [[7, 8], [9, 10], [11, 12.5]]]
+    x = NdArray.from_nested(nested, layout=layout)
+    assert (x.shape, x.dtype, x.layout) == ((2, 3, 2), "f64", layout)
+    assert x.to_nested() == nested
+    ints = NdArray.from_nested(((1, 2, 3), (4, 5, 6)), layout=layout)
+    assert (ints.shape, ints.dtype, ints.to_nested()) == ((2, 3), "i64", [[1, 2, 3], [4, 5, 6]])
+    assert NdArray.from_nested([[], []], layout=layout).shape == (2, 0)
+    scalar = NdArray.from_nested(2.5)
+    assert (scalar.shape, scalar.dtype, scalar.data) == ((), "f64", [2.5])
+
+
+@pytest.mark.parametrize("layout", ["row", "col"])
+@pytest.mark.parametrize("nested", [
+    [[1, 2], [3]],          # a short row was zero-filled
+    [[1, 2], [3, 4, 5]],    # a long row was truncated
+    [[1, 2], 5],            # a scalar where a row belongs raised TypeError
+    [5, [1, 2]],            # a row where a scalar belongs
+    [[[1], [2]], [[3], 4]],
+])
+def test_from_nested_rejects_ragged_input(nested, layout):
+    with pytest.raises(ShapeError, match="ragged"):
+        NdArray.from_nested(nested, layout=layout)

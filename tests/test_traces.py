@@ -11,6 +11,7 @@ depend on the order in which the tiler visits the program.
 """
 
 import hashlib
+import math
 import random
 from dataclasses import replace
 
@@ -23,7 +24,7 @@ from tilepar.ir import (
     parse_program, print_program,
 )
 from tilepar.ndarray import NdArray
-from tilepar.semantics import EvalConfig, TraceSink, eval_program
+from tilepar.semantics import EvalConfig, Interpreter, TraceSink, eval_program
 from tilepar.tiling import register_tile, tile_program
 
 import programs
@@ -42,6 +43,18 @@ def matrix(rows, cols, dtype, layout):
     if dtype == "f64":
         data = [x / 4 for x in data]
     return NdArray((rows, cols), dtype, layout, data)
+
+
+def cube(*shape):
+    return NdArray(shape, "i64", "col", [(7 * i) % 11 - 5 for i in range(math.prod(shape))])
+
+
+SCAN_OF_ARRAY_STEPS = """
+fn add2(a, b) { return a + b; }
+fn g1(x) { return 2 max x max 2; }
+fn f2(v) { return scan(g1, combine=add2, init=0, v; axes=[0]); }
+fn main(X) { return map(f2, X; axes=[0]); }
+"""
 
 
 def tile_case(src, inputs, registers):
@@ -76,12 +89,18 @@ CASES = {
                    16, {0: 3, 1: 3, 2: 3}),
     # Row prefix sums, tiled 4x3 over 6x8: the tiled scan fixes up carries.
     "row_scan": (programs.ROW_SCAN, [matrix(6, 8, "i64", "row")], 0, {0: 4, 1: 3}),
+    # Prefix sums along axis 1 of a 5x7x3 input, tiled 2x3: each step the
+    # tiled scan fixes up is a 2x3 (or 1x3) slice, and the lifted combine
+    # has no kernel for rank-2 operands, so every fix-up calls it.
+    "scan_of_array_steps": (SCAN_OF_ARRAY_STEPS, [cube(5, 7, 3)], 0, {0: 2, 1: 3}),
 }
 
 PINS = {
     "sum_rows_col": (140, "819cf44dd1adb577ba6e4393dc550363dd28a3abf9e3eaa43403d61f54ccf4d2"),
     "matmul_reg": (5537, "8269cce4d6ff9910376a6a957637c0bb621d9ac6869ebc5182bc1a9d2bed4f4d"),
     "row_scan": (534, "32d6f93acf3f8453247a4ecfe3ceb4b9e9ad6dc85b0b9c2ca102cd20e62606f7"),
+    "scan_of_array_steps": (
+        1950, "e3677fb1879fb7378b207ee2e6f74950e03c1084e20ee35168f5a089d1e96f61"),
 }
 
 
@@ -89,6 +108,8 @@ UNTILED_PINS = {
     "sum_rows_col": (70, "3568e8e07678dee3a8391537435cbea55993186280a9b619af4286f06f3834c9"),
     "matmul_reg": (1519, "d72408e95f7feb78a6896e5804357c90c91e9145285cc0cb71365b2f9cacbbbf"),
     "row_scan": (192, "e7ab43c329870bd6bb59e98a1e6c6dc8381a6ea6b642075f20548b360383cea6"),
+    "scan_of_array_steps": (
+        1140, "423acc2749d36d72b5fdbe1667f73c35e94b1a42b9efa0f529ff096510629787"),
 }
 
 # Tiled run: (full-tile calls, straggler calls, bounds checks).
@@ -96,6 +117,7 @@ COUNTER_PINS = {
     "sum_rows_col": (8, 4, 112),
     "matmul_reg": (26, 151, 903),
     "row_scan": (5, 3, 126),
+    "scan_of_array_steps": (8, 4, 90),
 }
 
 
@@ -126,6 +148,31 @@ def test_untiled_trace_pinned(name):
     src, inputs, _, _ = CASES[name]
     events = trace_program(desugar_allpairs(parse_program(src)), inputs)
     assert (len(events), digest(events)) == UNTILED_PINS[name]
+
+
+@pytest.mark.parametrize("name, kernel", [("row_scan", True), ("scan_of_array_steps", False)])
+def test_scan_fix_ups_match_combine_calls(name, kernel, monkeypatch):
+    """A tiled scan fixes up its steps through the lifted combine's kernel
+    where it has one, else by calling the combine. The value is the
+    untiled one, and calling the combine for every step gives the same
+    value, trace and counters."""
+    src, inputs, registers, sizes = CASES[name]
+    passes, spec = tile_case(src, inputs, registers)
+    tile_sizes = spec.sizes(overrides=sizes)
+    untiled = eval_program(desugar_allpairs(parse_program(src)), inputs)
+    tiled = eval_program(passes[-1], inputs, EvalConfig(tile_sizes=tile_sizes))
+    assert tiled.to_nested() == untiled.to_nested()
+    picked, step_kernel = [], Interpreter._step_kernel
+
+    def spied(self, comb, a, b):
+        found = step_kernel(self, comb, a, b)
+        picked.append(found is not None)
+        return found
+    monkeypatch.setattr(Interpreter, "_step_kernel", spied)
+    through_kernels = observed(passes[-1], inputs, tile_sizes)
+    assert picked and set(picked) == {kernel}
+    monkeypatch.setattr(Interpreter, "_step_kernel", lambda self, comb, a, b: None)
+    assert observed(passes[-1], inputs, tile_sizes) == through_kernels
 
 
 # When a temporary dies decides which free block the allocator hands out
@@ -271,6 +318,7 @@ SIM_PINS = {
     "sum_rows_col": ((70, 61, 9, 0), (140, 125, 15, 0)),
     "matmul_reg": ((1519, 1487, 32, 16), (5537, 5126, 411, 395)),
     "row_scan": ((192, 174, 18, 2), (534, 500, 34, 18)),
+    "scan_of_array_steps": ((1140, 998, 142, 126), (1950, 1747, 203, 187)),
 }
 
 
@@ -321,6 +369,7 @@ IR_PINS = {
     "matmul_reg": ("734a826fb4a1a8e753af61d14a6d17185e2bbbd1dbf5f6f0e316cffaa57b938d",
                    "011930989242a58df29e34d869ba8fbb81d20d8affe707730cabea79d2403f37"),
     "row_scan": ("31a01c5c3d8773562f6d0f3a1bea76107020a9d1c084edac2e38fb965534c90c",),
+    "scan_of_array_steps": ("989d7279f8112eddb5a4a7ac9431b0cbe4099fc6c0757f6a764bab723777f75d",),
 }
 
 
