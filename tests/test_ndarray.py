@@ -189,9 +189,9 @@ def test_from_nested_places_every_element(layout):
 
 @pytest.mark.parametrize("layout", ["row", "col"])
 @pytest.mark.parametrize("nested", [
-    [[1, 2], [3]],          # a short row was zero-filled
-    [[1, 2], [3, 4, 5]],    # a long row was truncated
-    [[1, 2], 5],            # a scalar where a row belongs raised TypeError
+    [[1, 2], [3]],          # a short row
+    [[1, 2], [3, 4, 5]],    # a long row
+    [[1, 2], 5],            # a scalar where a row belongs
     [5, [1, 2]],            # a row where a scalar belongs
     [[[1], [2]], [[3], 4]],
 ])
