@@ -73,7 +73,11 @@ class TraceStats:
                           self.misses - other.misses, self.evictions - other.evictions)
 
     def check(self):
-        assert self.hits + self.misses == self.accesses
+        """`self`, once hits and misses are found to add up to accesses;
+        else ValueError."""
+        if self.hits + self.misses != self.accesses:
+            raise ValueError(f"inconsistent trace stats: {self.hits} hits + {self.misses} "
+                             f"misses != {self.accesses} accesses")
         return self
 
 

@@ -17,10 +17,15 @@ Strides are worked out once per (shape, layout).
 `offsets` is the one walk over a view's elements: it yields flat buffer
 offsets in index order (last axis fastest); `elementwise` walks its
 operands that way above rank 1. Every whole-array copy -- concatenating,
-stacking -- goes through one kernel, `copy`, which moves
-each run along the last axis with one slice assignment (a rank-1 view is
-one run, the slice `span`) and reports the elements' reads and writes to
-a trace sink, in index order, as one run.
+stacking -- goes through one kernel, `copy`, which moves each run along
+the last axis with one slice assignment (a rank-1 view is one run, the
+slice `span`). `copy_all` makes a list of copies and reports their
+elements' reads and writes to a trace sink, in order, as one run, so a
+concat is one run.
+
+`Allocator` places arrays in a simulated address space. It takes a block
+back when its array dies, through a `weakref.ref` callback, and keeps
+the (size, address) of every live block in a dict of its own.
 """
 
 from __future__ import annotations
@@ -35,6 +40,9 @@ ELEM_SIZE = 8
 
 DTYPES = ("i64", "f64")
 LAYOUTS = ("row", "col")
+
+# The Python types of an array's elements.
+_ELEMENT_TYPES = frozenset((int, float))
 
 
 class ShapeError(Exception):
@@ -68,12 +76,7 @@ class NdArray:
 
     def __init__(self, shape, dtype, layout="row", data=None, addr=0):
         shape = tuple(map(int, shape))
-        if min(shape, default=0) < 0:
-            raise ShapeError(f"negative extent in shape {shape}")
-        if dtype not in DTYPES:
-            raise ShapeError(f"unknown dtype {dtype!r}")
-        if layout not in LAYOUTS:
-            raise ShapeError(f"unknown layout {layout!r}")
+        _check_form(shape, dtype, layout)
         size = math.prod(shape)
         if data is None:
             data = [0 if dtype == "i64" else 0.0] * size
@@ -81,6 +84,7 @@ class NdArray:
             raise ShapeError(f"shape {shape} needs {size} elements, got {len(data)}")
         else:
             data = list(data)
+            _check_elements(set(map(type, data)))
         self.shape = shape
         self.dtype = dtype
         self.layout = layout
@@ -118,8 +122,9 @@ class NdArray:
     @classmethod
     def from_nested(cls, nested, dtype=None, layout="row"):
         """The array of nested lists (or tuples) `nested`, whose shape is
-        read along its first items. Ragged input raises ShapeError. Without
-        `dtype` it is f64 when any element is a float, else i64."""
+        read along its first items. Ragged input, or an element that is not
+        an int or a float, raises ShapeError. Without `dtype` it is f64 when
+        any element is a float, else i64."""
         shape = []
         probe = nested
         while isinstance(probe, (list, tuple)):
@@ -131,9 +136,11 @@ class NdArray:
             _fill(data, kinds, nested, shape, make_strides(shape, layout), 0, 0)
         else:
             data, kinds = [nested], {type(nested)}
+        _check_elements(kinds)
         if dtype is None:
-            dtype = "f64" if any(issubclass(k, float) for k in kinds) else "i64"
-        return cls(shape, dtype, layout, data)
+            dtype = "f64" if float in kinds else "i64"
+        _check_form(shape, dtype, layout)
+        return adopt(shape, dtype, layout, data)
 
     @classmethod
     def scalar(cls, value):
@@ -142,6 +149,24 @@ class NdArray:
 
     def __repr__(self):
         return f"NdArray(shape={self.shape}, dtype={self.dtype}, layout={self.layout})"
+
+
+def _check_form(shape, dtype, layout):
+    if min(shape, default=0) < 0:
+        raise ShapeError(f"negative extent in shape {shape}")
+    if dtype not in DTYPES:
+        raise ShapeError(f"unknown dtype {dtype!r}")
+    if layout not in LAYOUTS:
+        raise ShapeError(f"unknown layout {layout!r}")
+
+
+def _check_elements(kinds):
+    """Raise ShapeError unless every type in `kinds` is int or float (a
+    bool is neither)."""
+    bad = kinds - _ELEMENT_TYPES
+    if bad:
+        names = ", ".join(sorted(k.__name__ for k in bad))
+        raise ShapeError(f"elements must be int or float, got {names}")
 
 
 def adopt(shape, dtype, layout, data):
@@ -326,21 +351,16 @@ def _starts(v):
     return starts
 
 
-def trace_copy(trace, sources, dst):
-    """Report each element, in index order, as a read of every view in
-    `sources` (one or two) followed by a write of `dst`: one run."""
-    trace.run(itertools.chain.from_iterable(zip(*map(addresses, sources), addresses(dst))),
-              "R" * len(sources) + "W")
+def copy_addresses(sources, dst):
+    """The addresses of a copy into `dst`: per element, in index order, a
+    read of every view in `sources` (one or two), then the write of `dst`."""
+    return itertools.chain.from_iterable(zip(*map(addresses, sources), addresses(dst)))
 
 
-def copy(src, dst, trace=None):
+def copy(src, dst):
     """Copy the elements of `src` into the equal-shaped `dst`; returns dst.
     Each run along the last axis is one slice assignment: a rank-1 view
-    is one run.
-
-    With a trace sink, each element is reported as a read of `src`
-    followed by a write of `dst`, in index order.
-    """
+    is one run."""
     shape = dst.shape
     if src.shape != shape:
         raise ShapeError(f"copy shape mismatch: {src.shape} vs {shape}")
@@ -351,9 +371,19 @@ def copy(src, dst, trace=None):
         n, s, d = shape[-1], src.strides[-1], dst.strides[-1]
         for i, j in zip(_starts(src), _starts(dst)):
             ddata[j:j + n * d:d] = sdata[i:i + n * s:s]
-    if trace is not None:
-        trace_copy(trace, [src], dst)
     return dst
+
+
+def copy_all(pairs, trace=None):
+    """`copy(src, dst)` for every (src, dst) in the list `pairs`, in order.
+    With a trace sink, each element of each copy in turn is reported as a
+    read of `src` followed by a write of `dst`, in index order, and all of
+    them as one run."""
+    for src, dst in pairs:
+        copy(src, dst)
+    if trace is not None:
+        trace.run(itertools.chain.from_iterable(
+            copy_addresses([src], dst) for src, dst in pairs), "RW")
 
 
 def concat(parts, axis, trace=None, new_array=NdArray):
@@ -361,7 +391,7 @@ def concat(parts, axis, trace=None, new_array=NdArray):
 
     `new_array(shape, dtype)` makes the output before any element is
     copied (the interpreter passes its allocating constructor); `trace`
-    receives the copy traffic.
+    receives the copies of all parts, in order, as one run.
     """
     if not parts:
         raise ShapeError("cannot concatenate zero parts")
@@ -378,10 +408,9 @@ def concat(parts, axis, trace=None, new_array=NdArray):
     shape = list(first.shape)
     shape[axis] = sum(v.shape[axis] for v in parts)
     out = new_array(tuple(shape), result_dtype(parts))
-    base = 0
-    for v in parts:
-        copy(v, tile_view(out, axis, base, v.shape[axis]), trace)
-        base += v.shape[axis]
+    starts = itertools.accumulate((v.shape[axis] for v in parts), initial=0)
+    copy_all([(v, tile_view(out, axis, base, v.shape[axis])) for v, base in zip(parts, starts)],
+             trace)
     return out
 
 
@@ -455,7 +484,8 @@ def elementwise(op, a, b, trace=None, new_array=NdArray):
         for k, x, y in zip(offsets(out), xs, ys):
             odata[k] = f(x, y)
     if trace is not None:
-        trace_copy(trace, [v for v in (av, bv) if v is not None], out)
+        operands = [v for v in (av, bv) if v is not None]
+        trace.run(copy_addresses(operands, out), "R" * len(operands) + "W")
     return out
 
 
@@ -466,23 +496,26 @@ def elementwise(op, a, b, trace=None, new_array=NdArray):
 class Allocator:
     """Simulated address space with line-aligned bases and block reuse.
 
-    A block returns to a size-keyed free list when its owning array is
-    garbage collected; reference counting frees interpreter temporaries at
-    their exact death points, so reuse never aliases two live arrays and
-    the resulting traces model a real allocator's temporary recycling.
-    Allocation order (and hence every address) is deterministic for a
-    deterministic evaluation.
+    A block returns to a size-keyed free list when its owning array dies,
+    through a `weakref.ref` callback that pops the block from `live`.
+    Reference counting frees interpreter temporaries at their exact death
+    points, so reuse never aliases two live arrays and the resulting
+    traces model a real allocator's temporary recycling. Allocation order
+    (and hence every address) is deterministic for a deterministic
+    evaluation. A live array keeps its allocator alive through the
+    callback; once the last one dies, nothing does.
     """
 
     def __init__(self, align=64):
         self.align = align
         self.next = 0
         self.free_blocks = {}
+        self.live = {}  # weakref.ref to a reclaimable array -> (size, address)
 
     def allocate(self, arr, reclaim=True):
         """Give `arr` a line-aligned block. With `reclaim` the block returns
         to the free list when `arr` dies. Run inputs outlive the run and
-        are placed without it: their finalizer would keep this allocator
+        are placed without it: their reference would keep this allocator
         alive for as long as the input."""
         nbytes = max(1, arr.size) * ELEM_SIZE
         nbytes = (nbytes + self.align - 1) // self.align * self.align
@@ -494,10 +527,11 @@ class Allocator:
             self.next += nbytes
         arr.addr = addr
         if reclaim:
-            weakref.finalize(arr, self._release, nbytes, addr)
+            self.live[weakref.ref(arr, self._release)] = (nbytes, addr)
         return arr
 
-    def _release(self, nbytes, addr):
+    def _release(self, ref):
+        nbytes, addr = self.live.pop(ref)
         self.free_blocks.setdefault(nbytes, []).append(addr)
 
 

@@ -34,7 +34,9 @@ function raises only when execution reaches it. An operator runs a
 callee that `ir.body_shape` describes without a call per slice: a leaf
 over rank-1 operands as one loop over a slice of each flat buffer (scalar
 closure operands broadcast), a map, reduce or scan of the callee's own
-parameters once per row without a frame, its callee by the same rule. A
+parameters once per row without a frame, its callee by the same rule;
+over rank-2 operands it reads each row as a slice of the flat buffer,
+without a View per row, and checks the row extents once. A
 fold (Reduce or Scan) runs only a leaf so, with a scalar init, no emit
 and a combine `return a OP b`. Stacking scalars, or equal rank-1 rows
 along axis 0 or 1, fills the output in one pass. All give the values,
@@ -48,13 +50,16 @@ and of the frees that reference counting makes, decides each address.
 
 A trace sink is any object with `run(addrs, kinds)` and `phase(label)`.
 When one is attached (`EvalConfig.trace`), every array element read or
-write is reported to it by byte address, a run of them per call: `addrs`
-iterates the addresses in event order and `kinds`, a non-empty string of
-`R` and `W`, is cycled over them to give each one's kind ("R" for a
-leaf's reads, "W" for a stack's writes, "RW" or "RRW" for a copy from
-one or two sources). Each statement of the entry function announces
-itself with `phase` before it runs, never within a run; a `for` loop is
-one phase, `for VAR`, and its body announces none.
+write is reported to it by byte address, in runs: `addrs` iterates a
+run's addresses in event order and `kinds`, a non-empty string of `R`
+and `W`, is cycled over them to give each one's kind ("R" for a leaf's
+reads, "W" for a stack's writes, "RW" or "RRW" for a copy from one or
+two sources). A leaf's reads, an elementwise operation, a stack and a
+concat are one run each, and so are the reads of all the rows of a
+reduce node; a map or scan node reports each row's reads as one run, as
+the row's results are stacked between them. Each statement of the entry
+function announces itself with `phase` before it runs, never within a
+run; a `for` loop is one phase, `for VAR`, and its body announces none.
 Each traced run places its arrays in a fresh simulated address space, so
 addresses start at 0. `TraceSink` records the events;
 `cachesim.Simulator` consumes them as they come.
@@ -69,8 +74,8 @@ from dataclasses import dataclass, field
 
 from . import ir
 from .ndarray import (
-    ELEM_SIZE, Allocator, ArrayValue, NdArray, View, addresses, adopt, concat, copy, decompose,
-    elementwise, result_dtype, scalar_op, slice_axis, span, trace_copy,
+    ELEM_SIZE, Allocator, ArrayValue, NdArray, View, addresses, adopt, concat, copy_all,
+    decompose, elementwise, result_dtype, scalar_op, slice_axis, span,
 )
 
 
@@ -153,6 +158,43 @@ def _strict(e, enclosing):
         if pos < len(enclosing.fixed_axes) and axis == enclosing.fixed_axes[pos]:
             return True
     return False
+
+
+def _leaf_values(fn, op, names):
+    """(shared, values) of a leaf `fn` whose `ir.body_shape` is ("leaf", op,
+    names): `shared` lists the closure parameters its body reads, and
+    `values(columns)` gives its results at every index of `columns`, the
+    element lists of its parameters and then of `shared`."""
+    shared = [c for c in fn.closure_params if c in names]
+    picks = [(fn.params + tuple(shared)).index(n) for n in names]
+    if op is None:
+        pick = picks[0]
+        return shared, lambda columns: columns[pick]
+    f = scalar_op(op)
+    return shared, lambda columns: list(map(f, *map(columns.__getitem__, picks)))
+
+
+def _row_extent(views, axes, what):
+    """The extent of every row of the rank-2 `views` sliced along `axes`.
+    Rows of different extents raise as `Interpreter._operand_views` does."""
+    n = views[0].shape[1 - axes[0]]
+    for v, axis in zip(views, axes):
+        if v.shape[1 - axis] != n:
+            raise EvalError(f"{what} sliced extents differ: {n} vs {v.shape[1 - axis]}")
+    return n
+
+
+def _row_reads(views, axes, n):
+    """`i ->` the byte addresses a leaf reads at row i of the rank-2 `views`
+    sliced along `axes`, every row of extent n: per index, one per view in
+    order."""
+    spans = [(v.root.addr + v.offset * ELEM_SIZE, v.strides[axis] * ELEM_SIZE,
+              v.strides[1 - axis] * ELEM_SIZE) for v, axis in zip(views, axes)]
+    if len(spans) == 1:
+        (base, row, step), = spans
+        return lambda i: range(base + i * row, base + i * row + n * step, step)
+    return lambda i: itertools.chain.from_iterable(zip(*[
+        range(base + i * row, base + i * row + n * step, step) for base, row, step in spans]))
 
 
 def _failing(message):
@@ -256,15 +298,20 @@ class Interpreter:
         op = self._function(combine).op if combine in functions else None
         if kind != "map" and (op is None or set(ranks) != {2}):
             return None
+        if set(ranks) == {2}:  # only a leaf has a kernel for rank-1 operands
+            callee, leaf = functions[g], ir.body_shape(functions[g])
+            if leaf is None or leaf[0] != "leaf" or len(callee.params) != len(ranks):
+                return None
+            values = _leaf_values(callee, leaf[1], leaf[2])[1]
+            return self._leaf_node(kind, values, op, init, len(ranks))
         inner = self._kernel(self._function(g), tuple(r - 1 for r in ranks))
         return inner and self._node(kind, inner, op, init, len(ranks))
 
     def _leaf(self, fn, op, names):
         """Kernel of leaf `fn`, None for an array closure operand. It reports
         reads as the generic path does: per index, one per view in order."""
-        shared = [c for c in fn.closure_params if c in names]
-        picks = [(fn.params + tuple(shared)).index(n) for n in names]  # into `columns`
-        f, trace = op and scalar_op(op), self.config.trace
+        shared, values = _leaf_values(fn, op, names)
+        trace = self.config.trace
 
         def leaf(views, axes, extent, captured):
             columns = [v.root.data[span(v)] for v in views]
@@ -275,12 +322,45 @@ class Interpreter:
             if trace is not None:
                 trace.run(addresses(views[0]) if len(views) == 1 else
                           itertools.chain.from_iterable(zip(*map(addresses, views))), "R")
-            return list(map(f, *map(columns.__getitem__, picks))) if f else columns[picks[0]]
+            return values(columns)
         return leaf
 
+    def _leaf_node(self, kind, values, op, init, arity):
+        """Kernel of a node over rank-2 operands whose callee is a leaf with
+        `values` (`_leaf_values`): per row, the untiled operator without a
+        frame. Row i of each operand is the flat span (root, offset + i *
+        strides[axis], strides[1 - axis]); no View is built for it. Row
+        extents are checked once. A reduce reports the reads of all its
+        rows as one run, as nothing comes between them; a map or a scan
+        reports each row's reads as a run before `_stack` writes the row's
+        results."""
+        what, counters, trace = kind.capitalize(), self.config.counters, self.config.trace
+        assemble = self._assemble
+        one_run = trace is not None and kind == "reduce"
+        run_per_row = trace is not None and not one_run
+
+        def node(views, axes, extent, captured):
+            n = extent and _row_extent(views, axes, what)
+            spans = [(v.root.data, v.offset, v.strides[axis], v.strides[1 - axis])
+                     for v, axis in zip(views, axes)]
+            reads = trace and _row_reads(views, axes, n)
+            dtype, results, i = views[0].dtype, [], -1
+            try:
+                for i in range(extent):
+                    if run_per_row:
+                        trace.run(reads(i), "R")
+                    columns = [data[o + i * s:o + i * s + n * t:t] for data, o, s, t in spans]
+                    results.append(assemble(what, values(columns), op, init, dtype))
+            finally:  # rows 0..i were checked and read, also when row i raised
+                counters.bounds_checks += arity * n * (i + 1)
+                if one_run:
+                    trace.run(itertools.chain.from_iterable(map(reads, range(i + 1))), "R")
+            return results
+        return node
+
     def _node(self, kind, inner, op, init, arity):
-        """Kernel of a node whose callee's kernel is `inner`: per row, the
-        untiled operator without a frame."""
+        """Kernel of a node over operands of rank 3 or more whose callee's
+        kernel is `inner`: per row, the untiled operator without a frame."""
         what, zeros, counters = kind.capitalize(), (0,) * arity, self.config.counters
         assemble = self._assemble
 
@@ -491,9 +571,10 @@ class Interpreter:
 
     def _stack_arrays(self, values, axis):
         """_stack of arrays. Rank-1 rows stacked along axis 0 or 1 give the
-        output's element list in one pass over the rows' slices; with a
-        trace sink each row is then reported as `copy` reports it. Other
-        values are copied into a zero-filled output."""
+        output's element list in one pass over the rows' slices; other
+        values are copied into a zero-filled output. With a trace sink the
+        stack is one run: each value's copy in turn, per element a read of
+        the value and then a write of `out`, in index order."""
         if not all(isinstance(x, ArrayValue) for x in values):
             raise EvalError("cannot stack scalars with arrays")
         shape = values[0].shape
@@ -504,15 +585,19 @@ class Interpreter:
         dtype, trace = result_dtype(values), self.config.trace
         if len(shape) != 1 or axis > 1:
             out = self._new_array(out_shape, dtype)
-            for j, x in enumerate(values):
-                copy(x, slice_axis(out, axis, j), trace)
+            copy_all([(x, slice_axis(out, axis, j)) for j, x in enumerate(values)], trace)
             return out
         rows = [x.root.data[span(x)] for x in values]
         out = self._new_array(out_shape, dtype, "row", list(
             itertools.chain.from_iterable(rows if axis == 0 else zip(*rows))))
         if trace is not None:
-            for j, x in enumerate(values):
-                trace_copy(trace, [x], slice_axis(out, axis, j))
+            # Row j of `out`: n elements from j * first bytes on, step bytes apart.
+            n, m = shape[0], len(values)
+            first, step = (n * ELEM_SIZE, ELEM_SIZE) if axis == 0 else (ELEM_SIZE, m * ELEM_SIZE)
+            dsts = (range(out.addr + j * first, out.addr + j * first + n * step, step)
+                    for j in range(m))
+            trace.run(itertools.chain.from_iterable(itertools.chain.from_iterable(
+                map(zip, map(addresses, values), dsts))), "RW")
         return out
 
     # -- untiled operators -------------------------------------------------------
@@ -558,9 +643,9 @@ class Interpreter:
             values = kernel and kernel(views, node.axes, extent, captured)
             if values is not None:
                 return self._assemble(kind, values, op, init, views[0].dtype)
-        # `acc` is named before `outs`: on return the frame releases its locals
-        # in that order. Each step's callee result, then the old accumulator,
-        # die before the next call.
+        # Each step's callee result, then the old accumulator, die before the
+        # next call; once the value is built, the last accumulator dies before
+        # the other steps (see `_tiled` on why the order is spelled out).
         acc, outs = init, []
         slicers = [self._slicer(v, axis) for v, axis in zip(views, node.axes)]
         for i in range(extent):
@@ -571,7 +656,9 @@ class Interpreter:
             acc = comb.call([acc, f.call(slices, captured)], comb_captured)
             if kind == "Scan":
                 outs.append(emit.call([acc], emit_captured) if emit else acc)
-        return acc if kind == "Reduce" else self._stack(outs)
+        value = acc if kind == "Reduce" else self._stack(outs)
+        del acc, outs
+        return value
 
     def _assemble(self, kind, values, op, init, dtype):
         """The value of untiled operator `kind` ("Map", "Reduce" or "Scan") from
@@ -625,10 +712,16 @@ class Interpreter:
         counters = self.config.counters
         counters.full_tile_calls += full
         counters.straggler_calls += len(results) - full
+        # Each array frees its simulated block as it dies, so the order in
+        # which the temporaries die decides traced addresses. The reduce and
+        # scan branches delete theirs in a fixed order, rather than leave it
+        # to the order in which the frame would release its locals. A list
+        # frees its items last to first.
         if kind is ir.TiledReduce:
-            acc = results[0]
+            acc, partial = results[0], None
             for partial in results[1:]:
                 acc = comb.call([acc, partial], comb_captured)
+            del results, partial
             return acc
         what = kind.__name__[5:].lower()
         if not all(isinstance(r, ArrayValue) for r in results):
@@ -641,13 +734,9 @@ class Interpreter:
         # fixed up by combining the previous tile's last accumulator into
         # each of its steps, through the combine's kernel when it has one
         # (`_step_kernel`); only then is `emit` applied to every step, so
-        # the result equals the untiled scan for any emit. On return the
-        # frame releases its locals in the order they are first named, and
-        # that order decides traced addresses: the last fix-up's steps die
-        # first, then the tile they fixed up (held by `piece` when the
-        # steps are slices), then the fixed-up tile (held by `last`). So no
-        # step's result is bound to a local.
+        # the result equals the untiled scan for any emit.
         axis, adjusted = node.depth, []
+        step = steps = piece = last = None
         for part in results:
             n = part.shape[axis]
             if adjusted:
@@ -655,7 +744,7 @@ class Interpreter:
                 steps = []
                 for j in range(n):
                     piece = step(j)
-                    if not j:  # so that `last` is first named after `piece`
+                    if not j:
                         kernel = self._step_kernel(comb, last, piece)
                     steps.append(comb.call([last, piece], comb_captured) if kernel is None
                                  else self._map_step(kernel, last, piece))
@@ -665,7 +754,11 @@ class Interpreter:
                 if emit is not None:
                     part = self._emit_steps(emit, emit_captured, part, axis)
             adjusted.append(part)
-        return concat(adjusted, axis, self.config.trace, self._new_array)
+        out = concat(adjusted, axis, self.config.trace, self._new_array)
+        # `step` and `piece` hold the last tile when its steps are slices,
+        # and `last` that tile's fix-up.
+        del results, adjusted, part, step, steps, piece, last
+        return out
 
     def _step_kernel(self, comb, a, b):
         """The kernel of G for operands `a` and `b` when combine `comb` is
@@ -689,8 +782,6 @@ class Interpreter:
         return self._assemble("Map", values, None, None, views[0].dtype)
 
     def _emit_steps(self, emit, captured, part, axis):
-        """`emit` applied to every step of `part` along `axis`, stacked. (A
-        comprehension in `_tiled` would turn the locals it reads into
-        cells, which are released last.)"""
+        """`emit` applied to every step of `part` along `axis`, stacked."""
         step = self._slicer(part, axis)
         return self._stack([emit.call([step(j)], captured) for j in range(part.shape[axis])], axis)

@@ -1,6 +1,8 @@
 import gc
+import itertools
 import json
 import random
+import weakref
 
 import pytest
 
@@ -10,6 +12,7 @@ from tilepar.cachesim import (
 )
 from tilepar.ir import parse_program
 from tilepar.ndarray import Allocator, NdArray
+from tilepar.semantics import EvalConfig, Interpreter
 from tilepar.tiling import tile_program
 
 import programs
@@ -167,6 +170,15 @@ def test_run_stops_at_a_negative_address_and_keeps_the_counts_before_it():
     with pytest.raises(CacheConfigError):
         sim.access(-1)
     assert sim.stats.accesses == 5
+
+
+def test_stats_check_raises_on_inconsistent_counts():
+    # An explicit raise, not an assert, so that `python -O` keeps it.
+    stats = TraceStats(accesses=5, hits=3, misses=2)
+    assert stats.check() is stats
+    bad = TraceStats(accesses=5, hits=3, misses=1)
+    with pytest.raises(ValueError, match="3 hits \\+ 1 misses != 5 accesses"):
+        bad.check()
 
 
 # -- hardware probing -------------------------------------------------------------
@@ -389,6 +401,30 @@ def test_traced_runs_do_not_leak_allocators():
     for _ in range(50):
         simulate_program(p, [m], model)
     assert live_allocators() == before
+
+
+def test_traced_run_frees_every_block_and_its_sink():
+    # With the garbage collector off, reference counting alone must free
+    # the sink once the run is over and every temporary block once the
+    # result is gone; only the input's block stays taken.
+    program = tile_program(parse_program(programs.ROW_SCAN), arg_ranks=[2]).program
+    m = NdArray((6, 8), "i64", "row", list(range(48)))
+    gc.disable()
+    try:
+        sim = Simulator(CacheModel(1024, 64, 2))
+        interp = Interpreter(program, EvalConfig(tile_sizes={0: 4, 1: 3}, trace=sim))
+        value, alloc, sink = interp.run([m]), interp._allocator, weakref.ref(sim)
+        del interp, sim
+        assert sink() is None
+        assert alloc.live
+        del value
+        assert alloc.live == {}
+        blocks = sorted([(m.addr, 384)] + [(addr, size) for size, addrs in
+                                           alloc.free_blocks.items() for addr in addrs])
+        assert [a for a, _ in blocks] == [0] + list(itertools.accumulate(s for _, s in blocks))[:-1]
+        assert sum(size for _, size in blocks) == alloc.next
+    finally:
+        gc.enable()
 
 
 def test_streaming_matches_materialized():

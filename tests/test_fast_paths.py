@@ -23,8 +23,8 @@ from tilepar.ir import (
     Function, Map, Program, Return, Var, body_shape, desugar_allpairs, parse_program,
 )
 from tilepar.ndarray import (
-    ELEM_SIZE, Allocator, NdArray, View, as_view, copy, decompose, elements, elementwise,
-    offsets, result_dtype, scalar_op, slice_axis,
+    ELEM_SIZE, Allocator, NdArray, View, as_view, copy_all, decompose, elements,
+    elementwise, offsets, result_dtype, scalar_op, slice_axis,
 )
 from tilepar.semantics import EvalConfig, EvalError, Interpreter, TraceSink, eval_program
 from tilepar.tiling import register_tile, specialize_fixed, tile_program
@@ -213,7 +213,7 @@ def test_copy_matches_per_element_copy(src, dst):
             alloc.allocate(x, reclaim=False)
     before = list(dst.root.data)
     fast_sink, ref_sink = TraceSink(), TraceSink()
-    copy(src, dst, fast_sink)
+    copy_all([(src, dst)], fast_sink)
     fast = list(dst.root.data)
     dst.root.data[:] = before
     reference_copy(src, dst, ref_sink)
@@ -438,6 +438,35 @@ def test_row_fold_rejects_unequal_row_extents(monkeypatch):
     assert fast[:3] == slow[:3]
     assert fast[0] == "Reduce sliced extents differ: 4 vs 5"
     assert fast[2].bounds_checks == 6  # the Map's own checks only
+
+
+@pytest.mark.parametrize("axes", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_reduce_node_rows_of_unequal_extents_fail_as_generic(axes, monkeypatch):
+    # The node checks its rows' extents once per call, from the operands'
+    # shapes, and raises what the generic twin's first row raises.
+    pair = fold_program("x, y", "return reduce(mul2, combine=add2, init=0, x, y; axes=[0, 0]);",
+                        f"fn main(X, Y) {{ return map(fold, X, Y; axes=[{axes[0]}, {axes[1]}]); }}")
+    x = matrix(*((3, 4) if axes[0] == 0 else (4, 3)), "i64", "row", 20)
+    y = matrix(*((3, 5) if axes[1] == 0 else (5, 3)), "f64", "col", 21)
+    x.addr, y.addr = 1024, 8192
+    value = assert_same_as_twin(pair, [x, y], monkeypatch, True)
+    assert value == "Reduce sliced extents differ: 4 vs 5"
+    # The same for tiles whose rows are strided spans of their roots.
+    tiles = [decompose(v, 1 - axis, 3)[-1] for v, axis in zip((x, y), axes)]
+    value = assert_same_as_twin(pair, tiles, monkeypatch, True)
+    assert value == "Reduce sliced extents differ: 1 vs 2"
+
+
+def test_reduce_node_failing_row_reports_the_rows_read(monkeypatch):
+    # A reduce node reports all its rows' reads as one run; when row 2
+    # divides by zero, that run holds rows 0 to 2, as the generic twin's
+    # calls read them, and the bounds checks count those rows.
+    pair = fold_program("x", "return reduce(ident, combine=div2, init=1, x; axes=[0]);",
+                        "fn div2(a, b) { return a / b; }\n"
+                        "fn main(X) { return map(fold, X; axes=[0]); }")
+    x = NdArray((4, 3), "i64", "col", [1, 2, 3, 4, 5, 6, 0, 8, 9, 1, 1, 1])
+    value = assert_same_as_twin(pair, [x], monkeypatch, True)
+    assert value == "arithmetic error: float division by zero"
 
 
 def test_row_fold_near_misses_take_the_generic_path(monkeypatch):

@@ -198,3 +198,34 @@ def test_from_nested_places_every_element(layout):
 def test_from_nested_rejects_ragged_input(nested, layout):
     with pytest.raises(ShapeError, match="ragged"):
         NdArray.from_nested(nested, layout=layout)
+
+
+# Elements must be ints or floats: a bool, a str or None raises ShapeError
+# when the array is built, not a bare TypeError once arithmetic reaches it.
+@pytest.mark.parametrize("nested, found", [
+    (["a", None], "NoneType, str"),
+    ([[1, 2], [3, True]], "bool"),
+    ([[1.5], [None]], "NoneType"),
+    ("a", "str"),  # rank 0
+])
+def test_from_nested_rejects_non_numbers(nested, found):
+    with pytest.raises(ShapeError, match=f"must be int or float, got {found}$"):
+        NdArray.from_nested(nested)
+
+
+@pytest.mark.parametrize("data, found", [
+    ([1.5, "x"], "str"),
+    ([1, False], "bool"),
+    ([None, 2], "NoneType"),
+])
+def test_constructor_rejects_non_numbers(data, found):
+    with pytest.raises(ShapeError, match=f"must be int or float, got {found}$"):
+        NdArray((2,), "i64", "row", data)
+
+
+def test_from_nested_checks_dtype_and_layout():
+    assert NdArray.from_nested([1, 2], "f64").dtype == "f64"
+    with pytest.raises(ShapeError, match="unknown dtype"):
+        NdArray.from_nested([1, 2], "f32")
+    with pytest.raises(ShapeError, match="unknown layout"):
+        NdArray.from_nested([[1, 2]], layout="diag")

@@ -143,6 +143,35 @@ def test_trace_pinned(name):
             counters.bounds_checks) == COUNTER_PINS[name]
 
 
+class CountingSink:
+    """A trace sink that counts its runs and their events."""
+
+    def __init__(self):
+        self.runs = self.events = 0
+
+    def run(self, addrs, kinds):
+        self.runs += 1
+        self.events += sum(1 for _ in addrs)
+
+    def phase(self, label):
+        pass
+
+
+# Sink runs of the traced tiled run. A stack, a concat and a reduce node's
+# reads are one run each; a map or scan node reports each row's reads.
+RUN_PINS = {"matmul_reg": 449, "row_scan": 69}
+
+
+@pytest.mark.parametrize("name", sorted(RUN_PINS))
+def test_sink_runs_pinned(name):
+    src, inputs, registers, sizes = CASES[name]
+    passes, spec = tile_case(src, inputs, registers)
+    sink = CountingSink()
+    eval_program(passes[-1], inputs, EvalConfig(tile_sizes=spec.sizes(overrides=sizes),
+                                                trace=sink))
+    assert (sink.runs, sink.events) == (RUN_PINS[name], PINS[name][0])
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_untiled_trace_pinned(name):
     src, inputs, _, _ = CASES[name]
