@@ -283,6 +283,8 @@ def cmd_autotune(args):
         raise UsageError("autotune needs --input or --gen")
     if args.batch < 1:
         raise UsageError("--batch must be >= 1")
+    if args.budget < 1:
+        raise UsageError("--budget must be >= 1")
     hw = _hardware()
     tiled, spec = _prepare_tiled(program, inputs, "cache", hw)
     if spec is None:

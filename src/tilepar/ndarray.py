@@ -25,7 +25,9 @@ concat is one run.
 
 `Allocator` places arrays in a simulated address space. It takes a block
 back when its array dies, through a `weakref.ref` callback, and keeps
-the (size, address) of every live block in a dict of its own.
+the (size, address) of every live block in a dict of its own. A `Block`
+is placed the same way: it stands for a temporary array whose elements
+are kept elsewhere, and holds only its size and address.
 """
 
 from __future__ import annotations
@@ -492,6 +494,17 @@ def elementwise(op, a, b, trace=None, new_array=NdArray):
 # ---------------------------------------------------------------------------
 # Address traces and allocation
 # ---------------------------------------------------------------------------
+
+class Block:
+    """An address-only stand-in for a temporary array of `size` elements:
+    the allocator places it (`addr`) and takes its block back when it
+    dies, as for an array."""
+
+    __slots__ = ("size", "addr", "__weakref__")
+
+    def __init__(self, size):
+        self.size, self.addr = size, 0
+
 
 class Allocator:
     """Simulated address space with line-aligned bases and block reuse.

@@ -31,13 +31,22 @@ else an empty rank-1 array of the first operand's dtype.
 Each function is built once, on its first call, into nested closures;
 callees are looked up by name when an operator first runs, so a missing
 function raises only when execution reaches it. An operator runs a
-callee that `ir.body_shape` describes without a call per slice: a leaf
-over rank-1 operands as one loop over a slice of each flat buffer (scalar
-closure operands broadcast), a map, reduce or scan of the callee's own
-parameters once per row without a frame, its callee by the same rule;
-over rank-2 operands it reads each row as a slice of the flat buffer,
-without a View per row, and checks the row extents once. A
-fold (Reduce or Scan) runs only a leaf so, with a scalar init, no emit
+callee that `ir.body_shape` describes without a call per slice, through
+its kernel `kernel(views, axes, extent, captured)`:
+- a leaf over rank-1 operands is one loop over a slice of each flat
+  buffer (scalar closure operands broadcast); it gives its results, one
+  scalar per slice, which the operator stacks, folds or scans;
+- a map, reduce or scan of the callee's own parameters (a node) runs once
+  per row without a frame, its callee by the same rule. Over rank-2
+  operands it reads each row as a slice of the flat buffer, without a
+  View per row, and checks the row extents once. A reduce node gives its
+  rows' results, one scalar per row. A map or scan node gives its whole
+  stacked value as one `_Stack`: a flat row-major element list, with the
+  shape and the dtype that stacking its rows' arrays would give. Each row
+  appends its results to that list, and a node over rank 3 or more
+  concatenates its rows' lists. The caller that needs an array
+  (`_assemble`) adopts the list once.
+A fold (Reduce or Scan) runs only a leaf so, with a scalar init, no emit
 and a combine `return a OP b`. Stacking scalars, or equal rank-1 rows
 along axis 0 or 1, fills the output in one pass. All give the values,
 trace events, allocations, counters and errors of one call per slice.
@@ -47,6 +56,14 @@ element list and a shape, dtype and layout it derived itself, so nothing
 is zero-filled first or checked again. Every array is placed in the
 simulated address space when it is built, so the order of allocations,
 and of the frees that reference counting makes, decides each address.
+One call per slice would build an array for each row of a map or scan
+node, and for each row of those rows. With a trace sink the node models
+each of them by an address-only `ndarray.Block` of the same size, placed
+by the same allocator at the same point. It reports the same `W` or `RW`
+run over the block as the array's stack would, and lets the blocks die
+where the arrays would: a row's blocks die, last to first, once the
+row's own block is written, and the outermost ones once the operator's
+array is. So addresses, events and runs are those of one call per slice.
 
 A trace sink is any object with `run(addrs, kinds)` and `phase(label)`.
 When one is attached (`EvalConfig.trace`), every array element read or
@@ -74,7 +91,7 @@ from dataclasses import dataclass, field
 
 from . import ir
 from .ndarray import (
-    ELEM_SIZE, Allocator, ArrayValue, NdArray, View, addresses, adopt, concat, copy_all,
+    ELEM_SIZE, Allocator, ArrayValue, Block, NdArray, View, addresses, adopt, concat, copy_all,
     decompose, elementwise, result_dtype, scalar_op, slice_axis, span,
 )
 
@@ -197,6 +214,36 @@ def _row_reads(views, axes, n):
         range(base + i * row, base + i * row + n * step, step) for base, row, step in spans]))
 
 
+def _scalar_dtype(values):
+    """The dtype of `values` stacked as scalars: f64 when any is a float,
+    else i64; None when any is an array."""
+    kinds = set(map(type, values))
+    if kinds <= _SCALARS:
+        return "f64" if float in kinds else "i64"
+    if any(isinstance(x, ArrayValue) for x in values):
+        return None
+    return result_dtype(values)
+
+
+class _Stack:
+    """The value of a map or scan node's kernel before it is an array: its
+    elements `data` in row-major order, `shape` and `dtype`. With a trace
+    sink, `rows` lists the address-only block (`ndarray.Block`) that holds
+    the place of each row's own value, in row order; else it is None."""
+
+    __slots__ = ("data", "shape", "empty", "rows")
+
+    def __init__(self, data, shape, empty, rows):
+        self.data, self.shape, self.empty, self.rows = data, shape, empty, rows
+
+    @property
+    def dtype(self):
+        """The dtype that stacking the rows' arrays gives: the first
+        operand's (`empty`) when there is no element, else `_scalar_dtype`
+        of the elements."""
+        return _scalar_dtype(self.data) if self.data else self.empty
+
+
 def _failing(message):
     def fail(frame, hold=None):
         raise EvalError(message)
@@ -279,8 +326,9 @@ class Interpreter:
     def _kernel(self, f, ranks):
         """The kernel of `f` for operands of `ranks` (see the module docstring) or
         None: `kernel(views, axes, extent, captured)` lists f's results at every slice
-        of `views` along `axes`, or is None before any side effect. A node's callee has
-        no closure parameters; a fold node needs rank 2 and a combine with `op`."""
+        of `views` along `axes` (a map or scan node gives them stacked, as a `_Stack`),
+        or is None before any side effect. A node's callee has no closure parameters;
+        a fold node needs rank 2 and a combine with `op`."""
         if ranks not in f.kernels:
             f.kernels[ranks] = self._new_kernel(f.fn, ranks)
         return f.kernels[ranks]
@@ -305,7 +353,7 @@ class Interpreter:
             values = _leaf_values(callee, leaf[1], leaf[2])[1]
             return self._leaf_node(kind, values, op, init, len(ranks))
         inner = self._kernel(self._function(g), tuple(r - 1 for r in ranks))
-        return inner and self._node(kind, inner, op, init, len(ranks))
+        return inner and self._node(inner, len(ranks))
 
     def _leaf(self, fn, op, names):
         """Kernel of leaf `fn`, None for an array closure operand. It reports
@@ -330,50 +378,104 @@ class Interpreter:
         `values` (`_leaf_values`): per row, the untiled operator without a
         frame. Row i of each operand is the flat span (root, offset + i *
         strides[axis], strides[1 - axis]); no View is built for it. Row
-        extents are checked once. A reduce reports the reads of all its
-        rows as one run, as nothing comes between them; a map or a scan
-        reports each row's reads as a run before `_stack` writes the row's
-        results."""
+        extents are checked once. A reduce gives its rows' results, and
+        reports the reads of all its rows as one run, as nothing comes
+        between them. A map or a scan appends each row's results to one
+        element list and gives a `_Stack`; it reports each row's reads as a
+        run before the row's block takes the row's results."""
         what, counters, trace = kind.capitalize(), self.config.counters, self.config.trace
-        assemble = self._assemble
         one_run = trace is not None and kind == "reduce"
         run_per_row = trace is not None and not one_run
+        if kind == "reduce":
+            def row(columns, out):
+                out.append(functools.reduce(op, values(columns), init))
+        elif kind == "scan":
+            def row(columns, out):
+                out += itertools.islice(itertools.accumulate(values(columns), op, initial=init),
+                                        1, None)
+        else:
+            def row(columns, out):
+                out += values(columns)
 
         def node(views, axes, extent, captured):
             n = extent and _row_extent(views, axes, what)
             spans = [(v.root.data, v.offset, v.strides[axis], v.strides[1 - axis])
                      for v, axis in zip(views, axes)]
             reads = trace and _row_reads(views, axes, n)
-            dtype, results, i = views[0].dtype, [], -1
+            out, blocks, i = [], [] if run_per_row else None, -1
             try:
                 for i in range(extent):
                     if run_per_row:
                         trace.run(reads(i), "R")
-                    columns = [data[o + i * s:o + i * s + n * t:t] for data, o, s, t in spans]
-                    results.append(assemble(what, values(columns), op, init, dtype))
+                    row([data[o + i * s:o + i * s + n * t:t] for data, o, s, t in spans], out)
+                    if blocks is not None:
+                        blocks.append(self._row_block(n, n, None))
             finally:  # rows 0..i were checked and read, also when row i raised
                 counters.bounds_checks += arity * n * (i + 1)
                 if one_run:
                     trace.run(itertools.chain.from_iterable(map(reads, range(i + 1))), "R")
-            return results
+            if kind == "reduce":
+                return out
+            return _Stack(out, (extent, n) if extent else (0,), views[0].dtype, blocks)
         return node
 
-    def _node(self, kind, inner, op, init, arity):
-        """Kernel of a node over operands of rank 3 or more whose callee's
-        kernel is `inner`: per row, the untiled operator without a frame."""
-        what, zeros, counters = kind.capitalize(), (0,) * arity, self.config.counters
-        assemble = self._assemble
+    def _node(self, inner, arity):
+        """Kernel of a map node over operands of rank 3 or more (only a map
+        has one) whose callee's kernel is `inner`: per row, the untiled
+        operator without a frame. It concatenates its rows' element lists
+        into one `_Stack`; a row's block takes the row's own rows (`_join`)."""
+        zeros, counters, join = (0,) * arity, self.config.counters, self._join
 
         def node(views, axes, extent, captured):
             slicers = [self._slicer(v, axis) for v, axis in zip(views, axes)]
             # Every row has the extents of row 0, and only row 0 checks them.
-            n = extent and self._operand_views([s(0) for s in slicers], zeros, what)[1]
-            dtype, results = views[0].dtype, []
+            n = extent and self._operand_views([s(0) for s in slicers], zeros, "Map")[1]
+            out, blocks = [], [] if self.config.trace is not None else None
+            shape = ()
             for rows in zip(*[map(s, range(extent)) for s in slicers]):
                 counters.bounds_checks += arity * n
-                results.append(assemble(what, inner(rows, zeros, n, None), op, init, dtype))
-            return results
+                shape = join(out, blocks, inner(rows, zeros, n, None), n)
+            return _Stack(out, (extent,) + shape if extent else (0,), views[0].dtype, blocks)
         return node
+
+    def _join(self, out, blocks, value, n):
+        """Append to `out` the elements of one row's `value` from a node's
+        kernel, a `_Stack` or n scalars, and with a trace sink its block
+        to `blocks`; gives the row's shape. The blocks of `value`'s own
+        rows die when this returns, after the row's block is placed."""
+        if type(value) is _Stack:
+            data, shape, rows = value.data, value.shape, value.rows
+        else:
+            data, shape, rows = value, (n,), None
+        out += data
+        if blocks is not None:
+            blocks.append(self._row_block(len(data), n, rows))
+        return shape
+
+    def _row_block(self, size, count, rows):
+        """An address-only block of `size` elements placed as `_new_array`
+        places an array, and written as `_fill` writes one."""
+        block = Block(size)
+        self._allocator.allocate(block)
+        self._fill(block, count, rows)
+        return block
+
+    def _fill(self, out, count, rows):
+        """Report the writes of stacking `count` values into `out`, an array
+        or a block, as `_stack` reports them: none for no value, one `W`
+        run for scalars (`rows` is None), else one `RW` run that copies
+        each of the blocks `rows` in turn, per element a read of it and then
+        a write of `out`."""
+        if not count:
+            return
+        if rows is None:
+            self.config.trace.run(range(out.addr, out.addr + count * ELEM_SIZE, ELEM_SIZE), "W")
+            return
+        step = rows[0].size * ELEM_SIZE
+        self.config.trace.run(itertools.chain.from_iterable(itertools.chain.from_iterable(
+            zip(range(r.addr, r.addr + step, ELEM_SIZE),
+                range(out.addr + j * step, out.addr + (j + 1) * step, ELEM_SIZE))
+            for j, r in enumerate(rows))), "RW")
 
     # -- statements ------------------------------------------------------------
 
@@ -557,12 +659,8 @@ class Interpreter:
         outputs, array literals, and tiled-scan steps. `values` is a list;
         stacked scalars keep it as the output's elements."""
         trace = self.config.trace
-        kinds = set(map(type, values))
-        if kinds <= _SCALARS:
-            dtype = "f64" if float in kinds else "i64"
-        elif not any(isinstance(x, ArrayValue) for x in values):
-            dtype = result_dtype(values)
-        else:
+        dtype = _scalar_dtype(values)
+        if dtype is None:
             return self._stack_arrays(values, axis)
         out = self._new_array((len(values),), dtype, "row", values)
         if trace is not None:
@@ -662,10 +760,15 @@ class Interpreter:
 
     def _assemble(self, kind, values, op, init, dtype):
         """The value of untiled operator `kind` ("Map", "Reduce" or "Scan") from
-        its callee's results (see the module docstring); `dtype` is the first
-        operand's."""
+        its callee's results (see the module docstring), or the array of a
+        node kernel's `_Stack`; `dtype` is the first operand's."""
         if kind == "Reduce":
             return functools.reduce(op, values, init)
+        if type(values) is _Stack:
+            out = self._new_array(values.shape, values.dtype, "row", values.data)
+            if values.rows is not None:
+                self._fill(out, len(values.rows), values.rows)
+            return out
         if not values:
             return self._new_array((0,), dtype)
         if kind == "Scan":

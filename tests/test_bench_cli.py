@@ -306,6 +306,17 @@ def test_cli_autotune_unwritable_cache_is_a_usage_error(program_file, tmp_path, 
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_cli_autotune_budget_below_one_is_a_usage_error(budget, program_file, capsys):
+    # No probe runs: the midpoint alone would be one beyond the budget.
+    prog = program_file(programs.SUM_ROWS)
+    assert main(["autotune", "--program", prog, "--gen", "shape=12x12,layout=col",
+                 "--budget", budget]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --budget must be >= 1")
+
+
 @pytest.mark.parametrize("points, k", [(2, 5), (5, 0)], ids=["k-above-points", "k-zero"])
 def test_cli_bench_kmeans_k_out_of_range_is_a_usage_error(points, k, capsys):
     assert main(["bench", "--name", "kmeans", "--points", str(points), "--k", str(k)]) == 1

@@ -19,6 +19,7 @@ import random
 
 import pytest
 
+from tilepar import semantics
 from tilepar.ir import (
     Function, Map, Program, Return, Var, body_shape, desugar_allpairs, parse_program,
 )
@@ -582,7 +583,8 @@ def test_folds_over_zero_rows_return_as_generic(monkeypatch):
     # A node's kernel checks the extents of its first row only if it has one.
     interp = Interpreter(pair[0])
     kernel = interp._kernel(interp._function("rowmul"), (2, 2))
-    assert kernel([NdArray((0, 4), "i64"), NdArray((0, 5), "i64")], (0, 0), 0, None) == []
+    value = kernel([NdArray((0, 4), "i64"), NdArray((0, 5), "i64")], (0, 0), 0, None)
+    assert (value.data, value.shape, value.dtype) == ([], (0,), "i64")
 
 
 def test_tiled_row_sums_make_one_call_per_tile(monkeypatch):
@@ -631,6 +633,28 @@ def test_tiled_matmul_and_row_scan_calls(monkeypatch):
     eval_program(tile_program(program).program, [matrix(192, 192, "i64", "col", 38)],
                  EvalConfig(tile_sizes={0: 23, 1: 23}))
     assert sum(calls.values()) <= 200
+
+
+def test_tiled_matmul32_reg_calls_and_arrays(monkeypatch):
+    # The benchmark's register-tiled matmul: 32 x 32, row-major f64, cache
+    # tiles 6 x 6 x 6 and register tiles of 4. A map or scan node stacks
+    # its rows' results into one element list, so only the array that an
+    # operator returns is built; an array per row would make 12,666.
+    calls = counting_build(monkeypatch)
+    built = collections.Counter()
+    adopt = semantics.adopt
+
+    def counted(*args):
+        built["arrays"] += 1
+        return adopt(*args)
+    monkeypatch.setattr(semantics, "adopt", counted)
+    program = desugar_allpairs(parse_program(programs.MATMUL))
+    res = tile_program(program, arg_ranks=[2, 2])
+    tiled, spec = register_tile(res.program, res.spec, 16)
+    x, y = matrix(32, 32, "f64", "row", 39), matrix(32, 32, "f64", "row", 40)
+    eval_program(tiled, [x, y], EvalConfig(tile_sizes=spec.sizes(overrides={0: 6, 1: 6, 2: 6})))
+    assert sum(calls.values()) == 6000
+    assert built["arrays"] <= 5500
 
 
 def random_row_fold(seed):

@@ -11,12 +11,16 @@ depend on the order in which the tiler visits the program.
 """
 
 import hashlib
+import importlib.util
 import math
 import random
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from tilepar.autotuner import estimate_bounds
 from tilepar.bench import MATMUL_SRC, SQDIST_SRC, SUM_ROWS_SRC
 from tilepar.cachesim import CacheModel, Simulator, simulate_program, trace_program
 from tilepar.ir import (
@@ -307,6 +311,81 @@ def test_generic_callee_matches_elementary_one(name, tiled):
         assert runs[0][3][1] > 0  # straggler tiles ran
 
 
+NODE_LIB = """
+fn ident(x) { return x; }
+fn add2(a, b) { return a + b; }
+fn div(a, b) { return a / b; }
+fn copied(x) { return map(ident, x; axes=[0]); }
+fn scanned(x) { return scan(ident, combine=add2, init=0, x; axes=[0]); }
+fn summed(x) { return reduce(ident, combine=add2, init=0, x; axes=[0]); }
+fn added(x, y) { return map(add2, x, y; axes=[0, 0]); }
+fn divided(x, y) { return map(div, x, y; axes=[0, 0]); }
+fn copied2(x) { return map(copied, x; axes=[0]); }
+fn scanned2(x) { return map(scanned, x; axes=[0]); }
+fn summed2(x) { return map(summed, x; axes=[0]); }
+fn added2(x, y) { return map(added, x, y; axes=[0, 0]); }
+fn divided2(x, y) { return map(divided, x, y; axes=[0, 0]); }
+"""
+
+
+def divisors(shape, layout):
+    """An i64 array of `shape` with no zero element."""
+    return NdArray(shape, "i64", layout, [i % 3 + 1 for i in range(math.prod(shape))])
+
+
+def node_cases():
+    """(callee, operand axes, inputs) of `map(callee, ...)` in `main`: map
+    and scan nodes over rank-2 and rank-3 operands, i64 and f64, with rows
+    of width 0, i64 inputs whose leaf divides, and two operands of mixed
+    layouts sliced along different axes."""
+    for fn in ("copied", "scanned"):
+        for dtype in ("i64", "f64"):
+            for axis in (0, 1):
+                yield fn, (axis,), [matrix(4, 5, dtype, ("row", "col")[axis])]
+            yield fn, (0,), [matrix(3, 0, dtype, "row")]
+            yield fn, (1,), [matrix(0, 3, dtype, "col")]
+    yield "added", (0, 1), [matrix(4, 5, "i64", "row"), matrix(5, 4, "f64", "col")]
+    yield "added", (1, 0), [matrix(5, 4, "f64", "col"), matrix(4, 5, "i64", "row")]
+    yield "added", (0, 0), [matrix(3, 0, "f64", "row"), matrix(3, 0, "i64", "col")]
+    yield "divided", (0, 1), [matrix(4, 5, "i64", "col"), divisors((5, 4), "row")]
+    yield "divided", (0, 0), [matrix(3, 0, "i64", "row"), divisors((3, 0), "col")]
+    for fn in ("copied2", "scanned2", "summed2"):
+        for dtype in ("i64", "f64"):
+            for axis in (0, 1, 2):
+                yield fn, (axis,), [cube(2, 3, 4) if dtype == "i64" else
+                                    NdArray((2, 3, 4), "f64", "row", [i / 4 for i in range(24)])]
+            yield fn, (0,), [NdArray((2, 3, 0), dtype, "col")]
+            yield fn, (0,), [NdArray((2, 0, 3), dtype, "row")]
+    yield "added2", (0, 2), [cube(2, 3, 4), NdArray((3, 4, 2), "f64", "row",
+                                                     [i / 2 for i in range(24)])]
+    yield "added2", (1, 1), [NdArray((3, 0, 2), "f64", "col"), NdArray((3, 0, 2), "i64", "row")]
+    yield "divided2", (2, 0), [cube(3, 4, 2), divisors((2, 3, 4), "row")]
+    yield "divided2", (0, 0), [NdArray((2, 3, 0), "i64", "col"), divisors((2, 3, 0), "row")]
+
+
+@pytest.mark.parametrize("fn, axes, inputs", list(node_cases()))
+def test_node_values_match_generic_twins(fn, axes, inputs):
+    """A map or scan node stacks its rows' results into one element list.
+    The array built from it has the value, dtype (int and float elements
+    included), trace and counters of one call per row, traced and not."""
+    names = ", ".join(f"X{i}" for i in range(len(inputs)))
+    program = parse_program(NODE_LIB + f"fn main({names}) {{ return map({fn}, {names}; "
+                            f"axes=[{', '.join(map(str, axes))}]); }}")
+    interp = Interpreter(program)
+    assert interp._kernel(interp._function(fn), tuple(x.rank for x in inputs)) is not None
+    for traced in (True, False):
+        runs = []
+        for p in (program, with_generic_bodies(program)):
+            config = EvalConfig(trace=TraceSink() if traced else None)
+            value = Interpreter(p, config).run(inputs)
+            events = config.trace.events if traced else []
+            c = config.counters
+            runs.append(((value.shape, value.dtype, [(type(x), x) for x in value.data]),
+                         len(events), digest(events),
+                         (c.full_tile_calls, c.straggler_calls, c.bounds_checks)))
+        assert runs[0] == runs[1]
+
+
 def observed(program, inputs, tile_sizes):
     """Value (with element types), trace length and digest, and dispatch
     counters of one traced run."""
@@ -363,6 +442,45 @@ def test_simulated_totals_pinned(name):
     tiled, _ = simulate_program(passes[-1], inputs, SIM_MODEL,
                                 tile_sizes=spec.sizes(overrides=sizes))
     assert (totals(untiled), totals(tiled)) == SIM_PINS[name]
+
+
+def benchmark_workloads():
+    """`benchmarks/workloads.py`, loaded from its file: the benchmark's
+    workloads, inputs and modelled hardware."""
+    module = sys.modules.get("benchmark_workloads")
+    if module is None:
+        path = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+        module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
+
+
+# The traced tiled run of each benchmark workload at the midpoint of its
+# bounds, compiled as `benchmarks/run.py` compiles it (`--trace 1` reports
+# the same event count and digest): (events, sha256).
+BENCHMARK_PINS = {
+    "rowsum-col256-tune": (
+        77568, "66b57a722d807c33ec543a602441fd2e0eeb211f4f8e48f2a4ba66a0fbed9e86"),
+    "matmul32-reg": (
+        461824, "fb5efde53c1d790de6c077020efe2e035e05c77113272b23a03bafc8a87cfde6"),
+    "prefixscan-col192": (
+        457152, "ab72edf87f95f40f93df5995ea7fca799e4ad00d2297acbbb25306e2dafcb5b9"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_PINS))
+def test_benchmark_trace_pinned(name):
+    bench = benchmark_workloads()
+    wl = bench.WORKLOADS[name]
+    res = tile_program(desugar_allpairs(parse_program(wl.src)), arg_ranks=[2] * wl.operands)
+    tiled, spec = res.program, res.spec
+    if wl.registers:
+        tiled, spec = register_tile(tiled, spec, bench.HW)
+    space = estimate_bounds(tiled, spec, bench.HW, extents=wl.extents)
+    sizes = spec.sizes(overrides=dict(zip(space.slot_ids, space.midpoint())))
+    events = trace_program(tiled, wl.make_inputs(0)[1], sizes)
+    assert (len(events), digest(events)) == BENCHMARK_PINS[name]
 
 
 # Every statement of the entry function is a phase, also one inside an if.
