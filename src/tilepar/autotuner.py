@@ -170,7 +170,7 @@ def _count_nest_arrays(program, spec):
 def start_search(space, probe):
     """Evaluate the midpoint of the bounds as the initial best point."""
     initial = space.midpoint()
-    cost = _evaluate_all(probe, [initial])[0]
+    cost = _cost(probe, initial)
     state = SearchState(space, initial, cost if cost is not None else math.inf,
                         space.sigmas(), evaluations=1)
     state.log.append(LogRecord(0, initial, cost, state.best, state.best_cost))
@@ -186,15 +186,12 @@ def draw_candidate(state, rng):
     return sizes
 
 
-def _evaluate_all(probe, candidates):
-    """Cost of each candidate in order; None where the probe raises."""
-    costs = []
-    for sizes in candidates:
-        try:
-            costs.append(probe.evaluate(sizes))
-        except Exception:
-            costs.append(None)
-    return costs
+def _cost(probe, sizes):
+    """The probe's cost of `sizes`, or None when the probe raises."""
+    try:
+        return probe.evaluate(sizes)
+    except Exception:
+        return None
 
 
 def search_step(state, probe, config, rng):
@@ -204,7 +201,7 @@ def search_step(state, probe, config, rng):
     if state.terminated:
         raise AutotuneError("search already terminated")
     candidates = [draw_candidate(state, rng) for _ in range(config.batch_size)]
-    costs = _evaluate_all(probe, candidates)
+    costs = [_cost(probe, sizes) for sizes in candidates]
     state.rounds += 1
     state.evaluations += len(candidates)
     scored = sorted((cost, sizes) for sizes, cost in zip(candidates, costs)
@@ -237,7 +234,7 @@ def run_search(space, probe, config):
 
     def first_result(sizes):
         if sizes not in results:
-            results[sizes] = _evaluate_all(probe, [sizes])[0]
+            results[sizes] = _cost(probe, sizes)
         return results[sizes]
 
     memo = CostProbe(first_result)

@@ -375,6 +375,13 @@ def reachable(program, roots):
     return order
 
 
+def prune(program, roots):
+    """`program` with only the functions reachable from `roots`, in table
+    order."""
+    live = set(reachable(program, roots))
+    return Program({n: fn for n, fn in program.functions.items() if n in live})
+
+
 def fresh_name(base, taken):
     """`base`, or the first of `base_2`, `base_3`, ... not in `taken`."""
     name, i = base, 2
@@ -538,6 +545,8 @@ def _definitely_returns(block):
 
 
 def _validate_block(program, fn, block, bound, allow_tiled):
+    """Check `block` given the names `bound` before it; return the names
+    surely bound after it, by `_block_free`'s rule."""
     for i, s in enumerate(block):
         if isinstance(s, Return) and i != len(block) - 1:
             raise ValidationError("return-not-last", f"{fn.name}: return before end of block")
@@ -548,13 +557,15 @@ def _validate_block(program, fn, block, bound, allow_tiled):
             _validate_expr(program, fn, s.value, bound, allow_tiled)
         elif isinstance(s, If):
             _validate_expr(program, fn, s.cond, bound, allow_tiled)
-            _validate_block(program, fn, s.then, set(bound), allow_tiled)
-            _validate_block(program, fn, s.orelse, set(bound), allow_tiled)
+            then_bound = _validate_block(program, fn, s.then, bound, allow_tiled)
+            else_bound = _validate_block(program, fn, s.orelse, bound, allow_tiled)
+            bound = bound | (then_bound & else_bound)
         elif isinstance(s, For):
             _validate_expr(program, fn, s.seq, bound, allow_tiled)
             _validate_block(program, fn, s.body, bound | {s.var}, allow_tiled)
         else:
             raise ValidationError("unknown-statement", f"{fn.name}: {type(s).__name__}")
+    return bound
 
 
 def _validate_expr(program, fn, expr, bound, allow_tiled):

@@ -30,19 +30,21 @@ from the init independently, so only then does tiling keep the result.
 
 The transformation is applied twice, by two passes. Each normalizes the
 program once (``normalize_for_tiling``: every operator the whole
-right-hand side of its statement, with variable or constant arguments)
-and validates only the functions it created or replaced. The cache pass,
-``tile_program``, tiles the entry function with sizes chosen at run time,
-or returns the input unchanged with a reason. The register pass,
-``register_tile``, tiles the reconstructed nests with small fixed sizes
-(``register_tile_size``) and adds fixed-extent function specializations
-(``specialize_fixed`` clones); it infers the untiled ranks once per pass.
+right-hand side of its statement, with variable or constant arguments),
+keeps only the functions the entry reaches, and validates only the
+functions it created or replaced; a pass that changes nothing returns its
+input as given. The cache pass, ``tile_program``, tiles the entry
+function with sizes chosen at run time, or returns the input unchanged
+with a reason. The register pass, ``register_tile``, tiles the
+reconstructed nests with small fixed sizes (``register_tile_size``); it
+infers the untiled ranks once per pass. Each operator it tiles gets its
+fixed-extent clone (``specialize_fixed``) when it is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import chain, count
+from itertools import count
 
 from . import ir
 from .ir import (
@@ -480,8 +482,20 @@ class _Tiler:
             body = self.tile_block(fn.body, inner, node_path)
         else:
             body = self._rebuilt_nest(fn, inner, node_path)
-        clone = self.define(fresh_name(f"{fn.name}$t{depth}", self.out), fn.params, body)
-        return TiledMap(clone.name, None, slot.id, depth, e.args, global_axes)
+        name, fixed = self.tile_functions(fn, depth, body, slot, global_axes)
+        return TiledMap(name, fixed, slot.id, depth, e.args, global_axes)
+
+    def tile_functions(self, fn, depth, body, slot, axes):
+        """The names of the tile function with `body` of an operator over
+        `fn` at `depth`, and of its clone for a slot of fixed size (None for
+        a runtime-tunable slot), both defined now. Bodies are built inner
+        operators first, so the clone already names its inner clones."""
+        tile_fn = self.define(fresh_name(f"{fn.name}$t{depth}", self.out), fn.params, body)
+        if slot.size is None:
+            return tile_fn.name, None
+        clone = specialize_fixed(self.program, tile_fn.name, slot.size, axes)
+        self.out[clone.name] = clone
+        return tile_fn.name, clone.name
 
     def _rebuilt_nest(self, fn, state, path):
         """`fn`'s body inside the untiled nest of the operators visited so
@@ -509,16 +523,15 @@ class _Tiler:
         # A reduction always terminates the walk: partial results of one
         # reduction cannot feed another, so the nested function is rebuilt
         # from the visited nest even if it contains further operators.
-        clone = self.define(fresh_name(f"{fn.name}$t{depth}", self.out), fn.params,
-                            self._rebuilt_nest(fn, inner, node_path))
+        name, fixed = self.tile_functions(fn, depth, self._rebuilt_nest(fn, inner, node_path),
+                                          slot, global_axes)
         added = max((len(state.depths.get(n, ())) for n in names), default=0)
         lifted = self.lift_combine(e.combine, added)
         if isinstance(e, Reduce):
-            return TiledReduce(clone.name, None, slot.id, depth, lifted, e.init,
-                               e.args, global_axes)
+            return TiledReduce(name, fixed, slot.id, depth, lifted, e.init, e.args, global_axes)
         emit = self.lift_combine(e.emit, added) if e.emit is not None else None
-        return TiledScan(clone.name, None, slot.id, depth, lifted, emit, e.init,
-                         e.args, global_axes)
+        return TiledScan(name, fixed, slot.id, depth, lifted, emit, e.init, e.args,
+                         global_axes)
 
     def _check_exact_combine(self, e, path):
         """Each tile folds from `init` and the per-tile partials are then
@@ -640,7 +653,7 @@ def tile_program(program, arg_ranks=None, entry="main"):
             entry, dict(zip(main.params, arg_ranks)))
     except UnsupportedNesting as exc:
         return TilingResult(False, program, None, str(exc))
-    return TilingResult(True, _validated(program, tiled), spec)
+    return TilingResult(True, _validated(program, ir.prune(tiled, [entry])), spec)
 
 
 def specialize_fixed(program, fname, k, axes=None):
@@ -661,8 +674,8 @@ def specialize_fixed(program, fname, k, axes=None):
 
 
 def register_tile(program, spec, hw, entry="main"):
-    """Second tiling pass: fixed-size register tiles inside the nests the
-    cache pass rebuilt, plus fixed-extent specializations.
+    """Second tiling pass: fixed-size register tiles, each operator with its
+    fixed-extent clone, inside the nests the cache pass rebuilt.
 
     Each function still reachable from the entry with untiled operators
     and no tiled ones is tiled, unless control flow is reachable from it
@@ -676,26 +689,24 @@ def register_tile(program, spec, hw, entry="main"):
     tiled = normalized = normalize_for_tiling(program)
     ranks = _rank_table(normalized)
     order = ir.reachable(program, [entry])
-    live = set(order)
     # Tiling adds no control flow: check each function only if there is any.
     flow = bool(order) and contains_control_flow(program, entry)
     for name in order:
-        fn = tiled.functions[name]
-        if name not in live or not _untiled_nest(fn) or (
+        fn = tiled.functions.get(name)  # None once a rewrite orphaned it
+        if fn is None or not _untiled_nest(fn) or (
                 flow and contains_control_flow(tiled, name)):
             continue
         slots = len(new_spec.slots)
         try:
-            tiled = _Tiler(tiled, new_spec, registers).tile_function(
-                name, _function_ranks(ranks, fn))
+            tiled = ir.prune(_Tiler(tiled, new_spec, registers).tile_function(
+                name, _function_ranks(ranks, fn)), [entry])
         except UnsupportedNesting:
             del new_spec.slots[slots:]  # slots of operators left untiled
             continue
-        live = set(ir.reachable(tiled, [entry]))  # a rewrite can orphan functions
 
-    table = dict((program if tiled is normalized else tiled).functions)
-    _attach_fixed_clones(table, new_spec)
-    return _validated(program, Program(table)), new_spec
+    if tiled is normalized:
+        return program, new_spec
+    return _validated(program, tiled), new_spec
 
 
 def _validated(source, tiled):
@@ -705,33 +716,3 @@ def _validated(source, tiled):
     changed = [n for n, fn in tiled.functions.items() if source.functions.get(n) is not fn]
     return ir.validate_functions(tiled, changed, allow_tiled=True)
 
-
-def _attach_fixed_clones(table, spec):
-    """Give every fixed-size tiled operator a fixed-extent function clone.
-
-    A clone is made from its function's body as it stands and is itself
-    rewritten afterwards, so a clone of a function that holds fixed-size
-    operators references the inner clones too."""
-    sizes = {s.id: s.size for s in spec.slots if s.size is not None}
-    clones = {}  # (fname, k, axes) -> clone name
-
-    def attach(e):
-        e = ir.map_children(e, attach)
-        if isinstance(e, ir.TILED_OPS) and e.fixed is None and e.slot in sizes:
-            key = (e.fn, sizes[e.slot], e.axes)
-            if key not in clones:
-                clone = specialize_fixed(Program(table), *key)
-                table[clone.name] = clone
-                clones[key] = clone.name
-            e = replace(e, fixed=clones[key])
-        return e
-
-    # The clones are rewritten last. Each copies a function of the original
-    # table, whose operators the first pass has already given clones, so
-    # rewriting the clones makes no new one (iterating `clones` would fail
-    # if it did).
-    for name in chain(list(table), clones.values()):
-        fn = table[name]
-        new_body = ir.map_block(fn.body, lambda x, prelude, stmt: attach(x))
-        if new_body != fn.body:
-            table[name] = replace(fn, body=new_body)

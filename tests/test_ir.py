@@ -9,6 +9,8 @@ from tilepar.ir import (
     contains_parallel_op, desugar_allpairs, free_vars, parse_program,
     print_program,
 )
+from tilepar.ndarray import NdArray
+from tilepar.semantics import eval_program
 
 import programs
 
@@ -143,6 +145,23 @@ def test_validation_closure_in_scope():
     fn main(xs, c) { return map(f, xs; axes=[0]); }
     """
     parse_program(ok)
+
+
+def test_validation_closure_bound_by_both_branches():
+    # A name both branches of an `if` bind is in scope after it, for an
+    # operator's closure as for any expression.
+    src = """
+    fn g(x) uses y { return x + y; }
+    fn main(X, c) { if c { y = 1; } else { y = 2; } return map(g, X; axes=[0]); }
+    """
+    X = NdArray((3,), "i64", "row", [1, 2, 3])
+    assert eval_program(parse_program(src), [X, 0]).to_nested() == [3, 4, 5]
+    one_branch = """
+    fn g(x) uses y { return x + y; }
+    fn main(X, c) { if c { y = 1; } else { z = 2; } return map(g, X; axes=[0]); }
+    """
+    with pytest.raises(ValidationError, match="unbound-closure"):
+        parse_program(one_branch)
 
 
 def test_free_vars_basics():

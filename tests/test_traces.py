@@ -24,8 +24,8 @@ from tilepar.autotuner import estimate_bounds
 from tilepar.bench import MATMUL_SRC, SQDIST_SRC, SUM_ROWS_SRC
 from tilepar.cachesim import CacheModel, Simulator, simulate_program, trace_program
 from tilepar.ir import (
-    Assign, BinOp, IRError, Map, Program, Reduce, Return, Scan, Var, desugar_allpairs,
-    parse_program, print_program,
+    TILED_OPS, Assign, BinOp, IRError, Map, Program, Reduce, Return, Scan, Var,
+    desugar_allpairs, parse_program, print_program, reachable, walk_exprs,
 )
 from tilepar.ndarray import NdArray
 from tilepar.semantics import EvalConfig, Interpreter, TraceSink, eval_program
@@ -512,11 +512,11 @@ def test_phase_stats_pinned():
 
 
 IR_PINS = {
-    "sum_rows_col": ("9da30a40cbae5e2f46360a249929597d9d4a5901df34a6b0d6c0d54d80aaaa3b",),
-    "matmul_reg": ("734a826fb4a1a8e753af61d14a6d17185e2bbbd1dbf5f6f0e316cffaa57b938d",
-                   "011930989242a58df29e34d869ba8fbb81d20d8affe707730cabea79d2403f37"),
-    "row_scan": ("31a01c5c3d8773562f6d0f3a1bea76107020a9d1c084edac2e38fb965534c90c",),
-    "scan_of_array_steps": ("989d7279f8112eddb5a4a7ac9431b0cbe4099fc6c0757f6a764bab723777f75d",),
+    "sum_rows_col": ("14c1d0c5804793911702139447aff043ae7001d170c929a8d08226f9f48fc1f2",),
+    "matmul_reg": ("cdf7bf9fc5656cde65523d19d9805fc5dd767fc3d40ec8115f415bf1554408ad",
+                   "df35556ad9a2de804894a83e03c630d1d704dfe2c00be4dd5d3f6540b46a3f9d"),
+    "row_scan": ("20ee8dc7902b058dec212cd6fd930dde79d5a0a3e8bce78938bce9dfe6a2fb7a",),
+    "scan_of_array_steps": ("da98c23f366196b927166437b73cf84f616d79e8f7794c8a502515ed5fad1c01",),
 }
 
 
@@ -575,13 +575,56 @@ def corpus_digest():
     return h.hexdigest()
 
 
-CORPUS_PIN = "f82b2be6440abfff113b9b779e802a90bec0ed783522e9ca64e58953df242332"
+CORPUS_PIN = "7f4a46c2e5494a4ee18f3448251e0f7e33e0329b87ccfcfe8345d1c53adc902c"
 
 
 def test_tiled_ir_corpus_pinned():
     """Both tiling passes print the same IR and slot tables over the
     random-program corpus and the benchmark sources."""
     assert corpus_digest() == CORPUS_PIN
+
+
+def corpus_content_digest():
+    """`corpus_digest`, blind to the order of the function table and to
+    functions `main` does not reach: after each tiling pass, the printed
+    functions reachable from `main`, sorted, and the slot table."""
+    h = hashlib.sha256()
+    for reason, passes in corpus_passes():
+        if reason is not None:
+            h.update(f"untiled: {reason}\n".encode())
+        for p, spec in passes:
+            texts = sorted(print_program(Program({n: p.functions[n]}))
+                           for n in reachable(p, ["main"]))
+            h.update("".join(texts).encode())
+            h.update(spec.table().encode())
+    return h.hexdigest()
+
+
+CORPUS_CONTENT_PIN = "1718ea269e000d3baf8c31282945a452219b400d52084f900f789a228181bd2a"
+
+
+def test_tiled_ir_corpus_content_pinned():
+    """Both tiling passes build the same reachable functions and slot
+    tables over the corpus, whatever order the table keeps them in and
+    whatever dead functions it holds."""
+    assert corpus_content_digest() == CORPUS_CONTENT_PIN
+
+
+def test_tiled_corpus_invariants():
+    """After each tiling pass over the corpus, `main` reaches every function
+    of the table, and every tiled operator of a fixed-size slot names its
+    clone: the operator's function with the slot's size as its extent,
+    along the operator's axes."""
+    for _, passes in corpus_passes():
+        for p, spec in passes:
+            assert set(p.functions) == set(reachable(p, ["main"]))
+            sizes = {s.id: s.size for s in spec.slots if s.size is not None}
+            ops = [e for fn in p.functions.values() for e in walk_exprs(fn.body)
+                   if isinstance(e, TILED_OPS) and e.slot in sizes]
+            for e in ops:
+                clone = p.fn(e.fixed)
+                assert (clone.fixed_extent, clone.fixed_axes) == (sizes[e.slot], e.axes)
+                assert replace(clone, name=e.fn, fixed_extent=None, fixed_axes=None) == p.fn(e.fn)
 
 
 def test_tiled_ir_corpus_round_trips():
