@@ -357,21 +357,53 @@ def referenced_functions(e):
     return names
 
 
+# Per expression kind with children or function references: its reference
+# fields, and its child fields each paired with whether it holds a tuple.
+_WALK_FIELDS = {
+    t: (_REF_FIELDS.get(t, ()), tuple((n, n in _TUPLE_FIELDS) for n in _CHILD_FIELDS.get(t, ())))
+    for t in {**_CHILD_FIELDS, **_REF_FIELDS}
+}
+
+
+def _references(block):
+    """The function names that the operators in `block` reference, in the
+    order `walk_exprs` visits the operators: one walk with an explicit
+    stack."""
+    names = []
+    stack = _block_exprs(block)
+    while stack:
+        e = stack.pop()
+        walk = _WALK_FIELDS.get(type(e))
+        if walk is None:
+            continue
+        refs, children = walk
+        for name in refs:
+            ref = getattr(e, name)
+            if ref is not None:
+                names.append(ref)
+        for name, many in children:
+            if many:
+                stack.extend(getattr(e, name))
+            else:
+                stack.append(getattr(e, name))
+    return names
+
+
 def reachable(program, roots):
     """Names of the functions in `program` reachable from the names in
     `roots` through operator references, roots included, in breadth-first
     discovery order."""
+    functions = program.functions
     order = []
     seen = set()
     pending = deque(roots)
     while pending:
         name = pending.popleft()
-        if name in seen or name not in program.functions:
+        if name in seen or name not in functions:
             continue
         seen.add(name)
         order.append(name)
-        for e in walk_exprs(program.functions[name].body):
-            pending.extend(referenced_functions(e))
+        pending.extend(_references(functions[name].body))
     return order
 
 

@@ -15,13 +15,14 @@ dtype and layout the interpreter derived itself, and checks nothing.
 Strides are worked out once per (shape, layout).
 
 `offsets` is the one walk over a view's elements: it yields flat buffer
-offsets in index order (last axis fastest); `elementwise` walks its
-operands that way above rank 1. Every whole-array copy -- concatenating,
-stacking -- goes through one kernel, `copy`, which moves each run along
-the last axis with one slice assignment (a rank-1 view is one run, the
-slice `span`). `copy_all` makes a list of copies and reports their
-elements' reads and writes to a trace sink, in order, as one run, so a
-concat is one run.
+offsets in index order (last axis fastest). `element_list` lists a view's
+elements in row or col order with one slice of the buffer per run along
+the last (or first) axis; a dense array in that order gives its own
+buffer. `concat`, the stacking of arrays (`join`) and `elementwise` put
+their output's element list together that way and hand it to `new_array`
+once, so no array is zero-filled and then overwritten. With a trace sink
+a join reports, for each element of each part in turn, a read of the part
+and then the write of its place in the output, all as one run.
 
 `Allocator` places arrays in a simulated address space. It takes a block
 back when its array dies, through a `weakref.ref` callback, and keeps
@@ -173,12 +174,11 @@ def _check_elements(kinds):
 
 def adopt(shape, dtype, layout, data):
     """An NdArray over `data`, the finished list of its elements in
-    `layout` order, taken as is (zeros when None). Nothing is checked:
-    `shape` must be a tuple of extents that `data` fills, `dtype` and
-    `layout` valid names."""
+    `layout` order, taken as is. Nothing is checked: `shape` must be a
+    tuple of extents that `data` fills, `dtype` and `layout` valid names."""
     arr = NdArray.__new__(NdArray)
     arr.shape, arr.dtype, arr.layout, arr.addr = shape, dtype, layout, 0
-    arr.data = [0 if dtype == "i64" else 0.0] * math.prod(shape) if data is None else data
+    arr.data = data
     arr.strides = make_strides(shape, layout)
     return arr
 
@@ -341,16 +341,38 @@ def _walk(v, base, scale):
         start = base + scale * v.offset
         return range(start, start + length, step)
     return itertools.chain.from_iterable(
-        range(base + scale * b, base + scale * b + length, step) for b in _starts(v))
+        range(base + scale * b, base + scale * b + length, step)
+        for b in _starts(v.offset, v.shape, v.strides))
 
 
-def _starts(v):
-    """The flat offset of the first element of every run of view `v` along
-    its last axis, in index order."""
-    starts = [v.offset]
-    for extent, stride in zip(v.shape[:-1], v.strides[:-1]):
+def _starts(offset, shape, strides):
+    """The flat offset of the first element of every run along the last
+    axis of the view at `offset` with `shape` and `strides`, in index
+    order."""
+    starts = [offset]
+    for extent, stride in zip(shape[:-1], strides[:-1]):
         starts = [b + i * stride for b in starts for i in range(extent)]
     return starts
+
+
+def element_list(v, layout="row"):
+    """The elements of view `v` in `layout` order (row: last axis fastest,
+    col: first axis fastest) as a list: one slice of the buffer per run.
+    A dense NdArray in `layout` gives its own `data`, which the caller
+    must not change."""
+    data = v.root.data
+    if type(v) is NdArray and v.layout == layout:
+        return data
+    shape, strides = (v.shape, v.strides) if layout == "row" else (v.shape[::-1], v.strides[::-1])
+    if not shape:
+        return [data[v.offset]]
+    if 0 in shape:
+        return []
+    n, step = shape[-1], strides[-1]
+    if len(shape) == 1:
+        return data[v.offset:v.offset + n * step:step]
+    return list(itertools.chain.from_iterable(
+        data[b:b + n * step:step] for b in _starts(v.offset, shape, strides)))
 
 
 def copy_addresses(sources, dst):
@@ -359,41 +381,43 @@ def copy_addresses(sources, dst):
     return itertools.chain.from_iterable(zip(*map(addresses, sources), addresses(dst)))
 
 
-def copy(src, dst):
-    """Copy the elements of `src` into the equal-shaped `dst`; returns dst.
-    Each run along the last axis is one slice assignment: a rank-1 view
-    is one run."""
-    shape = dst.shape
-    if src.shape != shape:
-        raise ShapeError(f"copy shape mismatch: {src.shape} vs {shape}")
-    sdata, ddata = src.root.data, dst.root.data
-    if not shape:
-        ddata[dst.offset] = sdata[src.offset]
-    elif 0 not in shape:
-        n, s, d = shape[-1], src.strides[-1], dst.strides[-1]
-        for i, j in zip(_starts(src), _starts(dst)):
-            ddata[j:j + n * d:d] = sdata[i:i + n * s:s]
-    return dst
-
-
-def copy_all(pairs, trace=None):
-    """`copy(src, dst)` for every (src, dst) in the list `pairs`, in order.
-    With a trace sink, each element of each copy in turn is reported as a
-    read of `src` followed by a write of `dst`, in index order, and all of
-    them as one run."""
-    for src, dst in pairs:
-        copy(src, dst)
-    if trace is not None:
+def join(parts, axis, new_array, trace=None, stacked=False):
+    """The dense row-major array of the equal-ranked `parts`, concatenated
+    along their `axis`, or stacked along a new `axis` when `stacked`; the
+    caller has checked their extents. For every index of the axes before
+    `axis`, the output's element list takes each part's elements from
+    `axis` on in turn; a dense row-major part gives slices of its own
+    `data`. `new_array(shape, dtype, "row", data)` makes the output once the
+    list is finished. `trace` receives each element of each part in turn,
+    in index order, as a read of the part followed by a write of its place
+    in the output, all as one run, and no run when the output is empty."""
+    first = parts[0].shape
+    extents = [1] * len(parts) if stacked else [v.shape[axis] for v in parts]
+    shape = first[:axis] + (sum(extents),) + first[axis if stacked else axis + 1:]
+    lists = [element_list(v) for v in parts]
+    outer = math.prod(first[:axis])
+    if outer == 1:
+        data = list(itertools.chain.from_iterable(lists))
+    else:
+        sizes = [math.prod(v.shape[axis:]) for v in parts]
+        data = list(itertools.chain.from_iterable(
+            items[o * size:(o + 1) * size] for o in range(outer)
+            for items, size in zip(lists, sizes)))
+    out = new_array(shape, result_dtype(parts), "row", data)
+    if trace is not None and data:
+        starts = itertools.accumulate(extents, initial=0)
         trace.run(itertools.chain.from_iterable(
-            copy_addresses([src], dst) for src, dst in pairs), "RW")
+            copy_addresses([v], tile_view(out, axis, base, extent))
+            for v, base, extent in zip(parts, starts, extents)), "RW")
+    return out
 
 
 def concat(parts, axis, trace=None, new_array=NdArray):
-    """Concatenate arrays/views along `axis` into a dense row-major array.
-
-    `new_array(shape, dtype)` makes the output before any element is
-    copied (the interpreter passes its allocating constructor); `trace`
-    receives the copies of all parts, in order, as one run.
+    """Concatenate arrays/views along `axis` into a dense row-major array
+    (`join`). `new_array(shape, dtype, layout, data)` makes the output
+    after the parts exist (the interpreter passes its allocating
+    constructor); `trace` receives the copies of all parts, in order, as
+    one run.
     """
     if not parts:
         raise ShapeError("cannot concatenate zero parts")
@@ -407,13 +431,7 @@ def concat(parts, axis, trace=None, new_array=NdArray):
         for a in range(rank):
             if a != axis and v.shape[a] != first.shape[a]:
                 raise ShapeError(f"extent mismatch on axis {a} in concat")
-    shape = list(first.shape)
-    shape[axis] = sum(v.shape[axis] for v in parts)
-    out = new_array(tuple(shape), result_dtype(parts))
-    starts = itertools.accumulate((v.shape[axis] for v in parts), initial=0)
-    copy_all([(v, tile_view(out, axis, base, v.shape[axis])) for v, base in zip(parts, starts)],
-             trace)
-    return out
+    return join(parts, axis, new_array, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -456,12 +474,12 @@ def elementwise(op, a, b, trace=None, new_array=NdArray):
     """Apply a binary operator over arrays/scalars with scalar broadcast.
 
     Shapes must match exactly unless one operand is a scalar. The result
-    is in the layout of the first array operand. A rank-1 result comes from
-    `new_array(shape, dtype, layout, data)` with its finished elements,
-    computed from one slice per operand; any other from
-    `new_array(shape, dtype, layout)`, filled in place. With a trace sink,
-    each element is reported as a read of every array operand (a, then b)
-    followed by the result write.
+    is in the layout of the first array operand: its finished elements,
+    computed in that layout's order from one `element_list` per array
+    operand, go to `new_array(shape, dtype, layout, data)`. With a trace
+    sink, each element is reported as a read of every array operand (a,
+    then b) followed by the result write, in index order, as one run; an
+    empty result reports none.
     """
     a_arr = isinstance(a, ArrayValue)
     b_arr = isinstance(b, ArrayValue)
@@ -474,18 +492,12 @@ def elementwise(op, a, b, trace=None, new_array=NdArray):
         raise ShapeError(f"elementwise shape mismatch: {av.shape} vs {bv.shape}")
     like = av if av is not None else bv
     dtype = "f64" if op == "/" else result_dtype((a, b))
-    if len(like.shape) == 1:
-        xs = av.root.data[span(av)] if av is not None else itertools.repeat(a)
-        ys = bv.root.data[span(bv)] if bv is not None else itertools.repeat(b)
-        out = new_array(like.shape, dtype, like.layout, list(map(f, xs, ys)))
-    else:
-        out = new_array(like.shape, dtype, like.layout)
-        odata = out.data
-        xs = elements(av) if av is not None else itertools.repeat(a)
-        ys = elements(bv) if bv is not None else itertools.repeat(b)
-        for k, x, y in zip(offsets(out), xs, ys):
-            odata[k] = f(x, y)
-    if trace is not None:
+    layout = like.layout
+    xs = element_list(av, layout) if av is not None else itertools.repeat(a)
+    ys = element_list(bv, layout) if bv is not None else itertools.repeat(b)
+    data = list(map(f, xs, ys))
+    out = new_array(like.shape, dtype, layout, data)
+    if trace is not None and data:
         operands = [v for v in (av, bv) if v is not None]
         trace.run(copy_addresses(operands, out), "R" * len(operands) + "W")
     return out

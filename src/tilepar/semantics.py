@@ -48,7 +48,8 @@ its kernel `kernel(views, axes, extent, captured)`:
   (`_assemble`) adopts the list once.
 A fold (Reduce or Scan) runs only a leaf so, with a scalar init, no emit
 and a combine `return a OP b`. Stacking scalars, or equal rank-1 rows
-along axis 0 or 1, fills the output in one pass. All give the values,
+along axis 0 or 1, fills the output in one pass; other arrays are joined
+as a concat joins its parts (`ndarray.join`). All give the values,
 trace events, allocations, counters and errors of one call per slice.
 
 The interpreter builds its arrays with `ndarray.adopt`, from a finished
@@ -74,7 +75,8 @@ reads, "W" for a stack's writes, "RW" or "RRW" for a copy from one or
 two sources). A leaf's reads, an elementwise operation, a stack and a
 concat are one run each, and so are the reads of all the rows of a
 reduce node; a map or scan node reports each row's reads as one run, as
-the row's results are stacked between them. Each statement of the entry
+the row's results are stacked between them. No run is empty: an
+operation on no element reports none. Each statement of the entry
 function announces itself with `phase` before it runs, never within a
 run; a `for` loop is one phase, `for VAR`, and its body announces none.
 Each traced run places its arrays in a fresh simulated address space, so
@@ -91,8 +93,8 @@ from dataclasses import dataclass, field
 
 from . import ir
 from .ndarray import (
-    ELEM_SIZE, Allocator, ArrayValue, Block, NdArray, View, addresses, adopt, concat, copy_all,
-    decompose, elementwise, result_dtype, scalar_op, slice_axis, span,
+    ELEM_SIZE, Allocator, ArrayValue, Block, NdArray, View, addresses, adopt, concat, decompose,
+    elementwise, join, result_dtype, scalar_op, span,
 )
 
 
@@ -405,14 +407,14 @@ class Interpreter:
             out, blocks, i = [], [] if run_per_row else None, -1
             try:
                 for i in range(extent):
-                    if run_per_row:
+                    if run_per_row and n:
                         trace.run(reads(i), "R")
                     row([data[o + i * s:o + i * s + n * t:t] for data, o, s, t in spans], out)
                     if blocks is not None:
                         blocks.append(self._row_block(n, n, None))
             finally:  # rows 0..i were checked and read, also when row i raised
                 counters.bounds_checks += arity * n * (i + 1)
-                if one_run:
+                if one_run and n and i >= 0:
                     trace.run(itertools.chain.from_iterable(map(reads, range(i + 1))), "R")
             if kind == "reduce":
                 return out
@@ -462,16 +464,18 @@ class Interpreter:
 
     def _fill(self, out, count, rows):
         """Report the writes of stacking `count` values into `out`, an array
-        or a block, as `_stack` reports them: none for no value, one `W`
-        run for scalars (`rows` is None), else one `RW` run that copies
-        each of the blocks `rows` in turn, per element a read of it and then
-        a write of `out`."""
+        or a block, as `_stack` reports them: one `W` run for scalars
+        (`rows` is None), else one `RW` run that copies each of the blocks
+        `rows` in turn, per element a read of it and then a write of `out`;
+        none when there is no element."""
         if not count:
             return
         if rows is None:
             self.config.trace.run(range(out.addr, out.addr + count * ELEM_SIZE, ELEM_SIZE), "W")
             return
         step = rows[0].size * ELEM_SIZE
+        if not step:
+            return
         self.config.trace.run(itertools.chain.from_iterable(itertools.chain.from_iterable(
             zip(range(r.addr, r.addr + step, ELEM_SIZE),
                 range(out.addr + j * step, out.addr + (j + 1) * step, ELEM_SIZE))
@@ -625,10 +629,10 @@ class Interpreter:
 
     # -- array plumbing (all traced) --------------------------------------------
 
-    def _new_array(self, shape, dtype, layout="row", data=None):
+    def _new_array(self, shape, dtype, layout, data):
         """`ndarray.adopt(shape, dtype, layout, data)`: an array over its
-        finished element list `data`, or zeros for a copy to fill. With a
-        trace sink it is placed in the run's address space."""
+        finished element list `data`. With a trace sink it is placed in the
+        run's address space."""
         out = adopt(shape, dtype, layout, data)
         if self.config.trace is not None:
             self._allocator.allocate(out)
@@ -663,32 +667,31 @@ class Interpreter:
         if dtype is None:
             return self._stack_arrays(values, axis)
         out = self._new_array((len(values),), dtype, "row", values)
-        if trace is not None:
+        if trace is not None and values:
             trace.run(range(out.addr, out.addr + len(values) * ELEM_SIZE, ELEM_SIZE), "W")
         return out
 
     def _stack_arrays(self, values, axis):
         """_stack of arrays. Rank-1 rows stacked along axis 0 or 1 give the
         output's element list in one pass over the rows' slices; other
-        values are copied into a zero-filled output. With a trace sink the
-        stack is one run: each value's copy in turn, per element a read of
-        the value and then a write of `out`, in index order."""
+        values are joined along a new `axis` (`ndarray.join`). With a trace
+        sink the stack is one run: each value's copy in turn, per element a
+        read of the value and then a write of `out`, in index order; an
+        empty stack reports none."""
         if not all(isinstance(x, ArrayValue) for x in values):
             raise EvalError("cannot stack scalars with arrays")
         shape = values[0].shape
         for x in values:
             if x.shape != shape:
                 raise EvalError(f"cannot stack shapes {shape} and {x.shape}")
-        out_shape = shape[:axis] + (len(values),) + shape[axis:]
-        dtype, trace = result_dtype(values), self.config.trace
+        trace = self.config.trace
         if len(shape) != 1 or axis > 1:
-            out = self._new_array(out_shape, dtype)
-            copy_all([(x, slice_axis(out, axis, j)) for j, x in enumerate(values)], trace)
-            return out
+            return join(values, axis, self._new_array, trace, stacked=True)
+        out_shape = shape[:axis] + (len(values),) + shape[axis:]
         rows = [x.root.data[span(x)] for x in values]
-        out = self._new_array(out_shape, dtype, "row", list(
+        out = self._new_array(out_shape, result_dtype(values), "row", list(
             itertools.chain.from_iterable(rows if axis == 0 else zip(*rows))))
-        if trace is not None:
+        if trace is not None and shape[0]:
             # Row j of `out`: n elements from j * first bytes on, step bytes apart.
             n, m = shape[0], len(values)
             first, step = (n * ELEM_SIZE, ELEM_SIZE) if axis == 0 else (ELEM_SIZE, m * ELEM_SIZE)
@@ -770,7 +773,7 @@ class Interpreter:
                 self._fill(out, len(values.rows), values.rows)
             return out
         if not values:
-            return self._new_array((0,), dtype)
+            return self._new_array((0,), dtype, "row", [])
         if kind == "Scan":
             values = list(itertools.accumulate(values, op, initial=init))[1:]
         return self._stack(values)
@@ -792,7 +795,9 @@ class Interpreter:
         k = self._tile_size(node)
         views, extent = self._operand_views(args, node.axes, kind.__name__)
         if extent == 0 and node.depth == 0:
-            return init if kind is ir.TiledReduce else self._new_array((0,), views[0].dtype)
+            if kind is ir.TiledReduce:
+                return init
+            return self._new_array((0,), views[0].dtype, "row", [])
         if kind is not ir.TiledMap:
             comb, comb_captured = self._callee(node.combine, env)
         emit = emit_captured = None

@@ -1,12 +1,13 @@
 """Array helpers shared across the test suite: a dense copy of a view,
-the CLI array-file writer and a triple-loop matmul reference."""
+the CLI array-file writer, a triple-loop matmul reference and a trace
+sink that refuses empty runs."""
 
-from tilepar.ndarray import NdArray, View, copy
+from tilepar.ndarray import NdArray, View, element_list
 
 
 def materialize(x):
     """Copy a view into a fresh dense NdArray of the same layout."""
-    return copy(x, NdArray(x.shape, x.dtype, x.layout))
+    return NdArray(x.shape, x.dtype, x.layout, element_list(x, x.layout))
 
 
 def dump_array(arr):
@@ -34,3 +35,19 @@ def naive_matmul(a, b):
                 s += a.get((i, k)) * b.get((j, k))
             out.set((i, j), s)
     return out
+
+
+class NoEmptyRunSink:
+    """A trace sink that raises on a run without events and keeps nothing
+    else; `runs` counts the runs it took."""
+
+    def __init__(self):
+        self.runs = 0
+
+    def run(self, addrs, kinds):
+        self.runs += 1
+        if next(iter(addrs), None) is None:
+            raise AssertionError(f"empty {kinds!r} run")
+
+    def phase(self, label):
+        pass

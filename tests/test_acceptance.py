@@ -38,7 +38,7 @@ from tilepar.tiling import REGISTER_BUDGET, REGISTER_TILE_MIN, register_tile, ti
 
 import programs
 import randprog
-from arrays import naive_matmul
+from arrays import NoEmptyRunSink, naive_matmul
 
 DATA = Path(__file__).parent / "data"
 
@@ -362,13 +362,14 @@ def test_edge_shape_oracle_both_passes(wide):
     # Input extents from 0-3: empty operands, single elements and tiles
     # wider than their operand. A tiled run must reproduce the untiled
     # value, shape and dtype, or fail with an evaluation or shape error;
-    # any other outcome is a bug. An untiled Map over zero slices gives a
+    # any other outcome is a bug. Every run is traced into a sink that
+    # raises on a run without events. An untiled Map over zero slices gives a
     # rank-1 result whatever its callee returns, which some tiled nests
     # cannot join along their depth: those raise, and must not grow.
     raised = []
     for seed in range(1000):
         program, inputs, arg_ranks = randprog.generate(seed, wide=wide, edge=True)
-        base = eval_program(program, inputs)
+        base = eval_program(program, inputs, EvalConfig(trace=NoEmptyRunSink()))
         result = tile_program(program, arg_ranks=arg_ranks)
         if not result.changed:
             continue
@@ -377,7 +378,8 @@ def test_edge_shape_oracle_both_passes(wide):
         for tiled, tile_sizes in ((result.program, sizes),
                                   (reg_prog, reg_spec.sizes(overrides=sizes))):
             try:
-                out = eval_program(tiled, inputs, EvalConfig(tile_sizes=tile_sizes))
+                out = eval_program(tiled, inputs, EvalConfig(tile_sizes=tile_sizes,
+                                                             trace=NoEmptyRunSink()))
             except (EvalError, ShapeError):
                 raised.append(seed)
                 continue

@@ -1,8 +1,9 @@
 """Differential tests of the evaluator's flat-buffer fast paths.
 
-Stacking, copying and rank-1 elementwise arithmetic use one slice of the
-flat buffer per rank-1 view (or per run along the last axis) where the
-reference below walks every element's offset; a callee that is a nest of
+Stacking, concatenating and elementwise arithmetic build their output's
+element list from one slice of the flat buffer per rank-1 view (or per
+run along the last axis) where the reference below zero-fills the output
+and then walks every element's offset; a callee that is a nest of
 Map, Reduce and Scan runs through its kernel where the reference makes one
 call per row. Both must give the same values (element by element, int or
 float), the same trace events, the same simulated addresses and the same
@@ -24,8 +25,8 @@ from tilepar.ir import (
     Function, Map, Program, Return, Var, body_shape, desugar_allpairs, parse_program,
 )
 from tilepar.ndarray import (
-    ELEM_SIZE, Allocator, NdArray, View, as_view, copy_all, decompose, elements,
-    elementwise, offsets, result_dtype, scalar_op, slice_axis,
+    ELEM_SIZE, LAYOUTS, Allocator, NdArray, View, as_view, concat, decompose, element_list,
+    elements, elementwise, join, offsets, result_dtype, scalar_op, slice_axis, tile_view,
 )
 from tilepar.semantics import EvalConfig, EvalError, Interpreter, TraceSink, eval_program
 from tilepar.tiling import register_tile, specialize_fixed, tile_program
@@ -45,20 +46,64 @@ def reference_copy(src, dst, sink):
     return dst
 
 
+def zeros(interp, shape, dtype, layout="row"):
+    """A zero-filled array from the interpreter's allocating constructor."""
+    zero = 0 if dtype == "i64" else 0.0
+    return interp._new_array(shape, dtype, layout, [zero] * math.prod(shape))
+
+
 def reference_stack(interp, values, axis):
     """_stack as the per-element path computes it."""
     sink = interp.config.trace
     if not any(isinstance(x, (NdArray, View)) for x in values):
-        out = interp._new_array((len(values),), result_dtype(values))
+        out = zeros(interp, (len(values),), result_dtype(values))
         out.data[:] = values
         for i in range(len(values)):
             sink.run((out.addr + i * ELEM_SIZE,), "W")
         return out
     shape = values[0].shape
-    out = interp._new_array(shape[:axis] + (len(values),) + shape[axis:], result_dtype(values))
+    out = zeros(interp, shape[:axis] + (len(values),) + shape[axis:], result_dtype(values))
     for j, x in enumerate(values):
         reference_copy(x, slice_axis(out, axis, j), sink)
     return out
+
+
+def reference_concat(interp, parts, axis):
+    """concat as the per-element path computes it: each part copied in
+    turn into its tile of a zero-filled output."""
+    shape = list(parts[0].shape)
+    shape[axis] = sum(v.shape[axis] for v in parts)
+    out = zeros(interp, tuple(shape), result_dtype(parts))
+    base = 0
+    for v in parts:
+        reference_copy(v, tile_view(out, axis, base, v.shape[axis]), interp.config.trace)
+        base += v.shape[axis]
+    return out
+
+
+def reference_elementwise(interp, op, a, b):
+    """elementwise as the per-element path computes it: a zero-filled
+    output in the first array operand's layout, written at each element's
+    offset, then per element a read of every array operand and the write."""
+    sink, f = interp.config.trace, scalar_op(op)
+    arrays = [v for v in (a, b) if isinstance(v, (NdArray, View))]
+    like = arrays[0]
+    out = zeros(interp, like.shape, "f64" if op == "/" else result_dtype((a, b)), like.layout)
+    operands = [elements(v) if isinstance(v, (NdArray, View)) else itertools.repeat(v)
+                for v in (a, b)]
+    for k, x, y in zip(offsets(out), *operands):
+        out.data[k] = f(x, y)
+    reads = zip(*([v.root.addr + o * ELEM_SIZE for o in offsets(v)] for v in arrays))
+    for k, addrs in zip(offsets(out), reads):
+        for addr in addrs:
+            sink.run((addr,), "R")
+        sink.run((out.addr + k * ELEM_SIZE,), "W")
+    return out
+
+
+def in_layout_order(v, layout):
+    """`v` as a view whose index order is `v`'s `layout` order."""
+    return v if layout == "row" else View(v.root, v.offset, v.shape[::-1], v.strides[::-1])
 
 
 def traced_interpreter(program=Program({})):
@@ -66,7 +111,7 @@ def traced_interpreter(program=Program({})):
     already has live and freed blocks of several sizes."""
     interp = Interpreter(program, EvalConfig(trace=TraceSink()))
     interp._allocator = Allocator()
-    interp.keep = [interp._new_array((n,), "i64") for n in (3, 9, 20, 5)]
+    interp.keep = [zeros(interp, (n,), "i64") for n in (3, 9, 20, 5)]
     del interp.keep[1:3]  # frees a 128- and a 192-byte block
     return interp
 
@@ -127,6 +172,23 @@ def stack_cases():
     # Scalars: i64, f64, mixed, a bool, and none.
     for scalars in ([3, -1, 4], [0.5, 2.25], [1, 2.5, 3], [True, 2], [2, False, 1.5], []):
         yield scalars, 0
+    # Joined along a new axis (`ndarray.join`): rank-3 tiles, col-major
+    # arrays, i64 tiles among f64 ones, a single value and values with no
+    # element; rank-1 rows of width 0 take the row path.
+    cube = random_array((4, 3, 5), "i64", "row", 33)
+    cols = [random_array((3, 4), "f64", "col", seed) for seed in (34, 35, 36)]
+    ints = decompose(random_array((6, 4), "i64", "row", 37), 0, 3)
+    empty = [NdArray((2, 0), "i64"), NdArray((2, 0), "f64", "col")]
+    for axis in range(4):
+        yield decompose(cube, 1, 1), axis
+    for axis in range(3):
+        yield cols, axis
+        yield [ints[0], cols[0], ints[1]], axis
+        yield empty, axis
+    for axis in (0, 2):
+        yield decompose(BASES[1], 1, 4)[:1], axis
+    for axis in (0, 1):
+        yield [NdArray((0,), "i64"), slice_axis(NdArray((0, 3), "f64"), 1, 2)], axis
 
 
 @pytest.mark.parametrize("values,axis", list(stack_cases()))
@@ -208,18 +270,124 @@ def copy_cases():
 
 @pytest.mark.parametrize("src,dst", list(copy_cases()))
 def test_copy_matches_per_element_copy(src, dst):
+    # A copy reads `src` out with `element_list`, in the layout order of
+    # what it goes into, and `join` builds the output from the finished
+    # list (here a stack of one along a new axis 0). Both give what the
+    # per-element copy gives: into `dst`, and into a zero-filled output.
     alloc = Allocator()
     for x in (src.root, dst.root):
         if x.addr == 0:
             alloc.allocate(x, reclaim=False)
-    before = list(dst.root.data)
-    fast_sink, ref_sink = TraceSink(), TraceSink()
-    copy_all([(src, dst)], fast_sink)
-    fast = list(dst.root.data)
-    dst.root.data[:] = before
-    reference_copy(src, dst, ref_sink)
-    assert typed(fast) == typed(dst.root.data)
-    assert fast_sink.events == ref_sink.events
+    reference_copy(src, dst, None)
+    for layout in LAYOUTS:
+        assert typed(element_list(src, layout)) == \
+               typed(list(elements(in_layout_order(dst, layout))))
+    fast, slow = traced_interpreter(), traced_interpreter()
+    out = join([src], 0, fast._new_array, fast.config.trace, stacked=True)
+    ref = zeros(slow, (1,) + src.shape, src.dtype)
+    reference_copy(src, slice_axis(ref, 0, 0), slow.config.trace)
+    assert (out.shape, out.dtype, out.layout, typed(out.data), out.addr) == \
+           (ref.shape, ref.dtype, ref.layout, typed(ref.data), ref.addr)
+    assert fast.config.trace.events == slow.config.trace.events
+
+
+def row_major(v):
+    """A dense row-major NdArray holding the elements of `v`."""
+    return NdArray(v.shape, v.dtype, "row", list(elements(v)))
+
+
+def concat_cases():
+    """(parts, axis): tiles (stragglers included) and slices of row- and
+    col-major arrays of ranks 1-3 along every axis, the same tiles as dense
+    row-major arrays, a single part, parts of zero extent, and i64 parts
+    among f64 ones."""
+    bases = [random_array((9,), "f64", "col", 41), matrix(7, 5, "i64", "col", 42),
+             matrix(6, 4, "f64", "row", 43), random_array((4, 3, 5), "i64", "row", 44),
+             random_array((3, 4, 2), "f64", "col", 45)]
+    for base in bases:
+        for axis in range(base.rank):
+            for k in (2, 3):
+                yield decompose(base, axis, k), axis
+                yield [row_major(t) for t in decompose(base, axis, k)], axis
+            yield [base], axis
+            yield [tile_view(base, axis, 1, 0), base, tile_view(base, axis, 0, 0)], axis
+        if base.rank > 1:
+            for axis in range(base.rank - 1):
+                yield [slice_axis(base, 0, i) for i in range(base.shape[0])], axis
+    # Parts with no element: extent 0 off the joined axis, and all parts.
+    for axis in (0, 1):
+        yield [NdArray((2, 0), "i64"), NdArray((2, 0), "f64", "col")], axis
+    yield [NdArray((0, 3), "i64", "col"), NdArray((0, 3), "i64")], 0
+    # i64 parts among f64 ones keep their int elements.
+    ints, floats = matrix(4, 6, "i64", "row", 46), matrix(4, 6, "f64", "col", 47)
+    for axis in (0, 1):
+        yield decompose(ints, axis, 4)[:1] + decompose(floats, axis, 4) + \
+            decompose(ints, axis, 4)[1:], axis
+
+
+def placed(parts):
+    """Give each part's array that has no address one, outside the
+    interpreter's address space."""
+    alloc = Allocator()
+    alloc.next = 1 << 20
+    for v in parts:
+        if v.root.addr == 0:
+            alloc.allocate(v.root, reclaim=False)
+
+
+@pytest.mark.parametrize("parts,axis", list(concat_cases()))
+def test_concat_matches_per_element_copy(parts, axis):
+    placed(parts)
+    fast, slow = traced_interpreter(), traced_interpreter()
+    out = concat(parts, axis, fast.config.trace, fast._new_array)
+    ref = reference_concat(slow, parts, axis)
+    assert type(out) is NdArray
+    assert (out.shape, out.strides, out.dtype, out.layout) == \
+           (ref.shape, ref.strides, ref.dtype, ref.layout)
+    assert typed(out.data) == typed(ref.data)
+    assert out.addr == ref.addr
+    assert fast.config.trace.events == slow.config.trace.events
+    assert (fast._allocator.next, fast._allocator.free_blocks) == \
+           (slow._allocator.next, slow._allocator.free_blocks)
+
+
+def elementwise_cases():
+    """(a, b) of rank 0, 2 and 3: row- and col-major arrays, tiles and
+    slices of them, a scalar on either side, mixed dtypes and layouts, and
+    operands with no element."""
+    row3 = random_array((4, 3, 5), "i64", "row", 51)
+    col3 = random_array((4, 3, 5), "f64", "col", 52)
+    col2, row2 = matrix(7, 5, "i64", "col", 53), matrix(5, 7, "f64", "row", 54)
+    yield row3, col3
+    yield col3, row3
+    yield col3, 3
+    yield 0.5, row3
+    for t in (0, 1):  # full tiles, then stragglers
+        yield decompose(col3, 1, 2)[t], decompose(row3, 1, 2)[t]
+    yield slice_axis(row3, 1, 2), slice_axis(col3, 1, 0)
+    yield col2, row_major(col2)
+    yield decompose(col2, 0, 3)[2], slice_axis(decompose(random_array((2, 1, 5), "f64", "col", 55),
+                                                         0, 1)[1], 0, 0)
+    yield tile_view(col2, 1, 1, 3), 2
+    yield NdArray.scalar(4), NdArray.scalar(0.5)
+    yield NdArray((2, 0, 3), "i64", "col"), NdArray((2, 0, 3), "f64")
+
+
+@pytest.mark.parametrize("a,b", list(elementwise_cases()))
+def test_elementwise_matches_per_element_walk(a, b):
+    placed([v for v in (a, b) if isinstance(v, (NdArray, View))])
+    for op in ("+", "-", "*", "/", "min", "max"):
+        divisor = list(elements(b)) if isinstance(b, (NdArray, View)) else [b]
+        if op == "/" and 0 in divisor:
+            continue
+        fast, slow = traced_interpreter(), traced_interpreter()
+        out = elementwise(op, a, b, fast.config.trace, fast._new_array)
+        ref = reference_elementwise(slow, op, a, b)
+        assert (out.shape, out.strides, out.dtype, out.layout) == \
+               (ref.shape, ref.strides, ref.dtype, ref.layout)
+        assert typed(out.data) == typed(ref.data), op
+        assert out.addr == ref.addr
+        assert fast.config.trace.events == slow.config.trace.events
 
 
 def test_ndarray_is_its_own_view():

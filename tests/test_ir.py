@@ -1,5 +1,7 @@
 from dataclasses import replace
 
+import collections
+
 import pytest
 
 from tilepar import ir
@@ -11,8 +13,10 @@ from tilepar.ir import (
 )
 from tilepar.ndarray import NdArray
 from tilepar.semantics import eval_program
+from tilepar.tiling import register_tile, tile_program
 
 import programs
+import randprog
 
 
 def test_parse_sum_rows_structure():
@@ -315,3 +319,39 @@ def test_body_shape():
     assert [ir.combine_op(p.fn(name)) for name in
             ("binop", "c", "swapped", "squared", "scaled", "ident", "fold")] == \
         ["max", "+", None, None, None, None, None]
+
+
+def walked_reachable(program, roots):
+    """`ir.reachable` as one `walk_exprs` per function computes it."""
+    order, seen, pending = [], set(), collections.deque(roots)
+    while pending:
+        name = pending.popleft()
+        if name in seen or name not in program.functions:
+            continue
+        seen.add(name)
+        order.append(name)
+        for e in ir.walk_exprs(program.functions[name].body):
+            pending.extend(ir.referenced_functions(e))
+    return order
+
+
+def test_reachable_order_matches_expression_walk():
+    # `register_tile` rewrites functions in this order, and numbers slots
+    # by it: the breadth-first discovery order must not change. Untiled
+    # programs and both tiling passes of the randprog corpus and of every
+    # source in `programs`, from `main` and from each function in turn.
+    cases = [(randprog.generate(seed, wide=wide)[::2]) for seed in range(150)
+             for wide in (False, True)]
+    cases += [(desugar_allpairs(parse_program(getattr(programs, name))), None)
+              for name in dir(programs) if name.isupper()]
+    checked = 0
+    for program, arg_ranks in cases:
+        passes = [program]
+        res = tile_program(program, arg_ranks=arg_ranks)
+        if res.changed:
+            passes += [res.program, register_tile(res.program, res.spec, 16)[0]]
+        for p in passes:
+            for roots in [["main"], ["main", "missing"]] + [[n] for n in p.functions]:
+                assert ir.reachable(p, roots) == walked_reachable(p, roots)
+                checked += 1
+    assert checked > 2000

@@ -33,6 +33,7 @@ from tilepar.tiling import register_tile, tile_program
 
 import programs
 import randprog
+from arrays import NoEmptyRunSink
 
 
 def digest(events):
@@ -384,6 +385,24 @@ def test_node_values_match_generic_twins(fn, axes, inputs):
                          len(events), digest(events),
                          (c.full_tile_calls, c.straggler_calls, c.bounds_checks)))
         assert runs[0] == runs[1]
+
+
+def test_no_sink_run_without_events():
+    """A stack or a join of no element, and a node's rows of width 0, send
+    no run to the sink: `map(copied, X)` over a 3 x 0 `X` makes no sink
+    call, through the node's kernel or one call per row. No node case
+    sends a run without events."""
+    program = parse_program(NODE_LIB + "fn main(X) { return map(copied, X; axes=[0]); }")
+    for p in (program, with_generic_bodies(program)):
+        sink = NoEmptyRunSink()
+        value = eval_program(p, [matrix(3, 0, "i64", "row")], EvalConfig(trace=sink))
+        assert (value.shape, sink.runs) == ((3, 0), 0)
+    for fn, axes, inputs in node_cases():
+        names = ", ".join(f"X{i}" for i in range(len(inputs)))
+        program = parse_program(NODE_LIB + f"fn main({names}) {{ return map({fn}, {names}; "
+                                f"axes=[{', '.join(map(str, axes))}]); }}")
+        for p in (program, with_generic_bodies(program)):
+            eval_program(p, inputs, EvalConfig(trace=NoEmptyRunSink()))
 
 
 def observed(program, inputs, tile_sizes):
