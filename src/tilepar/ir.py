@@ -26,6 +26,15 @@ Closure parameters are bound by name at the operator application site:
 an operator expression `map(f, xs; axes=[0])` slices `xs` into f's
 positional parameter and resolves each of f's closure parameters in the
 scope enclosing the operator expression.
+
+Each structure has one walk. `walk_exprs` lists the expressions under a
+node with an explicit stack, driven by one child-field table;
+`reachable` takes operator references from it, and the free names of an
+expression are the Var names it lists plus the closure parameters of the
+functions referenced. `_scope` is the one pass over statements: it gives
+a block's free names and the names surely bound after it (a name bound
+by both branches of an `if`; nothing a loop binds), and validation runs
+from it, statement by statement and, within an expression, in walk order.
 """
 
 from __future__ import annotations
@@ -75,10 +84,6 @@ class Stmt:
 @dataclass(frozen=True)
 class Const(Expr):
     value: int | float
-
-    @property
-    def dtype(self):
-        return "i64" if isinstance(self.value, int) else "f64"
 
 
 @dataclass(frozen=True)
@@ -260,15 +265,17 @@ class Program:
 # Traversal helpers
 # ---------------------------------------------------------------------------
 
-# Child-expression fields of each expression kind, in visit order. Fields
-# named in _TUPLE_FIELDS hold a tuple of expressions; the rest hold one.
+# Child-expression fields of each expression kind, in visit order, each
+# paired with whether it holds a tuple of expressions (else it holds one).
 _CHILD_FIELDS = {
-    BinOp: ("left", "right"),
-    ArrayLit: ("items",),
-    Index: ("array", "index"),
-    **_operator_fields(("expr", "operand", "operands")),
+    t: tuple((name, name in ("items", "args")) for name in names)
+    for t, names in {
+        BinOp: ("left", "right"),
+        ArrayLit: ("items",),
+        Index: ("array", "index"),
+        **_operator_fields(("expr", "operand", "operands")),
+    }.items()
 }
-_TUPLE_FIELDS = frozenset({"items", "args"})
 
 # The statement counterpart of _CHILD_FIELDS: each statement kind's expression
 # fields, then its nested-block fields (control flow has some), in visit order.
@@ -284,15 +291,6 @@ _STMT_FIELDS = {
 _REF_FIELDS = _operator_fields(("callee", "function"))
 
 
-def sub_exprs(e):
-    """Direct child expressions of `e`: operands and init values."""
-    out = ()
-    for name in _CHILD_FIELDS.get(type(e), ()):
-        value = getattr(e, name)
-        out += value if name in _TUPLE_FIELDS else (value,)
-    return out
-
-
 def map_children(e, f):
     """`e` rebuilt with each direct child c replaced by f(c), called in
     visit order."""
@@ -300,9 +298,9 @@ def map_children(e, f):
     if names is None:
         return e
     values = dict(vars(e))
-    for name in names:
+    for name, many in names:
         value = values[name]
-        values[name] = tuple(map(f, value)) if name in _TUPLE_FIELDS else f(value)
+        values[name] = tuple(map(f, value)) if many else f(value)
     return type(e)(**values)
 
 
@@ -325,15 +323,24 @@ def map_block(block, f):
 
 
 def walk_exprs(node):
-    """Yield every expression under `node` (an Expr, Stmt, or block)."""
+    """Every expression under `node` (an Expr, Stmt, or block), as a list:
+    one walk with an explicit stack. It pops the last expression pushed,
+    and pushes each statement's expressions, then those of its nested
+    blocks, and each expression's children, in their field order."""
     if isinstance(node, Expr):
         stack = [node]
     else:
         stack = _block_exprs((node,) if isinstance(node, Stmt) else node)
+    out = []
     while stack:
         e = stack.pop()
-        yield e
-        stack.extend(sub_exprs(e))
+        out.append(e)
+        for name, many in _CHILD_FIELDS.get(type(e), ()):
+            if many:
+                stack.extend(getattr(e, name))
+            else:
+                stack.append(getattr(e, name))
+    return out
 
 
 def _block_exprs(block):
@@ -357,38 +364,6 @@ def referenced_functions(e):
     return names
 
 
-# Per expression kind with children or function references: its reference
-# fields, and its child fields each paired with whether it holds a tuple.
-_WALK_FIELDS = {
-    t: (_REF_FIELDS.get(t, ()), tuple((n, n in _TUPLE_FIELDS) for n in _CHILD_FIELDS.get(t, ())))
-    for t in {**_CHILD_FIELDS, **_REF_FIELDS}
-}
-
-
-def _references(block):
-    """The function names that the operators in `block` reference, in the
-    order `walk_exprs` visits the operators: one walk with an explicit
-    stack."""
-    names = []
-    stack = _block_exprs(block)
-    while stack:
-        e = stack.pop()
-        walk = _WALK_FIELDS.get(type(e))
-        if walk is None:
-            continue
-        refs, children = walk
-        for name in refs:
-            ref = getattr(e, name)
-            if ref is not None:
-                names.append(ref)
-        for name, many in children:
-            if many:
-                stack.extend(getattr(e, name))
-            else:
-                stack.append(getattr(e, name))
-    return names
-
-
 def reachable(program, roots):
     """Names of the functions in `program` reachable from the names in
     `roots` through operator references, roots included, in breadth-first
@@ -403,7 +378,9 @@ def reachable(program, roots):
             continue
         seen.add(name)
         order.append(name)
-        pending.extend(_references(functions[name].body))
+        for e in walk_exprs(functions[name].body):
+            if type(e) in _REF_FIELDS:
+                pending.extend(referenced_functions(e))
     return order
 
 
@@ -483,48 +460,57 @@ def free_vars(node, program=None):
     """
     if isinstance(node, Expr):
         return _expr_free(node, program)
-    if isinstance(node, Stmt):
-        free, _ = _block_free((node,), program)
-        return free
-    free, _ = _block_free(tuple(node), program)
+    block = (node,) if isinstance(node, Stmt) else tuple(node)
+    return _scope(block, set(), lambda e, bound: _expr_free(e, program))[0]
+
+
+def _expr_free(expr, program, check=None):
+    """Every Var name under `expr`, plus the closure parameters of each
+    function in `program` that an operator under it references: one
+    `walk_exprs`. `check`, if given, is called first on every expression
+    but a Var (which has nothing to check), in walk order."""
+    free = set()
+    for e in walk_exprs(expr):
+        if type(e) is Var:
+            free.add(e.name)
+            continue
+        if check is not None:
+            check(e)
+        if program is not None and type(e) in _REF_FIELDS:
+            for name in referenced_functions(e):
+                if name in program.functions:
+                    free.update(program.functions[name].closure_params)
     return free
 
 
-def _expr_free(e, program):
-    if isinstance(e, Var):
-        return {e.name}
+def _scope(block, bound, expr_free, fn=None):
+    """(free names, names surely bound after `block`), given the names
+    `bound` before it. A name is surely bound after an `if` when both
+    branches bind it; a loop binds nothing after itself (it may run zero
+    times). `expr_free(e, bound)` gives the names each statement
+    expression e reads, called once per expression in statement order with
+    the names bound at e. With `fn`, a return before the end of a block
+    and an unknown statement raise at their statement."""
     free = set()
-    for c in sub_exprs(e):
-        free |= _expr_free(c, program)
-    if program is not None:
-        for name in referenced_functions(e):
-            if name in program.functions:
-                free |= set(program.functions[name].closure_params)
-    return free
-
-
-def _block_free(block, program):
-    """Return (free names, names surely bound after the block)."""
-    free = set()
-    bound = set()
-    for s in block:
+    for i, s in enumerate(block):
+        if fn is not None and isinstance(s, Return) and i != len(block) - 1:
+            raise ValidationError("return-not-last", f"{fn.name}: return before end of block")
         if isinstance(s, Assign):
-            free |= _expr_free(s.value, program) - bound
-            bound.add(s.target)
+            free |= expr_free(s.value, bound) - bound
+            bound = bound | {s.target}
         elif isinstance(s, Return):
-            free |= _expr_free(s.value, program) - bound
+            free |= expr_free(s.value, bound) - bound
         elif isinstance(s, If):
-            free |= _expr_free(s.cond, program) - bound
-            f1, b1 = _block_free(s.then, program)
-            f2, b2 = _block_free(s.orelse, program)
-            free |= (f1 | f2) - bound
-            bound |= b1 & b2
+            free |= expr_free(s.cond, bound) - bound
+            then_free, then_bound = _scope(s.then, bound, expr_free, fn)
+            else_free, else_bound = _scope(s.orelse, bound, expr_free, fn)
+            free |= then_free | else_free
+            bound = bound | (then_bound & else_bound)
         elif isinstance(s, For):
-            free |= _expr_free(s.seq, program) - bound
-            fb, _ = _block_free(s.body, program)
-            free |= fb - bound - {s.var}
-            # Loop-body assignments are not surely bound afterwards
-            # (the loop may run zero times).
+            free |= expr_free(s.seq, bound) - bound
+            free |= _scope(s.body, bound | {s.var}, expr_free, fn)[0]
+        elif fn is not None:
+            raise ValidationError("unknown-statement", f"{fn.name}: {type(s).__name__}")
     return free, bound
 
 
@@ -549,22 +535,27 @@ def validate_functions(program, names, allow_tiled=False):
 
 
 def _validate_function(program, fn, allow_tiled):
-    seen = set()
+    """Check `fn` in one `_scope` pass: statement by statement, and within
+    each statement expression every node in walk order, with the names
+    bound there. Then check that it returns and reads no unbound name."""
+    params = set()
     for p in fn.params + fn.closure_params:
-        if p in seen:
+        if p in params:
             raise ValidationError("duplicate-param", f"{fn.name}: parameter {p!r} repeated")
-        seen.add(p)
+        params.add(p)
     if not fn.body:
         raise ValidationError("empty-body", f"{fn.name}: function body is empty")
-    _validate_block(program, fn, fn.body, set(fn.params) | set(fn.closure_params), allow_tiled)
+
+    def expr_free(expr, bound):
+        return _expr_free(expr, program,
+                          lambda e: _validate_expr(program, fn, e, bound, allow_tiled))
+    free, _ = _scope(fn.body, params, expr_free, fn)
     if not _definitely_returns(fn.body):
         raise ValidationError("missing-return", f"{fn.name}: body may finish without a return")
-    free, _ = _block_free(fn.body, program)
-    extra = free - set(fn.params) - set(fn.closure_params)
-    if extra:
+    if free:
         raise ValidationError(
             "unbound-variable",
-            f"{fn.name}: free variable(s) {sorted(extra)} are neither parameters nor closure parameters")
+            f"{fn.name}: free variable(s) {sorted(free)} are neither parameters nor closure parameters")
 
 
 def _definitely_returns(block):
@@ -576,41 +567,17 @@ def _definitely_returns(block):
     return False
 
 
-def _validate_block(program, fn, block, bound, allow_tiled):
-    """Check `block` given the names `bound` before it; return the names
-    surely bound after it, by `_block_free`'s rule."""
-    for i, s in enumerate(block):
-        if isinstance(s, Return) and i != len(block) - 1:
-            raise ValidationError("return-not-last", f"{fn.name}: return before end of block")
-        if isinstance(s, Assign):
-            _validate_expr(program, fn, s.value, bound, allow_tiled)
-            bound = bound | {s.target}
-        elif isinstance(s, Return):
-            _validate_expr(program, fn, s.value, bound, allow_tiled)
-        elif isinstance(s, If):
-            _validate_expr(program, fn, s.cond, bound, allow_tiled)
-            then_bound = _validate_block(program, fn, s.then, bound, allow_tiled)
-            else_bound = _validate_block(program, fn, s.orelse, bound, allow_tiled)
-            bound = bound | (then_bound & else_bound)
-        elif isinstance(s, For):
-            _validate_expr(program, fn, s.seq, bound, allow_tiled)
-            _validate_block(program, fn, s.body, bound | {s.var}, allow_tiled)
-        else:
-            raise ValidationError("unknown-statement", f"{fn.name}: {type(s).__name__}")
-    return bound
-
-
-def _validate_expr(program, fn, expr, bound, allow_tiled):
-    for e in walk_exprs(expr):
-        if isinstance(e, TILED_OPS) and not allow_tiled:
-            raise ValidationError("tiled-in-user-program",
-                                  f"{fn.name}: {type(e).__name__} is internal-only syntax")
-        if isinstance(e, BinOp) and e.op not in BINARY_OPS:
-            raise ValidationError("unknown-operator", f"{fn.name}: operator {e.op!r}")
-        if isinstance(e, ArrayLit) and not e.items:
-            raise ValidationError("empty-array-literal", f"{fn.name}: [] has no element type")
-        if isinstance(e, PARALLEL_OPS):
-            _validate_op(program, fn, e, bound)
+def _validate_expr(program, fn, e, bound, allow_tiled):
+    """Check the expression node `e` of `fn`, `bound` the names in scope."""
+    if isinstance(e, TILED_OPS) and not allow_tiled:
+        raise ValidationError("tiled-in-user-program",
+                              f"{fn.name}: {type(e).__name__} is internal-only syntax")
+    if isinstance(e, BinOp) and e.op not in BINARY_OPS:
+        raise ValidationError("unknown-operator", f"{fn.name}: operator {e.op!r}")
+    if isinstance(e, ArrayLit) and not e.items:
+        raise ValidationError("empty-array-literal", f"{fn.name}: [] has no element type")
+    if isinstance(e, PARALLEL_OPS):
+        _validate_op(program, fn, e, bound)
 
 
 def _validate_op(program, fn, e, bound):

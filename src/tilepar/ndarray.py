@@ -14,15 +14,21 @@ to build an array: it takes a finished element list as is, with a shape,
 dtype and layout the interpreter derived itself, and checks nothing.
 Strides are worked out once per (shape, layout).
 
-`offsets` is the one walk over a view's elements: it yields flat buffer
-offsets in index order (last axis fastest). `element_list` lists a view's
-elements in row or col order with one slice of the buffer per run along
-the last (or first) axis; a dense array in that order gives its own
-buffer. `concat`, the stacking of arrays (`join`) and `elementwise` put
-their output's element list together that way and hand it to `new_array`
-once, so no array is zero-filled and then overwritten. With a trace sink
-a join reports, for each element of each part in turn, a read of the part
-and then the write of its place in the output, all as one run.
+`runs` is the one enumeration of a view's elements: in row order (last
+axis fastest) or col order (first axis fastest), runs of n elements a
+fixed step apart in the buffer, from each of a list of start offsets.
+`element_list` slices the buffer once per run (a dense array in that
+order gives its own buffer), `offsets` and `address_ranges` give a range
+per run, and `interleave` zips the address ranges of several views, as a
+copy or a leaf reads them. A rank-1 view's one run, the hot case, is
+taken directly: as a slice (`span`) and as an address range.
+
+`concat`, the stacking of arrays (`join`) and `elementwise` put their
+output's element list together from element lists and hand it to
+`new_array` once, so no array is zero-filled and then overwritten. With
+a trace sink a join reports, for each element of each part in turn, a
+read of the part and then the write of its place in the output, all as
+one run.
 
 `Allocator` places arrays in a simulated address space. It takes a block
 back when its array dies, through a `weakref.ref` callback, and keeps
@@ -229,10 +235,6 @@ class View:
     def layout(self):
         return self.root.layout
 
-    @property
-    def size(self):
-        return math.prod(self.shape)
-
     def flat_index(self, idx):
         return self.offset + sum(i * s for i, s in zip(idx, self.strides))
 
@@ -312,10 +314,28 @@ def span(v):
     return slice(v.offset, v.offset + n * step, step) if n else slice(0, 0)
 
 
+def runs(v, layout="row"):
+    """(starts, n, step): the elements of view `v` in `layout` order (row:
+    last axis fastest, col: first axis fastest) are runs of n elements,
+    step apart in the buffer, from each flat offset in `starts` in turn.
+    A rank-0 view is one run of one element, an empty view none."""
+    shape, strides = v.shape, v.strides
+    if layout != "row":
+        shape, strides = shape[::-1], strides[::-1]
+    if 0 in shape:
+        return (), 0, 1
+    starts = (v.offset,)
+    for axis in range(len(shape) - 1):
+        extent, stride = shape[axis], strides[axis]
+        starts = [b + i * stride for b in starts for i in range(extent)]
+    return (starts, shape[-1], strides[-1]) if shape else (starts, 1, 1)
+
+
 def offsets(x):
     """Iterate the flat buffer offsets of every element of `x` in index
-    order (last axis fastest). This is the one walk over a view's elements."""
-    return _walk(x, 0, 1)
+    order (last axis fastest): one range per run."""
+    starts, n, step = runs(x)
+    return itertools.chain.from_iterable(range(b, b + n * step, step) for b in starts)
 
 
 def elements(x):
@@ -323,62 +343,40 @@ def elements(x):
     return map(x.root.data.__getitem__, offsets(x))
 
 
+def address_ranges(v, layout="row"):
+    """The byte addresses of the elements of view `v` in `layout` order, as
+    a list of one range per run (`runs`)."""
+    starts, n, step = runs(v, layout)
+    base, step = v.root.addr, step * ELEM_SIZE
+    return [range(base + b * ELEM_SIZE, base + b * ELEM_SIZE + n * step, step) for b in starts]
+
+
 def addresses(x):
-    """Iterate the byte addresses of every element of `x` in index order."""
-    return _walk(x, x.root.addr, ELEM_SIZE)
+    """Iterate the byte addresses of every element of `x` in index order
+    (`address_ranges`; for a rank-1 view, its one range)."""
+    if len(x.shape) != 1:
+        return itertools.chain.from_iterable(address_ranges(x))
+    start, step = x.root.addr + x.offset * ELEM_SIZE, x.strides[0] * ELEM_SIZE
+    return range(start, start + x.shape[0] * step, step)
 
 
-def _walk(v, base, scale):
-    """base + scale * offset for every element of view `v`, in index order:
-    one range per run along the last axis."""
-    if not v.shape:
-        return iter((base + scale * v.offset,))
-    if 0 in v.shape:
-        return iter(())
-    step = v.strides[-1] * scale
-    length = v.shape[-1] * step
-    if len(v.shape) == 1:
-        start = base + scale * v.offset
-        return range(start, start + length, step)
-    return itertools.chain.from_iterable(
-        range(base + scale * b, base + scale * b + length, step)
-        for b in _starts(v.offset, v.shape, v.strides))
-
-
-def _starts(offset, shape, strides):
-    """The flat offset of the first element of every run along the last
-    axis of the view at `offset` with `shape` and `strides`, in index
-    order."""
-    starts = [offset]
-    for extent, stride in zip(shape[:-1], strides[:-1]):
-        starts = [b + i * stride for b in starts for i in range(extent)]
-    return starts
+def interleave(ranges):
+    """The items of the equally long iterables `ranges`, index by index:
+    at each index, one of each in turn."""
+    return ranges[0] if len(ranges) == 1 else itertools.chain.from_iterable(zip(*ranges))
 
 
 def element_list(v, layout="row"):
-    """The elements of view `v` in `layout` order (row: last axis fastest,
-    col: first axis fastest) as a list: one slice of the buffer per run.
-    A dense NdArray in `layout` gives its own `data`, which the caller
-    must not change."""
+    """The elements of view `v` in `layout` order as a list: one slice of
+    the buffer per run (`runs`), a rank-1 view's `span`. A dense NdArray
+    in `layout` gives its own `data`, which the caller must not change."""
     data = v.root.data
     if type(v) is NdArray and v.layout == layout:
         return data
-    shape, strides = (v.shape, v.strides) if layout == "row" else (v.shape[::-1], v.strides[::-1])
-    if not shape:
-        return [data[v.offset]]
-    if 0 in shape:
-        return []
-    n, step = shape[-1], strides[-1]
-    if len(shape) == 1:
-        return data[v.offset:v.offset + n * step:step]
-    return list(itertools.chain.from_iterable(
-        data[b:b + n * step:step] for b in _starts(v.offset, shape, strides)))
-
-
-def copy_addresses(sources, dst):
-    """The addresses of a copy into `dst`: per element, in index order, a
-    read of every view in `sources` (one or two), then the write of `dst`."""
-    return itertools.chain.from_iterable(zip(*map(addresses, sources), addresses(dst)))
+    if len(v.shape) == 1:
+        return data[span(v)]
+    starts, n, step = runs(v, layout)
+    return list(itertools.chain.from_iterable(data[b:b + n * step:step] for b in starts))
 
 
 def join(parts, axis, new_array, trace=None, stacked=False):
@@ -407,7 +405,7 @@ def join(parts, axis, new_array, trace=None, stacked=False):
     if trace is not None and data:
         starts = itertools.accumulate(extents, initial=0)
         trace.run(itertools.chain.from_iterable(
-            copy_addresses([v], tile_view(out, axis, base, extent))
+            interleave([addresses(v), addresses(tile_view(out, axis, base, extent))])
             for v, base, extent in zip(parts, starts, extents)), "RW")
     return out
 
@@ -499,7 +497,8 @@ def elementwise(op, a, b, trace=None, new_array=NdArray):
     out = new_array(like.shape, dtype, layout, data)
     if trace is not None and data:
         operands = [v for v in (av, bv) if v is not None]
-        trace.run(copy_addresses(operands, out), "R" * len(operands) + "W")
+        trace.run(interleave([*map(addresses, operands), addresses(out)]),
+                  "R" * len(operands) + "W")
     return out
 
 

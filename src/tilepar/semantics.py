@@ -93,8 +93,8 @@ from dataclasses import dataclass, field
 
 from . import ir
 from .ndarray import (
-    ELEM_SIZE, Allocator, ArrayValue, Block, NdArray, View, addresses, adopt, concat, decompose,
-    elementwise, join, result_dtype, scalar_op, span,
+    ELEM_SIZE, Allocator, ArrayValue, Block, NdArray, View, address_ranges, addresses, adopt,
+    concat, decompose, elementwise, interleave, join, result_dtype, scalar_op, span,
 )
 
 
@@ -206,14 +206,15 @@ def _row_extent(views, axes, what):
 def _row_reads(views, axes, n):
     """`i ->` the byte addresses a leaf reads at row i of the rank-2 `views`
     sliced along `axes`, every row of extent n: per index, one per view in
-    order."""
+    order (`ndarray.interleave`). One view's row is its range, with no
+    list built per row: the hot case, as a traced row sum reads one view."""
     spans = [(v.root.addr + v.offset * ELEM_SIZE, v.strides[axis] * ELEM_SIZE,
               v.strides[1 - axis] * ELEM_SIZE) for v, axis in zip(views, axes)]
     if len(spans) == 1:
         (base, row, step), = spans
         return lambda i: range(base + i * row, base + i * row + n * step, step)
-    return lambda i: itertools.chain.from_iterable(zip(*[
-        range(base + i * row, base + i * row + n * step, step) for base, row, step in spans]))
+    return lambda i: interleave([range(base + i * row, base + i * row + n * step, step)
+                                 for base, row, step in spans])
 
 
 def _scalar_dtype(values):
@@ -370,8 +371,7 @@ class Interpreter:
                     return None
                 columns.append([captured[n]] * extent)
             if trace is not None:
-                trace.run(addresses(views[0]) if len(views) == 1 else
-                          itertools.chain.from_iterable(zip(*map(addresses, views))), "R")
+                trace.run(interleave(list(map(addresses, views))), "R")
             return values(columns)
         return leaf
 
@@ -692,11 +692,8 @@ class Interpreter:
         out = self._new_array(out_shape, result_dtype(values), "row", list(
             itertools.chain.from_iterable(rows if axis == 0 else zip(*rows))))
         if trace is not None and shape[0]:
-            # Row j of `out`: n elements from j * first bytes on, step bytes apart.
-            n, m = shape[0], len(values)
-            first, step = (n * ELEM_SIZE, ELEM_SIZE) if axis == 0 else (ELEM_SIZE, m * ELEM_SIZE)
-            dsts = (range(out.addr + j * first, out.addr + j * first + n * step, step)
-                    for j in range(m))
+            # Value j goes to run j of `out` in the order that puts `axis` first.
+            dsts = address_ranges(out, "row" if axis == 0 else "col")
             trace.run(itertools.chain.from_iterable(itertools.chain.from_iterable(
                 map(zip, map(addresses, values), dsts))), "RW")
         return out

@@ -26,7 +26,7 @@ from tilepar.ir import (
 )
 from tilepar.ndarray import (
     ELEM_SIZE, LAYOUTS, Allocator, NdArray, View, as_view, concat, decompose, element_list,
-    elements, elementwise, join, offsets, result_dtype, scalar_op, slice_axis, tile_view,
+    elementwise, join, result_dtype, scalar_op, slice_axis, tile_view,
 )
 from tilepar.semantics import EvalConfig, EvalError, Interpreter, TraceSink, eval_program
 from tilepar.tiling import register_tile, specialize_fixed, tile_program
@@ -34,11 +34,23 @@ from tilepar.tiling import register_tile, specialize_fixed, tile_program
 import programs
 
 
+def index_offsets(v):
+    """The flat offset of every element of `v` in index order (last axis
+    fastest), one index at a time: the walk the references below use,
+    which shares no code with the run enumeration under test."""
+    return [v.flat_index(idx) for idx in itertools.product(*map(range, v.shape))]
+
+
+def index_values(v):
+    """The elements of `v` in index order, one index at a time."""
+    return [v.root.data[o] for o in index_offsets(v)]
+
+
 def reference_copy(src, dst, sink):
     """The per-element copy: one read of `src` and one write of `dst` per
     element, in index order."""
     sdata, ddata = src.root.data, dst.root.data
-    for i, j in zip(offsets(src), offsets(dst)):
+    for i, j in zip(index_offsets(src), index_offsets(dst)):
         ddata[j] = sdata[i]
         if sink is not None:
             sink.run((src.root.addr + i * ELEM_SIZE,), "R")
@@ -89,12 +101,12 @@ def reference_elementwise(interp, op, a, b):
     arrays = [v for v in (a, b) if isinstance(v, (NdArray, View))]
     like = arrays[0]
     out = zeros(interp, like.shape, "f64" if op == "/" else result_dtype((a, b)), like.layout)
-    operands = [elements(v) if isinstance(v, (NdArray, View)) else itertools.repeat(v)
+    operands = [index_values(v) if isinstance(v, (NdArray, View)) else itertools.repeat(v)
                 for v in (a, b)]
-    for k, x, y in zip(offsets(out), *operands):
+    for k, x, y in zip(index_offsets(out), *operands):
         out.data[k] = f(x, y)
-    reads = zip(*([v.root.addr + o * ELEM_SIZE for o in offsets(v)] for v in arrays))
-    for k, addrs in zip(offsets(out), reads):
+    reads = zip(*([v.root.addr + o * ELEM_SIZE for o in index_offsets(v)] for v in arrays))
+    for k, addrs in zip(index_offsets(out), reads):
         for addr in addrs:
             sink.run((addr,), "R")
         sink.run((out.addr + k * ELEM_SIZE,), "W")
@@ -281,7 +293,7 @@ def test_copy_matches_per_element_copy(src, dst):
     reference_copy(src, dst, None)
     for layout in LAYOUTS:
         assert typed(element_list(src, layout)) == \
-               typed(list(elements(in_layout_order(dst, layout))))
+               typed(index_values(in_layout_order(dst, layout)))
     fast, slow = traced_interpreter(), traced_interpreter()
     out = join([src], 0, fast._new_array, fast.config.trace, stacked=True)
     ref = zeros(slow, (1,) + src.shape, src.dtype)
@@ -293,7 +305,7 @@ def test_copy_matches_per_element_copy(src, dst):
 
 def row_major(v):
     """A dense row-major NdArray holding the elements of `v`."""
-    return NdArray(v.shape, v.dtype, "row", list(elements(v)))
+    return NdArray(v.shape, v.dtype, "row", index_values(v))
 
 
 def concat_cases():
@@ -377,7 +389,7 @@ def elementwise_cases():
 def test_elementwise_matches_per_element_walk(a, b):
     placed([v for v in (a, b) if isinstance(v, (NdArray, View))])
     for op in ("+", "-", "*", "/", "min", "max"):
-        divisor = list(elements(b)) if isinstance(b, (NdArray, View)) else [b]
+        divisor = index_values(b) if isinstance(b, (NdArray, View)) else [b]
         if op == "/" and 0 in divisor:
             continue
         fast, slow = traced_interpreter(), traced_interpreter()
@@ -435,9 +447,8 @@ def test_elementary_reads_match_offsets():
         interp.config.trace.events.clear()
         kernel = interp._kernel(interp._function("add2"), (1, 1))
         values = kernel([a, b], (0, 0), a.shape[0], {})
-        assert values == [x + y for x, y in zip(
-            map(a.root.data.__getitem__, offsets(a)), map(b.root.data.__getitem__, offsets(b)))]
-        reads = [[v.root.addr + o * ELEM_SIZE for o in offsets(v)] for v in (a, b)]
+        assert values == [x + y for x, y in zip(index_values(a), index_values(b))]
+        reads = [[v.root.addr + o * ELEM_SIZE for o in index_offsets(v)] for v in (a, b)]
         assert interp.config.trace.events == [(addr, "R") for pair in zip(*reads) for addr in pair]
 
 
@@ -455,11 +466,11 @@ def test_rank1_elementwise_matches_per_element_walk():
         for op in ("+", "-", "*", "/", "min", "max"):
             sink = TraceSink()
             out = elementwise(op, a, b, sink, lambda *shape: alloc.allocate(NdArray(*shape)))
-            operands = [elements(v) if isinstance(v, (NdArray, View)) else itertools.repeat(v)
+            operands = [index_values(v) if isinstance(v, (NdArray, View)) else itertools.repeat(v)
                         for v in (a, b)]
             assert typed(out.data) == typed(list(map(scalar_op(op), *operands)))
             expected = []
-            reads = zip(*([v.root.addr + o * ELEM_SIZE for o in offsets(v)] for v in arrays))
+            reads = zip(*([v.root.addr + o * ELEM_SIZE for o in index_offsets(v)] for v in arrays))
             for i, addrs in enumerate(reads):
                 expected += [(r, "R") for r in addrs] + [(out.addr + i * ELEM_SIZE, "W")]
             assert sink.events == expected

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import collections
 
@@ -117,6 +117,57 @@ def test_validation_return_not_last():
 def test_validation_unbound_variable():
     with pytest.raises(ValidationError, match="unbound-variable"):
         parse_program("fn f(x) { return y; }")
+
+
+# Programs with two faults each, and the fault validation must report:
+# statement by statement, a misplaced return or an unknown statement at its
+# statement and the checks of each expression in walk order; then a
+# missing return; then an unbound name.
+FIRST_FAULT = {
+    "closure-before-return": (
+        "fn g(a) uses c { return a; } "
+        "fn main(x) { y = map(g, x; axes=[0]); return y; return y; }",
+        "unbound-closure", "'g'"),
+    "return-before-unbound": ("fn main(x) { return x; return z; }", "return-not-last", "main"),
+    "statement-order": (
+        "fn main(x) { y = map(h1, x; axes=[0]); z = map(h2, x; axes=[0]); return z; }",
+        "missing-function", "'h1'"),
+    "walk-order": (
+        "fn main(x) { return map(h1, x; axes=[0]) + map(h2, x; axes=[0]); }",
+        "missing-function", "'h2'"),
+    "branch-before-next-statement": (
+        "fn main(x) { if x { y = map(h1, x; axes=[0]); } else { y = x; } "
+        "return map(h2, y; axes=[0]); }",
+        "missing-function", "'h1'"),
+    "loop-body-before-missing-return": (
+        "fn g(a) uses c { return a; } fn main(x) { for i in x { y = map(g, x; axes=[0]); } }",
+        "unbound-closure", "'g'"),
+    "expression-before-missing-return": (
+        "fn main(x) { y = map(h, z; axes=[0]); }", "missing-function", "'h'"),
+    "missing-return-before-unbound": ("fn main(x) { y = z; }", "missing-return", "main"),
+}
+
+
+class Nop(ir.Stmt):
+    """A statement kind that validation does not know."""
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_FAULT) + ["unknown-statement", "unknown-operator"])
+def test_validation_reports_the_first_fault(name):
+    if name in FIRST_FAULT:
+        src, invariant, mention = FIRST_FAULT[name]
+        with pytest.raises(ValidationError) as raised:
+            parse_program(src)
+    else:
+        # Built directly: the parser makes neither fault. Both come before
+        # the unbound `q`.
+        body = {"unknown-statement": (Nop(), Return(Var("q"))),
+                "unknown-operator": (Return(BinOp("%", Var("x"), Var("q"))),)}[name]
+        invariant, mention = name, "main"
+        with pytest.raises(ValidationError) as raised:
+            ir.validate_program(Program({"main": Function("main", ("x",), (), body)}))
+    assert raised.value.invariant == invariant
+    assert mention in str(raised.value)
 
 
 def test_validation_operator_arity():
@@ -321,8 +372,35 @@ def test_body_shape():
         ["max", "+", None, None, None, None, None]
 
 
+def local_walk(block):
+    """Every expression under `block` in the order `ir.walk_exprs` gives,
+    by a recursive walk over the dataclass fields local to this test: the
+    statements' expressions (each statement's own, then its nested
+    blocks'), last first, each before its children, last child first."""
+    def children(node, kind):
+        out = []
+        for f in fields(node):
+            value = getattr(node, f.name)
+            out += [x for x in (value if isinstance(value, tuple) else (value,))
+                    if isinstance(x, kind)]
+        return out
+
+    def statement_exprs(block):
+        for s in block:
+            yield from children(s, ir.Expr)
+            yield from statement_exprs(children(s, ir.Stmt))
+
+    def visit(e):
+        yield e
+        for c in reversed(children(e, ir.Expr)):
+            yield from visit(c)
+
+    for e in reversed(list(statement_exprs(block))):
+        yield from visit(e)
+
+
 def walked_reachable(program, roots):
-    """`ir.reachable` as one `walk_exprs` per function computes it."""
+    """`ir.reachable` as one `local_walk` per function computes it."""
     order, seen, pending = [], set(), collections.deque(roots)
     while pending:
         name = pending.popleft()
@@ -330,7 +408,7 @@ def walked_reachable(program, roots):
             continue
         seen.add(name)
         order.append(name)
-        for e in ir.walk_exprs(program.functions[name].body):
+        for e in local_walk(program.functions[name].body):
             pending.extend(ir.referenced_functions(e))
     return order
 
@@ -351,6 +429,8 @@ def test_reachable_order_matches_expression_walk():
         if res.changed:
             passes += [res.program, register_tile(res.program, res.spec, 16)[0]]
         for p in passes:
+            for fn in p.functions.values():
+                assert list(ir.walk_exprs(fn.body)) == list(local_walk(fn.body))
             for roots in [["main"], ["main", "missing"]] + [[n] for n in p.functions]:
                 assert ir.reachable(p, roots) == walked_reachable(p, roots)
                 checked += 1

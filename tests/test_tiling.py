@@ -177,6 +177,42 @@ def test_allpairs_must_be_desugared_first():
         tile_program(p)
 
 
+# -- normalization ---------------------------------------------------------------
+
+ROW_SUM_CALLEE = """
+fn ident(x) { return x; }
+fn add2(a, b) { return a + b; }
+fn rs(r) { return reduce(ident, combine=add2, init=0.0, r; axes=[0]); }
+"""
+
+# A computed operand, and arithmetic on an operator's result: normalization
+# binds each to a temporary before the statement that uses it.
+HOISTED_MAINS = {
+    "computed-operand": "fn main(X) { return map(rs, X + X; axes=[0]); }",
+    "operator-result": "fn main(X) { return map(rs, X; axes=[0]) + 1.0; }",
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOISTED_MAINS))
+def test_hoisted_operands_tile_and_match_untiled(name):
+    p = parse_program(ROW_SUM_CALLEE + HOISTED_MAINS[name])
+    body = normalize_for_tiling(p).fn("main").body
+    assert len(body) > 1 and isinstance(body[-1], Return)
+    assert all(isinstance(s, ir.Assign) and s.target.startswith("t$n") for s in body[:-1])
+    rng = random.Random(41)
+    X = NdArray((5, 7), "f64", "col", [float(rng.randrange(-9, 9)) for _ in range(35)])
+    base = norm_value(eval_program(p, [X]))
+    res = tile_program(p, arg_ranks=[2])
+    assert res.changed, res.reason
+    reg_program, reg_spec = register_tile(res.program, res.spec, 16)
+    for k in (1, 2, 3, 5):
+        sizes = {slot.id: k for slot in res.spec.runtime_slots()}
+        out = eval_program(res.program, [X], EvalConfig(tile_sizes=sizes))
+        assert norm_value(out) == base, k
+        out = eval_program(reg_program, [X], EvalConfig(tile_sizes=reg_spec.sizes(sizes)))
+        assert norm_value(out) == base, k
+
+
 # -- statement wrapping ------------------------------------------------------------
 
 
