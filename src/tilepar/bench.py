@@ -6,7 +6,9 @@ cache(+register)-tiled with sizes found by the miss-count autotuner --
 over seeded, reproducible inputs. K-means runs two: untiled and
 cache-tiled at the midpoint. Variants must agree on their outputs
 (exactly for int64, within 1e-9 relative for float64; k-means on its
-labels); wall times are reported but never asserted.
+labels); wall times are reported but never asserted. `prepare` and
+`PreparedProgram.sizes` are also the CLI's compile path and its mapping
+from tuner candidates to slot sizes.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .autotuner import CostProbe, SearchConfig, autotune, estimate_bounds
+from .autotuner import CostProbe, SearchConfig, estimate_bounds, run_search
 from .cachesim import simulate_program
 from .ir import desugar_allpairs, parse_program
 from .ndarray import ArrayValue, NdArray, elements
@@ -118,50 +120,64 @@ def _close(x, y, rtol):
 
 @dataclass
 class PreparedProgram:
+    """A program compiled once for every variant. `untiled` is the
+    desugared program and `tiled` its cache(+register)-tiled form; when
+    the cache pass leaves the program unchanged, `tiled`, `spec` and
+    `space` are None and `reason` says why. `tuned` is the candidate the
+    autotuner chose, once `tune` has run."""
     untiled: object
     tiled: object
     spec: object
-    midpoint_sizes: dict
-    tuned_sizes: dict | None = None
+    space: object
+    reason: str | None = None
+    tuned: tuple | None = None
+
+    def sizes(self, candidate=None):
+        """Slot sizes: `candidate`, in `space.slot_ids` order (the bounds'
+        midpoint when None), on the runtime slots; each fixed slot keeps
+        its own size."""
+        if candidate is None:
+            candidate = self.space.midpoint()
+        return self.spec.sizes(overrides=dict(zip(self.space.slot_ids, candidate)))
 
 
-def prepare(src, arg_ranks, hw, extents=None, registers=False):
-    program = desugar_allpairs(parse_program(src))
-    result = tile_program(program, arg_ranks=arg_ranks)
+def prepare(program, arg_ranks, hw, extents=None, registers=False):
+    """Desugar a parsed `program`, cache-tile it (then register-tile it
+    when `registers`) and estimate the bounds of its runtime slots."""
+    untiled = desugar_allpairs(program)
+    result = tile_program(untiled, arg_ranks=arg_ranks)
     if not result.changed:
-        raise CorrectnessError(f"benchmark program did not tile: {result.reason}")
+        return PreparedProgram(untiled, None, None, None, result.reason)
     tiled, spec = result.program, result.spec
     if registers:
         tiled, spec = register_tile(tiled, spec, hw)
-    space = estimate_bounds(tiled, spec, hw, extents=extents)
-    midpoint = dict(zip(space.slot_ids, space.midpoint()))
-    return PreparedProgram(program, tiled, spec, midpoint)
+    return PreparedProgram(untiled, tiled, spec,
+                           estimate_bounds(tiled, spec, hw, extents=extents))
 
 
-def miss_probe(tiled, spec, slot_ids, inputs, model):
-    """Tuner cost function: the simulated misses of `tiled` on `inputs`
-    with the runtime slots `slot_ids` set to a candidate's sizes."""
-    def misses(sizes):
-        stats, _ = simulate_program(tiled, inputs, model,
-                                    tile_sizes=spec.sizes(overrides=dict(zip(slot_ids, sizes))))
+def _prepare_corpus(src, arg_ranks, hw, extents=None, registers=False):
+    prepared = prepare(parse_program(src), arg_ranks, hw, extents, registers)
+    if prepared.tiled is None:
+        raise CorrectnessError(f"benchmark program did not tile: {prepared.reason}")
+    return prepared
+
+
+def miss_probe(prepared, inputs, model):
+    """Tuner cost function: the simulated misses of the tiled program on
+    `inputs` with a candidate's sizes on its runtime slots."""
+    def misses(candidate):
+        stats, _ = simulate_program(prepared.tiled, inputs, model,
+                                    tile_sizes=prepared.sizes(candidate))
         return float(stats.misses)
     return misses
 
 
-def tune(prepared, inputs, hw, model=None, seed=0, max_evaluations=12, batch=4,
-         extents=None):
-    model = model or hw.l1_model()
-    slot_ids = estimate_bounds(prepared.tiled, prepared.spec, hw,
-                               extents=extents).slot_ids
-
-    probe_fn = miss_probe(prepared.tiled, prepared.spec, slot_ids, inputs, model)
-    tuned_spec, state = autotune(prepared.tiled, prepared.spec, CostProbe(probe_fn),
-                                 hw, SearchConfig(batch_size=batch,
-                                                  max_evaluations=max_evaluations,
-                                                  seed=seed),
-                                 extents=extents)
-    prepared.tuned_sizes = tuned_spec.sizes()
-    return state
+def tune(prepared, inputs, hw, seed=0, max_evaluations=12):
+    """Set `prepared.tuned` to the searched candidate with the fewest
+    simulated L1 misses."""
+    probe = CostProbe(miss_probe(prepared, inputs, hw.l1_model()))
+    config = SearchConfig(max_evaluations=max_evaluations, seed=seed)
+    prepared.tuned = run_search(prepared.space, probe, config).best
 
 
 def run_variant(prepared, variant, inputs, model=None):
@@ -169,12 +185,11 @@ def run_variant(prepared, variant, inputs, model=None):
     if variant == "untiled":
         program, sizes = prepared.untiled, {}
     elif variant == "tiled":
-        program = prepared.tiled
-        sizes = prepared.spec.sizes(overrides=prepared.midpoint_sizes)
+        program, sizes = prepared.tiled, prepared.sizes()
     elif variant == "tiled+autotuned":
-        if prepared.tuned_sizes is None:
+        if prepared.tuned is None:
             raise CorrectnessError("autotuned sizes not prepared")
-        program, sizes = prepared.tiled, dict(prepared.tuned_sizes)
+        program, sizes = prepared.tiled, prepared.sizes(prepared.tuned)
     else:
         raise ValueError(f"unknown variant {variant!r}")
     start = time.perf_counter()
@@ -191,32 +206,26 @@ def run_variant(prepared, variant, inputs, model=None):
 # Benchmarks
 # ---------------------------------------------------------------------------
 
-def bench_matmul(hw, n=64, seed=0, misses=False, variants=VARIANTS, registers=True,
-                 tune_evals=8):
+def bench_matmul(hw, n=64, seed=0, misses=False, registers=True, tune_evals=8):
     a = generate_array((n, n), "f64", "row", seed)
     b = generate_array((n, n), "f64", "row", seed + 1)
-    prepared = prepare(MATMUL_SRC, [2, 2], hw, registers=registers)
-    model = hw.l1_model() if misses else None
-    if "tiled+autotuned" in variants:
-        tune(prepared, [a, b], hw, seed=seed, max_evaluations=tune_evals)
-    return _run_all("matmul", prepared, [a, b], variants, model)
+    prepared = _prepare_corpus(MATMUL_SRC, [2, 2], hw, registers=registers)
+    tune(prepared, [a, b], hw, seed=seed, max_evaluations=tune_evals)
+    return _run_all("matmul", prepared, [a, b], hw.l1_model() if misses else None)
 
 
 def bench_sum_rows(hw, rows=256, cols=256, layout="col", seed=0, misses=False,
-                   variants=VARIANTS, tune_evals=12):
+                   tune_evals=12):
     m = generate_array((rows, cols), "f64", layout, seed)
-    extents = {0: rows, 1: cols}
-    prepared = prepare(SUM_ROWS_SRC, [2], hw, extents=extents)
-    model = hw.l1_model() if misses else None
-    if "tiled+autotuned" in variants:
-        tune(prepared, [m], hw, seed=seed, max_evaluations=tune_evals, extents=extents)
-    return _run_all("sum_rows", prepared, [m], variants, model)
+    prepared = _prepare_corpus(SUM_ROWS_SRC, [2], hw, extents={0: rows, 1: cols})
+    tune(prepared, [m], hw, seed=seed, max_evaluations=tune_evals)
+    return _run_all("sum_rows", prepared, [m], hw.l1_model() if misses else None)
 
 
-def _run_all(name, prepared, inputs, variants, model):
+def _run_all(name, prepared, inputs, model):
     results = []
     baseline = None
-    for variant in variants:
+    for variant in VARIANTS:
         value, wall, miss = run_variant(prepared, variant, inputs, model)
         results.append(BenchmarkResult(name, variant, wall, miss, checksum(value)))
         if baseline is None:
@@ -269,9 +278,6 @@ def kmeans_reference(points, k, iters, seed, assign=None):
             if counts[c]:
                 centroids[c] = [s / counts[c] for s in sums[c]]
             # else: keep the previous centroid
-    if iters == 0:
-        dist = assign(pts, centroids)
-        labels = [_argmin(row) for row in dist]
     return labels, centroids
 
 
@@ -288,27 +294,17 @@ def _host_distances(pts, centroids):
             for p in pts]
 
 
-def make_ir_distance(hw, tile_sizes=None):
-    """Distance-matrix evaluator backed by the IR program; `tile_sizes`
-    None runs it untiled, otherwise cache-tiled with the given sizes (a
-    dict, or 'midpoint' for the analytic default)."""
-    program = desugar_allpairs(parse_program(SQDIST_SRC))
-    tiled = spec = None
-    if tile_sizes is not None:
-        result = tile_program(program, arg_ranks=[2, 2])
-        tiled, spec = result.program, result.spec
-        if tile_sizes == "midpoint":
-            space = estimate_bounds(tiled, spec, hw)
-            tile_sizes = dict(zip(space.slot_ids, space.midpoint()))
+def make_ir_distance(hw, tiled=False):
+    """Distance-matrix evaluator backed by the IR program: untiled, or
+    cache-tiled at the midpoint of the bounds when `tiled`."""
+    prepared = _prepare_corpus(SQDIST_SRC, [2, 2], hw)
+    program = prepared.tiled if tiled else prepared.untiled
+    sizes = prepared.sizes() if tiled else {}
 
     def assign(pts, centroids):
         P = NdArray.from_nested([list(map(float, p)) for p in pts])
         C = NdArray.from_nested([list(map(float, c)) for c in centroids])
-        if tiled is None:
-            out = eval_program(program, [P, C])
-        else:
-            out = eval_program(tiled, [P, C], EvalConfig(tile_sizes=tile_sizes))
-        return out.to_nested()
+        return eval_program(program, [P, C], EvalConfig(tile_sizes=sizes)).to_nested()
 
     return assign
 
@@ -321,7 +317,7 @@ def bench_kmeans(hw, points=500, features=16, k=8, iters=3, seed=0):
     t_untiled = time.perf_counter() - t0
     t0 = time.perf_counter()
     labels_t, cent_t = kmeans_reference(data, k, iters, seed,
-                                        assign=make_ir_distance(hw, "midpoint"))
+                                        assign=make_ir_distance(hw, tiled=True))
     t_tiled = time.perf_counter() - t0
     if labels_u != labels_t:
         raise CorrectnessError("kmeans: tiled and untiled label vectors differ")

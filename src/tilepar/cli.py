@@ -15,16 +15,16 @@ import sys
 import time
 
 from .autotuner import (
-    AutotuneError, CostProbe, SearchConfig, autotune, cache_key, estimate_bounds,
-    format_log, load_cached_sizes, store_cached_sizes,
+    AutotuneError, CostProbe, SearchConfig, cache_key, format_log, load_cached_sizes,
+    run_search, store_cached_sizes,
 )
 from .bench import (
     BENCHMARKS, CorrectnessError, bench_kmeans, bench_matmul, bench_sum_rows,
-    checksum, generate_array, miss_probe,
+    checksum, generate_array, miss_probe, prepare,
 )
 from .cachesim import CacheConfigError, CacheModel, Simulator, probe_hardware, simulate_program
 from .ir import IRError, desugar_allpairs, parse_program, print_program
-from .ndarray import ArrayValue, NdArray, ShapeError, load_array
+from .ndarray import ArrayValue, ShapeError, load_array
 from .semantics import EvalConfig, EvalError, eval_program
 from .tiling import TilingError, register_tile, tile_program
 
@@ -181,32 +181,18 @@ def _generated_input(spec, default_seed):
                           _int(fields["seed"], "--gen seed"))
 
 
-def _parse_sizes(text, spec):
-    if not text:
-        return {}
-    sizes = [_int(t, "tile size") for t in text.split(",")]
-    runtime = spec.runtime_slots()
-    if len(sizes) != len(runtime):
-        raise UsageError(f"{len(runtime)} runtime slot(s) but {len(sizes)} size(s) given")
-    return {slot.id: size for slot, size in zip(runtime, sizes)}
-
-
 def _arg_ranks(inputs):
     return [v.rank if isinstance(v, ArrayValue) else 0 for v in inputs]
 
 
-def _prepare_tiled(program, inputs, tiling, hw):
-    program = desugar_allpairs(program)
-    if tiling == "off":
-        return program, None
-    result = tile_program(program, arg_ranks=_arg_ranks(inputs) if inputs else None)
-    if not result.changed:
-        print(f"note: program left untiled ({result.reason})", file=sys.stderr)
-        return program, None
-    tiled, spec = result.program, result.spec
-    if tiling == "cache+register":
-        tiled, spec = register_tile(tiled, spec, hw)
-    return tiled, spec
+def _prepare(program, inputs, hw, registers=False):
+    """`bench.prepare` on the entry arguments' ranks; notes on stderr when
+    the cache pass leaves the program untiled."""
+    prepared = prepare(program, _arg_ranks(inputs) if inputs else None, hw,
+                       registers=registers)
+    if prepared.tiled is None:
+        print(f"note: program left untiled ({prepared.reason})", file=sys.stderr)
+    return prepared
 
 
 def _tiled_with_sizes(args, program, inputs, hw):
@@ -215,14 +201,18 @@ def _tiled_with_sizes(args, program, inputs, hw):
     estimated bounds. Untiled, the sizes are empty."""
     if args.tile_sizes and args.tiling == "off":
         raise UsageError("--tile-sizes requires --tiling cache or cache+register")
-    tiled, spec = _prepare_tiled(program, inputs, args.tiling, hw)
-    if spec is None:
-        return tiled, {}
-    overrides = _parse_sizes(args.tile_sizes, spec)
-    if not overrides:
-        space = estimate_bounds(tiled, spec, hw)
-        overrides = dict(zip(space.slot_ids, space.midpoint()))
-    return tiled, spec.sizes(overrides=overrides)
+    if args.tiling == "off":
+        return desugar_allpairs(program), {}
+    prepared = _prepare(program, inputs, hw, registers=args.tiling == "cache+register")
+    if prepared.tiled is None:
+        return prepared.untiled, {}
+    candidate = None
+    if args.tile_sizes:
+        candidate = [_int(t, "tile size") for t in args.tile_sizes.split(",")]
+        slots = len(prepared.space.slot_ids)
+        if len(candidate) != slots:
+            raise UsageError(f"{slots} runtime slot(s) but {len(candidate)} size(s) given")
+    return prepared.tiled, prepared.sizes(candidate)
 
 
 def _render_value(value):
@@ -286,31 +276,29 @@ def cmd_autotune(args):
     if args.budget < 1:
         raise UsageError("--budget must be >= 1")
     hw = _hardware()
-    tiled, spec = _prepare_tiled(program, inputs, "cache", hw)
-    if spec is None:
+    prepared = _prepare(program, inputs, hw)
+    if prepared.tiled is None:
         raise UsageError("program has nothing to tune")
     if args.cache:
         shapes = [v.shape for v in inputs if isinstance(v, ArrayValue)]
-        key = cache_key(tiled, shapes, hw)
+        key = cache_key(prepared.tiled, shapes, hw)
         cached = load_cached_sizes(args.cache, key)
         if cached is not None:
             print(f"cached sizes: {cached}")
             return EXIT_OK
-    model = hw.l1_model()
-    slot_ids = estimate_bounds(tiled, spec, hw).slot_ids
-
     if args.probe == "misses":
-        probe_fn = miss_probe(tiled, spec, slot_ids, inputs, model)
+        probe_fn = miss_probe(prepared, inputs, hw.l1_model())
     else:
-        def probe_fn(sizes):
+        def probe_fn(candidate):
             start = time.perf_counter()
-            eval_program(tiled, inputs,
-                         EvalConfig(tile_sizes=spec.sizes(overrides=dict(zip(slot_ids, sizes)))))
+            eval_program(prepared.tiled, inputs,
+                         EvalConfig(tile_sizes=prepared.sizes(candidate)))
             return time.perf_counter() - start
 
     config = SearchConfig(batch_size=args.batch, max_evaluations=args.budget,
                           seed=args.seed)
-    tuned, state = autotune(tiled, spec, CostProbe(probe_fn), hw, config)
+    state = run_search(prepared.space, CostProbe(probe_fn), config)
+    chosen = prepared.sizes(state.best)
     if args.format == "csv":
         print("round,candidate,cost,best,best_cost")
         for r in state.log:
@@ -319,10 +307,10 @@ def cmd_autotune(args):
                   f"{'x'.join(map(str, r.best))},{r.best_cost:.6g}")
     else:
         print(format_log(state))
-        print(f"chosen sizes: { {s.id: s.size for s in tuned.slots} }")
+        print(f"chosen sizes: {chosen}")
     if args.cache:
         try:
-            store_cached_sizes(args.cache, key, tuned.sizes())
+            store_cached_sizes(args.cache, key, chosen)
         except OSError as exc:
             raise UsageError(f"cannot write --cache file: {exc}")
     return EXIT_OK

@@ -708,6 +708,18 @@ def _tokenize(text):
     return tokens
 
 
+# Operator precedence, shared by the parser and the printer; indexing
+# (postfix) binds tighter than every binary operator.
+_PREC_MINMAX = 1
+_PREC_ADD = 2
+_PREC_MUL = 3
+_PREC_POSTFIX = 4
+
+_OP_PREC = {"min": _PREC_MINMAX, "max": _PREC_MINMAX,
+            "+": _PREC_ADD, "-": _PREC_ADD,
+            "*": _PREC_MUL, "/": _PREC_MUL}
+
+
 class _Parser:
     def __init__(self, text, allow_internal):
         self.tokens = _tokenize(text)
@@ -839,28 +851,13 @@ class _Parser:
 
     # -- expressions ---------------------------------------------------------
 
-    def expr(self):
-        return self.minmax()
-
-    def minmax(self):
-        left = self.additive()
-        while self.peek().text in ("min", "max"):
-            op = self.next().text
-            left = BinOp(op, left, self.additive())
-        return left
-
-    def additive(self):
-        left = self.multiplicative()
-        while self.peek().text in ("+", "-"):
-            op = self.next().text
-            left = BinOp(op, left, self.multiplicative())
-        return left
-
-    def multiplicative(self):
+    def expr(self, prec=_PREC_MINMAX):
+        """Binary operators that bind at least as tightly as `prec`, each
+        left-associative (precedence climbing over `_OP_PREC`)."""
         left = self.unary()
-        while self.peek().text in ("*", "/"):
+        while _OP_PREC.get(self.peek().text, 0) >= prec:
             op = self.next().text
-            left = BinOp(op, left, self.unary())
+            left = BinOp(op, left, self.expr(_OP_PREC[op] + 1))
         return left
 
     def unary(self):
@@ -971,17 +968,6 @@ def parse_program(text, allow_internal=False):
 # ---------------------------------------------------------------------------
 # Printer
 # ---------------------------------------------------------------------------
-
-_PREC_MINMAX = 1
-_PREC_ADD = 2
-_PREC_MUL = 3
-_PREC_UNARY = 4
-_PREC_POSTFIX = 5
-
-_OP_PREC = {"min": _PREC_MINMAX, "max": _PREC_MINMAX,
-            "+": _PREC_ADD, "-": _PREC_ADD,
-            "*": _PREC_MUL, "/": _PREC_MUL}
-
 
 def print_program(program):
     """Render a Program in its textual form.

@@ -577,11 +577,6 @@ class _Tiler:
         variables pass through as closure parameters of the generated
         nested functions. The innermost body is `block`, untouched.
         """
-        if not levels:
-            if len(block) == 1 and isinstance(block[0], Return):
-                return block[0].value
-            raise TilingError("cannot inline a multi-statement block without operators")
-
         (depth_key, level), rest = levels[0], levels[1:]
         sliced = []
         axes = []

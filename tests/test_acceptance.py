@@ -321,7 +321,7 @@ def test_kmeans_tiled_untiled_identical_labels():
     data = generate_array((500, 16), "f64", "row", seed=0)
     labels_u, _ = kmeans_reference(data, 8, 3, seed=0, assign=make_ir_distance(hw))
     labels_t, _ = kmeans_reference(data, 8, 3, seed=0,
-                                   assign=make_ir_distance(hw, "midpoint"))
+                                   assign=make_ir_distance(hw, tiled=True))
     assert labels_u == labels_t  # exact integer label comparison
     elapsed = time.time() - start
     assert elapsed < 60

@@ -7,8 +7,9 @@ from tilepar.bench import (
     checksum, generate_array, kmeans_reference, make_ir_distance,
     values_close,
 )
-from tilepar.cachesim import HardwareInfo
+from tilepar.cachesim import HardwareInfo, probe_hardware
 from tilepar.cli import main
+from tilepar.ir import parse_program
 from tilepar.ndarray import NdArray
 
 import programs
@@ -67,7 +68,7 @@ def test_matmul_variants_agree_and_match_naive():
 
     a = generate_array((12, 12), "f64", "row", 3)
     b = generate_array((12, 12), "f64", "row", 4)
-    prepared = bench.prepare(bench.MATMUL_SRC, [2, 2], HW, registers=False)
+    prepared = bench.prepare(parse_program(bench.MATMUL_SRC), [2, 2], HW, registers=False)
     value, _, _ = bench.run_variant(prepared, "untiled", [a, b])
     assert values_close(value, naive_matmul(a, b))
 
@@ -78,11 +79,26 @@ def test_matmul_identity():
     for i in range(n):
         ident.set((i, i), 1.0)
     a = generate_array((n, n), "f64", "row", 5)
-    prepared = bench.prepare(bench.MATMUL_SRC, [2, 2], HW, registers=False)
+    prepared = bench.prepare(parse_program(bench.MATMUL_SRC), [2, 2], HW, registers=False)
     # identity * A^T (second operand arrives pre-transposed) gives A^T rows.
     value, _, _ = bench.run_variant(prepared, "untiled", [ident, a])
     expected = [[a.get((j, i)) for j in range(n)] for i in range(n)]
     assert value.to_nested() == expected
+
+
+def test_prepared_sizes_put_candidate_on_runtime_slots():
+    prepared = bench.prepare(parse_program(bench.MATMUL_SRC), [2, 2], HW, registers=True)
+    assert prepared.space.slot_ids == (0, 1, 2)
+    registers = {slot: 4 for slot in range(3, 9)}
+    assert prepared.sizes((5, 6, 7)) == {0: 5, 1: 6, 2: 7, **registers}
+    mid = prepared.space.midpoint()
+    assert prepared.sizes() == {0: mid[0], 1: mid[1], 2: mid[2], **registers}
+
+
+def test_prepare_leaves_untileable_program_with_reason():
+    prepared = bench.prepare(parse_program("fn main(x) { return x + 1; }"), [1], HW)
+    assert prepared.tiled is None and prepared.space is None
+    assert prepared.reason == "no data-parallel operators"
 
 
 def test_sum_rows_variants_agree_with_misses():
@@ -127,6 +143,18 @@ def test_kmeans_zero_iters_labels_from_initial_centroids():
         assert dists[label] == min(dists)
 
 
+def test_kmeans_zero_iters_assigns_once():
+    calls = []
+
+    def assign(pts, centroids):
+        calls.append(len(centroids))
+        return [[sum((x - c) ** 2 for x, c in zip(p, cent)) for cent in centroids]
+                for p in pts]
+
+    kmeans_reference([[0.0], [1.0], [10.0], [11.0]], 2, 0, seed=3, assign=assign)
+    assert calls == [2]
+
+
 def test_kmeans_k_too_large():
     with pytest.raises(ValueError):
         kmeans_reference([[0.0]], 2, 1, seed=0)
@@ -165,6 +193,25 @@ def test_cli_run_untiled_vs_tiled_same_output(program_file, array_file, capsys):
                  "--tiling", "cache", "--tile-sizes", "2,3"]) == 0
     out_tiled = capsys.readouterr().out.splitlines()[0]
     assert out_plain == out_tiled
+
+
+def test_cli_run_register_tiling_defaults_to_midpoint(program_file, capsys):
+    prog = program_file(bench.MATMUL_SRC)
+    mid = bench.prepare(parse_program(bench.MATMUL_SRC), [2, 2], probe_hardware(),
+                        registers=True).space.midpoint()
+    mid = ",".join(map(str, mid))
+
+    def out(command, *sizes):
+        assert main([command, "--program", prog, "--gen", "shape=12x12",
+                     "--gen", "shape=12x12,seed=1", "--tiling", "cache+register",
+                     *sizes]) == 0
+        return capsys.readouterr().out
+
+    # `run` prints the value, then a wall time that differs between runs.
+    assert out("run").splitlines()[0] == out("run", "--tile-sizes", mid).splitlines()[0]
+    assert out("cachesim") == out("cachesim", "--tile-sizes", mid)
+    # Misses depend on the sizes, so the match above is not vacuous.
+    assert out("cachesim") != out("cachesim", "--tile-sizes", "3,3,3")
 
 
 def test_cli_run_bad_program_exit_1(tmp_path, capsys):

@@ -224,8 +224,6 @@ def test_free_vars_basics():
 
 
 def test_free_vars_block_scoping():
-    p = parse_program("fn f(x) { y = x + 1; return y + z; }", allow_internal=True) \
-        if False else None
     block = (Assign("y", BinOp("+", Var("x"), Const(1))),
              Return(BinOp("+", Var("y"), Var("z"))))
     assert free_vars(block) == {"x", "z"}
