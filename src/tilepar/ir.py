@@ -629,15 +629,18 @@ def desugar_allpairs(program):
     AllPairs(f, A, B) becomes an outer Map over A whose nested function
     maps a clone of f (first parameter moved to the closure) over B. The
     second argument is hoisted to a temporary when it is not already a
-    variable. Semantics are unchanged.
+    variable. Semantics are unchanged. An AllPairs callee that no function
+    of the result references is dropped.
     """
     out = Program(dict(program.functions))
     counter = count(1)
+    callees = set()
 
     def desugar(e, prelude):
         e = map_children(e, lambda c: desugar(c, prelude))
         if not isinstance(e, AllPairs):
             return e
+        callees.add(e.fn)
         f = out.fn(e.fn)
         first, second = f.params[0], f.params[1]
         arg2 = e.arg2
@@ -658,6 +661,11 @@ def desugar_allpairs(program):
         new_body = map_block(fn.body, lambda x, prelude, stmt: desugar(x, prelude))
         if new_body != fn.body:
             out.functions[name] = replace(fn, body=new_body)
+    if callees:
+        used = {name for fn in out.functions.values()
+                for e in walk_exprs(fn.body) for name in referenced_functions(e)}
+        for name in callees - used:
+            del out.functions[name]
     return out
 
 

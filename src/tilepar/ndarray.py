@@ -18,17 +18,16 @@ Strides are worked out once per (shape, layout).
 axis fastest) or col order (first axis fastest), runs of n elements a
 fixed step apart in the buffer, from each of a list of start offsets.
 `element_list` slices the buffer once per run (a dense array in that
-order gives its own buffer), `offsets` and `address_ranges` give a range
-per run, and `interleave` zips the address ranges of several views, as a
-copy or a leaf reads them. A rank-1 view's one run, the hot case, is
-taken directly: as a slice (`span`) and as an address range.
+order gives its own buffer), `offsets` and `addresses` give a range per
+run in row order, and `interleave` zips the address ranges of several
+views, as a copy or a leaf reads them. A rank-1 view's one run, the hot
+case, is taken directly: as a slice (`span`) and as an address range.
 
-`concat`, the stacking of arrays (`join`) and `elementwise` put their
-output's element list together from element lists and hand it to
-`new_array` once, so no array is zero-filled and then overwritten. With
-a trace sink a join reports, for each element of each part in turn, a
-read of the part and then the write of its place in the output, all as
-one run.
+`concat`, the stacking of arrays (`join`) and `elementwise` only build
+values: each puts its output's element list together from element lists
+and `adopt`s it once, so no array is zero-filled and then overwritten.
+They neither place their output nor report a trace run; the interpreter
+(`semantics.Interpreter`) does both.
 
 `Allocator` places arrays in a simulated address space. It takes a block
 back when its array dies, through a `weakref.ref` callback, and keeps
@@ -343,19 +342,14 @@ def elements(x):
     return map(x.root.data.__getitem__, offsets(x))
 
 
-def address_ranges(v, layout="row"):
-    """The byte addresses of the elements of view `v` in `layout` order, as
-    a list of one range per run (`runs`)."""
-    starts, n, step = runs(v, layout)
-    base, step = v.root.addr, step * ELEM_SIZE
-    return [range(base + b * ELEM_SIZE, base + b * ELEM_SIZE + n * step, step) for b in starts]
-
-
 def addresses(x):
-    """Iterate the byte addresses of every element of `x` in index order
-    (`address_ranges`; for a rank-1 view, its one range)."""
+    """Iterate the byte addresses of every element of view `x` in index
+    order: a range per run (`runs`), a rank-1 view's one range directly."""
     if len(x.shape) != 1:
-        return itertools.chain.from_iterable(address_ranges(x))
+        starts, n, step = runs(x)
+        base, step = x.root.addr, step * ELEM_SIZE
+        return itertools.chain.from_iterable(
+            [range(base + b * ELEM_SIZE, base + b * ELEM_SIZE + n * step, step) for b in starts])
     start, step = x.root.addr + x.offset * ELEM_SIZE, x.strides[0] * ELEM_SIZE
     return range(start, start + x.shape[0] * step, step)
 
@@ -379,44 +373,34 @@ def element_list(v, layout="row"):
     return list(itertools.chain.from_iterable(data[b:b + n * step:step] for b in starts))
 
 
-def join(parts, axis, new_array, trace=None, stacked=False):
+def join(parts, axis, stacked=False):
     """The dense row-major array of the equal-ranked `parts`, concatenated
     along their `axis`, or stacked along a new `axis` when `stacked`; the
     caller has checked their extents. For every index of the axes before
     `axis`, the output's element list takes each part's elements from
     `axis` on in turn; a dense row-major part gives slices of its own
-    `data`. `new_array(shape, dtype, "row", data)` makes the output once the
-    list is finished. `trace` receives each element of each part in turn,
-    in index order, as a read of the part followed by a write of its place
-    in the output, all as one run, and no run when the output is empty."""
+    `data`. When each part gives one element per such index, as rank-1
+    rows stacked along axis 1 do, the list zips the parts' lists."""
     first = parts[0].shape
-    extents = [1] * len(parts) if stacked else [v.shape[axis] for v in parts]
-    shape = first[:axis] + (sum(extents),) + first[axis if stacked else axis + 1:]
+    extent = len(parts) if stacked else sum(v.shape[axis] for v in parts)
+    shape = first[:axis] + (extent,) + first[axis if stacked else axis + 1:]
     lists = [element_list(v) for v in parts]
     outer = math.prod(first[:axis])
+    sizes = [math.prod(v.shape[axis:]) for v in parts]
     if outer == 1:
         data = list(itertools.chain.from_iterable(lists))
+    elif set(sizes) == {1}:
+        data = list(itertools.chain.from_iterable(zip(*lists)))
     else:
-        sizes = [math.prod(v.shape[axis:]) for v in parts]
         data = list(itertools.chain.from_iterable(
             items[o * size:(o + 1) * size] for o in range(outer)
             for items, size in zip(lists, sizes)))
-    out = new_array(shape, result_dtype(parts), "row", data)
-    if trace is not None and data:
-        starts = itertools.accumulate(extents, initial=0)
-        trace.run(itertools.chain.from_iterable(
-            interleave([addresses(v), addresses(tile_view(out, axis, base, extent))])
-            for v, base, extent in zip(parts, starts, extents)), "RW")
-    return out
+    return adopt(shape, result_dtype(parts), "row", data)
 
 
-def concat(parts, axis, trace=None, new_array=NdArray):
+def concat(parts, axis):
     """Concatenate arrays/views along `axis` into a dense row-major array
-    (`join`). `new_array(shape, dtype, layout, data)` makes the output
-    after the parts exist (the interpreter passes its allocating
-    constructor); `trace` receives the copies of all parts, in order, as
-    one run.
-    """
+    (`join`), after checking their ranks and extents."""
     if not parts:
         raise ShapeError("cannot concatenate zero parts")
     first = parts[0]
@@ -429,7 +413,7 @@ def concat(parts, axis, trace=None, new_array=NdArray):
         for a in range(rank):
             if a != axis and v.shape[a] != first.shape[a]:
                 raise ShapeError(f"extent mismatch on axis {a} in concat")
-    return join(parts, axis, new_array, trace)
+    return join(parts, axis)
 
 
 # ---------------------------------------------------------------------------
@@ -468,38 +452,26 @@ def scalar_op(op):
         raise ValueError(f"unknown operator {op!r}") from None
 
 
-def elementwise(op, a, b, trace=None, new_array=NdArray):
+def elementwise(op, a, b):
     """Apply a binary operator over arrays/scalars with scalar broadcast.
 
     Shapes must match exactly unless one operand is a scalar. The result
-    is in the layout of the first array operand: its finished elements,
-    computed in that layout's order from one `element_list` per array
-    operand, go to `new_array(shape, dtype, layout, data)`. With a trace
-    sink, each element is reported as a read of every array operand (a,
-    then b) followed by the result write, in index order, as one run; an
-    empty result reports none.
+    is in the layout of the first array operand: its elements are computed
+    in that layout's order from one `element_list` per array operand.
     """
     a_arr = isinstance(a, ArrayValue)
     b_arr = isinstance(b, ArrayValue)
     f = scalar_op(op)
     if not a_arr and not b_arr:
         return f(a, b)
-    av = a if a_arr else None
-    bv = b if b_arr else None
-    if av is not None and bv is not None and av.shape != bv.shape:
-        raise ShapeError(f"elementwise shape mismatch: {av.shape} vs {bv.shape}")
-    like = av if av is not None else bv
+    if a_arr and b_arr and a.shape != b.shape:
+        raise ShapeError(f"elementwise shape mismatch: {a.shape} vs {b.shape}")
+    like = a if a_arr else b
     dtype = "f64" if op == "/" else result_dtype((a, b))
     layout = like.layout
-    xs = element_list(av, layout) if av is not None else itertools.repeat(a)
-    ys = element_list(bv, layout) if bv is not None else itertools.repeat(b)
-    data = list(map(f, xs, ys))
-    out = new_array(like.shape, dtype, layout, data)
-    if trace is not None and data:
-        operands = [v for v in (av, bv) if v is not None]
-        trace.run(interleave([*map(addresses, operands), addresses(out)]),
-                  "R" * len(operands) + "W")
-    return out
+    xs = element_list(a, layout) if a_arr else itertools.repeat(a)
+    ys = element_list(b, layout) if b_arr else itertools.repeat(b)
+    return adopt(like.shape, dtype, layout, list(map(f, xs, ys)))
 
 
 # ---------------------------------------------------------------------------

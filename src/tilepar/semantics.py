@@ -47,41 +47,42 @@ its kernel `kernel(views, axes, extent, captured)`:
   concatenates its rows' lists. The caller that needs an array
   (`_assemble`) adopts the list once.
 A fold (Reduce or Scan) runs only a leaf so, with a scalar init, no emit
-and a combine `return a OP b`. Stacking scalars, or equal rank-1 rows
-along axis 0 or 1, fills the output in one pass; other arrays are joined
-as a concat joins its parts (`ndarray.join`). All give the values,
-trace events, allocations, counters and errors of one call per slice.
+and a combine `return a OP b`. Stacked scalars are the output's element
+list as they are; arrays are stacked as a concat joins its parts
+(`ndarray.join`). All give the values, trace events, allocations,
+counters and errors of one call per slice.
 
 The interpreter builds its arrays with `ndarray.adopt`, from a finished
 element list and a shape, dtype and layout it derived itself, so nothing
-is zero-filled first or checked again. Every array is placed in the
-simulated address space when it is built, so the order of allocations,
-and of the frees that reference counting makes, decides each address.
-One call per slice would build an array for each row of a map or scan
-node, and for each row of those rows. With a trace sink the node models
-each of them by an address-only `ndarray.Block` of the same size, placed
-by the same allocator at the same point. It reports the same `W` or `RW`
-run over the block as the array's stack would, and lets the blocks die
-where the arrays would: a row's blocks die, last to first, once the
-row's own block is written, and the outermost ones once the operator's
-array is. So addresses, events and runs are those of one call per slice.
+is zero-filled first or checked again. It places each array, and each
+block (below), at one point (`_placed`) as it is built, so the order of
+allocations, and of the frees that reference counting makes, decides
+each address. One call per slice would build an array for each row of a
+map or scan node, and for each row of those rows. With a trace sink the
+node models each of them by an address-only `ndarray.Block` of the same
+size. It reports the same `W` or `RW` run over the block as the array's
+stack would, and lets the blocks die where the arrays would: a row's
+blocks die, last to first, once the row's own block is written, and the
+outermost ones once the operator's array is. So addresses, events and
+runs are those of one call per slice.
 
 A trace sink is any object with `run(addrs, kinds)` and `phase(label)`.
 When one is attached (`EvalConfig.trace`), every array element read or
 write is reported to it by byte address, in runs: `addrs` iterates a
 run's addresses in event order and `kinds`, a non-empty string of `R`
-and `W`, is cycled over them to give each one's kind ("R" for a leaf's
-reads, "W" for a stack's writes, "RW" or "RRW" for a copy from one or
-two sources). A leaf's reads, an elementwise operation, a stack and a
-concat are one run each, and so are the reads of all the rows of a
-reduce node; a map or scan node reports each row's reads as one run, as
-the row's results are stacked between them. No run is empty: an
-operation on no element reports none. Each statement of the entry
-function announces itself with `phase` before it runs, never within a
-run; a `for` loop is one phase, `for VAR`, and its body announces none.
-Each traced run places its arrays in a fresh simulated address space, so
-addresses start at 0. `TraceSink` records the events;
-`cachesim.Simulator` consumes them as they come.
+and `W`, is cycled over them to give each one's kind. The interpreter
+reports every run; `ndarray` reports none. A leaf's reads are one `R`
+run, and so are the reads of all the rows of a reduce node; a map or
+scan node reports each row's reads as one run, as the row's results are
+stacked between them. An elementwise operation is one `RW` or `RRW` run.
+Every stack and join, of arrays or blocks, is one run of the one copy
+emitter, `_fill`. No run is empty: an operation on no element reports
+none.
+Each statement of the entry function announces itself with `phase`
+before it runs, never within a run; a `for` loop is one phase, `for
+VAR`, and its body announces none. Each traced run places its arrays in
+a fresh simulated address space, so addresses start at 0. `TraceSink`
+records the events; `cachesim.Simulator` consumes them as they come.
 """
 
 from __future__ import annotations
@@ -93,8 +94,8 @@ from dataclasses import dataclass, field
 
 from . import ir
 from .ndarray import (
-    ELEM_SIZE, Allocator, ArrayValue, Block, NdArray, View, address_ranges, addresses, adopt,
-    concat, decompose, elementwise, interleave, join, result_dtype, scalar_op, span,
+    ELEM_SIZE, Allocator, ArrayValue, Block, NdArray, View, addresses, adopt, concat, decompose,
+    elementwise, interleave, join, result_dtype, scalar_op, slice_axis, span, tile_view,
 )
 
 
@@ -411,7 +412,7 @@ class Interpreter:
                         trace.run(reads(i), "R")
                     row([data[o + i * s:o + i * s + n * t:t] for data, o, s, t in spans], out)
                     if blocks is not None:
-                        blocks.append(self._row_block(n, n, None))
+                        blocks.append(self._row_block(n, None))
             finally:  # rows 0..i were checked and read, also when row i raised
                 counters.bounds_checks += arity * n * (i + 1)
                 if one_run and n and i >= 0:
@@ -425,8 +426,9 @@ class Interpreter:
         """Kernel of a map node over operands of rank 3 or more (only a map
         has one) whose callee's kernel is `inner`: per row, the untiled
         operator without a frame. It concatenates its rows' element lists
-        into one `_Stack`; a row's block takes the row's own rows (`_join`)."""
-        zeros, counters, join = (0,) * arity, self.config.counters, self._join
+        into one `_Stack`; a row's block takes the row's own rows
+        (`_append_row`)."""
+        zeros, counters, append = (0,) * arity, self.config.counters, self._append_row
 
         def node(views, axes, extent, captured):
             slicers = [self._slicer(v, axis) for v, axis in zip(views, axes)]
@@ -436,11 +438,11 @@ class Interpreter:
             shape = ()
             for rows in zip(*[map(s, range(extent)) for s in slicers]):
                 counters.bounds_checks += arity * n
-                shape = join(out, blocks, inner(rows, zeros, n, None), n)
+                shape = append(out, blocks, inner(rows, zeros, n, None), n)
             return _Stack(out, (extent,) + shape if extent else (0,), views[0].dtype, blocks)
         return node
 
-    def _join(self, out, blocks, value, n):
+    def _append_row(self, out, blocks, value, n):
         """Append to `out` the elements of one row's `value` from a node's
         kernel, a `_Stack` or n scalars, and with a trace sink its block
         to `blocks`; gives the row's shape. The blocks of `value`'s own
@@ -451,35 +453,15 @@ class Interpreter:
             data, shape, rows = value, (n,), None
         out += data
         if blocks is not None:
-            blocks.append(self._row_block(len(data), n, rows))
+            blocks.append(self._row_block(len(data), rows))
         return shape
 
-    def _row_block(self, size, count, rows):
-        """An address-only block of `size` elements placed as `_new_array`
-        places an array, and written as `_fill` writes one."""
-        block = Block(size)
-        self._allocator.allocate(block)
-        self._fill(block, count, rows)
+    def _row_block(self, size, rows):
+        """An address-only block of `size` elements, placed and written as
+        an array that stacks `rows` (None for scalars) would be."""
+        block = self._placed(Block(size))
+        self._fill(block, rows)
         return block
-
-    def _fill(self, out, count, rows):
-        """Report the writes of stacking `count` values into `out`, an array
-        or a block, as `_stack` reports them: one `W` run for scalars
-        (`rows` is None), else one `RW` run that copies each of the blocks
-        `rows` in turn, per element a read of it and then a write of `out`;
-        none when there is no element."""
-        if not count:
-            return
-        if rows is None:
-            self.config.trace.run(range(out.addr, out.addr + count * ELEM_SIZE, ELEM_SIZE), "W")
-            return
-        step = rows[0].size * ELEM_SIZE
-        if not step:
-            return
-        self.config.trace.run(itertools.chain.from_iterable(itertools.chain.from_iterable(
-            zip(range(r.addr, r.addr + step, ELEM_SIZE),
-                range(out.addr + j * step, out.addr + (j + 1) * step, ELEM_SIZE))
-            for j, r in enumerate(rows))), "RW")
 
     # -- statements ------------------------------------------------------------
 
@@ -582,7 +564,7 @@ class Interpreter:
             def binop(frame):
                 a, b = left(frame), right(frame)
                 if isinstance(a, ArrayValue) or isinstance(b, ArrayValue):
-                    return elementwise(op, a, b, self.config.trace, self._new_array)
+                    return self._elementwise(op, a, b)
                 return f(a, b)
             return binop
         if t is ir.Index:
@@ -629,13 +611,66 @@ class Interpreter:
 
     # -- array plumbing (all traced) --------------------------------------------
 
-    def _new_array(self, shape, dtype, layout, data):
-        """`ndarray.adopt(shape, dtype, layout, data)`: an array over its
-        finished element list `data`. With a trace sink it is placed in the
-        run's address space."""
-        out = adopt(shape, dtype, layout, data)
+    def _placed(self, out):
+        """`out`, an array or a block, placed in the run's address space when
+        there is a trace sink."""
         if self.config.trace is not None:
             self._allocator.allocate(out)
+        return out
+
+    def _new_array(self, shape, dtype, layout, data):
+        """`ndarray.adopt(shape, dtype, layout, data)`, placed: an array over
+        its finished element list `data`."""
+        return self._placed(adopt(shape, dtype, layout, data))
+
+    def _fill(self, out, rows=None, places=None):
+        """Report the writes of stacking or joining into `out`, an array or a
+        block. Stacked scalars (`rows` is None, `out` of rank 1) are one `W`
+        run over `out`. Else one `RW` run copies each of `rows` in turn, per
+        element a read of the row and then a write of its place. The rows
+        are arrays or views and their places the views `places`, or else
+        equal blocks, each read as its range and written to the next
+        stretch of `out`. No run when `out` is empty."""
+        size, run = out.size, self.config.trace.run
+        if not size:
+            return
+        if rows is None:
+            run(range(out.addr, out.addr + size * ELEM_SIZE, ELEM_SIZE), "W")
+            return
+        if places is None:
+            start, step = out.addr, size // len(rows) * ELEM_SIZE
+            reads = (range(r.addr, r.addr + step, ELEM_SIZE) for r in rows)
+            places = (range(a, a + step, ELEM_SIZE)
+                      for a in range(start, start + size * ELEM_SIZE, step))
+        else:
+            reads, places = map(addresses, rows), map(addresses, places)
+        run(itertools.chain.from_iterable(itertools.chain.from_iterable(
+            map(zip, reads, places))), "RW")
+
+    def _join(self, parts, axis, stacked=False):
+        """`ndarray.join(parts, axis, stacked)`, or the checked `concat`, placed;
+        a trace sink gets each part's copy to its slice or tile (`_fill`)."""
+        out = self._placed(join(parts, axis, True) if stacked else concat(parts, axis))
+        if self.config.trace is not None:
+            if stacked:
+                places = (slice_axis(out, axis, j) for j in range(len(parts)))
+            else:
+                starts = itertools.accumulate((v.shape[axis] for v in parts), initial=0)
+                places = (tile_view(out, axis, base, v.shape[axis])
+                          for base, v in zip(starts, parts))
+            self._fill(out, parts, places)
+        return out
+
+    def _elementwise(self, op, a, b):
+        """`ndarray.elementwise(op, a, b)` of at least one array, placed; one
+        run of, per element in index order, a read of each array operand (a,
+        then b) and then the result's write."""
+        out = self._placed(elementwise(op, a, b))
+        trace = self.config.trace
+        if trace is not None and out.size:
+            operands = [v for v in (a, b) if isinstance(v, ArrayValue)]
+            trace.run(interleave([*map(addresses, operands), addresses(out)]),
+                      "R" * len(operands) + "W")
         return out
 
     def _slicer(self, v, axis):
@@ -661,41 +696,20 @@ class Interpreter:
     def _stack(self, values, axis=0):
         """Stack equal-shaped values along a new `axis`: Map and Scan
         outputs, array literals, and tiled-scan steps. `values` is a list;
-        stacked scalars keep it as the output's elements."""
-        trace = self.config.trace
+        stacked scalars keep it as the output's elements, arrays are
+        joined (`_join`)."""
         dtype = _scalar_dtype(values)
         if dtype is None:
-            return self._stack_arrays(values, axis)
+            if not all(isinstance(x, ArrayValue) for x in values):
+                raise EvalError("cannot stack scalars with arrays")
+            shape = values[0].shape
+            for x in values:
+                if x.shape != shape:
+                    raise EvalError(f"cannot stack shapes {shape} and {x.shape}")
+            return self._join(values, axis, stacked=True)
         out = self._new_array((len(values),), dtype, "row", values)
-        if trace is not None and values:
-            trace.run(range(out.addr, out.addr + len(values) * ELEM_SIZE, ELEM_SIZE), "W")
-        return out
-
-    def _stack_arrays(self, values, axis):
-        """_stack of arrays. Rank-1 rows stacked along axis 0 or 1 give the
-        output's element list in one pass over the rows' slices; other
-        values are joined along a new `axis` (`ndarray.join`). With a trace
-        sink the stack is one run: each value's copy in turn, per element a
-        read of the value and then a write of `out`, in index order; an
-        empty stack reports none."""
-        if not all(isinstance(x, ArrayValue) for x in values):
-            raise EvalError("cannot stack scalars with arrays")
-        shape = values[0].shape
-        for x in values:
-            if x.shape != shape:
-                raise EvalError(f"cannot stack shapes {shape} and {x.shape}")
-        trace = self.config.trace
-        if len(shape) != 1 or axis > 1:
-            return join(values, axis, self._new_array, trace, stacked=True)
-        out_shape = shape[:axis] + (len(values),) + shape[axis:]
-        rows = [x.root.data[span(x)] for x in values]
-        out = self._new_array(out_shape, result_dtype(values), "row", list(
-            itertools.chain.from_iterable(rows if axis == 0 else zip(*rows))))
-        if trace is not None and shape[0]:
-            # Value j goes to run j of `out` in the order that puts `axis` first.
-            dsts = address_ranges(out, "row" if axis == 0 else "col")
-            trace.run(itertools.chain.from_iterable(itertools.chain.from_iterable(
-                map(zip, map(addresses, values), dsts))), "RW")
+        if self.config.trace is not None:
+            self._fill(out)
         return out
 
     # -- untiled operators -------------------------------------------------------
@@ -767,7 +781,7 @@ class Interpreter:
         if type(values) is _Stack:
             out = self._new_array(values.shape, values.dtype, "row", values.data)
             if values.rows is not None:
-                self._fill(out, len(values.rows), values.rows)
+                self._fill(out, values.rows)
             return out
         if not values:
             return self._new_array((0,), dtype, "row", [])
@@ -834,7 +848,7 @@ class Interpreter:
         if any(len(r.shape) <= node.depth for r in results):
             raise EvalError(f"tiled {what} tiles have no axis {node.depth} to join along")
         if kind is ir.TiledMap:
-            return concat(results, node.depth, self.config.trace, self._new_array)
+            return self._join(results, node.depth)
         # A scan's tiles scan without `emit`. Every tile after the first is
         # fixed up by combining the previous tile's last accumulator into
         # each of its steps, through the combine's kernel when it has one
@@ -859,7 +873,7 @@ class Interpreter:
                 if emit is not None:
                     part = self._emit_steps(emit, emit_captured, part, axis)
             adjusted.append(part)
-        out = concat(adjusted, axis, self.config.trace, self._new_array)
+        out = self._join(adjusted, axis)
         # `step` and `piece` hold the last tile when its steps are slices,
         # and `last` that tile's fix-up.
         del results, adjusted, part, step, steps, piece, last

@@ -475,3 +475,84 @@ def test_cli_array_file_not_numbers_is_a_usage_error(text, program_file, tmp_pat
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+UNTILEABLE = "fn main(x) { return x + 1; }"
+UNTILED_NOTE = "note: program left untiled (no data-parallel operators)\n"
+
+
+def test_cli_run_csv_matches_human_output(program_file, capsys):
+    argv = ["run", "--program", program_file(programs.SUM_ROWS), "--gen", "shape=4x4"]
+    assert main(argv) == 0
+    value, wall = capsys.readouterr().out.splitlines()
+    assert wall.startswith("wall: ")
+    assert main(argv + ["--format", "csv"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == "result,wall_seconds"
+    assert len(rows) == 1  # the human output's one value line
+    result, seconds = rows[0].rsplit(",", 1)
+    assert result == f'"{value}"'
+    assert float(seconds) >= 0
+
+
+def test_cli_autotune_csv_matches_human_log(program_file, capsys):
+    argv = ["autotune", "--program", program_file(programs.SUM_ROWS),
+            "--gen", "shape=12x12,layout=col", "--budget", "4", "--batch", "2"]
+    assert main(argv) == 0
+    *log, chosen = capsys.readouterr().out.splitlines()
+    assert chosen.startswith("chosen sizes: ")
+    assert main(argv + ["--format", "csv"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == "round,candidate,cost,best,best_cost"
+    assert len(rows) == len(log) > 1
+    for row, line in zip(rows, log):
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert line == " ".join(f"{k}={v}" for k, v in fields.items())
+
+
+@pytest.mark.parametrize("command", ["run", "cachesim"])
+def test_cli_untileable_program_runs_untiled_with_a_note(command, program_file, capsys):
+    argv = [command, "--program", program_file(UNTILEABLE), "--gen", "shape=4"]
+    assert main(argv) == 0
+    untiled = capsys.readouterr()
+    assert main(argv + ["--tiling", "cache"]) == 0
+    tiled = capsys.readouterr()
+    assert (untiled.err, tiled.err) == ("", UNTILED_NOTE)
+    # `run` ends with a wall time that differs between runs.
+    assert untiled.out.splitlines()[0] == tiled.out.splitlines()[0]
+    if command == "cachesim":
+        assert untiled.out == tiled.out
+
+
+def test_cli_autotune_untileable_program_is_a_usage_error(program_file, capsys):
+    assert main(["autotune", "--program", program_file(UNTILEABLE), "--gen", "shape=8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == UNTILED_NOTE + "error: program has nothing to tune\n"
+
+
+def test_cli_tile_takes_ranks_from_inputs(program_file, capsys):
+    prog = program_file(bench.MATMUL_SRC)
+    assert main(["tile", "--program", prog, "--ranks", "2,2"]) == 0
+    given = capsys.readouterr().out
+    assert main(["tile", "--program", prog, "--gen", "shape=3x4", "--gen", "shape=5x4"]) == 0
+    assert capsys.readouterr().out == given
+    # A rank per input, so one input too many is one rank too many.
+    assert main(["tile", "--program", program_file(programs.SUM_ROWS),
+                 "--gen", "shape=4", "--gen", "shape=4"]) == 2
+    assert capsys.readouterr().err == "error: main has 1 parameter(s), got 2 ranks\n"
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["run", "--gen", "shape=4x4", "--tiling", "cache", "--tile-sizes", "2"],
+     "2 runtime slot(s) but 1 size(s) given"),
+    (["autotune"], "autotune needs --input or --gen"),
+    (["autotune", "--gen", "shape=8x8", "--batch", "0"], "--batch must be >= 1"),
+    (["cachesim"], "cachesim needs --input or --gen"),
+], ids=["tile-size-count", "autotune-no-input", "autotune-batch-0", "cachesim-no-input"])
+def test_cli_usage_error_line(argv, error, program_file, capsys):
+    argv = argv[:1] + ["--program", program_file(programs.SUM_ROWS)] + argv[1:]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"

@@ -25,8 +25,8 @@ from tilepar.ir import (
     Function, Map, Program, Return, Var, body_shape, desugar_allpairs, parse_program,
 )
 from tilepar.ndarray import (
-    ELEM_SIZE, LAYOUTS, Allocator, NdArray, View, as_view, concat, decompose, element_list,
-    elementwise, join, result_dtype, scalar_op, slice_axis, tile_view,
+    ELEM_SIZE, LAYOUTS, Allocator, NdArray, View, as_view, decompose, element_list, result_dtype,
+    scalar_op, slice_axis, tile_view,
 )
 from tilepar.semantics import EvalConfig, EvalError, Interpreter, TraceSink, eval_program
 from tilepar.tiling import register_tile, specialize_fixed, tile_program
@@ -238,9 +238,9 @@ def test_interpreter_arrays_equal_checked_ones():
         (interp._stack([]), NdArray((0,), "i64", "row", [])),
         (interp._stack(rows, 0), NdArray((4, 3), "i64", "row", sum(nested, []))),
         (interp._stack(rows, 1), NdArray((3, 4), "i64", "row", sum(map(list, zip(*nested)), []))),
-        (elementwise("*", column, 0.5, None, interp._new_array),
+        (interp._elementwise("*", column, 0.5),
          NdArray((4,), "f64", "col", [x * 0.5 for x in column.to_nested()])),
-        (elementwise("+", slice_axis(f, 0, 1), rows[2], None, interp._new_array),
+        (interp._elementwise("+", slice_axis(f, 0, 1), rows[2]),
          NdArray((3,), "f64", "row", [x + y for x, y in zip(f.to_nested()[1], nested[2])])),
     ]
     for got, want in cases:
@@ -283,9 +283,10 @@ def copy_cases():
 @pytest.mark.parametrize("src,dst", list(copy_cases()))
 def test_copy_matches_per_element_copy(src, dst):
     # A copy reads `src` out with `element_list`, in the layout order of
-    # what it goes into, and `join` builds the output from the finished
-    # list (here a stack of one along a new axis 0). Both give what the
-    # per-element copy gives: into `dst`, and into a zero-filled output.
+    # what it goes into, and the interpreter's `_join` builds the output
+    # from the finished list (here a stack of one along a new axis 0). Both
+    # give what the per-element copy gives: into `dst`, and into a
+    # zero-filled output.
     alloc = Allocator()
     for x in (src.root, dst.root):
         if x.addr == 0:
@@ -295,7 +296,7 @@ def test_copy_matches_per_element_copy(src, dst):
         assert typed(element_list(src, layout)) == \
                typed(index_values(in_layout_order(dst, layout)))
     fast, slow = traced_interpreter(), traced_interpreter()
-    out = join([src], 0, fast._new_array, fast.config.trace, stacked=True)
+    out = fast._join([src], 0, stacked=True)
     ref = zeros(slow, (1,) + src.shape, src.dtype)
     reference_copy(src, slice_axis(ref, 0, 0), slow.config.trace)
     assert (out.shape, out.dtype, out.layout, typed(out.data), out.addr) == \
@@ -351,7 +352,7 @@ def placed(parts):
 def test_concat_matches_per_element_copy(parts, axis):
     placed(parts)
     fast, slow = traced_interpreter(), traced_interpreter()
-    out = concat(parts, axis, fast.config.trace, fast._new_array)
+    out = fast._join(parts, axis)
     ref = reference_concat(slow, parts, axis)
     assert type(out) is NdArray
     assert (out.shape, out.strides, out.dtype, out.layout) == \
@@ -393,7 +394,7 @@ def test_elementwise_matches_per_element_walk(a, b):
         if op == "/" and 0 in divisor:
             continue
         fast, slow = traced_interpreter(), traced_interpreter()
-        out = elementwise(op, a, b, fast.config.trace, fast._new_array)
+        out = fast._elementwise(op, a, b)
         ref = reference_elementwise(slow, op, a, b)
         assert (out.shape, out.strides, out.dtype, out.layout) == \
                (ref.shape, ref.strides, ref.dtype, ref.layout)
@@ -465,7 +466,9 @@ def test_rank1_elementwise_matches_per_element_walk():
         arrays = [v for v in (a, b) if isinstance(v, (NdArray, View))]
         for op in ("+", "-", "*", "/", "min", "max"):
             sink = TraceSink()
-            out = elementwise(op, a, b, sink, lambda *shape: alloc.allocate(NdArray(*shape)))
+            interp = Interpreter(Program({}), EvalConfig(trace=sink))
+            interp._allocator = alloc
+            out = interp._elementwise(op, a, b)
             operands = [index_values(v) if isinstance(v, (NdArray, View)) else itertools.repeat(v)
                         for v in (a, b)]
             assert typed(out.data) == typed(list(map(scalar_op(op), *operands)))

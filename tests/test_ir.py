@@ -98,6 +98,15 @@ def test_negative_and_float_literals_round_trip():
     assert parse_program(print_program(p)) == p
 
 
+def test_array_literal_and_inf_round_trip():
+    p = parse_program("fn main(x) { a = [x, x * 2, [x][0]]; b = inf; return a; }")
+    text = print_program(p)
+    assert "  a = [x, x * 2, [x][0]];\n  b = inf;\n" in text
+    assert p.fn("main").body[1].value == Const(float("inf"))
+    assert parse_program(text) == p
+    assert print_program(parse_program(text)) == text
+
+
 def test_validation_empty_body():
     with pytest.raises(IRSyntaxError, match="empty body"):
         parse_program("fn f() { }")
@@ -276,6 +285,17 @@ def test_desugar_allpairs_structure():
     # The original first parameter travels as a closure of the inner clone.
     assert inner.closure_params[0] == "x"
     ir.validate_program(d)
+
+
+def test_desugar_drops_an_allpairs_callee_nothing_references():
+    d = desugar_allpairs(parse_program(programs.MATMUL))
+    assert "dot" not in d.functions
+    assert sorted(d.functions) == sorted(ir.reachable(d, ["main"]))
+    # A callee that another operator also calls stays.
+    both = programs.MATMUL.replace(
+        "fn main(Xs, Ys) { return",
+        "fn main(Xs, Ys) { d = map(dot, Xs, Ys; axes=[0, 0]); return")
+    assert "dot" in desugar_allpairs(parse_program(both)).functions
 
 
 def test_desugar_no_allpairs_is_identity():

@@ -32,6 +32,22 @@ def int_matrix(rows, cols, seed=0, layout="row"):
                    [rng.randrange(-9, 9) for _ in range(rows * cols)])
 
 
+def assert_both_passes_match_untiled(program, inputs):
+    """The cache pass, and the register pass after it, of `program` tiled
+    for the ranks of `inputs` give the untiled result with every runtime
+    slot at size 1, 2, 3 and 5."""
+    base = norm_value(eval_program(program, inputs))
+    res = tile_program(program, arg_ranks=[v.rank for v in inputs])
+    assert res.changed, res.reason
+    reg_program, reg_spec = register_tile(res.program, res.spec, 16)
+    for k in (1, 2, 3, 5):
+        sizes = {slot.id: k for slot in res.spec.runtime_slots()}
+        out = eval_program(res.program, inputs, EvalConfig(tile_sizes=sizes))
+        assert norm_value(out) == base, k
+        out = eval_program(reg_program, inputs, EvalConfig(tile_sizes=reg_spec.sizes(sizes)))
+        assert norm_value(out) == base, k
+
+
 # -- golden structure (row sums) -----------------------------------------------
 
 
@@ -201,16 +217,26 @@ def test_hoisted_operands_tile_and_match_untiled(name):
     assert all(isinstance(s, ir.Assign) and s.target.startswith("t$n") for s in body[:-1])
     rng = random.Random(41)
     X = NdArray((5, 7), "f64", "col", [float(rng.randrange(-9, 9)) for _ in range(35)])
-    base = norm_value(eval_program(p, [X]))
-    res = tile_program(p, arg_ranks=[2])
-    assert res.changed, res.reason
-    reg_program, reg_spec = register_tile(res.program, res.spec, 16)
-    for k in (1, 2, 3, 5):
-        sizes = {slot.id: k for slot in res.spec.runtime_slots()}
-        out = eval_program(res.program, [X], EvalConfig(tile_sizes=sizes))
-        assert norm_value(out) == base, k
-        out = eval_program(reg_program, [X], EvalConfig(tile_sizes=reg_spec.sizes(sizes)))
-        assert norm_value(out) == base, k
+    assert_both_passes_match_untiled(p, [X])
+
+
+# Statements the tiler must give a rank: an index of a tile, and array
+# literals of reduce results and of tiles.
+LITERAL_AND_INDEX_MAINS = {
+    "index": "fn f(row) { h = row[0]; "
+             "s = reduce(ident, combine=add2, init=0, row; axes=[0]); return s + h; }",
+    "literal-of-reduce": "fn f(row) { "
+                         "s = reduce(ident, combine=add2, init=0, row; axes=[0]); return [s, s]; }",
+    "literal-of-tiles": "fn f(x) { return [x, x * 2]; }",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LITERAL_AND_INDEX_MAINS))
+def test_index_and_array_literal_statements_tile_and_match_untiled(name):
+    p = parse_program("fn ident(x) { return x; }\nfn add2(a, b) { return a + b; }\n"
+                      + LITERAL_AND_INDEX_MAINS[name]
+                      + "\nfn main(X) { return map(f, X; axes=[0]); }")
+    assert_both_passes_match_untiled(p, [int_matrix(5, 7, seed=6, layout="col")])
 
 
 # -- statement wrapping ------------------------------------------------------------
@@ -415,6 +441,13 @@ def test_matmul_desugar_tile_oracle():
         out = eval_program(res.program, [A, B],
                            EvalConfig(tile_sizes=dict(enumerate(ks))))
         assert norm_value(out) == norm_value(base)
+
+
+def test_allpairs_of_computed_operand_tiles_and_matches_untiled():
+    # `Ys + 1` is not a variable, so desugaring hoists it to a temporary.
+    p = desugar_allpairs(parse_program(programs.MATMUL.replace("Ys;", "Ys + 1;")))
+    assert p.fn("main").body[0] == ir.Assign("tmp$ap1", ir.BinOp("+", Var("Ys"), ir.Const(1)))
+    assert_both_passes_match_untiled(p, [int_matrix(3, 4, seed=7), int_matrix(5, 4, seed=8)])
 
 
 def test_matmul_scalar_statement_gets_two_maps():
