@@ -252,6 +252,9 @@ def cmd_tile(args):
         ranks = [_int(t, "rank") for t in args.ranks.split(",")]
     elif args.input or args.gen:
         ranks = _arg_ranks(_load_inputs(args))
+    params = program.fn("main").params
+    if ranks is not None and len(ranks) != len(params):
+        raise UsageError(f"main has {len(params)} parameter(s), got {len(ranks)} ranks")
     result = tile_program(program, arg_ranks=ranks)
     if not result.changed:
         print(f"unchanged: {result.reason}")

@@ -14,13 +14,14 @@ one), the straggler always through the generic function. The results are
 put back together so that the outcome equals the untiled operator:
 concatenated for a map, folded with the combine for a reduce, and for a
 scan fixed up with each tile's carry, then emitted, then concatenated (a
-tiled scan's tiles scan without `emit`). A fix-up step whose lifted
-combine is `return map(G, a, b; axes=[0, 0])` runs that map as the
-untiled operator would, through G's kernel and without a frame; any
-other combine is called. An empty extent at depth 0 gives
-what the untiled operator gives for zero slices; below depth 0 one empty
-straggler runs through the generic function, which builds the nest's own
-empty result.
+tiled scan's tiles scan without `emit`). When the lifted combine is
+`return map(G, a, b; axes=[0, 0])`, a tile's whole fix-up is one call of
+the combine's node kernel (below) over the carry, broadcast along a new
+leading axis, and the tile: each row is one step, run as the untiled map
+would run it. Any other combine is called once per step. An empty extent
+at depth 0 gives what the untiled operator gives for zero slices; below
+depth 0 one empty straggler runs through the generic function, which
+builds the nest's own empty result.
 
 The untiled ones run through one method too (`Interpreter._untiled`):
 one callee call per slice, each result folded into the accumulator
@@ -95,7 +96,8 @@ from dataclasses import dataclass, field
 from . import ir
 from .ndarray import (
     ELEM_SIZE, Allocator, ArrayValue, Block, NdArray, View, addresses, adopt, concat, decompose,
-    elementwise, interleave, join, result_dtype, scalar_op, slice_axis, span, tile_view,
+    element_list, elementwise, interleave, join, make_strides, result_dtype, scalar_op,
+    slice_axis, span, tile_view,
 )
 
 
@@ -628,22 +630,25 @@ class Interpreter:
         block. Stacked scalars (`rows` is None, `out` of rank 1) are one `W`
         run over `out`. Else one `RW` run copies each of `rows` in turn, per
         element a read of the row and then a write of its place. The rows
-        are arrays or views and their places the views `places`, or else
-        equal blocks, each read as its range and written to the next
-        stretch of `out`. No run when `out` is empty."""
+        are arrays or views, or blocks, each read as its range; their places
+        are the views `places`, or else (equal blocks) each the next stretch
+        of `out`. No run when `out` is empty."""
         size, run = out.size, self.config.trace.run
         if not size:
             return
         if rows is None:
             run(range(out.addr, out.addr + size * ELEM_SIZE, ELEM_SIZE), "W")
             return
+        if type(rows[0]) is Block:
+            reads = (range(r.addr, r.addr + r.size * ELEM_SIZE, ELEM_SIZE) for r in rows)
+        else:
+            reads = map(addresses, rows)
         if places is None:
             start, step = out.addr, size // len(rows) * ELEM_SIZE
-            reads = (range(r.addr, r.addr + step, ELEM_SIZE) for r in rows)
             places = (range(a, a + step, ELEM_SIZE)
                       for a in range(start, start + size * ELEM_SIZE, step))
         else:
-            reads, places = map(addresses, rows), map(addresses, places)
+            places = map(addresses, places)
         run(itertools.chain.from_iterable(itertools.chain.from_iterable(
             map(zip, reads, places))), "RW")
 
@@ -851,54 +856,70 @@ class Interpreter:
             return self._join(results, node.depth)
         # A scan's tiles scan without `emit`. Every tile after the first is
         # fixed up by combining the previous tile's last accumulator into
-        # each of its steps, through the combine's kernel when it has one
-        # (`_step_kernel`); only then is `emit` applied to every step, so
-        # the result equals the untiled scan for any emit.
+        # each of its steps: in one call of the combine's kernel when it has
+        # one (`_tile_kernel`, `_fix_up`), else one combine call per step.
+        # Only then is `emit` applied to every step, so the result equals
+        # the untiled scan for any emit. A kernel's row blocks stand for the
+        # step arrays and are kept in `steps` as they would be, and `piece`
+        # keeps the tile, as a step's slice of it would.
         axis, adjusted = node.depth, []
         step = steps = piece = last = None
         for part in results:
             n = part.shape[axis]
             if adjusted:
-                step = self._slicer(part, axis)
-                steps = []
-                for j in range(n):
-                    piece = step(j)
-                    if not j:
-                        kernel = self._step_kernel(comb, last, piece)
-                    steps.append(comb.call([last, piece], comb_captured) if kernel is None
-                                 else self._map_step(kernel, last, piece))
-                part = self._stack(steps, axis)
+                steps = None  # the previous tile's steps die, last to first
+                kernel = self._tile_kernel(comb, last, part) if n else None
+                if kernel is not None:
+                    piece = part
+                    part, steps = self._fix_up(kernel, last, part, axis)
+                else:
+                    step = self._slicer(part, axis)
+                    steps = []
+                    for j in range(n):
+                        piece = step(j)
+                        steps.append(comb.call([last, piece], comb_captured))
+                    part = self._stack(steps, axis)
             if n:  # else the one empty straggler, already the nest's result
                 last = self._slicer(part, axis)(n - 1)
                 if emit is not None:
                     part = self._emit_steps(emit, emit_captured, part, axis)
             adjusted.append(part)
         out = self._join(adjusted, axis)
-        # `step` and `piece` hold the last tile when its steps are slices,
-        # and `last` that tile's fix-up.
+        # `piece` (and `step` when the combine is called) holds the last
+        # tile, and `last` that tile's fix-up.
         del results, adjusted, part, step, steps, piece, last
         return out
 
-    def _step_kernel(self, comb, a, b):
-        """The kernel of G for operands `a` and `b` when combine `comb` is
-        `return map(G, a, b; axes=[0, 0])` and G has no closure parameters;
-        else None, and the fix-up calls `comb`."""
+    def _tile_kernel(self, comb, last, part):
+        """The kernel of combine `comb` over the operands of a tile's fix-up
+        (`_fix_up`) when `comb` is `return map(G, a, b; axes=[0, 0])` and
+        the previous tile's last accumulator `last` is an array; else None,
+        and the fix-up calls `comb` once per step."""
         shape = ir.body_shape(comb.fn)
-        if (shape is None or shape[0] != "map" or len(comb.fn.params) != 2
-                or not isinstance(a, ArrayValue) or not isinstance(b, ArrayValue)):
+        if shape is None or shape[0] != "map" or not isinstance(last, ArrayValue):
             return None
-        g = self.program.functions.get(shape[1])
-        if g is None or g.closure_params:
-            return None
-        return self._kernel(self._function(g.name), (len(a.shape), len(b.shape)))
+        return self._kernel(comb, (len(last.shape) + 1, len(part.shape)))
 
-    def _map_step(self, kernel, a, b):
-        """`map(G, a, b; axes=[0, 0])` as `_untiled` runs it, without a
-        frame, given G's `kernel`."""
-        views, extent = self._operand_views((a, b), (0, 0), "Map")
-        self.config.counters.bounds_checks += 2 * extent
-        values = kernel(views, (0, 0), extent, _NO_CAPTURES) if extent else ()
-        return self._assemble("Map", values, None, None, views[0].dtype)
+    def _fix_up(self, kernel, last, part, axis):
+        """(fixed, blocks): tiled-scan tile `part` with `last` combined into
+        each of its steps along `axis`, in one call of the combine's
+        `kernel` over `last` broadcast along a new leading axis and `part`.
+        `fixed` is the steps stacked along `axis` as `_stack` stacks them,
+        and `blocks` lists the kernel's blocks for the steps (None without
+        a trace sink), which the stack's run reads."""
+        n = part.shape[axis]
+        carry = View(last.root, last.offset, (n,) + last.shape, (0,) + last.strides)
+        stack = kernel([carry, part], (0, axis), n, _NO_CAPTURES)
+        shape, data = stack.shape, stack.data
+        if axis:  # a View rooted at the stack reads its list with the steps' axis at `axis`
+            strides = make_strides(shape, "row")
+            moved = View(stack, 0, shape[1:axis + 1] + shape[:1] + shape[axis + 1:],
+                         strides[1:axis + 1] + strides[:1] + strides[axis + 1:])
+            shape, data = moved.shape, element_list(moved)
+        fixed = self._new_array(shape, stack.dtype, "row", data)
+        if stack.rows is not None:
+            self._fill(fixed, stack.rows, (slice_axis(fixed, axis, j) for j in range(n)))
+        return fixed, stack.rows
 
     def _emit_steps(self, emit, captured, part, axis):
         """`emit` applied to every step of `part` along `axis`, stacked."""

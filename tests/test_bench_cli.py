@@ -537,10 +537,14 @@ def test_cli_tile_takes_ranks_from_inputs(program_file, capsys):
     given = capsys.readouterr().out
     assert main(["tile", "--program", prog, "--gen", "shape=3x4", "--gen", "shape=5x4"]) == 0
     assert capsys.readouterr().out == given
-    # A rank per input, so one input too many is one rank too many.
-    assert main(["tile", "--program", program_file(programs.SUM_ROWS),
-                 "--gen", "shape=4", "--gen", "shape=4"]) == 2
+    # A rank per input, so one input too many is one rank too many: a
+    # usage error, as is a --ranks list of the wrong length.
+    sum_rows = program_file(programs.SUM_ROWS)
+    assert main(["tile", "--program", sum_rows, "--gen", "shape=4", "--gen", "shape=4"]) == 1
     assert capsys.readouterr().err == "error: main has 1 parameter(s), got 2 ranks\n"
+    assert main(["tile", "--program", sum_rows, "--ranks", "2,2,2"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: main has 1 parameter(s), got 3 ranks\n")
 
 
 @pytest.mark.parametrize("argv, error", [

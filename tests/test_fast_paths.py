@@ -839,6 +839,24 @@ def test_tiled_matmul32_reg_calls_and_arrays(monkeypatch):
     assert built["arrays"] <= 5500
 
 
+def test_tiled_prefixscan_arrays(monkeypatch):
+    # The benchmark's prefix scan: 192 x 192 i64, column-major, tiles 23 x
+    # 23. Each tile's carry fix-up is one call of the lifted combine's leaf
+    # node, whose steps are one element list; an array per step would make
+    # 1,602.
+    built = collections.Counter()
+    adopt = semantics.adopt
+
+    def counted(*args):
+        built["arrays"] += 1
+        return adopt(*args)
+    monkeypatch.setattr(semantics, "adopt", counted)
+    program = tile_program(parse_program(programs.ROW_SCAN)).program
+    eval_program(program, [matrix(192, 192, "i64", "col", 41)],
+                 EvalConfig(tile_sizes={0: 23, 1: 23}))
+    assert built["arrays"] <= 200
+
+
 def random_row_fold(seed):
     """A Map of a row fold over one or two random matrices, mapped along
     either axis, with a combine and init the tiler accepts. Values are

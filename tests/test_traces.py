@@ -186,27 +186,122 @@ def test_untiled_trace_pinned(name):
 
 @pytest.mark.parametrize("name, kernel", [("row_scan", True), ("scan_of_array_steps", False)])
 def test_scan_fix_ups_match_combine_calls(name, kernel, monkeypatch):
-    """A tiled scan fixes up its steps through the lifted combine's kernel
-    where it has one, else by calling the combine. The value is the
-    untiled one, and calling the combine for every step gives the same
-    value, trace and counters."""
+    """A tiled scan fixes up each tile in one call of the lifted combine's
+    kernel where it has one, else by calling the combine once per step.
+    The value is the untiled one, and calling the combine for every step
+    gives the same value, trace and counters."""
     src, inputs, registers, sizes = CASES[name]
     passes, spec = tile_case(src, inputs, registers)
     tile_sizes = spec.sizes(overrides=sizes)
     untiled = eval_program(desugar_allpairs(parse_program(src)), inputs)
     tiled = eval_program(passes[-1], inputs, EvalConfig(tile_sizes=tile_sizes))
     assert tiled.to_nested() == untiled.to_nested()
-    picked, step_kernel = [], Interpreter._step_kernel
+    picked, tile_kernel = [], Interpreter._tile_kernel
 
-    def spied(self, comb, a, b):
-        found = step_kernel(self, comb, a, b)
+    def spied(self, comb, last, part):
+        found = tile_kernel(self, comb, last, part)
         picked.append(found is not None)
         return found
-    monkeypatch.setattr(Interpreter, "_step_kernel", spied)
+    monkeypatch.setattr(Interpreter, "_tile_kernel", spied)
     through_kernels = observed(passes[-1], inputs, tile_sizes)
     assert picked and set(picked) == {kernel}
-    monkeypatch.setattr(Interpreter, "_step_kernel", lambda self, comb, a, b: None)
+    monkeypatch.setattr(Interpreter, "_tile_kernel", lambda self, comb, last, part: None)
     assert observed(passes[-1], inputs, tile_sizes) == through_kernels
+
+
+# Tiled scans whose lifted combine is a map: (source, whether it is tiled
+# IR already).
+FIX_UP_PROGRAMS = {
+    # Tiled at depth 1: each fix-up runs the combine's leaf node.
+    "row_scan": (programs.ROW_SCAN, False),
+    "row_scan_emit": (programs.ROW_SCAN_EMIT, False),
+    "row_scan_f64_init": (programs.ROW_SCAN.replace("init=0", "init=0.0"), False),
+    # Tiled at depth 0 by hand: the tiles scan rows with an elementwise
+    # combine, the fix-up combines rows with a map.
+    "rows_scan_depth0": ("""
+fn add2(a, b) { return a + b; }
+fn addv(a, b) { return map(add2, a, b; axes=[0, 0]); }
+fn ident(r) { return r; }
+fn tile(T) { return scan(ident, combine=add2, init=0, T; axes=[0]); }
+fn main(X) { return tiledscan(tile, slot=0, depth=0, combine=addv, init=0, X; axes=[0]); }
+""", True),
+    # Tiled at depth 2 over rank-3 tiles: each fix-up runs `_node`.
+    "cube_scan": ("""
+fn ident(x) { return x; }
+fn add2(a, b) { return a + b; }
+fn sc(c) { return scan(ident, combine=add2, init=0, c; axes=[0]); }
+fn mid(Y) { return map(sc, Y; axes=[0]); }
+fn main(X) { return map(mid, X; axes=[0]); }
+""", False),
+}
+
+# (program, input shape, dtype, layout); a rank-3 input is `cube`'s.
+FIX_UP_INPUTS = [
+    ("row_scan", (7, 8), "i64", "col"),
+    ("row_scan", (7, 8), "f64", "row"),
+    ("row_scan", (3, 0), "i64", "row"),
+    ("row_scan", (0, 3), "i64", "row"),
+    ("row_scan_emit", (7, 8), "i64", "col"),
+    ("row_scan_f64_init", (7, 8), "i64", "col"),
+    ("rows_scan_depth0", (8, 7), "i64", "row"),
+    ("rows_scan_depth0", (8, 7), "f64", "col"),
+    ("rows_scan_depth0", (3, 0), "i64", "row"),
+    ("rows_scan_depth0", (0, 3), "i64", "row"),
+    ("cube_scan", (3, 4, 8), "i64", "col"),
+]
+
+
+def fix_up_observed(program, inputs, tile_sizes):
+    """Value (shape, dtype and element types) and dispatch counters of one
+    run without a trace sink, one into a `TraceSink`, with its events, and
+    one into a `NoEmptyRunSink`, with its run count."""
+    seen = []
+    for sink in (None, TraceSink(), NoEmptyRunSink()):
+        config = EvalConfig(tile_sizes=dict(tile_sizes), trace=sink)
+        value = eval_program(program, inputs, config)
+        c = config.counters
+        seen.append(((value.shape, value.dtype, [(type(x), x) for x in value.data]),
+                     getattr(sink, "events", None), getattr(sink, "runs", None),
+                     (c.full_tile_calls, c.straggler_calls, c.bounds_checks)))
+    return seen
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+@pytest.mark.parametrize("name, shape, dtype, layout", FIX_UP_INPUTS, ids=[
+    f"{n}-{'x'.join(map(str, shape))}-{dtype}-{layout}" for n, shape, dtype, layout
+    in FIX_UP_INPUTS])
+def test_tile_fix_up_matches_combine_calls(name, shape, dtype, layout, k, monkeypatch):
+    """Fixing up each tile in one call of the combine's kernel gives the
+    value, dtype, element types, trace, sink runs and counters of one
+    combine call per step, with and without a trace sink, and the value
+    of the untiled scan."""
+    src, internal = FIX_UP_PROGRAMS[name]
+    inputs = [matrix(*shape, dtype, layout) if len(shape) == 2 else cube(*shape)]
+    if internal:
+        program = parse_program(src, allow_internal=True)
+        untiled = parse_program(src.replace(
+            "tiledscan(tile, slot=0, depth=0, combine=addv,", "scan(ident, combine=add2,"))
+        sizes = {0: k}
+    else:
+        untiled = parse_program(src)
+        res = tile_program(untiled, arg_ranks=[inputs[0].rank])
+        program = res.program
+        sizes = res.spec.sizes(overrides={s.id: k for s in res.spec.runtime_slots()})
+    picked, tile_kernel = [], Interpreter._tile_kernel
+
+    def spied(self, comb, last, part):
+        found = tile_kernel(self, comb, last, part)
+        picked.append(found is not None)
+        return found
+    monkeypatch.setattr(Interpreter, "_tile_kernel", spied)
+    through_kernel = fix_up_observed(program, inputs, sizes)
+    assert all(picked)
+    assert picked or 0 in shape
+    monkeypatch.setattr(Interpreter, "_tile_kernel", lambda self, comb, last, part: None)
+    assert fix_up_observed(program, inputs, sizes) == through_kernel
+    reference = eval_program(untiled, inputs)
+    assert through_kernel[0][0] == (reference.shape, reference.dtype,
+                                    [(type(x), x) for x in reference.data])
 
 
 # When a temporary dies decides which free block the allocator hands out
