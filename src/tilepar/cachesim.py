@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import os
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 from .semantics import EvalConfig, TraceSink, eval_program
@@ -102,9 +101,11 @@ class Simulator:
         self.model = model
         self.stats = TraceStats()
         self._snapshots = []  # (label, TraceStats at the phase's start)
-        self._sets = [OrderedDict() for _ in range(model.num_sets)]
-        # Per set, its most recently used line (the last key of its
-        # OrderedDict), or None while it is empty.
+        # Per set, a dict of its lines whose insertion order is the LRU
+        # order: least recently used first.
+        self._sets = [{} for _ in range(model.num_sets)]
+        # Per set, its most recently used line (the last key of its dict),
+        # or None while it is empty.
         self._recent = [None] * model.num_sets
 
     def phase(self, label):
@@ -118,10 +119,13 @@ class Simulator:
 
     def run(self, addrs, kinds):
         """Replay the addresses of one run in order. `kinds` is ignored:
-        with write-allocate a write moves the cache as a read does. An
-        access to the line already most recent in its set only counts as
-        a hit: it changes no LRU state. A negative address raises
-        CacheConfigError; the accesses before it stay counted."""
+        with write-allocate a write moves the cache as a read does. A hit
+        deletes its line from the set's dict and re-inserts it, so it
+        becomes the last key; a miss in a full set evicts the first key,
+        the least recently used line. An access to the line already most
+        recent in its set only counts as a hit: it changes no LRU state.
+        A negative address raises CacheConfigError; the accesses before
+        it stay counted."""
         line_size, num_sets, ways = self.model.line_size, len(self._sets), self.model.associativity
         sets, recent = self._sets, self._recent
         hits = misses = evictions = 0
@@ -135,15 +139,15 @@ class Simulator:
                 s = sets[k]
                 if line in s:
                     hits += 1
-                    s.move_to_end(line)
+                    del s[line]
                 else:
                     if addr < 0:
                         raise CacheConfigError(f"negative address {addr}")
                     misses += 1
                     if len(s) >= ways:
-                        s.popitem(last=False)
+                        del s[next(iter(s))]
                         evictions += 1
-                    s[line] = True
+                s[line] = True
                 recent[k] = line
         finally:
             stats = self.stats

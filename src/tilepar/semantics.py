@@ -158,12 +158,12 @@ class _Compiled:
     `call(args, captured)` applies it to positional arguments and its
     captured closure values. `kernels` maps operand ranks to its kernel
     or None (see `Interpreter._kernel`); `op` is its scalar operator as a
-    combine (`ir.combine_op`)."""
+    combine (`ir.combine_op`), and `shape` its `ir.body_shape`."""
 
-    __slots__ = ("fn", "call", "op", "kernels")
+    __slots__ = ("fn", "call", "op", "shape", "kernels")
 
-    def __init__(self, fn, call, op):
-        self.fn, self.call, self.op, self.kernels = fn, call, op, {}
+    def __init__(self, fn, call, op, shape):
+        self.fn, self.call, self.op, self.shape, self.kernels = fn, call, op, shape, {}
 
 
 def _strict(e, enclosing):
@@ -327,7 +327,7 @@ class Interpreter:
                 raise EvalError(f"{name} finished without returning")
             return value
 
-        return _Compiled(fn, call, op and scalar_op(op))
+        return _Compiled(fn, call, op and scalar_op(op), ir.body_shape(fn))
 
     def _kernel(self, f, ranks):
         """The kernel of `f` for operands of `ranks` (see the module docstring) or
@@ -336,11 +336,11 @@ class Interpreter:
         or is None before any side effect. A node's callee has no closure parameters;
         a fold node needs rank 2 and a combine with `op`."""
         if ranks not in f.kernels:
-            f.kernels[ranks] = self._new_kernel(f.fn, ranks)
+            f.kernels[ranks] = self._new_kernel(f, ranks)
         return f.kernels[ranks]
 
-    def _new_kernel(self, fn, ranks):
-        shape = ir.body_shape(fn)
+    def _new_kernel(self, f, ranks):
+        fn, shape = f.fn, f.shape
         if shape is None or len(ranks) != len(fn.params):
             return None
         if shape[0] == "leaf":
@@ -895,8 +895,7 @@ class Interpreter:
         (`_fix_up`) when `comb` is `return map(G, a, b; axes=[0, 0])` and
         the previous tile's last accumulator `last` is an array; else None,
         and the fix-up calls `comb` once per step."""
-        shape = ir.body_shape(comb.fn)
-        if shape is None or shape[0] != "map" or not isinstance(last, ArrayValue):
+        if comb.shape is None or comb.shape[0] != "map" or not isinstance(last, ArrayValue):
             return None
         return self._kernel(comb, (len(last.shape) + 1, len(part.shape)))
 

@@ -109,11 +109,13 @@ class ReferenceLRU:
 
 def random_stream(rng, model):
     """Addresses mixing random ones, long runs within one line, sequential
-    sweeps, and two or more lines of one set taking turns."""
+    sweeps, two or more lines of one set taking turns, and more lines of
+    one set than it has ways visited in strict rotation, so that every
+    access past the first round misses and evicts."""
     stream = []
-    line_size, num_sets = model.line_size, model.num_sets
+    line_size, num_sets, ways = model.line_size, model.num_sets, model.associativity
     while len(stream) < 3000:
-        shape = rng.randrange(4)
+        shape = rng.randrange(5)
         if shape == 0:
             stream += [rng.randrange(1 << 16) for _ in range(rng.randrange(1, 40))]
         elif shape == 1:
@@ -122,20 +124,29 @@ def random_stream(rng, model):
         elif shape == 2:
             start = rng.randrange(1 << 16)
             stream += range(start, start + 8 * rng.randrange(1, 100), 8)
-        else:
+        elif shape == 3:
             k = rng.randrange(num_sets)
             lines = [rng.randrange(64) * num_sets + k
-                     for _ in range(rng.randrange(2, model.associativity + 3))]
+                     for _ in range(rng.randrange(2, ways + 3))]
             for _ in range(rng.randrange(10, 60)):
                 stream += [line * line_size + rng.randrange(line_size) for line in lines[:2]]
                 if rng.random() < 0.2:
                     stream.append(rng.choice(lines) * line_size)
+        else:
+            k = rng.randrange(num_sets)
+            lines = [n * num_sets + k
+                     for n in rng.sample(range(4 * ways), rng.randrange(ways + 1, 2 * ways + 1))]
+            for _ in range(rng.randrange(2, 6)):
+                stream += [line * line_size + rng.randrange(line_size) for line in lines]
     return stream
 
 
 @pytest.mark.parametrize("model", [CacheModel(128, 64, 2), CacheModel(8 * 1024, 64, 4),
-                                   CacheModel(32 * 1024, 64, 8)],
-                         ids=["1set-2way", "8K-4way", "32K-8way"])
+                                   CacheModel(32 * 1024, 64, 8), CacheModel(1024, 64, 1),
+                                   CacheModel(384, 64, 2), CacheModel(4 * 1024, 32, 4),
+                                   CacheModel(64 * 64, 64, 64)],
+                         ids=["1set-2way", "8K-4way", "32K-8way", "direct-mapped",
+                              "3sets-2way", "32B-lines", "1set-64way"])
 @pytest.mark.parametrize("seed", range(4))
 def test_run_matches_per_address_access(model, seed):
     rng = random.Random(seed)

@@ -22,7 +22,7 @@ import pytest
 
 from tilepar.autotuner import estimate_bounds
 from tilepar.bench import MATMUL_SRC, SQDIST_SRC, SUM_ROWS_SRC
-from tilepar.cachesim import CacheModel, Simulator, simulate_program, trace_program
+from tilepar.cachesim import CacheModel, Simulator, simulate, simulate_program, trace_program
 from tilepar.ir import (
     TILED_OPS, Assign, BinOp, IRError, Map, Program, Reduce, Return, Scan, Var,
     desugar_allpairs, parse_program, print_program, reachable, walk_exprs,
@@ -582,6 +582,14 @@ BENCHMARK_PINS = {
         457152, "ab72edf87f95f40f93df5995ea7fca799e4ad00d2297acbbb25306e2dafcb5b9"),
 }
 
+# (accesses, hits, misses, evictions) of each midpoint trace under the
+# benchmark's cache model.
+BENCHMARK_SIM_PINS = {
+    "rowsum-col256-tune": (77568, 12449, 65119, 64607),
+    "matmul32-reg": (461824, 458047, 3777, 3265),
+    "prefixscan-col192": (457152, 419262, 37890, 37378),
+}
+
 
 @pytest.mark.parametrize("name", sorted(BENCHMARK_PINS))
 def test_benchmark_trace_pinned(name):
@@ -595,6 +603,7 @@ def test_benchmark_trace_pinned(name):
     sizes = spec.sizes(overrides=dict(zip(space.slot_ids, space.midpoint())))
     events = trace_program(tiled, wl.make_inputs(0)[1], sizes)
     assert (len(events), digest(events)) == BENCHMARK_PINS[name]
+    assert totals(simulate(events, bench.MODEL)) == BENCHMARK_SIM_PINS[name]
 
 
 # Every statement of the entry function is a phase, also one inside an if.
