@@ -138,11 +138,15 @@ def _hardware():
     return info
 
 
-def _int(text, what):
+def _int(text, what, least=None):
+    """`text` as an integer of at least `least` (any when None)."""
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise UsageError(f"{what} must be an integer, got {text!r}") from None
+    if least is not None and value < least:
+        raise UsageError(f"{what} must be >= {least}, got {value}")
+    return value
 
 
 def _load_program(args):
@@ -203,12 +207,13 @@ def _tiled_with_sizes(args, program, inputs, hw):
         raise UsageError("--tile-sizes requires --tiling cache or cache+register")
     if args.tiling == "off":
         return desugar_allpairs(program), {}
+    candidate = None
+    if args.tile_sizes:
+        candidate = [_int(t, "tile size", 1) for t in args.tile_sizes.split(",")]
     prepared = _prepare(program, inputs, hw, registers=args.tiling == "cache+register")
     if prepared.tiled is None:
         return prepared.untiled, {}
-    candidate = None
-    if args.tile_sizes:
-        candidate = [_int(t, "tile size") for t in args.tile_sizes.split(",")]
+    if candidate is not None:
         slots = len(prepared.space.slot_ids)
         if len(candidate) != slots:
             raise UsageError(f"{slots} runtime slot(s) but {len(candidate)} size(s) given")
@@ -249,7 +254,7 @@ def cmd_tile(args):
     program = desugar_allpairs(program)
     ranks = None
     if args.ranks:
-        ranks = [_int(t, "rank") for t in args.ranks.split(",")]
+        ranks = [_int(t, "rank", 0) for t in args.ranks.split(",")]
     elif args.input or args.gen:
         ranks = _arg_ranks(_load_inputs(args))
     params = program.fn("main").params

@@ -9,7 +9,7 @@ parser rejects them unless the internal dialect is enabled.
 
 The textual format is one `fn` block per function:
 
-    fn NAME(PARAMS) [uses CLOSUREPARAMS] [assumes extent=N[, axes=[AXES]]] { STMT* }
+    fn NAME(PARAMS) [uses CLOSUREPARAMS] { STMT* }
 
 An operator is written as its keyword and its fields in declaration order,
 where a bracketed field is optional and ARGS and AXES are comma-separated:
@@ -18,9 +18,13 @@ where a bracketed field is optional and ARGS and AXES are comma-separated:
     reduce(F, combine=C, init=EXPR, ARGS; axes=[AXES])
     scan(F, combine=C, [emit=E,] init=EXPR, ARGS; axes=[AXES])
     allpairs(F, ARG1, ARG2; axes=[AXIS1, AXIS2])
-    tiledmap(F, [fixed=G,] slot=N, depth=N, ARGS; axes=[AXES])
-    tiledreduce(F, [fixed=G,] slot=N, depth=N, combine=C, init=EXPR, ARGS; axes=[AXES])
-    tiledscan(F, [fixed=G,] slot=N, depth=N, combine=C, [emit=E,] init=EXPR, ARGS; axes=[AXES])
+    tiledmap(F, [fixed=N,] slot=N, depth=N, ARGS; axes=[AXES])
+    tiledreduce(F, [fixed=N,] slot=N, depth=N, combine=C, init=EXPR, ARGS; axes=[AXES])
+    tiledscan(F, [fixed=N,] slot=N, depth=N, combine=C, [emit=E,] init=EXPR, ARGS; axes=[AXES])
+
+A tiled operator's `fixed=N` says that its slot has the fixed size N, set
+when the program was compiled (a register tile); the interpreter then runs
+each full tile through a build of F for that size (`semantics`).
 
 Closure parameters are bound by name at the operator application site:
 an operator expression `map(f, xs; axes=[0])` slices `xs` into f's
@@ -146,7 +150,7 @@ class AllPairs(Expr):
 @dataclass(frozen=True)
 class TiledMap(Expr):
     fn: str
-    fixed: str | None
+    fixed: int | None
     slot: int
     depth: int
     args: tuple[Expr, ...]
@@ -156,7 +160,7 @@ class TiledMap(Expr):
 @dataclass(frozen=True)
 class TiledReduce(Expr):
     fn: str
-    fixed: str | None
+    fixed: int | None
     slot: int
     depth: int
     combine: str
@@ -168,7 +172,7 @@ class TiledReduce(Expr):
 @dataclass(frozen=True)
 class TiledScan(Expr):
     fn: str
-    fixed: str | None
+    fixed: int | None
     slot: int
     depth: int
     combine: str
@@ -185,7 +189,7 @@ TILED_OPS = (TiledMap, TiledReduce, TiledScan)
 # callee name; `, NAME=VALUE` for a function name, int or expression VALUE;
 # `, EXPR` per operand; `; axes=[...]`. _OPTIONAL_FIELDS are left out when None.
 _FIELD_SYNTAX = {
-    "fn": "callee", "fixed": "function", "slot": "int", "depth": "int",
+    "fn": "callee", "fixed": "int", "slot": "int", "depth": "int",
     "combine": "function", "emit": "function", "init": "expr",
     "args": "operands", "arg1": "operand", "arg2": "operand", "axes": "axes",
 }
@@ -198,7 +202,7 @@ _OPERATOR_SYNTAX = {op: (op.__name__.lower(), tuple(f.name for f in fields(op)))
 _OPERATOR_KEYWORDS = {keyword: op for op, (keyword, _) in _OPERATOR_SYNTAX.items()}
 
 KEYWORDS = {
-    "fn", "uses", "return", "if", "else", "for", "in", "assumes", "extent", "min", "max", "inf",
+    "fn", "uses", "return", "if", "else", "for", "in", "min", "max", "inf",
     *_OPERATOR_KEYWORDS,
     *(name for name, kind in _FIELD_SYNTAX.items() if kind in ("function", "int", "expr", "axes")),
 }
@@ -241,10 +245,6 @@ class Function:
     params: tuple[str, ...]
     closure_params: tuple[str, ...]
     body: tuple[Stmt, ...]
-    # Set by fixed-size specialization: the sliced extent this clone may
-    # assume, and (optionally) the per-parameter axes the extent applies to.
-    fixed_extent: int | None = None
-    fixed_axes: tuple[int, ...] | None = None
 
 
 @dataclass
@@ -406,9 +406,8 @@ def body_shape(fn):
     parameters; (KIND, G, COMBINE, INIT) for a map, reduce or scan of G over
     fn's own parameters in order along axis 0 in a function without closure
     parameters, with no emit and an int or float constant INIT (COMBINE and
-    INIT None for a map). G is described by its own shape. A fixed-size clone
-    has none, so that its extent assumption is checked wherever it runs."""
-    if fn.fixed_extent is not None or len(fn.body) != 1 or not isinstance(fn.body[0], Return):
+    INIT None for a map). G is described by its own shape."""
+    if len(fn.body) != 1 or not isinstance(fn.body[0], Return):
         return None
     e, names = fn.body[0].value, fn.params + fn.closure_params
     operands = (e,) if isinstance(e, Var) else (e.left, e.right) if isinstance(e, BinOp) else ()
@@ -608,13 +607,15 @@ def _validate_op(program, fn, e, bound):
             raise ValidationError("bad-slot", f"{fn.name}: {kind} slot must be >= 0")
         if e.depth < 0:
             raise ValidationError("bad-depth", f"{fn.name}: {kind} depth must be >= 0")
+        if e.fixed is not None and e.fixed < 1:
+            raise ValidationError("bad-fixed", f"{fn.name}: {kind} fixed size must be >= 1")
 
 
 def _op_refs(e):
     """(role, name, required positional arity) triples for an operator."""
     nargs = 2 if isinstance(e, AllPairs) else len(e.args)
-    role = {"fn": "function", "combine": "combine", "emit": "emit", "fixed": "fixed function"}
-    arity = {"fn": nargs, "combine": 2, "emit": 1, "fixed": nargs}
+    role = {"fn": "function", "combine": "combine", "emit": "emit"}
+    arity = {"fn": nargs, "combine": 2, "emit": 1}
     return [(role[f], getattr(e, f), arity[f])
             for f in _REF_FIELDS[type(e)] if getattr(e, f) is not None]
 
@@ -795,23 +796,13 @@ class _Parser:
         self.expect(")")
         closure = ()
         if self.accept("uses"):
-            closure = self.comma_list(("{", "assumes"), self.ident)
-        fixed_extent = None
-        fixed_axes = None
-        if self.at("assumes"):
-            # Fixed-size specialization annotation; generated code only.
-            if not self.allow_internal:
-                self.error("'assumes' clauses appear only in generated code")
-            self.next()
-            fixed_extent = self.named("extent", "int")
-            if self.accept(","):
-                fixed_axes = self.named("axes", "axes")
+            closure = self.comma_list(("{",), self.ident)
         self.expect("{")
         body = self.block()
         self.expect("}")
         if not body:
             self.error(f"function {name!r} has an empty body")
-        return Function(name, params, closure, body, fixed_extent, fixed_axes)
+        return Function(name, params, closure, body)
 
     def comma_list(self, stops, item):
         """What `item()` parses, comma-separated, up to a token in `stops`."""
@@ -991,10 +982,6 @@ def _print_function(fn):
     head = f"fn {fn.name}({', '.join(fn.params)})"
     if fn.closure_params:
         head += f" uses {', '.join(fn.closure_params)}"
-    if fn.fixed_extent is not None:
-        head += f" assumes extent={fn.fixed_extent}"
-        if fn.fixed_axes is not None:
-            head += f", axes={_print_axes(fn.fixed_axes)}"
     lines = [head + " {"]
     lines.extend(_print_block(fn.body, "  "))
     lines.append("}")

@@ -8,9 +8,11 @@ operator expression.
 
 The three tiled operators run through one method (`Interpreter._tiled`).
 It cuts every operand into full tiles plus an optional straggler and
-runs the tiles one after another in tile order: full tiles through the
-fixed-size function clone when one is attached (otherwise the generic
-one), the straggler always through the generic function. The results are
+runs the tiles one after another in tile order. An operator whose slot
+has a fixed size k (`fixed=k`, a register tile) runs its full tiles
+through a fixed-size build of its tile function (below), and its
+straggler through the generic build; any other operator runs every tile
+through the generic build. The results are
 put back together so that the outcome equals the untiled operator:
 concatenated for a map, folded with the combine for a reduce, and for a
 scan fixed up with each tile's carry, then emitted, then concatenated (a
@@ -31,7 +33,11 @@ else an empty rank-1 array of the first operand's dtype.
 
 Each function is built once, on its first call, into nested closures;
 callees are looked up by name when an operator first runs, so a missing
-function raises only when execution reaches it. An operator runs a
+function raises only when execution reaches it. A tile function of a
+`fixed=k` operator also gets one fixed-size build for k and the
+operator's axes: there each operator of its body that slices the tile
+along the tiled axis must have extent k, and an operator of extent k
+counts no bounds check (`Counters`). An operator runs a
 callee that `ir.body_shape` describes without a call per slice, through
 its kernel `kernel(views, axes, extent, captured)`:
 - a leaf over rank-1 operands is one loop over a slice of each flat
@@ -107,7 +113,16 @@ class EvalError(Exception):
 
 @dataclass
 class Counters:
-    """Instrumentation for dispatch and bounds-check behaviour."""
+    """Instrumentation for dispatch and bounds-check behaviour.
+
+    `full_tile_calls` and `straggler_calls` count the tiles a tiled
+    operator runs. `bounds_checks` counts, for each untiled operator, one
+    check per operand per slice, also for the rows a node kernel runs
+    without a call; tiled operators count none. The exception is an
+    operator in the fixed-size build of a tile function (a full tile of a
+    `fixed=k` operator): when its extent equals k it counts none, on
+    whichever axis it slices. So an axis that is only as long as k by
+    chance is skipped too."""
 
     full_tile_calls: int = 0
     straggler_calls: int = 0
@@ -153,7 +168,7 @@ _SCALARS = frozenset((int, float))
 
 
 class _Compiled:
-    """One function, built once per interpreter.
+    """One function, built once per interpreter, or its fixed-size build.
 
     `call(args, captured)` applies it to positional arguments and its
     captured closure values. `kernels` maps operand ranks to its kernel
@@ -166,20 +181,12 @@ class _Compiled:
         self.fn, self.call, self.op, self.shape, self.kernels = fn, call, op, shape, {}
 
 
-def _strict(e, enclosing):
-    """True when operator `e` slices the enclosing function's own
-    parameters along the axes a fixed-size clone was specialised for."""
-    if enclosing.fixed_extent is None:
-        return False
-    for arg, axis in zip(e.args, e.axes):
-        if not (isinstance(arg, ir.Var) and arg.name in enclosing.params):
-            continue
-        if enclosing.fixed_axes is None:
-            return True
-        pos = enclosing.params.index(arg.name)
-        if pos < len(enclosing.fixed_axes) and axis == enclosing.fixed_axes[pos]:
-            return True
-    return False
+def _strict(e, axis_of):
+    """True when operator `e` slices a parameter of the enclosing
+    fixed-size build along the axis its tiles are cut on; `axis_of` maps
+    each parameter to that axis."""
+    return any(isinstance(arg, ir.Var) and axis_of.get(arg.name) == axis
+               for arg, axis in zip(e.args, e.axes))
 
 
 def _leaf_values(fn, op, names):
@@ -295,10 +302,13 @@ class Interpreter:
 
     # -- building functions ----------------------------------------------------
 
-    def _function(self, name):
-        compiled = self._functions.get(name)
+    def _function(self, name, fixed=None):
+        """The build of function `name`, or with `fixed`, (k, axes), its
+        fixed-size build for full tiles of size k cut along `axes`."""
+        key = name if fixed is None else (name, fixed)
+        compiled = self._functions.get(key)
         if compiled is None:
-            compiled = self._functions[name] = self._build(self.program.fn(name))
+            compiled = self._functions[key] = self._build(self.program.fn(name), fixed)
         return compiled
 
     def _callee(self, name, env):
@@ -313,10 +323,12 @@ class Interpreter:
             captured[c] = env[c]
         return f, captured
 
-    def _build(self, fn):
+    def _build(self, fn, fixed=None):
         op = ir.combine_op(fn)
         mark = self.config.trace is not None and fn is self._entry
-        body = self._block(fn.body, fn, mark)
+        if fixed is not None:
+            fixed = (fixed[0], dict(zip(fn.params, fixed[1])))
+        body = self._block(fn.body, fixed, mark)
         params, name = fn.params, fn.name
 
         def call(args, captured):
@@ -467,14 +479,15 @@ class Interpreter:
 
     # -- statements ------------------------------------------------------------
 
-    def _block(self, block, fn, mark):
+    def _block(self, block, fixed, mark):
         """A closure running `block` on a frame; it returns the value of
-        the first return statement reached, or _NO_RETURN.
+        the first return statement reached, or _NO_RETURN. `fixed` is None,
+        or (k, parameter -> axis) in a fixed-size build.
 
         A for loop's sequence stays alive until its block ends (`hold`):
         when a temporary dies decides which free block the allocator hands
         out next, so this keeps every traced address where it was."""
-        steps = tuple(self._statement(s, fn, mark) for s in block)
+        steps = tuple(self._statement(s, fixed, mark) for s in block)
         if len(steps) == 1:
             return steps[0]
 
@@ -488,11 +501,11 @@ class Interpreter:
 
         return run
 
-    def _statement(self, s, fn, mark):
+    def _statement(self, s, fixed, mark):
         phase = self.config.trace.phase if mark else None
         t = type(s)
         if t is ir.Assign:
-            target, value = s.target, self._expr(s.value, fn)
+            target, value = s.target, self._expr(s.value, fixed)
             label = f"{target} ="
 
             def assign(frame, hold=None):
@@ -502,7 +515,7 @@ class Interpreter:
                 return _NO_RETURN
             return assign
         if t is ir.Return:
-            value = self._expr(s.value, fn)
+            value = self._expr(s.value, fixed)
 
             def ret(frame, hold=None):
                 if phase is not None:
@@ -510,8 +523,8 @@ class Interpreter:
                 return value(frame)
             return ret
         if t is ir.If:
-            cond = self._expr(s.cond, fn)
-            then, orelse = self._block(s.then, fn, mark), self._block(s.orelse, fn, mark)
+            cond = self._expr(s.cond, fixed)
+            then, orelse = self._block(s.then, fixed, mark), self._block(s.orelse, fixed, mark)
 
             def branch(frame, hold=None):
                 c = cond(frame)
@@ -520,7 +533,7 @@ class Interpreter:
                 return then(frame) if c != 0 else orelse(frame)
             return branch
         if t is ir.For:
-            var, seq, body = s.var, self._expr(s.seq, fn), self._block(s.body, fn, False)
+            var, seq, body = s.var, self._expr(s.seq, fixed), self._block(s.body, fixed, False)
 
             def loop(frame, hold=None):
                 if phase is not None:
@@ -544,8 +557,9 @@ class Interpreter:
 
     # -- expressions -----------------------------------------------------------
 
-    def _expr(self, e, fn):
-        """A closure evaluating expression `e` of function `fn` on a frame."""
+    def _expr(self, e, fixed):
+        """A closure evaluating expression `e` on a frame (`fixed` as in
+        `_block`)."""
         t = type(e)
         if t is ir.Const:
             value = e.value
@@ -560,7 +574,7 @@ class Interpreter:
                     raise EvalError(f"unbound variable {name!r}") from None
             return var
         if t is ir.BinOp:
-            left, right = self._expr(e.left, fn), self._expr(e.right, fn)
+            left, right = self._expr(e.left, fixed), self._expr(e.right, fixed)
             op, f = e.op, scalar_op(e.op)
 
             def binop(frame):
@@ -570,34 +584,34 @@ class Interpreter:
                 return f(a, b)
             return binop
         if t is ir.Index:
-            array, index = self._expr(e.array, fn), self._expr(e.index, fn)
+            array, index = self._expr(e.array, fixed), self._expr(e.index, fixed)
             return lambda frame: self._index(array(frame), index(frame))
         if t is ir.ArrayLit:
-            items = tuple(self._expr(x, fn) for x in e.items)
+            items = tuple(self._expr(x, fixed) for x in e.items)
             return lambda frame: self._stack([item(frame) for item in items])
         if isinstance(e, ir.TILED_OPS) or t in (ir.Map, ir.Reduce, ir.Scan):
-            return self._operator(e, fn)
+            return self._operator(e, fixed)
         if t is ir.AllPairs:
             return _failing("AllPairs must be desugared before evaluation")
         return _failing(f"cannot evaluate {t.__name__}")
 
-    def _operator(self, e, fn):
+    def _operator(self, e, fixed):
         """Operands evaluate first, in order, then the init value; both are
         released in that order once the operator returns."""
-        args = tuple(self._expr(a, fn) for a in e.args)
-        init = self._expr(e.init, fn) if hasattr(e, "init") else None
+        args = tuple(self._expr(a, fixed) for a in e.args)
+        init = self._expr(e.init, fixed) if hasattr(e, "init") else None
         if type(e) in ir.TILED_OPS:
             def tiled(frame):
                 values = [a(frame) for a in args]
                 start = init and init(frame)
                 return self._tiled(e, start, values, frame)
             return tiled
-        fixed, strict = fn.fixed_extent, _strict(e, fn)
+        k, strict = (None, False) if fixed is None else (fixed[0], _strict(e, fixed[1]))
 
         def untiled(frame):
             values = [a(frame) for a in args]
             start = init and init(frame)
-            return self._untiled(e, start, values, frame, fixed, strict)
+            return self._untiled(e, start, values, frame, k, strict)
         return untiled
 
     def _index(self, arr, i):
@@ -734,10 +748,13 @@ class Interpreter:
             views.append(a)
         return views, extent
 
-    def _untiled(self, node, init, args, env, fixed_extent, strict):
+    def _untiled(self, node, init, args, env, k, strict):
         """A Map, Reduce or Scan (see the module docstring); `init` is None for a
-        map. At the enclosing fixed-size clone's extent it skips bounds checks;
-        another extent on the axes the clone is specialised for raises."""
+        map. It counts one bounds check per operand per slice, except in a
+        fixed-size build for tiles of size `k` (None elsewhere): there an
+        extent of k counts none, on whichever axis the operator slices, and
+        when the operator slices a parameter along the tiled axis (`strict`)
+        any other extent raises."""
         kind = type(node).__name__
         f, captured = self._callee(node.fn, env)
         op = emit = None
@@ -747,10 +764,9 @@ class Interpreter:
             if kind == "Scan" and node.emit is not None:
                 emit, emit_captured = self._callee(node.emit, env)
         views, extent = self._operand_views(args, node.axes, kind)
-        if extent != fixed_extent:
+        if extent != k:
             if strict:
-                raise EvalError(
-                    f"{kind} specialised for extent {fixed_extent} invoked on extent {extent}")
+                raise EvalError(f"{kind} specialised for extent {k} invoked on extent {extent}")
             self.config.counters.bounds_checks += len(views) * extent
         if extent == 0:
             return self._assemble(kind, (), op, init, views[0].dtype)
@@ -820,19 +836,16 @@ class Interpreter:
         if kind is ir.TiledScan and node.emit is not None:
             emit, emit_captured = self._callee(node.emit, env)
         f, captured = self._callee(node.fn, env)
-        full = extent // k
-        if node.fixed is not None:
-            fixed, fixed_captured = self._callee(node.fixed, env)
-            if full and fixed.fn.fixed_extent not in (None, k):
-                raise EvalError(f"fixed-size clone {fixed.fn.name} specialised for "
-                                f"{fixed.fn.fixed_extent}, dispatched with k={k}")
+        full, full_f = extent // k, f
+        if node.fixed is not None and full:
+            if k != node.fixed:
+                raise EvalError(f"{node.fn} specialised for fixed size {node.fixed}, "
+                                f"dispatched with k={k}")
+            full_f = self._function(node.fn, (k, node.axes))
         results = []
         for t, tiles in enumerate(zip(*[decompose(v, axis, k) or [v]
                                         for v, axis in zip(views, node.axes)])):
-            if t < full and node.fixed is not None:
-                results.append(fixed.call(tiles, fixed_captured))
-            else:
-                results.append(f.call(tiles, captured))
+            results.append((full_f if t < full else f).call(tiles, captured))
         counters = self.config.counters
         counters.full_tile_calls += full
         counters.straggler_calls += len(results) - full

@@ -37,8 +37,9 @@ input as given. The cache pass, ``tile_program``, tiles the entry
 function with sizes chosen at run time, or returns the input unchanged
 with a reason. The register pass, ``register_tile``, tiles the
 reconstructed nests with small fixed sizes (``register_tile_size``); it
-infers the untiled ranks once per pass. Each operator it tiles gets its
-fixed-extent clone (``specialize_fixed``) when it is built.
+infers the untiled ranks once per pass. Each operator it tiles says its
+slot's size (``fixed=N``), and the evaluator runs the operator's full
+tiles through a build of the tile function for that size.
 """
 
 from __future__ import annotations
@@ -482,20 +483,8 @@ class _Tiler:
             body = self.tile_block(fn.body, inner, node_path)
         else:
             body = self._rebuilt_nest(fn, inner, node_path)
-        name, fixed = self.tile_functions(fn, depth, body, slot, global_axes)
-        return TiledMap(name, fixed, slot.id, depth, e.args, global_axes)
-
-    def tile_functions(self, fn, depth, body, slot, axes):
-        """The names of the tile function with `body` of an operator over
-        `fn` at `depth`, and of its clone for a slot of fixed size (None for
-        a runtime-tunable slot), both defined now. Bodies are built inner
-        operators first, so the clone already names its inner clones."""
         tile_fn = self.define(fresh_name(f"{fn.name}$t{depth}", self.out), fn.params, body)
-        if slot.size is None:
-            return tile_fn.name, None
-        clone = specialize_fixed(self.program, tile_fn.name, slot.size, axes)
-        self.out[clone.name] = clone
-        return tile_fn.name, clone.name
+        return TiledMap(tile_fn.name, slot.size, slot.id, depth, e.args, global_axes)
 
     def _rebuilt_nest(self, fn, state, path):
         """`fn`'s body inside the untiled nest of the operators visited so
@@ -523,14 +512,15 @@ class _Tiler:
         # A reduction always terminates the walk: partial results of one
         # reduction cannot feed another, so the nested function is rebuilt
         # from the visited nest even if it contains further operators.
-        name, fixed = self.tile_functions(fn, depth, self._rebuilt_nest(fn, inner, node_path),
-                                          slot, global_axes)
+        name = self.define(fresh_name(f"{fn.name}$t{depth}", self.out), fn.params,
+                           self._rebuilt_nest(fn, inner, node_path)).name
         added = max((len(state.depths.get(n, ())) for n in names), default=0)
         lifted = self.lift_combine(e.combine, added)
         if isinstance(e, Reduce):
-            return TiledReduce(name, fixed, slot.id, depth, lifted, e.init, e.args, global_axes)
+            return TiledReduce(name, slot.size, slot.id, depth, lifted, e.init, e.args,
+                               global_axes)
         emit = self.lift_combine(e.emit, added) if e.emit is not None else None
-        return TiledScan(name, fixed, slot.id, depth, lifted, emit, e.init, e.args,
+        return TiledScan(name, slot.size, slot.id, depth, lifted, emit, e.init, e.args,
                          global_axes)
 
     def _check_exact_combine(self, e, path):
@@ -651,26 +641,9 @@ def tile_program(program, arg_ranks=None, entry="main"):
     return TilingResult(True, _validated(program, ir.prune(tiled, [entry])), spec)
 
 
-def specialize_fixed(program, fname, k, axes=None):
-    """Clone `fname` with a fixed sliced-extent annotation.
-
-    The evaluator dispatches full tiles of extent k to the clone, which
-    skips per-iteration bounds checks; applying it to any other extent
-    along the specialised axes is an error. `axes` gives the per-parameter
-    axes the extent pins (the tiled operator's global axes); without it
-    any slicing of the clone's parameters is assumed fixed."""
-    if k < 1:
-        raise TilingError(f"fixed extent must be >= 1, got {k}")
-    fn = program.fn(fname)
-    name = fresh_name(f"{fname}$k{k}", program.functions)
-    clone = replace(fn, name=name, fixed_extent=k,
-                    fixed_axes=tuple(axes) if axes is not None else None)
-    return clone
-
-
 def register_tile(program, spec, hw, entry="main"):
-    """Second tiling pass: fixed-size register tiles, each operator with its
-    fixed-extent clone, inside the nests the cache pass rebuilt.
+    """Second tiling pass: fixed-size register tiles, each operator marked
+    with its slot's size (`fixed=`), inside the nests the cache pass rebuilt.
 
     Each function still reachable from the entry with untiled operators
     and no tiled ones is tiled, unless control flow is reachable from it

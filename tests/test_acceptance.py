@@ -17,7 +17,6 @@ import itertools
 import json
 import random
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -152,14 +151,10 @@ fn main(xs) { return tiledscan(tile_scan, slot=0, depth=0, combine=add2, init=0,
 """
 
 
-def _with_fixed_clone(src, nested, k):
-    p = parse_program(src, allow_internal=True)
-    clone = replace(p.fn(nested), name=f"{nested}$k", fixed_extent=k, fixed_axes=(0,))
-    p.functions[clone.name] = clone
-    node = p.fn("main").body[-1].value
-    p.functions["main"] = replace(p.fn("main"),
-                                  body=(ir.Return(replace(node, fixed=clone.name)),))
-    return p
+def _with_fixed_size(src, nested, k):
+    """`src` with the slot of its tiled operator over `nested` of fixed size k."""
+    return parse_program(src.replace(f"({nested}, slot=", f"({nested}, fixed={k}, slot="),
+                         allow_internal=True)
 
 
 def test_straggler_semantics_exhaustive():
@@ -179,7 +174,7 @@ def test_straggler_semantics_exhaustive():
                     (TILED_MAP_SRC, "tile_map", expect_map),
                     (TILED_SUM_SRC, "tile_sum", expect_sum),
                     (TILED_SCAN_SRC, "tile_scan", expect_scan)):
-                p = _with_fixed_clone(src, nested, k)
+                p = _with_fixed_size(src, nested, k)
                 cfg = EvalConfig(tile_sizes={0: k})
                 out = eval_program(p, [arr], cfg)
                 got = out.to_nested() if isinstance(out, ArrayValue) else out

@@ -330,7 +330,7 @@ def test_cli_tile_register_pass(program_file, capsys):
     assert main(["tile", "--program", prog, "--register"]) == 0
     out = capsys.readouterr().out
     assert "register" in out
-    assert "fixed=" in out  # specialised clones attached in the printed IR
+    assert "fixed=" in out  # the register slots' sizes in the printed IR
 
 
 def test_cli_autotune_walltime_probe(program_file, capsys):
@@ -553,7 +553,13 @@ def test_cli_tile_takes_ranks_from_inputs(program_file, capsys):
     (["autotune"], "autotune needs --input or --gen"),
     (["autotune", "--gen", "shape=8x8", "--batch", "0"], "--batch must be >= 1"),
     (["cachesim"], "cachesim needs --input or --gen"),
-], ids=["tile-size-count", "autotune-no-input", "autotune-batch-0", "cachesim-no-input"])
+    (["run", "--gen", "shape=4x4", "--tiling", "cache", "--tile-sizes", "0,4"],
+     "tile size must be >= 1, got 0"),
+    (["cachesim", "--gen", "shape=4x4", "--tiling", "cache", "--tile-sizes", "4,-2"],
+     "tile size must be >= 1, got -2"),
+    (["tile", "--ranks=-1"], "rank must be >= 0, got -1"),
+], ids=["tile-size-count", "autotune-no-input", "autotune-batch-0", "cachesim-no-input",
+        "run-tile-size-0", "cachesim-tile-size-negative", "tile-rank-negative"])
 def test_cli_usage_error_line(argv, error, program_file, capsys):
     argv = argv[:1] + ["--program", program_file(programs.SUM_ROWS)] + argv[1:]
     assert main(argv) == 1

@@ -21,15 +21,13 @@ import random
 import pytest
 
 from tilepar import semantics
-from tilepar.ir import (
-    Function, Map, Program, Return, Var, body_shape, desugar_allpairs, parse_program,
-)
+from tilepar.ir import Program, Return, body_shape, desugar_allpairs, parse_program
 from tilepar.ndarray import (
     ELEM_SIZE, LAYOUTS, Allocator, NdArray, View, as_view, decompose, element_list, result_dtype,
     scalar_op, slice_axis, tile_view,
 )
 from tilepar.semantics import EvalConfig, EvalError, Interpreter, TraceSink, eval_program
-from tilepar.tiling import register_tile, specialize_fixed, tile_program
+from tilepar.tiling import register_tile, tile_program
 
 import programs
 
@@ -502,11 +500,13 @@ fn rowmul(a, b) { return map(mul2, a, b; axes=[0, 0]); }
 """
 
 
-def fold_program(params, body, main, uses=""):
+def fold_program(params, body, main, uses="", internal=False):
     """FOLD_LIB plus `fold(params) {uses} { body }` and `main`, and the
-    twin whose fold first runs `r = <first param>;`."""
+    twin whose fold first runs `r = <first param>;`; `internal` parses the
+    internal dialect."""
     first = params.split(",")[0].strip()
-    return tuple(parse_program(FOLD_LIB + f"fn fold({params}) {uses} {{ {pre}{body} }}\n" + main)
+    return tuple(parse_program(FOLD_LIB + f"fn fold({params}) {uses} {{ {pre}{body} }}\n" + main,
+                               allow_internal=internal)
                  for pre in ("", f"r = {first}; "))
 
 
@@ -515,8 +515,8 @@ def counting_build(monkeypatch):
     calls = collections.Counter()
     build = Interpreter._build
 
-    def counted_build(self, fn):
-        compiled = build(self, fn)
+    def counted_build(self, fn, fixed=None):
+        compiled = build(self, fn, fixed)
         call = compiled.call
 
         def counted(args, captured):
@@ -528,11 +528,11 @@ def counting_build(monkeypatch):
     return calls
 
 
-def observe(program, args, calls, traced=True, fold="fold"):
+def observe(program, args, calls, traced=True, tile_sizes=None):
     """Value (or EvalError text), trace events, counters and calls of
-    `fold` of one run of `program`."""
+    `fold` of one run of `program` at `tile_sizes`."""
     calls.clear()
-    config = EvalConfig(trace=TraceSink() if traced else None)
+    config = EvalConfig(tile_sizes=dict(tile_sizes or {}), trace=TraceSink() if traced else None)
     try:
         value = Interpreter(program, config).run(args)
         out = (value.shape, value.dtype, value.addr, typed(value.data)) \
@@ -540,7 +540,7 @@ def observe(program, args, calls, traced=True, fold="fold"):
     except EvalError as exc:
         out = str(exc)
     events = config.trace.events if traced else None
-    return out, events, config.counters, calls[fold]
+    return out, events, config.counters, calls["fold"]
 
 
 def assert_same_as_twin(pair, args, monkeypatch, fused):
@@ -670,16 +670,15 @@ def test_row_fold_near_misses_take_the_generic_path(monkeypatch):
         bad = dataclasses.replace(fold, body=fold.body[:-1] + (Return(reduce),))
         with pytest.raises(EvalError, match="unbound variable 'b'"):
             Interpreter(Program({**p.functions, "fold": bad})).run([x])
-    # A fixed-size clone keeps its generic path and its extent gate.
-    clones = []
-    for p in pair:
-        clone = specialize_fixed(p, "fold", 4)
-        main = Function("main", ("X",), (), (Return(Map(clone.name, (Var("X"),), (0,))),))
-        clones.append(Program({**p.functions, clone.name: clone, "main": main}))
+    # As the tile function of an operator whose slot has the fixed size 4,
+    # fold runs once per tile: its fixed-size build for the full tile skips
+    # the checks of its extent-4 fold, and the straggler counts its own.
+    pair = fold_program("x", body, "fn main(X) { return tiledmap(fold, fixed=4, slot=0, "
+                        "depth=0, X; axes=[0]); }", internal=True)
     calls = counting_build(monkeypatch)
-    fast, slow = (observe(p, [x], calls, fold="fold$k4") for p in clones)
+    fast, slow = (observe(p, [x], calls, tile_sizes={0: 4}) for p in pair)
     assert fast == slow
-    assert fast[3] == 5 and fast[2].bounds_checks == 5
+    assert fast[3] == 2 and fast[2].bounds_checks == 1
 
 
 # (fold's parameters, its body, the rank of the Map's operands)

@@ -1,4 +1,4 @@
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import collections
 
@@ -64,13 +64,12 @@ def test_dollar_names_require_internal_dialect():
     parse_program("fn f$t0(x) { return x; }", allow_internal=True)
 
 
-def test_assumes_clause_requires_internal_dialect():
+def test_assumes_clause_does_not_parse():
+    # A fixed size belongs to the tiled operator (`fixed=N`), not to a function.
     src = "fn f(x) assumes extent=4 { return x; }"
-    with pytest.raises(IRSyntaxError, match="generated code"):
-        parse_program(src)
-    fn = parse_program(src, allow_internal=True).fn("f")
-    assert fn.fixed_extent == 4
-    assert fn.fixed_axes is None
+    for allow_internal in (False, True):
+        with pytest.raises(IRSyntaxError, match="expected '{'"):
+            parse_program(src, allow_internal=allow_internal)
 
 
 @pytest.mark.parametrize("src", [programs.SUM_ROWS, programs.MATMUL, programs.PREFIX_SUM])
@@ -186,6 +185,19 @@ def test_validation_operator_arity():
     """
     with pytest.raises(ValidationError, match="operator-arity"):
         parse_program(src)
+
+
+@pytest.mark.parametrize("fixed", [0, 1])
+def test_validation_fixed_size_at_least_one(fixed):
+    src = f"""
+    fn f(t) {{ return t; }}
+    fn main(xs) {{ return tiledmap(f, fixed={fixed}, slot=0, depth=0, xs; axes=[0]); }}
+    """
+    if fixed:
+        assert parse_program(src, allow_internal=True).fn("main").body[0].value.fixed == 1
+        return
+    with pytest.raises(ValidationError, match="bad-fixed"):
+        parse_program(src, allow_internal=True)
 
 
 def test_validation_axes_arity():
@@ -382,8 +394,6 @@ def test_body_shape():
     for near_miss in ("closure", "two_stmts", "expr_init", "axis1", "reordered", "fewer_args",
                       "scan_emit"):
         assert ir.body_shape(p.fn(near_miss)) is None, near_miss
-    # A fixed-size clone has no shape, so its extent assumption stays checked.
-    assert ir.body_shape(replace(p.fn("binop"), fixed_extent=4)) is None
     # A combine is `return a OP b` over its own two parameters, in order.
     assert [ir.combine_op(p.fn(name)) for name in
             ("binop", "c", "swapped", "squared", "scaled", "ident", "fold")] == \

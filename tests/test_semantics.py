@@ -1,7 +1,6 @@
 import gc
 import random
 import weakref
-from dataclasses import replace
 
 import pytest
 
@@ -283,32 +282,29 @@ def test_tiled_missing_slot_size():
         run(TILED_MAP, [vec([1, 2, 3])], allow_internal=True, config=EvalConfig())
 
 
-def test_fixed_clone_dispatch_and_bounds_checks():
-    p = parse_program(TILED_MAP, allow_internal=True)
-    fast = replace(p.fn("tile_map"), name="tile_map$k", fixed_extent=4)
-    p.functions[fast.name] = fast
-    node = p.fn("main").body[-1].value
-    p.functions["main"] = replace(p.fn("main"), body=(
-        type(p.fn("main").body[-1])(replace(node, fixed="tile_map$k")),))
+def fixed_map(k):
+    """TILED_MAP with its slot of fixed size k."""
+    return TILED_MAP.replace("tiledmap(tile_map, ", f"tiledmap(tile_map, fixed={k}, ")
 
-    xs = vec(range(1, 11))
+
+def test_fixed_clone_dispatch_and_bounds_checks():
     cfg = tiled_config(4)
-    out = eval_program(p, [xs], cfg)
+    out = run(fixed_map(4), [vec(range(1, 11))], allow_internal=True, config=cfg)
     assert out.to_nested() == list(range(2, 12))
-    # Two full tiles ran the fixed clone without per-iteration checks;
-    # the straggler (extent 2) ran the generic path with 2 checks.
+    # Two full tiles ran the fixed-size build without per-iteration checks;
+    # the straggler (extent 2) ran the generic build with 2 checks.
+    assert (cfg.counters.full_tile_calls, cfg.counters.straggler_calls) == (2, 1)
     assert cfg.counters.bounds_checks == 2
 
 
 def test_fixed_clone_wrong_extent_asserts():
-    p = parse_program(TILED_MAP, allow_internal=True)
-    wrong = replace(p.fn("tile_map"), name="tile_map$k", fixed_extent=3)
-    p.functions[wrong.name] = wrong
-    node = p.fn("main").body[-1].value
-    p.functions["main"] = replace(p.fn("main"), body=(
-        type(p.fn("main").body[-1])(replace(node, fixed="tile_map$k")),))
-    with pytest.raises(EvalError, match="specialised for"):
-        eval_program(p, [vec(range(1, 11))], tiled_config(4))
+    with pytest.raises(EvalError, match="specialised for fixed size 3, dispatched with k=4"):
+        run(fixed_map(3), [vec(range(1, 11))], allow_internal=True, config=tiled_config(4))
+    # Without a full tile only the generic build runs, and nothing is wrong.
+    cfg = tiled_config(4)
+    out = run(fixed_map(3), [vec(range(1, 4))], allow_internal=True, config=cfg)
+    assert out.to_nested() == [2, 3, 4]
+    assert cfg.counters.bounds_checks == 3
 
 
 def test_generic_path_counts_bounds_checks():
@@ -324,20 +320,26 @@ def test_generic_path_counts_bounds_checks():
 ])
 def test_fixed_clone_extent_assertion_precedes_fused_loop(op):
     # The operator's callee and combine are elementary, so it would run as
-    # one fused loop; the clone's extent assertion must still fire first.
+    # one fused loop; the fixed-size build's extent assertion must still
+    # fire first. A full tile is k long along the tiled axis, so the tile
+    # function rebinds its parameter to slice it there at another extent.
     src = f"""
     fn ident(x) {{ return x; }}
     fn add2(a, b) {{ return a + b; }}
-    fn row_op(t) {{ return {op}; }}
-    fn main(Xs) {{ return map(row_op, Xs; axes=[0]); }}
+    fn row_op(t) {{ t = t[0]; return {op}; }}
+    fn main(Xs) {{
+      return tiledreduce(row_op, fixed=3, slot=0, depth=0, combine=add2, init=0, Xs; axes=[0]);
+    }}
     """
-    p = parse_program(src)
-    p.functions["row_op"] = replace(p.fn("row_op"), fixed_extent=3)
+    p = parse_program(src, allow_internal=True)
     with pytest.raises(EvalError, match="specialised for extent 3 invoked on extent 4"):
-        eval_program(p, [NdArray.from_nested([[1, 2, 3, 4]])])
-    cfg = EvalConfig()
-    eval_program(p, [NdArray.from_nested([[1, 2, 3]])], cfg)
-    assert cfg.counters.bounds_checks == 1  # the outer map only
+        eval_program(p, [NdArray.from_nested([[1, 2, 3, 4]] * 3)], tiled_config(3))
+    cfg = tiled_config(3)
+    eval_program(p, [NdArray.from_nested([[1, 2, 3]] * 3)], cfg)
+    assert cfg.counters.bounds_checks == 0  # one full tile, its operator of extent 3
+    cfg = tiled_config(4)
+    eval_program(p, [NdArray.from_nested([[1, 2, 3, 4]] * 3)], cfg)
+    assert cfg.counters.bounds_checks == 4  # a straggler runs the generic build
 
 
 def test_missing_function_raises_only_when_reached():

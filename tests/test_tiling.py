@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -12,7 +13,7 @@ from tilepar.ndarray import ArrayValue, NdArray
 from tilepar.semantics import EvalConfig, eval_program
 from tilepar.tiling import (
     REGISTER_BUDGET, TileSpec, TilingError, normalize_for_tiling, register_tile,
-    register_tile_size, required_ranks, specialize_fixed, tile_program,
+    register_tile_size, required_ranks, tile_program,
 )
 
 import programs
@@ -114,12 +115,12 @@ def test_tiled_round_trip_debug_dialect(tiled_sum_rows):
 
 
 def test_register_tiled_round_trip_debug_dialect():
-    # Fixed-extent annotations survive print/parse in the debug dialect.
+    # Fixed sizes survive print/parse in the debug dialect.
     p = parse_program(programs.SUM_ROWS)
     res = tile_program(p)
     prog2, _ = register_tile(res.program, res.spec, 16)
     text = print_program(prog2)
-    assert "assumes extent=" in text
+    assert "fixed=4, " in text
     again = parse_program(text, allow_internal=True)
     assert again == prog2
 
@@ -773,12 +774,11 @@ def test_register_pass_structure_and_oracle():
     reg_slots = [s for s in spec2.slots if s.kind == "register"]
     assert reg_slots, "register pass added no slots"
     assert all(s.size is not None and 1 <= s.size <= 8 for s in reg_slots)
-    # Fixed-size clones attached to every register-tiled operator.
+    # Every register-tiled operator says its slot's fixed size.
     for fn in prog2.functions.values():
         for e in ir.walk_exprs(fn.body):
             if isinstance(e, ir.TILED_OPS) and e.slot in {s.id for s in reg_slots}:
-                assert e.fixed is not None
-                assert prog2.fn(e.fixed).fixed_extent == spec2.sizes()[e.slot]
+                assert e.fixed == spec2.sizes()[e.slot]
 
     m = int_matrix(9, 9, seed=11)
     base = eval_program(p, [m])
@@ -860,26 +860,37 @@ def test_empty_extents_match_untiled(name):
             assert (out.shape, out.dtype, out.data) == (base.shape, base.dtype, base.data), sizes
 
 
-def test_specialize_fixed_identity_behaviour():
-    p = parse_program(programs.ADD1_MAP)
-    clone = specialize_fixed(p, "main", 4, axes=(0,))
-    p.functions[clone.name] = clone
-    xs = NdArray((4,), "i64", "row", [1, 2, 3, 4])
-    cfg = EvalConfig()
-    out = eval_program(p, [xs], cfg, entry=clone.name)
-    assert out.to_nested() == [2, 3, 4, 5]
-    assert cfg.counters.bounds_checks == 0  # fast path
-    generic = EvalConfig()
-    assert eval_program(p, [xs], generic).to_nested() == [2, 3, 4, 5]
-    assert generic.counters.bounds_checks == 4
+def fixed_and_generic_runs(registers):
+    """The register slot's size, and the value and bounds checks of
+    `ADD1_MAP` after both passes over 0..9 with cache tiles of 7, run as
+    tiled and with every `fixed=` dropped, so that full register tiles run
+    the generic build."""
+    res = tile_program(parse_program(programs.ADD1_MAP))
+    fixed, spec = register_tile(res.program, res.spec, registers)
+    generic = parse_program(re.sub(r"fixed=\d+, ", "", print_program(fixed)),
+                            allow_internal=True)
+    runs = []
+    for program in (fixed, generic):
+        cfg = EvalConfig(tile_sizes=spec.sizes({0: 7}))
+        out = eval_program(program, [NdArray((10,), "i64", "row", list(range(10)))], cfg)
+        runs.append((out.to_nested(), cfg.counters.bounds_checks))
+    return spec.slots[1].size, runs
 
 
-def test_specialize_fixed_k1_degenerate():
-    p = parse_program(programs.ADD1_MAP)
-    clone = specialize_fixed(p, "main", 1, axes=(0,))
-    p.functions[clone.name] = clone
-    xs = NdArray((1,), "i64", "row", [41])
-    assert eval_program(p, [xs], entry=clone.name).to_nested() == [42]
+def test_fixed_size_build_identity_behaviour():
+    # Each cache tile (7, then 3) holds one full register tile of 4 at
+    # most: its fixed-size build gives the generic values and skips its
+    # 4 bounds checks.
+    k, runs = fixed_and_generic_runs(16)
+    assert k == 4
+    assert runs == [(list(range(1, 11)), 6), (list(range(1, 11)), 10)]
+
+
+def test_fixed_size_build_k1_degenerate():
+    # With one register every register tile is full, of size 1.
+    k, runs = fixed_and_generic_runs(1)
+    assert k == 1
+    assert runs == [(list(range(1, 11)), 0), (list(range(1, 11)), 10)]
 
 
 # -- rank inference -------------------------------------------------------------------

@@ -582,6 +582,13 @@ BENCHMARK_PINS = {
         457152, "ab72edf87f95f40f93df5995ea7fca799e4ad00d2297acbbb25306e2dafcb5b9"),
 }
 
+# (full-tile calls, straggler calls, bounds checks) of each midpoint run.
+BENCHMARK_COUNTER_PINS = {
+    "rowsum-col256-tune": (143, 13, 74240),
+    "matmul32-reg": (1915, 2083, 73900),
+    "prefixscan-col192": (80, 10, 103488),
+}
+
 # (accesses, hits, misses, evictions) of each midpoint trace under the
 # benchmark's cache model.
 BENCHMARK_SIM_PINS = {
@@ -601,8 +608,10 @@ def test_benchmark_trace_pinned(name):
         tiled, spec = register_tile(tiled, spec, bench.HW)
     space = estimate_bounds(tiled, spec, bench.HW, extents=wl.extents)
     sizes = spec.sizes(overrides=dict(zip(space.slot_ids, space.midpoint())))
-    events = trace_program(tiled, wl.make_inputs(0)[1], sizes)
+    _, events, counters = traced_run(tiled, wl.make_inputs(0)[1], sizes)
     assert (len(events), digest(events)) == BENCHMARK_PINS[name]
+    assert (counters.full_tile_calls, counters.straggler_calls,
+            counters.bounds_checks) == BENCHMARK_COUNTER_PINS[name]
     assert totals(simulate(events, bench.MODEL)) == BENCHMARK_SIM_PINS[name]
 
 
@@ -637,7 +646,7 @@ def test_phase_stats_pinned():
 IR_PINS = {
     "sum_rows_col": ("14c1d0c5804793911702139447aff043ae7001d170c929a8d08226f9f48fc1f2",),
     "matmul_reg": ("cdf7bf9fc5656cde65523d19d9805fc5dd767fc3d40ec8115f415bf1554408ad",
-                   "df35556ad9a2de804894a83e03c630d1d704dfe2c00be4dd5d3f6540b46a3f9d"),
+                   "23e58fb6f87a79a638d7a60f46efbdea2653b614255f27f4d0b0085fdc29814f"),
     "row_scan": ("20ee8dc7902b058dec212cd6fd930dde79d5a0a3e8bce78938bce9dfe6a2fb7a",),
     "scan_of_array_steps": ("da98c23f366196b927166437b73cf84f616d79e8f7794c8a502515ed5fad1c01",),
 }
@@ -653,12 +662,12 @@ def test_tiled_ir_pinned(name):
 
 def test_truncated_tiled_ir_raises_only_ir_errors():
     """Every proper prefix of printed tiled IR either parses or raises an
-    IRError: matmul after both passes (`fixed=`, `assumes extent=...,
-    axes=[...]`), row sums, and a row scan with `emit`."""
+    IRError: matmul after both passes (`fixed=N`), row sums, and a row
+    scan with `emit`."""
     cases = (CASES["matmul_reg"][:3], CASES["sum_rows_col"][:3],
              (programs.ROW_SCAN_EMIT, [matrix(6, 8, "i64", "row")], 0))
     texts = [print_program(tile_case(*case)[0][-1]) for case in cases]
-    assert "fixed=" in texts[0] and "assumes extent=" in texts[0] and "emit=" in texts[2]
+    assert "fixed=" in texts[0] and "emit=" in texts[2]
     for text in texts:
         for end in range(len(text)):
             try:
@@ -698,7 +707,7 @@ def corpus_digest():
     return h.hexdigest()
 
 
-CORPUS_PIN = "7f4a46c2e5494a4ee18f3448251e0f7e33e0329b87ccfcfe8345d1c53adc902c"
+CORPUS_PIN = "b9d37cf2ab82bba5afe7007a3800e6a4c1489ff51fe1e8ef7d62b9199e4681f3"
 
 
 def test_tiled_ir_corpus_pinned():
@@ -723,7 +732,7 @@ def corpus_content_digest():
     return h.hexdigest()
 
 
-CORPUS_CONTENT_PIN = "1718ea269e000d3baf8c31282945a452219b400d52084f900f789a228181bd2a"
+CORPUS_CONTENT_PIN = "e79c4bedd33799aaab8859d714ec630137ab8c480bf977d149d88aa66d61d02b"
 
 
 def test_tiled_ir_corpus_content_pinned():
@@ -735,19 +744,17 @@ def test_tiled_ir_corpus_content_pinned():
 
 def test_tiled_corpus_invariants():
     """After each tiling pass over the corpus, `main` reaches every function
-    of the table, and every tiled operator of a fixed-size slot names its
-    clone: the operator's function with the slot's size as its extent,
-    along the operator's axes."""
+    of the table, no function is a fixed-size copy (`$k` in its name), and
+    every tiled operator says its slot's fixed size: `fixed` is the size of
+    a register slot and None for a runtime-tunable one."""
     for _, passes in corpus_passes():
         for p, spec in passes:
             assert set(p.functions) == set(reachable(p, ["main"]))
-            sizes = {s.id: s.size for s in spec.slots if s.size is not None}
+            assert not any("$k" in name for name in p.functions)
+            sizes = {s.id: s.size for s in spec.slots}
             ops = [e for fn in p.functions.values() for e in walk_exprs(fn.body)
-                   if isinstance(e, TILED_OPS) and e.slot in sizes]
-            for e in ops:
-                clone = p.fn(e.fixed)
-                assert (clone.fixed_extent, clone.fixed_axes) == (sizes[e.slot], e.axes)
-                assert replace(clone, name=e.fn, fixed_extent=None, fixed_axes=None) == p.fn(e.fn)
+                   if isinstance(e, TILED_OPS)]
+            assert all(e.fixed == sizes[e.slot] for e in ops)
 
 
 def test_tiled_ir_corpus_round_trips():
