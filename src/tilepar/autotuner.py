@@ -128,10 +128,9 @@ def estimate_bounds(program, spec, hw, extents=None):
         groups.setdefault(_nest_key(slot.path), []).append(slot)
     arrays_by_nest = _count_nest_arrays(program, spec)
     bounds = {}
-    l1 = getattr(hw, "l1_bytes", None) or 32 * 1024
     for nest, group in groups.items():
         n_arrays = max(arrays_by_nest.get(nest, 1) + 1, 2)  # inputs + output
-        lo, hi = default_estimator(len(group), n_arrays, l1)
+        lo, hi = default_estimator(len(group), n_arrays, hw.l1_bytes)
         for slot in group:
             s_lo, s_hi = lo, hi
             if extents and slot.id in extents:

@@ -39,13 +39,10 @@ class CacheModel:
     capacity: int
     line_size: int = DEFAULT_LINE_BYTES
     associativity: int = DEFAULT_ASSOCIATIVITY
-    policy: str = "LRU"
 
     def __post_init__(self):
         if min(self.capacity, self.line_size, self.associativity) < 1:
             raise CacheConfigError("cache parameters must be >= 1")
-        if self.policy != "LRU":
-            raise CacheConfigError(f"unsupported replacement policy {self.policy!r}")
         if self.capacity % (self.line_size * self.associativity):
             raise CacheConfigError(
                 f"capacity {self.capacity} not divisible by line*ways "

@@ -23,8 +23,8 @@ where a bracketed field is optional and ARGS and AXES are comma-separated:
     tiledscan(F, [fixed=N,] slot=N, depth=N, combine=C, [emit=E,] init=EXPR, ARGS; axes=[AXES])
 
 A tiled operator's `fixed=N` says that its slot has the fixed size N, set
-when the program was compiled (a register tile); the interpreter then runs
-each full tile through a build of F for that size (`semantics`).
+when the program was compiled (a register tile); `semantics.Counters`
+says how the interpreter counts bounds checks in its full tiles.
 
 Closure parameters are bound by name at the operator application site:
 an operator expression `map(f, xs; axes=[0])` slices `xs` into f's

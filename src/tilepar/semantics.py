@@ -8,11 +8,10 @@ operator expression.
 
 The three tiled operators run through one method (`Interpreter._tiled`).
 It cuts every operand into full tiles plus an optional straggler and
-runs the tiles one after another in tile order. An operator whose slot
-has a fixed size k (`fixed=k`, a register tile) runs its full tiles
-through a fixed-size build of its tile function (below), and its
-straggler through the generic build; any other operator runs every tile
-through the generic build. The results are
+runs the tiles one after another in tile order, each through the one
+build of its tile function. A full tile of an operator whose slot has a
+fixed size k (`fixed=k`, a register tile) also puts k in the frame of
+its tile call, for the bounds-check rule (`Counters`). The results are
 put back together so that the outcome equals the untiled operator:
 concatenated for a map, folded with the combine for a reduce, and for a
 scan fixed up with each tile's carry, then emitted, then concatenated (a
@@ -22,8 +21,8 @@ the combine's node kernel (below) over the carry, broadcast along a new
 leading axis, and the tile: each row is one step, run as the untiled map
 would run it. Any other combine is called once per step. An empty extent
 at depth 0 gives what the untiled operator gives for zero slices; below
-depth 0 one empty straggler runs through the generic function, which
-builds the nest's own empty result.
+depth 0 one empty straggler runs through the tile function, which builds
+the nest's own empty result.
 
 The untiled ones run through one method too (`Interpreter._untiled`):
 one callee call per slice, each result folded into the accumulator
@@ -33,11 +32,7 @@ else an empty rank-1 array of the first operand's dtype.
 
 Each function is built once, on its first call, into nested closures;
 callees are looked up by name when an operator first runs, so a missing
-function raises only when execution reaches it. A tile function of a
-`fixed=k` operator also gets one fixed-size build for k and the
-operator's axes: there each operator of its body that slices the tile
-along the tiled axis must have extent k, and an operator of extent k
-counts no bounds check (`Counters`). An operator runs a
+function raises only when execution reaches it. An operator runs a
 callee that `ir.body_shape` describes without a call per slice, through
 its kernel `kernel(views, axes, extent, captured)`:
 - a leaf over rank-1 operands is one loop over a slice of each flat
@@ -118,11 +113,13 @@ class Counters:
     `full_tile_calls` and `straggler_calls` count the tiles a tiled
     operator runs. `bounds_checks` counts, for each untiled operator, one
     check per operand per slice, also for the rows a node kernel runs
-    without a call; tiled operators count none. The exception is an
-    operator in the fixed-size build of a tile function (a full tile of a
-    `fixed=k` operator): when its extent equals k it counts none, on
-    whichever axis it slices. So an axis that is only as long as k by
-    chance is skipped too."""
+    without a call; tiled operators count none. The one exception: an
+    operator run by a full tile of a `fixed=k` operator, in the tile
+    function's own frame, counts no check at extent k, on whichever axis
+    it slices. So an axis that is only as long as k by chance is skipped
+    too, while the operators of the tile function's callees, of its
+    `uses` closures and of its inner stragglers, each run in a frame of
+    its own, count as anywhere else."""
 
     full_tile_calls: int = 0
     straggler_calls: int = 0
@@ -163,12 +160,17 @@ _NO_RETURN = object()
 # The captured values of a callee without closure parameters.
 _NO_CAPTURES = types.MappingProxyType({})
 
+# The frame key that holds k in a full tile's call of the tile function of
+# a `fixed=k` operator; no program can bind it, as no identifier starts
+# with "$".
+_FIXED = "$k"
+
 # The element types `_stack` takes as scalars without a per-value check.
 _SCALARS = frozenset((int, float))
 
 
 class _Compiled:
-    """One function, built once per interpreter, or its fixed-size build.
+    """One function, built once per interpreter.
 
     `call(args, captured)` applies it to positional arguments and its
     captured closure values. `kernels` maps operand ranks to its kernel
@@ -179,14 +181,6 @@ class _Compiled:
 
     def __init__(self, fn, call, op, shape):
         self.fn, self.call, self.op, self.shape, self.kernels = fn, call, op, shape, {}
-
-
-def _strict(e, axis_of):
-    """True when operator `e` slices a parameter of the enclosing
-    fixed-size build along the axis its tiles are cut on; `axis_of` maps
-    each parameter to that axis."""
-    return any(isinstance(arg, ir.Var) and axis_of.get(arg.name) == axis
-               for arg, axis in zip(e.args, e.axes))
 
 
 def _leaf_values(fn, op, names):
@@ -266,8 +260,8 @@ def _failing(message):
 class Interpreter:
     """Evaluates a program by building each function into closures on its
     first call: statements and expressions become nested Python closures
-    over a frame dict, with callees, closure-parameter names, fixed
-    extents and strictness resolved once instead of on every call."""
+    over a frame dict, with callees and closure-parameter names resolved
+    once instead of on every call."""
 
     def __init__(self, program, config=None):
         self.program = program
@@ -302,13 +296,11 @@ class Interpreter:
 
     # -- building functions ----------------------------------------------------
 
-    def _function(self, name, fixed=None):
-        """The build of function `name`, or with `fixed`, (k, axes), its
-        fixed-size build for full tiles of size k cut along `axes`."""
-        key = name if fixed is None else (name, fixed)
-        compiled = self._functions.get(key)
+    def _function(self, name):
+        """The build of function `name`."""
+        compiled = self._functions.get(name)
         if compiled is None:
-            compiled = self._functions[key] = self._build(self.program.fn(name), fixed)
+            compiled = self._functions[name] = self._build(self.program.fn(name))
         return compiled
 
     def _callee(self, name, env):
@@ -323,12 +315,10 @@ class Interpreter:
             captured[c] = env[c]
         return f, captured
 
-    def _build(self, fn, fixed=None):
+    def _build(self, fn):
         op = ir.combine_op(fn)
         mark = self.config.trace is not None and fn is self._entry
-        if fixed is not None:
-            fixed = (fixed[0], dict(zip(fn.params, fixed[1])))
-        body = self._block(fn.body, fixed, mark)
+        body = self._block(fn.body, mark)
         params, name = fn.params, fn.name
 
         def call(args, captured):
@@ -479,15 +469,14 @@ class Interpreter:
 
     # -- statements ------------------------------------------------------------
 
-    def _block(self, block, fixed, mark):
+    def _block(self, block, mark):
         """A closure running `block` on a frame; it returns the value of
-        the first return statement reached, or _NO_RETURN. `fixed` is None,
-        or (k, parameter -> axis) in a fixed-size build.
+        the first return statement reached, or _NO_RETURN.
 
         A for loop's sequence stays alive until its block ends (`hold`):
         when a temporary dies decides which free block the allocator hands
         out next, so this keeps every traced address where it was."""
-        steps = tuple(self._statement(s, fixed, mark) for s in block)
+        steps = tuple(self._statement(s, mark) for s in block)
         if len(steps) == 1:
             return steps[0]
 
@@ -501,11 +490,11 @@ class Interpreter:
 
         return run
 
-    def _statement(self, s, fixed, mark):
+    def _statement(self, s, mark):
         phase = self.config.trace.phase if mark else None
         t = type(s)
         if t is ir.Assign:
-            target, value = s.target, self._expr(s.value, fixed)
+            target, value = s.target, self._expr(s.value)
             label = f"{target} ="
 
             def assign(frame, hold=None):
@@ -515,7 +504,7 @@ class Interpreter:
                 return _NO_RETURN
             return assign
         if t is ir.Return:
-            value = self._expr(s.value, fixed)
+            value = self._expr(s.value)
 
             def ret(frame, hold=None):
                 if phase is not None:
@@ -523,8 +512,8 @@ class Interpreter:
                 return value(frame)
             return ret
         if t is ir.If:
-            cond = self._expr(s.cond, fixed)
-            then, orelse = self._block(s.then, fixed, mark), self._block(s.orelse, fixed, mark)
+            cond = self._expr(s.cond)
+            then, orelse = self._block(s.then, mark), self._block(s.orelse, mark)
 
             def branch(frame, hold=None):
                 c = cond(frame)
@@ -533,7 +522,7 @@ class Interpreter:
                 return then(frame) if c != 0 else orelse(frame)
             return branch
         if t is ir.For:
-            var, seq, body = s.var, self._expr(s.seq, fixed), self._block(s.body, fixed, False)
+            var, seq, body = s.var, self._expr(s.seq), self._block(s.body, False)
 
             def loop(frame, hold=None):
                 if phase is not None:
@@ -557,9 +546,8 @@ class Interpreter:
 
     # -- expressions -----------------------------------------------------------
 
-    def _expr(self, e, fixed):
-        """A closure evaluating expression `e` on a frame (`fixed` as in
-        `_block`)."""
+    def _expr(self, e):
+        """A closure evaluating expression `e` on a frame."""
         t = type(e)
         if t is ir.Const:
             value = e.value
@@ -574,7 +562,7 @@ class Interpreter:
                     raise EvalError(f"unbound variable {name!r}") from None
             return var
         if t is ir.BinOp:
-            left, right = self._expr(e.left, fixed), self._expr(e.right, fixed)
+            left, right = self._expr(e.left), self._expr(e.right)
             op, f = e.op, scalar_op(e.op)
 
             def binop(frame):
@@ -584,35 +572,29 @@ class Interpreter:
                 return f(a, b)
             return binop
         if t is ir.Index:
-            array, index = self._expr(e.array, fixed), self._expr(e.index, fixed)
+            array, index = self._expr(e.array), self._expr(e.index)
             return lambda frame: self._index(array(frame), index(frame))
         if t is ir.ArrayLit:
-            items = tuple(self._expr(x, fixed) for x in e.items)
+            items = tuple(self._expr(x) for x in e.items)
             return lambda frame: self._stack([item(frame) for item in items])
         if isinstance(e, ir.TILED_OPS) or t in (ir.Map, ir.Reduce, ir.Scan):
-            return self._operator(e, fixed)
+            return self._operator(e)
         if t is ir.AllPairs:
             return _failing("AllPairs must be desugared before evaluation")
         return _failing(f"cannot evaluate {t.__name__}")
 
-    def _operator(self, e, fixed):
+    def _operator(self, e):
         """Operands evaluate first, in order, then the init value; both are
         released in that order once the operator returns."""
-        args = tuple(self._expr(a, fixed) for a in e.args)
-        init = self._expr(e.init, fixed) if hasattr(e, "init") else None
-        if type(e) in ir.TILED_OPS:
-            def tiled(frame):
-                values = [a(frame) for a in args]
-                start = init and init(frame)
-                return self._tiled(e, start, values, frame)
-            return tiled
-        k, strict = (None, False) if fixed is None else (fixed[0], _strict(e, fixed[1]))
+        args = tuple(self._expr(a) for a in e.args)
+        init = self._expr(e.init) if hasattr(e, "init") else None
+        run = self._tiled if type(e) in ir.TILED_OPS else self._untiled
 
-        def untiled(frame):
+        def operator(frame):
             values = [a(frame) for a in args]
             start = init and init(frame)
-            return self._untiled(e, start, values, frame, k, strict)
-        return untiled
+            return run(e, start, values, frame)
+        return operator
 
     def _index(self, arr, i):
         if not isinstance(arr, ArrayValue):
@@ -748,13 +730,11 @@ class Interpreter:
             views.append(a)
         return views, extent
 
-    def _untiled(self, node, init, args, env, k, strict):
+    def _untiled(self, node, init, args, env):
         """A Map, Reduce or Scan (see the module docstring); `init` is None for a
-        map. It counts one bounds check per operand per slice, except in a
-        fixed-size build for tiles of size `k` (None elsewhere): there an
-        extent of k counts none, on whichever axis the operator slices, and
-        when the operator slices a parameter along the tiled axis (`strict`)
-        any other extent raises."""
+        map. It counts bounds checks as `Counters` says: at extent k none
+        when its frame `env` holds k under `_FIXED`, else one per operand
+        per slice."""
         kind = type(node).__name__
         f, captured = self._callee(node.fn, env)
         op = emit = None
@@ -764,9 +744,7 @@ class Interpreter:
             if kind == "Scan" and node.emit is not None:
                 emit, emit_captured = self._callee(node.emit, env)
         views, extent = self._operand_views(args, node.axes, kind)
-        if extent != k:
-            if strict:
-                raise EvalError(f"{kind} specialised for extent {k} invoked on extent {extent}")
+        if extent != env.get(_FIXED):
             self.config.counters.bounds_checks += len(views) * extent
         if extent == 0:
             return self._assemble(kind, (), op, init, views[0].dtype)
@@ -836,16 +814,16 @@ class Interpreter:
         if kind is ir.TiledScan and node.emit is not None:
             emit, emit_captured = self._callee(node.emit, env)
         f, captured = self._callee(node.fn, env)
-        full, full_f = extent // k, f
+        full, full_captured = extent // k, captured
         if node.fixed is not None and full:
             if k != node.fixed:
                 raise EvalError(f"{node.fn} specialised for fixed size {node.fixed}, "
                                 f"dispatched with k={k}")
-            full_f = self._function(node.fn, (k, node.axes))
+            full_captured = {**captured, _FIXED: k}
         results = []
         for t, tiles in enumerate(zip(*[decompose(v, axis, k) or [v]
                                         for v, axis in zip(views, node.axes)])):
-            results.append((full_f if t < full else f).call(tiles, captured))
+            results.append(f.call(tiles, full_captured if t < full else captured))
         counters = self.config.counters
         counters.full_tile_calls += full
         counters.straggler_calls += len(results) - full

@@ -38,8 +38,8 @@ function with sizes chosen at run time, or returns the input unchanged
 with a reason. The register pass, ``register_tile``, tiles the
 reconstructed nests with small fixed sizes (``register_tile_size``); it
 infers the untiled ranks once per pass. Each operator it tiles says its
-slot's size (``fixed=N``), and the evaluator runs the operator's full
-tiles through a build of the tile function for that size.
+slot's size (``fixed=N``), which the evaluator checks against the tile
+size it is given and uses for its bounds-check count.
 """
 
 from __future__ import annotations

@@ -24,8 +24,6 @@ def test_model_validation():
         CacheModel(1000, 64, 8)  # not divisible
     with pytest.raises(CacheConfigError):
         CacheModel(0, 64, 8)
-    with pytest.raises(CacheConfigError):
-        CacheModel(4096, 64, 8, policy="FIFO")
 
 
 def test_hit_after_miss():

@@ -515,8 +515,8 @@ def counting_build(monkeypatch):
     calls = collections.Counter()
     build = Interpreter._build
 
-    def counted_build(self, fn, fixed=None):
-        compiled = build(self, fn, fixed)
+    def counted_build(self, fn):
+        compiled = build(self, fn)
         call = compiled.call
 
         def counted(args, captured):
@@ -671,8 +671,8 @@ def test_row_fold_near_misses_take_the_generic_path(monkeypatch):
         with pytest.raises(EvalError, match="unbound variable 'b'"):
             Interpreter(Program({**p.functions, "fold": bad})).run([x])
     # As the tile function of an operator whose slot has the fixed size 4,
-    # fold runs once per tile: its fixed-size build for the full tile skips
-    # the checks of its extent-4 fold, and the straggler counts its own.
+    # fold runs once per tile: in the full tile its extent-4 fold counts no
+    # check, and in the straggler it counts its own.
     pair = fold_program("x", body, "fn main(X) { return tiledmap(fold, fixed=4, slot=0, "
                         "depth=0, X; axes=[0]); }", internal=True)
     calls = counting_build(monkeypatch)
@@ -785,10 +785,10 @@ def test_tiled_row_sums_make_one_call_per_tile(monkeypatch):
 
 
 def test_tiled_matmul_and_row_scan_calls(monkeypatch):
-    # Only tiles, fixed-size clones, lifted combines and `x * y` with its
-    # array closure operand are called; every Map of a nest runs through
-    # its kernel (one call per row would add 448 calls to the cache pass,
-    # 1,456 to the register pass and 448 to the tiled row scan).
+    # Only tiles, lifted combines and `x * y` with its array closure
+    # operand are called; every Map of a nest runs through its kernel (one
+    # call per row would add 448 calls to the cache pass, 1,456 to the
+    # register pass and 448 to the tiled row scan).
     calls = counting_build(monkeypatch)
     program = desugar_allpairs(parse_program(programs.MATMUL))
     res = tile_program(program, arg_ranks=[2, 2])

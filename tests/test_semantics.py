@@ -287,20 +287,20 @@ def fixed_map(k):
     return TILED_MAP.replace("tiledmap(tile_map, ", f"tiledmap(tile_map, fixed={k}, ")
 
 
-def test_fixed_clone_dispatch_and_bounds_checks():
+def test_fixed_size_full_tiles_skip_checks():
     cfg = tiled_config(4)
     out = run(fixed_map(4), [vec(range(1, 11))], allow_internal=True, config=cfg)
     assert out.to_nested() == list(range(2, 12))
-    # Two full tiles ran the fixed-size build without per-iteration checks;
-    # the straggler (extent 2) ran the generic build with 2 checks.
+    # The operators of two full tiles had extent 4 and counted no check;
+    # the straggler's (extent 2) counted 2.
     assert (cfg.counters.full_tile_calls, cfg.counters.straggler_calls) == (2, 1)
     assert cfg.counters.bounds_checks == 2
 
 
-def test_fixed_clone_wrong_extent_asserts():
+def test_fixed_size_rejects_another_tile_size():
     with pytest.raises(EvalError, match="specialised for fixed size 3, dispatched with k=4"):
         run(fixed_map(3), [vec(range(1, 11))], allow_internal=True, config=tiled_config(4))
-    # Without a full tile only the generic build runs, and nothing is wrong.
+    # Without a full tile the fixed size is never relied on, and nothing is wrong.
     cfg = tiled_config(4)
     out = run(fixed_map(3), [vec(range(1, 4))], allow_internal=True, config=cfg)
     assert out.to_nested() == [2, 3, 4]
@@ -318,11 +318,11 @@ def test_generic_path_counts_bounds_checks():
     "reduce(ident, combine=add2, init=0, t; axes=[0])",
     "scan(ident, combine=add2, init=0, t; axes=[0])",
 ])
-def test_fixed_clone_extent_assertion_precedes_fused_loop(op):
-    # The operator's callee and combine are elementary, so it would run as
-    # one fused loop; the fixed-size build's extent assertion must still
-    # fire first. A full tile is k long along the tiled axis, so the tile
-    # function rebinds its parameter to slice it there at another extent.
+def test_fixed_size_checks_go_by_extent_on_fused_loops(op):
+    # The operator's callee and combine are elementary, so it runs as one
+    # fused loop; in a full tile it still counts checks by its extent. A
+    # full tile is k long along the tiled axis, so the tile function
+    # rebinds its parameter to slice it there at another extent.
     src = f"""
     fn ident(x) {{ return x; }}
     fn add2(a, b) {{ return a + b; }}
@@ -332,14 +332,47 @@ def test_fixed_clone_extent_assertion_precedes_fused_loop(op):
     }}
     """
     p = parse_program(src, allow_internal=True)
-    with pytest.raises(EvalError, match="specialised for extent 3 invoked on extent 4"):
-        eval_program(p, [NdArray.from_nested([[1, 2, 3, 4]] * 3)], tiled_config(3))
-    cfg = tiled_config(3)
-    eval_program(p, [NdArray.from_nested([[1, 2, 3]] * 3)], cfg)
-    assert cfg.counters.bounds_checks == 0  # one full tile, its operator of extent 3
+    for k, row, checks in ((3, [1, 2, 3], 0),  # one full tile, its operator of extent 3
+                           (3, [1, 2, 3, 4], 4),  # one full tile, its operator of extent 4
+                           (4, [1, 2, 3, 4], 4)):  # one straggler
+        cfg = tiled_config(k)
+        eval_program(p, [NdArray.from_nested([row] * 3)], cfg)
+        assert cfg.counters.bounds_checks == checks, (k, row)
+
+
+def test_fixed_size_rule_stays_in_the_tile_functions_frame():
+    # The tile function's own map has extent 4 and counts no check, but
+    # the reduce in its callee does, although it reads the same tile
+    # through `uses t` at extent 4: 4 rows of 4 checks in each of 2 tiles.
+    src = """
+    fn ident(x) { return x; }
+    fn add2(a, b) { return a + b; }
+    fn col_sums(r) uses t { return reduce(ident, combine=add2, init=0, t; axes=[0]); }
+    fn tile(t) { return map(col_sums, t; axes=[0]); }
+    fn main(X) { return tiledmap(tile, fixed=4, slot=0, depth=0, X; axes=[0]); }
+    """
     cfg = tiled_config(4)
-    eval_program(p, [NdArray.from_nested([[1, 2, 3, 4]] * 3)], cfg)
-    assert cfg.counters.bounds_checks == 4  # a straggler runs the generic build
+    xs = NdArray.from_nested([[4 * i + j for j in range(4)] for i in range(8)])
+    out = run(src, [xs], allow_internal=True, config=cfg)
+    assert out.to_nested() == [[24, 28, 32, 36]] * 4 + [[88, 92, 96, 100]] * 4
+    assert (cfg.counters.full_tile_calls, cfg.counters.bounds_checks) == (2, 32)
+
+
+def test_fixed_size_rule_stays_out_of_an_inner_straggler():
+    # An inner tiled operator over an empty axis runs its one empty
+    # straggler, the whole full tile, through its own tile function, whose
+    # map of extent 2 counts its checks: 2 in each of the 2 full tiles.
+    src = """
+    fn add1(x) { return x + 1; }
+    fn rows(s) { return map(add1, s; axes=[0]); }
+    fn tile(t) { return tiledmap(rows, slot=1, depth=1, t; axes=[1]); }
+    fn main(X) { return tiledmap(tile, fixed=2, slot=0, depth=0, X; axes=[0]); }
+    """
+    cfg = EvalConfig(tile_sizes={0: 2, 1: 3})
+    out = run(src, [NdArray((4, 0), "i64", "row", [])], allow_internal=True, config=cfg)
+    assert out.shape == (4, 0)
+    assert (cfg.counters.full_tile_calls, cfg.counters.straggler_calls) == (2, 2)
+    assert cfg.counters.bounds_checks == 4
 
 
 def test_missing_function_raises_only_when_reached():

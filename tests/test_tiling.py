@@ -863,8 +863,8 @@ def test_empty_extents_match_untiled(name):
 def fixed_and_generic_runs(registers):
     """The register slot's size, and the value and bounds checks of
     `ADD1_MAP` after both passes over 0..9 with cache tiles of 7, run as
-    tiled and with every `fixed=` dropped, so that full register tiles run
-    the generic build."""
+    tiled and with every `fixed=` dropped, so that full register tiles
+    count every bounds check."""
     res = tile_program(parse_program(programs.ADD1_MAP))
     fixed, spec = register_tile(res.program, res.spec, registers)
     generic = parse_program(re.sub(r"fixed=\d+, ", "", print_program(fixed)),
@@ -879,7 +879,7 @@ def fixed_and_generic_runs(registers):
 
 def test_fixed_size_build_identity_behaviour():
     # Each cache tile (7, then 3) holds one full register tile of 4 at
-    # most: its fixed-size build gives the generic values and skips its
+    # most: it gives the values of a tile without `fixed=` and skips its
     # 4 bounds checks.
     k, runs = fixed_and_generic_runs(16)
     assert k == 4

@@ -12,6 +12,7 @@ depend on the order in which the tiler visits the program.
 
 import hashlib
 import importlib.util
+import itertools
 import math
 import random
 import sys
@@ -27,8 +28,8 @@ from tilepar.ir import (
     TILED_OPS, Assign, BinOp, IRError, Map, Program, Reduce, Return, Scan, Var,
     desugar_allpairs, parse_program, print_program, reachable, walk_exprs,
 )
-from tilepar.ndarray import NdArray
-from tilepar.semantics import EvalConfig, Interpreter, TraceSink, eval_program
+from tilepar.ndarray import NdArray, ShapeError
+from tilepar.semantics import EvalConfig, EvalError, Interpreter, TraceSink, eval_program
 from tilepar.tiling import register_tile, tile_program
 
 import programs
@@ -531,6 +532,45 @@ def test_random_programs_match_generic_twins(wide, chunk):
             twin = with_generic_bodies(p)
             assert twin != p
             assert observed(p, inputs, tile_sizes) == observed(twin, inputs, tile_sizes), seed
+
+
+def register_counters_digest():
+    """One sha256 over (seed, flavour, registers, value or error text,
+    full-tile calls, straggler calls, bounds checks) of every random
+    program that both passes tile: seeds 0-199, narrow and wide, normal
+    and edge extents, 16 and 4 registers. Runtime slots take
+    `sample_tile_sizes`, register slots their fixed size."""
+    h = hashlib.sha256()
+    for seed in range(200):
+        for wide, edge in itertools.product((False, True), repeat=2):
+            program, inputs, arg_ranks = randprog.generate(seed, wide=wide, edge=edge)
+            res = tile_program(program, arg_ranks=arg_ranks)
+            if not res.changed:
+                continue
+            for registers in (16, 4):
+                reg_program, spec = register_tile(res.program, res.spec, registers)
+                sizes = spec.sizes(randprog.sample_tile_sizes(spec, random.Random(seed)))
+                config = EvalConfig(tile_sizes=sizes)
+                try:
+                    value = eval_program(reg_program, inputs, config)
+                    out = (value.shape, value.dtype, value.data) \
+                        if isinstance(value, NdArray) else value
+                except (EvalError, ShapeError) as exc:
+                    out = f"{type(exc).__name__}: {exc}"
+                c = config.counters
+                h.update(repr((seed, wide, edge, registers, out, c.full_tile_calls,
+                               c.straggler_calls, c.bounds_checks)).encode())
+    return h.hexdigest()
+
+
+REGISTER_COUNTERS_PIN = "6716f4592d7960266c78b3f8ac57459ef80f637849211501cb5eaa91a53717ac"
+
+
+def test_register_tiled_counters_pinned():
+    """Values, errors and dispatch counters of register-tiled random runs,
+    at 16 registers and at 4, where edge extents meet full register tiles
+    with inner operators of every extent."""
+    assert register_counters_digest() == REGISTER_COUNTERS_PIN
 
 
 SIM_MODEL = CacheModel(1024, 64, 2)
