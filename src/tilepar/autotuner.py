@@ -2,12 +2,13 @@
 
 The search space is seeded by a pessimistic/optimistic pair of analytic
 bounds per slot (`default_estimator`, a conservative stand-in for
-published cache-model estimators). The
-starting point is the midpoint of the bounds; each round draws a batch of
-candidates, one Gaussian sample per slot with standard deviation half the
-bound gap, clamped into bounds. Any candidate beating the best point
-becomes the new best. The search stops when the evaluation budget is
-spent or the best point survives a configured number of rounds.
+published cache-model estimators). One loop, `run_search`, does the
+search. Its starting point is the midpoint of the bounds; each round
+draws a batch of candidates, one Gaussian sample per slot with standard
+deviation half the bound gap, clamped into bounds. The cheapest candidate
+that beats the best point becomes the new best. The search stops when the
+evaluation budget is spent or the best point survives a configured number
+of rounds.
 """
 
 from __future__ import annotations
@@ -67,11 +68,8 @@ class SearchState:
     space: SearchSpace
     best: tuple[int, ...]
     best_cost: float
-    sigmas: tuple[float, ...]
     evaluations: int = 0
-    rounds: int = 0
     no_improve_rounds: int = 0
-    terminated: bool = False
     log: list = field(default_factory=list)
 
 
@@ -166,85 +164,57 @@ def _count_nest_arrays(program, spec):
 # Search
 # ---------------------------------------------------------------------------
 
-def start_search(space, probe):
-    """Evaluate the midpoint of the bounds as the initial best point."""
-    initial = space.midpoint()
-    cost = _cost(probe, initial)
-    state = SearchState(space, initial, cost if cost is not None else math.inf,
-                        space.sigmas(), evaluations=1)
-    state.log.append(LogRecord(0, initial, cost, state.best, state.best_cost))
-    return state
-
-
-def draw_candidate(state, rng):
-    sizes = tuple(int(round(rng.gauss(b, s))) for b, s in zip(state.best, state.sigmas))
-    sizes = state.space.clamp(sizes)
-    if sizes == state.best:  # redraw once, then accept the duplicate
-        sizes = state.space.clamp(tuple(int(round(rng.gauss(b, s)))
-                                        for b, s in zip(state.best, state.sigmas)))
-    return sizes
-
-
-def _cost(probe, sizes):
-    """The probe's cost of `sizes`, or None when the probe raises."""
-    try:
-        return probe.evaluate(sizes)
-    except Exception:
-        return None
-
-
-def search_step(state, probe, config, rng):
-    """One round: draw a batch, evaluate it in order, accept the best
-    candidate if it improves. Cost ties break toward the lexicographically
-    smallest candidate."""
-    if state.terminated:
-        raise AutotuneError("search already terminated")
-    candidates = [draw_candidate(state, rng) for _ in range(config.batch_size)]
-    costs = [_cost(probe, sizes) for sizes in candidates]
-    state.rounds += 1
-    state.evaluations += len(candidates)
-    scored = sorted((cost, sizes) for sizes, cost in zip(candidates, costs)
-                    if cost is not None)
-    improved = False
-    if scored and scored[0][0] < state.best_cost:
-        state.best_cost, state.best = scored[0]
-        improved = True
-    for sizes, cost in zip(candidates, costs):
-        state.log.append(LogRecord(state.rounds, sizes, cost, state.best, state.best_cost))
-    if improved:
-        state.no_improve_rounds = 0
-    else:
-        state.no_improve_rounds += 1
-    return state
-
-
-def should_terminate(state, config):
-    return (state.evaluations >= config.max_evaluations
-            or state.no_improve_rounds >= config.no_improve_limit)
-
-
 def run_search(space, probe, config):
-    """Drive rounds until the budget or the no-improvement limit is hit.
+    """Probe the midpoint of the bounds, then run rounds until the budget
+    or the no-improvement limit is hit. A round draws its whole batch,
+    each candidate redrawn once when it equals the best point, then probes
+    the batch in order and accepts its cheapest candidate if that beats
+    the best cost; cost ties break toward the lexicographically smallest
+    candidate. When no candidate ever has a cost, the best point stays
+    the midpoint, at cost inf.
 
     Each distinct candidate is probed once: a duplicate (clamping makes
     them common) reuses the first result, cost or failure, and is still
     logged as its own candidate."""
     results = {}
 
-    def first_result(sizes):
+    def cost(sizes):
+        """The probe's cost of `sizes`, or None when the probe raises."""
         if sizes not in results:
-            results[sizes] = _cost(probe, sizes)
+            try:
+                results[sizes] = probe.evaluate(sizes)
+            except Exception:
+                results[sizes] = None
         return results[sizes]
 
-    memo = CostProbe(first_result)
+    def draw():
+        return space.clamp(tuple(int(round(rng.gauss(b, s)))
+                                 for b, s in zip(state.best, sigmas)))
+
     rng = random.Random(config.seed)
-    state = start_search(space, memo)
-    while not should_terminate(state, config):
-        search_step(state, memo, config, rng)
-    state.terminated = True
-    if math.isinf(state.best_cost):
-        # No candidate ever produced a cost: fall back to the midpoint.
-        state.best = space.midpoint()
+    sigmas = space.sigmas()
+    initial = space.midpoint()
+    first = cost(initial)
+    state = SearchState(space, initial, math.inf if first is None else first, evaluations=1)
+    state.log.append(LogRecord(0, initial, first, state.best, state.best_cost))
+    rounds = 0
+    while (state.evaluations < config.max_evaluations
+           and state.no_improve_rounds < config.no_improve_limit):
+        candidates = []
+        for _ in range(config.batch_size):
+            sizes = draw()
+            candidates.append(draw() if sizes == state.best else sizes)
+        costs = [cost(sizes) for sizes in candidates]
+        rounds += 1
+        state.evaluations += len(candidates)
+        scored = sorted((c, sizes) for sizes, c in zip(candidates, costs) if c is not None)
+        if scored and scored[0][0] < state.best_cost:
+            state.best_cost, state.best = scored[0]
+            state.no_improve_rounds = 0
+        else:
+            state.no_improve_rounds += 1
+        state.log.extend(LogRecord(rounds, sizes, c, state.best, state.best_cost)
+                         for sizes, c in zip(candidates, costs))
     return state
 
 

@@ -171,13 +171,18 @@ def _load_inputs(args):
     return values
 
 
+_GEN_FIELDS = ("shape", "dtype", "layout", "seed")
+
+
 def _generated_input(spec, default_seed):
     fields = {"dtype": "f64", "layout": "row", "seed": str(default_seed)}
     for part in spec.split(","):
         if "=" not in part:
             raise UsageError(f"bad --gen field {part!r}")
-        key, value = part.split("=", 1)
-        fields[key.strip()] = value.strip()
+        key, value = (x.strip() for x in part.split("=", 1))
+        if key not in _GEN_FIELDS:
+            raise UsageError(f"unknown --gen field {key!r}")
+        fields[key] = value
     if "shape" not in fields:
         raise UsageError("--gen needs shape=DIMxDIM...")
     shape = tuple(_int(d, "--gen shape dimension") for d in fields["shape"].lower().split("x"))

@@ -45,6 +45,8 @@ import operator
 import weakref
 
 ELEM_SIZE = 8
+# Every block starts at a multiple of this many bytes.
+ALIGN = 64
 
 DTYPES = ("i64", "f64")
 LAYOUTS = ("row", "col")
@@ -490,7 +492,9 @@ class Block:
 
 
 class Allocator:
-    """Simulated address space with line-aligned bases and block reuse.
+    """Simulated address space with 64-byte-aligned bases and block reuse.
+    The alignment does not follow the cache model's line size: under a
+    128-byte line, two blocks can share a line.
 
     A block returns to a size-keyed free list when its owning array dies,
     through a `weakref.ref` callback that pops the block from `live`.
@@ -502,19 +506,18 @@ class Allocator:
     callback; once the last one dies, nothing does.
     """
 
-    def __init__(self, align=64):
-        self.align = align
+    def __init__(self):
         self.next = 0
         self.free_blocks = {}
         self.live = {}  # weakref.ref to a reclaimable array -> (size, address)
 
     def allocate(self, arr, reclaim=True):
-        """Give `arr` a line-aligned block. With `reclaim` the block returns
+        """Give `arr` a 64-byte-aligned block. With `reclaim` the block returns
         to the free list when `arr` dies. Run inputs outlive the run and
         are placed without it: their reference would keep this allocator
         alive for as long as the input."""
         nbytes = max(1, arr.size) * ELEM_SIZE
-        nbytes = (nbytes + self.align - 1) // self.align * self.align
+        nbytes = (nbytes + ALIGN - 1) // ALIGN * ALIGN
         blocks = self.free_blocks.get(nbytes)
         if blocks:
             addr = blocks.pop()

@@ -149,9 +149,9 @@ class EvalConfig:
     counters: Counters = field(default_factory=Counters)
 
 
-def eval_program(program, args, config=None, entry="main"):
-    """Evaluate `entry` on the given argument values."""
-    return Interpreter(program, config).run(args, entry)
+def eval_program(program, args, config=None):
+    """Evaluate `main` on the given argument values."""
+    return Interpreter(program, config).run(args)
 
 
 # What a block returns when it runs to its end without a return statement.
@@ -272,12 +272,12 @@ class Interpreter:
 
     # -- entry points --------------------------------------------------------
 
-    def run(self, args, entry="main"):
-        fn = self.program.fn(entry)
+    def run(self, args):
+        fn = self.program.fn("main")
         if len(args) != len(fn.params):
-            raise EvalError(f"{entry} takes {len(fn.params)} argument(s), got {len(args)}")
+            raise EvalError(f"main takes {len(fn.params)} argument(s), got {len(args)}")
         if fn.closure_params:
-            raise EvalError(f"entry function {entry} must not have closure parameters")
+            raise EvalError("entry function main must not have closure parameters")
         if self.config.trace is not None:
             self._allocator = Allocator()
             for a in args:
@@ -285,7 +285,7 @@ class Interpreter:
                     self._allocator.allocate(a, reclaim=False)
         self._entry = fn  # its statements announce trace phases when built
         try:
-            return self._function(entry).call(list(args), {})
+            return self._function("main").call(list(args), {})
         except ArithmeticError as exc:  # division by zero, float overflow
             raise EvalError(f"arithmetic error: {exc}") from exc
         finally:

@@ -3,8 +3,8 @@
 One transformation tiles one function (``_Tiler.tile_function``). It
 walks the function's body keeping three pieces of state:
 
-  * ``visited``  -- the ordered sequence of operators seen on the way down,
-    each recorded with its original (local) axes and reduce/scan payload;
+  * ``visited``  -- the untiled Map, Reduce and Scan nodes entered on the
+    way down, in order; a rebuilt nest copies each one at its level;
   * ``remaining``-- per variable, the original axes not yet sliced away,
     used to remap each operator's local axis to the global axis of the
     full-rank value the tiled operator will actually receive;
@@ -12,16 +12,17 @@ walks the function's body keeping three pieces of state:
     which its lineage was an operator argument; this drives both nest
     reconstruction and the Map-wrapping of scalar statements.
 
-Every operator becomes its tiled counterpart. A Map whose nested function
-contains further operators recurses; otherwise (and always for Reduce and
-Scan, which terminate the walk) the nested function's body is rebuilt as
-the original operator nest, stripped of non-operator statements, via
-``build_operator_nest``. Combine functions, and a scan's emit, are lifted
-by wrapping them in one Map per rank added by enclosing tiling; a scan's
-tiles scan without emit, which the evaluator applies after fixing up
-the tile boundaries. Scalar statements inside functions being tiled are
-wrapped in one Map per recorded depth so that the extra tile ranks are
-peeled off before the original expression runs.
+One rule, ``_Tiler.tile_operator``, turns every operator into its tiled
+counterpart. A Map whose nested function contains further operators
+recurses; otherwise (and always for Reduce and Scan, which terminate the
+walk) the nested function's body is rebuilt as the original operator
+nest, stripped of non-operator statements, via ``build_operator_nest``.
+Combine functions, and a scan's emit, are lifted by wrapping them in one
+Map per rank added by enclosing tiling; a scan's tiles scan without emit,
+which the evaluator applies after fixing up the tile boundaries. Scalar
+statements inside functions being tiled are wrapped in one Map per
+recorded depth so that the extra tile ranks are peeled off before the
+original expression runs.
 
 A function is left untiled when control flow is reachable from it, or
 when it has a Reduce or Scan whose combine is not `return a OP b` with OP
@@ -79,21 +80,11 @@ class UnsupportedNesting(TilingError):
     the program is left untiled rather than transformed incorrectly."""
 
 
-@dataclass(frozen=True)
-class OpLevel:
-    """One visited operator: kind plus its original payload."""
-
-    kind: str  # 'map' | 'reduce' | 'scan'
-    axes: tuple[int, ...]  # local axes, by argument position
-    combine: str | None = None
-    init: object | None = None
-
-
 @dataclass
 class TilingState:
     """Transformation bookkeeping (see module docstring)."""
 
-    visited: tuple[OpLevel, ...] = ()
+    visited: tuple = ()  # the untiled Map, Reduce and Scan nodes entered
     remaining: dict = field(default_factory=dict)  # name -> tuple of original axes
     depths: dict = field(default_factory=dict)     # name -> tuple of (depth, local axis)
 
@@ -168,8 +159,8 @@ def register_tile_size(n_operands, registers):
 # Rank bookkeeping
 # ---------------------------------------------------------------------------
 
-def required_ranks(program, entry="main"):
-    """Minimal ranks of the entry parameters, inferred from slicing usage.
+def required_ranks(program):
+    """Minimal ranks of the parameters of `main`, inferred from slicing usage.
 
     A parameter sliced along axis a needs rank >= a+1, plus one more rank
     for every requirement its slice inherits in the nested function. A
@@ -178,7 +169,7 @@ def required_ranks(program, entry="main"):
     program's axis bookkeeping only consults the axes a variable actually
     gets sliced along, so minimal ranks are sufficient.
     """
-    return _function_ranks(_rank_table(program), program.fn(entry))
+    return _function_ranks(_rank_table(program), program.fn("main"))
 
 
 def _function_ranks(req, fn):
@@ -408,20 +399,19 @@ class _Tiler:
             value = self.tile_expr(e, state, path)
         elif depths:
             # Wrap the scalar statement in one Map per recorded depth to
-            # peel the tile ranks added by enclosing operators (axis 0 at
-            # every level, matching slicing at the leading remaining axis).
-            # A tile axis recorded elsewhere would be peeled in the wrong
-            # order, so such programs are left untiled.
+            # peel the tile ranks added by enclosing operators, each Map
+            # slicing the axis recorded at its depth. The result records
+            # its tile ranks at axis 0, so a tile axis recorded elsewhere
+            # would be peeled in the wrong order: such programs are left
+            # untiled.
             if any(axis != 0 for _, axis in recorded):
                 raise UnsupportedNesting(
                     f"scalar statement {s.target!r} reads a tile whose axis is not "
                     f"leading ({path})")
-            levels = [(d, OpLevel("map", axes=(0,))) for d in depths]
             fv_order = tuple(sorted(free_vars(e)))
             wrap_eps = {v: state.depths.get(v, ()) for v in fv_order}
-            value = self.build_operator_nest(levels, wrap_eps, fv_order,
-                                             (Return(e),), f"{path}.{s.target}",
-                                             force_axis0=True)
+            value = self.build_operator_nest([(d, _PEEL) for d in depths], wrap_eps, fv_order,
+                                             (Return(e),), f"{path}.{s.target}")
         else:
             value = e
         state.depths[s.target] = tuple((d, 0) for d in depths)
@@ -432,10 +422,8 @@ class _Tiler:
     # -- operator expressions ------------------------------------------------------
 
     def tile_expr(self, e, state, path):
-        if isinstance(e, Map):
-            return self.tile_map(e, state, path)
-        if isinstance(e, (Reduce, Scan)):
-            return self.tile_reduce_scan(e, state, path)
+        if isinstance(e, UNTILED_OPS):
+            return self.tile_operator(e, state, path)
         if isinstance(e, ir.TILED_OPS):
             raise TilingError("input already contains tiled operators")
         if isinstance(e, ir.AllPairs):
@@ -460,12 +448,12 @@ class _Tiler:
             global_axes.append(remaining[axis])
         return names, tuple(global_axes)
 
-    def _enter(self, e, level, names, state, path):
+    def _enter(self, e, names, state, path):
         """The state inside operator `e`'s nested function (one level
         deeper, each sliced axis removed), its path, and a new slot for `e`."""
         depth = len(state.visited)
         inner = state.clone()
-        inner.visited = state.visited + (level,)
+        inner.visited = state.visited + (e,)
         for axis, name, param in zip(e.axes, names, self.out[e.fn].params):
             inner.depths[param] = state.depths.get(name, ()) + ((depth, axis),)
             rem = list(state.remaining[name])
@@ -474,17 +462,36 @@ class _Tiler:
         node_path = f"{path}/{e.fn}@d{depth}"
         return inner, node_path, self.new_slot(node_path, len(names))
 
-    def tile_map(self, e, state, path):
-        names, global_axes = self._operand_info(e, state, "Map")
+    def tile_operator(self, e, state, path):
+        """The tiled counterpart of Map, Reduce or Scan `e`. Its tile
+        function `{fn}$t{depth}` tiles a Map's nested function in place
+        when that function holds operators; otherwise, and always for a
+        Reduce or Scan, it is the nest of the operators visited so far
+        rebuilt around the nested function's body. A Reduce or Scan ends
+        the walk because partial results of one reduction cannot feed
+        another. Its combine and a scan's emit are lifted over the tile
+        ranks its operands gained from enclosing operators."""
+        if not isinstance(e, Map):
+            self._check_exact_combine(e, path)
+        names, global_axes = self._operand_info(e, state, type(e).__name__)
         fn = self.out[e.fn]
         depth = len(state.visited)
-        inner, node_path, slot = self._enter(e, OpLevel("map", e.axes), names, state, path)
-        if contains_parallel_op(fn.body):
+        inner, node_path, slot = self._enter(e, names, state, path)
+        if isinstance(e, Map) and contains_parallel_op(fn.body):
             body = self.tile_block(fn.body, inner, node_path)
         else:
             body = self._rebuilt_nest(fn, inner, node_path)
-        tile_fn = self.define(fresh_name(f"{fn.name}$t{depth}", self.out), fn.params, body)
-        return TiledMap(tile_fn.name, slot.size, slot.id, depth, e.args, global_axes)
+        name = self.define(fresh_name(f"{fn.name}$t{depth}", self.out), fn.params, body).name
+        if isinstance(e, Map):
+            return TiledMap(name, slot.size, slot.id, depth, e.args, global_axes)
+        added = max((len(state.depths.get(n, ())) for n in names), default=0)
+        combine = self.lift_combine(e.combine, added)
+        if isinstance(e, Reduce):
+            return TiledReduce(name, slot.size, slot.id, depth, combine, e.init, e.args,
+                               global_axes)
+        emit = self.lift_combine(e.emit, added) if e.emit is not None else None
+        return TiledScan(name, slot.size, slot.id, depth, combine, emit, e.init, e.args,
+                         global_axes)
 
     def _rebuilt_nest(self, fn, state, path):
         """`fn`'s body inside the untiled nest of the operators visited so
@@ -498,30 +505,6 @@ class _Tiler:
         nest = self.build_operator_nest(list(enumerate(state.visited)), state.depths,
                                         tuple(universe), fn.body, path)
         return (Return(nest),)
-
-    def tile_reduce_scan(self, e, state, path):
-        what = "Reduce" if isinstance(e, Reduce) else "Scan"
-        self._check_exact_combine(e, path)
-        names, global_axes = self._operand_info(e, state, what)
-        fn = self.out[e.fn]
-        depth = len(state.visited)
-        # A scan's tiles scan without `emit` (a rebuilt Scan has none): the
-        # evaluator fixes up tile boundaries on the accumulators, then emits.
-        level = OpLevel(what.lower(), e.axes, e.combine, e.init)
-        inner, node_path, slot = self._enter(e, level, names, state, path)
-        # A reduction always terminates the walk: partial results of one
-        # reduction cannot feed another, so the nested function is rebuilt
-        # from the visited nest even if it contains further operators.
-        name = self.define(fresh_name(f"{fn.name}$t{depth}", self.out), fn.params,
-                           self._rebuilt_nest(fn, inner, node_path)).name
-        added = max((len(state.depths.get(n, ())) for n in names), default=0)
-        lifted = self.lift_combine(e.combine, added)
-        if isinstance(e, Reduce):
-            return TiledReduce(name, slot.size, slot.id, depth, lifted, e.init, e.args,
-                               global_axes)
-        emit = self.lift_combine(e.emit, added) if e.emit is not None else None
-        return TiledScan(name, slot.size, slot.id, depth, lifted, emit, e.init, e.args,
-                         global_axes)
 
     def _check_exact_combine(self, e, path):
         """Each tile folds from `init` and the per-tile partials are then
@@ -547,10 +530,9 @@ class _Tiler:
         if key in self._combine_cache:
             return self._combine_cache[key]
         fn = self.out[combine]
-        levels = [(j, OpLevel("map", axes=(0, 0))) for j in range(added_ranks)]
         eps = {p: tuple((j, 0) for j in range(added_ranks)) for p in fn.params}
-        nest = self.build_operator_nest(levels, eps, fn.params, fn.body,
-                                        f"combine:{combine}", force_axis0=True)
+        nest = self.build_operator_nest([(j, _PEEL) for j in range(added_ranks)], eps,
+                                        fn.params, fn.body, f"combine:{combine}")
         clone = self.define(fresh_name(f"{combine}$t{added_ranks}", self.out), fn.params,
                             (Return(nest),))
         self._combine_cache[key] = clone.name
@@ -558,14 +540,16 @@ class _Tiler:
 
     # -- nest reconstruction --------------------------------------------------------
 
-    def build_operator_nest(self, levels, eps, var_order, block, path, force_axis0=False):
+    def build_operator_nest(self, levels, eps, var_order, block, path):
         """Rebuild the untiled operator nest over the given variables.
 
-        `levels` is a list of (depth key, OpLevel). Level j slices exactly
-        the variables whose depth record contains that key, at the local
-        axis recorded there (or axis 0 when forced); all other free
-        variables pass through as closure parameters of the generated
-        nested functions. The innermost body is `block`, untouched.
+        `levels` is a list of (depth key, untiled operator). Level j is a
+        copy of its operator that slices exactly the variables whose depth
+        record contains that key, at the local axis recorded there; all
+        other free variables pass through as closure parameters of the
+        generated nested functions. The innermost body is `block`,
+        untouched. A rebuilt Scan has no emit: the evaluator fixes up the
+        tile boundaries on the accumulators, then emits.
         """
         (depth_key, level), rest = levels[0], levels[1:]
         sliced = []
@@ -574,26 +558,25 @@ class _Tiler:
             for d, axis in eps.get(v, ()):
                 if d == depth_key:
                     sliced.append(v)
-                    axes.append(0 if force_axis0 else axis)
+                    axes.append(axis)
                     break
         if not sliced:
             raise UnsupportedNesting(
                 f"no variables recorded for nesting depth {depth_key} ({path})")
         if rest:
-            inner_expr = self.build_operator_nest(rest, eps, var_order, block, path,
-                                                  force_axis0)
-            inner_body = (Return(inner_expr),)
+            inner_body = (Return(self.build_operator_nest(rest, eps, var_order, block, path)),)
         else:
             inner_body = block
         inner_fn = self.define(fresh_name(f"{_path_base(path)}$u{depth_key}", self.out),
                                sliced, inner_body)
-        args = tuple(Var(v) for v in sliced)
-        axes = tuple(axes)
-        if level.kind == "map":
-            return Map(inner_fn.name, args, axes)
-        if level.kind == "reduce":
-            return Reduce(inner_fn.name, level.combine, level.init, args, axes)
-        return Scan(inner_fn.name, level.combine, None, level.init, args, axes)
+        fields = dict(fn=inner_fn.name, args=tuple(Var(v) for v in sliced), axes=tuple(axes))
+        if isinstance(level, Scan):
+            fields["emit"] = None
+        return replace(level, **fields)
+
+
+# The level of a nest that peels one tile rank off each value it slices.
+_PEEL = Map("", (), ())
 
 
 def _path_base(path):
@@ -605,8 +588,8 @@ def _path_base(path):
 # Entry points
 # ---------------------------------------------------------------------------
 
-def tile_program(program, arg_ranks=None, entry="main"):
-    """Tile the entry function for cache: every operator becomes a tiled
+def tile_program(program, arg_ranks=None):
+    """Tile `main` for cache: every operator becomes a tiled
     operator with a runtime-tunable size slot.
 
     Returns TilingResult; `changed` is False (with a reason, and the input
@@ -614,7 +597,7 @@ def tile_program(program, arg_ranks=None, entry="main"):
     control flow anywhere operator-reachable forces the bail-out.
     """
     validate_program(program)
-    main = program.fn(entry)
+    main = program.fn("main")
     for fn in program.functions.values():  # validation has ruled out tiled operators
         if any(isinstance(e, ir.AllPairs) for e in ir.walk_exprs(fn.body)):
             raise TilingError("AllPairs must be desugared before tiling")
@@ -626,26 +609,26 @@ def tile_program(program, arg_ranks=None, entry="main"):
 
     normalized = normalize_for_tiling(program)
     if arg_ranks is None:
-        inferred = required_ranks(normalized, entry)
+        inferred = required_ranks(normalized)
         arg_ranks = [inferred[p] for p in main.params]
     elif len(arg_ranks) != len(main.params):
-        raise TilingError(f"{entry} has {len(main.params)} parameter(s), "
+        raise TilingError(f"main has {len(main.params)} parameter(s), "
                           f"got {len(arg_ranks)} ranks")
 
     spec = TileSpec()
     try:
         tiled = _Tiler(normalized, spec).tile_function(
-            entry, dict(zip(main.params, arg_ranks)))
+            "main", dict(zip(main.params, arg_ranks)))
     except UnsupportedNesting as exc:
         return TilingResult(False, program, None, str(exc))
-    return TilingResult(True, _validated(program, ir.prune(tiled, [entry])), spec)
+    return TilingResult(True, _validated(program, ir.prune(tiled, ["main"])), spec)
 
 
-def register_tile(program, spec, hw, entry="main"):
+def register_tile(program, spec, hw):
     """Second tiling pass: fixed-size register tiles, each operator marked
     with its slot's size (`fixed=`), inside the nests the cache pass rebuilt.
 
-    Each function still reachable from the entry with untiled operators
+    Each function still reachable from `main` with untiled operators
     and no tiled ones is tiled, unless control flow is reachable from it
     or its nest cannot be rebuilt. If none is, or no registers are
     reported, the program is returned as given."""
@@ -656,9 +639,9 @@ def register_tile(program, spec, hw, entry="main"):
     new_spec = TileSpec(list(spec.slots))
     tiled = normalized = normalize_for_tiling(program)
     ranks = _rank_table(normalized)
-    order = ir.reachable(program, [entry])
+    order = ir.reachable(program, ["main"])
     # Tiling adds no control flow: check each function only if there is any.
-    flow = bool(order) and contains_control_flow(program, entry)
+    flow = bool(order) and contains_control_flow(program, "main")
     for name in order:
         fn = tiled.functions.get(name)  # None once a rewrite orphaned it
         if fn is None or not _untiled_nest(fn) or (
@@ -667,7 +650,7 @@ def register_tile(program, spec, hw, entry="main"):
         slots = len(new_spec.slots)
         try:
             tiled = ir.prune(_Tiler(tiled, new_spec, registers).tile_function(
-                name, _function_ranks(ranks, fn)), [entry])
+                name, _function_ranks(ranks, fn)), ["main"])
         except UnsupportedNesting:
             del new_spec.slots[slots:]  # slots of operators left untiled
             continue

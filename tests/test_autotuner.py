@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import math
 import random
@@ -5,9 +7,8 @@ import random
 import pytest
 
 from tilepar.autotuner import (
-    AutotuneError, CostProbe, SearchConfig, SearchSpace, autotune,
+    CostProbe, SearchConfig, SearchSpace, autotune,
     default_estimator, estimate_bounds, format_log, run_search,
-    search_step, should_terminate, start_search,
 )
 from tilepar.cachesim import CacheModel, HardwareInfo, simulate_program
 from tilepar.ir import parse_program
@@ -111,17 +112,6 @@ def test_zero_sigma_terminates_by_no_improvement():
     assert state.evaluations < 100
 
 
-def test_should_terminate_conditions():
-    cfg = SearchConfig(batch_size=2, max_evaluations=10, no_improve_limit=3)
-    state = start_search(bowl_space(), CostProbe(bowl))
-    assert not should_terminate(state, cfg)
-    state.no_improve_rounds = 3
-    assert should_terminate(state, cfg)
-    state.no_improve_rounds = 0
-    state.evaluations = 11
-    assert should_terminate(state, cfg)
-
-
 def test_probe_failures_discarded():
     calls = []
 
@@ -165,11 +155,45 @@ def test_bowl_convergence_seed42():
     assert best_within_20 <= 1.1  # within 10% of the bowl optimum (1.0)
 
 
-def test_search_step_requires_live_state():
-    cfg = SearchConfig()
-    state = run_search(bowl_space(), CostProbe(bowl), cfg)
-    with pytest.raises(AutotuneError):
-        search_step(state, CostProbe(bowl), cfg, random.Random(0))
+def search_grid():
+    """Searches over spaces with wide, zero and mixed sigmas and with
+    mostly duplicate candidates, probes that succeed, sometimes raise or
+    always raise, and a range of seeds, batch sizes, no-improvement limits
+    and budgets."""
+    spaces = (bowl_space(), SearchSpace((0,), ((16, 16),)),
+              SearchSpace((0, 1), ((1, 3), (1, 3))), SearchSpace((0, 1), ((8, 64), (5, 5))))
+
+    def smooth(sizes):
+        return 1.0 + sum((s - 40) ** 2 for s in sizes) / 4096.0
+
+    def flaky(sizes):
+        if sizes[0] % 2:
+            raise RuntimeError("odd")
+        return smooth(sizes)
+
+    def dead(sizes):
+        raise RuntimeError("nope")
+
+    for space, fn, seed, batch, limit, budget in itertools.product(
+            spaces, (smooth, flaky, dead), range(5), (1, 3, 4), (1, 3, 10), (6, 20)):
+        cfg = SearchConfig(batch_size=batch, max_evaluations=budget,
+                           no_improve_limit=limit, seed=seed)
+        yield run_search(space, CostProbe(fn), cfg)
+
+
+# sha256 of `search_grid`'s logs and final states.
+SEARCH_PIN = "4056ced4f6f6982a81764d4ffa55695aebaca54fcb23fc6cef87cfce4f8386d0"
+
+
+def test_search_grid_pinned():
+    """Every search of the grid logs the same candidates and costs, and
+    ends in the same state."""
+    h = hashlib.sha256()
+    for state in search_grid():
+        h.update(format_log(state).encode())
+        h.update(repr((state.best, state.best_cost, state.evaluations,
+                       state.no_improve_rounds)).encode())
+    assert h.hexdigest() == SEARCH_PIN
 
 
 # -- end-to-end autotune -------------------------------------------------------------

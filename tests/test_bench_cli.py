@@ -558,8 +558,10 @@ def test_cli_tile_takes_ranks_from_inputs(program_file, capsys):
     (["cachesim", "--gen", "shape=4x4", "--tiling", "cache", "--tile-sizes", "4,-2"],
      "tile size must be >= 1, got -2"),
     (["tile", "--ranks=-1"], "rank must be >= 0, got -1"),
+    (["run", "--gen", "shape=2x3,dtpye=i64"], "unknown --gen field 'dtpye'"),
 ], ids=["tile-size-count", "autotune-no-input", "autotune-batch-0", "cachesim-no-input",
-        "run-tile-size-0", "cachesim-tile-size-negative", "tile-rank-negative"])
+        "run-tile-size-0", "cachesim-tile-size-negative", "tile-rank-negative",
+        "gen-unknown-field"])
 def test_cli_usage_error_line(argv, error, program_file, capsys):
     argv = argv[:1] + ["--program", program_file(programs.SUM_ROWS)] + argv[1:]
     assert main(argv) == 1

@@ -716,9 +716,28 @@ def test_truncated_tiled_ir_raises_only_ir_errors():
                 pass
 
 
+def tiling_passes(cases, registers=16):
+    """For every (program, entry ranks) case: the bail-out reason and no
+    passes, or None and the (program, spec) after each tiling pass."""
+    for program, arg_ranks in cases:
+        res = tile_program(program, arg_ranks=arg_ranks)
+        if not res.changed:
+            yield res.reason, ()
+        else:
+            yield None, ((res.program, res.spec),
+                         register_tile(res.program, res.spec, registers))
+
+
+def randprog_cases(**flavour):
+    """(program, entry ranks) of randprog seeds 0-199 in one flavour."""
+    for seed in range(200):
+        program, _, arg_ranks = randprog.generate(seed, **flavour)
+        yield program, arg_ranks
+
+
 def corpus_passes():
-    """For every program of the corpus: the bail-out reason and no passes,
-    or None and the (program, spec) after each tiling pass."""
+    """`tiling_passes` over the corpus: randprog seeds 0-199, narrow and
+    wide, and the benchmark sources."""
     cases = []
     for seed in range(200):
         for wide in (False, True):
@@ -726,22 +745,17 @@ def corpus_passes():
             cases.append((program, arg_ranks))
     for src, arg_ranks in ((MATMUL_SRC, [2, 2]), (SUM_ROWS_SRC, [2]), (SQDIST_SRC, [2, 2])):
         cases.append((desugar_allpairs(parse_program(src)), arg_ranks))
-    for program, arg_ranks in cases:
-        res = tile_program(program, arg_ranks=arg_ranks)
-        if not res.changed:
-            yield res.reason, ()
-        else:
-            yield None, ((res.program, res.spec), register_tile(res.program, res.spec, 16))
+    return tiling_passes(cases)
 
 
-def corpus_digest():
+def tiling_digest(passes):
     """One sha256 over the printed IR and slot table after each tiling
-    pass, or the bail-out reason, for every program of the corpus."""
+    pass, or the bail-out reason, for every program of `passes`."""
     h = hashlib.sha256()
-    for reason, passes in corpus_passes():
+    for reason, programs_and_specs in passes:
         if reason is not None:
             h.update(f"untiled: {reason}\n".encode())
-        for p, spec in passes:
+        for p, spec in programs_and_specs:
             h.update(print_program(p).encode())
             h.update(spec.table().encode())
     return h.hexdigest()
@@ -753,13 +767,33 @@ CORPUS_PIN = "b9d37cf2ab82bba5afe7007a3800e6a4c1489ff51fe1e8ef7d62b9199e4681f3"
 def test_tiled_ir_corpus_pinned():
     """Both tiling passes print the same IR and slot tables over the
     random-program corpus and the benchmark sources."""
-    assert corpus_digest() == CORPUS_PIN
+    assert tiling_digest(corpus_passes()) == CORPUS_PIN
+
+
+# Randprog edge programs (input extents 0-3 change the random stream, and
+# so the programs), narrow and wide, at 16 registers; and the corpus's
+# narrow and wide programs at 4 registers, where register tiles are
+# smaller.
+OTHER_PROGRAMS_PIN = "e5582b0705269497e46b361edbb5a7671a84ffa74da32c51740c698ac3cfce6a"
+
+
+def test_tiled_ir_edge_and_few_registers_pinned():
+    """Both tiling passes print the same IR and slot tables, or give the
+    same bail-out reason, beyond the corpus: over randprog edge programs
+    and at 4 registers."""
+    passes = itertools.chain(
+        tiling_passes(randprog_cases(edge=True)),
+        tiling_passes(randprog_cases(edge=True, wide=True)),
+        tiling_passes(randprog_cases(), registers=4),
+        tiling_passes(randprog_cases(wide=True), registers=4))
+    assert tiling_digest(passes) == OTHER_PROGRAMS_PIN
 
 
 def corpus_content_digest():
-    """`corpus_digest`, blind to the order of the function table and to
-    functions `main` does not reach: after each tiling pass, the printed
-    functions reachable from `main`, sorted, and the slot table."""
+    """`tiling_digest` of the corpus, blind to the order of the function
+    table and to functions `main` does not reach: after each tiling pass,
+    the printed functions reachable from `main`, sorted, and the slot
+    table."""
     h = hashlib.sha256()
     for reason, passes in corpus_passes():
         if reason is not None:
