@@ -403,9 +403,9 @@ def fresh_name(base, taken):
 def body_shape(fn):
     """How `fn`'s whole body `return E` is built, or None: ("leaf", OP,
     NAMES) for E `x` (OP None) or `a OP b` over parameters or closure
-    parameters; (KIND, G, COMBINE, INIT) for a map, reduce or scan of G over
-    fn's own parameters in order along axis 0 in a function without closure
-    parameters, with no emit and an int or float constant INIT (COMBINE and
+    parameters; (KIND, G, COMBINE, INIT, NAMES) for a map, reduce or scan
+    of G along axis 0 over operands NAMES, each a parameter or closure
+    parameter, with no emit and an int or float constant INIT (COMBINE and
     INIT None for a map). G is described by its own shape."""
     if len(fn.body) != 1 or not isinstance(fn.body[0], Return):
         return None
@@ -413,13 +413,14 @@ def body_shape(fn):
     operands = (e,) if isinstance(e, Var) else (e.left, e.right) if isinstance(e, BinOp) else ()
     if operands and all(isinstance(x, Var) and x.name in names for x in operands):
         return ("leaf", getattr(e, "op", None), tuple(x.name for x in operands))
-    if (type(e) not in (Map, Reduce, Scan) or fn.closure_params or getattr(e, "emit", None)
-            or e.args != tuple(map(Var, fn.params)) or any(e.axes)):
+    if (type(e) not in (Map, Reduce, Scan) or getattr(e, "emit", None) or any(e.axes)
+            or not all(isinstance(x, Var) and x.name in names for x in e.args)):
         return None
+    operands = tuple(x.name for x in e.args)
     if type(e) is Map:
-        return ("map", e.fn, None, None)
+        return ("map", e.fn, None, None, operands)
     if type(e.init) is Const and type(e.init.value) in (int, float):
-        return (type(e).__name__.lower(), e.fn, e.combine, e.init.value)
+        return (type(e).__name__.lower(), e.fn, e.combine, e.init.value, operands)
     return None
 
 

@@ -38,21 +38,31 @@ its kernel `kernel(views, axes, extent, captured)`:
 - a leaf over rank-1 operands is one loop over a slice of each flat
   buffer (scalar closure operands broadcast); it gives its results, one
   scalar per slice, which the operator stacks, folds or scans;
-- a map, reduce or scan of the callee's own parameters (a node) runs once
-  per row without a frame, its callee by the same rule. Over rank-2
-  operands it reads each row as a slice of the flat buffer, without a
-  View per row, and checks the row extents once. A reduce node gives its
-  rows' results, one scalar per row. A map or scan node gives its whole
-  stacked value as one `_Stack`: a flat row-major element list, with the
-  shape and the dtype that stacking its rows' arrays would give. Each row
-  appends its results to that list, and a node over rank 3 or more
-  concatenates its rows' lists. The caller that needs an array
-  (`_assemble`) adopts the list once.
+- a leaf `a OP b` over rank-2 operands of its own parameters runs each
+  row's elementwise operation without a frame or a View, and gives the
+  rows stacked, as a `_Stack` (below) of the elementwise result's dtype;
+- a map, reduce or scan (a node) runs once per row without a frame, its
+  callee by the same rule. Its operands are any of its parameters, whose
+  rows it takes, and its closure parameters, the same value for every
+  row: over rank-2 operands a rank-1 closure array is broadcast as a View
+  of stride 0 along the rows, as a tile's fix-up broadcasts its carry.
+  The callee of a map node may read closures, bound per row from the
+  node's parameters or closure values. Over rank-2 operands a node reads
+  each row as a slice of the flat buffer, without a View per row, and
+  checks the row extents once. A reduce node gives its rows' results, one
+  scalar per row. A map or scan node gives its whole stacked value as one
+  `_Stack`: a flat row-major element list, with the shape and the dtype
+  that stacking its rows' arrays would give. Each row appends its results
+  to that list, and a map node whose rows are arrays concatenates its
+  rows' lists. The caller that needs an array (`_assemble`) adopts the
+  list once.
 A fold (Reduce or Scan) runs only a leaf so, with a scalar init, no emit
-and a combine `return a OP b`. Stacked scalars are the output's element
-list as they are; arrays are stacked as a concat joins its parts
-(`ndarray.join`). All give the values, trace events, allocations,
-counters and errors of one call per slice.
+and a combine `return a OP b`. A kernel that meets an operand it has no
+rule for (a scalar or wrong-rank closure) declines before any side
+effect, and the operator makes one call per slice. Stacked scalars are
+the output's element list as they are; arrays are stacked as a concat
+joins its parts (`ndarray.join`). All give the values, trace events,
+allocations, counters and errors of one call per slice.
 
 The interpreter builds its arrays with `ndarray.adopt`, from a finished
 element list and a shape, dtype and layout it derived itself, so nothing
@@ -96,9 +106,9 @@ from dataclasses import dataclass, field
 
 from . import ir
 from .ndarray import (
-    ELEM_SIZE, Allocator, ArrayValue, Block, NdArray, View, addresses, adopt, concat, decompose,
-    element_list, elementwise, interleave, join, make_strides, result_dtype, scalar_op,
-    slice_axis, span, tile_view,
+    ELEM_SIZE, Allocator, ArrayValue, Block, NdArray, ShapeError, View, addresses, adopt, concat,
+    decompose, element_list, elementwise, interleave, join, make_strides, result_dtype,
+    scalar_op, slice_axis, span, tile_view,
 )
 
 
@@ -207,18 +217,48 @@ def _row_extent(views, axes, what):
     return n
 
 
+def _row_ranges(views, axes, n):
+    """`i ->` the byte addresses of row i of each of the rank-2 `views`
+    sliced along `axes`, every row of extent n: one range per view."""
+    spans = [(v.root.addr + v.offset * ELEM_SIZE, v.strides[axis] * ELEM_SIZE,
+              v.strides[1 - axis] * ELEM_SIZE) for v, axis in zip(views, axes)]
+    return lambda i: [range(base + i * row, base + i * row + n * step, step)
+                      for base, row, step in spans]
+
+
 def _row_reads(views, axes, n):
     """`i ->` the byte addresses a leaf reads at row i of the rank-2 `views`
     sliced along `axes`, every row of extent n: per index, one per view in
     order (`ndarray.interleave`). One view's row is its range, with no
     list built per row: the hot case, as a traced row sum reads one view."""
-    spans = [(v.root.addr + v.offset * ELEM_SIZE, v.strides[axis] * ELEM_SIZE,
-              v.strides[1 - axis] * ELEM_SIZE) for v, axis in zip(views, axes)]
-    if len(spans) == 1:
-        (base, row, step), = spans
+    if len(views) == 1:
+        (v,), (axis,) = views, axes
+        base, row = v.root.addr + v.offset * ELEM_SIZE, v.strides[axis] * ELEM_SIZE
+        step = v.strides[1 - axis] * ELEM_SIZE
         return lambda i: range(base + i * row, base + i * row + n * step, step)
-    return lambda i: interleave([range(base + i * row, base + i * row + n * step, step)
-                                 for base, row, step in spans])
+    ranges = _row_ranges(views, axes, n)
+    return lambda i: interleave(ranges(i))
+
+
+def _gathered(views, axes, extent, captured, sources):
+    """(operands, axes): the operands of a node's operator stacked over the
+    node's `extent` rows, from `sources` (see `Interpreter._new_kernel`),
+    and the axis of each that holds the rows. A parameter gives its view;
+    a closure operand, a rank-1 array, is broadcast as a View with stride 0
+    along a new leading axis, as `Interpreter._fix_up` broadcasts a carry.
+    (None, None) when a closure operand is anything else."""
+    out, out_axes = [], []
+    for s in sources:
+        if type(s) is int:
+            out.append(views[s])
+            out_axes.append(axes[s])
+            continue
+        v = captured[s]
+        if not isinstance(v, ArrayValue) or len(v.shape) != 1:
+            return None, None
+        out.append(View(v.root, v.offset, (extent,) + v.shape, (0,) + v.strides))
+        out_axes.append(0)
+    return out, out_axes
 
 
 def _scalar_dtype(values):
@@ -238,17 +278,18 @@ class _Stack:
     sink, `rows` lists the address-only block (`ndarray.Block`) that holds
     the place of each row's own value, in row order; else it is None."""
 
-    __slots__ = ("data", "shape", "empty", "rows")
+    __slots__ = ("data", "shape", "empty", "rows", "exact")
 
-    def __init__(self, data, shape, empty, rows):
-        self.data, self.shape, self.empty, self.rows = data, shape, empty, rows
+    def __init__(self, data, shape, empty, rows, exact=None):
+        self.data, self.shape, self.empty, self.rows, self.exact = data, shape, empty, rows, exact
 
     @property
     def dtype(self):
-        """The dtype that stacking the rows' arrays gives: the first
+        """The dtype that stacking the rows' arrays gives: `exact` when the
+        rows are arrays whose dtype their operands decide, else the first
         operand's (`empty`) when there is no element, else `_scalar_dtype`
         of the elements."""
-        return _scalar_dtype(self.data) if self.data else self.empty
+        return self.exact or (_scalar_dtype(self.data) if self.data else self.empty)
 
 
 def _failing(message):
@@ -335,8 +376,8 @@ class Interpreter:
         """The kernel of `f` for operands of `ranks` (see the module docstring) or
         None: `kernel(views, axes, extent, captured)` lists f's results at every slice
         of `views` along `axes` (a map or scan node gives them stacked, as a `_Stack`),
-        or is None before any side effect. A node's callee has no closure parameters;
-        a fold node needs rank 2 and a combine with `op`."""
+        or is None before any side effect. A fold node needs rank 2 and a combine
+        with `op`."""
         if ranks not in f.kernels:
             f.kernels[ranks] = self._new_kernel(f, ranks)
         return f.kernels[ranks]
@@ -346,22 +387,35 @@ class Interpreter:
         if shape is None or len(ranks) != len(fn.params):
             return None
         if shape[0] == "leaf":
-            return self._leaf(fn, shape[1], shape[2]) if set(ranks) == {1} else None
-        kind, g, combine, init = shape
+            op, names = shape[1], shape[2]
+            if set(ranks) == {1}:
+                return self._leaf(fn, op, names)
+            if set(ranks) == {2} and op is not None and set(names) <= set(fn.params):
+                return self._row_map(op, [fn.params.index(n) for n in names])
+            return None
+        kind, g, combine, init, names = shape
         functions = self.program.functions
-        if min(ranks) < 2 or g not in functions or functions[g].closure_params:
+        if min(ranks) < 2 or g not in functions:
             return None
+        callee, scope = functions[g], fn.params + fn.closure_params
+        if any(c not in scope for c in callee.closure_params):
+            return None
+        # Where each operand of the node's operator comes from: the index of
+        # a parameter, whose rows it takes, or the name of a closure
+        # parameter, the same value for every row.
+        sources = [fn.params.index(n) if n in fn.params else n for n in names]
         op = self._function(combine).op if combine in functions else None
-        if kind != "map" and (op is None or set(ranks) != {2}):
-            return None
-        if set(ranks) == {2}:  # only a leaf has a kernel for rank-1 operands
-            callee, leaf = functions[g], ir.body_shape(functions[g])
-            if leaf is None or leaf[0] != "leaf" or len(callee.params) != len(ranks):
+        leaf = ir.body_shape(callee)
+        if (set(ranks) == {2} and leaf is not None and leaf[0] == "leaf"
+                and not callee.closure_params and len(callee.params) == len(names)):
+            if kind != "map" and op is None:
                 return None
             values = _leaf_values(callee, leaf[1], leaf[2])[1]
-            return self._leaf_node(kind, values, op, init, len(ranks))
-        inner = self._kernel(self._function(g), tuple(r - 1 for r in ranks))
-        return inner and self._node(inner, len(ranks))
+            return self._leaf_node(kind, values, op, init, sources,
+                                   sources == list(range(len(ranks))))
+        if kind != "map":
+            return None
+        return self._node(fn, self._function(g), sources, ranks)
 
     def _leaf(self, fn, op, names):
         """Kernel of leaf `fn`, None for an array closure operand. It reports
@@ -375,24 +429,65 @@ class Interpreter:
                 if isinstance(captured[n], ArrayValue):
                     return None
                 columns.append([captured[n]] * extent)
-            if trace is not None:
+            if trace is not None and extent:
                 trace.run(interleave(list(map(addresses, views))), "R")
             return values(columns)
         return leaf
 
-    def _leaf_node(self, kind, values, op, init, arity):
+    def _row_map(self, op, picks):
+        """Kernel of a leaf `a OP b` over the parameters `picks` when the
+        operands are rank 2: per row, the elementwise operation
+        (`_elementwise`) over the two rows, without a frame or a View. A
+        row's values are computed, then its block is placed, then one `RRW`
+        run reads both rows and writes the block. Row extents are checked
+        once and raise as `ndarray.elementwise` does. It gives a `_Stack`
+        whose dtype is the elementwise result's."""
+        f, trace = scalar_op(op), self.config.trace
+
+        def rows(views, axes, extent, captured):
+            (a, ax), (b, bx) = ((views[p], axes[p]) for p in picks)
+            n, m = a.shape[1 - ax], b.shape[1 - bx]
+            if extent and n != m:
+                raise ShapeError(f"elementwise shape mismatch: {(n,)} vs {(m,)}")
+            spans = [(v.root.data, v.offset, v.strides[axis], v.strides[1 - axis])
+                     for v, axis in ((a, ax), (b, bx))]
+            (da, oa, sa, ta), (db, ob, sb, tb) = spans
+            out, blocks = [], [] if trace is not None else None
+            ranges = trace and _row_ranges([a, b], (ax, bx), n)
+            for i in range(extent):
+                i_a, i_b = oa + i * sa, ob + i * sb
+                out += map(f, da[i_a:i_a + n * ta:ta], db[i_b:i_b + n * tb:tb])
+                if blocks is not None:
+                    block = self._placed(Block(n))
+                    if n:
+                        start = block.addr
+                        trace.run(interleave(ranges(i) + [range(start, start + n * ELEM_SIZE,
+                                                               ELEM_SIZE)]), "RRW")
+                    blocks.append(block)
+            dtype = "f64" if op == "/" else result_dtype((a, b))
+            return _Stack(out, (extent, n) if extent else (0,), views[0].dtype, blocks,
+                          dtype if extent else None)
+        return rows
+
+    def _leaf_node(self, kind, values, op, init, sources, direct):
         """Kernel of a node over rank-2 operands whose callee is a leaf with
         `values` (`_leaf_values`): per row, the untiled operator without a
-        frame. Row i of each operand is the flat span (root, offset + i *
-        strides[axis], strides[1 - axis]); no View is built for it. Row
-        extents are checked once. A reduce gives its rows' results, and
-        reports the reads of all its rows as one run, as nothing comes
-        between them. A map or a scan appends each row's results to one
-        element list and gives a `_Stack`; it reports each row's reads as a
-        run before the row's block takes the row's results."""
+        frame. Its operator's operands come from `sources` (see
+        `_new_kernel`), `direct` when they are the node's parameters, in
+        order: a closure operand, a rank-1 array, is broadcast to every row
+        as a View with stride 0 along the rows, and any other closure value
+        makes it decline. Row i of each operand is the flat
+        span (root, offset + i * strides[axis], strides[1 - axis]); no View
+        is built for it. Row extents are checked once. A reduce gives its
+        rows' results, and reports the reads of all its rows as one run, as
+        nothing comes between them. A map or a scan appends each row's
+        results to one element list and gives a `_Stack`; it reports each
+        row's reads as a run before the row's block takes the row's
+        results."""
         what, counters, trace = kind.capitalize(), self.config.counters, self.config.trace
         one_run = trace is not None and kind == "reduce"
         run_per_row = trace is not None and not one_run
+        arity = len(sources)
         if kind == "reduce":
             def row(columns, out):
                 out.append(functools.reduce(op, values(columns), init))
@@ -405,6 +500,10 @@ class Interpreter:
                 out += values(columns)
 
         def node(views, axes, extent, captured):
+            if not direct:
+                views, axes = _gathered(views, axes, extent, captured, sources)
+                if views is None:
+                    return None
             n = extent and _row_extent(views, axes, what)
             spans = [(v.root.data, v.offset, v.strides[axis], v.strides[1 - axis])
                      for v, axis in zip(views, axes)]
@@ -426,24 +525,52 @@ class Interpreter:
             return _Stack(out, (extent, n) if extent else (0,), views[0].dtype, blocks)
         return node
 
-    def _node(self, inner, arity):
-        """Kernel of a map node over operands of rank 3 or more (only a map
-        has one) whose callee's kernel is `inner`: per row, the untiled
-        operator without a frame. It concatenates its rows' element lists
-        into one `_Stack`; a row's block takes the row's own rows
-        (`_append_row`)."""
-        zeros, counters, append = (0,) * arity, self.config.counters, self._append_row
+    def _node(self, fn, callee, sources, ranks):
+        """Kernel of map node `fn`, with callee `callee`, over operands of
+        `ranks` that `_leaf_node` does not run: per row, the untiled map
+        without a frame. Each row's operands come from `sources` (see
+        `_new_kernel`), and so do the callee's closure values, bound per
+        row from the node's own parameters. The callee's kernel is picked
+        for the operands' ranks once per operand ranks, and may decline at
+        row 0 only, as every row has row 0's ranks and extents. It
+        concatenates its rows' element lists into one `_Stack`; a row's
+        block takes the row's own rows (`_append_row`)."""
+        arity, counters, append = len(sources), self.config.counters, self._append_row
+        zeros = (0,) * arity
+        binds = [(c, fn.params.index(c) if c in fn.params else c)
+                 for c in callee.fn.closure_params]
+        fixed = None
+        if all(type(s) is int for s in sources):
+            fixed = self._kernel(callee, tuple(ranks[s] - 1 for s in sources))
+            if fixed is None:
+                return None
 
         def node(views, axes, extent, captured):
             slicers = [self._slicer(v, axis) for v, axis in zip(views, axes)]
-            # Every row has the extents of row 0, and only row 0 checks them.
-            n = extent and self._operand_views([s(0) for s in slicers], zeros, "Map")[1]
             out, blocks = [], [] if self.config.trace is not None else None
-            shape = ()
-            for rows in zip(*[map(s, range(extent)) for s in slicers]):
+            shape, n, inner, empty, exact = (), 0, fixed, views[0].dtype, None
+            for i in range(extent):
+                rows = [s(i) for s in slicers]
+                operands = [rows[s] if type(s) is int else captured[s] for s in sources]
+                bound = {c: rows[s] if type(s) is int else captured[s] for c, s in binds} \
+                    if binds else _NO_CAPTURES
+                if not i:
+                    # Every row has the extents of row 0, and only row 0 checks them.
+                    n = self._operand_views(operands, zeros, "Map")[1]
+                    inner = inner or self._kernel(callee, tuple(len(v.shape) for v in operands))
+                    if inner is None:
+                        return None
+                    empty = operands[0].dtype
                 counters.bounds_checks += arity * n
-                shape = append(out, blocks, inner(rows, zeros, n, None), n)
-            return _Stack(out, (extent,) + shape if extent else (0,), views[0].dtype, blocks)
+                value = inner(operands, zeros, n, bound)
+                if value is None:  # row 0, before any side effect
+                    counters.bounds_checks -= arity * n
+                    return None
+                if not i and type(value) is _Stack:
+                    exact = value.exact
+                shape = append(out, blocks, value, n)
+                del value  # its rows' blocks die now (`_append_row`)
+            return _Stack(out, (extent,) + shape if extent else (0,), empty, blocks, exact)
         return node
 
     def _append_row(self, out, blocks, value, n):

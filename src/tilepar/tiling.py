@@ -34,13 +34,19 @@ program once (``normalize_for_tiling``: every operator the whole
 right-hand side of its statement, with variable or constant arguments),
 keeps only the functions the entry reaches, and validates only the
 functions it created or replaced; a pass that changes nothing returns its
-input as given. The cache pass, ``tile_program``, tiles the entry
-function with sizes chosen at run time, or returns the input unchanged
-with a reason. The register pass, ``register_tile``, tiles the
-reconstructed nests with small fixed sizes (``register_tile_size``); it
-infers the untiled ranks once per pass. Each operator it tiles says its
-slot's size (``fixed=N``), which the evaluator checks against the tile
-size it is given and uses for its bounds-check count.
+input as given. The cache pass, ``tile_program``, first fuses every
+elementwise producer into the operator that consumes it
+(``fuse_producers``), so that a tile covers the reads of the producer's
+inputs rather than a temporary built over the whole extent before the
+operator runs: in matmul, `p = x * y` becomes operands x and y of the
+reduce, whose callee computes `x * y`, and the register tiles then
+reorder input reads. It then tiles the entry function with sizes chosen
+at run time, or returns its input unchanged, unfused, with a reason. The
+register pass, ``register_tile``, tiles the reconstructed nests with
+small fixed sizes (``register_tile_size``); it infers the untiled ranks
+once per pass. Each operator it tiles says its slot's size
+(``fixed=N``), which the evaluator checks against the tile size it is
+given and uses for its bounds-check count.
 """
 
 from __future__ import annotations
@@ -337,6 +343,219 @@ def _norm_expr(e, bind, top):
 
 
 # ---------------------------------------------------------------------------
+# Producer fusion
+# ---------------------------------------------------------------------------
+
+def fuse_producers(program, arg_ranks):
+    """`program` with every elementwise producer fused into the Map,
+    Reduce or Scan that consumes it, until none is left; `arg_ranks` are
+    the untiled ranks of `main`'s parameters.
+
+    A producer is an operand `E` of such an operator, or a statement
+    `p = E` whose `p` is read once in its function, as an operand of one
+    such operator, and by nothing else: no other statement, no return,
+    no callee's `uses`. `E` is a tree of binary operators over variables
+    and constants, and in every context the rank oracle sees, each of its
+    variables has either `p`'s rank (an array) or rank 0 (a scalar). The
+    arrays, each once, replace `p` among the operator's operands, sliced
+    along `p`'s axis. The callee is composed with `E`: its parameter is
+    substituted when its body is `return X` with X free of operators and
+    reading the parameter once, else `param = E` is prepended. Scalars
+    stay scalars, read by the composed callee through `uses`. Each
+    element is computed as it was, so values are those of the program as
+    written. Functions with control flow or a name bound twice are left
+    as they are."""
+    while True:
+        fused = _fuse_one(program, arg_ranks)
+        if fused is None:
+            return program
+        program = fused
+
+
+def _fuse_one(program, arg_ranks):
+    """`program` with its first producer fused (see `fuse_producers`), or
+    None when it has none. Ranks are inferred only once a producer shows."""
+    contexts = None
+    for name, e, pos, producer, value in _producers(program):
+        if contexts is None:
+            contexts = _rank_contexts(program, arg_ranks)
+        kinds = name in contexts and _operand_kinds(value, e.args[pos], e.axes[pos],
+                                                    contexts[name])
+        callee = kinds and _compose(program, program.fn(e.fn), pos, value, *kinds)
+        if not callee:
+            continue
+        arrays = kinds[0]
+        op = replace(e, fn=callee.name,
+                     args=e.args[:pos] + tuple(map(Var, arrays)) + e.args[pos + 1:],
+                     axes=e.axes[:pos] + (e.axes[pos],) * len(arrays) + e.axes[pos + 1:])
+        fn = program.functions[name]
+        body = tuple(s for s in fn.body if s is not producer)
+        out = Program(dict(program.functions))
+        out.functions[callee.name] = callee
+        out.functions[name] = replace(fn, body=_replace_expr(body, e, op))
+        return out
+    return None
+
+
+def _producers(program):
+    """(function name, operator, operand position, producer statement or
+    None, elementwise value) of every operand of a Map, Reduce or Scan
+    that is a tree of binary operators, or a variable whose one read is
+    that operand and whose statement computes such a tree, in a function
+    without control flow that binds each name once."""
+    for name, fn in program.functions.items():
+        assigned = _single_assignments(fn)
+        if assigned is None:
+            continue
+        for e in (e for s in fn.body for e in _operators(s.value)):
+            for pos, arg in enumerate(e.args):
+                producer = assigned.get(arg.name) if type(arg) is Var else None
+                value = producer.value if producer else arg
+                if type(value) is BinOp and _elementwise(value) and (
+                        producer is None or _read_once(program, fn, arg.name)):
+                    yield name, e, pos, producer, value
+
+
+def _operators(e):
+    """The Map, Reduce and Scan nodes under `e`, without a walk when `e`
+    is free of them or is one over variables and constants."""
+    if _elementwise(e):
+        return ()
+    if type(e) in UNTILED_OPS and all(type(x) in (Var, Const) for x in e.args) and (
+            type(e) is Map or type(e.init) is Const):
+        return (e,)
+    return [x for x in ir.walk_exprs(e) if isinstance(x, UNTILED_OPS)]
+
+
+def _rank_contexts(program, arg_ranks):
+    """Function name -> the untiled ranks of its variables in each context
+    the rank oracle meets it in, from `main` called with `arg_ranks`."""
+    oracle = _RankOracle(program)
+    main = program.fn("main")
+    entry = dict(zip(main.params, arg_ranks))
+    oracle.return_rank(main, entry)
+    calls = [("main", entry)]
+    for fname, params, closures in oracle.memo:
+        env = dict(zip(program.functions[fname].params, params))
+        env.update(closures)
+        calls.append((fname, env))
+    contexts = {}
+    for fname, env in calls:
+        env = dict(env)
+        for s in program.functions[fname].body:
+            if isinstance(s, Assign):
+                env[s.target] = oracle.expr_rank(s.value, env)
+        contexts.setdefault(fname, []).append(env)
+    return contexts
+
+
+def _single_assignments(fn):
+    """Each name `fn` binds -> its statement, or None when `fn` has control
+    flow or binds a name twice or a parameter."""
+    assigned = {}
+    for s in fn.body:
+        if type(s) is Assign:
+            if s.target in assigned or s.target in fn.params + fn.closure_params:
+                return None
+            assigned[s.target] = s
+        elif type(s) is not Return:
+            return None
+    return assigned
+
+
+def _read_once(program, fn, name):
+    """True if `fn` reads `name` once and no callee of its operators
+    captures it."""
+    reads = 0
+    for e in ir.walk_exprs(fn.body):
+        if type(e) is Var and e.name == name:
+            reads += 1
+        elif any(name in program.fn(f).closure_params for f in ir.referenced_functions(e)):
+            return False
+    return reads == 1
+
+
+def _elementwise(e):
+    """True if `e` is a tree of binary operators over variables and constants."""
+    if isinstance(e, BinOp):
+        return _elementwise(e.left) and _elementwise(e.right)
+    return isinstance(e, (Var, Const))
+
+
+def _names(e):
+    """The variables `e` reads, each once, from left to right."""
+    if type(e) is Var:
+        return [e.name]
+    if isinstance(e, BinOp):
+        return list(dict.fromkeys(_names(e.left) + _names(e.right)))
+    return []
+
+
+def _operand_kinds(value, operand, axis, envs):
+    """(arrays, scalars): the variables of producer `value`, each once in
+    order of first reading, split by rank, when in every context each has
+    the rank of the operand (`operand` is `value` itself or the variable
+    that holds it) or rank 0, and the operator can slice that rank along
+    `axis`; else None."""
+    names = _names(value)
+    if not names:
+        return None
+    arrays = None
+    for env in envs:
+        row = [env.get(n, 0) for n in names]
+        rank = env.get(operand.name, 0) if type(operand) is Var else max(row)
+        if rank <= axis:
+            return None
+        kind = tuple(r == rank for r in row)
+        if any(r not in (0, rank) for r in row) or arrays not in (None, kind):
+            return None
+        arrays = kind
+    return ([n for n, a in zip(names, arrays) if a],
+            [n for n, a in zip(names, arrays) if not a])
+
+
+def _compose(program, g, pos, value, arrays, scalars):
+    """A new function: `g` with its parameter at `pos` computed by `value`
+    from new parameters, one per array, and from `scalars` as closure
+    parameters; None when a scalar's name is bound in `g`."""
+    q, body = g.params[pos], g.body
+    bound = set(g.params) | {s.target for s in body if isinstance(s, Assign)}
+    if bound & set(scalars):
+        return None
+    reads = [x for x in ir.walk_exprs(body) if type(x) is Var and x.name == q]
+    substitute = len(body) == 1 and isinstance(body[0], Return) and len(reads) == 1 and not (
+        contains_parallel_op(body[0].value))
+    # A substituted parameter's name is free again; an assigned one is bound.
+    taken = (bound - {q} if substitute else bound) | set(g.closure_params) | set(scalars)
+    rename = {}
+    for a in arrays:
+        rename[a] = Var(a if a not in taken else fresh_name(f"{a}$f", taken))
+        taken.add(rename[a].name)
+    value = _substitute(value, rename)
+    if substitute:
+        body = (Return(_substitute(body[0].value, {q: value})),)
+    else:
+        body = (Assign(q, value),) + body
+    params = g.params[:pos] + tuple(rename[a].name for a in arrays) + g.params[pos + 1:]
+    closures = g.closure_params + tuple(s for s in scalars if s not in g.closure_params)
+    return Function(fresh_name(f"{g.name}$f", program.functions), params, closures, body)
+
+
+def _substitute(e, values):
+    """Operator-free `e` with each variable in `values` replaced by its value there."""
+    if type(e) is Var:
+        return values.get(e.name, e)
+    return ir.map_children(e, lambda c: _substitute(c, values))
+
+
+def _replace_expr(block, old, new):
+    """`block` with the expression node `old` (by identity) replaced by `new`."""
+    def swap(e):
+        return new if e is old else ir.map_children(e, swap)
+    return ir.map_block(block, lambda e, prelude, stmt: swap(e))
+
+
+# ---------------------------------------------------------------------------
 # The transformation
 # ---------------------------------------------------------------------------
 
@@ -589,7 +808,8 @@ def _path_base(path):
 # ---------------------------------------------------------------------------
 
 def tile_program(program, arg_ranks=None):
-    """Tile `main` for cache: every operator becomes a tiled
+    """Tile `main` for cache: elementwise producers are fused into their
+    operators (`fuse_producers`), then every operator becomes a tiled
     operator with a runtime-tunable size slot.
 
     Returns TilingResult; `changed` is False (with a reason, and the input
@@ -607,13 +827,13 @@ def tile_program(program, arg_ranks=None):
         return TilingResult(False, program, None,
                             "control flow in a function being tiled")
 
-    normalized = normalize_for_tiling(program)
     if arg_ranks is None:
-        inferred = required_ranks(normalized)
+        inferred = required_ranks(normalize_for_tiling(program))
         arg_ranks = [inferred[p] for p in main.params]
     elif len(arg_ranks) != len(main.params):
         raise TilingError(f"main has {len(main.params)} parameter(s), "
                           f"got {len(arg_ranks)} ranks")
+    normalized = normalize_for_tiling(fuse_producers(program, arg_ranks))
 
     spec = TileSpec()
     try:

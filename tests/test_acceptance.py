@@ -10,9 +10,11 @@ Covered here:
   6. locality: miss behaviour of tiled vs untiled column-major row sums
   7. tuner convergence on the synthetic bowl surface
   8. benchmark correctness (matmul vs naive reference; k-means labels)
-  9. register pass preserves the oracle; fixed sizes respect the budget
+  9. register pass preserves the oracle; fixed sizes respect the budget;
+     on the fused matmul it reorders input reads and tiling beats untiled
 """
 
+import collections
 import itertools
 import json
 import random
@@ -23,7 +25,7 @@ import pytest
 
 from tilepar import ir
 from tilepar.autotuner import (
-    CostProbe, SearchConfig, SearchSpace, autotune, format_log, run_search,
+    CostProbe, SearchConfig, SearchSpace, autotune, estimate_bounds, format_log, run_search,
 )
 from tilepar.bench import (
     MATMUL_SRC, generate_array, kmeans_reference, make_ir_distance,
@@ -32,7 +34,7 @@ from tilepar.bench import (
 from tilepar.cachesim import CacheModel, HardwareInfo, simulate_program
 from tilepar.ir import desugar_allpairs, parse_program, print_program
 from tilepar.ndarray import ArrayValue, NdArray, ShapeError
-from tilepar.semantics import EvalConfig, EvalError, eval_program
+from tilepar.semantics import EvalConfig, EvalError, TraceSink, eval_program
 from tilepar.tiling import REGISTER_BUDGET, REGISTER_TILE_MIN, register_tile, tile_program
 
 import programs
@@ -380,9 +382,71 @@ def test_edge_shape_oracle_both_passes(wide):
                 continue
             assert (norm_value(out), _dtype(out)) == (norm_value(base), _dtype(base)), \
                 (seed, tile_sizes)
-    assert len(raised) <= (46 if not wide else 20), sorted(set(raised))
+    assert len(raised) <= (42 if not wide else 20), sorted(set(raised))
     print(f"ACCEPTANCE edge-shape-oracle ({'wide' if wide else 'narrow'}): "
           f"{len(raised)} tiled runs raise")
+
+
+# The machine `benchmarks/workloads.py` models: 32 KB, 64-byte lines, 8
+# ways, 16 registers.
+MATMUL_HW = HardwareInfo(l1_bytes=32 * 1024, line_bytes=64, cores=1, registers=16,
+                         provenance="configured")
+
+
+def _matmul_at_midpoint(n):
+    """Matmul as written, n x n f64 inputs, and its cache-tiled and its
+    cache+register-tiled programs with the slot sizes of each at the
+    midpoint of its bounds."""
+    program = desugar_allpairs(parse_program(MATMUL_SRC))
+    inputs = [generate_array((n, n), "f64", "row", seed) for seed in (1, 2)]
+    result = tile_program(program, arg_ranks=[2, 2])
+    runs = []
+    for tiled, spec in ((result.program, result.spec),
+                        register_tile(result.program, result.spec, MATMUL_HW)):
+        space = estimate_bounds(tiled, spec, MATMUL_HW)
+        runs.append((tiled, spec.sizes(overrides=dict(zip(space.slot_ids, space.midpoint())))))
+    return program, inputs, runs
+
+
+def test_register_tiles_reorder_input_reads():
+    # The product fused into the fold, the register tiles cut the k loop
+    # of every cache tile: fewer input reads miss a 16-entry element LRU
+    # (the registers) than in cache-tiled order. Inputs are placed first,
+    # so a read below their end reads an input.
+    _, inputs, runs = _matmul_at_midpoint(32)
+    missed = []
+    for tiled, sizes in runs:
+        sink = TraceSink()
+        eval_program(tiled, inputs, EvalConfig(tile_sizes=sizes, trace=sink))
+        end = max(a.addr + a.size * 8 for a in inputs)
+        lru, misses = collections.OrderedDict(), 0
+        for addr, kind in sink.events:
+            if kind != "R" or addr >= end:
+                continue
+            if addr in lru:
+                lru.move_to_end(addr)
+                continue
+            misses += 1
+            lru[addr] = None
+            if len(lru) > 16:
+                lru.popitem(last=False)
+        missed.append(misses)
+    cache_only, cache_and_registers = missed
+    assert cache_and_registers < cache_only
+    assert (cache_only, cache_and_registers) == (37248, 30688)
+    print(f"ACCEPTANCE register-tile-locality: {cache_only} -> {cache_and_registers}: PASS")
+
+
+def test_tiled_matmul_64_misses_below_untiled():
+    # 64 KB of inputs against a 32 KB L1: at the midpoint sizes, cache and
+    # register tiles miss less than the untiled program as written.
+    program, inputs, runs = _matmul_at_midpoint(64)
+    untiled, _ = simulate_program(program, inputs, LOCALITY_MODEL)
+    tiled, sizes = runs[1]
+    stats, _ = simulate_program(tiled, inputs, LOCALITY_MODEL, tile_sizes=sizes)
+    assert stats.misses < untiled.misses
+    assert (untiled.misses, stats.misses) == (10624, 8664)
+    print(f"ACCEPTANCE matmul-64-misses: {untiled.misses} -> {stats.misses}: PASS")
 
 
 def _dtype(v):

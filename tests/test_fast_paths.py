@@ -655,9 +655,12 @@ def test_reduce_node_failing_row_reports_the_rows_read(monkeypatch):
 def test_row_fold_near_misses_take_the_generic_path(monkeypatch):
     body = "return reduce(ident, combine=add2, init=0, x; axes=[0]);"
     x = matrix(5, 4, "i64", "col", 19)
-    # A closure parameter on the fold.
-    pair = fold_program("x", body, "fn main(X, s) { return map(fold, X; axes=[0]); }", "uses s")
-    assert_same_as_twin(pair, [x, 3], monkeypatch, False)
+    # A scalar closure operand: the node declines, and the generic call of
+    # row 0 raises.
+    pair = fold_program("x", "return reduce(mul2, combine=add2, init=0, x, s; axes=[0, 0]);",
+                        "fn main(X, s) { return map(fold, X; axes=[0]); }", "uses s")
+    assert assert_same_as_twin(pair, [x, 3], monkeypatch, False) == \
+        "Reduce argument must be an array, got a scalar"
     # Rank-3 operands: each row is a matrix, folded elementwise.
     cube = NdArray((3, 4, 2), "i64", "col", list(range(24)))
     pair = fold_program("x", body, "fn main(X) { return map(fold, X; axes=[0]); }")
@@ -679,6 +682,98 @@ def test_row_fold_near_misses_take_the_generic_path(monkeypatch):
     fast, slow = (observe(p, [x], calls, tile_sizes={0: 4}) for p in pair)
     assert fast == slow
     assert fast[3] == 2 and fast[2].bounds_checks == 1
+
+
+# A node's operands may be closure parameters: a rank-1 array is every
+# row's operand, read as a row of stride 0.
+CLOSURE_FOLDS = [
+    "reduce(ident, combine=add2, init=0, x; axes=[0])",  # a closure it does not read
+    "reduce(mul2, combine=add2, init=0, s, x; axes=[0, 0])",
+    "reduce(mul2, combine=max2, init=-inf, x, s; axes=[0, 0])",
+    "scan(mul2, combine=add2, init=0, s, x; axes=[0, 0])",
+    "map(mul2, x, s; axes=[0, 0])",
+    "reduce(sq, combine=add2, init=0, s; axes=[0])",  # only the closure operand
+]
+
+
+@pytest.mark.parametrize("body", CLOSURE_FOLDS)
+@pytest.mark.parametrize("axis", [0, 1])
+def test_row_fold_over_closure_operands(body, axis, monkeypatch):
+    pair = fold_program("x", f"return {body};",
+                        f"fn main(X, s) {{ return map(fold, X; axes=[{axis}]); }}", "uses s")
+    base = matrix(4, 6, "f64", "col", 22)
+    base.addr = 2048
+    for x in views_of(base, 4):
+        n = x.shape[1 - axis]
+        s = matrix(3, n, "i64", "row", 23)
+        s.addr = 8192
+        # A whole rank-1 array, and a strided column of a matrix.
+        for row in (NdArray((n,), "i64", "row", list(range(1, n + 1))), slice_axis(s, 0, 1),
+                    slice_axis(matrix(n, 3, "i64", "row", 24), 1, 2)):
+            assert_same_as_twin(pair, [x, row], monkeypatch, True)
+
+
+def test_row_fold_of_some_parameters(monkeypatch):
+    # `y` is sliced by the Map but not folded: its rows, of another
+    # extent, are neither read nor checked.
+    pair = fold_program("x, y", "return reduce(sq, combine=add2, init=0, x; axes=[0]);",
+                        "fn main(X, Y) { return map(fold, X, Y; axes=[0, 0]); }")
+    x, y = matrix(3, 4, "i64", "row", 31), matrix(3, 6, "f64", "col", 32)
+    x.addr, y.addr = 1024, 4096
+    assert assert_same_as_twin(pair, [x, y], monkeypatch, True)[0] == (3,)
+
+
+def test_row_fold_closure_operand_of_the_wrong_extent_fails_as_generic(monkeypatch):
+    pair = fold_program("x", "return reduce(mul2, combine=add2, init=0, s, x; axes=[0, 0]);",
+                        "fn main(X, s) { return map(fold, X; axes=[0]); }", "uses s")
+    x, s = matrix(3, 4, "i64", "row", 25), NdArray((5,), "f64", "row", [1.5] * 5)
+    assert assert_same_as_twin(pair, [x, s], monkeypatch, True) == \
+        "Reduce sliced extents differ: 5 vs 4"
+    # No row, no check: the Map's own empty result.
+    calls = counting_build(monkeypatch)
+    fast, slow = (observe(p, [NdArray((0, 4), "i64"), s], calls) for p in pair)
+    assert fast == slow and fast[0][:2] == ((0,), "i64")
+
+
+def test_row_fold_closure_operand_of_rank_2_takes_the_generic_path(monkeypatch):
+    # Each row then folds whole rows of `s`, elementwise: no leaf node.
+    pair = fold_program("x", "return reduce(mul2, combine=add2, init=0, s, x; axes=[0, 0]);",
+                        "fn main(X, s) { return map(fold, X; axes=[0]); }", "uses s")
+    x, s = matrix(3, 4, "i64", "row", 26), matrix(4, 2, "i64", "col", 27)
+    assert assert_same_as_twin(pair, [x, s], monkeypatch, False)[0] == (3, 2)
+
+
+# A map node whose callee reads a closure bound, per row, from the node's
+# own parameter: the register tiles of a fused matmul.
+BOUND_PER_ROW = """
+fn dot(y) uses x { return reduce(mul2, combine=add2, init=0, x, y; axes=[0, 0]); }
+fn main(X, Y) { return map(fold, X; axes=[0]); }
+"""
+
+
+@pytest.mark.parametrize("shapes", [((3, 4), (5, 4)), ((1, 2), (2, 2)), ((2, 0), (3, 0)),
+                                    ((2, 3), (0, 3)), ((2, 3), (2, 4))])
+def test_map_node_binds_callee_closures_per_row(shapes, monkeypatch):
+    pair = fold_program("x", "return map(dot, Y; axes=[0]);", BOUND_PER_ROW, "uses Y")
+    (m, k), (n, k2) = shapes
+    x, y = matrix(m, k, "f64", "row", 28), matrix(n, k2, "i64", "col", 29)
+    x.addr, y.addr = 1024, 4096
+    value = assert_same_as_twin(pair, [x, y], monkeypatch, True)
+    if k != k2:
+        assert value == f"Reduce sliced extents differ: {k} vs {k2}"
+    else:
+        assert value[0] == (m, n)
+
+
+def test_map_node_declines_at_row_0_without_side_effects(monkeypatch):
+    # `scale` reads its closure `x`, bound per row to a row of X: the leaf
+    # kernel declines for an array closure, so the node declines before
+    # it counts or reads anything, and every row is a generic call.
+    pair = fold_program("x", "return map(scale, Y; axes=[0]);",
+                        "fn scale(y) uses x { return y * x; }\n"
+                        "fn main(X, Y) { return map(fold, X; axes=[0]); }", "uses Y")
+    x, y = matrix(2, 3, "i64", "row", 30), NdArray((3,), "i64", "row", [1, 2, 3])
+    assert assert_same_as_twin(pair, [x, y], monkeypatch, False)[0] == (2, 3, 3)
 
 
 # (fold's parameters, its body, the rank of the Map's operands)
@@ -785,16 +880,16 @@ def test_tiled_row_sums_make_one_call_per_tile(monkeypatch):
 
 
 def test_tiled_matmul_and_row_scan_calls(monkeypatch):
-    # Only tiles, lifted combines and `x * y` with its array closure
-    # operand are called; every Map of a nest runs through its kernel (one
-    # call per row would add 448 calls to the cache pass, 1,456 to the
-    # register pass and 448 to the tiled row scan).
+    # Only tiles and lifted combines are called. Every nest runs through
+    # its kernel, also the fused product's fold over an array closure
+    # operand and the Maps of `a + b` over rows: one call per slice would
+    # make 9,797 calls in the cache pass and 12,311 in the register pass.
     calls = counting_build(monkeypatch)
     program = desugar_allpairs(parse_program(programs.MATMUL))
     res = tile_program(program, arg_ranks=[2, 2])
     reg_program, reg_spec = register_tile(res.program, res.spec, 16)
     x, y = matrix(16, 16, "f64", "row", 35), matrix(16, 16, "f64", "col", 36)
-    for tiled, spec, total in ((res.program, res.spec, 453), (reg_program, reg_spec, 1594)):
+    for tiled, spec, total in ((res.program, res.spec, 133), (reg_program, reg_spec, 1015)):
         calls.clear()
         eval_program(tiled, [x, y], EvalConfig(tile_sizes=spec.sizes(overrides={0: 5, 1: 5, 2: 5})))
         assert sum(calls.values()) == total
@@ -820,7 +915,10 @@ def test_tiled_matmul32_reg_calls_and_arrays(monkeypatch):
     # The benchmark's register-tiled matmul: 32 x 32, row-major f64, cache
     # tiles 6 x 6 x 6 and register tiles of 4. A map or scan node stacks
     # its rows' results into one element list, so only the array that an
-    # operator returns is built; an array per row would make 12,666.
+    # operator returns is built; an array per row would make 12,666. The
+    # product is fused into the fold: as written, the program made 6,000
+    # calls, and without the kernels for closure operands and rows of
+    # `a + b` the fused one makes 21,683.
     calls = counting_build(monkeypatch)
     built = collections.Counter()
     adopt = semantics.adopt
@@ -834,7 +932,7 @@ def test_tiled_matmul32_reg_calls_and_arrays(monkeypatch):
     tiled, spec = register_tile(res.program, res.spec, 16)
     x, y = matrix(32, 32, "f64", "row", 39), matrix(32, 32, "f64", "row", 40)
     eval_program(tiled, [x, y], EvalConfig(tile_sizes=spec.sizes(overrides={0: 6, 1: 6, 2: 6})))
-    assert sum(calls.values()) == 6000
+    assert sum(calls.values()) == 3827
     assert built["arrays"] <= 5500
 
 

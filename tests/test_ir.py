@@ -361,6 +361,9 @@ fn fold_neg(x) { return reduce(g, combine=c, init=-inf, x; axes=[0]); }
 fn swapped(a, b) { return b max a; }
 fn squared(x) { return x * x; }
 fn closure(x) uses s { return reduce(g, combine=c, init=0, x; axes=[0]); }
+fn closure_operand(y) uses x { return reduce(g2, combine=c, init=0, x, y; axes=[0, 0]); }
+fn map_closure(x) uses y { return map(g, y; axes=[0]); }
+fn computed(x) { return reduce(g, combine=c, init=0, x + 1; axes=[0]); }
 fn two_stmts(x) { r = x; return reduce(g, combine=c, init=0, x; axes=[0]); }
 fn expr_init(x) { return reduce(g, combine=c, init=1 - 1, x; axes=[0]); }
 fn axis1(x) { return reduce(g, combine=c, init=0, x; axes=[1]); }
@@ -383,16 +386,21 @@ def test_body_shape():
         "squared": ("leaf", "*", ("x", "x")),
         "scaled": ("leaf", "*", ("x", "s")),
         "captured": ("leaf", None, ("s",)),
-        "fold": ("reduce", "g", "c", 0),
-        "fold2": ("reduce", "g2", "c", 1.5),
-        "fold_neg": ("reduce", "g", "c", float("-inf")),
-        "scan_fold": ("scan", "g", "c", 0),
-        "map_fold": ("map", "g", None, None),
+        "fold": ("reduce", "g", "c", 0, ("x",)),
+        "fold2": ("reduce", "g2", "c", 1.5, ("x", "y")),
+        "fold_neg": ("reduce", "g", "c", float("-inf"), ("x",)),
+        "scan_fold": ("scan", "g", "c", 0, ("x",)),
+        "map_fold": ("map", "g", None, None, ("x",)),
+        # A node's operands are any of its parameters and closure parameters.
+        "closure": ("reduce", "g", "c", 0, ("x",)),
+        "closure_operand": ("reduce", "g2", "c", 0, ("x", "y")),
+        "map_closure": ("map", "g", None, None, ("y",)),
+        "reordered": ("reduce", "g2", "c", 0, ("y", "x")),
+        "fewer_args": ("reduce", "g", "c", 0, ("x",)),
     }
     for name, shape in shapes.items():
         assert ir.body_shape(p.fn(name)) == shape, name
-    for near_miss in ("closure", "two_stmts", "expr_init", "axis1", "reordered", "fewer_args",
-                      "scan_emit"):
+    for near_miss in ("computed", "two_stmts", "expr_init", "axis1", "scan_emit"):
         assert ir.body_shape(p.fn(near_miss)) is None, near_miss
     # A combine is `return a OP b` over its own two parameters, in order.
     assert [ir.combine_op(p.fn(name)) for name in

@@ -9,10 +9,10 @@ from tilepar.ir import (
     Map, Reduce, Return, TiledMap, TiledReduce, TiledScan, Var,
     desugar_allpairs, parse_program, print_program,
 )
-from tilepar.ndarray import ArrayValue, NdArray
-from tilepar.semantics import EvalConfig, eval_program
+from tilepar.ndarray import ArrayValue, NdArray, ShapeError
+from tilepar.semantics import EvalConfig, EvalError, eval_program
 from tilepar.tiling import (
-    REGISTER_BUDGET, TileSpec, TilingError, normalize_for_tiling, register_tile,
+    REGISTER_BUDGET, TileSpec, TilingError, fuse_producers, normalize_for_tiling, register_tile,
     register_tile_size, required_ranks, tile_program,
 )
 
@@ -38,7 +38,7 @@ def assert_both_passes_match_untiled(program, inputs):
     for the ranks of `inputs` give the untiled result with every runtime
     slot at size 1, 2, 3 and 5."""
     base = norm_value(eval_program(program, inputs))
-    res = tile_program(program, arg_ranks=[v.rank for v in inputs])
+    res = tile_program(program, arg_ranks=[getattr(v, "rank", 0) for v in inputs])
     assert res.changed, res.reason
     reg_program, reg_spec = register_tile(res.program, res.spec, 16)
     for k in (1, 2, 3, 5):
@@ -243,13 +243,17 @@ def test_index_and_array_literal_statements_tile_and_match_untiled(name):
 # -- statement wrapping ------------------------------------------------------------
 
 
+# Each program below reads its statement's target twice, so producer
+# fusion leaves the statement for the wrap to tile.
+
+
 def test_scalar_statement_wrapped_in_map():
     src = """
-    fn ident(x) { return x; }
+    fn first(a, b) { return a; }
     fn add2(a, b) { return a + b; }
     fn inner(t) {
       y = t + 1;
-      return reduce(ident, combine=add2, init=0, y; axes=[0]);
+      return reduce(first, combine=add2, init=0, y, y; axes=[0, 0]);
     }
     fn main(xs) { return map(inner, xs; axes=[0]); }
     """
@@ -268,7 +272,7 @@ def test_scalar_statement_wrapped_in_map():
     # The reduce over the wrapped intermediate maps to global axis 1.
     node = clone.body[-1].value
     assert isinstance(node, TiledReduce)
-    assert node.axes == (1,)
+    assert node.axes == (1, 1)
 
     m = int_matrix(5, 4, seed=3)
     base = eval_program(p, [m])
@@ -279,12 +283,12 @@ def test_scalar_statement_wrapped_in_map():
 
 def test_constant_statement_unchanged():
     src = """
-    fn ident(x) { return x; }
+    fn first(a, b) { return a; }
     fn add2(a, b) { return a + b; }
     fn f(t) {
       y = 3;
       z = t + y;
-      return reduce(ident, combine=add2, init=0, z; axes=[0]);
+      return reduce(first, combine=add2, init=0, z, z; axes=[0, 0]);
     }
     fn main(xs) { return map(f, xs; axes=[0]); }
     """
@@ -298,12 +302,12 @@ def test_depth_union_through_statements():
     # Two assignments where the second depends on the first: the second's
     # wrap must cover the union of recorded depths.
     src = """
-    fn ident(x) { return x; }
+    fn first(a, b) { return a; }
     fn add2(a, b) { return a + b; }
     fn inner(v) {
       a = v * 2;
       b = a + 1;
-      return reduce(ident, combine=add2, init=0, b; axes=[0]);
+      return reduce(first, combine=add2, init=0, b, b; axes=[0, 0]);
     }
     fn main(xs) { return map(inner, xs; axes=[0]); }
     """
@@ -451,8 +455,16 @@ def test_allpairs_of_computed_operand_tiles_and_matches_untiled():
     assert_both_passes_match_untiled(p, [int_matrix(3, 4, seed=7), int_matrix(5, 4, seed=8)])
 
 
+# Matmul as written, but with the product read twice: producer fusion
+# leaves `p = x * y` for the statement wrap.
+MATMUL_PRODUCT_TWICE = programs.MATMUL.replace(
+    "fn ident(x) { return x; }", "fn first(a, b) { return a; }").replace(
+    "reduce(ident, combine=add2, init=0.0, p; axes=[0])",
+    "reduce(first, combine=add2, init=0.0, p, p; axes=[0, 0])")
+
+
 def test_matmul_scalar_statement_gets_two_maps():
-    p = desugar_allpairs(parse_program(programs.MATMUL))
+    p = desugar_allpairs(parse_program(MATMUL_PRODUCT_TWICE))
     res = tile_program(p, arg_ranks=[2, 2])
     # Find the innermost tiled clone: it holds `p = Map(Map(x*y))`.
     wrapped = None
@@ -468,12 +480,12 @@ def test_matmul_scalar_statement_gets_two_maps():
 
 
 def test_matmul_inner_reduce_global_axis_2():
-    p = desugar_allpairs(parse_program(programs.MATMUL))
+    p = desugar_allpairs(parse_program(MATMUL_PRODUCT_TWICE))
     res = tile_program(p, arg_ranks=[2, 2])
     reduces = [e for fn in res.program.functions.values()
                for e in ir.walk_exprs(fn.body) if isinstance(e, TiledReduce)]
     assert len(reduces) == 1
-    assert reduces[0].axes == (2,)
+    assert reduces[0].axes == (2, 2)
 
 
 def test_matmul_depth_bookkeeping_and_slot_bijection():
@@ -629,10 +641,11 @@ def test_unsupported_nesting_bails_gracefully():
 def test_scalar_statement_under_non_leading_axis_left_untiled():
     # `t = v * 2` reads a tile of X cut along axis 1; wrapping the
     # statement at axis 0 would transpose it, so the tiler must bail out.
+    # `t` is read twice, so fusion leaves the statement.
     src = """
-    fn ident(x) { return x; }
+    fn first(a, b) { return a; }
     fn add2(a, b) { return a + b; }
-    fn f(v) { t = v * 2; return reduce(ident, combine=add2, init=0, t; axes=[0]); }
+    fn f(v) { t = v * 2; return reduce(first, combine=add2, init=0, t, t; axes=[0, 0]); }
     fn main(X) { return map(f, X; axes=[1]); }
     """
     p = parse_program(src)
@@ -939,3 +952,197 @@ def test_unchanged_program_reprints_identically():
     res = tile_program(p)
     assert not res.changed
     assert print_program(res.program) == before
+
+
+# -- producer fusion ---------------------------------------------------------------
+
+
+def float_matrix(rows, cols, seed, dyadic=False):
+    """Random f64 values; `dyadic` ones are multiples of 1/8 below 100, so
+    every sum and product the programs below form is exact."""
+    rng = random.Random(seed)
+    values = [rng.randrange(-800, 800) / 8 if dyadic else rng.uniform(-10, 10)
+              for _ in range(rows * cols)]
+    return NdArray((rows, cols), "f64", "row", values)
+
+
+@pytest.mark.parametrize("src", [programs.MATMUL, programs.SQDIST], ids=["matmul", "kmeans"])
+def test_fused_producers_keep_values(src):
+    # The product (matmul) and the chain `d = p - c; s = d * d` (k-means)
+    # fuse into the reduce: its callee computes each element as the
+    # statements did, and no statement is left.
+    p = desugar_allpairs(parse_program(src))
+    fused = fuse_producers(p, [2, 2])
+    inner = fused.fn("dot$api" if "dot" in src else "sqdist$api")
+    assert len(inner.body) == 1 and isinstance(inner.body[0].value, Reduce)
+    assert inner.body[0].value.args == (Var("x"), Var("y")) if "dot" in src else \
+        inner.body[0].value.args == (Var("p"), Var("c"))
+    # Untiled, fused and as written are bit-identical, also on values that
+    # round.
+    inputs = [float_matrix(5, 7, 1), float_matrix(6, 7, 2)]
+    assert eval_program(fused, inputs).data == eval_program(p, inputs).data
+    # Tiled, fused, they equal the untiled values exactly on dyadic inputs.
+    inputs = [float_matrix(5, 7, 3, dyadic=True), float_matrix(6, 7, 4, dyadic=True)]
+    base = eval_program(p, inputs).data
+    res = tile_program(p, arg_ranks=[2, 2])
+    assert res.changed
+    reg_program, reg_spec = register_tile(res.program, res.spec, 16)
+    for ks in [(1, 1, 1), (2, 3, 4), (5, 6, 7), (3, 2, 8)]:
+        sizes = dict(enumerate(ks))
+        assert eval_program(res.program, inputs, EvalConfig(tile_sizes=sizes)).data == base
+        out = eval_program(reg_program, inputs, EvalConfig(tile_sizes=reg_spec.sizes(sizes)))
+        assert out.data == base
+
+
+def test_fused_matmul_callee_is_a_leaf():
+    # `ident` composed with `x * y` is the leaf `return x * y`, which runs
+    # through a kernel; the register pass then tiles reads of x and y.
+    p = desugar_allpairs(parse_program(programs.MATMUL))
+    fused = fuse_producers(p, [2, 2])
+    node = fused.fn("dot$api").body[0].value
+    assert (node.fn, node.axes) == ("ident$f", (0, 0))
+    assert ir.body_shape(fused.fn("ident$f")) == ("leaf", "*", ("x", "y"))
+    res = tile_program(p, arg_ranks=[2, 2])
+    reg_program, _ = register_tile(res.program, res.spec, 16)
+    assert not [s for fn in reg_program.functions.values() for s in fn.body
+                if isinstance(s, ir.Assign)]
+
+
+COMPUTED_OPERAND = """
+fn ident(x) { return x; }
+fn add2(a, b) { return a + b; }
+fn rowsum(r) { return reduce(ident, combine=add2, init=0, r; axes=[0]); }
+fn main(X) { return map(rowsum, X + X; axes=[0]); }
+"""
+
+
+def test_computed_operand_fuses_in_either_order_with_normalization():
+    # Normalization hoists `X + X` to a temporary, which fusion puts back
+    # as the operand X, once; fusing first leaves nothing to hoist. The
+    # sum then fuses on into rowsum's reduce, whose callee is `X + X`.
+    p = parse_program(COMPUTED_OPERAND)
+    fuse_first = normalize_for_tiling(fuse_producers(p, [2]))
+    normalize_first = fuse_producers(normalize_for_tiling(p), [2])
+    assert print_program(fuse_first) == print_program(normalize_first)
+    main = fuse_first.fn("main").body[0].value
+    assert main.args == (Var("X"),)
+    fold = fuse_first.fn(main.fn).body[0].value
+    assert isinstance(fold, Reduce) and fold.args == (Var("X"),)
+    assert fuse_first.fn(fold.fn).body == (Return(ir.BinOp("+", Var("X"), Var("X"))),)
+    assert_both_passes_match_untiled(p, [int_matrix(5, 6, seed=10)])
+
+
+# Programs whose `p = ...` fusion leaves as it is, and main's ranks.
+PRODUCERS_THAT_STAY = {
+    "read twice": ("fn main(X) { p = X * 2; return map(add2, p, p; axes=[0, 0]); }", [1]),
+    "returned": ("fn main(X) { p = X * 2; s = map(neg, p; axes=[0]); return p; }", [1]),
+    "read by another statement": (
+        "fn main(X) { p = X * 2; s = map(neg, p; axes=[0]); return s + p; }", [1]),
+    "captured by uses": ("fn main(X) { p = X * 2; return map(addp, p; axes=[0]); }", [1]),
+    "rank-changing broadcast": (
+        "fn main(X, v) { p = X + v; return map(rowneg, p; axes=[0]); }", [2, 1]),
+    "indexed": ("fn main(X) { p = X[0] * X; return map(rowneg, p; axes=[0]); }", [2]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCERS_THAT_STAY))
+def test_producers_that_stay(name):
+    main, ranks = PRODUCERS_THAT_STAY[name]
+    p = parse_program("""
+    fn add2(a, b) { return a + b; }
+    fn neg(x) { return 0 - x; }
+    fn addp(x) uses p { return x + p[0]; }
+    fn rowneg(r) { return map(neg, r; axes=[0]); }
+    """ + main)
+    assert fuse_producers(p, ranks) == p
+    res = tile_program(p, arg_ranks=ranks)
+    assert ir.Assign("p", p.fn("main").body[0].value) in res.program.fn("main").body
+
+
+def test_rank_changing_broadcast_still_raises():
+    # Fusing `p = X + v` would slice v by rows too; as written, and tiled,
+    # the shapes of X and v differ and the elementwise add raises.
+    src = """
+    fn neg(x) { return 0 - x; }
+    fn rowneg(r) { return map(neg, r; axes=[0]); }
+    fn main(X, v) { p = X + v; return map(rowneg, p; axes=[0]); }
+    """
+    p = parse_program(src)
+    X, v = int_matrix(3, 3, seed=11), NdArray((3,), "i64", "row", [1, 2, 3])
+    res = tile_program(p, arg_ranks=[2, 1])
+    for program, sizes in ((p, {}), (res.program, {0: 2, 1: 2})):
+        with pytest.raises(ShapeError):
+            eval_program(program, [X, v], EvalConfig(tile_sizes=sizes))
+
+
+def test_scalar_in_producer_is_captured():
+    # `c` has rank 0 in every context the rank oracle sees, so it stays a
+    # scalar, read by the composed callee through `uses`.
+    src = """
+    fn ident(x) { return x; }
+    fn add2(a, b) { return a + b; }
+    fn f(v) uses c { t = v * c - 1; return reduce(ident, combine=add2, init=0, t; axes=[0]); }
+    fn main(X, c) { return map(f, X; axes=[0]); }
+    """
+    p = parse_program(src)
+    fused = fuse_producers(p, [2, 0])
+    node = fused.fn("f").body[0].value
+    assert node.args == (Var("v"),)
+    callee = fused.fn(node.fn)
+    assert (callee.params, callee.closure_params) == (("v",), ("c",))
+    assert callee.body == (Return(ir.BinOp("-", ir.BinOp("*", Var("v"), Var("c")),
+                                           ir.Const(1))),)
+    assert_both_passes_match_untiled(p, [int_matrix(4, 5, seed=12), 3])
+    # A random program whose producer reads the scalar `c`.
+    program, inputs, arg_ranks = randprog.generate(50)
+    fused = fuse_producers(program, arg_ranks)
+    assert any("c" in fn.closure_params and fn.name.endswith("$f")
+               for fn in fused.functions.values())
+    assert_both_passes_match_untiled(program, inputs)
+
+
+def test_single_use_statement_under_non_leading_axis_fuses_and_tiles():
+    # Read once, `t = v * 2` fuses into the reduce, which then tiles.
+    src = """
+    fn ident(x) { return x; }
+    fn add2(a, b) { return a + b; }
+    fn f(v) { t = v * 2; return reduce(ident, combine=add2, init=0, t; axes=[0]); }
+    fn main(X) { return map(f, X; axes=[1]); }
+    """
+    p = parse_program(src)
+    assert tile_program(p).changed
+    assert_both_passes_match_untiled(p, [int_matrix(4, 6, seed=13)])
+
+
+def test_fused_matmul_extent_mismatch_raises():
+    # Rows of 3 against rows of 5: the elementwise product raises as
+    # written; fused, the reduce finds its operands' extents differ.
+    p = desugar_allpairs(parse_program(programs.MATMUL))
+    X = NdArray((4, 3), "f64", "row", [1.0] * 12)
+    Y = NdArray((4, 5), "f64", "row", [1.0] * 20)
+    with pytest.raises(ShapeError):
+        eval_program(p, [X, Y])
+    with pytest.raises(EvalError, match="sliced extents differ"):
+        eval_program(fuse_producers(p, [2, 2]), [X, Y])
+    res = tile_program(p, arg_ranks=[2, 2])
+    reg_program, reg_spec = register_tile(res.program, res.spec, 16)
+    for k in (1, 2, 8):
+        sizes = {0: k, 1: k, 2: k}
+        for program, spec in ((res.program, res.spec), (reg_program, reg_spec)):
+            with pytest.raises(EvalError, match="sliced extents differ"):
+                eval_program(program, [X, Y], EvalConfig(tile_sizes=spec.sizes(sizes)))
+
+
+def test_bail_out_returns_the_input_unfused():
+    # The combine is not exact, so the cache pass gives its input back,
+    # producer and all.
+    src = """
+    fn ident(x) { return x; }
+    fn sub2(a, b) { return a - b; }
+    fn f(v) { t = v * 2; return reduce(ident, combine=sub2, init=0, t; axes=[0]); }
+    fn main(X) { return map(f, X; axes=[0]); }
+    """
+    p = parse_program(src)
+    res = tile_program(p)
+    assert not res.changed and "sub2" in res.reason
+    assert res.program is p

@@ -28,7 +28,7 @@ from tilepar.ir import (
     TILED_OPS, Assign, BinOp, IRError, Map, Program, Reduce, Return, Scan, Var,
     desugar_allpairs, parse_program, print_program, reachable, walk_exprs,
 )
-from tilepar.ndarray import NdArray, ShapeError
+from tilepar.ndarray import NdArray, ShapeError, slice_axis
 from tilepar.semantics import EvalConfig, EvalError, Interpreter, TraceSink, eval_program
 from tilepar.tiling import register_tile, tile_program
 
@@ -90,20 +90,21 @@ def trace_case(src, inputs, registers, sizes):
 CASES = {
     # Column-major row sums, cache-tiled 3x4 over 7x9: stragglers on both axes.
     "sum_rows_col": (programs.SUM_ROWS, [matrix(7, 9, "f64", "col")], 0, {0: 3, 1: 4}),
-    # Matmul, cache-tiled 3x3x3 over 7x7 plus register tiles.
+    # Matmul, its product fused into the fold, cache-tiled 3x3x3 over 7x7
+    # plus register tiles.
     "matmul_reg": (programs.MATMUL, [matrix(7, 7, "f64", "row"), matrix(7, 7, "f64", "row")],
                    16, {0: 3, 1: 3, 2: 3}),
     # Row prefix sums, tiled 4x3 over 6x8: the tiled scan fixes up carries.
     "row_scan": (programs.ROW_SCAN, [matrix(6, 8, "i64", "row")], 0, {0: 4, 1: 3}),
     # Prefix sums along axis 1 of a 5x7x3 input, tiled 2x3: each step the
-    # tiled scan fixes up is a 2x3 (or 1x3) slice, and the lifted combine
-    # has no kernel for rank-2 operands, so every fix-up calls it.
+    # tiled scan fixes up is a 2x3 (or 1x3) slice, whose rows the lifted
+    # combine's kernel adds as `a + b` over rows.
     "scan_of_array_steps": (SCAN_OF_ARRAY_STEPS, [cube(5, 7, 3)], 0, {0: 2, 1: 3}),
 }
 
 PINS = {
     "sum_rows_col": (140, "819cf44dd1adb577ba6e4393dc550363dd28a3abf9e3eaa43403d61f54ccf4d2"),
-    "matmul_reg": (5537, "8269cce4d6ff9910376a6a957637c0bb621d9ac6869ebc5182bc1a9d2bed4f4d"),
+    "matmul_reg": (2597, "267aeddcfa5a78096be9ea2bf74274408a0014697d4c62e3729c326caa4b3560"),
     "row_scan": (534, "32d6f93acf3f8453247a4ecfe3ceb4b9e9ad6dc85b0b9c2ca102cd20e62606f7"),
     "scan_of_array_steps": (
         1950, "e3677fb1879fb7378b207ee2e6f74950e03c1084e20ee35168f5a089d1e96f61"),
@@ -121,7 +122,7 @@ UNTILED_PINS = {
 # Tiled run: (full-tile calls, straggler calls, bounds checks).
 COUNTER_PINS = {
     "sum_rows_col": (8, 4, 112),
-    "matmul_reg": (26, 151, 903),
+    "matmul_reg": (26, 112, 980),
     "row_scan": (5, 3, 126),
     "scan_of_array_steps": (8, 4, 90),
 }
@@ -165,7 +166,7 @@ class CountingSink:
 
 # Sink runs of the traced tiled run. A stack, a concat and a reduce node's
 # reads are one run each; a map or scan node reports each row's reads.
-RUN_PINS = {"matmul_reg": 449, "row_scan": 69}
+RUN_PINS = {"matmul_reg": 289, "row_scan": 69}
 
 
 @pytest.mark.parametrize("name", sorted(RUN_PINS))
@@ -185,13 +186,23 @@ def test_untiled_trace_pinned(name):
     assert (len(events), digest(events)) == UNTILED_PINS[name]
 
 
-@pytest.mark.parametrize("name, kernel", [("row_scan", True), ("scan_of_array_steps", False)])
+# Tiled scans whose fix-ups have a kernel, and a prefix sum of scalars,
+# whose combine `add2` is not lifted and so is called once per step.
+FIX_UP_CASES = {
+    **CASES,
+    "prefix_sum": (programs.PREFIX_SUM, [NdArray((10,), "i64", "row", list(range(-4, 6)))], 0,
+                   {0: 3}),
+}
+
+
+@pytest.mark.parametrize("name, kernel", [("row_scan", True), ("scan_of_array_steps", True),
+                                          ("prefix_sum", False)])
 def test_scan_fix_ups_match_combine_calls(name, kernel, monkeypatch):
     """A tiled scan fixes up each tile in one call of the lifted combine's
     kernel where it has one, else by calling the combine once per step.
     The value is the untiled one, and calling the combine for every step
     gives the same value, trace and counters."""
-    src, inputs, registers, sizes = CASES[name]
+    src, inputs, registers, sizes = FIX_UP_CASES[name]
     passes, spec = tile_case(src, inputs, registers)
     tile_sizes = spec.sizes(overrides=sizes)
     untiled = eval_program(desugar_allpairs(parse_program(src)), inputs)
@@ -483,6 +494,91 @@ def test_node_values_match_generic_twins(fn, axes, inputs):
         assert runs[0] == runs[1]
 
 
+# Kernels over closure operands and over rows of `a OP b`, each against
+# the twin whose every function body takes the generic call path.
+CLOSURE_LIB = """
+fn add2(a, b) { return a + b; }
+fn mul2(a, b) { return a * b; }
+fn min2(a, b) { return a min b; }
+fn div(a, b) { return a / b; }
+fn dot(y) uses x { return reduce(mul2, combine=add2, init=0, x, y; axes=[0, 0]); }
+fn dots(x) uses Y { return map(dot, Y; axes=[0]); }
+fn scaled(y) uses x { return map(mul2, x, y; axes=[0, 0]); }
+fn prefix(y) uses x { return scan(mul2, combine=add2, init=0, y, x; axes=[0, 0]); }
+fn mins(a, b) { return map(min2, a, b; axes=[0, 0]); }
+"""
+
+
+def f64(*shape, layout="row"):
+    return NdArray(shape, "f64", layout, [((5 * i) % 9 - 4) / 2 for i in range(math.prod(shape))])
+
+
+def closure_cases():
+    """(id, main, inputs, kernel): `main` maps a node whose operands
+    include an array `uses` operand, a map node whose callee's closure is
+    bound per row, or a binary leaf over rank-2 rows, over inputs of both
+    dtypes and layouts, strided views and empty extents. A closure of the
+    wrong extent makes the kernel raise as the generic path does; a scalar
+    or rank-2 closure makes it decline. `kernel` is (callee, operand
+    ranks), whose kernel must exist, or None."""
+    column = slice_axis(NdArray((3, 5), "i64", "col", list(range(15))), 1, 2)
+    for fn in ("dot", "scaled", "prefix"):
+        main = f"fn main(Y, x) {{ return map({fn}, Y; axes=[0]); }}"
+        kernel = (fn, (2,))
+        yield f"{fn}-f64", main, [f64(4, 5, layout="col"), cube(5)], kernel
+        yield f"{fn}-strided", main, [matrix(4, 3, "i64", "row"), column], kernel
+        yield f"{fn}-empty-rows", main, [matrix(3, 0, "f64", "row"), cube(0)], kernel
+        yield f"{fn}-wrong-extent", main, [matrix(4, 5, "i64", "row"), cube(6)], kernel
+        yield f"{fn}-scalar", main, [matrix(4, 5, "i64", "row"), 3], None
+        yield f"{fn}-rank-2", main, [matrix(4, 5, "i64", "row"), matrix(5, 5, "i64", "col")], None
+    main, kernel = "fn main(X, Y) { return map(dots, X; axes=[0]); }", ("dots", (2,))
+    yield "dots", main, [f64(3, 4), matrix(5, 4, "i64", "col")], kernel
+    yield "dots-wrong-extent", main, [f64(3, 4), matrix(5, 3, "i64", "col")], kernel
+    yield "dots-empty", main, [f64(3, 4), matrix(0, 4, "i64", "col")], kernel
+    yield "dots-rank-3", main, [f64(3, 4), cube(2, 5, 4)], kernel
+    for op in ("min2", "div"):
+        main, kernel = f"fn main(A, B) {{ return map({op}, A, B; axes=[0, 1]); }}", (op, (2, 2))
+        yield f"{op}-mixed", main, [matrix(4, 5, "i64", "row"), f64(5, 4, layout="col")], kernel
+        yield f"{op}-wrong-extent", main, [matrix(4, 5, "i64", "row"), f64(6, 4)], kernel
+    # Every minimum an int: the rows are still f64 arrays, as elementwise
+    # gives for an f64 operand.
+    yield "min2-ints-in-f64", "fn main(A, B) { return map(min2, A, B; axes=[0, 0]); }", \
+        [NdArray((3, 4), "i64", "row", [-i for i in range(12)]),
+         NdArray((3, 4), "f64", "row", [0.5] * 12)], ("min2", (2, 2))
+    yield "div-by-zero", "fn main(A, B) { return map(div, A, B; axes=[0, 0]); }", \
+        [f64(4, 5), NdArray((4, 5), "i64", "row", [1] * 12 + [0] * 8)], ("div", (2, 2))
+    yield "mins-rank-3", "fn main(A, B) { return map(mins, A, B; axes=[2, 0]); }", \
+        [cube(3, 4, 2), NdArray((2, 3, 4), "f64", "row", [i / 3 for i in range(24)])], \
+        ("mins", (3, 3))
+
+
+def closure_run(program, inputs, traced):
+    """Value (with element types) or error, trace length and digest, and
+    counters of one run."""
+    config = EvalConfig(trace=TraceSink() if traced else None)
+    try:
+        value = Interpreter(program, config).run(inputs)
+        out = (value.shape, value.dtype, [(type(x), x) for x in value.data])
+    except (EvalError, ShapeError) as exc:
+        out = f"{type(exc).__name__}: {exc}"
+    events = config.trace.events if traced else []
+    c = config.counters
+    return out, len(events), digest(events), (c.full_tile_calls, c.straggler_calls,
+                                              c.bounds_checks)
+
+
+@pytest.mark.parametrize("main, inputs, kernel",
+                         [pytest.param(*case[1:], id=case[0]) for case in closure_cases()])
+def test_closure_and_row_kernels_match_generic_twins(main, inputs, kernel):
+    program = parse_program(CLOSURE_LIB + main)
+    if kernel is not None:
+        interp = Interpreter(program)
+        assert interp._kernel(interp._function(kernel[0]), kernel[1]) is not None
+    for traced in (True, False):
+        assert closure_run(program, inputs, traced) == \
+            closure_run(with_generic_bodies(program), inputs, traced)
+
+
 def test_no_sink_run_without_events():
     """A stack or a join of no element, and a node's rows of width 0, send
     no run to the sink: `map(copied, X)` over a 3 x 0 `X` makes no sink
@@ -563,7 +659,7 @@ def register_counters_digest():
     return h.hexdigest()
 
 
-REGISTER_COUNTERS_PIN = "6716f4592d7960266c78b3f8ac57459ef80f637849211501cb5eaa91a53717ac"
+REGISTER_COUNTERS_PIN = "d1bc960966bc29c3ac664e21a45858aa75f7d40c8c81a67a9c548f0472033a2f"
 
 
 def test_register_tiled_counters_pinned():
@@ -578,7 +674,7 @@ SIM_MODEL = CacheModel(1024, 64, 2)
 # (accesses, hits, misses, evictions) under SIM_MODEL: untiled, then tiled.
 SIM_PINS = {
     "sum_rows_col": ((70, 61, 9, 0), (140, 125, 15, 0)),
-    "matmul_reg": ((1519, 1487, 32, 16), (5537, 5126, 411, 395)),
+    "matmul_reg": ((1519, 1487, 32, 16), (2597, 2430, 167, 151)),
     "row_scan": ((192, 174, 18, 2), (534, 500, 34, 18)),
     "scan_of_array_steps": ((1140, 998, 142, 126), (1950, 1747, 203, 187)),
 }
@@ -617,7 +713,7 @@ BENCHMARK_PINS = {
     "rowsum-col256-tune": (
         77568, "66b57a722d807c33ec543a602441fd2e0eeb211f4f8e48f2a4ba66a0fbed9e86"),
     "matmul32-reg": (
-        461824, "fb5efde53c1d790de6c077020efe2e035e05c77113272b23a03bafc8a87cfde6"),
+        189440, "6c7abe179b5f43b3c475049ff3dc1b42a2d60427d17a1b1690ef0368587aea99"),
     "prefixscan-col192": (
         457152, "ab72edf87f95f40f93df5995ea7fca799e4ad00d2297acbbb25306e2dafcb5b9"),
 }
@@ -625,7 +721,7 @@ BENCHMARK_PINS = {
 # (full-tile calls, straggler calls, bounds checks) of each midpoint run.
 BENCHMARK_COUNTER_PINS = {
     "rowsum-col256-tune": (143, 13, 74240),
-    "matmul32-reg": (1915, 2083, 73900),
+    "matmul32-reg": (1480, 1561, 83812),
     "prefixscan-col192": (80, 10, 103488),
 }
 
@@ -633,7 +729,7 @@ BENCHMARK_COUNTER_PINS = {
 # benchmark's cache model.
 BENCHMARK_SIM_PINS = {
     "rowsum-col256-tune": (77568, 12449, 65119, 64607),
-    "matmul32-reg": (461824, 458047, 3777, 3265),
+    "matmul32-reg": (189440, 188829, 611, 99),
     "prefixscan-col192": (457152, 419262, 37890, 37378),
 }
 
@@ -685,8 +781,8 @@ def test_phase_stats_pinned():
 
 IR_PINS = {
     "sum_rows_col": ("14c1d0c5804793911702139447aff043ae7001d170c929a8d08226f9f48fc1f2",),
-    "matmul_reg": ("cdf7bf9fc5656cde65523d19d9805fc5dd767fc3d40ec8115f415bf1554408ad",
-                   "23e58fb6f87a79a638d7a60f46efbdea2653b614255f27f4d0b0085fdc29814f"),
+    "matmul_reg": ("0982ec10c54e42e574828f19cffa3342e8e58bdbedad90699333e92a0c4b0425",
+                   "0866df7ae4eb09c86551285003b44b1cfa084137ceb62c8b69c7f4e0811f39ac"),
     "row_scan": ("20ee8dc7902b058dec212cd6fd930dde79d5a0a3e8bce78938bce9dfe6a2fb7a",),
     "scan_of_array_steps": ("da98c23f366196b927166437b73cf84f616d79e8f7794c8a502515ed5fad1c01",),
 }
@@ -761,7 +857,7 @@ def tiling_digest(passes):
     return h.hexdigest()
 
 
-CORPUS_PIN = "b9d37cf2ab82bba5afe7007a3800e6a4c1489ff51fe1e8ef7d62b9199e4681f3"
+CORPUS_PIN = "0b826abb8540dbdcd936b3c98007be86eef8be4251a57dae78a919e894916a53"
 
 
 def test_tiled_ir_corpus_pinned():
@@ -774,7 +870,7 @@ def test_tiled_ir_corpus_pinned():
 # so the programs), narrow and wide, at 16 registers; and the corpus's
 # narrow and wide programs at 4 registers, where register tiles are
 # smaller.
-OTHER_PROGRAMS_PIN = "e5582b0705269497e46b361edbb5a7671a84ffa74da32c51740c698ac3cfce6a"
+OTHER_PROGRAMS_PIN = "6b300a284594d71179721de3375be28dd4b9ab1759bcc5865585419c317a0afa"
 
 
 def test_tiled_ir_edge_and_few_registers_pinned():
@@ -806,7 +902,7 @@ def corpus_content_digest():
     return h.hexdigest()
 
 
-CORPUS_CONTENT_PIN = "e79c4bedd33799aaab8859d714ec630137ab8c480bf977d149d88aa66d61d02b"
+CORPUS_CONTENT_PIN = "da8215a17a38efb1ded01e7ef81a933e8be54719b7b7a51e8069fbe4939536d2"
 
 
 def test_tiled_ir_corpus_content_pinned():
