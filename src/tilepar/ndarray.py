@@ -454,6 +454,18 @@ def scalar_op(op):
         raise ValueError(f"unknown operator {op!r}") from None
 
 
+def match_shapes(a_shape, b_shape):
+    """Raise ShapeError unless two array operands of an elementwise
+    operation have the same shape."""
+    if a_shape != b_shape:
+        raise ShapeError(f"elementwise shape mismatch: {a_shape} vs {b_shape}")
+
+
+def elementwise_dtype(op, a, b):
+    """The dtype of `a OP b` over arrays or scalars: `/` always gives f64."""
+    return "f64" if op == "/" else result_dtype((a, b))
+
+
 def elementwise(op, a, b):
     """Apply a binary operator over arrays/scalars with scalar broadcast.
 
@@ -466,10 +478,10 @@ def elementwise(op, a, b):
     f = scalar_op(op)
     if not a_arr and not b_arr:
         return f(a, b)
-    if a_arr and b_arr and a.shape != b.shape:
-        raise ShapeError(f"elementwise shape mismatch: {a.shape} vs {b.shape}")
+    if a_arr and b_arr:
+        match_shapes(a.shape, b.shape)
     like = a if a_arr else b
-    dtype = "f64" if op == "/" else result_dtype((a, b))
+    dtype = elementwise_dtype(op, a, b)
     layout = like.layout
     xs = element_list(a, layout) if a_arr else itertools.repeat(a)
     ys = element_list(b, layout) if b_arr else itertools.repeat(b)

@@ -106,9 +106,9 @@ from dataclasses import dataclass, field
 
 from . import ir
 from .ndarray import (
-    ELEM_SIZE, Allocator, ArrayValue, Block, NdArray, ShapeError, View, addresses, adopt, concat,
-    decompose, element_list, elementwise, interleave, join, make_strides, result_dtype,
-    scalar_op, slice_axis, span, tile_view,
+    ELEM_SIZE, Allocator, ArrayValue, Block, NdArray, View, addresses, adopt, concat, decompose,
+    element_list, elementwise, elementwise_dtype, interleave, join, make_strides, match_shapes,
+    result_dtype, scalar_op, slice_axis, span, tile_view,
 )
 
 
@@ -440,15 +440,16 @@ class Interpreter:
         (`_elementwise`) over the two rows, without a frame or a View. A
         row's values are computed, then its block is placed, then one `RRW`
         run reads both rows and writes the block. Row extents are checked
-        once and raise as `ndarray.elementwise` does. It gives a `_Stack`
-        whose dtype is the elementwise result's."""
+        once and raise as `ndarray.elementwise` does (`match_shapes`). It
+        gives a `_Stack` whose dtype is the elementwise result's
+        (`elementwise_dtype`)."""
         f, trace = scalar_op(op), self.config.trace
 
         def rows(views, axes, extent, captured):
             (a, ax), (b, bx) = ((views[p], axes[p]) for p in picks)
             n, m = a.shape[1 - ax], b.shape[1 - bx]
-            if extent and n != m:
-                raise ShapeError(f"elementwise shape mismatch: {(n,)} vs {(m,)}")
+            if extent:
+                match_shapes((n,), (m,))
             spans = [(v.root.data, v.offset, v.strides[axis], v.strides[1 - axis])
                      for v, axis in ((a, ax), (b, bx))]
             (da, oa, sa, ta), (db, ob, sb, tb) = spans
@@ -464,9 +465,8 @@ class Interpreter:
                         trace.run(interleave(ranges(i) + [range(start, start + n * ELEM_SIZE,
                                                                ELEM_SIZE)]), "RRW")
                     blocks.append(block)
-            dtype = "f64" if op == "/" else result_dtype((a, b))
             return _Stack(out, (extent, n) if extent else (0,), views[0].dtype, blocks,
-                          dtype if extent else None)
+                          elementwise_dtype(op, a, b) if extent else None)
         return rows
 
     def _leaf_node(self, kind, values, op, init, sources, direct):

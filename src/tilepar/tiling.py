@@ -35,10 +35,10 @@ right-hand side of its statement, with variable or constant arguments),
 keeps only the functions the entry reaches, and validates only the
 functions it created or replaced; a pass that changes nothing returns its
 input as given. The cache pass, ``tile_program``, first fuses every
-elementwise producer into the operator that consumes it
+elementwise producer of rank 1 into the Reduce that consumes it
 (``fuse_producers``), so that a tile covers the reads of the producer's
 inputs rather than a temporary built over the whole extent before the
-operator runs: in matmul, `p = x * y` becomes operands x and y of the
+reduce runs: in matmul, `p = x * y` becomes operands x and y of the
 reduce, whose callee computes `x * y`, and the register tiles then
 reorder input reads. It then tiles the entry function with sizes chosen
 at run time, or returns its input unchanged, unfused, with a reason. The
@@ -347,24 +347,32 @@ def _norm_expr(e, bind, top):
 # ---------------------------------------------------------------------------
 
 def fuse_producers(program, arg_ranks):
-    """`program` with every elementwise producer fused into the Map,
-    Reduce or Scan that consumes it, until none is left; `arg_ranks` are
-    the untiled ranks of `main`'s parameters.
+    """`program` with every elementwise producer fused into the Reduce
+    that consumes it, until none is left; `arg_ranks` are the untiled
+    ranks of `main`'s parameters.
 
-    A producer is an operand `E` of such an operator, or a statement
-    `p = E` whose `p` is read once in its function, as an operand of one
-    such operator, and by nothing else: no other statement, no return,
-    no callee's `uses`. `E` is a tree of binary operators over variables
-    and constants, and in every context the rank oracle sees, each of its
-    variables has either `p`'s rank (an array) or rank 0 (a scalar). The
-    arrays, each once, replace `p` among the operator's operands, sliced
-    along `p`'s axis. The callee is composed with `E`: its parameter is
+    A producer is an operand `E` of a Reduce, or a statement `p = E`
+    whose `p` is read once in its function, as an operand of one Reduce,
+    and by nothing else: no other statement, no return, no callee's
+    `uses`. `E` is a tree of binary operators over variables and
+    constants, and in every context the rank oracle sees, the operand
+    has rank 1 and each of E's variables rank 1 (an array) or rank 0 (a
+    scalar). The arrays, each once, replace `p` among the reduce's
+    operands. The callee is composed with `E`: its parameter is
     substituted when its body is `return X` with X free of operators and
     reading the parameter once, else `param = E` is prepended. Scalars
     stay scalars, read by the composed callee through `uses`. Each
     element is computed as it was, so values are those of the program as
     written. Functions with control flow or a name bound twice are left
-    as they are."""
+    as they are.
+
+    Only rank 1 into a Reduce keeps every outcome of the program as
+    written without static extents: the reduce's check that its
+    operands' extents agree is then the whole of E's shape check, and
+    over zero slices a reduce gives its init whatever its operands'
+    dtypes. A Map or Scan over zero slices takes its first operand's
+    dtype, which need not be E's, and a rank-2 array sliced by rows
+    would be checked along one axis only."""
     while True:
         fused = _fuse_one(program, arg_ranks)
         if fused is None:
@@ -398,16 +406,16 @@ def _fuse_one(program, arg_ranks):
 
 
 def _producers(program):
-    """(function name, operator, operand position, producer statement or
-    None, elementwise value) of every operand of a Map, Reduce or Scan
-    that is a tree of binary operators, or a variable whose one read is
-    that operand and whose statement computes such a tree, in a function
-    without control flow that binds each name once."""
+    """(function name, reduce, operand position, producer statement or
+    None, elementwise value) of every operand of a Reduce that is a tree
+    of binary operators, or a variable whose one read is that operand and
+    whose statement computes such a tree, in a function without control
+    flow that binds each name once."""
     for name, fn in program.functions.items():
         assigned = _single_assignments(fn)
         if assigned is None:
             continue
-        for e in (e for s in fn.body for e in _operators(s.value)):
+        for e in (e for s in fn.body for e in _reduces(s.value)):
             for pos, arg in enumerate(e.args):
                 producer = assigned.get(arg.name) if type(arg) is Var else None
                 value = producer.value if producer else arg
@@ -416,15 +424,15 @@ def _producers(program):
                     yield name, e, pos, producer, value
 
 
-def _operators(e):
-    """The Map, Reduce and Scan nodes under `e`, without a walk when `e`
-    is free of them or is one over variables and constants."""
+def _reduces(e):
+    """The Reduce nodes under `e`, without a walk when `e` is free of
+    operators or is one over variables and constants."""
     if _elementwise(e):
         return ()
-    if type(e) in UNTILED_OPS and all(type(x) in (Var, Const) for x in e.args) and (
-            type(e) is Map or type(e.init) is Const):
+    if type(e) is Reduce and all(type(x) in (Var, Const) for x in e.args) and (
+            type(e.init) is Const):
         return (e,)
-    return [x for x in ir.walk_exprs(e) if isinstance(x, UNTILED_OPS)]
+    return [x for x in ir.walk_exprs(e) if type(x) is Reduce]
 
 
 def _rank_contexts(program, arg_ranks):
@@ -493,25 +501,20 @@ def _names(e):
 
 def _operand_kinds(value, operand, axis, envs):
     """(arrays, scalars): the variables of producer `value`, each once in
-    order of first reading, split by rank, when in every context each has
-    the rank of the operand (`operand` is `value` itself or the variable
-    that holds it) or rank 0, and the operator can slice that rank along
-    `axis`; else None."""
+    order of first reading, split by rank, when in every context the
+    operand (`operand` is `value` itself or the variable that holds it)
+    has rank 1 and is sliced along axis 0, and each variable has rank 1
+    or 0, one at least rank 1; else None."""
     names = _names(value)
-    if not names:
-        return None
     arrays = None
     for env in envs:
-        row = [env.get(n, 0) for n in names]
-        rank = env.get(operand.name, 0) if type(operand) is Var else max(row)
-        if rank <= axis:
+        row = tuple(env.get(n, 0) for n in names)
+        if max(row, default=0) != 1 or axis != 0 or arrays not in (None, row) or (
+                type(operand) is Var and env.get(operand.name, 0) != 1):
             return None
-        kind = tuple(r == rank for r in row)
-        if any(r not in (0, rank) for r in row) or arrays not in (None, kind):
-            return None
-        arrays = kind
-    return ([n for n, a in zip(names, arrays) if a],
-            [n for n, a in zip(names, arrays) if not a])
+        arrays = row
+    return ([n for n, r in zip(names, arrays) if r],
+            [n for n, r in zip(names, arrays) if not r])
 
 
 def _compose(program, g, pos, value, arrays, scalars):
@@ -808,8 +811,8 @@ def _path_base(path):
 # ---------------------------------------------------------------------------
 
 def tile_program(program, arg_ranks=None):
-    """Tile `main` for cache: elementwise producers are fused into their
-    operators (`fuse_producers`), then every operator becomes a tiled
+    """Tile `main` for cache: elementwise producers of rank 1 are fused
+    into their reduces (`fuse_producers`), then every operator becomes a tiled
     operator with a runtime-tunable size slot.
 
     Returns TilingResult; `changed` is False (with a reason, and the input

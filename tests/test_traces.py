@@ -630,36 +630,84 @@ def test_random_programs_match_generic_twins(wide, chunk):
             assert observed(p, inputs, tile_sizes) == observed(twin, inputs, tile_sizes), seed
 
 
+def random_outcomes(seed, wide, edge):
+    """(run, value or error text, (full-tile calls, straggler calls,
+    bounds checks)) of a random program: untiled, then, when the cache
+    pass tiles it, the cache pass and the register pass at 16 and at 4
+    registers. Runtime slots take `sample_tile_sizes`, register slots
+    their fixed size."""
+    program, inputs, arg_ranks = randprog.generate(seed, wide=wide, edge=edge)
+    res = tile_program(program, arg_ranks=arg_ranks)
+    runs = [("untiled", program, {})]
+    if res.changed:
+        runs.append(("cache", res.program, res.spec.sizes(
+            randprog.sample_tile_sizes(res.spec, random.Random(seed)))))
+        for registers in (16, 4):
+            reg_program, spec = register_tile(res.program, res.spec, registers)
+            runs.append((registers, reg_program, spec.sizes(
+                randprog.sample_tile_sizes(spec, random.Random(seed)))))
+    outcomes = []
+    for name, p, sizes in runs:
+        config = EvalConfig(tile_sizes=sizes)
+        try:
+            value = eval_program(p, inputs, config)
+            out = (value.shape, value.dtype, value.data) if isinstance(value, NdArray) else value
+        except (EvalError, ShapeError) as exc:
+            out = f"{type(exc).__name__}: {exc}"
+        c = config.counters
+        outcomes.append((name, out, (c.full_tile_calls, c.straggler_calls, c.bounds_checks)))
+    return outcomes
+
+
+RANDOM_FLAVOURS = list(itertools.product((False, True), repeat=2))
+
+
 def register_counters_digest():
     """One sha256 over (seed, flavour, registers, value or error text,
     full-tile calls, straggler calls, bounds checks) of every random
     program that both passes tile: seeds 0-199, narrow and wide, normal
-    and edge extents, 16 and 4 registers. Runtime slots take
-    `sample_tile_sizes`, register slots their fixed size."""
+    and edge extents, 16 and 4 registers (`random_outcomes`)."""
     h = hashlib.sha256()
     for seed in range(200):
-        for wide, edge in itertools.product((False, True), repeat=2):
-            program, inputs, arg_ranks = randprog.generate(seed, wide=wide, edge=edge)
-            res = tile_program(program, arg_ranks=arg_ranks)
-            if not res.changed:
-                continue
-            for registers in (16, 4):
-                reg_program, spec = register_tile(res.program, res.spec, registers)
-                sizes = spec.sizes(randprog.sample_tile_sizes(spec, random.Random(seed)))
-                config = EvalConfig(tile_sizes=sizes)
-                try:
-                    value = eval_program(reg_program, inputs, config)
-                    out = (value.shape, value.dtype, value.data) \
-                        if isinstance(value, NdArray) else value
-                except (EvalError, ShapeError) as exc:
-                    out = f"{type(exc).__name__}: {exc}"
-                c = config.counters
-                h.update(repr((seed, wide, edge, registers, out, c.full_tile_calls,
-                               c.straggler_calls, c.bounds_checks)).encode())
+        for wide, edge in RANDOM_FLAVOURS:
+            for name, out, counters in random_outcomes(seed, wide, edge):
+                if name in (16, 4):
+                    h.update(repr((seed, wide, edge, name, out, *counters)).encode())
     return h.hexdigest()
 
 
-REGISTER_COUNTERS_PIN = "d1bc960966bc29c3ac664e21a45858aa75f7d40c8c81a67a9c548f0472033a2f"
+REGISTER_COUNTERS_PIN = "bb19e332356e4de5fd216246e73f8cec7b2ca2cfe970ebfe69e16d0e4fe15033"
+
+
+# Random programs (seed, wide, edge) whose outcomes producer fusion
+# changes. The first tile only once a producer is fused; the others
+# raised tiled unfused, and fused give the untiled value.
+TILED_ONLY_FUSED = {(86, True, True), (93, True, False), (140, True, False),
+                    (168, True, False), (168, True, True)}
+RAISED_ONLY_UNFUSED = {(494, False, True): "EvalError: TiledReduce axis 2 out of range for rank 2",
+                       (687, False, True): "EvalError: TiledReduce axis 2 out of range for rank 2"}
+
+
+def test_fusion_keeps_random_program_outcomes(monkeypatch):
+    """Fused against unfused, over the programs of
+    `register_counters_digest` and the seeds above: every untiled and
+    tiled value and error is the same, but for the programs listed above.
+    Only counters move, which `REGISTER_COUNTERS_PIN` pins fused."""
+    cases = [(seed, wide, edge) for seed in range(200) for wide, edge in RANDOM_FLAVOURS]
+    cases += sorted(RAISED_ONLY_UNFUSED)
+    fused = {case: [out for _, out, _ in random_outcomes(*case)] for case in cases}
+    monkeypatch.setattr("tilepar.tiling.fuse_producers", lambda program, arg_ranks: program)
+    only_fused = set()
+    for case in cases:
+        f, u = fused[case], [out for _, out, _ in random_outcomes(*case)]
+        if len(u) == 1 < len(f):
+            only_fused.add(case)
+            u = u * len(f)
+        if case in RAISED_ONLY_UNFUSED:
+            assert u[1:] == [RAISED_ONLY_UNFUSED[case]] * 3
+            u = u[:1] * len(u)
+        assert f == u, case
+    assert only_fused == TILED_ONLY_FUSED
 
 
 def test_register_tiled_counters_pinned():
@@ -857,7 +905,7 @@ def tiling_digest(passes):
     return h.hexdigest()
 
 
-CORPUS_PIN = "0b826abb8540dbdcd936b3c98007be86eef8be4251a57dae78a919e894916a53"
+CORPUS_PIN = "288c3441fd03f5894288c1ddaac7bfc4b3ac15cb66514868f194e6666c92ee92"
 
 
 def test_tiled_ir_corpus_pinned():
@@ -870,19 +918,22 @@ def test_tiled_ir_corpus_pinned():
 # so the programs), narrow and wide, at 16 registers; and the corpus's
 # narrow and wide programs at 4 registers, where register tiles are
 # smaller.
-OTHER_PROGRAMS_PIN = "6b300a284594d71179721de3375be28dd4b9ab1759bcc5865585419c317a0afa"
+OTHER_PROGRAMS_PIN = "8be3c823228de3b8c58e0736498148127fb2015e28376f200c7fec8fdd64b63b"
+
+
+def other_programs_digest():
+    return tiling_digest(itertools.chain(
+        tiling_passes(randprog_cases(edge=True)),
+        tiling_passes(randprog_cases(edge=True, wide=True)),
+        tiling_passes(randprog_cases(), registers=4),
+        tiling_passes(randprog_cases(wide=True), registers=4)))
 
 
 def test_tiled_ir_edge_and_few_registers_pinned():
     """Both tiling passes print the same IR and slot tables, or give the
     same bail-out reason, beyond the corpus: over randprog edge programs
     and at 4 registers."""
-    passes = itertools.chain(
-        tiling_passes(randprog_cases(edge=True)),
-        tiling_passes(randprog_cases(edge=True, wide=True)),
-        tiling_passes(randprog_cases(), registers=4),
-        tiling_passes(randprog_cases(wide=True), registers=4))
-    assert tiling_digest(passes) == OTHER_PROGRAMS_PIN
+    assert other_programs_digest() == OTHER_PROGRAMS_PIN
 
 
 def corpus_content_digest():
@@ -902,7 +953,7 @@ def corpus_content_digest():
     return h.hexdigest()
 
 
-CORPUS_CONTENT_PIN = "da8215a17a38efb1ded01e7ef81a933e8be54719b7b7a51e8069fbe4939536d2"
+CORPUS_CONTENT_PIN = "bea23ae9c6efed1be0aa3e1e393cdee42a872c8e6b104d99def948cb6d390e56"
 
 
 def test_tiled_ir_corpus_content_pinned():
@@ -910,6 +961,26 @@ def test_tiled_ir_corpus_content_pinned():
     tables over the corpus, whatever order the table keeps them in and
     whatever dead functions it holds."""
     assert corpus_content_digest() == CORPUS_CONTENT_PIN
+
+
+# The digests above as they were before the cache pass fused producers.
+UNFUSED_PINS = {
+    "register counters": "6716f4592d7960266c78b3f8ac57459ef80f637849211501cb5eaa91a53717ac",
+    "corpus": "b9d37cf2ab82bba5afe7007a3800e6a4c1489ff51fe1e8ef7d62b9199e4681f3",
+    "other programs": "e5582b0705269497e46b361edbb5a7671a84ffa74da32c51740c698ac3cfce6a",
+    "corpus content": "e79c4bedd33799aaab8859d714ec630137ab8c480bf977d149d88aa66d61d02b",
+}
+
+
+def test_unfused_digests_are_those_before_fusion(monkeypatch):
+    """With producer fusion off, tiling, values, errors and counters are
+    those before fusion: the re-pinned digests move only by fusion, whose
+    outcomes `test_fusion_keeps_random_program_outcomes` checks."""
+    monkeypatch.setattr("tilepar.tiling.fuse_producers", lambda program, arg_ranks: program)
+    assert {"register counters": register_counters_digest(),
+            "corpus": tiling_digest(corpus_passes()),
+            "other programs": other_programs_digest(),
+            "corpus content": corpus_content_digest()} == UNFUSED_PINS
 
 
 def test_tiled_corpus_invariants():
