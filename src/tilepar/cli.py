@@ -20,7 +20,7 @@ from .autotuner import (
 )
 from .bench import (
     BENCHMARKS, CorrectnessError, bench_kmeans, bench_matmul, bench_sum_rows,
-    checksum, generate_array, miss_probe, prepare,
+    checksum, generate_array, prepare,
 )
 from .cachesim import CacheConfigError, CacheModel, Simulator, probe_hardware, simulate_program
 from .ir import IRError, desugar_allpairs, parse_program, print_program
@@ -300,17 +300,20 @@ def cmd_autotune(args):
             print(f"cached sizes: {cached}")
             return EXIT_OK
     if args.probe == "misses":
-        probe_fn = miss_probe(prepared, inputs, hw.l1_model())
+        def cost(program, sizes):
+            stats, _ = simulate_program(program, inputs, hw.l1_model(), tile_sizes=sizes)
+            return float(stats.misses)
     else:
-        def probe_fn(candidate):
+        def cost(program, sizes):
             start = time.perf_counter()
-            eval_program(prepared.tiled, inputs,
-                         EvalConfig(tile_sizes=prepared.sizes(candidate)))
+            eval_program(program, inputs, EvalConfig(tile_sizes=sizes))
             return time.perf_counter() - start
 
     config = SearchConfig(batch_size=args.batch, max_evaluations=args.budget,
                           seed=args.seed)
-    state = run_search(prepared.space, CostProbe(probe_fn), config)
+    state = run_search(prepared.space,
+                       CostProbe(lambda candidate: cost(prepared.tiled, prepared.sizes(candidate))),
+                       config)
     chosen = prepared.sizes(state.best)
     if args.format == "csv":
         print("round,candidate,cost,best,best_cost")
@@ -320,7 +323,9 @@ def cmd_autotune(args):
                   f"{'x'.join(map(str, r.best))},{r.best_cost:.6g}")
     else:
         print(format_log(state))
-        print(f"chosen sizes: {chosen}")
+        # One more probe, of the untiled program, shows a tiling that loses.
+        print(f"chosen sizes: {chosen} cost={state.best_cost:.6g} "
+              f"untiled_cost={cost(prepared.untiled, {}):.6g}")
     if args.cache:
         try:
             store_cached_sizes(args.cache, key, chosen)

@@ -27,7 +27,9 @@ case, is taken directly: as a slice (`span`) and as an address range.
 values: each puts its output's element list together from element lists
 and `adopt`s it once, so no array is zero-filled and then overwritten.
 They neither place their output nor report a trace run; the interpreter
-(`semantics.Interpreter`) does both.
+(`semantics.Interpreter`) does both. `write` puts a finished element list
+into a view of an existing array, where the interpreter builds a tile's
+value in place.
 
 `Allocator` places arrays in a simulated address space. It takes a block
 back when its array dies, through a `weakref.ref` callback, and keeps
@@ -233,6 +235,10 @@ class View:
         return self.root.dtype
 
     @property
+    def size(self):
+        return math.prod(self.shape)
+
+    @property
     def layout(self):
         return self.root.layout
 
@@ -373,6 +379,28 @@ def element_list(v, layout="row"):
         return data[span(v)]
     starts, n, step = runs(v, layout)
     return list(itertools.chain.from_iterable(data[b:b + n * step:step] for b in starts))
+
+
+def write(v, data):
+    """Write `data`, the elements of view `v` in row order, into its buffer:
+    one slice assignment when `v` is dense in row order or of rank 1, one
+    per row at rank 2, else one per run (`runs`)."""
+    buf = v.root.data
+    if v.strides == make_strides(v.shape, "row"):
+        buf[v.offset:v.offset + len(data)] = data
+        return
+    if len(v.shape) == 1:
+        buf[span(v)] = data
+        return
+    if len(v.shape) == 2:
+        (rows, n), (row, step), start = v.shape, v.strides, v.offset
+        for i in range(rows):
+            b = start + i * row
+            buf[b:b + n * step:step] = data[i * n:i * n + n]
+        return
+    starts, n, step = runs(v)
+    for i, b in enumerate(starts):
+        buf[b:b + n * step:step] = data[i * n:i * n + n]
 
 
 def join(parts, axis, stacked=False):

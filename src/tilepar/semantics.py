@@ -11,85 +11,58 @@ It cuts every operand into full tiles plus an optional straggler and
 runs the tiles one after another in tile order, each through the one
 build of its tile function. A full tile of an operator whose slot has a
 fixed size k (`fixed=k`, a register tile) also puts k in the frame of
-its tile call, for the bounds-check rule (`Counters`). The results are
-put back together so that the outcome equals the untiled operator:
-concatenated for a map, folded with the combine for a reduce, and for a
-scan fixed up with each tile's carry, then emitted, then concatenated (a
-tiled scan's tiles scan without `emit`). When the lifted combine is
-`return map(G, a, b; axes=[0, 0])`, a tile's whole fix-up is one call of
-the combine's node kernel (below) over the carry, broadcast along a new
-leading axis, and the tile: each row is one step, run as the untiled map
-would run it. Any other combine is called once per step. An empty extent
-at depth 0 gives what the untiled operator gives for zero slices; below
-depth 0 one empty straggler runs through the tile function, which builds
-the nest's own empty result.
+its tile call, for the bounds-check rule (`Counters`). A reduce folds
+its tiles' results with the combine. A map or scan builds its value in
+place (destination passing): each tile call gets the tile's place in
+the output, the depth axis, the tile's start and its extent, in its
+frame, and the operator the tile function returns builds its value
+there (`_Dest`, `_claim`). The first value to take a place allocates
+the output, in that value's shape widened along the depth axis, itself
+at the operator's own place in its parent's output when it has one. A
+tile whose value cannot take its place, because the tile function does
+not return a map or scan or its value has another rank or extent, is
+copied in afterwards; when none takes its place, or one does not fit
+it, the tiles are concatenated, as without places (`_gather`). A scan's
+tiles scan without `emit`; each tile after the first is then fixed up
+with the previous tile's carry, at its place, and `emit` is applied to
+every step last, the emitted steps taking the places instead. When the
+lifted combine is `return map(G, a, b; axes=[0, 0])`, a tile's whole
+fix-up is one call of the combine's node kernel (`kernels`) over the
+carry, broadcast along a new leading axis, and the tile: each row is one
+step, run as the untiled map would run it. Any other combine is called
+once per step. An empty extent at depth 0 gives what the untiled
+operator gives for zero slices; below depth 0 one empty straggler runs
+through the tile function, which builds the nest's own empty result.
 
 The untiled ones run through one method too (`Interpreter._untiled`):
 one callee call per slice, each result folded into the accumulator
-before the next call, or the callee's kernel (below), whose results
-`_assemble` stacks, folds or scans. Zero slices give a reduce its init,
-else an empty rank-1 array of the first operand's dtype.
+before the next call, or the callee's kernel (`kernels.Kernels`), whose
+results `_assemble` stacks, folds or scans, at the operator's place when
+it has one. Zero slices give a reduce its init, else an empty rank-1
+array of the first operand's dtype.
 
 Each function is built once, on its first call, into nested closures;
 callees are looked up by name when an operator first runs, so a missing
-function raises only when execution reaches it. An operator runs a
-callee that `ir.body_shape` describes without a call per slice, through
-its kernel `kernel(views, axes, extent, captured)`:
-- a leaf over rank-1 operands is one loop over a slice of each flat
-  buffer (scalar closure operands broadcast); it gives its results, one
-  scalar per slice, which the operator stacks, folds or scans;
-- a leaf `a OP b` over rank-2 operands of its own parameters runs each
-  row's elementwise operation without a frame or a View, and gives the
-  rows stacked, as a `_Stack` (below) of the elementwise result's dtype;
-- a map, reduce or scan (a node) runs once per row without a frame, its
-  callee by the same rule. Its operands are any of its parameters, whose
-  rows it takes, and its closure parameters, the same value for every
-  row: over rank-2 operands a rank-1 closure array is broadcast as a View
-  of stride 0 along the rows, as a tile's fix-up broadcasts its carry.
-  The callee of a map node may read closures, bound per row from the
-  node's parameters or closure values. Over rank-2 operands a node reads
-  each row as a slice of the flat buffer, without a View per row, and
-  checks the row extents once. A reduce node gives its rows' results, one
-  scalar per row. A map or scan node gives its whole stacked value as one
-  `_Stack`: a flat row-major element list, with the shape and the dtype
-  that stacking its rows' arrays would give. Each row appends its results
-  to that list, and a map node whose rows are arrays concatenates its
-  rows' lists. The caller that needs an array (`_assemble`) adopts the
-  list once.
-A fold (Reduce or Scan) runs only a leaf so, with a scalar init, no emit
-and a combine `return a OP b`. A kernel that meets an operand it has no
-rule for (a scalar or wrong-rank closure) declines before any side
-effect, and the operator makes one call per slice. Stacked scalars are
-the output's element list as they are; arrays are stacked as a concat
-joins its parts (`ndarray.join`). All give the values, trace events,
-allocations, counters and errors of one call per slice.
+function raises only when execution reaches it. Whether a tile function
+can take a place is decided then too (`Interpreter._takes_place`), so
+that the tiles of one that cannot, such as a reduce's, pay nothing.
 
 The interpreter builds its arrays with `ndarray.adopt`, from a finished
 element list and a shape, dtype and layout it derived itself, so nothing
 is zero-filled first or checked again. It places each array, and each
-block (below), at one point (`_placed`) as it is built, so the order of
-allocations, and of the frees that reference counting makes, decides
-each address. One call per slice would build an array for each row of a
-map or scan node, and for each row of those rows. With a trace sink the
-node models each of them by an address-only `ndarray.Block` of the same
-size. It reports the same `W` or `RW` run over the block as the array's
-stack would, and lets the blocks die where the arrays would: a row's
-blocks die, last to first, once the row's own block is written, and the
-outermost ones once the operator's array is. So addresses, events and
-runs are those of one call per slice.
+block (`kernels`), at one point (`_placed`) as it is built, so the order
+of allocations, and of the frees that reference counting makes, decides
+each address.
 
 A trace sink is any object with `run(addrs, kinds)` and `phase(label)`.
 When one is attached (`EvalConfig.trace`), every array element read or
 write is reported to it by byte address, in runs: `addrs` iterates a
 run's addresses in event order and `kinds`, a non-empty string of `R`
 and `W`, is cycled over them to give each one's kind. The interpreter
-reports every run; `ndarray` reports none. A leaf's reads are one `R`
-run, and so are the reads of all the rows of a reduce node; a map or
-scan node reports each row's reads as one run, as the row's results are
-stacked between them. An elementwise operation is one `RW` or `RRW` run.
-Every stack and join, of arrays or blocks, is one run of the one copy
-emitter, `_fill`. No run is empty: an operation on no element reports
-none.
+reports every run; `ndarray` reports none. An elementwise operation is
+one `RW` or `RRW` run. Every stack and join, of arrays or blocks, and
+every copy of a tile into its place, is one run of the one copy emitter,
+`_fill`. No run is empty: an operation on no element reports none.
 Each statement of the entry function announces itself with `phase`
 before it runs, never within a run; a `for` loop is one phase, `for
 VAR`, and its body announces none. Each traced run places its arrays in
@@ -101,19 +74,16 @@ from __future__ import annotations
 
 import functools
 import itertools
-import types
+import math
 from dataclasses import dataclass, field
 
 from . import ir
+from .kernels import NO_CAPTURES, EvalError, Kernels, Stack, scalar_dtype
 from .ndarray import (
     ELEM_SIZE, Allocator, ArrayValue, Block, NdArray, View, addresses, adopt, concat, decompose,
-    element_list, elementwise, elementwise_dtype, interleave, join, make_strides, match_shapes,
-    result_dtype, scalar_op, slice_axis, span, tile_view,
+    element_list, elementwise, interleave, join, make_strides, scalar_op, slice_axis, tile_view,
+    write,
 )
-
-
-class EvalError(Exception):
-    pass
 
 
 @dataclass
@@ -167,16 +137,20 @@ def eval_program(program, args, config=None):
 # What a block returns when it runs to its end without a return statement.
 _NO_RETURN = object()
 
-# The captured values of a callee without closure parameters.
-_NO_CAPTURES = types.MappingProxyType({})
-
 # The frame key that holds k in a full tile's call of the tile function of
 # a `fixed=k` operator; no program can bind it, as no identifier starts
 # with "$".
 _FIXED = "$k"
 
-# The element types `_stack` takes as scalars without a per-value check.
-_SCALARS = frozenset((int, float))
+# The frame key that holds a tile's place (`_Dest`) in the call of a tile
+# function that can take one (`_Compiled.places`). Only a return of an
+# operator reads it (`_returned`).
+_PLACE = "$place"
+
+# The operators that can build their value at a place: a map or scan
+# stacks its results there, and a tiled map or scan hands its tiles places
+# in it.
+_PLACEABLE = frozenset((ir.Map, ir.Scan, ir.TiledMap, ir.TiledScan))
 
 
 class _Compiled:
@@ -184,112 +158,90 @@ class _Compiled:
 
     `call(args, captured)` applies it to positional arguments and its
     captured closure values. `kernels` maps operand ranks to its kernel
-    or None (see `Interpreter._kernel`); `op` is its scalar operator as a
-    combine (`ir.combine_op`), and `shape` its `ir.body_shape`."""
+    or None (see `Kernels._kernel`); `op` is its scalar operator as a
+    combine (`ir.combine_op`), and `shape` its `ir.body_shape`. `places`
+    says whether, as a tile function, it can build its value at the tile's
+    place (`Interpreter._takes_place`)."""
 
-    __slots__ = ("fn", "call", "op", "shape", "kernels")
+    __slots__ = ("fn", "call", "op", "shape", "places", "kernels")
 
-    def __init__(self, fn, call, op, shape):
-        self.fn, self.call, self.op, self.shape, self.kernels = fn, call, op, shape, {}
-
-
-def _leaf_values(fn, op, names):
-    """(shared, values) of a leaf `fn` whose `ir.body_shape` is ("leaf", op,
-    names): `shared` lists the closure parameters its body reads, and
-    `values(columns)` gives its results at every index of `columns`, the
-    element lists of its parameters and then of `shared`."""
-    shared = [c for c in fn.closure_params if c in names]
-    picks = [(fn.params + tuple(shared)).index(n) for n in names]
-    if op is None:
-        pick = picks[0]
-        return shared, lambda columns: columns[pick]
-    f = scalar_op(op)
-    return shared, lambda columns: list(map(f, *map(columns.__getitem__, picks)))
+    def __init__(self, fn, call, op, shape, places):
+        self.fn, self.call, self.op, self.shape, self.places = fn, call, op, shape, places
+        self.kernels = {}
 
 
-def _row_extent(views, axes, what):
-    """The extent of every row of the rank-2 `views` sliced along `axes`.
-    Rows of different extents raise as `Interpreter._operand_views` does."""
-    n = views[0].shape[1 - axes[0]]
-    for v, axis in zip(views, axes):
-        if v.shape[1 - axis] != n:
-            raise EvalError(f"{what} sliced extents differ: {n} vs {v.shape[1 - axis]}")
-    return n
-
-
-def _row_ranges(views, axes, n):
-    """`i ->` the byte addresses of row i of each of the rank-2 `views`
-    sliced along `axes`, every row of extent n: one range per view."""
-    spans = [(v.root.addr + v.offset * ELEM_SIZE, v.strides[axis] * ELEM_SIZE,
-              v.strides[1 - axis] * ELEM_SIZE) for v, axis in zip(views, axes)]
-    return lambda i: [range(base + i * row, base + i * row + n * step, step)
-                      for base, row, step in spans]
-
-
-def _row_reads(views, axes, n):
-    """`i ->` the byte addresses a leaf reads at row i of the rank-2 `views`
-    sliced along `axes`, every row of extent n: per index, one per view in
-    order (`ndarray.interleave`). One view's row is its range, with no
-    list built per row: the hot case, as a traced row sum reads one view."""
-    if len(views) == 1:
-        (v,), (axis,) = views, axes
-        base, row = v.root.addr + v.offset * ELEM_SIZE, v.strides[axis] * ELEM_SIZE
-        step = v.strides[1 - axis] * ELEM_SIZE
-        return lambda i: range(base + i * row, base + i * row + n * step, step)
-    ranges = _row_ranges(views, axes, n)
-    return lambda i: interleave(ranges(i))
-
-
-def _gathered(views, axes, extent, captured, sources):
-    """(operands, axes): the operands of a node's operator stacked over the
-    node's `extent` rows, from `sources` (see `Interpreter._new_kernel`),
-    and the axis of each that holds the rows. A parameter gives its view;
-    a closure operand, a rank-1 array, is broadcast as a View with stride 0
-    along a new leading axis, as `Interpreter._fix_up` broadcasts a carry.
-    (None, None) when a closure operand is anything else."""
-    out, out_axes = [], []
-    for s in sources:
-        if type(s) is int:
-            out.append(views[s])
-            out_axes.append(axes[s])
-            continue
-        v = captured[s]
-        if not isinstance(v, ArrayValue) or len(v.shape) != 1:
-            return None, None
-        out.append(View(v.root, v.offset, (extent,) + v.shape, (0,) + v.strides))
-        out_axes.append(0)
-    return out, out_axes
-
-
-def _scalar_dtype(values):
-    """The dtype of `values` stacked as scalars: f64 when any is a float,
-    else i64; None when any is an array."""
-    kinds = set(map(type, values))
-    if kinds <= _SCALARS:
-        return "f64" if float in kinds else "i64"
-    if any(isinstance(x, ArrayValue) for x in values):
+def _returned(block, i):
+    """The operator whose value statement i of `block` gives as the block's
+    return value unchanged, or None: that of `return OP`, or of `v = OP`
+    when `return v` comes next, where OP is `_PLACEABLE`."""
+    s = block[i]
+    if type(s) is ir.Assign:
+        after = block[i + 1] if i + 1 < len(block) else None
+        if type(after) is not ir.Return or after.value != ir.Var(s.target):
+            return None
+    elif type(s) is not ir.Return:
         return None
-    return result_dtype(values)
+    return s.value if type(s.value) in _PLACEABLE else None
 
 
-class _Stack:
-    """The value of a map or scan node's kernel before it is an array: its
-    elements `data` in row-major order, `shape` and `dtype`. With a trace
-    sink, `rows` lists the address-only block (`ndarray.Block`) that holds
-    the place of each row's own value, in row order; else it is None."""
+def _returned_operators(block):
+    """Every operator that `_returned` finds in `block` and its nested
+    blocks."""
+    for i, s in enumerate(block):
+        e = _returned(block, i)
+        if e is not None:
+            yield e
+        if type(s) is ir.If:
+            yield from _returned_operators(s.then)
+            yield from _returned_operators(s.orelse)
+        elif type(s) is ir.For:
+            yield from _returned_operators(s.body)
 
-    __slots__ = ("data", "shape", "empty", "rows", "exact")
 
-    def __init__(self, data, shape, empty, rows, exact=None):
-        self.data, self.shape, self.empty, self.rows, self.exact = data, shape, empty, rows, exact
+class _Dest:
+    """The output of a tiled map or scan, cut along its `axis` (the
+    operator's depth), of `extent`, into tiles of `k`: tile t's place is
+    the pair `(dest, t)`, `min(k, extent - t * k)` long from `t * k`.
+    `place` is the operator's own place in its parent's output, or None.
+    `out` is allocated when a value first takes a place
+    (`Interpreter._claim`): a view at `place` when `nested`, else an array
+    of its own. `views[t]` is the view of `out` that a value last took
+    place t as, `dtypes[t]` that value's dtype, and `f64` counts the
+    places whose value is f64."""
 
-    @property
-    def dtype(self):
-        """The dtype that stacking the rows' arrays gives: `exact` when the
-        rows are arrays whose dtype their operands decide, else the first
-        operand's (`empty`) when there is no element, else `_scalar_dtype`
-        of the elements."""
-        return self.exact or (_scalar_dtype(self.data) if self.data else self.empty)
+    __slots__ = ("axis", "extent", "k", "place", "out", "nested", "views", "dtypes", "f64")
+
+    def __init__(self, axis, extent, k, place):
+        self.axis, self.extent, self.k, self.place = axis, extent, k, place
+        self.out, self.nested, self.f64 = None, False, 0
+        self.views = [None] * max(1, -(-extent // k))
+        self.dtypes = [None] * len(self.views)
+
+
+def _widened(place, shape):
+    """The shape of the output in which a value of `shape` takes `place`:
+    `shape` with the output's extent along its axis. None when the value
+    has no such axis or its extent there is not the place's."""
+    dest, t = place
+    axis = dest.axis
+    if len(shape) <= axis or shape[axis] != min(dest.k, dest.extent - t * dest.k):
+        return None
+    return shape[:axis] + (dest.extent,) + shape[axis + 1:]
+
+
+def _retype(dest):
+    """Give `dest.out` the dtype that a join of the values at its places
+    would have, f64 while any is, after one of them changed dtype. A nested
+    output records its own as the dtype of the value at its place."""
+    while dest.nested:
+        dtype = "f64" if dest.f64 else "i64"
+        dest, t = dest.place
+        old = dest.dtypes[t]
+        if old == dtype:
+            return
+        dest.dtypes[t] = dtype
+        dest.f64 += (dtype == "f64") - (old == "f64")
+    dest.out.dtype = "f64" if dest.f64 else "i64"
 
 
 def _failing(message):
@@ -298,7 +250,7 @@ def _failing(message):
     return fail
 
 
-class Interpreter:
+class Interpreter(Kernels):
     """Evaluates a program by building each function into closures on its
     first call: statements and expressions become nested Python closures
     over a frame dict, with callees and closure-parameter names resolved
@@ -310,6 +262,7 @@ class Interpreter:
         self._functions = {}  # name -> _Compiled
         self._entry = None
         self._allocator = None
+        self._tile_functions = set()  # of the tiled maps and scans built so far (`_takes_place`)
 
     # -- entry points --------------------------------------------------------
 
@@ -348,7 +301,7 @@ class Interpreter:
         """The built function `name` and its closure values from `env`."""
         f = self._function(name)
         if not f.fn.closure_params:
-            return f, _NO_CAPTURES
+            return f, NO_CAPTURES
         captured = {}
         for c in f.fn.closure_params:
             if c not in env:
@@ -359,7 +312,8 @@ class Interpreter:
     def _build(self, fn):
         op = ir.combine_op(fn)
         mark = self.config.trace is not None and fn is self._entry
-        body = self._block(fn.body, mark)
+        places = self._takes_place(fn)
+        body = self._block(fn.body, mark, places)
         params, name = fn.params, fn.name
 
         def call(args, captured):
@@ -370,240 +324,43 @@ class Interpreter:
                 raise EvalError(f"{name} finished without returning")
             return value
 
-        return _Compiled(fn, call, op and scalar_op(op), ir.body_shape(fn))
+        return _Compiled(fn, call, op and scalar_op(op), ir.body_shape(fn), places)
 
-    def _kernel(self, f, ranks):
-        """The kernel of `f` for operands of `ranks` (see the module docstring) or
-        None: `kernel(views, axes, extent, captured)` lists f's results at every slice
-        of `views` along `axes` (a map or scan node gives them stacked, as a `_Stack`),
-        or is None before any side effect. A fold node needs rank 2 and a combine
-        with `op`."""
-        if ranks not in f.kernels:
-            f.kernels[ranks] = self._new_kernel(f, ranks)
-        return f.kernels[ranks]
-
-    def _new_kernel(self, f, ranks):
-        fn, shape = f.fn, f.shape
-        if shape is None or len(ranks) != len(fn.params):
-            return None
-        if shape[0] == "leaf":
-            op, names = shape[1], shape[2]
-            if set(ranks) == {1}:
-                return self._leaf(fn, op, names)
-            if set(ranks) == {2} and op is not None and set(names) <= set(fn.params):
-                return self._row_map(op, [fn.params.index(n) for n in names])
-            return None
-        kind, g, combine, init, names = shape
-        functions = self.program.functions
-        if min(ranks) < 2 or g not in functions:
-            return None
-        callee, scope = functions[g], fn.params + fn.closure_params
-        if any(c not in scope for c in callee.closure_params):
-            return None
-        # Where each operand of the node's operator comes from: the index of
-        # a parameter, whose rows it takes, or the name of a closure
-        # parameter, the same value for every row.
-        sources = [fn.params.index(n) if n in fn.params else n for n in names]
-        op = self._function(combine).op if combine in functions else None
-        leaf = ir.body_shape(callee)
-        if (set(ranks) == {2} and leaf is not None and leaf[0] == "leaf"
-                and not callee.closure_params and len(callee.params) == len(names)):
-            if kind != "map" and op is None:
-                return None
-            values = _leaf_values(callee, leaf[1], leaf[2])[1]
-            return self._leaf_node(kind, values, op, init, sources,
-                                   sources == list(range(len(ranks))))
-        if kind != "map":
-            return None
-        return self._node(fn, self._function(g), sources, ranks)
-
-    def _leaf(self, fn, op, names):
-        """Kernel of leaf `fn`, None for an array closure operand. It reports
-        reads as the generic path does: per index, one per view in order."""
-        shared, values = _leaf_values(fn, op, names)
-        trace = self.config.trace
-
-        def leaf(views, axes, extent, captured):
-            columns = [v.root.data[span(v)] for v in views]
-            for n in shared:
-                if isinstance(captured[n], ArrayValue):
-                    return None
-                columns.append([captured[n]] * extent)
-            if trace is not None and extent:
-                trace.run(interleave(list(map(addresses, views))), "R")
-            return values(columns)
-        return leaf
-
-    def _row_map(self, op, picks):
-        """Kernel of a leaf `a OP b` over the parameters `picks` when the
-        operands are rank 2: per row, the elementwise operation
-        (`_elementwise`) over the two rows, without a frame or a View. A
-        row's values are computed, then its block is placed, then one `RRW`
-        run reads both rows and writes the block. Row extents are checked
-        once and raise as `ndarray.elementwise` does (`match_shapes`). It
-        gives a `_Stack` whose dtype is the elementwise result's
-        (`elementwise_dtype`)."""
-        f, trace = scalar_op(op), self.config.trace
-
-        def rows(views, axes, extent, captured):
-            (a, ax), (b, bx) = ((views[p], axes[p]) for p in picks)
-            n, m = a.shape[1 - ax], b.shape[1 - bx]
-            if extent:
-                match_shapes((n,), (m,))
-            spans = [(v.root.data, v.offset, v.strides[axis], v.strides[1 - axis])
-                     for v, axis in ((a, ax), (b, bx))]
-            (da, oa, sa, ta), (db, ob, sb, tb) = spans
-            out, blocks = [], [] if trace is not None else None
-            ranges = trace and _row_ranges([a, b], (ax, bx), n)
-            for i in range(extent):
-                i_a, i_b = oa + i * sa, ob + i * sb
-                out += map(f, da[i_a:i_a + n * ta:ta], db[i_b:i_b + n * tb:tb])
-                if blocks is not None:
-                    block = self._placed(Block(n))
-                    if n:
-                        start = block.addr
-                        trace.run(interleave(ranges(i) + [range(start, start + n * ELEM_SIZE,
-                                                               ELEM_SIZE)]), "RRW")
-                    blocks.append(block)
-            return _Stack(out, (extent, n) if extent else (0,), views[0].dtype, blocks,
-                          elementwise_dtype(op, a, b) if extent else None)
-        return rows
-
-    def _leaf_node(self, kind, values, op, init, sources, direct):
-        """Kernel of a node over rank-2 operands whose callee is a leaf with
-        `values` (`_leaf_values`): per row, the untiled operator without a
-        frame. Its operator's operands come from `sources` (see
-        `_new_kernel`), `direct` when they are the node's parameters, in
-        order: a closure operand, a rank-1 array, is broadcast to every row
-        as a View with stride 0 along the rows, and any other closure value
-        makes it decline. Row i of each operand is the flat
-        span (root, offset + i * strides[axis], strides[1 - axis]); no View
-        is built for it. Row extents are checked once. A reduce gives its
-        rows' results, and reports the reads of all its rows as one run, as
-        nothing comes between them. A map or a scan appends each row's
-        results to one element list and gives a `_Stack`; it reports each
-        row's reads as a run before the row's block takes the row's
-        results."""
-        what, counters, trace = kind.capitalize(), self.config.counters, self.config.trace
-        one_run = trace is not None and kind == "reduce"
-        run_per_row = trace is not None and not one_run
-        arity = len(sources)
-        if kind == "reduce":
-            def row(columns, out):
-                out.append(functools.reduce(op, values(columns), init))
-        elif kind == "scan":
-            def row(columns, out):
-                out += itertools.islice(itertools.accumulate(values(columns), op, initial=init),
-                                        1, None)
-        else:
-            def row(columns, out):
-                out += values(columns)
-
-        def node(views, axes, extent, captured):
-            if not direct:
-                views, axes = _gathered(views, axes, extent, captured, sources)
-                if views is None:
-                    return None
-            n = extent and _row_extent(views, axes, what)
-            spans = [(v.root.data, v.offset, v.strides[axis], v.strides[1 - axis])
-                     for v, axis in zip(views, axes)]
-            reads = trace and _row_reads(views, axes, n)
-            out, blocks, i = [], [] if run_per_row else None, -1
-            try:
-                for i in range(extent):
-                    if run_per_row and n:
-                        trace.run(reads(i), "R")
-                    row([data[o + i * s:o + i * s + n * t:t] for data, o, s, t in spans], out)
-                    if blocks is not None:
-                        blocks.append(self._row_block(n, None))
-            finally:  # rows 0..i were checked and read, also when row i raised
-                counters.bounds_checks += arity * n * (i + 1)
-                if one_run and n and i >= 0:
-                    trace.run(itertools.chain.from_iterable(map(reads, range(i + 1))), "R")
-            if kind == "reduce":
-                return out
-            return _Stack(out, (extent, n) if extent else (0,), views[0].dtype, blocks)
-        return node
-
-    def _node(self, fn, callee, sources, ranks):
-        """Kernel of map node `fn`, with callee `callee`, over operands of
-        `ranks` that `_leaf_node` does not run: per row, the untiled map
-        without a frame. Each row's operands come from `sources` (see
-        `_new_kernel`), and so do the callee's closure values, bound per
-        row from the node's own parameters. The callee's kernel is picked
-        for the operands' ranks once per operand ranks, and may decline at
-        row 0 only, as every row has row 0's ranks and extents. It
-        concatenates its rows' element lists into one `_Stack`; a row's
-        block takes the row's own rows (`_append_row`)."""
-        arity, counters, append = len(sources), self.config.counters, self._append_row
-        zeros = (0,) * arity
-        binds = [(c, fn.params.index(c) if c in fn.params else c)
-                 for c in callee.fn.closure_params]
-        fixed = None
-        if all(type(s) is int for s in sources):
-            fixed = self._kernel(callee, tuple(ranks[s] - 1 for s in sources))
-            if fixed is None:
-                return None
-
-        def node(views, axes, extent, captured):
-            slicers = [self._slicer(v, axis) for v, axis in zip(views, axes)]
-            out, blocks = [], [] if self.config.trace is not None else None
-            shape, n, inner, empty, exact = (), 0, fixed, views[0].dtype, None
-            for i in range(extent):
-                rows = [s(i) for s in slicers]
-                operands = [rows[s] if type(s) is int else captured[s] for s in sources]
-                bound = {c: rows[s] if type(s) is int else captured[s] for c, s in binds} \
-                    if binds else _NO_CAPTURES
-                if not i:
-                    # Every row has the extents of row 0, and only row 0 checks them.
-                    n = self._operand_views(operands, zeros, "Map")[1]
-                    inner = inner or self._kernel(callee, tuple(len(v.shape) for v in operands))
-                    if inner is None:
-                        return None
-                    empty = operands[0].dtype
-                counters.bounds_checks += arity * n
-                value = inner(operands, zeros, n, bound)
-                if value is None:  # row 0, before any side effect
-                    counters.bounds_checks -= arity * n
-                    return None
-                if not i and type(value) is _Stack:
-                    exact = value.exact
-                shape = append(out, blocks, value, n)
-                del value  # its rows' blocks die now (`_append_row`)
-            return _Stack(out, (extent,) + shape if extent else (0,), empty, blocks, exact)
-        return node
-
-    def _append_row(self, out, blocks, value, n):
-        """Append to `out` the elements of one row's `value` from a node's
-        kernel, a `_Stack` or n scalars, and with a trace sink its block
-        to `blocks`; gives the row's shape. The blocks of `value`'s own
-        rows die when this returns, after the row's block is placed."""
-        if type(value) is _Stack:
-            data, shape, rows = value.data, value.shape, value.rows
-        else:
-            data, shape, rows = value, (n,), None
-        out += data
-        if blocks is not None:
-            blocks.append(self._row_block(len(data), rows))
-        return shape
-
-    def _row_block(self, size, rows):
-        """An address-only block of `size` elements, placed and written as
-        an array that stacks `rows` (None for scalars) would be."""
-        block = self._placed(Block(size))
-        self._fill(block, rows)
-        return block
+    def _takes_place(self, fn, seen=frozenset()):
+        """Whether `fn`, as a tile function, can build its value at its
+        tile's place. It must be named as its tile function by a tiled map,
+        or a tiled scan without `emit`, built so far (`_operator`): these
+        give their tiles places, and a tile function is built when its
+        operator first runs it, so the tile function of a reduce, or a
+        combine, reads no place. And an operator it returns
+        (`_returned_operators`) must be a map or a scan, a tiled scan with
+        `emit`, or a tiled map or scan whose tile function can take a place.
+        A function missing from the program cannot."""
+        if not seen and fn.name not in self._tile_functions:
+            return False
+        seen = seen | {fn.name}
+        for e in _returned_operators(fn.body):
+            if type(e) in (ir.Map, ir.Scan) or getattr(e, "emit", None) is not None:
+                return True
+            g = self.program.functions.get(e.fn)
+            if g is not None and g.name not in seen and self._takes_place(g, seen):
+                return True
+        return False
 
     # -- statements ------------------------------------------------------------
 
-    def _block(self, block, mark):
+    def _block(self, block, mark, places):
         """A closure running `block` on a frame; it returns the value of
-        the first return statement reached, or _NO_RETURN.
+        the first return statement reached, or _NO_RETURN. When `places`,
+        the function can take a place, and the operators it returns
+        (`_returned`) build their values there.
 
         A for loop's sequence stays alive until its block ends (`hold`):
         when a temporary dies decides which free block the allocator hands
         out next, so this keeps every traced address where it was."""
-        steps = tuple(self._statement(s, mark) for s in block)
+        steps = tuple(self._statement(s, mark, places,
+                                      places and _returned(block, i) is not None)
+                      for i, s in enumerate(block))
         if len(steps) == 1:
             return steps[0]
 
@@ -617,11 +374,15 @@ class Interpreter:
 
         return run
 
-    def _statement(self, s, mark):
+    def _statement(self, s, mark, places, placed):
+        """A closure running statement `s` on a frame (`places` as for
+        `_block`). When `placed`, its operator builds its value at the
+        frame's place."""
         phase = self.config.trace.phase if mark else None
         t = type(s)
         if t is ir.Assign:
-            target, value = s.target, self._expr(s.value)
+            target = s.target
+            value = self._operator(s.value, True) if placed else self._expr(s.value)
             label = f"{target} ="
 
             def assign(frame, hold=None):
@@ -631,7 +392,7 @@ class Interpreter:
                 return _NO_RETURN
             return assign
         if t is ir.Return:
-            value = self._expr(s.value)
+            value = self._operator(s.value, True) if placed else self._expr(s.value)
 
             def ret(frame, hold=None):
                 if phase is not None:
@@ -640,7 +401,7 @@ class Interpreter:
             return ret
         if t is ir.If:
             cond = self._expr(s.cond)
-            then, orelse = self._block(s.then, mark), self._block(s.orelse, mark)
+            then, orelse = self._block(s.then, mark, places), self._block(s.orelse, mark, places)
 
             def branch(frame, hold=None):
                 c = cond(frame)
@@ -649,7 +410,7 @@ class Interpreter:
                 return then(frame) if c != 0 else orelse(frame)
             return branch
         if t is ir.For:
-            var, seq, body = s.var, self._expr(s.seq), self._block(s.body, False)
+            var, seq, body = s.var, self._expr(s.seq), self._block(s.body, False, places)
 
             def loop(frame, hold=None):
                 if phase is not None:
@@ -710,12 +471,23 @@ class Interpreter:
             return _failing("AllPairs must be desugared before evaluation")
         return _failing(f"cannot evaluate {t.__name__}")
 
-    def _operator(self, e):
+    def _operator(self, e, placed=False):
         """Operands evaluate first, in order, then the init value; both are
-        released in that order once the operator returns."""
+        released in that order once the operator returns. When `placed`, the
+        operator builds its value at the place its frame holds under
+        `_PLACE`, if any."""
         args = tuple(self._expr(a) for a in e.args)
         init = self._expr(e.init) if hasattr(e, "init") else None
         run = self._tiled if type(e) in ir.TILED_OPS else self._untiled
+        if type(e) is ir.TiledMap or type(e) is ir.TiledScan and e.emit is None:
+            self._tile_functions.add(e.fn)
+
+        if placed:
+            def operator(frame):
+                values = [a(frame) for a in args]
+                start = init and init(frame)
+                return run(e, start, values, frame, frame.get(_PLACE))
+            return operator
 
         def operator(frame):
             values = [a(frame) for a in args]
@@ -748,37 +520,84 @@ class Interpreter:
         its finished element list `data`."""
         return self._placed(adopt(shape, dtype, layout, data))
 
+    def _put(self, place, shape, dtype, data):
+        """The value of `shape` and `dtype` whose row-major elements are
+        `data`: written into the view where it takes `place` (`_claim`), or
+        else a new array."""
+        view = self._claim(place, shape, dtype)
+        if view is None:
+            return self._new_array(shape, dtype, "row", data)
+        write(view, data)
+        return view
+
+    def _claim(self, place, shape, dtype):
+        """The view of its output (`_Dest`) where a value of `shape` and
+        `dtype` takes `place`, or None when it does not fit (`_widened`) or
+        the output's other extents differ. The first value to take a place
+        allocates the output, in the value's shape widened along the axis:
+        at the output's own place when it takes that, else as a new array
+        whose elements the tiles write before anything reads them."""
+        full = _widened(place, shape)
+        if full is None:
+            return None
+        dest, t = place
+        out = dest.out
+        if out is None:
+            out = dest.place and self._claim(dest.place, full, dtype)
+            dest.nested = out is not None
+            if out is None:
+                out = self._new_array(full, dtype, "row", [None] * math.prod(full))
+            dest.out = out
+        elif out.shape != full:
+            return None
+        dest.views[t] = view = View(out.root, out.offset + t * dest.k * out.strides[dest.axis],
+                                    shape, out.strides)
+        old = dest.dtypes[t]
+        if old != dtype:
+            dest.dtypes[t] = dtype
+            dest.f64 += (dtype == "f64") - (old == "f64")
+            if dest.nested or (dest.f64 > 0) != (out.dtype == "f64"):
+                _retype(dest)
+        return view
+
     def _fill(self, out, rows=None, places=None):
-        """Report the writes of stacking or joining into `out`, an array or a
-        block. Stacked scalars (`rows` is None, `out` of rank 1) are one `W`
-        run over `out`. Else one `RW` run copies each of `rows` in turn, per
-        element a read of the row and then a write of its place. The rows
-        are arrays or views, or blocks, each read as its range; their places
-        are the views `places`, or else (equal blocks) each the next stretch
-        of `out`. No run when `out` is empty."""
+        """Report the writes of stacking or joining into `out`, an array, a
+        view or a block. Stacked scalars (`rows` is None, `out` of rank 1)
+        are one `W` run over `out`. Else one `RW` run copies each of `rows`
+        in turn, per element a read of the row and then a write of its
+        place. The rows are arrays or views, or blocks, each read as its
+        range; their places are the views `places`, or else (equal blocks)
+        each the next stretch of `out`, or of a view `out` the next slice
+        along axis 0. No run when `out` is empty."""
         size, run = out.size, self.config.trace.run
         if not size:
             return
         if rows is None:
-            run(range(out.addr, out.addr + size * ELEM_SIZE, ELEM_SIZE), "W")
+            run(addresses(out) if type(out) is View
+                else range(out.addr, out.addr + size * ELEM_SIZE, ELEM_SIZE), "W")
             return
         if type(rows[0]) is Block:
             reads = (range(r.addr, r.addr + r.size * ELEM_SIZE, ELEM_SIZE) for r in rows)
         else:
             reads = map(addresses, rows)
-        if places is None:
+        if places is not None:
+            places = map(addresses, places)
+        elif type(out) is View:
+            places = (addresses(slice_axis(out, 0, i)) for i in range(len(rows)))
+        else:
             start, step = out.addr, size // len(rows) * ELEM_SIZE
             places = (range(a, a + step, ELEM_SIZE)
                       for a in range(start, start + size * ELEM_SIZE, step))
-        else:
-            places = map(addresses, places)
         run(itertools.chain.from_iterable(itertools.chain.from_iterable(
             map(zip, reads, places))), "RW")
 
-    def _join(self, parts, axis, stacked=False):
-        """`ndarray.join(parts, axis, stacked)`, or the checked `concat`, placed;
-        a trace sink gets each part's copy to its slice or tile (`_fill`)."""
-        out = self._placed(join(parts, axis, True) if stacked else concat(parts, axis))
+    def _join(self, parts, axis, stacked=False, place=None):
+        """`ndarray.join(parts, axis, stacked)`, or the checked `concat`, built
+        at `place` (`_put`); a trace sink gets each part's copy to its slice
+        or tile (`_fill`)."""
+        out = join(parts, axis, True) if stacked else concat(parts, axis)
+        out = self._placed(out) if place is None else \
+            self._put(place, out.shape, out.dtype, out.data)
         if self.config.trace is not None:
             if stacked:
                 places = (slice_axis(out, axis, j) for j in range(len(parts)))
@@ -821,12 +640,12 @@ class Interpreter:
             return data[offset + i * stride]
         return element
 
-    def _stack(self, values, axis=0):
-        """Stack equal-shaped values along a new `axis`: Map and Scan
-        outputs, array literals, and tiled-scan steps. `values` is a list;
-        stacked scalars keep it as the output's elements, arrays are
-        joined (`_join`)."""
-        dtype = _scalar_dtype(values)
+    def _stack(self, values, axis=0, place=None):
+        """Stack equal-shaped values along a new `axis`, built at `place`
+        (`_put`): Map and Scan outputs, array literals, and tiled-scan steps.
+        `values` is a list; stacked scalars keep it as the output's
+        elements, arrays are joined (`_join`)."""
+        dtype = scalar_dtype(values)
         if dtype is None:
             if not all(isinstance(x, ArrayValue) for x in values):
                 raise EvalError("cannot stack scalars with arrays")
@@ -834,8 +653,9 @@ class Interpreter:
             for x in values:
                 if x.shape != shape:
                     raise EvalError(f"cannot stack shapes {shape} and {x.shape}")
-            return self._join(values, axis, stacked=True)
-        out = self._new_array((len(values),), dtype, "row", values)
+            return self._join(values, axis, True, place)
+        out = self._new_array((len(values),), dtype, "row", values) if place is None \
+            else self._put(place, (len(values),), dtype, values)
         if self.config.trace is not None:
             self._fill(out)
         return out
@@ -857,11 +677,12 @@ class Interpreter:
             views.append(a)
         return views, extent
 
-    def _untiled(self, node, init, args, env):
+    def _untiled(self, node, init, args, env, place=None):
         """A Map, Reduce or Scan (see the module docstring); `init` is None for a
-        map. It counts bounds checks as `Counters` says: at extent k none
-        when its frame `env` holds k under `_FIXED`, else one per operand
-        per slice."""
+        map. A map or scan over at least one slice builds its value at
+        `place` (`_put`). It counts bounds checks as `Counters` says: at
+        extent k none when its frame `env` holds k under `_FIXED`, else one
+        per operand per slice."""
         kind = type(node).__name__
         f, captured = self._callee(node.fn, env)
         op = emit = None
@@ -880,7 +701,7 @@ class Interpreter:
             kernel = self._kernel(f, tuple([len(v.shape) for v in views]))
             values = kernel and kernel(views, node.axes, extent, captured)
             if values is not None:
-                return self._assemble(kind, values, op, init, views[0].dtype)
+                return self._assemble(kind, values, op, init, views[0].dtype, place)
         # Each step's callee result, then the old accumulator, die before the
         # next call; once the value is built, the last accumulator dies before
         # the other steps (see `_tiled` on why the order is spelled out).
@@ -894,18 +715,20 @@ class Interpreter:
             acc = comb.call([acc, f.call(slices, captured)], comb_captured)
             if kind == "Scan":
                 outs.append(emit.call([acc], emit_captured) if emit else acc)
-        value = acc if kind == "Reduce" else self._stack(outs)
+        value = acc if kind == "Reduce" else self._stack(outs, place=place)
         del acc, outs
         return value
 
-    def _assemble(self, kind, values, op, init, dtype):
+    def _assemble(self, kind, values, op, init, dtype, place=None):
         """The value of untiled operator `kind` ("Map", "Reduce" or "Scan") from
         its callee's results (see the module docstring), or the array of a
-        node kernel's `_Stack`; `dtype` is the first operand's."""
+        node kernel's `Stack`, built at `place` unless it is empty; `dtype`
+        is the first operand's."""
         if kind == "Reduce":
             return functools.reduce(op, values, init)
-        if type(values) is _Stack:
-            out = self._new_array(values.shape, values.dtype, "row", values.data)
+        if type(values) is Stack:
+            out = self._new_array(values.shape, values.dtype, "row", values.data) \
+                if place is None else self._put(place, values.shape, values.dtype, values.data)
             if values.rows is not None:
                 self._fill(out, values.rows)
             return out
@@ -913,7 +736,7 @@ class Interpreter:
             return self._new_array((0,), dtype, "row", [])
         if kind == "Scan":
             values = list(itertools.accumulate(values, op, initial=init))[1:]
-        return self._stack(values)
+        return self._stack(values, place=place)
 
     # -- tiled operators -----------------------------------------------------------
 
@@ -925,9 +748,10 @@ class Interpreter:
             raise EvalError(f"tile size for slot {node.slot} must be >= 1, got {k}")
         return k
 
-    def _tiled(self, node, init, args, env):
+    def _tiled(self, node, init, args, env, place=None):
         """A TiledMap, TiledReduce or TiledScan (see the module docstring);
-        `init` is None for a map."""
+        `init` is None for a map. A map or scan builds its value at `place`
+        when its tiles do (`_Dest`)."""
         kind = type(node)
         k = self._tile_size(node)
         views, extent = self._operand_views(args, node.axes, kind.__name__)
@@ -947,10 +771,20 @@ class Interpreter:
                 raise EvalError(f"{node.fn} specialised for fixed size {node.fixed}, "
                                 f"dispatched with k={k}")
             full_captured = {**captured, _FIXED: k}
-        results = []
-        for t, tiles in enumerate(zip(*[decompose(v, axis, k) or [v]
-                                        for v, axis in zip(views, node.axes)])):
-            results.append(f.call(tiles, full_captured if t < full else captured))
+        # A map or scan whose tile function can build its value at its tile's
+        # place gives each tile call its place in the output under `_PLACE`.
+        # With `emit`, the emitted steps take the places and the tiles none.
+        tiles = enumerate(zip(*[decompose(v, axis, k) or [v] for v, axis in zip(views, node.axes)]))
+        results, dest = [], None
+        if kind is not ir.TiledReduce and (f.places or emit is not None):
+            dest = _Dest(node.depth, extent, k, place)
+        if dest is None or emit is not None:
+            for t, tile in tiles:
+                results.append(f.call(tile, full_captured if t < full else captured))
+        else:
+            for t, tile in tiles:
+                results.append(f.call(tile, {**(full_captured if t < full else captured),
+                                             _PLACE: (dest, t)}))
         counters = self.config.counters
         counters.full_tile_calls += full
         counters.straggler_calls += len(results) - full
@@ -965,13 +799,15 @@ class Interpreter:
                 acc = comb.call([acc, partial], comb_captured)
             del results, partial
             return acc
-        what = kind.__name__[5:].lower()
         if not all(isinstance(r, ArrayValue) for r in results):
-            raise EvalError(f"tiled {what} tiles must produce arrays")
+            raise EvalError(f"tiled {kind.__name__[5:].lower()} tiles must produce arrays")
         if any(len(r.shape) <= node.depth for r in results):
-            raise EvalError(f"tiled {what} tiles have no axis {node.depth} to join along")
+            raise EvalError(f"tiled {kind.__name__[5:].lower()} tiles have no axis "
+                            f"{node.depth} to join along")
         if kind is ir.TiledMap:
-            return self._join(results, node.depth)
+            if dest is None:
+                return self._join(results, node.depth)
+            return self._gather(dest, results, node.depth)
         # A scan's tiles scan without `emit`. Every tile after the first is
         # fixed up by combining the previous tile's last accumulator into
         # each of its steps: in one call of the combine's kernel when it has
@@ -979,30 +815,32 @@ class Interpreter:
         # Only then is `emit` applied to every step, so the result equals
         # the untiled scan for any emit. A kernel's row blocks stand for the
         # step arrays and are kept in `steps` as they would be, and `piece`
-        # keeps the tile, as a step's slice of it would.
+        # keeps the tile, as a step's slice of it would. A tile at its place
+        # is fixed up there; with `emit`, the emitted steps take the place.
         axis, adjusted = node.depth, []
         step = steps = piece = last = None
-        for part in results:
+        for t, part in enumerate(results):
             n = part.shape[axis]
+            at = (dest, t) if dest is not None and part is dest.views[t] else None
             if adjusted:
                 steps = None  # the previous tile's steps die, last to first
                 kernel = self._tile_kernel(comb, last, part) if n else None
                 if kernel is not None:
                     piece = part
-                    part, steps = self._fix_up(kernel, last, part, axis)
+                    part, steps = self._fix_up(kernel, last, part, axis, at)
                 else:
                     step = self._slicer(part, axis)
                     steps = []
                     for j in range(n):
                         piece = step(j)
                         steps.append(comb.call([last, piece], comb_captured))
-                    part = self._stack(steps, axis)
+                    part = self._stack(steps, axis, at)
             if n:  # else the one empty straggler, already the nest's result
                 last = self._slicer(part, axis)(n - 1)
                 if emit is not None:
-                    part = self._emit_steps(emit, emit_captured, part, axis)
+                    part = self._emit_steps(emit, emit_captured, part, axis, (dest, t))
             adjusted.append(part)
-        out = self._join(adjusted, axis)
+        out = self._gather(dest, adjusted, axis)
         # `piece` (and `step` when the combine is called) holds the last
         # tile, and `last` that tile's fix-up.
         del results, adjusted, part, step, steps, piece, last
@@ -1017,28 +855,58 @@ class Interpreter:
             return None
         return self._kernel(comb, (len(last.shape) + 1, len(part.shape)))
 
-    def _fix_up(self, kernel, last, part, axis):
+    def _fix_up(self, kernel, last, part, axis, place):
         """(fixed, blocks): tiled-scan tile `part` with `last` combined into
         each of its steps along `axis`, in one call of the combine's
         `kernel` over `last` broadcast along a new leading axis and `part`.
-        `fixed` is the steps stacked along `axis` as `_stack` stacks them,
-        and `blocks` lists the kernel's blocks for the steps (None without
-        a trace sink), which the stack's run reads."""
+        `fixed` is the steps stacked along `axis` as `_stack` stacks them at
+        `place`, and `blocks` lists the kernel's blocks for the steps (None
+        without a trace sink), which the stack's run reads."""
         n = part.shape[axis]
         carry = View(last.root, last.offset, (n,) + last.shape, (0,) + last.strides)
-        stack = kernel([carry, part], (0, axis), n, _NO_CAPTURES)
+        stack = kernel([carry, part], (0, axis), n, NO_CAPTURES)
         shape, data = stack.shape, stack.data
-        if axis:  # a View rooted at the stack reads its list with the steps' axis at `axis`
-            strides = make_strides(shape, "row")
-            moved = View(stack, 0, shape[1:axis + 1] + shape[:1] + shape[axis + 1:],
-                         strides[1:axis + 1] + strides[:1] + strides[axis + 1:])
-            shape, data = moved.shape, element_list(moved)
-        fixed = self._new_array(shape, stack.dtype, "row", data)
+        fixed = place and self._claim(place, shape[1:axis + 1] + shape[:1] + shape[axis + 1:],
+                                      stack.dtype)
+        if fixed is not None:  # the list is written through the place with the steps' axis first
+            s = fixed.strides
+            write(View(fixed.root, fixed.offset, shape, s[axis:axis + 1] + s[:axis] + s[axis + 1:]),
+                  data)
+        else:
+            if axis:  # a View rooted at the stack reads its list with the steps' axis at `axis`
+                strides = make_strides(shape, "row")
+                moved = View(stack, 0, shape[1:axis + 1] + shape[:1] + shape[axis + 1:],
+                             strides[1:axis + 1] + strides[:1] + strides[axis + 1:])
+                shape, data = moved.shape, element_list(moved)
+            fixed = self._new_array(shape, stack.dtype, "row", data)
         if stack.rows is not None:
             self._fill(fixed, stack.rows, (slice_axis(fixed, axis, j) for j in range(n)))
         return fixed, stack.rows
 
-    def _emit_steps(self, emit, captured, part, axis):
-        """`emit` applied to every step of `part` along `axis`, stacked."""
+    def _emit_steps(self, emit, captured, part, axis, place):
+        """`emit` applied to every step of `part` along `axis`, stacked at
+        `place`."""
         step = self._slicer(part, axis)
-        return self._stack([emit.call([step(j)], captured) for j in range(part.shape[axis])], axis)
+        return self._stack([emit.call([step(j)], captured) for j in range(part.shape[axis])],
+                           axis, place)
+
+    def _gather(self, dest, parts, axis):
+        """The value of a tiled map or scan from its tiles' values `parts`
+        along `axis`. When some part is at its place (`_Dest.views`) and
+        each other one fits its own (`_widened`), those are copied in, each
+        as one `RW` run, and the value is the output, `dest.out`. Else the
+        parts are joined (`_join`), as they are when the tiles have no
+        places."""
+        if dest is not None and dest.out is not None:
+            if parts == dest.views:  # every part is at its place (arrays compare by identity)
+                return dest.out
+            loose = [(t, p) for t, (p, v) in enumerate(zip(parts, dest.views)) if p is not v]
+            if len(loose) < len(parts) and all(_widened((dest, t), p.shape) == dest.out.shape
+                                               for t, p in loose):
+                for t, part in loose:
+                    view = self._claim((dest, t), part.shape, part.dtype)
+                    write(view, element_list(part))
+                    if self.config.trace is not None:
+                        self._fill(view, [part], [view])
+                return dest.out
+        return self._join(parts, axis)

@@ -568,3 +568,17 @@ def test_cli_usage_error_line(argv, error, program_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {error}\n"
+
+
+def test_cli_autotune_prints_the_untiled_cost(program_file, capsys):
+    # Padded by one row, the column-major row sum has no conflict misses to
+    # remove, and every tiling the tuner draws misses more than the untiled
+    # program: the chosen sizes' line says so.
+    argv = ["autotune", "--program", program_file(programs.SUM_ROWS),
+            "--gen", "shape=257x256,dtype=f64,layout=col", "--budget", "4", "--batch", "2"]
+    assert main(argv) == 0
+    *log, chosen = capsys.readouterr().out.splitlines()
+    fields = dict(f.split("=") for f in chosen.split("} ", 1)[1].split())
+    assert float(fields["cost"]) == min(float(line.split()[2][5:]) for line in log)
+    assert float(fields["untiled_cost"]) == 8481
+    assert float(fields["untiled_cost"]) < float(fields["cost"])

@@ -104,10 +104,10 @@ CASES = {
 
 PINS = {
     "sum_rows_col": (140, "819cf44dd1adb577ba6e4393dc550363dd28a3abf9e3eaa43403d61f54ccf4d2"),
-    "matmul_reg": (2597, "267aeddcfa5a78096be9ea2bf74274408a0014697d4c62e3729c326caa4b3560"),
-    "row_scan": (534, "32d6f93acf3f8453247a4ecfe3ceb4b9e9ad6dc85b0b9c2ca102cd20e62606f7"),
+    "matmul_reg": (2401, "30c15572c1c34ec5e958f62a94a4db2e168625ccb56b7b03e5be2a45356b90bb"),
+    "row_scan": (342, "f58e02f33c1c3ddc2ba49481844cfca1f6181f396ccddb733db06c8a3f2de50a"),
     "scan_of_array_steps": (
-        1950, "e3677fb1879fb7378b207ee2e6f74950e03c1084e20ee35168f5a089d1e96f61"),
+        1530, "1d8436b6489dffd549b7c5deda72bb9c8bf38bd5b87a350ac08d54f733ecb85b"),
 }
 
 
@@ -166,7 +166,7 @@ class CountingSink:
 
 # Sink runs of the traced tiled run. A stack, a concat and a reduce node's
 # reads are one run each; a map or scan node reports each row's reads.
-RUN_PINS = {"matmul_reg": 289, "row_scan": 69}
+RUN_PINS = {"matmul_reg": 271, "row_scan": 66}
 
 
 @pytest.mark.parametrize("name", sorted(RUN_PINS))
@@ -314,6 +314,139 @@ def test_tile_fix_up_matches_combine_calls(name, shape, dtype, layout, k, monkey
     reference = eval_program(untiled, inputs)
     assert through_kernel[0][0] == (reference.shape, reference.dtype,
                                     [(type(x), x) for x in reference.data])
+
+
+def placed_outcome(program, inputs, tile_sizes=None):
+    """(value with its dtype and element types, or the error text, and the
+    dispatch counters) of `program`, the same without a trace sink, into
+    a `TraceSink` and into a `NoEmptyRunSink`, which it checks."""
+    seen = []
+    for sink in (None, TraceSink(), NoEmptyRunSink()):
+        config = EvalConfig(tile_sizes=dict(tile_sizes or {}), trace=sink)
+        try:
+            value = eval_program(program, inputs, config)
+            out = (value.shape, value.dtype, [(type(x), x) for x in value.data])
+        except (EvalError, ShapeError) as exc:
+            out = f"{type(exc).__name__}: {exc}"
+        c = config.counters
+        seen.append((out, c.full_tile_calls, c.straggler_calls))
+    assert seen[0] == seen[1] == seen[2]
+    return seen[0]
+
+
+# Hand-written tiled maps over 1..7 (X) whose tiles give their values in
+# different ways: (source, the untiled program's source, or the value or
+# error the join of the tiles gives at tile size k).
+PLACEMENT_CASES = {
+    # Each tile's dtype is its own: f64 when a tile holds a 3, i64 else.
+    # The output's dtype is f64 when any tile's is, as the join's would be.
+    "dtype_per_tile": ("""
+fn third(x) { if x - 3 { return x; } else { return x / 1; } }
+fn tile(T) { return map(third, T; axes=[0]); }
+fn main(X) { return tiledmap(tile, slot=0, depth=0, X; axes=[0]); }
+""", """
+fn third(x) { if x - 3 { return x; } else { return x / 1; } }
+fn main(X) { return map(third, X; axes=[0]); }
+"""),
+    # A tile that returns a variable, its own input, is copied in beside
+    # the tiles that build their value in place.
+    "variable_return": ("""
+fn ident(x) { return x; }
+fn tile(T) { if T[0] - 3 { return map(ident, T; axes=[0]); } else { return T; } }
+fn main(X) { return tiledmap(tile, slot=0, depth=0, X; axes=[0]); }
+""", """
+fn ident(x) { return x; }
+fn main(X) { return map(ident, X; axes=[0]); }
+"""),
+    # A variable bound to an operator is returned only after another
+    # statement: no tile takes its place, and the tiles are joined.
+    "late_return": ("""
+fn ident(x) { return x; }
+fn tile(T) { y = map(ident, T; axes=[0]); z = 1; return y; }
+fn main(X) { return tiledmap(tile, slot=0, depth=0, X; axes=[0]); }
+""", """
+fn ident(x) { return x; }
+fn main(X) { return map(ident, X; axes=[0]); }
+"""),
+    # Every tile's value is `Y`'s two elements, the wrong extent for some
+    # tiles or all: the tiles are joined.
+    "wrong_extent": ("""
+fn ident(x) { return x; }
+fn tile(T) uses Y { return map(ident, Y; axes=[0]); }
+fn main(X, Y) { return tiledmap(tile, slot=0, depth=0, X; axes=[0]); }
+""", lambda k: ((2 * -(-7 // k),), "i64", [(int, 8), (int, 9)] * -(-7 // k))),
+    # A tile starting at 5 gives a rank-2 value and one starting at 6 a
+    # scalar: the join raises, after every tile ran.
+    "wrong_rank": ("""
+fn ident(x) { return x; }
+fn tile(T) {
+  if T[0] - 5 { if T[0] - 6 { return map(ident, T; axes=[0]); } else { return T[0]; } }
+  else { return [T, T]; }
+}
+fn main(X) { return tiledmap(tile, slot=0, depth=0, X; axes=[0]); }
+""", lambda k: {1: "EvalError: tiled map tiles must produce arrays",
+                2: "ShapeError: rank mismatch in concat",
+                3: ((7,), "i64", [(int, x) for x in range(1, 8)])}[k]),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(PLACEMENT_CASES))
+def test_tiles_take_their_places_or_are_copied(name, k):
+    """A tiled map's tiles build their values at their places when they can
+    and are copied in or joined when they cannot, with the value, dtype,
+    element types and error of the join, with and without a trace sink."""
+    src, want = PLACEMENT_CASES[name]
+    inputs = [NdArray((7,), "i64", "row", list(range(1, 8))), NdArray((2,), "i64", "col", [8, 9])]
+    program = parse_program(src, allow_internal=True)
+    inputs = inputs[:len(program.fn("main").params)]
+    got, full, stragglers = placed_outcome(program, inputs, {0: k})
+    if isinstance(want, str):
+        want = placed_outcome(parse_program(want), inputs)[0]
+    else:
+        want = want(k)
+    assert got == want
+    assert (full, stragglers) == (7 // k, int(7 % k > 0))
+
+
+def test_fixed_up_tile_takes_the_dtype_of_its_fix_up():
+    """A tile whose own scan gives f64 and whose fix-up gives i64 leaves
+    the tiled scan i64, as the untiled scan and the join are."""
+    lib = """
+fn ident(x) { return x; }
+fn lo(a, b) { return a min b; }
+fn tile(T) { return scan(ident, combine=lo, init=0.5, T; axes=[0]); }
+"""
+    tiled = parse_program(lib + "fn main(X) { return tiledscan(tile, slot=0, depth=0, "
+                          "combine=lo, init=0.5, X; axes=[0]); }", allow_internal=True)
+    untiled = parse_program(lib + "fn main(X) { return scan(ident, combine=lo, init=0.5, "
+                            "X; axes=[0]); }")
+    inputs = [NdArray((5,), "i64", "row", [-3, 5, 1, 2, 7])]
+    got = placed_outcome(tiled, inputs, {0: 2})[0]
+    assert got == placed_outcome(untiled, inputs)[0]
+    assert got[1] == "i64"
+
+
+@pytest.mark.parametrize("name, shape, dtype, layout", [
+    ("row_scan_emit", (7, 8), "i64", "col"), ("row_scan_emit", (5, 4), "f64", "row"),
+    ("cube_scan", (3, 4, 8), "i64", "col"), ("row_scan", (3, 0), "f64", "col"),
+    ("row_scan", (3, 0), "i64", "row"), ("row_scan_f64_init", (4, 0), "i64", "col")])
+def test_placed_nests_match_the_untiled_program(name, shape, dtype, layout):
+    """Tiled scans whose emitted steps take the places, a rank-3 nest whose
+    places are two deep, and an empty straggler below depth 0 give the
+    untiled program's value, dtype and element types with every slot at
+    every tile size from 1 to 3."""
+    src, _ = FIX_UP_PROGRAMS[name]
+    inputs = [matrix(*shape, dtype, layout) if len(shape) == 2 else cube(*shape)]
+    untiled = parse_program(src)
+    want = placed_outcome(untiled, inputs)[0]
+    res = tile_program(untiled, arg_ranks=[inputs[0].rank])
+    slots = [s.id for s in res.spec.runtime_slots()]
+    for sizes in itertools.product((1, 2, 3), repeat=len(slots)):
+        tile_sizes = res.spec.sizes(overrides=dict(zip(slots, sizes)))
+        got, full, stragglers = placed_outcome(res.program, inputs, tile_sizes)
+        assert got == want, sizes
+        assert full + stragglers > 0
 
 
 # When a temporary dies decides which free block the allocator hands out
@@ -722,9 +855,9 @@ SIM_MODEL = CacheModel(1024, 64, 2)
 # (accesses, hits, misses, evictions) under SIM_MODEL: untiled, then tiled.
 SIM_PINS = {
     "sum_rows_col": ((70, 61, 9, 0), (140, 125, 15, 0)),
-    "matmul_reg": ((1519, 1487, 32, 16), (2597, 2430, 167, 151)),
-    "row_scan": ((192, 174, 18, 2), (534, 500, 34, 18)),
-    "scan_of_array_steps": ((1140, 998, 142, 126), (1950, 1747, 203, 187)),
+    "matmul_reg": ((1519, 1487, 32, 16), (2401, 2233, 168, 152)),
+    "row_scan": ((192, 174, 18, 2), (342, 326, 16, 0)),
+    "scan_of_array_steps": ((1140, 998, 142, 126), (1530, 1419, 111, 95)),
 }
 
 
@@ -761,9 +894,9 @@ BENCHMARK_PINS = {
     "rowsum-col256-tune": (
         77568, "66b57a722d807c33ec543a602441fd2e0eeb211f4f8e48f2a4ba66a0fbed9e86"),
     "matmul32-reg": (
-        189440, "6c7abe179b5f43b3c475049ff3dc1b42a2d60427d17a1b1690ef0368587aea99"),
+        179200, "b10f83a312e14c7205f3d38c04e2059b8335502a3b73fa4b3ba9d8c9f7c8ba89"),
     "prefixscan-col192": (
-        457152, "ab72edf87f95f40f93df5995ea7fca799e4ad00d2297acbbb25306e2dafcb5b9"),
+        309696, "a636c14f124d2f91af375d1a86439197055ec0478f46d755fbaea9d348d1dd69"),
 }
 
 # (full-tile calls, straggler calls, bounds checks) of each midpoint run.
@@ -777,8 +910,8 @@ BENCHMARK_COUNTER_PINS = {
 # benchmark's cache model.
 BENCHMARK_SIM_PINS = {
     "rowsum-col256-tune": (77568, 12449, 65119, 64607),
-    "matmul32-reg": (189440, 188829, 611, 99),
-    "prefixscan-col192": (457152, 419262, 37890, 37378),
+    "matmul32-reg": (179200, 178591, 609, 97),
+    "prefixscan-col192": (309696, 295162, 14534, 14022),
 }
 
 
