@@ -13,26 +13,26 @@ build of its tile function. A full tile of an operator whose slot has a
 fixed size k (`fixed=k`, a register tile) also puts k in the frame of
 its tile call, for the bounds-check rule (`Counters`). A reduce folds
 its tiles' results with the combine. A map or scan builds its value in
-place (destination passing): each tile call gets the tile's place in
-the output, the depth axis, the tile's start and its extent, in its
-frame, and the operator the tile function returns builds its value
-there (`_Dest`, `_claim`). The first value to take a place allocates
-the output, in that value's shape widened along the depth axis, itself
-at the operator's own place in its parent's output when it has one. A
-tile whose value cannot take its place, because the tile function does
-not return a map or scan or its value has another rank or extent, is
-copied in afterwards; when none takes its place, or one does not fit
-it, the tiles are concatenated, as without places (`_gather`). A scan's
-tiles scan without `emit`; each tile after the first is then fixed up
-with the previous tile's carry, at its place, and `emit` is applied to
-every step last, the emitted steps taking the places instead. When the
-lifted combine is `return map(G, a, b; axes=[0, 0])`, a tile's whole
-fix-up is one call of the combine's node kernel (`kernels`) over the
-carry, broadcast along a new leading axis, and the tile: each row is one
-step, run as the untiled map would run it. Any other combine is called
-once per step. An empty extent at depth 0 gives what the untiled
-operator gives for zero slices; below depth 0 one empty straggler runs
-through the tile function, which builds the nest's own empty result.
+place (destination passing) when the program alone says that its tile
+function can (`Interpreter._takes_place`): each tile call gets, as an
+argument, the tile's place in the output, which is cut along the depth
+axis (`_Dest`), and the operator the tile function returns builds its
+value there (`_claim`). The first value to take a place allocates the
+output, in that value's shape widened along the depth axis, itself at
+the operator's own place in its parent's output when it has one. When
+every tile's value is at its place, the output is the operator's value;
+else, as when a tile returns another value or one of another rank or
+extent, the tiles are concatenated (`_gather`). A scan's tiles scan
+without `emit`; each tile after the first is then fixed up with the
+previous tile's carry, at its place, and `emit` is applied to every
+step last, the emitted steps taking the places instead. When the lifted
+combine is `return map(G, a, b; axes=[0, 0])`, a tile's whole fix-up is
+one call of the combine's node kernel (`kernels`) over the carry,
+broadcast along a new leading axis, and the tile: each row is one step,
+run as the untiled map would run it. Any other combine is called once
+per step. An empty extent at depth 0 gives what the untiled operator
+gives for zero slices; below depth 0 one empty straggler runs through
+the tile function, which builds the nest's own empty result.
 
 The untiled ones run through one method too (`Interpreter._untiled`):
 one callee call per slice, each result folded into the accumulator
@@ -43,9 +43,9 @@ array of the first operand's dtype.
 
 Each function is built once, on its first call, into nested closures;
 callees are looked up by name when an operator first runs, so a missing
-function raises only when execution reaches it. Whether a tile function
-can take a place is decided then too (`Interpreter._takes_place`), so
-that the tiles of one that cannot, such as a reduce's, pay nothing.
+function raises only when execution reaches it. Only a tiled map or scan
+whose tile function can take a place gives its tiles places, so the
+tiles of one that cannot, and a reduce's, pay nothing.
 
 The interpreter builds its arrays with `ndarray.adopt`, from a finished
 element list and a shape, dtype and layout it derived itself, so nothing
@@ -60,14 +60,14 @@ write is reported to it by byte address, in runs: `addrs` iterates a
 run's addresses in event order and `kinds`, a non-empty string of `R`
 and `W`, is cycled over them to give each one's kind. The interpreter
 reports every run; `ndarray` reports none. An elementwise operation is
-one `RW` or `RRW` run. Every stack and join, of arrays or blocks, and
-every copy of a tile into its place, is one run of the one copy emitter,
-`_fill`. No run is empty: an operation on no element reports none.
-Each statement of the entry function announces itself with `phase`
-before it runs, never within a run; a `for` loop is one phase, `for
-VAR`, and its body announces none. Each traced run places its arrays in
-a fresh simulated address space, so addresses start at 0. `TraceSink`
-records the events; `cachesim.Simulator` consumes them as they come.
+one `RW` or `RRW` run. Every stack and join, of arrays or blocks, is
+one run of the one copy emitter, `_fill`. No run is empty: an operation
+on no element reports none. Each statement of the entry function
+announces itself with `phase` before it runs, never within a run; a
+`for` loop is one phase, `for VAR`, and its body announces none. Each
+traced run places its arrays in a fresh simulated address space, so
+addresses start at 0. `TraceSink` records the events;
+`cachesim.Simulator` consumes them as they come.
 """
 
 from __future__ import annotations
@@ -143,8 +143,8 @@ _NO_RETURN = object()
 _FIXED = "$k"
 
 # The frame key that holds a tile's place (`_Dest`) in the call of a tile
-# function that can take one (`_Compiled.places`). Only a return of an
-# operator reads it (`_returned`).
+# function (`_Compiled`). Only a return of an operator reads it
+# (`_returned`).
 _PLACE = "$place"
 
 # The operators that can build their value at a place: a map or scan
@@ -156,17 +156,17 @@ _PLACEABLE = frozenset((ir.Map, ir.Scan, ir.TiledMap, ir.TiledScan))
 class _Compiled:
     """One function, built once per interpreter.
 
-    `call(args, captured)` applies it to positional arguments and its
-    captured closure values. `kernels` maps operand ranks to its kernel
-    or None (see `Kernels._kernel`); `op` is its scalar operator as a
-    combine (`ir.combine_op`), and `shape` its `ir.body_shape`. `places`
-    says whether, as a tile function, it can build its value at the tile's
-    place (`Interpreter._takes_place`)."""
+    `call(args, captured, place=None)` applies it to positional arguments
+    and its captured closure values; a tile's `place`, when given, is
+    where the operator it returns builds its value (`_returned`).
+    `kernels` maps operand ranks to its kernel or None (see
+    `Kernels._kernel`); `op` is its scalar operator as a combine
+    (`ir.combine_op`), and `shape` its `ir.body_shape`."""
 
-    __slots__ = ("fn", "call", "op", "shape", "places", "kernels")
+    __slots__ = ("fn", "call", "op", "shape", "kernels")
 
-    def __init__(self, fn, call, op, shape, places):
-        self.fn, self.call, self.op, self.shape, self.places = fn, call, op, shape, places
+    def __init__(self, fn, call, op, shape):
+        self.fn, self.call, self.op, self.shape = fn, call, op, shape
         self.kernels = {}
 
 
@@ -262,7 +262,7 @@ class Interpreter(Kernels):
         self._functions = {}  # name -> _Compiled
         self._entry = None
         self._allocator = None
-        self._tile_functions = set()  # of the tiled maps and scans built so far (`_takes_place`)
+        self._places = {}  # function name -> whether it can take a place (`_takes_place`)
 
     # -- entry points --------------------------------------------------------
 
@@ -312,54 +312,51 @@ class Interpreter(Kernels):
     def _build(self, fn):
         op = ir.combine_op(fn)
         mark = self.config.trace is not None and fn is self._entry
-        places = self._takes_place(fn)
-        body = self._block(fn.body, mark, places)
+        body = self._block(fn.body, mark)
         params, name = fn.params, fn.name
 
-        def call(args, captured):
+        def call(args, captured, place=None):
             frame = dict(zip(params, args))
             frame.update(captured)
+            if place is not None:
+                frame[_PLACE] = place
             value = body(frame)
             if value is _NO_RETURN:
                 raise EvalError(f"{name} finished without returning")
             return value
 
-        return _Compiled(fn, call, op and scalar_op(op), ir.body_shape(fn), places)
+        return _Compiled(fn, call, op and scalar_op(op), ir.body_shape(fn))
 
-    def _takes_place(self, fn, seen=frozenset()):
-        """Whether `fn`, as a tile function, can build its value at its
-        tile's place. It must be named as its tile function by a tiled map,
-        or a tiled scan without `emit`, built so far (`_operator`): these
-        give their tiles places, and a tile function is built when its
-        operator first runs it, so the tile function of a reduce, or a
-        combine, reads no place. And an operator it returns
-        (`_returned_operators`) must be a map or a scan, a tiled scan with
-        `emit`, or a tiled map or scan whose tile function can take a place.
-        A function missing from the program cannot."""
-        if not seen and fn.name not in self._tile_functions:
-            return False
-        seen = seen | {fn.name}
-        for e in _returned_operators(fn.body):
-            if type(e) in (ir.Map, ir.Scan) or getattr(e, "emit", None) is not None:
-                return True
-            g = self.program.functions.get(e.fn)
-            if g is not None and g.name not in seen and self._takes_place(g, seen):
-                return True
-        return False
+    def _takes_place(self, name, seen=None):
+        """Whether function `name`, as the tile function of a tiled map or
+        scan, can build its value at its tile's place, from the program
+        alone: an operator it returns (`_returned_operators`) is a map or a
+        scan, a tiled scan with `emit`, or a tiled map or scan whose tile
+        function can take a place. A function missing from the program
+        cannot. `seen` holds the functions a search already visits."""
+        if seen is None:
+            takes = self._places.get(name)
+            if takes is None:
+                takes = self._places[name] = self._takes_place(name, set())
+            return takes
+        seen.add(name)
+        fn = self.program.functions.get(name)
+        return fn is not None and any(
+            type(e) in (ir.Map, ir.Scan) or getattr(e, "emit", None) is not None
+            or e.fn not in seen and self._takes_place(e.fn, seen)
+            for e in _returned_operators(fn.body))
 
     # -- statements ------------------------------------------------------------
 
-    def _block(self, block, mark, places):
+    def _block(self, block, mark):
         """A closure running `block` on a frame; it returns the value of
-        the first return statement reached, or _NO_RETURN. When `places`,
-        the function can take a place, and the operators it returns
-        (`_returned`) build their values there.
+        the first return statement reached, or _NO_RETURN. The operators it
+        returns (`_returned`) build their values at the frame's place.
 
         A for loop's sequence stays alive until its block ends (`hold`):
         when a temporary dies decides which free block the allocator hands
         out next, so this keeps every traced address where it was."""
-        steps = tuple(self._statement(s, mark, places,
-                                      places and _returned(block, i) is not None)
+        steps = tuple(self._statement(s, mark, _returned(block, i) is not None)
                       for i, s in enumerate(block))
         if len(steps) == 1:
             return steps[0]
@@ -374,10 +371,9 @@ class Interpreter(Kernels):
 
         return run
 
-    def _statement(self, s, mark, places, placed):
-        """A closure running statement `s` on a frame (`places` as for
-        `_block`). When `placed`, its operator builds its value at the
-        frame's place."""
+    def _statement(self, s, mark, placed):
+        """A closure running statement `s` on a frame. When `placed`, its
+        operator builds its value at the frame's place."""
         phase = self.config.trace.phase if mark else None
         t = type(s)
         if t is ir.Assign:
@@ -401,7 +397,7 @@ class Interpreter(Kernels):
             return ret
         if t is ir.If:
             cond = self._expr(s.cond)
-            then, orelse = self._block(s.then, mark, places), self._block(s.orelse, mark, places)
+            then, orelse = self._block(s.then, mark), self._block(s.orelse, mark)
 
             def branch(frame, hold=None):
                 c = cond(frame)
@@ -410,7 +406,7 @@ class Interpreter(Kernels):
                 return then(frame) if c != 0 else orelse(frame)
             return branch
         if t is ir.For:
-            var, seq, body = s.var, self._expr(s.seq), self._block(s.body, False, places)
+            var, seq, body = s.var, self._expr(s.seq), self._block(s.body, False)
 
             def loop(frame, hold=None):
                 if phase is not None:
@@ -479,8 +475,6 @@ class Interpreter(Kernels):
         args = tuple(self._expr(a) for a in e.args)
         init = self._expr(e.init) if hasattr(e, "init") else None
         run = self._tiled if type(e) in ir.TILED_OPS else self._untiled
-        if type(e) is ir.TiledMap or type(e) is ir.TiledScan and e.emit is None:
-            self._tile_functions.add(e.fn)
 
         if placed:
             def operator(frame):
@@ -523,10 +517,10 @@ class Interpreter(Kernels):
     def _put(self, place, shape, dtype, data):
         """The value of `shape` and `dtype` whose row-major elements are
         `data`: written into the view where it takes `place` (`_claim`), or
-        else a new array."""
-        view = self._claim(place, shape, dtype)
+        else, as when `place` is None, a new array."""
+        view = place and self._claim(place, shape, dtype)
         if view is None:
-            return self._new_array(shape, dtype, "row", data)
+            return self._placed(adopt(shape, dtype, "row", data))
         write(view, data)
         return view
 
@@ -654,8 +648,7 @@ class Interpreter(Kernels):
                 if x.shape != shape:
                     raise EvalError(f"cannot stack shapes {shape} and {x.shape}")
             return self._join(values, axis, True, place)
-        out = self._new_array((len(values),), dtype, "row", values) if place is None \
-            else self._put(place, (len(values),), dtype, values)
+        out = self._put(place, (len(values),), dtype, values)
         if self.config.trace is not None:
             self._fill(out)
         return out
@@ -727,8 +720,7 @@ class Interpreter(Kernels):
         if kind == "Reduce":
             return functools.reduce(op, values, init)
         if type(values) is Stack:
-            out = self._new_array(values.shape, values.dtype, "row", values.data) \
-                if place is None else self._put(place, values.shape, values.dtype, values.data)
+            out = self._put(place, values.shape, values.dtype, values.data)
             if values.rows is not None:
                 self._fill(out, values.rows)
             return out
@@ -772,19 +764,17 @@ class Interpreter(Kernels):
                                 f"dispatched with k={k}")
             full_captured = {**captured, _FIXED: k}
         # A map or scan whose tile function can build its value at its tile's
-        # place gives each tile call its place in the output under `_PLACE`.
-        # With `emit`, the emitted steps take the places and the tiles none.
-        tiles = enumerate(zip(*[decompose(v, axis, k) or [v] for v, axis in zip(views, node.axes)]))
-        results, dest = [], None
-        if kind is not ir.TiledReduce and (f.places or emit is not None):
+        # place gives each tile call its place in the output. With `emit`,
+        # the emitted steps take the places and the tiles none.
+        tiles = zip(*[decompose(v, axis, k) or [v] for v, axis in zip(views, node.axes)])
+        dest = None
+        if kind is not ir.TiledReduce and (emit is not None or self._takes_place(node.fn)):
             dest = _Dest(node.depth, extent, k, place)
-        if dest is None or emit is not None:
-            for t, tile in tiles:
-                results.append(f.call(tile, full_captured if t < full else captured))
-        else:
-            for t, tile in tiles:
-                results.append(f.call(tile, {**(full_captured if t < full else captured),
-                                             _PLACE: (dest, t)}))
+        given = dest if emit is None else None  # the output whose places the tiles take
+        results = []
+        for t, tile in enumerate(tiles):
+            results.append(f.call(tile, full_captured if t < full else captured,
+                                  given and (given, t)))
         counters = self.config.counters
         counters.full_tile_calls += full
         counters.straggler_calls += len(results) - full
@@ -805,8 +795,6 @@ class Interpreter(Kernels):
             raise EvalError(f"tiled {kind.__name__[5:].lower()} tiles have no axis "
                             f"{node.depth} to join along")
         if kind is ir.TiledMap:
-            if dest is None:
-                return self._join(results, node.depth)
             return self._gather(dest, results, node.depth)
         # A scan's tiles scan without `emit`. Every tile after the first is
         # fixed up by combining the previous tile's last accumulator into
@@ -892,21 +880,9 @@ class Interpreter(Kernels):
 
     def _gather(self, dest, parts, axis):
         """The value of a tiled map or scan from its tiles' values `parts`
-        along `axis`. When some part is at its place (`_Dest.views`) and
-        each other one fits its own (`_widened`), those are copied in, each
-        as one `RW` run, and the value is the output, `dest.out`. Else the
-        parts are joined (`_join`), as they are when the tiles have no
-        places."""
-        if dest is not None and dest.out is not None:
-            if parts == dest.views:  # every part is at its place (arrays compare by identity)
-                return dest.out
-            loose = [(t, p) for t, (p, v) in enumerate(zip(parts, dest.views)) if p is not v]
-            if len(loose) < len(parts) and all(_widened((dest, t), p.shape) == dest.out.shape
-                                               for t, p in loose):
-                for t, part in loose:
-                    view = self._claim((dest, t), part.shape, part.dtype)
-                    write(view, element_list(part))
-                    if self.config.trace is not None:
-                        self._fill(view, [part], [view])
-                return dest.out
+        along `axis`: the output, `dest.out`, when every part is at its
+        place (`_Dest.views`), else the parts joined (`_join`), as they are
+        when the tiles have no places."""
+        if dest is not None and parts == dest.views:  # arrays compare by identity
+            return dest.out
         return self._join(parts, axis)

@@ -232,11 +232,14 @@ def _reads(e, rank):
 
 
 class _RankOracle:
-    """Untiled result ranks of expressions, via function summaries."""
+    """Untiled result ranks of expressions, via function summaries.
+    `contexts` maps each function name to the untiled ranks of its
+    variables in each context `return_rank` meets it in."""
 
     def __init__(self, program):
         self.program = program
         self.memo = {}
+        self.contexts = {}
 
     def expr_rank(self, e, env):
         if isinstance(e, Const):
@@ -271,6 +274,7 @@ class _RankOracle:
 
     def return_rank(self, fn, env):
         env = dict(env)
+        self.contexts.setdefault(fn.name, []).append(env)
         for s in fn.body:
             if isinstance(s, Assign):
                 env[s.target] = self.expr_rank(s.value, env)
@@ -386,7 +390,9 @@ def _fuse_one(program, arg_ranks):
     contexts = None
     for name, e, pos, producer, value in _producers(program):
         if contexts is None:
-            contexts = _rank_contexts(program, arg_ranks)
+            oracle, main = _RankOracle(program), program.fn("main")
+            oracle.return_rank(main, dict(zip(main.params, arg_ranks)))
+            contexts = oracle.contexts
         kinds = name in contexts and _operand_kinds(value, e.args[pos], e.axes[pos],
                                                     contexts[name])
         callee = kinds and _compose(program, program.fn(e.fn), pos, value, *kinds)
@@ -433,28 +439,6 @@ def _reduces(e):
             type(e.init) is Const):
         return (e,)
     return [x for x in ir.walk_exprs(e) if type(x) is Reduce]
-
-
-def _rank_contexts(program, arg_ranks):
-    """Function name -> the untiled ranks of its variables in each context
-    the rank oracle meets it in, from `main` called with `arg_ranks`."""
-    oracle = _RankOracle(program)
-    main = program.fn("main")
-    entry = dict(zip(main.params, arg_ranks))
-    oracle.return_rank(main, entry)
-    calls = [("main", entry)]
-    for fname, params, closures in oracle.memo:
-        env = dict(zip(program.functions[fname].params, params))
-        env.update(closures)
-        calls.append((fname, env))
-    contexts = {}
-    for fname, env in calls:
-        env = dict(env)
-        for s in program.functions[fname].body:
-            if isinstance(s, Assign):
-                env[s.target] = oracle.expr_rank(s.value, env)
-        contexts.setdefault(fname, []).append(env)
-    return contexts
 
 
 def _single_assignments(fn):

@@ -519,9 +519,9 @@ def counting_build(monkeypatch):
         compiled = build(self, fn)
         call = compiled.call
 
-        def counted(args, captured):
+        def counted(*args):
             calls[fn.name] += 1
-            return call(args, captured)
+            return call(*args)
         compiled.call = counted
         return compiled
     monkeypatch.setattr(Interpreter, "_build", counted_build)

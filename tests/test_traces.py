@@ -228,6 +228,9 @@ FIX_UP_PROGRAMS = {
     "row_scan": (programs.ROW_SCAN, False),
     "row_scan_emit": (programs.ROW_SCAN_EMIT, False),
     "row_scan_f64_init": (programs.ROW_SCAN.replace("init=0", "init=0.0"), False),
+    # A row scans as i64 up to its first negative element and as f64 after.
+    "row_scan_relu": (programs.ROW_SCAN.replace("fn ident(x) { return x; }", "fn relu(x) { "
+                      "return x max 0.0; }").replace("scan(ident", "scan(relu"), False),
     # Tiled at depth 0 by hand: the tiles scan rows with an elementwise
     # combine, the fix-up combines rows with a map.
     "rows_scan_depth0": ("""
@@ -336,7 +339,9 @@ def placed_outcome(program, inputs, tile_sizes=None):
 
 # Hand-written tiled maps over 1..7 (X) whose tiles give their values in
 # different ways: (source, the untiled program's source, or the value or
-# error the join of the tiles gives at tile size k).
+# error the join of the tiles gives at tile size k). The output is the
+# tiled map's value only when every tile's value is at its place; else
+# the tiles are joined.
 PLACEMENT_CASES = {
     # Each tile's dtype is its own: f64 when a tile holds a 3, i64 else.
     # The output's dtype is f64 when any tile's is, as the join's would be.
@@ -348,8 +353,8 @@ fn main(X) { return tiledmap(tile, slot=0, depth=0, X; axes=[0]); }
 fn third(x) { if x - 3 { return x; } else { return x / 1; } }
 fn main(X) { return map(third, X; axes=[0]); }
 """),
-    # A tile that returns a variable, its own input, is copied in beside
-    # the tiles that build their value in place.
+    # A tile that returns a variable, its own input, is not at its place:
+    # the tiles are joined, also those that built their value in place.
     "variable_return": ("""
 fn ident(x) { return x; }
 fn tile(T) { if T[0] - 3 { return map(ident, T; axes=[0]); } else { return T; } }
@@ -393,9 +398,9 @@ fn main(X) { return tiledmap(tile, slot=0, depth=0, X; axes=[0]); }
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(PLACEMENT_CASES))
 def test_tiles_take_their_places_or_are_copied(name, k):
-    """A tiled map's tiles build their values at their places when they can
-    and are copied in or joined when they cannot, with the value, dtype,
-    element types and error of the join, with and without a trace sink."""
+    """A tiled map's tiles build their values at their places when they can,
+    and are joined when one cannot, with the value, dtype, element types
+    and error of the join, with and without a trace sink."""
     src, want = PLACEMENT_CASES[name]
     inputs = [NdArray((7,), "i64", "row", list(range(1, 8))), NdArray((2,), "i64", "col", [8, 9])]
     program = parse_program(src, allow_internal=True)
@@ -407,6 +412,29 @@ def test_tiles_take_their_places_or_are_copied(name, k):
         want = want(k)
     assert got == want
     assert (full, stragglers) == (7 // k, int(7 % k > 0))
+
+
+def test_placement_does_not_depend_on_build_order():
+    """Whether a tile takes its place follows from the program alone: a
+    tile function first run as a plain callee takes its places when a
+    tiled map runs it later, and both orders of the statements trace as
+    many events and give the same value."""
+    lib = """
+fn ident(x) { return x; }
+fn tile(T) { return map(ident, T; axes=[0]); }
+fn inner(Y) { return tiledmap(tile, slot=0, depth=0, Y; axes=[0]); }
+"""
+    first, second = "a = map(tile, X; axes=[0]);", "b = map(inner, Z; axes=[0]);"
+    inputs = [NdArray((4, 3), "i64", "row", list(range(12))),
+              NdArray((2, 5, 3), "i64", "row", list(range(30)))]
+    seen = []
+    for body in (first + second, second + first):
+        program = parse_program(f"{lib}fn main(X, Z) {{ {body} return b; }}", allow_internal=True)
+        sink = TraceSink()
+        value = eval_program(program, inputs, EvalConfig(tile_sizes={0: 2}, trace=sink))
+        seen.append((len(sink.events), value.shape, value.dtype, value.data))
+    assert seen[0] == seen[1]
+    assert seen[0][0] == 168
 
 
 def test_fixed_up_tile_takes_the_dtype_of_its_fix_up():
@@ -430,19 +458,21 @@ fn tile(T) { return scan(ident, combine=lo, init=0.5, T; axes=[0]); }
 @pytest.mark.parametrize("name, shape, dtype, layout", [
     ("row_scan_emit", (7, 8), "i64", "col"), ("row_scan_emit", (5, 4), "f64", "row"),
     ("cube_scan", (3, 4, 8), "i64", "col"), ("row_scan", (3, 0), "f64", "col"),
-    ("row_scan", (3, 0), "i64", "row"), ("row_scan_f64_init", (4, 0), "i64", "col")])
+    ("row_scan", (3, 0), "i64", "row"), ("row_scan_f64_init", (4, 0), "i64", "col"),
+    ("row_scan_relu", (5, 6), "i64", "row")])
 def test_placed_nests_match_the_untiled_program(name, shape, dtype, layout):
     """Tiled scans whose emitted steps take the places, a rank-3 nest whose
-    places are two deep, and an empty straggler below depth 0 give the
-    untiled program's value, dtype and element types with every slot at
-    every tile size from 1 to 3."""
+    places are two deep, an empty straggler below depth 0, and rows whose
+    dtypes differ, which retype the output of every nest around them, give
+    the untiled program's value, dtype and element types with every slot
+    at every tile size from 1 to 4."""
     src, _ = FIX_UP_PROGRAMS[name]
     inputs = [matrix(*shape, dtype, layout) if len(shape) == 2 else cube(*shape)]
     untiled = parse_program(src)
     want = placed_outcome(untiled, inputs)[0]
     res = tile_program(untiled, arg_ranks=[inputs[0].rank])
     slots = [s.id for s in res.spec.runtime_slots()]
-    for sizes in itertools.product((1, 2, 3), repeat=len(slots)):
+    for sizes in itertools.product((1, 2, 3, 4), repeat=len(slots)):
         tile_sizes = res.spec.sizes(overrides=dict(zip(slots, sizes)))
         got, full, stragglers = placed_outcome(res.program, inputs, tile_sizes)
         assert got == want, sizes
