@@ -216,7 +216,7 @@ class Kernels:
                                    sources == list(range(len(ranks))))
         if kind != "map":
             return None
-        return self._node(fn, self._function(g), sources, ranks)
+        return self._node(fn, self._function(g), sources)
 
     def _leaf(self, fn, op, names):
         """Kernel of leaf `fn`, None for an array closure operand. It reports
@@ -326,30 +326,25 @@ class Kernels:
             return Stack(out, (extent, n) if extent else (0,), views[0].dtype, blocks)
         return node
 
-    def _node(self, fn, callee, sources, ranks):
-        """Kernel of map node `fn`, with callee `callee`, over operands of
-        `ranks` that `_leaf_node` does not run: per row, the untiled map
-        without a frame. Each row's operands come from `sources` (see
+    def _node(self, fn, callee, sources):
+        """Kernel of map node `fn`, with callee `callee`, over operands that
+        `_leaf_node` does not run: per row, the untiled map without a
+        frame. Each row's operands come from `sources` (see
         `_new_kernel`), and so do the callee's closure values, bound per
-        row from the node's own parameters. The callee's kernel is picked
-        for the operands' ranks once per operand ranks, and may decline at
-        row 0 only, as every row has row 0's ranks and extents. It
-        concatenates its rows' element lists into one `Stack`; a row's
-        block takes the row's own rows (`_append_row`)."""
+        row from the node's own parameters. The callee's kernel is looked
+        up at row 0 only, for row 0's operand ranks, and may decline there
+        only, as every row has row 0's ranks and extents. It concatenates
+        its rows' element lists into one `Stack`; a row's block takes the
+        row's own rows (`_append_row`)."""
         arity, counters, append = len(sources), self.config.counters, self._append_row
         zeros = (0,) * arity
         binds = [(c, fn.params.index(c) if c in fn.params else c)
                  for c in callee.fn.closure_params]
-        fixed = None
-        if all(type(s) is int for s in sources):
-            fixed = self._kernel(callee, tuple(ranks[s] - 1 for s in sources))
-            if fixed is None:
-                return None
 
         def node(views, axes, extent, captured):
             slicers = [self._slicer(v, axis) for v, axis in zip(views, axes)]
             out, blocks = [], [] if self.config.trace is not None else None
-            shape, n, inner, empty, exact = (), 0, fixed, views[0].dtype, None
+            shape, n, empty, exact = (), 0, views[0].dtype, None
             for i in range(extent):
                 rows = [s(i) for s in slicers]
                 operands = [rows[s] if type(s) is int else captured[s] for s in sources]
@@ -358,7 +353,7 @@ class Kernels:
                 if not i:
                     # Every row has the extents of row 0, and only row 0 checks them.
                     n = self._operand_views(operands, zeros, "Map")[1]
-                    inner = inner or self._kernel(callee, tuple(len(v.shape) for v in operands))
+                    inner = self._kernel(callee, tuple(len(v.shape) for v in operands))
                     if inner is None:
                         return None
                     empty = operands[0].dtype

@@ -29,7 +29,7 @@ and `adopt`s it once, so no array is zero-filled and then overwritten.
 They neither place their output nor report a trace run; the interpreter
 (`semantics.Interpreter`) does both. `write` puts a finished element list
 into a view of an existing array, where the interpreter builds a tile's
-value in place.
+value in place, in one slice assignment when the view is dense.
 
 `Allocator` places arrays in a simulated address space. It takes a block
 back when its array dies, through a `weakref.ref` callback, and keeps
@@ -383,14 +383,12 @@ def element_list(v, layout="row"):
 
 def write(v, data):
     """Write `data`, the elements of view `v` in row order, into its buffer:
-    one slice assignment when `v` is dense in row order or of rank 1, one
-    per row at rank 2, else one per run (`runs`)."""
+    one slice assignment when `v` is dense in row order, as every rank-1
+    view the interpreter writes is, one per row at rank 2, else one per
+    run (`runs`)."""
     buf = v.root.data
     if v.strides == make_strides(v.shape, "row"):
         buf[v.offset:v.offset + len(data)] = data
-        return
-    if len(v.shape) == 1:
-        buf[span(v)] = data
         return
     if len(v.shape) == 2:
         (rows, n), (row, step), start = v.shape, v.strides, v.offset

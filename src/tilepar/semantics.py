@@ -13,11 +13,11 @@ build of its tile function. A full tile of an operator whose slot has a
 fixed size k (`fixed=k`, a register tile) also puts k in the frame of
 its tile call, for the bounds-check rule (`Counters`). A reduce folds
 its tiles' results with the combine. A map or scan builds its value in
-place (destination passing) when the program alone says that its tile
-function can (`Interpreter._takes_place`): each tile call gets, as an
-argument, the tile's place in the output, which is cut along the depth
-axis (`_Dest`), and the operator the tile function returns builds its
-value there (`_claim`). The first value to take a place allocates the
+place (destination passing) when its tile function's own statements
+return an operator that can (`Interpreter._takes_place`): each tile
+call gets, as an argument, the tile's place in the output, cut along
+the depth axis (`_Dest`), and that operator builds its value there
+(`_claim`, `_put`). The first value to take a place allocates the
 output, in that value's shape widened along the depth axis, itself at
 the operator's own place in its parent's output when it has one. When
 every tile's value is at its place, the output is the operator's value;
@@ -31,8 +31,8 @@ one call of the combine's node kernel (`kernels`) over the carry,
 broadcast along a new leading axis, and the tile: each row is one step,
 run as the untiled map would run it. Any other combine is called once
 per step. An empty extent at depth 0 gives what the untiled operator
-gives for zero slices; below depth 0 one empty straggler runs through
-the tile function, which builds the nest's own empty result.
+gives for zero slices (`_assemble`); below depth 0 one empty straggler
+runs through the tile function, which builds the nest's own empty result.
 
 The untiled ones run through one method too (`Interpreter._untiled`):
 one callee call per slice, each result folded into the accumulator
@@ -81,8 +81,7 @@ from . import ir
 from .kernels import NO_CAPTURES, EvalError, Kernels, Stack, scalar_dtype
 from .ndarray import (
     ELEM_SIZE, Allocator, ArrayValue, Block, NdArray, View, addresses, adopt, concat, decompose,
-    element_list, elementwise, interleave, join, make_strides, scalar_op, slice_axis, tile_view,
-    write,
+    elementwise, interleave, join, scalar_op, slice_axis, tile_view, write,
 )
 
 
@@ -182,20 +181,6 @@ def _returned(block, i):
     elif type(s) is not ir.Return:
         return None
     return s.value if type(s.value) in _PLACEABLE else None
-
-
-def _returned_operators(block):
-    """Every operator that `_returned` finds in `block` and its nested
-    blocks."""
-    for i, s in enumerate(block):
-        e = _returned(block, i)
-        if e is not None:
-            yield e
-        if type(s) is ir.If:
-            yield from _returned_operators(s.then)
-            yield from _returned_operators(s.orelse)
-        elif type(s) is ir.For:
-            yield from _returned_operators(s.body)
 
 
 class _Dest:
@@ -330,10 +315,12 @@ class Interpreter(Kernels):
     def _takes_place(self, name, seen=None):
         """Whether function `name`, as the tile function of a tiled map or
         scan, can build its value at its tile's place, from the program
-        alone: an operator it returns (`_returned_operators`) is a map or a
-        scan, a tiled scan with `emit`, or a tiled map or scan whose tile
-        function can take a place. A function missing from the program
-        cannot. `seen` holds the functions a search already visits."""
+        alone: an operator that a statement of its body returns
+        (`_returned`; the tiler emits no tile function with an `if` or a
+        `for`) is a map or a scan, a tiled scan with `emit`, or a tiled map
+        or scan whose tile function can take a place. A function missing
+        from the program cannot. `seen` holds the functions a search
+        already visits."""
         if seen is None:
             takes = self._places.get(name)
             if takes is None:
@@ -341,10 +328,12 @@ class Interpreter(Kernels):
             return takes
         seen.add(name)
         fn = self.program.functions.get(name)
-        return fn is not None and any(
-            type(e) in (ir.Map, ir.Scan) or getattr(e, "emit", None) is not None
-            or e.fn not in seen and self._takes_place(e.fn, seen)
-            for e in _returned_operators(fn.body))
+        if fn is None:
+            return False
+        returned = (_returned(fn.body, i) for i in range(len(fn.body)))
+        return any(type(e) in (ir.Map, ir.Scan) or getattr(e, "emit", None) is not None
+                   or e.fn not in seen and self._takes_place(e.fn, seen)
+                   for e in returned if e is not None)
 
     # -- statements ------------------------------------------------------------
 
@@ -514,15 +503,20 @@ class Interpreter(Kernels):
         its finished element list `data`."""
         return self._placed(adopt(shape, dtype, layout, data))
 
-    def _put(self, place, shape, dtype, data):
-        """The value of `shape` and `dtype` whose row-major elements are
-        `data`: written into the view where it takes `place` (`_claim`), or
-        else, as when `place` is None, a new array."""
-        view = place and self._claim(place, shape, dtype)
-        if view is None:
-            return self._placed(adopt(shape, dtype, "row", data))
-        write(view, data)
-        return view
+    def _put(self, place, shape, dtype, data, axis=0):
+        """The value of `shape` and `dtype` whose elements `data` lists in
+        row order with `axis` first: written, through one view with `axis`
+        first, into the view where it takes `place` (`_claim`), or else, as
+        when `place` is None, a new array, which adopts `data` at axis 0."""
+        out = place and self._claim(place, shape, dtype)
+        if out is None:
+            if not axis:
+                return self._new_array(shape, dtype, "row", data)
+            out = self._new_array(shape, dtype, "row", [None] * len(data))
+        s = out.strides
+        write(View(out.root, out.offset, shape[axis:axis + 1] + shape[:axis] + shape[axis + 1:],
+                   s[axis:axis + 1] + s[:axis] + s[axis + 1:]) if axis else out, data)
+        return out
 
     def _claim(self, place, shape, dtype):
         """The view of its output (`_Dest`) where a value of `shape` and
@@ -748,9 +742,7 @@ class Interpreter(Kernels):
         k = self._tile_size(node)
         views, extent = self._operand_views(args, node.axes, kind.__name__)
         if extent == 0 and node.depth == 0:
-            if kind is ir.TiledReduce:
-                return init
-            return self._new_array((0,), views[0].dtype, "row", [])
+            return self._assemble(kind.__name__[5:], (), None, init, views[0].dtype)
         if kind is not ir.TiledMap:
             comb, comb_captured = self._callee(node.combine, env)
         emit = emit_captured = None
@@ -847,26 +839,16 @@ class Interpreter(Kernels):
         """(fixed, blocks): tiled-scan tile `part` with `last` combined into
         each of its steps along `axis`, in one call of the combine's
         `kernel` over `last` broadcast along a new leading axis and `part`.
-        `fixed` is the steps stacked along `axis` as `_stack` stacks them at
-        `place`, and `blocks` lists the kernel's blocks for the steps (None
-        without a trace sink), which the stack's run reads."""
+        `fixed` is the steps stacked along `axis` at `place`, as `_stack`
+        stacks them: the kernel's list, steps first, put there with `axis`
+        first (`_put`). `blocks` lists the kernel's blocks for the steps
+        (None without a trace sink), which the stack's run reads."""
         n = part.shape[axis]
         carry = View(last.root, last.offset, (n,) + last.shape, (0,) + last.strides)
         stack = kernel([carry, part], (0, axis), n, NO_CAPTURES)
-        shape, data = stack.shape, stack.data
-        fixed = place and self._claim(place, shape[1:axis + 1] + shape[:1] + shape[axis + 1:],
-                                      stack.dtype)
-        if fixed is not None:  # the list is written through the place with the steps' axis first
-            s = fixed.strides
-            write(View(fixed.root, fixed.offset, shape, s[axis:axis + 1] + s[:axis] + s[axis + 1:]),
-                  data)
-        else:
-            if axis:  # a View rooted at the stack reads its list with the steps' axis at `axis`
-                strides = make_strides(shape, "row")
-                moved = View(stack, 0, shape[1:axis + 1] + shape[:1] + shape[axis + 1:],
-                             strides[1:axis + 1] + strides[:1] + strides[axis + 1:])
-                shape, data = moved.shape, element_list(moved)
-            fixed = self._new_array(shape, stack.dtype, "row", data)
+        shape = stack.shape
+        fixed = self._put(place, shape[1:axis + 1] + shape[:1] + shape[axis + 1:], stack.dtype,
+                          stack.data, axis)
         if stack.rows is not None:
             self._fill(fixed, stack.rows, (slice_axis(fixed, axis, j) for j in range(n)))
         return fixed, stack.rows

@@ -12,17 +12,21 @@ Covered here:
   8. benchmark correctness (matmul vs naive reference; k-means labels)
   9. register pass preserves the oracle; fixed sizes respect the budget;
      on the fused matmul it reorders input reads and tiling beats untiled
+ 10. the package imports only the standard library and itself
 """
 
+import ast
 import collections
 import itertools
 import json
 import random
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import tilepar
 from tilepar import ir
 from tilepar.autotuner import (
     CostProbe, SearchConfig, SearchSpace, autotune, estimate_bounds, format_log, run_search,
@@ -504,3 +508,21 @@ def test_tiled_prefix_scan_builds_tiles_in_place():
     assert tiled * 2 < untiled.misses
     print(f"ACCEPTANCE prefix-scan-in-place: {untiled.misses} -> {tiled} "
           f"({sink.on_inputs} on inputs, {on_others} on temporaries and output): PASS")
+
+
+def test_package_imports_only_the_standard_library():
+    # The north star's "pure standard library": every module of the package
+    # imports only standard modules, its own (relative) ones, or `tilepar`.
+    outside = []
+    for path in sorted(Path(tilepar.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}: {n}" for n in names
+                        if n.split(".")[0] not in sys.stdlib_module_names | {"tilepar"}]
+    assert not outside
+    print("ACCEPTANCE standard library only: PASS")

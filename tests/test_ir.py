@@ -88,12 +88,13 @@ def test_round_trip_operators_and_precedence():
 
 
 def test_negative_and_float_literals_round_trip():
-    src = "fn main(x) { y = -9223372036854775808; z = 1.5e-9; w = -inf; return x; }"
+    src = "fn main(x) { y = -9223372036854775808; z = 1.5e-9; w = -inf; v = -x; return x; }"
     p = parse_program(src)
     body = p.fn("main").body
     assert body[0].value == Const(-9223372036854775808)
     assert body[1].value == Const(1.5e-9)
     assert body[2].value == Const(float("-inf"))
+    assert body[3].value == BinOp("-", Const(0), Var("x"))
     assert parse_program(print_program(p)) == p
 
 

@@ -54,6 +54,14 @@ def test_for_loop_sum():
     assert run(src, [vec([1, 2, 3])]) == 6
 
 
+def test_return_inside_for_body():
+    # The loop's body returns on its first row, which ends the function.
+    src = "fn main(X) { for r in X { return r; } return X; }"
+    X = NdArray.from_nested([[1, 2], [3, 4], [5, 6]])
+    for sink in (None, TraceSink()):
+        assert run(src, [X], config=EvalConfig(trace=sink)).to_nested() == [1, 2]
+
+
 def test_if_branches():
     src = "fn main(x) { if x { return 1; } else { return 2; } }"
     assert run(src, [5]) == 1

@@ -430,6 +430,30 @@ def test_depth2_nest_combine_lifted_twice():
         assert norm_value(out) == norm_value(base)
 
 
+def test_reduces_sharing_a_combine_share_its_lift():
+    # Both reduces of `two` gain the same one Map over add2, lifted once.
+    src = """
+    fn ident(x) { return x; }
+    fn add2(a, b) { return a + b; }
+    fn two(r) {
+      a = reduce(ident, combine=add2, init=0, r; axes=[0]);
+      b = reduce(ident, combine=add2, init=0, r; axes=[0]);
+      return a + b;
+    }
+    fn main(X) { return map(two, X; axes=[0]); }
+    """
+    p = parse_program(src)
+    res = tile_program(p, arg_ranks=[2])
+    reduces = [e for fn in res.program.functions.values()
+               for e in ir.walk_exprs(fn.body) if isinstance(e, TiledReduce)]
+    assert [e.combine for e in reduces] == ["add2$t1", "add2$t1"]
+    X = int_matrix(5, 7, seed=3)
+    base = norm_value(eval_program(p, [X]))
+    for k in (1, 2, 3):
+        sizes = {slot.id: k for slot in res.spec.runtime_slots()}
+        assert norm_value(eval_program(res.program, [X], EvalConfig(tile_sizes=sizes))) == base
+
+
 # -- matmul pipeline ---------------------------------------------------------------
 
 
@@ -1035,6 +1059,29 @@ def test_computed_operand_fuses_in_either_order_with_normalization():
     main = fuse_first.fn("main").body
     assert ir.Assign(main[-1].value.args[0].name, ir.BinOp("+", Var("X"), Var("X"))) in main
     assert_both_passes_match_untiled(p, [int_matrix(5, 6, seed=10)])
+
+
+@pytest.mark.parametrize("body", [
+    "p = x * y; p = p + 1.0; return reduce(ident, combine=add2, init=0.0, p; axes=[0]);",
+    # Fusing the last binding of `p` into the reduce would sum x + y.
+    "p = x * y; s = reduce(ident, combine=add2, init=0.0, p; axes=[0]); p = x + y; return s;",
+], ids=["rebound", "rebound after its reduce"])
+def test_name_bound_twice_is_not_fused(body):
+    # `p` is bound twice, so fusion leaves `dot` as written.
+    p = desugar_allpairs(parse_program(f"""
+    fn ident(x) {{ return x; }}
+    fn add2(a, b) {{ return a + b; }}
+    fn dot(x, y) {{ {body} }}
+    fn main(Xs, Ys) {{ return allpairs(dot, Xs, Ys; axes=[0, 0]); }}
+    """))
+    res = tile_program(p, arg_ranks=[2, 2])
+    assert res.changed
+    assert not [name for name in res.program.functions if "$f" in name]
+    inputs = [float_matrix(5, 7, 5, dyadic=True), float_matrix(6, 7, 6, dyadic=True)]
+    base = eval_program(p, inputs).data
+    for k in (1, 2, 3):
+        sizes = {slot.id: k for slot in res.spec.runtime_slots()}
+        assert eval_program(res.program, inputs, EvalConfig(tile_sizes=sizes)).data == base
 
 
 # Programs whose `p = ...` fusion leaves as it is, and main's ranks.

@@ -353,8 +353,8 @@ fn main(X) { return tiledmap(tile, slot=0, depth=0, X; axes=[0]); }
 fn third(x) { if x - 3 { return x; } else { return x / 1; } }
 fn main(X) { return map(third, X; axes=[0]); }
 """),
-    # A tile that returns a variable, its own input, is not at its place:
-    # the tiles are joined, also those that built their value in place.
+    # The tile function returns only inside an `if`, so no tile takes a
+    # place and the tiles are joined; one starting at 3 returns its input.
     "variable_return": ("""
 fn ident(x) { return x; }
 fn tile(T) { if T[0] - 3 { return map(ident, T; axes=[0]); } else { return T; } }
@@ -381,7 +381,8 @@ fn tile(T) uses Y { return map(ident, Y; axes=[0]); }
 fn main(X, Y) { return tiledmap(tile, slot=0, depth=0, X; axes=[0]); }
 """, lambda k: ((2 * -(-7 // k),), "i64", [(int, 8), (int, 9)] * -(-7 // k))),
     # A tile starting at 5 gives a rank-2 value and one starting at 6 a
-    # scalar: the join raises, after every tile ran.
+    # scalar: the join raises, after every tile ran. The tile function
+    # returns only inside `if`s, so no tile takes a place.
     "wrong_rank": ("""
 fn ident(x) { return x; }
 fn tile(T) {
