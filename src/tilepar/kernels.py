@@ -332,10 +332,11 @@ class Kernels:
         frame. Each row's operands come from `sources` (see
         `_new_kernel`), and so do the callee's closure values, bound per
         row from the node's own parameters. The callee's kernel is looked
-        up at row 0 only, for row 0's operand ranks, and may decline there
-        only, as every row has row 0's ranks and extents. It concatenates
-        its rows' element lists into one `Stack`; a row's block takes the
-        row's own rows (`_append_row`)."""
+        up at row 0 only, for row 0's operand ranks; the node declines there
+        when the callee has none or its kernel declines, as every row has
+        row 0's ranks and extents. It concatenates its rows' element lists
+        into one `Stack`; a row's block takes the row's own rows
+        (`_append_row`)."""
         arity, counters, append = len(sources), self.config.counters, self._append_row
         zeros = (0,) * arity
         binds = [(c, fn.params.index(c) if c in fn.params else c)

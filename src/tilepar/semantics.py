@@ -297,7 +297,7 @@ class Interpreter(Kernels):
     def _build(self, fn):
         op = ir.combine_op(fn)
         mark = self.config.trace is not None and fn is self._entry
-        body = self._block(fn.body, mark)
+        body = self._block(fn.body, mark, True)
         params, name = fn.params, fn.name
 
         def call(args, captured, place=None):
@@ -315,10 +315,10 @@ class Interpreter(Kernels):
     def _takes_place(self, name, seen=None):
         """Whether function `name`, as the tile function of a tiled map or
         scan, can build its value at its tile's place, from the program
-        alone: an operator that a statement of its body returns
-        (`_returned`; the tiler emits no tile function with an `if` or a
-        `for`) is a map or a scan, a tiled scan with `emit`, or a tiled map
-        or scan whose tile function can take a place. A function missing
+        alone: an operator that a statement of its body returns, and so
+        builds at the place (`_returned`, `_block`; none inside an `if` or
+        a `for`), is a map or a scan, a tiled scan with `emit`, or a tiled
+        map or scan whose tile function can take a place. A function missing
         from the program cannot. `seen` holds the functions a search
         already visits."""
         if seen is None:
@@ -337,15 +337,15 @@ class Interpreter(Kernels):
 
     # -- statements ------------------------------------------------------------
 
-    def _block(self, block, mark):
+    def _block(self, block, mark, body=False):
         """A closure running `block` on a frame; it returns the value of
-        the first return statement reached, or _NO_RETURN. The operators it
-        returns (`_returned`) build their values at the frame's place.
+        the first return statement reached, or _NO_RETURN. The operators a
+        function's `body` returns (`_returned`) build at the frame's place.
 
         A for loop's sequence stays alive until its block ends (`hold`):
         when a temporary dies decides which free block the allocator hands
         out next, so this keeps every traced address where it was."""
-        steps = tuple(self._statement(s, mark, _returned(block, i) is not None)
+        steps = tuple(self._statement(s, mark, body and _returned(block, i) is not None)
                       for i, s in enumerate(block))
         if len(steps) == 1:
             return steps[0]
@@ -791,7 +791,7 @@ class Interpreter(Kernels):
         # A scan's tiles scan without `emit`. Every tile after the first is
         # fixed up by combining the previous tile's last accumulator into
         # each of its steps: in one call of the combine's kernel when it has
-        # one (`_tile_kernel`, `_fix_up`), else one combine call per step.
+        # one that runs (`_fix_up`), else one combine call per step.
         # Only then is `emit` applied to every step, so the result equals
         # the untiled scan for any emit. A kernel's row blocks stand for the
         # step arrays and are kept in `steps` as they would be, and `piece`
@@ -804,10 +804,11 @@ class Interpreter(Kernels):
             at = (dest, t) if dest is not None and part is dest.views[t] else None
             if adjusted:
                 steps = None  # the previous tile's steps die, last to first
-                kernel = self._tile_kernel(comb, last, part) if n else None
-                if kernel is not None:
+                fixed = self._fix_up(comb, last, part, axis, at) if n else None
+                if fixed is not None:
                     piece = part
-                    part, steps = self._fix_up(kernel, last, part, axis, at)
+                    part, steps = fixed
+                    del fixed  # the steps die with `steps` alone
                 else:
                     step = self._slicer(part, axis)
                     steps = []
@@ -826,26 +827,24 @@ class Interpreter(Kernels):
         del results, adjusted, part, step, steps, piece, last
         return out
 
-    def _tile_kernel(self, comb, last, part):
-        """The kernel of combine `comb` over the operands of a tile's fix-up
-        (`_fix_up`) when `comb` is `return map(G, a, b; axes=[0, 0])` and
-        the previous tile's last accumulator `last` is an array; else None,
-        and the fix-up calls `comb` once per step."""
-        if comb.shape is None or comb.shape[0] != "map" or not isinstance(last, ArrayValue):
-            return None
-        return self._kernel(comb, (len(last.shape) + 1, len(part.shape)))
-
-    def _fix_up(self, kernel, last, part, axis, place):
+    def _fix_up(self, comb, last, part, axis, place):
         """(fixed, blocks): tiled-scan tile `part` with `last` combined into
-        each of its steps along `axis`, in one call of the combine's
-        `kernel` over `last` broadcast along a new leading axis and `part`.
+        each of its steps along `axis`, in one call of the kernel of combine
+        `comb` over `last` broadcast along a new leading axis and `part`.
+        It is None, and the tile's steps call `comb` one by one, unless
+        `comb` is `return map(G, a, b; axes=[0, 0])`, `last` is an array
+        and the kernel runs (it declines before any side effect).
         `fixed` is the steps stacked along `axis` at `place`, as `_stack`
         stacks them: the kernel's list, steps first, put there with `axis`
         first (`_put`). `blocks` lists the kernel's blocks for the steps
         (None without a trace sink), which the stack's run reads."""
-        n = part.shape[axis]
+        if comb.shape is None or comb.shape[0] != "map" or not isinstance(last, ArrayValue):
+            return None
+        kernel, n = self._kernel(comb, (len(last.shape) + 1, len(part.shape))), part.shape[axis]
         carry = View(last.root, last.offset, (n,) + last.shape, (0,) + last.strides)
-        stack = kernel([carry, part], (0, axis), n, NO_CAPTURES)
+        stack = kernel and kernel([carry, part], (0, axis), n, NO_CAPTURES)
+        if stack is None:
+            return None
         shape = stack.shape
         fixed = self._put(place, shape[1:axis + 1] + shape[:1] + shape[axis + 1:], stack.dtype,
                           stack.data, axis)

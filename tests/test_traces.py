@@ -208,16 +208,16 @@ def test_scan_fix_ups_match_combine_calls(name, kernel, monkeypatch):
     untiled = eval_program(desugar_allpairs(parse_program(src)), inputs)
     tiled = eval_program(passes[-1], inputs, EvalConfig(tile_sizes=tile_sizes))
     assert tiled.to_nested() == untiled.to_nested()
-    picked, tile_kernel = [], Interpreter._tile_kernel
+    picked, fix_up = [], Interpreter._fix_up
 
-    def spied(self, comb, last, part):
-        found = tile_kernel(self, comb, last, part)
+    def spied(self, *args):
+        found = fix_up(self, *args)
         picked.append(found is not None)
         return found
-    monkeypatch.setattr(Interpreter, "_tile_kernel", spied)
+    monkeypatch.setattr(Interpreter, "_fix_up", spied)
     through_kernels = observed(passes[-1], inputs, tile_sizes)
     assert picked and set(picked) == {kernel}
-    monkeypatch.setattr(Interpreter, "_tile_kernel", lambda self, comb, last, part: None)
+    monkeypatch.setattr(Interpreter, "_fix_up", lambda self, *args: None)
     assert observed(passes[-1], inputs, tile_sizes) == through_kernels
 
 
@@ -235,6 +235,15 @@ FIX_UP_PROGRAMS = {
     # combine, the fix-up combines rows with a map.
     "rows_scan_depth0": ("""
 fn add2(a, b) { return a + b; }
+fn addv(a, b) { return map(add2, a, b; axes=[0, 0]); }
+fn ident(r) { return r; }
+fn tile(T) { return scan(ident, combine=add2, init=0, T; axes=[0]); }
+fn main(X) { return tiledscan(tile, slot=0, depth=0, combine=addv, init=0, X; axes=[0]); }
+""", True),
+    # As above, but `add2` has no kernel: the map node's kernel declines at
+    # row 0, and each fix-up calls the combine once per step.
+    "rows_scan_depth0_no_leaf": ("""
+fn add2(a, b) { s = a + b; return s; }
 fn addv(a, b) { return map(add2, a, b; axes=[0, 0]); }
 fn ident(r) { return r; }
 fn tile(T) { return scan(ident, combine=add2, init=0, T; axes=[0]); }
@@ -262,6 +271,8 @@ FIX_UP_INPUTS = [
     ("rows_scan_depth0", (8, 7), "f64", "col"),
     ("rows_scan_depth0", (3, 0), "i64", "row"),
     ("rows_scan_depth0", (0, 3), "i64", "row"),
+    ("rows_scan_depth0_no_leaf", (8, 7), "i64", "row"),
+    ("rows_scan_depth0_no_leaf", (8, 7), "f64", "col"),
     ("cube_scan", (3, 4, 8), "i64", "col"),
 ]
 
@@ -286,10 +297,10 @@ def fix_up_observed(program, inputs, tile_sizes):
     f"{n}-{'x'.join(map(str, shape))}-{dtype}-{layout}" for n, shape, dtype, layout
     in FIX_UP_INPUTS])
 def test_tile_fix_up_matches_combine_calls(name, shape, dtype, layout, k, monkeypatch):
-    """Fixing up each tile in one call of the combine's kernel gives the
-    value, dtype, element types, trace, sink runs and counters of one
-    combine call per step, with and without a trace sink, and the value
-    of the untiled scan."""
+    """Fixing up each tile in one call of the combine's kernel, or after
+    that kernel declines, gives the value, dtype, element types, trace,
+    sink runs and counters of one combine call per step, with and without
+    a trace sink, and the value of the untiled scan."""
     src, internal = FIX_UP_PROGRAMS[name]
     inputs = [matrix(*shape, dtype, layout) if len(shape) == 2 else cube(*shape)]
     if internal:
@@ -302,17 +313,17 @@ def test_tile_fix_up_matches_combine_calls(name, shape, dtype, layout, k, monkey
         res = tile_program(untiled, arg_ranks=[inputs[0].rank])
         program = res.program
         sizes = res.spec.sizes(overrides={s.id: k for s in res.spec.runtime_slots()})
-    picked, tile_kernel = [], Interpreter._tile_kernel
+    picked, fix_up = [], Interpreter._fix_up
 
-    def spied(self, comb, last, part):
-        found = tile_kernel(self, comb, last, part)
+    def spied(self, *args):
+        found = fix_up(self, *args)
         picked.append(found is not None)
         return found
-    monkeypatch.setattr(Interpreter, "_tile_kernel", spied)
+    monkeypatch.setattr(Interpreter, "_fix_up", spied)
     through_kernel = fix_up_observed(program, inputs, sizes)
-    assert all(picked)
+    assert set(picked) <= {not name.endswith("_no_leaf")}
     assert picked or 0 in shape
-    monkeypatch.setattr(Interpreter, "_tile_kernel", lambda self, comb, last, part: None)
+    monkeypatch.setattr(Interpreter, "_fix_up", lambda self, *args: None)
     assert fix_up_observed(program, inputs, sizes) == through_kernel
     reference = eval_program(untiled, inputs)
     assert through_kernel[0][0] == (reference.shape, reference.dtype,
@@ -353,11 +364,11 @@ fn main(X) { return tiledmap(tile, slot=0, depth=0, X; axes=[0]); }
 fn third(x) { if x - 3 { return x; } else { return x / 1; } }
 fn main(X) { return map(third, X; axes=[0]); }
 """),
-    # The tile function returns only inside an `if`, so no tile takes a
-    # place and the tiles are joined; one starting at 3 returns its input.
+    # A tile that returns a variable, its own input, is not at its place:
+    # the tiles are joined, also those that built their value in place.
     "variable_return": ("""
 fn ident(x) { return x; }
-fn tile(T) { if T[0] - 3 { return map(ident, T; axes=[0]); } else { return T; } }
+fn tile(T) { if T[0] - 3 { } else { return T; } return map(ident, T; axes=[0]); }
 fn main(X) { return tiledmap(tile, slot=0, depth=0, X; axes=[0]); }
 """, """
 fn ident(x) { return x; }
@@ -381,13 +392,14 @@ fn tile(T) uses Y { return map(ident, Y; axes=[0]); }
 fn main(X, Y) { return tiledmap(tile, slot=0, depth=0, X; axes=[0]); }
 """, lambda k: ((2 * -(-7 // k),), "i64", [(int, 8), (int, 9)] * -(-7 // k))),
     # A tile starting at 5 gives a rank-2 value and one starting at 6 a
-    # scalar: the join raises, after every tile ran. The tile function
-    # returns only inside `if`s, so no tile takes a place.
+    # scalar: the join raises, after every tile ran and the others took
+    # their places.
     "wrong_rank": ("""
 fn ident(x) { return x; }
 fn tile(T) {
-  if T[0] - 5 { if T[0] - 6 { return map(ident, T; axes=[0]); } else { return T[0]; } }
-  else { return [T, T]; }
+  if T[0] - 5 { } else { return [T, T]; }
+  if T[0] - 6 { } else { return T[0]; }
+  return map(ident, T; axes=[0]);
 }
 fn main(X) { return tiledmap(tile, slot=0, depth=0, X; axes=[0]); }
 """, lambda k: {1: "EvalError: tiled map tiles must produce arrays",
