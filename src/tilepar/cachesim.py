@@ -19,7 +19,7 @@ import json
 import os
 from dataclasses import dataclass, replace
 
-from .semantics import EvalConfig, TraceSink, eval_program
+from .semantics import Counters, EvalConfig, TraceSink, eval_program
 
 DEFAULT_L1_BYTES = 32 * 1024
 DEFAULT_LINE_BYTES = 64
@@ -178,12 +178,14 @@ def trace_program(program, inputs, tile_sizes=None):
     return sink.events
 
 
-def simulate_program(program, inputs, model, tile_sizes=None, simulator=None):
+def simulate_program(program, inputs, model, tile_sizes=None, simulator=None, counters=None):
     """Trace and simulate in one pass, with the simulator as the trace sink,
     so the trace is never materialized. Returns (stats, program result);
-    pass a Simulator to keep it (for per-phase miss counts)."""
+    pass a Simulator to keep it (for per-phase miss counts), and
+    `semantics.Counters` to count the run's dispatch in."""
     sim = simulator or Simulator(model)
-    config = EvalConfig(tile_sizes=dict(tile_sizes or {}), trace=sim)
+    config = EvalConfig(tile_sizes=dict(tile_sizes or {}), trace=sim,
+                        counters=counters or Counters())
     result = eval_program(program, inputs, config)
     return sim.stats.check(), result
 

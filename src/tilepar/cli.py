@@ -25,7 +25,7 @@ from .bench import (
 from .cachesim import CacheConfigError, CacheModel, Simulator, probe_hardware, simulate_program
 from .ir import IRError, desugar_allpairs, parse_program, print_program
 from .ndarray import ArrayValue, ShapeError, load_array
-from .semantics import EvalConfig, EvalError, eval_program
+from .semantics import Counters, EvalConfig, EvalError, eval_program
 from .tiling import TilingError, register_tile, tile_program
 
 EXIT_OK = 0
@@ -344,9 +344,9 @@ def cmd_cachesim(args):
                        hw.line_bytes if args.line is None else args.line,
                        hw.associativity if args.assoc is None else args.assoc)
     tiled, sizes = _tiled_with_sizes(args, program, inputs, hw)
-    sim = Simulator(model)
+    sim, counters = Simulator(model), Counters()
     stats, value = simulate_program(tiled, inputs, model, tile_sizes=sizes,
-                                    simulator=sim)
+                                    simulator=sim, counters=counters)
     if args.format == "csv":
         print("phase,accesses,hits,misses,evictions,miss_ratio")
         for label, ph in sim.phase_stats:
@@ -363,6 +363,10 @@ def cmd_cachesim(args):
         print(f"evictions: {stats.evictions}")
         print(f"miss rate: {stats.miss_ratio:.4f}")
         print(f"result:    {checksum(value)}")
+        print(f"full-tile calls: {counters.full_tile_calls}")
+        print(f"straggler calls: {counters.straggler_calls}")
+        print(f"bounds checks:   {counters.bounds_checks}")
+        print(f"tiles placed:    {counters.tiles_placed}")
     return EXIT_OK
 
 

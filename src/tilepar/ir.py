@@ -865,7 +865,9 @@ class _Parser:
             operand = self.unary()
             if isinstance(operand, Const):
                 return Const(-operand.value)
-            return BinOp("-", Const(0), operand)
+            # -1 * x, not 0 - x: it keeps the sign of a zero (-0.0) and an
+            # i64 operand's dtype.
+            return BinOp("*", Const(-1), operand)
         return self.postfix()
 
     def postfix(self):

@@ -2,13 +2,11 @@
 per slice (`Kernels`, which `semantics.Interpreter` inherits).
 
 An operator runs a callee that `ir.body_shape` describes through its
-kernel `kernel(views, axes, extent, captured)`:
+kernel `kernel(views, axes, extent, captured, at=None)`:
 - a leaf over rank-1 operands is one loop over a slice of each flat
-  buffer (scalar closure operands broadcast); it gives its results, one
-  scalar per slice, which the operator stacks, folds or scans;
+  buffer (scalar closure operands broadcast), one result per slice;
 - a leaf `a OP b` over rank-2 operands of its own parameters runs each
-  row's elementwise operation without a frame or a View, and gives the
-  rows stacked, as a `Stack` (below) of the elementwise result's dtype;
+  row's elementwise operation without a frame or a View;
 - a map, reduce or scan (a node) runs once per row without a frame, its
   callee by the same rule. Its operands are any of its parameters, whose
   rows it takes, and its closure parameters, the same value for every
@@ -17,20 +15,37 @@ kernel `kernel(views, axes, extent, captured)`:
   The callee of a map node may read closures, bound per row from the
   node's parameters or closure values. Over rank-2 operands a node reads
   each row as a slice of the flat buffer, without a View per row, and
-  checks the row extents once. A reduce node gives its rows' results, one
-  scalar per row. A map or scan node gives its whole stacked value as one
-  `Stack`: a flat row-major element list, with the shape and the dtype
-  that stacking its rows' arrays would give. Each row appends its results
-  to that list, and a map node whose rows are arrays concatenates its
-  rows' lists. The caller that needs an array (`Interpreter._assemble`)
-  adopts the list once.
+  checks the row extents once. A reduce node gives one result per row.
 A fold (Reduce or Scan) runs only a leaf so, with a scalar init, no emit
 and a combine `return a OP b`. A kernel that meets an operand it has no
-rule for (a scalar or wrong-rank closure) declines before any side
-effect, and the operator makes one call per slice. Stacked scalars are
-the output's element list as they are; arrays are stacked as a concat
-joins its parts (`ndarray.join`). All give the values, trace events,
-allocations, counters and errors of one call per slice.
+rule for (a scalar or wrong-rank closure) declines, giving None, before
+any side effect, and the operator makes one call per slice.
+
+A kernel writes its value where the value stays. The caller's
+`at(shape)` gives `(data, offset, strides)`: the element list, the
+offset of element 0 and the strides of the place, of `shape`, where the
+kernel writes its results stacked along a new leading axis, its rows
+first. That place is the value's in a tiled operator's output, with the
+stacked axis first, or a new array whose element list the kernel fills.
+A kernel calls `at` once, after the last point where it can decline,
+with `(extent,)` plus the shape of one row's value, or `(0,)` when there
+is no row. It writes each row with one slice assignment as it computes
+it, and gives `(dtype, rows)`: the dtype that stacking its rows' values
+gives, and with a trace sink the block of each row (below), None for
+scalars; without one, None. Given no `at`, a kernel whose results are
+scalars (a leaf over rank-1 operands, a reduce node) gives them as a
+list instead: a fold folds or scans them, and a map node writes them
+into its own rows.
+
+The dtype follows the values, as stacking them would: f64 when any
+result is a float, else i64, and with no result the first operand's. A
+map or scan node over a leaf knows its results are ints without a look
+at them when every operand is i64, which holds ints only (`ndarray`), no
+`/` makes them and the init is an int; else it looks at each row's
+results until one holds a float. A leaf `a OP b` over rows gives
+`ndarray.elementwise_dtype`, and a map node f64 when any row's value is.
+All give the values, trace events, allocations, counters and errors of
+one call per slice.
 
 One call per slice would build an array for each row of a map or scan
 node, and for each row of those rows. With a trace sink the node models
@@ -49,12 +64,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import types
 
 from . import ir
 from .ndarray import (
     ELEM_SIZE, ArrayValue, Block, View, addresses, elementwise_dtype, interleave, match_shapes,
-    result_dtype, scalar_op, span,
+    scalar_op, span,
 )
 
 
@@ -64,9 +80,6 @@ class EvalError(Exception):
 
 # The captured values of a callee without closure parameters.
 NO_CAPTURES = types.MappingProxyType({})
-
-# The element types `scalar_dtype` takes as scalars without a per-value check.
-_SCALARS = frozenset((int, float))
 
 
 def _leaf_values(fn, op, names):
@@ -137,35 +150,15 @@ def _gathered(views, axes, extent, captured, sources):
     return out, out_axes
 
 
-def scalar_dtype(values):
-    """The dtype of `values` stacked as scalars: f64 when any is a float,
-    else i64; None when any is an array."""
-    kinds = set(map(type, values))
-    if kinds <= _SCALARS:
-        return "f64" if float in kinds else "i64"
-    if any(isinstance(x, ArrayValue) for x in values):
-        return None
-    return result_dtype(values)
-
-
-class Stack:
-    """The value of a map or scan node's kernel before it is an array: its
-    elements `data` in row-major order, `shape` and `dtype`. With a trace
-    sink, `rows` lists the address-only block (`ndarray.Block`) that holds
-    the place of each row's own value, in row order; else it is None."""
-
-    __slots__ = ("data", "shape", "empty", "rows", "exact")
-
-    def __init__(self, data, shape, empty, rows, exact=None):
-        self.data, self.shape, self.empty, self.rows, self.exact = data, shape, empty, rows, exact
-
-    @property
-    def dtype(self):
-        """The dtype that stacking the rows' arrays gives: `exact` when the
-        rows are arrays whose dtype their operands decide, else the first
-        operand's (`empty`) when there is no element, else `scalar_dtype`
-        of the elements."""
-        return self.exact or (scalar_dtype(self.data) if self.data else self.empty)
+def _scalars(results, at, empty):
+    """(dtype, None): scalar `results`, one per slice, written stacked at
+    `at` (see the module docstring), and their dtype: f64 when any is a
+    float, else i64, and `empty` when there is none."""
+    data, offset, (step,) = at((len(results),))
+    if not results:
+        return empty, None
+    data[offset:offset + len(results) * step:step] = results
+    return "f64" if float in map(type, results) else "i64", None
 
 
 class Kernels:
@@ -175,10 +168,10 @@ class Kernels:
 
     def _kernel(self, f, ranks):
         """The kernel of `f` for operands of `ranks` (see the module docstring) or
-        None: `kernel(views, axes, extent, captured)` lists f's results at every slice
-        of `views` along `axes` (a map or scan node gives them stacked, as a `Stack`),
-        or is None before any side effect. A fold node needs rank 2 and a combine
-        with `op`."""
+        None: `kernel(views, axes, extent, captured, at=None)` writes f's results at
+        every slice of `views` along `axes` stacked at `at` (scalars without `at`
+        are given as a list), or is None before any side effect. A fold node needs
+        rank 2 and a combine with `op`."""
         if ranks not in f.kernels:
             f.kernels[ranks] = self._new_kernel(f, ranks)
         return f.kernels[ranks]
@@ -205,26 +198,29 @@ class Kernels:
         # a parameter, whose rows it takes, or the name of a closure
         # parameter, the same value for every row.
         sources = [fn.params.index(n) if n in fn.params else n for n in names]
-        op = self._function(combine).op if combine in functions else None
+        comb = self._function(combine) if combine in functions else None
+        op = comb and comb.op
         leaf = ir.body_shape(callee)
         if (set(ranks) == {2} and leaf is not None and leaf[0] == "leaf"
                 and not callee.closure_params and len(callee.params) == len(names)):
             if kind != "map" and op is None:
                 return None
             values = _leaf_values(callee, leaf[1], leaf[2])[1]
+            divides = "/" in (leaf[1], op and comb.shape[1])
             return self._leaf_node(kind, values, op, init, sources,
-                                   sources == list(range(len(ranks))))
+                                   sources == list(range(len(ranks))), divides)
         if kind != "map":
             return None
         return self._node(fn, self._function(g), sources)
 
     def _leaf(self, fn, op, names):
-        """Kernel of leaf `fn`, None for an array closure operand. It reports
+        """Kernel of leaf `fn`, None for an array closure operand: its results,
+        written at `at` or, without one, as a list (`_scalars`). It reports
         reads as the generic path does: per index, one per view in order."""
         shared, values = _leaf_values(fn, op, names)
         trace = self.config.trace
 
-        def leaf(views, axes, extent, captured):
+        def leaf(views, axes, extent, captured, at=None):
             columns = [v.root.data[span(v)] for v in views]
             for n in shared:
                 if isinstance(captured[n], ArrayValue):
@@ -232,33 +228,37 @@ class Kernels:
                 columns.append([captured[n]] * extent)
             if trace is not None and extent:
                 trace.run(interleave(list(map(addresses, views))), "R")
-            return values(columns)
+            results = values(columns)
+            return results if at is None else _scalars(results, at, views[0].dtype)
         return leaf
 
     def _row_map(self, op, picks):
         """Kernel of a leaf `a OP b` over the parameters `picks` when the
         operands are rank 2: per row, the elementwise operation
         (`_elementwise`) over the two rows, without a frame or a View. A
-        row's values are computed, then its block is placed, then one `RRW`
+        row's values are written, then its block is placed, then one `RRW`
         run reads both rows and writes the block. Row extents are checked
-        once and raise as `ndarray.elementwise` does (`match_shapes`). It
-        gives a `Stack` whose dtype is the elementwise result's
-        (`elementwise_dtype`)."""
+        once and raise as `ndarray.elementwise` does (`match_shapes`). Its
+        dtype is the elementwise result's (`elementwise_dtype`)."""
         f, trace = scalar_op(op), self.config.trace
 
-        def rows(views, axes, extent, captured):
+        def rows(views, axes, extent, captured, at):
             (a, ax), (b, bx) = ((views[p], axes[p]) for p in picks)
             n, m = a.shape[1 - ax], b.shape[1 - bx]
-            if extent:
-                match_shapes((n,), (m,))
+            if not extent:
+                at((0,))
+                return views[0].dtype, None
+            match_shapes((n,), (m,))
             spans = [(v.root.data, v.offset, v.strides[axis], v.strides[1 - axis])
                      for v, axis in ((a, ax), (b, bx))]
             (da, oa, sa, ta), (db, ob, sb, tb) = spans
-            out, blocks = [], [] if trace is not None else None
+            buf, base, (row, step) = at((extent, n))
+            width = n * step
+            blocks = [] if trace is not None else None
             ranges = trace and _row_ranges([a, b], (ax, bx), n)
             for i in range(extent):
-                i_a, i_b = oa + i * sa, ob + i * sb
-                out += map(f, da[i_a:i_a + n * ta:ta], db[i_b:i_b + n * tb:tb])
+                i_a, i_b, o = oa + i * sa, ob + i * sb, base + i * row
+                buf[o:o + width:step] = map(f, da[i_a:i_a + n * ta:ta], db[i_b:i_b + n * tb:tb])
                 if blocks is not None:
                     block = self._placed(Block(n))
                     if n:
@@ -266,11 +266,10 @@ class Kernels:
                         trace.run(interleave(ranges(i) + [range(start, start + n * ELEM_SIZE,
                                                                ELEM_SIZE)]), "RRW")
                     blocks.append(block)
-            return Stack(out, (extent, n) if extent else (0,), views[0].dtype, blocks,
-                          elementwise_dtype(op, a, b) if extent else None)
+            return elementwise_dtype(op, a, b), blocks
         return rows
 
-    def _leaf_node(self, kind, values, op, init, sources, direct):
+    def _leaf_node(self, kind, values, op, init, sources, direct, divides):
         """Kernel of a node over rank-2 operands whose callee is a leaf with
         `values` (`_leaf_values`): per row, the untiled operator without a
         frame. Its operator's operands come from `sources` (see
@@ -279,51 +278,74 @@ class Kernels:
         as a View with stride 0 along the rows, and any other closure value
         makes it decline. Row i of each operand is the flat
         span (root, offset + i * strides[axis], strides[1 - axis]); no View
-        is built for it. Row extents are checked once. A reduce gives its
-        rows' results, and reports the reads of all its rows as one run, as
-        nothing comes between them. A map or a scan appends each row's
-        results to one element list and gives a `Stack`; it reports each
-        row's reads as a run before the row's block takes the row's
-        results."""
+        is built for it. Row extents are checked once. A reduce writes its
+        rows' results at `at` once they are all computed, or gives them as
+        a list without one, and reports the reads of all its rows as one
+        run, as nothing comes between them. A map or a scan writes each
+        row's results as it computes them; it reports each row's reads as
+        a run before the row's block takes the row's results. `divides`
+        says whether the leaf or the combine is `/`."""
         what, counters, trace = kind.capitalize(), self.config.counters, self.config.trace
-        one_run = trace is not None and kind == "reduce"
-        run_per_row = trace is not None and not one_run
+        reduces = kind == "reduce"
+        one_run = trace is not None and reduces
+        run_per_row = trace is not None and not reduces
         arity = len(sources)
-        if kind == "reduce":
-            def row(columns, out):
-                out.append(functools.reduce(op, values(columns), init))
+        if reduces:
+            def row(columns):
+                return functools.reduce(op, values(columns), init)
         elif kind == "scan":
-            def row(columns, out):
-                out += itertools.islice(itertools.accumulate(values(columns), op, initial=init),
-                                        1, None)
+            def row(columns):
+                return list(itertools.islice(itertools.accumulate(values(columns), op,
+                                                                  initial=init), 1, None))
         else:
-            def row(columns, out):
-                out += values(columns)
+            row = values
+        # Whether the results must be looked at for a float whatever the
+        # operands' dtypes (see the module docstring).
+        look_always = divides or type(init) is float
 
-        def node(views, axes, extent, captured):
+        def node(views, axes, extent, captured, at):
+            if not extent:
+                if not direct and _gathered(views, axes, extent, captured, sources)[0] is None:
+                    return None
+                return [] if at is None else _scalars([], at, views[0].dtype)
             if not direct:
                 views, axes = _gathered(views, axes, extent, captured, sources)
                 if views is None:
                     return None
-            n = extent and _row_extent(views, axes, what)
+            n = _row_extent(views, axes, what)
             spans = [(v.root.data, v.offset, v.strides[axis], v.strides[1 - axis])
                      for v, axis in zip(views, axes)]
             reads = trace and _row_reads(views, axes, n)
-            out, blocks, i = [], [] if run_per_row else None, -1
+            if not reduces:
+                buf, base, (stride, step) = at((extent, n))
+                width = n * step
+                look = look_always or "f64" in [v.dtype for v in views]
+            f64, blocks, i = False, [] if run_per_row else None, -1
             try:
-                for i in range(extent):
-                    if run_per_row and n:
-                        trace.run(reads(i), "R")
-                    row([data[o + i * s:o + i * s + n * t:t] for data, o, s, t in spans], out)
-                    if blocks is not None:
-                        blocks.append(self._row_block(n, None))
+                if reduces:
+                    out = []
+                    for i in range(extent):
+                        out.append(row([data[o + i * s:o + i * s + n * t:t]
+                                        for data, o, s, t in spans]))
+                else:
+                    for i in range(extent):
+                        if run_per_row and n:
+                            trace.run(reads(i), "R")
+                        got = row([data[o + i * s:o + i * s + n * t:t]
+                                   for data, o, s, t in spans])
+                        o = base + i * stride
+                        buf[o:o + width:step] = got
+                        if look and float in map(type, got):
+                            look, f64 = False, True
+                        if blocks is not None:
+                            blocks.append(self._row_block(n, None))
             finally:  # rows 0..i were checked and read, also when row i raised
                 counters.bounds_checks += arity * n * (i + 1)
                 if one_run and n and i >= 0:
                     trace.run(itertools.chain.from_iterable(map(reads, range(i + 1))), "R")
-            if kind == "reduce":
-                return out
-            return Stack(out, (extent, n) if extent else (0,), views[0].dtype, blocks)
+            if reduces:
+                return out if at is None else _scalars(out, at, None)
+            return "f64" if f64 else "i64" if n else views[0].dtype, blocks
         return node
 
     def _node(self, fn, callee, sources):
@@ -334,18 +356,34 @@ class Kernels:
         row from the node's own parameters. The callee's kernel is looked
         up at row 0 only, for row 0's operand ranks; the node declines there
         when the callee has none or its kernel declines, as every row has
-        row 0's ranks and extents. It concatenates its rows' element lists
-        into one `Stack`; a row's block takes the row's own rows
-        (`_append_row`)."""
-        arity, counters, append = len(sources), self.config.counters, self._append_row
+        row 0's ranks and extents. The callee's kernel writes row i of the
+        node's value at that row's place; a kernel of scalars, given no
+        place, gives them, and the node writes them there. Row 0's value
+        gives the node's own shape, so only then does the node call its
+        `at`. A row's block takes the row's own rows (`_row_block`)."""
+        arity, counters, trace = len(sources), self.config.counters, self.config.trace
         zeros = (0,) * arity
         binds = [(c, fn.params.index(c) if c in fn.params else c)
                  for c in callee.fn.closure_params]
 
-        def node(views, axes, extent, captured):
+        def node(views, axes, extent, captured, at):
+            if not extent:
+                at((0,))
+                return views[0].dtype, None
             slicers = [self._slicer(v, axis) for v, axis in zip(views, axes)]
-            out, blocks = [], [] if self.config.trace is not None else None
-            shape, n, empty, exact = (), 0, views[0].dtype, None
+            # Where the node's value is, once row 0's callee kernel asks for
+            # its place: row i is at `base + i * stride` in `data`, with
+            # `rest` strides, `size` long.
+            held = []
+
+            def place(shape):  # the place of row i, of `shape`
+                if not held:
+                    data, base, strides = at((extent,) + shape)
+                    held.extend((data, base, strides[0], strides[1:],
+                                 trace is not None and math.prod(shape)))
+                return held[0], held[1] + i * held[2], held[3]
+
+            f64, blocks = False, [] if trace is not None else None
             for i in range(extent):
                 rows = [s(i) for s in slicers]
                 operands = [rows[s] if type(s) is int else captured[s] for s in sources]
@@ -354,35 +392,40 @@ class Kernels:
                 if not i:
                     # Every row has the extents of row 0, and only row 0 checks them.
                     n = self._operand_views(operands, zeros, "Map")[1]
-                    inner = self._kernel(callee, tuple(len(v.shape) for v in operands))
+                    ranks = tuple(len(v.shape) for v in operands)
+                    inner = self._kernel(callee, ranks)
                     if inner is None:
                         return None
-                    empty = operands[0].dtype
+                    # A reduce's or a rank-1 leaf's kernel, given no place,
+                    # gives its scalars, which the node writes itself.
+                    scalars = callee.shape[0] == "reduce" or max(ranks) == 1
+                    row_at = None if scalars else place
                 counters.bounds_checks += arity * n
-                value = inner(operands, zeros, n, bound)
-                if value is None:  # row 0, before any side effect
+                got = inner(operands, zeros, n, bound, row_at)
+                if got is None:  # row 0, before any side effect
                     counters.bounds_checks -= arity * n
                     return None
-                if not i and type(value) is Stack:
-                    exact = value.exact
-                shape = append(out, blocks, value, n)
-                del value  # its rows' blocks die now (`_append_row`)
-            return Stack(out, (extent,) + shape if extent else (0,), empty, blocks, exact)
+                if not i:
+                    if scalars:
+                        data, base, (stride, step) = at((extent, n))
+                        width, size = n * step, n
+                        # Rows of no slice take the dtype of their map over none.
+                        f64 = not n and operands[0].dtype == "f64"
+                    else:
+                        size = held[4]
+                if scalars:
+                    o = base + i * stride
+                    data[o:o + width:step] = got
+                    f64 = f64 or float in map(type, got)
+                    if blocks is not None:
+                        blocks.append(self._row_block(size, None))
+                    continue
+                f64 = f64 or got[0] == "f64"
+                if blocks is not None:
+                    blocks.append(self._row_block(size, got[1]))
+                del got  # the blocks of the row's own rows die now
+            return "f64" if f64 else "i64", blocks
         return node
-
-    def _append_row(self, out, blocks, value, n):
-        """Append to `out` the elements of one row's `value` from a node's
-        kernel, a `Stack` or n scalars, and with a trace sink its block
-        to `blocks`; gives the row's shape. The blocks of `value`'s own
-        rows die when this returns, after the row's block is placed."""
-        if type(value) is Stack:
-            data, shape, rows = value.data, value.shape, value.rows
-        else:
-            data, shape, rows = value, (n,), None
-        out += data
-        if blocks is not None:
-            blocks.append(self._row_block(len(data), rows))
-        return shape
 
     def _row_block(self, size, rows):
         """An address-only block of `size` elements, placed and written as

@@ -9,7 +9,8 @@ An NdArray is its own view: it has the view fields `root` (itself) and
 `offset` (0), so every function here takes either without wrapping it.
 
 `NdArray(...)`, `NdArray.from_nested` and `load_array` take input from
-outside the program and check all of it. `adopt` is the interpreter's way
+outside the program and check all of it: every element is an int or a
+float, and an int in an i64 array. `adopt` is the interpreter's way
 to build an array: it takes a finished element list as is, with a shape,
 dtype and layout the interpreter derived itself, and checks nothing.
 Strides are worked out once per (shape, layout).
@@ -96,7 +97,7 @@ class NdArray:
             raise ShapeError(f"shape {shape} needs {size} elements, got {len(data)}")
         else:
             data = list(data)
-            _check_elements(set(map(type, data)))
+            _check_elements(set(map(type, data)), dtype)
         self.shape = shape
         self.dtype = dtype
         self.layout = layout
@@ -148,7 +149,7 @@ class NdArray:
             _fill(data, kinds, nested, shape, make_strides(shape, layout), 0, 0)
         else:
             data, kinds = [nested], {type(nested)}
-        _check_elements(kinds)
+        _check_elements(kinds, dtype)
         if dtype is None:
             dtype = "f64" if float in kinds else "i64"
         _check_form(shape, dtype, layout)
@@ -172,13 +173,17 @@ def _check_form(shape, dtype, layout):
         raise ShapeError(f"unknown layout {layout!r}")
 
 
-def _check_elements(kinds):
+def _check_elements(kinds, dtype):
     """Raise ShapeError unless every type in `kinds` is int or float (a
-    bool is neither)."""
+    bool is neither), and int for `dtype` i64: an i64 array holds ints
+    only, as every array the interpreter builds does, so the node kernels
+    know an i64 operand's values are ints without a look (`kernels`)."""
     bad = kinds - _ELEMENT_TYPES
     if bad:
         names = ", ".join(sorted(k.__name__ for k in bad))
         raise ShapeError(f"elements must be int or float, got {names}")
+    if dtype == "i64" and float in kinds:
+        raise ShapeError("i64 elements must be int, got float")
 
 
 def adopt(shape, dtype, layout, data):

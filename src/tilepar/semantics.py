@@ -17,28 +17,32 @@ place (destination passing) when its tile function's own statements
 return an operator that can (`Interpreter._takes_place`): each tile
 call gets, as an argument, the tile's place in the output, cut along
 the depth axis (`_Dest`), and that operator builds its value there
-(`_claim`, `_put`). The first value to take a place allocates the
-output, in that value's shape widened along the depth axis, itself at
-the operator's own place in its parent's output when it has one. When
-every tile's value is at its place, the output is the operator's value;
-else, as when a tile returns another value or one of another rank or
-extent, the tiles are concatenated (`_gather`). A scan's tiles scan
-without `emit`; each tile after the first is then fixed up with the
-previous tile's carry, at its place, and `emit` is applied to every
-step last, the emitted steps taking the places instead. When the lifted
-combine is `return map(G, a, b; axes=[0, 0])`, a tile's whole fix-up is
-one call of the combine's node kernel (`kernels`) over the carry,
-broadcast along a new leading axis, and the tile: each row is one step,
-run as the untiled map would run it. Any other combine is called once
-per step. An empty extent at depth 0 gives what the untiled operator
-gives for zero slices (`_assemble`); below depth 0 one empty straggler
-runs through the tile function, which builds the nest's own empty result.
+(`_claim`): a kernel writes each row there as it computes it
+(`_written`), any other value is written there once built (`_put`). The
+first value to take a place creates the output, in that value's shape
+widened along the depth axis, itself at the operator's own place in its
+parent's output when it has one. When every tile's value is at its
+place, the output is the operator's value; else, as when a tile returns
+another value or one of another rank or extent, the tiles are
+concatenated (`_gather`). A scan's tiles scan without `emit`; each tile
+after the first is then fixed up with the previous tile's carry, at its
+place, and `emit` is applied to every step last, the emitted steps
+taking the places instead. When the lifted combine is
+`return map(G, a, b; axes=[0, 0])`, a tile's whole fix-up is one call of
+the combine's node kernel (`kernels`) over the carry, broadcast along a
+new leading axis, and the tile: each row is one step, run as the
+untiled map would run it and written at the tile's place. Any other
+combine is called once per step. An empty extent at depth 0 gives what
+the untiled operator gives for zero slices (`_assemble`); below depth 0
+one empty straggler runs through the tile function, which builds the
+nest's own empty result.
 
 The untiled ones run through one method too (`Interpreter._untiled`):
 one callee call per slice, each result folded into the accumulator
-before the next call, or the callee's kernel (`kernels.Kernels`), whose
-results `_assemble` stacks, folds or scans, at the operator's place when
-it has one. Zero slices give a reduce its init, else an empty rank-1
+before the next call, or the callee's kernel (`kernels.Kernels`): a
+map's kernel writes the map's value, at its place when it has one
+(`_written`), and a fold's gives its scalar results, which `_assemble`
+folds or scans. Zero slices give a reduce its init, else an empty rank-1
 array of the first operand's dtype.
 
 Each function is built once, on its first call, into nested closures;
@@ -47,12 +51,14 @@ function raises only when execution reaches it. Only a tiled map or scan
 whose tile function can take a place gives its tiles places, so the
 tiles of one that cannot, and a reduce's, pay nothing.
 
-The interpreter builds its arrays with `ndarray.adopt`, from a finished
-element list and a shape, dtype and layout it derived itself, so nothing
-is zero-filled first or checked again. It places each array, and each
+The interpreter builds its arrays with `ndarray.adopt`, from an element
+list and a shape, dtype and layout it derived itself, so nothing is
+zero-filled first or checked again: the list is finished, or a node
+kernel fills it before anything reads it. It places each array, and each
 block (`kernels`), at one point (`_placed`) as it is built, so the order
 of allocations, and of the frees that reference counting makes, decides
-each address.
+each address; an array a kernel fills is placed once the kernel's row
+blocks are, where it would be had the kernel built its value first.
 
 A trace sink is any object with `run(addrs, kinds)` and `phase(label)`.
 When one is attached (`EvalConfig.trace`), every array element read or
@@ -78,10 +84,10 @@ import math
 from dataclasses import dataclass, field
 
 from . import ir
-from .kernels import NO_CAPTURES, EvalError, Kernels, Stack, scalar_dtype
+from .kernels import NO_CAPTURES, EvalError, Kernels
 from .ndarray import (
     ELEM_SIZE, Allocator, ArrayValue, Block, NdArray, View, addresses, adopt, concat, decompose,
-    elementwise, interleave, join, scalar_op, slice_axis, tile_view, write,
+    elementwise, interleave, join, result_dtype, scalar_op, slice_axis, tile_view, write,
 )
 
 
@@ -98,11 +104,14 @@ class Counters:
     it slices. So an axis that is only as long as k by chance is skipped
     too, while the operators of the tile function's callees, of its
     `uses` closures and of its inner stragglers, each run in a frame of
-    its own, count as anywhere else."""
+    its own, count as anywhere else. `tiles_placed` counts the tiles
+    whose values a tiled map or scan takes as its output where they
+    are, at their places, with no join (`Interpreter._gather`)."""
 
     full_tile_calls: int = 0
     straggler_calls: int = 0
     bounds_checks: int = 0
+    tiles_placed: int = 0
 
 
 class TraceSink:
@@ -145,6 +154,9 @@ _FIXED = "$k"
 # function (`_Compiled`). Only a return of an operator reads it
 # (`_returned`).
 _PLACE = "$place"
+
+# The element types `scalar_dtype` takes as scalars without a per-value check.
+_SCALARS = frozenset((int, float))
 
 # The operators that can build their value at a place: a map or scan
 # stacks its results there, and a tiled map or scan hands its tiles places
@@ -227,6 +239,17 @@ def _retype(dest):
         dest.dtypes[t] = dtype
         dest.f64 += (dtype == "f64") - (old == "f64")
     dest.out.dtype = "f64" if dest.f64 else "i64"
+
+
+def scalar_dtype(values):
+    """The dtype of `values` stacked as scalars: f64 when any is a float,
+    else i64; None when any is an array."""
+    kinds = set(map(type, values))
+    if kinds <= _SCALARS:
+        return "f64" if float in kinds else "i64"
+    if any(isinstance(x, ArrayValue) for x in values):
+        return None
+    return result_dtype(values)
 
 
 def _failing(message):
@@ -503,50 +526,99 @@ class Interpreter(Kernels):
         its finished element list `data`."""
         return self._placed(adopt(shape, dtype, layout, data))
 
-    def _put(self, place, shape, dtype, data, axis=0):
+    def _put(self, place, shape, dtype, data):
         """The value of `shape` and `dtype` whose elements `data` lists in
-        row order with `axis` first: written, through one view with `axis`
-        first, into the view where it takes `place` (`_claim`), or else, as
-        when `place` is None, a new array, which adopts `data` at axis 0."""
-        out = place and self._claim(place, shape, dtype)
-        if out is None:
-            if not axis:
-                return self._new_array(shape, dtype, "row", data)
-            out = self._new_array(shape, dtype, "row", [None] * len(data))
-        s = out.strides
-        write(View(out.root, out.offset, shape[axis:axis + 1] + shape[:axis] + shape[axis + 1:],
-                   s[axis:axis + 1] + s[:axis] + s[axis + 1:]) if axis else out, data)
+        row order: written into the view where it takes `place` (`_claim`),
+        or else, as when `place` is None, a new array, which adopts `data`."""
+        claimed = place and self._claim(place, shape)
+        if claimed is None:
+            return self._new_array(shape, dtype, "row", data)
+        out, new = claimed
+        if new is not None:
+            new.dtype = dtype
+            self._placed(new)
+        write(out, data)
+        self._settle(place, dtype)
         return out
 
-    def _claim(self, place, shape, dtype):
-        """The view of its output (`_Dest`) where a value of `shape` and
-        `dtype` takes `place`, or None when it does not fit (`_widened`) or
+    def _written(self, kernel, views, axes, extent, captured, place, axis=0):
+        """(value, rows), what `kernel` writes (see `kernels`) over `views`,
+        or None when it declines. The kernel's rows are the value's
+        steps along `axis`: it writes them, with `axis` first, where the
+        value takes `place` (`_claim`), or else, as when `place` is None,
+        into the element list of a new array. Storage is created when the
+        kernel asks for it, but a new array is placed only once the
+        kernel's row blocks are, and then the stack's run copies `rows`,
+        those blocks, to the steps (`_fill`), as when the value is built
+        first and then put at its place."""
+        held = []  # the value, the array to place or None, the value with `axis` first
+
+        def at(shape):
+            if axis:
+                value_shape = shape[1:axis + 1] + shape[:1] + shape[axis + 1:]
+            else:
+                value_shape = shape
+            claimed = place and self._claim(place, value_shape)
+            if claimed is None:
+                out = new = adopt(value_shape, None, "row", [None] * math.prod(value_shape))
+            else:
+                out, new = claimed
+            s = out.strides
+            steps = View(out.root, out.offset, shape, s[axis:axis + 1] + s[:axis] + s[axis + 1:]) \
+                if axis else out
+            held.extend((out, new, steps))
+            return out.root.data, out.offset, steps.strides
+
+        got = kernel(views, axes, extent, captured, at)
+        if got is None:
+            return None
+        out, new, steps = held
+        if new is not None:
+            new.dtype = got[0]
+            self._placed(new)
+        if new is not out:
+            self._settle(place, got[0])
+        if self.config.trace is not None:
+            self._fill(steps, got[1])
+        return out, got[1]
+
+    def _claim(self, place, shape):
+        """(view, new): the view of its output (`_Dest`) where a value of
+        `shape` takes `place`, or None when it does not fit (`_widened`) or
         the output's other extents differ. The first value to take a place
-        allocates the output, in the value's shape widened along the axis:
-        at the output's own place when it takes that, else as a new array
-        whose elements the tiles write before anything reads them."""
+        creates the output, in the value's shape widened along the axis: at
+        the output's own place when it takes that, else a new array, `new`,
+        whose elements the tiles write before anything reads them; the
+        caller gives it the value's dtype and places it (`_placed`). `new`
+        is None once the output exists. The value's dtype is recorded once
+        it is known (`_settle`)."""
         full = _widened(place, shape)
         if full is None:
             return None
         dest, t = place
-        out = dest.out
+        out, new = dest.out, None
         if out is None:
-            out = dest.place and self._claim(dest.place, full, dtype)
-            dest.nested = out is not None
-            if out is None:
-                out = self._new_array(full, dtype, "row", [None] * math.prod(full))
+            claimed = dest.place and self._claim(dest.place, full)
+            dest.nested = claimed is not None
+            out, new = claimed or (adopt(full, None, "row", [None] * math.prod(full)),) * 2
             dest.out = out
         elif out.shape != full:
             return None
         dest.views[t] = view = View(out.root, out.offset + t * dest.k * out.strides[dest.axis],
                                     shape, out.strides)
+        return view, new
+
+    def _settle(self, place, dtype):
+        """Record `dtype` as that of the value at `place`, and give the
+        output (`_Dest`) the dtype that a join of its places' values would
+        have."""
+        dest, t = place
         old = dest.dtypes[t]
         if old != dtype:
             dest.dtypes[t] = dtype
             dest.f64 += (dtype == "f64") - (old == "f64")
-            if dest.nested or (dest.f64 > 0) != (out.dtype == "f64"):
+            if dest.nested or (dest.f64 > 0) != (dest.out.dtype == "f64"):
                 _retype(dest)
-        return view
 
     def _fill(self, out, rows=None, places=None):
         """Report the writes of stacking or joining into `out`, an array, a
@@ -686,9 +758,15 @@ class Interpreter(Kernels):
         if kind == "Map" or (op is not None and emit is None and not isinstance(init, ArrayValue)
                              and all(len(v.shape) == 1 for v in views)):
             kernel = self._kernel(f, tuple([len(v.shape) for v in views]))
-            values = kernel and kernel(views, node.axes, extent, captured)
-            if values is not None:
-                return self._assemble(kind, values, op, init, views[0].dtype, place)
+            if kind == "Map":
+                written = kernel and self._written(kernel, views, node.axes, extent, captured,
+                                                   place)
+                if written is not None:
+                    return written[0]
+            else:
+                values = kernel and kernel(views, node.axes, extent, captured)
+                if values is not None:
+                    return self._assemble(kind, values, op, init, views[0].dtype, place)
         # Each step's callee result, then the old accumulator, die before the
         # next call; once the value is built, the last accumulator dies before
         # the other steps (see `_tiled` on why the order is spelled out).
@@ -708,16 +786,10 @@ class Interpreter(Kernels):
 
     def _assemble(self, kind, values, op, init, dtype, place=None):
         """The value of untiled operator `kind` ("Map", "Reduce" or "Scan") from
-        its callee's results (see the module docstring), or the array of a
-        node kernel's `Stack`, built at `place` unless it is empty; `dtype`
-        is the first operand's."""
+        its callee's results, one per slice (see the module docstring), built at
+        `place` unless it is empty; `dtype` is the first operand's."""
         if kind == "Reduce":
             return functools.reduce(op, values, init)
-        if type(values) is Stack:
-            out = self._put(place, values.shape, values.dtype, values.data)
-            if values.rows is not None:
-                self._fill(out, values.rows)
-            return out
         if not values:
             return self._new_array((0,), dtype, "row", [])
         if kind == "Scan":
@@ -835,22 +907,16 @@ class Interpreter(Kernels):
         `comb` is `return map(G, a, b; axes=[0, 0])`, `last` is an array
         and the kernel runs (it declines before any side effect).
         `fixed` is the steps stacked along `axis` at `place`, as `_stack`
-        stacks them: the kernel's list, steps first, put there with `axis`
-        first (`_put`). `blocks` lists the kernel's blocks for the steps
-        (None without a trace sink), which the stack's run reads."""
+        stacks them: the kernel writes each step there, along `axis`
+        (`_written`), as it computes it. `blocks` lists the kernel's blocks
+        for the steps (None without a trace sink), which the stack's run
+        reads."""
         if comb.shape is None or comb.shape[0] != "map" or not isinstance(last, ArrayValue):
             return None
         kernel, n = self._kernel(comb, (len(last.shape) + 1, len(part.shape))), part.shape[axis]
         carry = View(last.root, last.offset, (n,) + last.shape, (0,) + last.strides)
-        stack = kernel and kernel([carry, part], (0, axis), n, NO_CAPTURES)
-        if stack is None:
-            return None
-        shape = stack.shape
-        fixed = self._put(place, shape[1:axis + 1] + shape[:1] + shape[axis + 1:], stack.dtype,
-                          stack.data, axis)
-        if stack.rows is not None:
-            self._fill(fixed, stack.rows, (slice_axis(fixed, axis, j) for j in range(n)))
-        return fixed, stack.rows
+        return kernel and self._written(kernel, [carry, part], (0, axis), n, NO_CAPTURES, place,
+                                        axis)
 
     def _emit_steps(self, emit, captured, part, axis, place):
         """`emit` applied to every step of `part` along `axis`, stacked at
@@ -865,5 +931,6 @@ class Interpreter(Kernels):
         place (`_Dest.views`), else the parts joined (`_join`), as they are
         when the tiles have no places."""
         if dest is not None and parts == dest.views:  # arrays compare by identity
+            self.config.counters.tiles_placed += len(parts)
             return dest.out
         return self._join(parts, axis)

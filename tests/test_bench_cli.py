@@ -301,6 +301,20 @@ def test_cli_cachesim_csv_per_phase(program_file, capsys):
     assert sum(int(r[3]) for r in phase_rows) == int(total[3])
 
 
+def test_cli_cachesim_prints_the_run_counters(program_file, capsys):
+    # After the result, the human output gives the run's `Counters`: 7x8
+    # rows in tiles of 3 are 3 row tiles, each scanned in 3 column tiles,
+    # and every one of the 12 takes its place in the output.
+    argv = ["cachesim", "--program", program_file(programs.ROW_SCAN), "--gen", "shape=7x8"]
+    for tiling, (full, stragglers, checks, placed) in (
+            ([], (0, 0, 63, 0)), (["--tiling", "cache", "--tile-sizes", "3,3"], (8, 4, 147, 12))):
+        assert main(argv + tiling) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-5].startswith("result:")
+        assert lines[-4:] == [f"full-tile calls: {full}", f"straggler calls: {stragglers}",
+                              f"bounds checks:   {checks}", f"tiles placed:    {placed}"]
+
+
 def test_cli_cachesim_csv_for_loop_is_one_phase(program_file, capsys):
     prog = program_file("fn main(X) { s = 0; for r in X { s = s + r[0]; } return s; }")
     assert main(["cachesim", "--program", prog, "--gen", "shape=6x4",

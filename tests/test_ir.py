@@ -1,6 +1,7 @@
 from dataclasses import fields
 
 import collections
+import math
 
 import pytest
 
@@ -94,7 +95,20 @@ def test_negative_and_float_literals_round_trip():
     assert body[0].value == Const(-9223372036854775808)
     assert body[1].value == Const(1.5e-9)
     assert body[2].value == Const(float("-inf"))
-    assert body[3].value == BinOp("-", Const(0), Var("x"))
+    assert body[3].value == BinOp("*", Const(-1), Var("x"))
+    assert parse_program(print_program(p)) == p
+
+
+def test_negation_keeps_the_sign_of_zero_and_the_dtype():
+    # `-x` on a variable is `-1 * x`: `0 - x` would give 0.0 for 0.0.
+    p = parse_program("fn main(x) { return -x; }")
+    got = eval_program(p, [0.0])
+    assert (got, math.copysign(1.0, got)) == (0.0, -1.0)
+    got = eval_program(p, [NdArray((2,), "f64", "row", [0.0, 1.5])])
+    assert [math.copysign(1.0, v) for v in got.data] == [-1.0, -1.0]
+    assert (got.dtype, got.data) == ("f64", [-0.0, -1.5])
+    got = eval_program(p, [NdArray((2,), "i64", "row", [0, 3])])
+    assert (got.dtype, got.data, [type(v) for v in got.data]) == ("i64", [0, -3], [int, int])
     assert parse_program(print_program(p)) == p
 
 

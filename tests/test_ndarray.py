@@ -223,6 +223,17 @@ def test_constructor_rejects_non_numbers(data, found):
         NdArray((2,), "i64", "row", data)
 
 
+# An i64 array holds ints only, which lets a node kernel know that an i64
+# operand's values are ints without a look at them; an f64 one may hold ints.
+def test_i64_arrays_reject_floats():
+    for build in (lambda: NdArray((2,), "i64", "row", [1, 2.5]),
+                  lambda: NdArray.from_nested([[1], [2.5]], "i64")):
+        with pytest.raises(ShapeError, match="i64 elements must be int, got float$"):
+            build()
+    assert NdArray((2,), "f64", "row", [1, 2.5]).data == [1, 2.5]
+    assert NdArray.from_nested([[1], [2]], "f64").data == [1, 2]
+
+
 def test_from_nested_checks_dtype_and_layout():
     assert NdArray.from_nested([1, 2], "f64").dtype == "f64"
     with pytest.raises(ShapeError, match="unknown dtype"):

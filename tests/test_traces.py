@@ -16,7 +16,7 @@ import itertools
 import math
 import random
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import pytest
@@ -492,6 +492,67 @@ def test_placed_nests_match_the_untiled_program(name, shape, dtype, layout):
         assert full + stragglers > 0
 
 
+# Tiled maps and scans whose dtype their values decide, each tile built at
+# its place: (source, inputs, the dtype).
+VALUE_DTYPE_CASES = {
+    # An f64 init makes every step of i64 rows a float.
+    "scan_f64_init": (programs.ROW_SCAN.replace("init=0", "init=0.0"),
+                      [matrix(7, 8, "i64", "col")], "f64"),
+    # `/` makes floats of ints: by a scalar closure, and by a second operand.
+    "halved": ("""
+fn half(x) uses two { return x / two; }
+fn halves(r) uses two { return map(half, r; axes=[0]); }
+fn main(X, two) { return map(halves, X; axes=[0]); }
+""", [matrix(7, 8, "i64", "row"), 2], "f64"),
+    "divided": ("""
+fn div(a, b) { return a / b; }
+fn divs(r, d) { return map(div, r, d; axes=[0, 0]); }
+fn main(X, D) { return map(divs, X, D; axes=[0, 0]); }
+""", [matrix(7, 8, "i64", "row"), NdArray((7, 8), "i64", "col", [2] * 56)], "f64"),
+    # f64 rows, all below 100, each element raised to at least the int 100:
+    # every element is an int.
+    "capped": ("""
+fn cap(a, b) { return a max b; }
+fn caps(r, c) { return map(cap, r, c; axes=[0, 0]); }
+fn main(X, C) { return map(caps, X, C; axes=[0, 0]); }
+""", [matrix(7, 8, "f64", "row"), NdArray((7, 8), "i64", "row", [100] * 56)], "i64"),
+    # Rows of width 0: each row tile's scan runs one empty straggler.
+    "empty_rows": (programs.ROW_SCAN, [matrix(7, 0, "i64", "row")], "i64"),
+}
+
+
+def dtype_outcome(program, inputs, tile_sizes, traced):
+    """The value with its dtype and element types, the trace's length and
+    digest (None without a trace sink), and every dispatch counter of one
+    run."""
+    sink = TraceSink() if traced else None
+    config = EvalConfig(tile_sizes=dict(tile_sizes), trace=sink)
+    value = eval_program(program, inputs, config)
+    return ((value.shape, value.dtype, [(type(x), x) for x in value.data]),
+            sink and (len(sink.events), digest(sink.events)), astuple(config.counters))
+
+
+@pytest.mark.parametrize("traced", [False, True])
+@pytest.mark.parametrize("name", sorted(VALUE_DTYPE_CASES))
+def test_values_decide_dtypes_at_places(name, traced):
+    """A map or scan whose dtype its values decide, untiled and tiled at
+    every tile size from 1 to 3, gives the value, dtype, element types,
+    trace and counters of its twin whose nests take the generic call path,
+    and the tiled program the untiled one's value, with and without a
+    trace sink."""
+    src, inputs, dtype = VALUE_DTYPE_CASES[name]
+    untiled = parse_program(src)
+    want = dtype_outcome(untiled, inputs, {}, traced)
+    assert want == dtype_outcome(with_generic_bodies(untiled), inputs, {}, traced)
+    assert want[0][1] == dtype
+    res = tile_program(untiled, arg_ranks=[getattr(x, "rank", 0) for x in inputs])
+    for k in (1, 2, 3):
+        sizes = res.spec.sizes(overrides={s.id: k for s in res.spec.runtime_slots()})
+        got = dtype_outcome(res.program, inputs, sizes, traced)
+        assert got[0] == want[0], k
+        assert got == dtype_outcome(with_generic_bodies(res.program), inputs, sizes, traced), k
+
+
 # When a temporary dies decides which free block the allocator hands out
 # next, so these untiled programs pin the evaluator's temporary lifetimes:
 # a for loop's sequence lives until its block ends, and a scan releases its
@@ -668,6 +729,23 @@ def test_node_values_match_generic_twins(fn, axes, inputs):
                          len(events), digest(events),
                          (c.full_tile_calls, c.straggler_calls, c.bounds_checks)))
         assert runs[0] == runs[1]
+
+
+def test_empty_rows_take_the_dtype_of_their_own_maps():
+    """A map node whose rows are maps over no element takes the dtype each
+    row's own map gives, that of the operand that map names first, as one
+    call per row does, traced and not."""
+    program = parse_program("""
+fn add2(p, q) { return p + q; }
+fn g(a, b) { return map(add2, b, a; axes=[0, 0]); }
+fn f(x, y) { return map(g, x, y; axes=[0, 0]); }
+fn main(X, Y) { return map(f, X, Y; axes=[0, 0]); }
+""")
+    inputs = [NdArray((2, 3, 0), "i64", "row"), NdArray((2, 3, 0), "f64", "col")]
+    for traced in (False, True):
+        got = dtype_outcome(program, inputs, {}, traced)
+        assert got == dtype_outcome(with_generic_bodies(program), inputs, {}, traced)
+        assert got[0] == ((2, 3, 0), "f64", [])
 
 
 # Kernels over closure operands and over rows of `a OP b`, each against
@@ -949,6 +1027,13 @@ BENCHMARK_COUNTER_PINS = {
     "prefixscan-col192": (80, 10, 103488),
 }
 
+# The tiles each midpoint run gathers at their places (`Counters.tiles_placed`).
+BENCHMARK_PLACED_PINS = {
+    "rowsum-col256-tune": 0,
+    "matmul32-reg": 330,
+    "prefixscan-col192": 90,
+}
+
 # (accesses, hits, misses, evictions) of each midpoint trace under the
 # benchmark's cache model.
 BENCHMARK_SIM_PINS = {
@@ -972,6 +1057,7 @@ def test_benchmark_trace_pinned(name):
     assert (len(events), digest(events)) == BENCHMARK_PINS[name]
     assert (counters.full_tile_calls, counters.straggler_calls,
             counters.bounds_checks) == BENCHMARK_COUNTER_PINS[name]
+    assert counters.tiles_placed == BENCHMARK_PLACED_PINS[name]
     assert totals(simulate(events, bench.MODEL)) == BENCHMARK_SIM_PINS[name]
 
 
