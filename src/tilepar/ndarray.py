@@ -24,13 +24,12 @@ run in row order, and `interleave` zips the address ranges of several
 views, as a copy or a leaf reads them. A rank-1 view's one run, the hot
 case, is taken directly: as a slice (`span`) and as an address range.
 
-`concat`, the stacking of arrays (`join`) and `elementwise` only build
-values: each puts its output's element list together from element lists
-and `adopt`s it once, so no array is zero-filled and then overwritten.
-They neither place their output nor report a trace run; the interpreter
-(`semantics.Interpreter`) does both. `write` puts a finished element list
-into a view of an existing array, where the interpreter builds a tile's
-value in place, in one slice assignment when the view is dense.
+`concat` and `elementwise` only build values: each puts its output's
+element list together from element lists and `adopt`s it once, so no
+array is zero-filled and then overwritten. They neither place their
+output nor report a trace run; the interpreter (`semantics.Interpreter`)
+does both. `write` copies a view's elements to a place in an element
+list, one slice assignment per run, where the interpreter stacks arrays.
 
 `Allocator` places arrays in a simulated address space. It takes a block
 back when its array dies, through a `weakref.ref` callback, and keeps
@@ -386,37 +385,39 @@ def element_list(v, layout="row"):
     return list(itertools.chain.from_iterable(data[b:b + n * step:step] for b in starts))
 
 
-def write(v, data):
-    """Write `data`, the elements of view `v` in row order, into its buffer:
-    one slice assignment when `v` is dense in row order, as every rank-1
-    view the interpreter writes is, one per row at rank 2, else one per
-    run (`runs`)."""
-    buf = v.root.data
-    if v.strides == make_strides(v.shape, "row"):
-        buf[v.offset:v.offset + len(data)] = data
-        return
-    if len(v.shape) == 2:
-        (rows, n), (row, step), start = v.shape, v.strides, v.offset
-        for i in range(rows):
-            b = start + i * row
-            buf[b:b + n * step:step] = data[i * n:i * n + n]
-        return
-    starts, n, step = runs(v)
+def write(data, offset, strides, v):
+    """Write the elements of view `v` into the element list `data`, at the
+    place of v's shape that starts at `offset` with `strides`: one slice
+    assignment per run of the place (`runs`, which reads only a view's
+    offset, shape and strides), taking v's elements in row order."""
+    items = element_list(v)
+    starts, n, step = runs(View(None, offset, v.shape, strides))
     for i, b in enumerate(starts):
-        buf[b:b + n * step:step] = data[i * n:i * n + n]
+        data[b:b + n * step:step] = items[i * n:i * n + n]
 
 
-def join(parts, axis, stacked=False):
-    """The dense row-major array of the equal-ranked `parts`, concatenated
-    along their `axis`, or stacked along a new `axis` when `stacked`; the
-    caller has checked their extents. For every index of the axes before
-    `axis`, the output's element list takes each part's elements from
-    `axis` on in turn; a dense row-major part gives slices of its own
-    `data`. When each part gives one element per such index, as rank-1
-    rows stacked along axis 1 do, the list zips the parts' lists."""
+def concat(parts, axis):
+    """The dense row-major array of arrays/views `parts` concatenated along
+    `axis`, after checking their ranks and extents. For every index of the
+    axes before `axis`, the output's element list takes each part's
+    elements from `axis` on in turn; a dense row-major part gives slices of
+    its own `data`. When each part gives one element per such index, as
+    columns of width 1 joined along the last axis do, the list zips the
+    parts' lists."""
+    if not parts:
+        raise ShapeError("cannot concatenate zero parts")
     first = parts[0].shape
-    extent = len(parts) if stacked else sum(v.shape[axis] for v in parts)
-    shape = first[:axis] + (extent,) + first[axis if stacked else axis + 1:]
+    rank = len(first)
+    if not 0 <= axis < rank:
+        raise ShapeError(f"axis {axis} out of range for rank {rank}")
+    for v in parts:
+        if len(v.shape) != rank:
+            raise ShapeError("rank mismatch in concat")
+        for a in range(rank):
+            if a != axis and v.shape[a] != first[a]:
+                raise ShapeError(f"extent mismatch on axis {a} in concat")
+    extent = sum(v.shape[axis] for v in parts)
+    shape = first[:axis] + (extent,) + first[axis + 1:]
     lists = [element_list(v) for v in parts]
     outer = math.prod(first[:axis])
     sizes = [math.prod(v.shape[axis:]) for v in parts]
@@ -429,24 +430,6 @@ def join(parts, axis, stacked=False):
             items[o * size:(o + 1) * size] for o in range(outer)
             for items, size in zip(lists, sizes)))
     return adopt(shape, result_dtype(parts), "row", data)
-
-
-def concat(parts, axis):
-    """Concatenate arrays/views along `axis` into a dense row-major array
-    (`join`), after checking their ranks and extents."""
-    if not parts:
-        raise ShapeError("cannot concatenate zero parts")
-    first = parts[0]
-    rank = len(first.shape)
-    if not 0 <= axis < rank:
-        raise ShapeError(f"axis {axis} out of range for rank {rank}")
-    for v in parts:
-        if len(v.shape) != rank:
-            raise ShapeError("rank mismatch in concat")
-        for a in range(rank):
-            if a != axis and v.shape[a] != first.shape[a]:
-                raise ShapeError(f"extent mismatch on axis {a} in concat")
-    return join(parts, axis)
 
 
 # ---------------------------------------------------------------------------

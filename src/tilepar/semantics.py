@@ -17,8 +17,8 @@ place (destination passing) when its tile function's own statements
 return an operator that can (`Interpreter._takes_place`): each tile
 call gets, as an argument, the tile's place in the output, cut along
 the depth axis (`_Dest`), and that operator builds its value there
-(`_claim`): a kernel writes each row there as it computes it
-(`_written`), any other value is written there once built (`_put`). The
+(`_claim`), all through one writer (`_written`): a kernel writes each
+row there as it computes it, a stack each of its scalars or arrays. The
 first value to take a place creates the output, in that value's shape
 widened along the depth axis, itself at the operator's own place in its
 parent's output when it has one. When every tile's value is at its
@@ -53,12 +53,13 @@ tiles of one that cannot, and a reduce's, pay nothing.
 
 The interpreter builds its arrays with `ndarray.adopt`, from an element
 list and a shape, dtype and layout it derived itself, so nothing is
-zero-filled first or checked again: the list is finished, or a node
-kernel fills it before anything reads it. It places each array, and each
-block (`kernels`), at one point (`_placed`) as it is built, so the order
-of allocations, and of the frees that reference counting makes, decides
-each address; an array a kernel fills is placed once the kernel's row
-blocks are, where it would be had the kernel built its value first.
+zero-filled first or checked again: the list is finished, or a writer,
+a node kernel or a stack (`_written`), fills it before anything reads it.
+It places each array, and each block (`kernels`), at one point
+(`_placed`) as it is built, so the order of allocations, and of the frees
+that reference counting makes, decides each address; an array a kernel
+fills is placed once the kernel's row blocks are, where it would be had
+the kernel built its value first.
 
 A trace sink is any object with `run(addrs, kinds)` and `phase(label)`.
 When one is attached (`EvalConfig.trace`), every array element read or
@@ -84,10 +85,10 @@ import math
 from dataclasses import dataclass, field
 
 from . import ir
-from .kernels import NO_CAPTURES, EvalError, Kernels
+from .kernels import NO_CAPTURES, EvalError, Kernels, _scalars
 from .ndarray import (
     ELEM_SIZE, Allocator, ArrayValue, Block, NdArray, View, addresses, adopt, concat, decompose,
-    elementwise, interleave, join, result_dtype, scalar_op, slice_axis, tile_view, write,
+    elementwise, interleave, result_dtype, scalar_op, slice_axis, tile_view, write,
 )
 
 
@@ -154,9 +155,6 @@ _FIXED = "$k"
 # function (`_Compiled`). Only a return of an operator reads it
 # (`_returned`).
 _PLACE = "$place"
-
-# The element types `scalar_dtype` takes as scalars without a per-value check.
-_SCALARS = frozenset((int, float))
 
 # The operators that can build their value at a place: a map or scan
 # stacks its results there, and a tiled map or scan hands its tiles places
@@ -241,15 +239,14 @@ def _retype(dest):
     dest.out.dtype = "f64" if dest.f64 else "i64"
 
 
-def scalar_dtype(values):
-    """The dtype of `values` stacked as scalars: f64 when any is a float,
-    else i64; None when any is an array."""
-    kinds = set(map(type, values))
-    if kinds <= _SCALARS:
-        return "f64" if float in kinds else "i64"
-    if any(isinstance(x, ArrayValue) for x in values):
-        return None
-    return result_dtype(values)
+def _arrays(values, at):
+    """(dtype, values): the equal-shaped arrays `values` written stacked at
+    `at` (see `kernels`), each at its step, and their dtype: f64 when any
+    array is."""
+    data, offset, strides = at((len(values),) + values[0].shape)
+    for i, x in enumerate(values):
+        write(data, offset + i * strides[0], strides[1:], x)
+    return result_dtype(values), values
 
 
 def _failing(message):
@@ -521,36 +518,17 @@ class Interpreter(Kernels):
             self._allocator.allocate(out)
         return out
 
-    def _new_array(self, shape, dtype, layout, data):
-        """`ndarray.adopt(shape, dtype, layout, data)`, placed: an array over
-        its finished element list `data`."""
-        return self._placed(adopt(shape, dtype, layout, data))
-
-    def _put(self, place, shape, dtype, data):
-        """The value of `shape` and `dtype` whose elements `data` lists in
-        row order: written into the view where it takes `place` (`_claim`),
-        or else, as when `place` is None, a new array, which adopts `data`."""
-        claimed = place and self._claim(place, shape)
-        if claimed is None:
-            return self._new_array(shape, dtype, "row", data)
-        out, new = claimed
-        if new is not None:
-            new.dtype = dtype
-            self._placed(new)
-        write(out, data)
-        self._settle(place, dtype)
-        return out
-
-    def _written(self, kernel, views, axes, extent, captured, place, axis=0):
-        """(value, rows), what `kernel` writes (see `kernels`) over `views`,
-        or None when it declines. The kernel's rows are the value's
-        steps along `axis`: it writes them, with `axis` first, where the
-        value takes `place` (`_claim`), or else, as when `place` is None,
-        into the element list of a new array. Storage is created when the
-        kernel asks for it, but a new array is placed only once the
-        kernel's row blocks are, and then the stack's run copies `rows`,
-        those blocks, to the steps (`_fill`), as when the value is built
-        first and then put at its place."""
+    def _written(self, writer, place, axis=0):
+        """(value, rows), what `writer(at)` writes, or None when it declines:
+        a kernel (see `kernels`, whose protocol `at` follows) or a stack
+        (`_stack`). Its rows are the value's steps along `axis`: it
+        writes them, with `axis` first, where the value takes `place`
+        (`_claim`), or else, as when `place` is None, into the element list
+        of a new array. Storage is created when the writer asks for it, but
+        a new array is placed only once a kernel's row blocks are, and then
+        the stack's run copies `rows`, those blocks or the stacked arrays
+        (None for scalars), to the steps (`_fill`), as when the value is
+        built first and then put at its place."""
         held = []  # the value, the array to place or None, the value with `axis` first
 
         def at(shape):
@@ -569,7 +547,7 @@ class Interpreter(Kernels):
             held.extend((out, new, steps))
             return out.root.data, out.offset, steps.strides
 
-        got = kernel(views, axes, extent, captured, at)
+        got = writer(at)
         if got is None:
             return None
         out, new, steps = held
@@ -651,20 +629,14 @@ class Interpreter(Kernels):
         run(itertools.chain.from_iterable(itertools.chain.from_iterable(
             map(zip, reads, places))), "RW")
 
-    def _join(self, parts, axis, stacked=False, place=None):
-        """`ndarray.join(parts, axis, stacked)`, or the checked `concat`, built
-        at `place` (`_put`); a trace sink gets each part's copy to its slice
-        or tile (`_fill`)."""
-        out = join(parts, axis, True) if stacked else concat(parts, axis)
-        out = self._placed(out) if place is None else \
-            self._put(place, out.shape, out.dtype, out.data)
+    def _join(self, parts, axis):
+        """The checked `ndarray.concat` of `parts` along `axis`, placed; a trace
+        sink gets each part's copy to its tile (`_fill`)."""
+        out = self._placed(concat(parts, axis))
         if self.config.trace is not None:
-            if stacked:
-                places = (slice_axis(out, axis, j) for j in range(len(parts)))
-            else:
-                starts = itertools.accumulate((v.shape[axis] for v in parts), initial=0)
-                places = (tile_view(out, axis, base, v.shape[axis])
-                          for base, v in zip(starts, parts))
+            starts = itertools.accumulate((v.shape[axis] for v in parts), initial=0)
+            places = (tile_view(out, axis, base, v.shape[axis])
+                      for base, v in zip(starts, parts))
             self._fill(out, parts, places)
         return out
 
@@ -701,23 +673,24 @@ class Interpreter(Kernels):
         return element
 
     def _stack(self, values, axis=0, place=None):
-        """Stack equal-shaped values along a new `axis`, built at `place`
-        (`_put`): Map and Scan outputs, array literals, and tiled-scan steps.
-        `values` is a list; stacked scalars keep it as the output's
-        elements, arrays are joined (`_join`)."""
-        dtype = scalar_dtype(values)
-        if dtype is None:
-            if not all(isinstance(x, ArrayValue) for x in values):
-                raise EvalError("cannot stack scalars with arrays")
-            shape = values[0].shape
-            for x in values:
-                if x.shape != shape:
-                    raise EvalError(f"cannot stack shapes {shape} and {x.shape}")
-            return self._join(values, axis, True, place)
-        out = self._put(place, (len(values),), dtype, values)
-        if self.config.trace is not None:
-            self._fill(out)
-        return out
+        """Stack the equal-shaped `values`, a list, along a new `axis`,
+        written at `place` (`_written`): Map and Scan outputs, array
+        literals, and tiled-scan steps. Scalars are written as a kernel
+        writes its scalar results (`kernels._scalars`), arrays each at its
+        step (`_arrays`)."""
+        kinds = set(map(type, values))
+        if kinds.isdisjoint(ArrayValue):
+            return self._written(functools.partial(_scalars, values, empty="i64"), place)[0]
+        if not kinds.issubset(ArrayValue):
+            raise EvalError("cannot stack scalars with arrays")
+        shape = values[0].shape
+        for x in values:
+            if x.shape != shape:
+                raise EvalError(f"cannot stack shapes {shape} and {x.shape}")
+        # The writer holds `values` only while it runs. When nothing else
+        # holds the list, it dies with this frame before `x` lets the last
+        # array go: traced addresses depend on that order of frees.
+        return self._written(functools.partial(_arrays, values), place, axis)[0]
 
     # -- untiled operators -------------------------------------------------------
 
@@ -739,7 +712,7 @@ class Interpreter(Kernels):
     def _untiled(self, node, init, args, env, place=None):
         """A Map, Reduce or Scan (see the module docstring); `init` is None for a
         map. A map or scan over at least one slice builds its value at
-        `place` (`_put`). It counts bounds checks as `Counters` says: at
+        `place` (`_written`). It counts bounds checks as `Counters` says: at
         extent k none when its frame `env` holds k under `_FIXED`, else one
         per operand per slice."""
         kind = type(node).__name__
@@ -759,8 +732,8 @@ class Interpreter(Kernels):
                              and all(len(v.shape) == 1 for v in views)):
             kernel = self._kernel(f, tuple([len(v.shape) for v in views]))
             if kind == "Map":
-                written = kernel and self._written(kernel, views, node.axes, extent, captured,
-                                                   place)
+                written = kernel and self._written(
+                    functools.partial(kernel, views, node.axes, extent, captured), place)
                 if written is not None:
                     return written[0]
             else:
@@ -791,7 +764,7 @@ class Interpreter(Kernels):
         if kind == "Reduce":
             return functools.reduce(op, values, init)
         if not values:
-            return self._new_array((0,), dtype, "row", [])
+            return self._placed(adopt((0,), dtype, "row", []))
         if kind == "Scan":
             values = list(itertools.accumulate(values, op, initial=init))[1:]
         return self._stack(values, place=place)
@@ -890,8 +863,12 @@ class Interpreter(Kernels):
                     part = self._stack(steps, axis, at)
             if n:  # else the one empty straggler, already the nest's result
                 last = self._slicer(part, axis)(n - 1)
+                # No name holds the slicer: the tile dies as `part` is rebound,
+                # after its emitted steps.
                 if emit is not None:
-                    part = self._emit_steps(emit, emit_captured, part, axis, (dest, t))
+                    part = self._stack([emit.call([x], emit_captured)
+                                        for x in map(self._slicer(part, axis), range(n))],
+                                       axis, (dest, t))
             adjusted.append(part)
         out = self._gather(dest, adjusted, axis)
         # `piece` (and `step` when the combine is called) holds the last
@@ -915,15 +892,8 @@ class Interpreter(Kernels):
             return None
         kernel, n = self._kernel(comb, (len(last.shape) + 1, len(part.shape))), part.shape[axis]
         carry = View(last.root, last.offset, (n,) + last.shape, (0,) + last.strides)
-        return kernel and self._written(kernel, [carry, part], (0, axis), n, NO_CAPTURES, place,
-                                        axis)
-
-    def _emit_steps(self, emit, captured, part, axis, place):
-        """`emit` applied to every step of `part` along `axis`, stacked at
-        `place`."""
-        step = self._slicer(part, axis)
-        return self._stack([emit.call([step(j)], captured) for j in range(part.shape[axis])],
-                           axis, place)
+        return kernel and self._written(
+            functools.partial(kernel, [carry, part], (0, axis), n, NO_CAPTURES), place, axis)
 
     def _gather(self, dest, parts, axis):
         """The value of a tiled map or scan from its tiles' values `parts`

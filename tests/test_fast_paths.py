@@ -23,8 +23,8 @@ import pytest
 from tilepar import semantics
 from tilepar.ir import Program, Return, body_shape, desugar_allpairs, parse_program
 from tilepar.ndarray import (
-    ELEM_SIZE, LAYOUTS, Allocator, NdArray, View, as_view, decompose, element_list, result_dtype,
-    scalar_op, slice_axis, tile_view,
+    ELEM_SIZE, LAYOUTS, Allocator, NdArray, View, adopt, as_view, decompose, element_list,
+    result_dtype, scalar_op, slice_axis, tile_view,
 )
 from tilepar.semantics import EvalConfig, EvalError, Interpreter, TraceSink, eval_program
 from tilepar.tiling import register_tile, tile_program
@@ -57,9 +57,9 @@ def reference_copy(src, dst, sink):
 
 
 def zeros(interp, shape, dtype, layout="row"):
-    """A zero-filled array from the interpreter's allocating constructor."""
+    """A zero-filled array, placed by the interpreter."""
     zero = 0 if dtype == "i64" else 0.0
-    return interp._new_array(shape, dtype, layout, [zero] * math.prod(shape))
+    return interp._placed(adopt(shape, dtype, layout, [zero] * math.prod(shape)))
 
 
 def reference_stack(interp, values, axis):
@@ -281,10 +281,9 @@ def copy_cases():
 @pytest.mark.parametrize("src,dst", list(copy_cases()))
 def test_copy_matches_per_element_copy(src, dst):
     # A copy reads `src` out with `element_list`, in the layout order of
-    # what it goes into, and the interpreter's `_join` builds the output
-    # from the finished list (here a stack of one along a new axis 0). Both
-    # give what the per-element copy gives: into `dst`, and into a
-    # zero-filled output.
+    # what it goes into, and the interpreter's `_stack` writes it into its
+    # output (here a stack of one along a new axis 0). Both give what the
+    # per-element copy gives: into `dst`, and into a zero-filled output.
     alloc = Allocator()
     for x in (src.root, dst.root):
         if x.addr == 0:
@@ -294,7 +293,7 @@ def test_copy_matches_per_element_copy(src, dst):
         assert typed(element_list(src, layout)) == \
                typed(index_values(in_layout_order(dst, layout)))
     fast, slow = traced_interpreter(), traced_interpreter()
-    out = fast._join([src], 0, stacked=True)
+    out = fast._stack([src], 0)
     ref = zeros(slow, (1,) + src.shape, src.dtype)
     reference_copy(src, slice_axis(ref, 0, 0), slow.config.trace)
     assert (out.shape, out.dtype, out.layout, typed(out.data), out.addr) == \

@@ -62,6 +62,12 @@ fn f2(v) { return scan(g1, combine=add2, init=0, v; axes=[0]); }
 fn main(X) { return map(f2, X; axes=[0]); }
 """
 
+# Each element v becomes the literal pair [v, v * 2].
+PAIRS = """
+fn pair(v) { return [v, v * 2]; }
+fn main(X) { return map(pair, X; axes=[0]); }
+"""
+
 
 def tile_case(src, inputs, registers):
     """The program after each tiling pass the case uses, and the final spec."""
@@ -100,6 +106,17 @@ CASES = {
     # tiled scan fixes up is a 2x3 (or 1x3) slice, whose rows the lifted
     # combine's kernel adds as `a + b` over rows.
     "scan_of_array_steps": (SCAN_OF_ARRAY_STEPS, [cube(5, 7, 3)], 0, {0: 2, 1: 3}),
+    # Prefix sums of 10 scalars, tiled by 3: each tile's scan stacks its
+    # scalars at the tile's place, and so does each fix-up, whose combine
+    # `add2` is not lifted and so is called once per step.
+    "prefix_sum": (programs.PREFIX_SUM, [NdArray((10,), "i64", "row", list(range(-4, 6)))], 0,
+                   {0: 3}),
+    # A map of 7 literal pairs, tiled by 3: each tile stacks its pairs at
+    # the tile's place.
+    "pairs": (PAIRS, [NdArray((7,), "i64", "row", list(range(7)))], 0, {0: 3}),
+    # Row prefix sums of squares, tiled 2x2 over 5x7: each tile's emitted
+    # steps, fresh arrays, are stacked at its place and then die.
+    "row_scan_emit": (programs.ROW_SCAN_EMIT, [matrix(5, 7, "i64", "row")], 0, {0: 2, 1: 2}),
 }
 
 PINS = {
@@ -108,6 +125,9 @@ PINS = {
     "row_scan": (342, "f58e02f33c1c3ddc2ba49481844cfca1f6181f396ccddb733db06c8a3f2de50a"),
     "scan_of_array_steps": (
         1530, "1d8436b6489dffd549b7c5deda72bb9c8bf38bd5b87a350ac08d54f733ecb85b"),
+    "prefix_sum": (38, "1f188dbd7c802ad7676f5186f0b05473a8c0bbd4cf545b6c38ae0e8ec2be6e8c"),
+    "pairs": (49, "04851447698f6a60618351db07783c83ad69bd159923ddd6d2a0b79ef167304a"),
+    "row_scan_emit": (405, "458545750e4b6c68eac4a9c4be31caf7f74b6bc989e9e2144937b476cdddb38f"),
 }
 
 
@@ -117,6 +137,9 @@ UNTILED_PINS = {
     "row_scan": (192, "e7ab43c329870bd6bb59e98a1e6c6dc8381a6ea6b642075f20548b360383cea6"),
     "scan_of_array_steps": (
         1140, "423acc2749d36d72b5fdbe1667f73c35e94b1a42b9efa0f529ff096510629787"),
+    "prefix_sum": (20, "c41e5bd7405d26d58eb6ee38f6478c87780cbd05de85523446d11d49e1a75161"),
+    "pairs": (49, "0a70c278a574e109944aa6b8618c30ccbaf7b4f89e06a82950f4a5dbd2793c38"),
+    "row_scan_emit": (140, "1d6c2dee47827b497a8cc726ea0f6c179c26a644031626e7900a319efb3d3a83"),
 }
 
 # Tiled run: (full-tile calls, straggler calls, bounds checks).
@@ -125,6 +148,9 @@ COUNTER_PINS = {
     "matmul_reg": (26, 112, 980),
     "row_scan": (5, 3, 126),
     "scan_of_array_steps": (8, 4, 90),
+    "prefix_sum": (3, 1, 10),
+    "pairs": (2, 1, 7),
+    "row_scan_emit": (11, 4, 140),
 }
 
 
@@ -186,15 +212,6 @@ def test_untiled_trace_pinned(name):
     assert (len(events), digest(events)) == UNTILED_PINS[name]
 
 
-# Tiled scans whose fix-ups have a kernel, and a prefix sum of scalars,
-# whose combine `add2` is not lifted and so is called once per step.
-FIX_UP_CASES = {
-    **CASES,
-    "prefix_sum": (programs.PREFIX_SUM, [NdArray((10,), "i64", "row", list(range(-4, 6)))], 0,
-                   {0: 3}),
-}
-
-
 @pytest.mark.parametrize("name, kernel", [("row_scan", True), ("scan_of_array_steps", True),
                                           ("prefix_sum", False)])
 def test_scan_fix_ups_match_combine_calls(name, kernel, monkeypatch):
@@ -202,7 +219,7 @@ def test_scan_fix_ups_match_combine_calls(name, kernel, monkeypatch):
     kernel where it has one, else by calling the combine once per step.
     The value is the untiled one, and calling the combine for every step
     gives the same value, trace and counters."""
-    src, inputs, registers, sizes = FIX_UP_CASES[name]
+    src, inputs, registers, sizes = CASES[name]
     passes, spec = tile_case(src, inputs, registers)
     tile_sizes = spec.sizes(overrides=sizes)
     untiled = eval_program(desugar_allpairs(parse_program(src)), inputs)
@@ -979,6 +996,9 @@ SIM_PINS = {
     "matmul_reg": ((1519, 1487, 32, 16), (2401, 2233, 168, 152)),
     "row_scan": ((192, 174, 18, 2), (342, 326, 16, 0)),
     "scan_of_array_steps": ((1140, 998, 142, 126), (1530, 1419, 111, 95)),
+    "prefix_sum": ((20, 16, 4, 0), (38, 34, 4, 0)),
+    "pairs": ((49, 39, 10, 0), (49, 43, 6, 0)),
+    "row_scan_emit": ((140, 125, 15, 0), (405, 380, 25, 9)),
 }
 
 
@@ -1095,6 +1115,9 @@ IR_PINS = {
                    "0866df7ae4eb09c86551285003b44b1cfa084137ceb62c8b69c7f4e0811f39ac"),
     "row_scan": ("20ee8dc7902b058dec212cd6fd930dde79d5a0a3e8bce78938bce9dfe6a2fb7a",),
     "scan_of_array_steps": ("da98c23f366196b927166437b73cf84f616d79e8f7794c8a502515ed5fad1c01",),
+    "prefix_sum": ("ec53dee07a9f86694ac14292ef3cc01cb599f639362d8867e741340b718771e0",),
+    "pairs": ("f9bb8efeea3faebe9d24e5a8b431cdf3b0df89f3cc5b7ee6ec2d622e07afd532",),
+    "row_scan_emit": ("134e531ff1d9c2e176864dc3fc5b01edc60111385bcea410924af578176fd3f2",),
 }
 
 
