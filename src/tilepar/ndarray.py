@@ -401,9 +401,7 @@ def concat(parts, axis):
     `axis`, after checking their ranks and extents. For every index of the
     axes before `axis`, the output's element list takes each part's
     elements from `axis` on in turn; a dense row-major part gives slices of
-    its own `data`. When each part gives one element per such index, as
-    columns of width 1 joined along the last axis do, the list zips the
-    parts' lists."""
+    its own `data`."""
     if not parts:
         raise ShapeError("cannot concatenate zero parts")
     first = parts[0].shape
@@ -423,8 +421,6 @@ def concat(parts, axis):
     sizes = [math.prod(v.shape[axis:]) for v in parts]
     if outer == 1:
         data = list(itertools.chain.from_iterable(lists))
-    elif set(sizes) == {1}:
-        data = list(itertools.chain.from_iterable(zip(*lists)))
     else:
         data = list(itertools.chain.from_iterable(
             items[o * size:(o + 1) * size] for o in range(outer)

@@ -13,21 +13,20 @@ build of its tile function. A full tile of an operator whose slot has a
 fixed size k (`fixed=k`, a register tile) also puts k in the frame of
 its tile call, for the bounds-check rule (`Counters`). A reduce folds
 its tiles' results with the combine. A map or scan builds its value in
-place (destination passing) when its tile function's own statements
-return an operator that can (`Interpreter._takes_place`): each tile
-call gets, as an argument, the tile's place in the output, cut along
-the depth axis (`_Dest`), and that operator builds its value there
-(`_claim`), all through one writer (`_written`): a kernel writes each
-row there as it computes it, a stack each of its scalars or arrays. The
-first value to take a place creates the output, in that value's shape
-widened along the depth axis, itself at the operator's own place in its
-parent's output when it has one. When every tile's value is at its
-place, the output is the operator's value; else, as when a tile returns
-another value or one of another rank or extent, the tiles are
-concatenated (`_gather`). A scan's tiles scan without `emit`; each tile
-after the first is then fixed up with the previous tile's carry, at its
-place, and `emit` is applied to every step last, the emitted steps
-taking the places instead. When the lifted combine is
+place (destination passing): each tile call gets, as an argument, the
+tile's place in the output, cut along the depth axis (`_Dest`). The
+operator its tile function returns (`_returned`) takes it when its value
+fits there (`_claim`), and builds it there through one writer
+(`_written`): a kernel writes each row there as it computes it, a stack
+each of its scalars or arrays. The first value to take a place creates
+the output, in that value's shape widened along the depth axis, itself
+at the operator's own place in its parent's output when it has one.
+When every tile's value is at its place, the output is the operator's
+value; else, as when a tile returns another value or one of another
+rank or extent, the tiles are concatenated (`_gather`). A scan's tiles
+scan without `emit`; each tile after the first is then fixed up with
+the previous tile's carry, at its place, and `emit` is applied to every
+step last, the emitted steps taking the places instead. When the lifted combine is
 `return map(G, a, b; axes=[0, 0])`, a tile's whole fix-up is one call of
 the combine's node kernel (`kernels`) over the carry, broadcast along a
 new leading axis, and the tile: each row is one step, run as the
@@ -47,9 +46,8 @@ array of the first operand's dtype.
 
 Each function is built once, on its first call, into nested closures;
 callees are looked up by name when an operator first runs, so a missing
-function raises only when execution reaches it. Only a tiled map or scan
-whose tile function can take a place gives its tiles places, so the
-tiles of one that cannot, and a reduce's, pay nothing.
+function raises only when execution reaches it. A reduce's tiles get
+no place.
 
 The interpreter builds its arrays with `ndarray.adopt`, from an element
 list and a shape, dtype and layout it derived itself, so nothing is
@@ -167,7 +165,8 @@ class _Compiled:
 
     `call(args, captured, place=None)` applies it to positional arguments
     and its captured closure values; a tile's `place`, when given, is
-    where the operator it returns builds its value (`_returned`).
+    offered to the operator it returns (`_returned`), which builds its
+    value there when `_claim` lets it, and any other value leaves it.
     `kernels` maps operand ranks to its kernel or None (see
     `Kernels._kernel`); `op` is its scalar operator as a combine
     (`ir.combine_op`), and `shape` its `ir.body_shape`."""
@@ -198,19 +197,19 @@ class _Dest:
     operator's depth), of `extent`, into tiles of `k`: tile t's place is
     the pair `(dest, t)`, `min(k, extent - t * k)` long from `t * k`.
     `place` is the operator's own place in its parent's output, or None.
-    `out` is allocated when a value first takes a place
-    (`Interpreter._claim`): a view at `place` when `nested`, else an array
-    of its own. `views[t]` is the view of `out` that a value last took
-    place t as, `dtypes[t]` that value's dtype, and `f64` counts the
+    Until a value first takes a place (`Interpreter._claim`), `out`,
+    `views` and `dtypes` are None; that value creates `out`, a view at
+    `place` when `nested`, else an array of its own, and both lists.
+    `views[t]` is then the view of `out` that a value last took place t
+    as, or None, `dtypes[t]` that value's dtype, and `f64` counts the
     places whose value is f64."""
 
     __slots__ = ("axis", "extent", "k", "place", "out", "nested", "views", "dtypes", "f64")
 
     def __init__(self, axis, extent, k, place):
         self.axis, self.extent, self.k, self.place = axis, extent, k, place
-        self.out, self.nested, self.f64 = None, False, 0
-        self.views = [None] * max(1, -(-extent // k))
-        self.dtypes = [None] * len(self.views)
+        self.out = self.views = self.dtypes = None
+        self.nested, self.f64 = False, 0
 
 
 def _widened(place, shape):
@@ -222,21 +221,6 @@ def _widened(place, shape):
     if len(shape) <= axis or shape[axis] != min(dest.k, dest.extent - t * dest.k):
         return None
     return shape[:axis] + (dest.extent,) + shape[axis + 1:]
-
-
-def _retype(dest):
-    """Give `dest.out` the dtype that a join of the values at its places
-    would have, f64 while any is, after one of them changed dtype. A nested
-    output records its own as the dtype of the value at its place."""
-    while dest.nested:
-        dtype = "f64" if dest.f64 else "i64"
-        dest, t = dest.place
-        old = dest.dtypes[t]
-        if old == dtype:
-            return
-        dest.dtypes[t] = dtype
-        dest.f64 += (dtype == "f64") - (old == "f64")
-    dest.out.dtype = "f64" if dest.f64 else "i64"
 
 
 def _arrays(values, at):
@@ -267,7 +251,6 @@ class Interpreter(Kernels):
         self._functions = {}  # name -> _Compiled
         self._entry = None
         self._allocator = None
-        self._places = {}  # function name -> whether it can take a place (`_takes_place`)
 
     # -- entry points --------------------------------------------------------
 
@@ -332,35 +315,12 @@ class Interpreter(Kernels):
 
         return _Compiled(fn, call, op and scalar_op(op), ir.body_shape(fn))
 
-    def _takes_place(self, name, seen=None):
-        """Whether function `name`, as the tile function of a tiled map or
-        scan, can build its value at its tile's place, from the program
-        alone: an operator that a statement of its body returns, and so
-        builds at the place (`_returned`, `_block`; none inside an `if` or
-        a `for`), is a map or a scan, a tiled scan with `emit`, or a tiled
-        map or scan whose tile function can take a place. A function missing
-        from the program cannot. `seen` holds the functions a search
-        already visits."""
-        if seen is None:
-            takes = self._places.get(name)
-            if takes is None:
-                takes = self._places[name] = self._takes_place(name, set())
-            return takes
-        seen.add(name)
-        fn = self.program.functions.get(name)
-        if fn is None:
-            return False
-        returned = (_returned(fn.body, i) for i in range(len(fn.body)))
-        return any(type(e) in (ir.Map, ir.Scan) or getattr(e, "emit", None) is not None
-                   or e.fn not in seen and self._takes_place(e.fn, seen)
-                   for e in returned if e is not None)
-
     # -- statements ------------------------------------------------------------
 
     def _block(self, block, mark, body=False):
         """A closure running `block` on a frame; it returns the value of
         the first return statement reached, or _NO_RETURN. The operators a
-        function's `body` returns (`_returned`) build at the frame's place.
+        function's `body` returns (`_returned`) are offered the frame's place.
 
         A for loop's sequence stays alive until its block ends (`hold`):
         when a temporary dies decides which free block the allocator hands
@@ -382,7 +342,7 @@ class Interpreter(Kernels):
 
     def _statement(self, s, mark, placed):
         """A closure running statement `s` on a frame. When `placed`, its
-        operator builds its value at the frame's place."""
+        operator is offered the frame's place."""
         phase = self.config.trace.phase if mark else None
         t = type(s)
         if t is ir.Assign:
@@ -479,8 +439,8 @@ class Interpreter(Kernels):
     def _operator(self, e, placed=False):
         """Operands evaluate first, in order, then the init value; both are
         released in that order once the operator returns. When `placed`, the
-        operator builds its value at the place its frame holds under
-        `_PLACE`, if any."""
+        operator is offered the place its frame holds under `_PLACE`, if
+        any, and builds its value there when it fits (`_claim`)."""
         args = tuple(self._expr(a) for a in e.args)
         init = self._expr(e.init) if hasattr(e, "init") else None
         run = self._tiled if type(e) in ir.TILED_OPS else self._untiled
@@ -563,13 +523,14 @@ class Interpreter(Kernels):
     def _claim(self, place, shape):
         """(view, new): the view of its output (`_Dest`) where a value of
         `shape` takes `place`, or None when it does not fit (`_widened`) or
-        the output's other extents differ. The first value to take a place
-        creates the output, in the value's shape widened along the axis: at
-        the output's own place when it takes that, else a new array, `new`,
-        whose elements the tiles write before anything reads them; the
-        caller gives it the value's dtype and places it (`_placed`). `new`
-        is None once the output exists. The value's dtype is recorded once
-        it is known (`_settle`)."""
+        the output's other extents differ: the one test of whether a value
+        is at its place. The first value to take a place creates the
+        output, in the value's shape widened along the axis, and its lists
+        of views and dtypes: at the output's own place when it takes that,
+        else a new array, `new`, whose elements the tiles write before
+        anything reads them; the caller gives it the value's dtype and
+        places it (`_placed`). `new` is None once the output exists. The
+        value's dtype is recorded once it is known (`_settle`)."""
         full = _widened(place, shape)
         if full is None:
             return None
@@ -580,6 +541,8 @@ class Interpreter(Kernels):
             dest.nested = claimed is not None
             out, new = claimed or (adopt(full, None, "row", [None] * math.prod(full)),) * 2
             dest.out = out
+            dest.views = [None] * max(1, -(-dest.extent // dest.k))
+            dest.dtypes = [None] * len(dest.views)
         elif out.shape != full:
             return None
         dest.views[t] = view = View(out.root, out.offset + t * dest.k * out.strides[dest.axis],
@@ -589,14 +552,22 @@ class Interpreter(Kernels):
     def _settle(self, place, dtype):
         """Record `dtype` as that of the value at `place`, and give the
         output (`_Dest`) the dtype that a join of its places' values would
-        have."""
-        dest, t = place
-        old = dest.dtypes[t]
-        if old != dtype:
+        have, f64 while any is. A nested output's dtype is recorded in
+        turn as that of the value at its own place, up to the outermost
+        output, whose array takes it; the walk stops at the first place
+        whose dtype stays."""
+        while True:
+            dest, t = place
+            old = dest.dtypes[t]
+            if old == dtype:
+                return
             dest.dtypes[t] = dtype
             dest.f64 += (dtype == "f64") - (old == "f64")
-            if dest.nested or (dest.f64 > 0) != (dest.out.dtype == "f64"):
-                _retype(dest)
+            dtype = "f64" if dest.f64 else "i64"
+            if not dest.nested:
+                dest.out.dtype = dtype
+                return
+            place = dest.place
 
     def _fill(self, out, rows=None, places=None):
         """Report the writes of stacking or joining into `out`, an array, a
@@ -782,7 +753,7 @@ class Interpreter(Kernels):
     def _tiled(self, node, init, args, env, place=None):
         """A TiledMap, TiledReduce or TiledScan (see the module docstring);
         `init` is None for a map. A map or scan builds its value at `place`
-        when its tiles do (`_Dest`)."""
+        when its tiles take theirs (`_Dest`)."""
         kind = type(node)
         k = self._tile_size(node)
         views, extent = self._operand_views(args, node.axes, kind.__name__)
@@ -800,13 +771,10 @@ class Interpreter(Kernels):
                 raise EvalError(f"{node.fn} specialised for fixed size {node.fixed}, "
                                 f"dispatched with k={k}")
             full_captured = {**captured, _FIXED: k}
-        # A map or scan whose tile function can build its value at its tile's
-        # place gives each tile call its place in the output. With `emit`,
-        # the emitted steps take the places and the tiles none.
+        # A map or scan offers each tile call its place in the output; with
+        # `emit`, the emitted steps take the places and the tiles none.
         tiles = zip(*[decompose(v, axis, k) or [v] for v, axis in zip(views, node.axes)])
-        dest = None
-        if kind is not ir.TiledReduce and (emit is not None or self._takes_place(node.fn)):
-            dest = _Dest(node.depth, extent, k, place)
+        dest = None if kind is ir.TiledReduce else _Dest(node.depth, extent, k, place)
         given = dest if emit is None else None  # the output whose places the tiles take
         results = []
         for t, tile in enumerate(tiles):
@@ -846,7 +814,7 @@ class Interpreter(Kernels):
         step = steps = piece = last = None
         for t, part in enumerate(results):
             n = part.shape[axis]
-            at = (dest, t) if dest is not None and part is dest.views[t] else None
+            at = (dest, t) if dest.views and part is dest.views[t] else None
             if adjusted:
                 steps = None  # the previous tile's steps die, last to first
                 fixed = self._fix_up(comb, last, part, axis, at) if n else None
@@ -899,8 +867,8 @@ class Interpreter(Kernels):
         """The value of a tiled map or scan from its tiles' values `parts`
         along `axis`: the output, `dest.out`, when every part is at its
         place (`_Dest.views`), else the parts joined (`_join`), as they are
-        when the tiles have no places."""
-        if dest is not None and parts == dest.views:  # arrays compare by identity
+        when no value took a place."""
+        if parts == dest.views:  # arrays compare by identity
             self.config.counters.tiles_placed += len(parts)
             return dest.out
         return self._join(parts, axis)

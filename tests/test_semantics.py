@@ -4,6 +4,7 @@ import weakref
 
 import pytest
 
+from tilepar.bench import MATMUL_SRC
 from tilepar.cachesim import CacheModel, Simulator
 from tilepar.ir import ValidationError, parse_program
 from tilepar.ndarray import NdArray
@@ -392,6 +393,13 @@ def test_missing_function_raises_only_when_reached():
     assert eval_program(p, [0, vec([1, 2])]) == 0
     with pytest.raises(ValidationError, match="no function named 'ident'"):
         eval_program(p, [1, vec([1, 2])])
+
+
+def test_allpairs_must_be_desugared():
+    p = parse_program(MATMUL_SRC)
+    xs = NdArray.from_nested([[1.0, 2.0], [3.0, 4.0]])
+    with pytest.raises(EvalError, match="^AllPairs must be desugared before evaluation$"):
+        eval_program(p, [xs, xs])
 
 
 @pytest.mark.parametrize("make_sink", [TraceSink, lambda: Simulator(CacheModel(1024, 64, 2))],

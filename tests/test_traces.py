@@ -880,6 +880,21 @@ def observed(program, inputs, tile_sizes):
         (c.full_tile_calls, c.straggler_calls, c.bounds_checks)
 
 
+def corpus_runs(seed, wide):
+    """(inputs, [(program, tile sizes)]) of a random program: untiled,
+    then, when the cache pass tiles it, the cache pass and the register
+    pass at 16 registers, both at `sample_tile_sizes`."""
+    program, inputs, arg_ranks = randprog.generate(seed, wide=wide)
+    runs = [(program, {})]
+    res = tile_program(program, arg_ranks=arg_ranks)
+    if res.changed:
+        reg_program, reg_spec = register_tile(res.program, res.spec, 16)
+        sizes = randprog.sample_tile_sizes(res.spec, random.Random(seed))
+        runs += [(res.program, res.spec.sizes(overrides=sizes)),
+                 (reg_program, reg_spec.sizes(overrides=sizes))]
+    return inputs, runs
+
+
 @pytest.mark.parametrize("wide", [False, True])
 @pytest.mark.parametrize("chunk", range(4))
 def test_random_programs_match_generic_twins(wide, chunk):
@@ -887,18 +902,30 @@ def test_random_programs_match_generic_twins(wide, chunk):
     value, trace and counters of its twin whose nests all take the generic
     call path."""
     for seed in range(chunk * 50, chunk * 50 + 50):
-        program, inputs, arg_ranks = randprog.generate(seed, wide=wide)
-        runs = [(program, {})]
-        res = tile_program(program, arg_ranks=arg_ranks)
-        if res.changed:
-            reg_program, reg_spec = register_tile(res.program, res.spec, 16)
-            sizes = randprog.sample_tile_sizes(res.spec, random.Random(seed))
-            runs += [(res.program, res.spec.sizes(overrides=sizes)),
-                     (reg_program, reg_spec.sizes(overrides=sizes))]
+        inputs, runs = corpus_runs(seed, wide)
         for p, tile_sizes in runs:
             twin = with_generic_bodies(p)
             assert twin != p
             assert observed(p, inputs, tile_sizes) == observed(twin, inputs, tile_sizes), seed
+
+
+# One sha256 over `observed` of every run of `corpus_runs`, seeds 0-199,
+# narrow then wide. The twins test compares two paths that can move
+# together; this pins what both give.
+CORPUS_TRACES_PIN = "b056db1583defcb4d8e726fdd3d62f11d8047b4673fb347f33e581f56f61a50c"
+
+
+def test_random_program_traces_pinned():
+    """Values, traces and counters of the random corpus do not move:
+    traced addresses depend on when temporaries die, which the twins test
+    cannot see when both paths change alike."""
+    h = hashlib.sha256()
+    for wide in (False, True):
+        for seed in range(200):
+            inputs, runs = corpus_runs(seed, wide)
+            for p, tile_sizes in runs:
+                h.update(repr(observed(p, inputs, tile_sizes)).encode())
+    assert h.hexdigest() == CORPUS_TRACES_PIN
 
 
 def random_outcomes(seed, wide, edge):
