@@ -145,7 +145,7 @@ def _gathered(views, axes, extent, captured, sources):
         v = captured[s]
         if not isinstance(v, ArrayValue) or len(v.shape) != 1:
             return None, None
-        out.append(View(v.root, v.offset, (extent,) + v.shape, (0,) + v.strides))
+        out.append(View(v.root, v.offset, (extent,) + v.shape, (0,) + v.strides, v.dtype))
         out_axes.append(0)
     return out, out_axes
 

@@ -7,6 +7,8 @@ for address-trace purposes.
 
 An NdArray is its own view: it has the view fields `root` (itself) and
 `offset` (0), so every function here takes either without wrapping it.
+A View carries its own dtype: a slice or a tile takes its source's, and
+a value the interpreter builds at a place in an output keeps its own.
 
 `NdArray(...)`, `NdArray.from_nested` and `load_array` take input from
 outside the program and check all of it: every element is an int or a
@@ -219,24 +221,22 @@ class View:
     """Zero-copy window into an NdArray.
 
     Slicing removes an axis; tiling restricts extents but keeps rank.
-    `offset` is a flat element offset; `strides` are per remaining axis.
+    `offset` is a flat element offset; `strides` are per remaining axis;
+    `dtype` is the view's own, not its root's (see the module docstring).
     """
 
-    __slots__ = ("root", "offset", "shape", "strides")
+    __slots__ = ("root", "offset", "shape", "strides", "dtype")
 
-    def __init__(self, root, offset, shape, strides):
+    def __init__(self, root, offset, shape, strides, dtype):
         self.root = root
         self.offset = offset
         self.shape = tuple(shape)
         self.strides = tuple(strides)
+        self.dtype = dtype
 
     @property
     def rank(self):
         return len(self.shape)
-
-    @property
-    def dtype(self):
-        return self.root.dtype
 
     @property
     def size(self):
@@ -256,7 +256,7 @@ class View:
         return _nested(self)
 
     def __repr__(self):
-        return f"View(shape={self.shape})"
+        return f"View(shape={self.shape}, dtype={self.dtype})"
 
 
 def _nested(v):
@@ -282,7 +282,7 @@ def tile_view(x, axis, start, extent):
         raise ShapeError(f"tile [{start}, {start + extent}) exceeds extent {x.shape[axis]}")
     shape = list(x.shape)
     shape[axis] = extent
-    return View(x.root, x.offset + start * x.strides[axis], shape, x.strides)
+    return View(x.root, x.offset + start * x.strides[axis], shape, x.strides, x.dtype)
 
 
 def decompose(x, axis, k):
@@ -296,15 +296,15 @@ def decompose(x, axis, k):
         raise ShapeError(f"tile extent must be positive, got {k}")
     if not 0 <= axis < len(x.shape):
         raise ShapeError(f"axis {axis} out of range for rank {len(x.shape)}")
-    root, offset, shape, strides = x.root, x.offset, x.shape, x.strides
+    root, offset, shape, strides, dtype = x.root, x.offset, x.shape, x.strides, x.dtype
     length = shape[axis]
     full, rem = divmod(length, k)
     step = k * strides[axis]
     tile = shape[:axis] + (k,) + shape[axis + 1:]
-    tiles = [View(root, offset + t * step, tile, strides) for t in range(full)]
+    tiles = [View(root, offset + t * step, tile, strides, dtype) for t in range(full)]
     if rem:
         tiles.append(View(root, offset + full * step,
-                          shape[:axis] + (rem,) + shape[axis + 1:], strides))
+                          shape[:axis] + (rem,) + shape[axis + 1:], strides, dtype))
     return tiles
 
 
@@ -316,7 +316,7 @@ def slice_axis(x, axis, i):
         raise ShapeError(f"index {i} out of bounds for extent {x.shape[axis]}")
     shape = x.shape[:axis] + x.shape[axis + 1:]
     strides = x.strides[:axis] + x.strides[axis + 1:]
-    return View(x.root, x.offset + i * x.strides[axis], shape, strides)
+    return View(x.root, x.offset + i * x.strides[axis], shape, strides, x.dtype)
 
 
 def span(v):
@@ -391,7 +391,7 @@ def write(data, offset, strides, v):
     assignment per run of the place (`runs`, which reads only a view's
     offset, shape and strides), taking v's elements in row order."""
     items = element_list(v)
-    starts, n, step = runs(View(None, offset, v.shape, strides))
+    starts, n, step = runs(View(None, offset, v.shape, strides, v.dtype))
     for i, b in enumerate(starts):
         data[b:b + n * step:step] = items[i * n:i * n + n]
 

@@ -197,19 +197,18 @@ class _Dest:
     operator's depth), of `extent`, into tiles of `k`: tile t's place is
     the pair `(dest, t)`, `min(k, extent - t * k)` long from `t * k`.
     `place` is the operator's own place in its parent's output, or None.
-    Until a value first takes a place (`Interpreter._claim`), `out`,
-    `views` and `dtypes` are None; that value creates `out`, a view at
-    `place` when `nested`, else an array of its own, and both lists.
+    Until a value first takes a place (`Interpreter._claim`), `out` and
+    `views` are None; that value creates `out`, the view at `place` when
+    the value fits there, else an array of its own, and `views`.
     `views[t]` is then the view of `out` that a value last took place t
-    as, or None, `dtypes[t]` that value's dtype, and `f64` counts the
-    places whose value is f64."""
+    as, or None; each view carries its value's dtype, and `out` takes one
+    only when it is gathered (`Interpreter._gather`)."""
 
-    __slots__ = ("axis", "extent", "k", "place", "out", "nested", "views", "dtypes", "f64")
+    __slots__ = ("axis", "extent", "k", "place", "out", "views")
 
     def __init__(self, axis, extent, k, place):
         self.axis, self.extent, self.k, self.place = axis, extent, k, place
-        self.out = self.views = self.dtypes = None
-        self.nested, self.f64 = False, 0
+        self.out = self.views = None
 
 
 def _widened(place, shape):
@@ -481,14 +480,15 @@ class Interpreter(Kernels):
     def _written(self, writer, place, axis=0):
         """(value, rows), what `writer(at)` writes, or None when it declines:
         a kernel (see `kernels`, whose protocol `at` follows) or a stack
-        (`_stack`). Its rows are the value's steps along `axis`: it
-        writes them, with `axis` first, where the value takes `place`
-        (`_claim`), or else, as when `place` is None, into the element list
-        of a new array. Storage is created when the writer asks for it, but
-        a new array is placed only once a kernel's row blocks are, and then
-        the stack's run copies `rows`, those blocks or the stacked arrays
-        (None for scalars), to the steps (`_fill`), as when the value is
-        built first and then put at its place."""
+        (`_stack`). Its rows are the value's steps along `axis`: it writes
+        them, with `axis` first, where the value takes `place` (`_claim`),
+        or else, as when `place` is None, into the element list of a new
+        array; the value, that view or array, takes the writer's dtype.
+        Storage is created when the writer asks for it, but a new array is
+        placed only once a kernel's row blocks are, and then the stack's
+        run copies `rows`, those blocks or the stacked arrays (None for
+        scalars), to the steps (`_fill`), as when the value is built first
+        and then put at its place."""
         held = []  # the value, the array to place or None, the value with `axis` first
 
         def at(shape):
@@ -502,8 +502,8 @@ class Interpreter(Kernels):
             else:
                 out, new = claimed
             s = out.strides
-            steps = View(out.root, out.offset, shape, s[axis:axis + 1] + s[:axis] + s[axis + 1:]) \
-                if axis else out
+            steps = View(out.root, out.offset, shape, s[axis:axis + 1] + s[:axis] + s[axis + 1:],
+                         None) if axis else out
             held.extend((out, new, steps))
             return out.root.data, out.offset, steps.strides
 
@@ -511,11 +511,9 @@ class Interpreter(Kernels):
         if got is None:
             return None
         out, new, steps = held
+        out.dtype = got[0]
         if new is not None:
-            new.dtype = got[0]
             self._placed(new)
-        if new is not out:
-            self._settle(place, got[0])
         if self.config.trace is not None:
             self._fill(steps, got[1])
         return out, got[1]
@@ -525,12 +523,12 @@ class Interpreter(Kernels):
         `shape` takes `place`, or None when it does not fit (`_widened`) or
         the output's other extents differ: the one test of whether a value
         is at its place. The first value to take a place creates the
-        output, in the value's shape widened along the axis, and its lists
-        of views and dtypes: at the output's own place when it takes that,
-        else a new array, `new`, whose elements the tiles write before
-        anything reads them; the caller gives it the value's dtype and
-        places it (`_placed`). `new` is None once the output exists. The
-        value's dtype is recorded once it is known (`_settle`)."""
+        output, in the value's shape widened along the axis, and its list
+        of views: at the output's own place when it takes that, else a new
+        array, `new`, whose elements the tiles write before anything reads
+        them; the caller places it (`_placed`) and gives the view its
+        value's dtype (`_written`), and `_gather` gives `new` its own.
+        `new` is None once the output exists."""
         full = _widened(place, shape)
         if full is None:
             return None
@@ -538,36 +536,14 @@ class Interpreter(Kernels):
         out, new = dest.out, None
         if out is None:
             claimed = dest.place and self._claim(dest.place, full)
-            dest.nested = claimed is not None
             out, new = claimed or (adopt(full, None, "row", [None] * math.prod(full)),) * 2
             dest.out = out
             dest.views = [None] * max(1, -(-dest.extent // dest.k))
-            dest.dtypes = [None] * len(dest.views)
         elif out.shape != full:
             return None
         dest.views[t] = view = View(out.root, out.offset + t * dest.k * out.strides[dest.axis],
-                                    shape, out.strides)
+                                    shape, out.strides, None)
         return view, new
-
-    def _settle(self, place, dtype):
-        """Record `dtype` as that of the value at `place`, and give the
-        output (`_Dest`) the dtype that a join of its places' values would
-        have, f64 while any is. A nested output's dtype is recorded in
-        turn as that of the value at its own place, up to the outermost
-        output, whose array takes it; the walk stops at the first place
-        whose dtype stays."""
-        while True:
-            dest, t = place
-            old = dest.dtypes[t]
-            if old == dtype:
-                return
-            dest.dtypes[t] = dtype
-            dest.f64 += (dtype == "f64") - (old == "f64")
-            dtype = "f64" if dest.f64 else "i64"
-            if not dest.nested:
-                dest.out.dtype = dtype
-                return
-            place = dest.place
 
     def _fill(self, out, rows=None, places=None):
         """Report the writes of stacking or joining into `out`, an array, a
@@ -628,11 +604,11 @@ class Interpreter(Kernels):
         i; a rank-1 `v` gives its element, read out (and traced). The
         slice's shape and strides, or the element's address, are worked
         out once."""
-        root, offset, stride = v.root, v.offset, v.strides[axis]
+        root, offset, stride, dtype = v.root, v.offset, v.strides[axis], v.dtype
         if len(v.shape) > 1:
             shape = v.shape[:axis] + v.shape[axis + 1:]
             strides = v.strides[:axis] + v.strides[axis + 1:]
-            return lambda i: View(root, offset + i * stride, shape, strides)
+            return lambda i: View(root, offset + i * stride, shape, strides, dtype)
         data, trace = root.data, self.config.trace
         if trace is None:
             return lambda i: data[offset + i * stride]
@@ -859,16 +835,17 @@ class Interpreter(Kernels):
         if comb.shape is None or comb.shape[0] != "map" or not isinstance(last, ArrayValue):
             return None
         kernel, n = self._kernel(comb, (len(last.shape) + 1, len(part.shape))), part.shape[axis]
-        carry = View(last.root, last.offset, (n,) + last.shape, (0,) + last.strides)
+        carry = View(last.root, last.offset, (n,) + last.shape, (0,) + last.strides, last.dtype)
         return kernel and self._written(
             functools.partial(kernel, [carry, part], (0, axis), n, NO_CAPTURES), place, axis)
 
     def _gather(self, dest, parts, axis):
         """The value of a tiled map or scan from its tiles' values `parts`
-        along `axis`: the output, `dest.out`, when every part is at its
-        place (`_Dest.views`), else the parts joined (`_join`), as they are
-        when no value took a place."""
+        along `axis`: the output, `dest.out`, with the dtype their join
+        would have, when every part is at its place (`_Dest.views`), else
+        the parts joined (`_join`), as they are when no value took a place."""
         if parts == dest.views:  # arrays compare by identity
             self.config.counters.tiles_placed += len(parts)
+            dest.out.dtype = result_dtype(parts)
             return dest.out
         return self._join(parts, axis)

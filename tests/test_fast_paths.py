@@ -113,7 +113,9 @@ def reference_elementwise(interp, op, a, b):
 
 def in_layout_order(v, layout):
     """`v` as a view whose index order is `v`'s `layout` order."""
-    return v if layout == "row" else View(v.root, v.offset, v.shape[::-1], v.strides[::-1])
+    if layout == "row":
+        return v
+    return View(v.root, v.offset, v.shape[::-1], v.strides[::-1], v.dtype)
 
 
 def traced_interpreter(program=Program({})):
@@ -402,7 +404,7 @@ def test_elementwise_matches_per_element_walk(a, b):
 
 def test_ndarray_is_its_own_view():
     for base in BASES:
-        view = View(base, 0, base.shape, base.strides)
+        view = View(base, 0, base.shape, base.strides, base.dtype)
         assert base.root is base and base.offset == 0 and as_view(base) is base
         assert base.to_nested() == view.to_nested()
         for axis in range(2):

@@ -240,3 +240,11 @@ def test_from_nested_checks_dtype_and_layout():
         NdArray.from_nested([1, 2], "f32")
     with pytest.raises(ShapeError, match="unknown layout"):
         NdArray.from_nested([[1, 2]], layout="diag")
+
+
+def test_reprs_show_shape_and_dtype():
+    x = NdArray((2, 3), "f64", "col")
+    assert repr(x) == "NdArray(shape=(2, 3), dtype=f64, layout=col)"
+    assert repr(slice_axis(x, 0, 1)) == "View(shape=(3,), dtype=f64)"
+    # A view's dtype is its own, not its root's.
+    assert repr(View(x, 0, (2,), (1,), "i64")) == "View(shape=(2,), dtype=i64)"

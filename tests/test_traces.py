@@ -911,21 +911,43 @@ def test_random_programs_match_generic_twins(wide, chunk):
 
 # One sha256 over `observed` of every run of `corpus_runs`, seeds 0-199,
 # narrow then wide. The twins test compares two paths that can move
-# together; this pins what both give.
+# together; this pins what both give. The second pin is over the same runs
+# with f64 inputs (`as_f64`).
 CORPUS_TRACES_PIN = "b056db1583defcb4d8e726fdd3d62f11d8047b4673fb347f33e581f56f61a50c"
+CORPUS_F64_TRACES_PIN = "53b0fd0488a8cf559dc478996c651423c13bf7cd5a7e77066e9b7d20cff0cb9f"
+
+
+def as_f64(inputs):
+    """`inputs` with every array made f64, each element divided by 4 (exact
+    for the generator's small ints); scalars as they are."""
+    return [NdArray(x.shape, "f64", x.layout, [v / 4 for v in x.data])
+            if isinstance(x, NdArray) else x for x in inputs]
+
+
+def corpus_digest(convert):
+    """One sha256 over `observed` of every run of `corpus_runs`, seeds
+    0-199, narrow then wide, on the inputs `convert(inputs)`."""
+    h = hashlib.sha256()
+    for wide in (False, True):
+        for seed in range(200):
+            inputs, runs = corpus_runs(seed, wide)
+            inputs = convert(inputs)
+            for p, tile_sizes in runs:
+                h.update(repr(observed(p, inputs, tile_sizes)).encode())
+    return h.hexdigest()
 
 
 def test_random_program_traces_pinned():
     """Values, traces and counters of the random corpus do not move:
     traced addresses depend on when temporaries die, which the twins test
     cannot see when both paths change alike."""
-    h = hashlib.sha256()
-    for wide in (False, True):
-        for seed in range(200):
-            inputs, runs = corpus_runs(seed, wide)
-            for p, tile_sizes in runs:
-                h.update(repr(observed(p, inputs, tile_sizes)).encode())
-    assert h.hexdigest() == CORPUS_TRACES_PIN
+    assert corpus_digest(list) == CORPUS_TRACES_PIN
+
+
+def test_random_program_f64_traces_pinned():
+    """The same with f64 inputs, which the generator never makes: a tile's
+    value and the output it takes a place in then carry f64."""
+    assert corpus_digest(as_f64) == CORPUS_F64_TRACES_PIN
 
 
 def random_outcomes(seed, wide, edge):
