@@ -46,6 +46,9 @@ def main(argv=None):
     except (UsageError, IRError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RecursionError:
+        print("error: program nests too deeply", file=sys.stderr)
+        return EXIT_USAGE
     except (EvalError, TilingError, AutotuneError, CacheConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -7,18 +7,22 @@ kernel `kernel(views, axes, extent, captured, at=None)`:
   buffer (scalar closure operands broadcast), one result per slice;
 - a leaf `a OP b` over rank-2 operands of its own parameters runs each
   row's elementwise operation without a frame or a View;
-- a map, reduce or scan (a node) runs once per row without a frame, its
-  callee by the same rule. Its operands are any of its parameters, whose
-  rows it takes, and its closure parameters, the same value for every
-  row: over rank-2 operands a rank-1 closure array is broadcast as a View
-  of stride 0 along the rows, as a tile's fix-up broadcasts its carry.
-  The callee of a map node may read closures, bound per row from the
-  node's parameters or closure values. Over rank-2 operands a node reads
-  each row as a slice of the flat buffer, without a View per row, and
-  checks the row extents once. A reduce node gives one result per row.
+- a map, reduce or scan (a node) over rank-2 operands whose callee is a
+  leaf runs once per row without a frame. Its operands are any of its
+  parameters, whose rows it takes, and its closure parameters, the same
+  value for every row: a rank-1 closure array is broadcast as a View of
+  stride 0 along the rows, as a tile's fix-up broadcasts its carry. It
+  reads each row as a slice of the flat buffer, without a View per row,
+  and checks the row extents once. A reduce node gives one result per
+  row;
+- any other map node runs its callee's kernel once per row without a
+  frame, if that kernel gives scalars: a reduce node's, or a leaf's over
+  rank-1 rows. The callee may read closures, bound per row from the
+  node's parameters or closure values.
 A fold (Reduce or Scan) runs only a leaf so, with a scalar init, no emit
-and a combine `return a OP b`. A kernel that meets an operand it has no
-rule for (a scalar or wrong-rank closure) declines, giving None, before
+and a combine `return a OP b`. An operator hands a kernel at least one
+slice. A kernel that meets a row of no element, or an operand it has no
+rule for (a scalar or wrong-rank closure), declines, giving None, before
 any side effect, and the operator makes one call per slice.
 
 A kernel writes its value where the value stays. The caller's
@@ -28,35 +32,31 @@ kernel writes its results stacked along a new leading axis, its rows
 first. That place is the value's in a tiled operator's output, with the
 stacked axis first, or a new array whose element list the kernel fills.
 A kernel calls `at` once, after the last point where it can decline,
-with `(extent,)` plus the shape of one row's value, or `(0,)` when there
-is no row. It writes each row with one slice assignment as it computes
-it, and gives `(dtype, rows)`: the dtype that stacking its rows' values
-gives, and with a trace sink the block of each row (below), None for
-scalars; without one, None. Given no `at`, a kernel whose results are
-scalars (a leaf over rank-1 operands, a reduce node) gives them as a
-list instead: a fold folds or scans them, and a map node writes them
-into its own rows.
+with `(extent,)` plus the shape of one row's value. It writes each row
+with one slice assignment as it computes it, and gives `(dtype, rows)`:
+the dtype that stacking its rows' values gives, and with a trace sink
+the block of each row (below), None for scalars; without one, None.
+Given no `at`, a kernel whose results are scalars (a leaf over rank-1
+operands, a reduce node) gives them as a list instead: a fold folds or
+scans them, and a map node writes them into its own rows.
 
 The dtype follows the values, as stacking them would: f64 when any
-result is a float, else i64, and with no result the first operand's. A
-map or scan node over a leaf knows its results are ints without a look
-at them when every operand is i64, which holds ints only (`ndarray`), no
-`/` makes them and the init is an int; else it looks at each row's
-results until one holds a float. A leaf `a OP b` over rows gives
-`ndarray.elementwise_dtype`, and a map node f64 when any row's value is.
-All give the values, trace events, allocations, counters and errors of
-one call per slice.
+result is a float, else i64. A map or scan node over a leaf knows its
+results are ints without a look at them when every operand is i64,
+which holds ints only (`ndarray`), no `/` makes them and the init is an
+int; else it looks at each row's results until one holds a float. A
+leaf `a OP b` over rows gives `ndarray.elementwise_dtype`, and a map
+node f64 when any row's value is. All give the values, trace events,
+allocations, counters and errors of one call per slice.
 
 One call per slice would build an array for each row of a map or scan
-node, and for each row of those rows. With a trace sink the node models
-each of them by an address-only `ndarray.Block` of the same size. It
-reports the same `W` or `RW` run over the block as the array's stack
-would, and lets the blocks die where the arrays would: a row's blocks
-die, last to first, once the row's own block is written, and the
-outermost ones once the operator's array is. So addresses, events and
-runs are those of one call per slice. A leaf's reads are one `R` run,
-and so are the reads of all the rows of a reduce node; a map or scan
-node reports each row's reads as one run, as the row's results are
+node. With a trace sink the node models each of them by an address-only
+`ndarray.Block` of the same size. It reports the same `W` or `RW` run
+over the block as the array's stack would, and lets the blocks die where
+the arrays would, once the operator's array is written. So addresses,
+events and runs are those of one call per slice. A leaf's reads are one
+`R` run, and so are the reads of all the rows of a reduce node; a map or
+scan node reports each row's reads as one run, as the row's results are
 stacked between them.
 """
 
@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import types
 
 from . import ir
@@ -150,14 +149,13 @@ def _gathered(views, axes, extent, captured, sources):
     return out, out_axes
 
 
-def _scalars(results, at, empty):
+def _scalars(results, at):
     """(dtype, None): scalar `results`, one per slice, written stacked at
     `at` (see the module docstring), and their dtype: f64 when any is a
-    float, else i64, and `empty` when there is none."""
+    float, else i64, also when there is none (a stack of no value)."""
     data, offset, (step,) = at((len(results),))
-    if not results:
-        return empty, None
-    data[offset:offset + len(results) * step:step] = results
+    if results:
+        data[offset:offset + len(results) * step:step] = results
     return "f64" if float in map(type, results) else "i64", None
 
 
@@ -211,7 +209,8 @@ class Kernels:
                                    sources == list(range(len(ranks))), divides)
         if kind != "map":
             return None
-        return self._node(fn, self._function(g), sources)
+        return self._node(fn, self._function(g), sources,
+                          leaf is not None and leaf[0] == "reduce")
 
     def _leaf(self, fn, op, names):
         """Kernel of leaf `fn`, None for an array closure operand: its results,
@@ -226,10 +225,10 @@ class Kernels:
                 if isinstance(captured[n], ArrayValue):
                     return None
                 columns.append([captured[n]] * extent)
-            if trace is not None and extent:
+            if trace is not None:
                 trace.run(interleave(list(map(addresses, views))), "R")
             results = values(columns)
-            return results if at is None else _scalars(results, at, views[0].dtype)
+            return results if at is None else _scalars(results, at)
         return leaf
 
     def _row_map(self, op, picks):
@@ -238,17 +237,17 @@ class Kernels:
         (`_elementwise`) over the two rows, without a frame or a View. A
         row's values are written, then its block is placed, then one `RRW`
         run reads both rows and writes the block. Row extents are checked
-        once and raise as `ndarray.elementwise` does (`match_shapes`). Its
-        dtype is the elementwise result's (`elementwise_dtype`)."""
+        once and raise as `ndarray.elementwise` does (`match_shapes`); rows
+        of no element make it decline. Its dtype is the elementwise
+        result's (`elementwise_dtype`)."""
         f, trace = scalar_op(op), self.config.trace
 
         def rows(views, axes, extent, captured, at):
             (a, ax), (b, bx) = ((views[p], axes[p]) for p in picks)
             n, m = a.shape[1 - ax], b.shape[1 - bx]
-            if not extent:
-                at((0,))
-                return views[0].dtype, None
             match_shapes((n,), (m,))
+            if not n:
+                return None
             spans = [(v.root.data, v.offset, v.strides[axis], v.strides[1 - axis])
                      for v, axis in ((a, ax), (b, bx))]
             (da, oa, sa, ta), (db, ob, sb, tb) = spans
@@ -261,10 +260,9 @@ class Kernels:
                 buf[o:o + width:step] = map(f, da[i_a:i_a + n * ta:ta], db[i_b:i_b + n * tb:tb])
                 if blocks is not None:
                     block = self._placed(Block(n))
-                    if n:
-                        start = block.addr
-                        trace.run(interleave(ranges(i) + [range(start, start + n * ELEM_SIZE,
-                                                               ELEM_SIZE)]), "RRW")
+                    start = block.addr
+                    trace.run(interleave(ranges(i) + [range(start, start + n * ELEM_SIZE,
+                                                           ELEM_SIZE)]), "RRW")
                     blocks.append(block)
             return elementwise_dtype(op, a, b), blocks
         return rows
@@ -278,13 +276,14 @@ class Kernels:
         as a View with stride 0 along the rows, and any other closure value
         makes it decline. Row i of each operand is the flat
         span (root, offset + i * strides[axis], strides[1 - axis]); no View
-        is built for it. Row extents are checked once. A reduce writes its
-        rows' results at `at` once they are all computed, or gives them as
-        a list without one, and reports the reads of all its rows as one
-        run, as nothing comes between them. A map or a scan writes each
-        row's results as it computes them; it reports each row's reads as
-        a run before the row's block takes the row's results. `divides`
-        says whether the leaf or the combine is `/`."""
+        is built for it. Row extents are checked once, and rows of no
+        element make it decline. A reduce writes its rows' results at `at`
+        once they are all computed, or gives them as a list without one,
+        and reports the reads of all its rows as one run, as nothing comes
+        between them. A map or a scan writes each row's results as it
+        computes them; it reports each row's reads as a run before the
+        row's block takes the row's results. `divides` says whether the
+        leaf or the combine is `/`."""
         what, counters, trace = kind.capitalize(), self.config.counters, self.config.trace
         reduces = kind == "reduce"
         one_run = trace is not None and reduces
@@ -304,15 +303,13 @@ class Kernels:
         look_always = divides or type(init) is float
 
         def node(views, axes, extent, captured, at):
-            if not extent:
-                if not direct and _gathered(views, axes, extent, captured, sources)[0] is None:
-                    return None
-                return [] if at is None else _scalars([], at, views[0].dtype)
             if not direct:
                 views, axes = _gathered(views, axes, extent, captured, sources)
                 if views is None:
                     return None
             n = _row_extent(views, axes, what)
+            if not n:
+                return None
             spans = [(v.root.data, v.offset, v.strides[axis], v.strides[1 - axis])
                      for v, axis in zip(views, axes)]
             reads = trace and _row_reads(views, axes, n)
@@ -320,7 +317,7 @@ class Kernels:
                 buf, base, (stride, step) = at((extent, n))
                 width = n * step
                 look = look_always or "f64" in [v.dtype for v in views]
-            f64, blocks, i = False, [] if run_per_row else None, -1
+            f64, blocks = False, [] if run_per_row else None
             try:
                 if reduces:
                     out = []
@@ -329,7 +326,7 @@ class Kernels:
                                         for data, o, s, t in spans]))
                 else:
                     for i in range(extent):
-                        if run_per_row and n:
+                        if run_per_row:
                             trace.run(reads(i), "R")
                         got = row([data[o + i * s:o + i * s + n * t:t]
                                    for data, o, s, t in spans])
@@ -338,51 +335,36 @@ class Kernels:
                         if look and float in map(type, got):
                             look, f64 = False, True
                         if blocks is not None:
-                            blocks.append(self._row_block(n, None))
+                            blocks.append(self._row_block(n))
             finally:  # rows 0..i were checked and read, also when row i raised
                 counters.bounds_checks += arity * n * (i + 1)
-                if one_run and n and i >= 0:
+                if one_run:
                     trace.run(itertools.chain.from_iterable(map(reads, range(i + 1))), "R")
             if reduces:
-                return out if at is None else _scalars(out, at, None)
-            return "f64" if f64 else "i64" if n else views[0].dtype, blocks
+                return out if at is None else _scalars(out, at)
+            return "f64" if f64 else "i64", blocks
         return node
 
-    def _node(self, fn, callee, sources):
-        """Kernel of map node `fn`, with callee `callee`, over operands that
-        `_leaf_node` does not run: per row, the untiled map without a
-        frame. Each row's operands come from `sources` (see
-        `_new_kernel`), and so do the callee's closure values, bound per
-        row from the node's own parameters. The callee's kernel is looked
-        up at row 0 only, for row 0's operand ranks; the node declines there
-        when the callee has none or its kernel declines, as every row has
-        row 0's ranks and extents. The callee's kernel writes row i of the
-        node's value at that row's place; a kernel of scalars, given no
-        place, gives them, and the node writes them there. Row 0's value
-        gives the node's own shape, so only then does the node call its
-        `at`. A row's block takes the row's own rows (`_row_block`)."""
+    def _node(self, fn, callee, sources, reduces):
+        """Kernel of map node `fn`, with callee `callee`, a reduce when
+        `reduces`, over operands that `_leaf_node` does not run: per row,
+        the untiled map without a frame, when the callee's kernel gives
+        scalars (a reduce node's, or a leaf's over rank-1 rows). Each row's
+        operands come from `sources` (see `_new_kernel`), and so do the
+        callee's closure values, bound per row from the node's own
+        parameters. The callee's kernel is looked up at row 0 only, for row
+        0's operand ranks, as every row has row 0's ranks and extents. So
+        the node declines there, before any side effect, when the rows
+        have no slice or the callee's kernel is none, gives arrays or
+        declines. The node writes each row's scalars at the row's place,
+        and a row's block stands for the row's array (`_row_block`)."""
         arity, counters, trace = len(sources), self.config.counters, self.config.trace
         zeros = (0,) * arity
         binds = [(c, fn.params.index(c) if c in fn.params else c)
                  for c in callee.fn.closure_params]
 
         def node(views, axes, extent, captured, at):
-            if not extent:
-                at((0,))
-                return views[0].dtype, None
             slicers = [self._slicer(v, axis) for v, axis in zip(views, axes)]
-            # Where the node's value is, once row 0's callee kernel asks for
-            # its place: row i is at `base + i * stride` in `data`, with
-            # `rest` strides, `size` long.
-            held = []
-
-            def place(shape):  # the place of row i, of `shape`
-                if not held:
-                    data, base, strides = at((extent,) + shape)
-                    held.extend((data, base, strides[0], strides[1:],
-                                 trace is not None and math.prod(shape)))
-                return held[0], held[1] + i * held[2], held[3]
-
             f64, blocks = False, [] if trace is not None else None
             for i in range(extent):
                 rows = [s(i) for s in slicers]
@@ -393,43 +375,28 @@ class Kernels:
                     # Every row has the extents of row 0, and only row 0 checks them.
                     n = self._operand_views(operands, zeros, "Map")[1]
                     ranks = tuple(len(v.shape) for v in operands)
-                    inner = self._kernel(callee, ranks)
-                    if inner is None:
+                    inner = n and (reduces or max(ranks) == 1) and self._kernel(callee, ranks)
+                    if not inner:
                         return None
-                    # A reduce's or a rank-1 leaf's kernel, given no place,
-                    # gives its scalars, which the node writes itself.
-                    scalars = callee.shape[0] == "reduce" or max(ranks) == 1
-                    row_at = None if scalars else place
                 counters.bounds_checks += arity * n
-                got = inner(operands, zeros, n, bound, row_at)
+                got = inner(operands, zeros, n, bound, None)
                 if got is None:  # row 0, before any side effect
                     counters.bounds_checks -= arity * n
                     return None
                 if not i:
-                    if scalars:
-                        data, base, (stride, step) = at((extent, n))
-                        width, size = n * step, n
-                        # Rows of no slice take the dtype of their map over none.
-                        f64 = not n and operands[0].dtype == "f64"
-                    else:
-                        size = held[4]
-                if scalars:
-                    o = base + i * stride
-                    data[o:o + width:step] = got
-                    f64 = f64 or float in map(type, got)
-                    if blocks is not None:
-                        blocks.append(self._row_block(size, None))
-                    continue
-                f64 = f64 or got[0] == "f64"
+                    data, base, (stride, step) = at((extent, n))
+                    width = n * step
+                o = base + i * stride
+                data[o:o + width:step] = got
+                f64 = f64 or float in map(type, got)
                 if blocks is not None:
-                    blocks.append(self._row_block(size, got[1]))
-                del got  # the blocks of the row's own rows die now
+                    blocks.append(self._row_block(n))
             return "f64" if f64 else "i64", blocks
         return node
 
-    def _row_block(self, size, rows):
+    def _row_block(self, size):
         """An address-only block of `size` elements, placed and written as
-        an array that stacks `rows` (None for scalars) would be."""
+        a stack of scalars would be."""
         block = self._placed(Block(size))
-        self._fill(block, rows)
+        self._fill(block)
         return block

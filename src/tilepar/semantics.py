@@ -627,7 +627,7 @@ class Interpreter(Kernels):
         step (`_arrays`)."""
         kinds = set(map(type, values))
         if kinds.isdisjoint(ArrayValue):
-            return self._written(functools.partial(_scalars, values, empty="i64"), place)[0]
+            return self._written(functools.partial(_scalars, values), place)[0]
         if not kinds.issubset(ArrayValue):
             raise EvalError("cannot stack scalars with arrays")
         shape = values[0].shape

@@ -1,8 +1,11 @@
-"""Array helpers shared across the test suite: a dense copy of a view,
-the CLI array-file writer, a triple-loop matmul reference and a trace
-sink that refuses empty runs."""
+"""Helpers shared across the test suite: a dense copy of a view, the CLI
+array-file writer, a triple-loop matmul reference, a trace sink that
+refuses empty runs and a counter of built functions' calls."""
+
+import collections
 
 from tilepar.ndarray import NdArray, View, element_list
+from tilepar.semantics import Interpreter
 
 
 def materialize(x):
@@ -51,3 +54,21 @@ class NoEmptyRunSink:
 
     def phase(self, label):
         pass
+
+
+def counting_build(monkeypatch):
+    """Count the calls of every function built from here on, by name."""
+    calls = collections.Counter()
+    build = Interpreter._build
+
+    def counted_build(self, fn):
+        compiled = build(self, fn)
+        call = compiled.call
+
+        def counted(*args):
+            calls[fn.name] += 1
+            return call(*args)
+        compiled.call = counted
+        return compiled
+    monkeypatch.setattr(Interpreter, "_build", counted_build)
+    return calls

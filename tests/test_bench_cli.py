@@ -244,6 +244,16 @@ def test_cli_run_division_by_zero_is_an_error_line(argv, program_file, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", [" + ".join(["x"] * 400), "(" * 300 + "x" + ")" * 300],
+                         ids=["sum-of-400", "300-parentheses"])
+def test_cli_run_too_deep_a_program_is_an_error_line(value, program_file, capsys):
+    prog = program_file(f"fn main(x) {{ return {value}; }}")
+    assert main(["run", "--program", prog, "--gen", "shape=4,dtype=i64"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: program nests too deeply")
+    assert "Traceback" not in err
+
+
 def test_cli_tile_prints_slot_table(program_file, capsys):
     prog = program_file(programs.SUM_ROWS)
     assert main(["tile", "--program", prog]) == 0

@@ -34,7 +34,7 @@ from tilepar.tiling import register_tile, tile_program
 
 import programs
 import randprog
-from arrays import NoEmptyRunSink
+from arrays import NoEmptyRunSink, counting_build
 
 
 def digest(events):
@@ -103,8 +103,9 @@ CASES = {
     # Row prefix sums, tiled 4x3 over 6x8: the tiled scan fixes up carries.
     "row_scan": (programs.ROW_SCAN, [matrix(6, 8, "i64", "row")], 0, {0: 4, 1: 3}),
     # Prefix sums along axis 1 of a 5x7x3 input, tiled 2x3: each step the
-    # tiled scan fixes up is a 2x3 (or 1x3) slice, whose rows the lifted
-    # combine's kernel adds as `a + b` over rows.
+    # tiled scan fixes up is a 2x3 (or 1x3) slice, whose rows are arrays:
+    # the lifted combine's node kernel declines, and the combine is called
+    # once per step.
     "scan_of_array_steps": (SCAN_OF_ARRAY_STEPS, [cube(5, 7, 3)], 0, {0: 2, 1: 3}),
     # Prefix sums of 10 scalars, tiled by 3: each tile's scan stacks its
     # scalars at the tile's place, and so does each fix-up, whose combine
@@ -212,7 +213,7 @@ def test_untiled_trace_pinned(name):
     assert (len(events), digest(events)) == UNTILED_PINS[name]
 
 
-@pytest.mark.parametrize("name, kernel", [("row_scan", True), ("scan_of_array_steps", True),
+@pytest.mark.parametrize("name, kernel", [("row_scan", True), ("scan_of_array_steps", False),
                                           ("prefix_sum", False)])
 def test_scan_fix_ups_match_combine_calls(name, kernel, monkeypatch):
     """A tiled scan fixes up each tile in one call of the lifted combine's
@@ -266,7 +267,9 @@ fn ident(r) { return r; }
 fn tile(T) { return scan(ident, combine=add2, init=0, T; axes=[0]); }
 fn main(X) { return tiledscan(tile, slot=0, depth=0, combine=addv, init=0, X; axes=[0]); }
 """, True),
-    # Tiled at depth 2 over rank-3 tiles: each fix-up runs `_node`.
+    # Tiled at depth 2 over rank-3 tiles: each fix-up's `_node` declines
+    # at row 0, as its callee's kernel gives arrays, and each fix-up calls
+    # the combine once per step.
     "cube_scan": ("""
 fn ident(x) { return x; }
 fn add2(a, b) { return a + b; }
@@ -338,7 +341,9 @@ def test_tile_fix_up_matches_combine_calls(name, shape, dtype, layout, k, monkey
         return found
     monkeypatch.setattr(Interpreter, "_fix_up", spied)
     through_kernel = fix_up_observed(program, inputs, sizes)
-    assert set(picked) <= {not name.endswith("_no_leaf")}
+    # The kernel declines for steps of no element, too.
+    runs = not name.endswith("_no_leaf") and name != "cube_scan" and 0 not in shape
+    assert set(picked) <= {runs}
     assert picked or 0 in shape
     monkeypatch.setattr(Interpreter, "_fix_up", lambda self, *args: None)
     assert fix_up_observed(program, inputs, sizes) == through_kernel
@@ -982,6 +987,44 @@ def random_outcomes(seed, wide, edge):
 RANDOM_FLAVOURS = list(itertools.product((False, True), repeat=2))
 
 
+def test_no_kernel_works_on_an_empty_extent_or_row(monkeypatch):
+    """Over the random corpus, untiled and cache-tiled, no kernel is handed
+    an extent of 0 and none asks `at` for a place whose shape holds a 0:
+    an empty operator returns before its kernel, and rows of no element
+    take the generic call path."""
+    empty, kernel_of = [], Interpreter._kernel
+
+    def watched_kernel(self, f, ranks):
+        kernel = kernel_of(self, f, ranks)
+        if kernel is None:
+            return None
+
+        def watched(views, axes, extent, captured, at=None):
+            def watched_at(shape):
+                if 0 in shape:
+                    empty.append((f.fn.name, "at", shape))
+                return at(shape)
+            if not extent:
+                empty.append((f.fn.name, "extent", 0))
+            return kernel(views, axes, extent, captured, at and watched_at)
+        return watched
+    monkeypatch.setattr(Interpreter, "_kernel", watched_kernel)
+    for seed in range(200):
+        for wide, edge in RANDOM_FLAVOURS:
+            program, inputs, arg_ranks = randprog.generate(seed, wide=wide, edge=edge)
+            res = tile_program(program, arg_ranks=arg_ranks)
+            runs = [(program, {})]
+            if res.changed:
+                runs.append((res.program, res.spec.sizes(
+                    randprog.sample_tile_sizes(res.spec, random.Random(seed)))))
+            for p, sizes in runs:
+                try:
+                    eval_program(p, inputs, EvalConfig(tile_sizes=sizes))
+                except (EvalError, ShapeError):
+                    pass
+                assert not empty, (seed, wide, edge, empty)
+
+
 def register_counters_digest():
     """One sha256 over (seed, flavour, registers, value or error text,
     full-tile calls, straggler calls, bounds checks) of every random
@@ -1096,6 +1139,15 @@ BENCHMARK_COUNTER_PINS = {
     "prefixscan-col192": (80, 10, 103488),
 }
 
+# Built-function calls of each workload's untiled eval and of its midpoint
+# tiled eval, the same traced and untraced: a kernel path a workload loses
+# shows as more calls.
+BENCHMARK_CALL_PINS = {
+    "rowsum-col256-tune": (1, 289),
+    "matmul32-reg": (1057, 3827),
+    "prefixscan-col192": (1, 91),
+}
+
 # The tiles each midpoint run gathers at their places (`Counters.tiles_placed`).
 BENCHMARK_PLACED_PINS = {
     "rowsum-col256-tune": 0,
@@ -1112,22 +1164,44 @@ BENCHMARK_SIM_PINS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(BENCHMARK_PINS))
-def test_benchmark_trace_pinned(name):
+def benchmark_case(name):
+    """(untiled program, tiled program, midpoint tile sizes, inputs) of a
+    benchmark workload, compiled as `benchmarks/run.py` compiles it."""
     bench = benchmark_workloads()
     wl = bench.WORKLOADS[name]
-    res = tile_program(desugar_allpairs(parse_program(wl.src)), arg_ranks=[2] * wl.operands)
+    program = desugar_allpairs(parse_program(wl.src))
+    res = tile_program(program, arg_ranks=[2] * wl.operands)
     tiled, spec = res.program, res.spec
     if wl.registers:
         tiled, spec = register_tile(tiled, spec, bench.HW)
     space = estimate_bounds(tiled, spec, bench.HW, extents=wl.extents)
     sizes = spec.sizes(overrides=dict(zip(space.slot_ids, space.midpoint())))
-    _, events, counters = traced_run(tiled, wl.make_inputs(0)[1], sizes)
+    return program, tiled, sizes, wl.make_inputs(0)[1]
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_PINS))
+def test_benchmark_trace_pinned(name):
+    _, tiled, sizes, inputs = benchmark_case(name)
+    _, events, counters = traced_run(tiled, inputs, sizes)
     assert (len(events), digest(events)) == BENCHMARK_PINS[name]
     assert (counters.full_tile_calls, counters.straggler_calls,
             counters.bounds_checks) == BENCHMARK_COUNTER_PINS[name]
     assert counters.tiles_placed == BENCHMARK_PLACED_PINS[name]
-    assert totals(simulate(events, bench.MODEL)) == BENCHMARK_SIM_PINS[name]
+    assert totals(simulate(events, benchmark_workloads().MODEL)) == BENCHMARK_SIM_PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_CALL_PINS))
+def test_benchmark_calls_pinned(name, monkeypatch):
+    program, tiled, sizes, inputs = benchmark_case(name)
+    calls = counting_build(monkeypatch)
+    for traced in (False, True):
+        seen = []
+        for p, tile_sizes in ((program, {}), (tiled, sizes)):
+            calls.clear()
+            eval_program(p, inputs, EvalConfig(tile_sizes=dict(tile_sizes),
+                                               trace=TraceSink() if traced else None))
+            seen.append(sum(calls.values()))
+        assert tuple(seen) == BENCHMARK_CALL_PINS[name]
 
 
 # Every statement of the entry function is a phase, also one inside an if.
