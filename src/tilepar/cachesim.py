@@ -117,7 +117,7 @@ class Simulator:
     def run(self, addrs, kinds):
         """Replay the addresses of one run in order. `kinds` is ignored:
         with write-allocate a write moves the cache as a read does. A hit
-        deletes its line from the set's dict and re-inserts it, so it
+        pops its line from the set's dict and re-inserts it, so it
         becomes the last key; a miss in a full set evicts the first key,
         the least recently used line. An access to the line already most
         recent in its set only counts as a hit: it changes no LRU state.
@@ -134,9 +134,8 @@ class Simulator:
                     hits += 1
                     continue
                 s = sets[k]
-                if line in s:
+                if s.pop(line, False):
                     hits += 1
-                    del s[line]
                 else:
                     if addr < 0:
                         raise CacheConfigError(f"negative address {addr}")

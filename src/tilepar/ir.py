@@ -401,15 +401,31 @@ def fresh_name(base, taken):
 
 
 def body_shape(fn):
-    """How `fn`'s whole body `return E` is built, or None: ("leaf", OP,
-    NAMES) for E `x` (OP None) or `a OP b` over parameters or closure
-    parameters; (KIND, G, COMBINE, INIT, NAMES) for a map, reduce or scan
-    of G along axis 0 over operands NAMES, each a parameter or closure
-    parameter, with no emit and an int or float constant INIT (COMBINE and
-    INIT None for a map). G is described by its own shape."""
-    if len(fn.body) != 1 or not isinstance(fn.body[0], Return):
+    """How `fn`'s whole body is built, or None. For a body `return E`:
+    ("leaf", OP, NAMES) for E `x` (OP None) or `a OP b` over parameters or
+    closure parameters; (KIND, G, COMBINE, INIT, NAMES) for a map, reduce
+    or scan of G along axis 0 over operands NAMES, each a parameter or
+    closure parameter, with no emit and an int or float constant INIT
+    (COMBINE and INIT None for a map). For a body `p = a OP b;` then
+    `return reduce(G, combine=COMBINE, init=INIT, p; axes=[0])`, with a and
+    b as in a leaf and p neither: ("dot", G, COMBINE, INIT, (a, b), OP), a
+    reduce over the product. G is described by its own shape."""
+    names = fn.params + fn.closure_params
+    if len(fn.body) == 1 and type(fn.body[0]) is Return:
+        return _return_shape(fn.body[0].value, names)
+    if len(fn.body) != 2 or type(fn.body[0]) is not Assign or type(fn.body[1]) is not Return:
         return None
-    e, names = fn.body[0].value, fn.params + fn.closure_params
+    p, product = fn.body[0].target, fn.body[0].value
+    leaf = p not in names and type(product) is BinOp and _return_shape(product, names)
+    node = leaf and _return_shape(fn.body[1].value, names + (p,))
+    if node and node[0] == "reduce" and node[4] == (p,):
+        return ("dot", *node[1:4], leaf[2], leaf[1])
+    return None
+
+
+def _return_shape(e, names):
+    """`body_shape` of a body `return e` of a function whose parameters and
+    closure parameters are `names`."""
     operands = (e,) if isinstance(e, Var) else (e.left, e.right) if isinstance(e, BinOp) else ()
     if operands and all(isinstance(x, Var) and x.name in names for x in operands):
         return ("leaf", getattr(e, "op", None), tuple(x.name for x in operands))
@@ -632,7 +648,8 @@ def desugar_allpairs(program):
     maps a clone of f (first parameter moved to the closure) over B. The
     second argument is hoisted to a temporary when it is not already a
     variable. Semantics are unchanged. An AllPairs callee that no function
-    of the result references is dropped.
+    of the result references is dropped. A program whose expressions nest
+    too deeply for Python's stack raises IRError.
     """
     out = Program(dict(program.functions))
     counter = count(1)
@@ -659,10 +676,13 @@ def desugar_allpairs(program):
             outer_name, (first,), (arg2.name,) + f.closure_params, outer_body)
         return Map(outer_name, (e.arg1,), (e.axes[0],))
 
-    for name, fn in list(out.functions.items()):
-        new_body = map_block(fn.body, lambda x, prelude, stmt: desugar(x, prelude))
-        if new_body != fn.body:
-            out.functions[name] = replace(fn, body=new_body)
+    try:
+        for name, fn in list(out.functions.items()):
+            new_body = map_block(fn.body, lambda x, prelude, stmt: desugar(x, prelude))
+            if new_body != fn.body:
+                out.functions[name] = replace(fn, body=new_body)
+    except RecursionError:  # each level of an expression takes three frames
+        raise IRError("program nests too deeply") from None
     if callees:
         used = {name for fn in out.functions.values()
                 for e in walk_exprs(fn.body) for name in referenced_functions(e)}

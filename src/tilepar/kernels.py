@@ -15,15 +15,21 @@ kernel `kernel(views, axes, extent, captured, at=None)`:
   reads each row as a slice of the flat buffer, without a View per row,
   and checks the row extents once. A reduce node gives one result per
   row;
+- a dot, `p = a OP b` reduced by a leaf, over rank-2 operands, its
+  parameters or rank-1 closure arrays broadcast as above, runs each
+  row's product and fold without a frame or an array, one result per
+  row;
 - any other map node runs its callee's kernel once per row without a
-  frame, if that kernel gives scalars: a reduce node's, or a leaf's over
-  rank-1 rows. The callee may read closures, bound per row from the
-  node's parameters or closure values.
+  frame, if that kernel gives scalars: a reduce node's, a dot's, or a
+  leaf's over rank-1 rows. The callee may read closures, bound per row
+  from the node's parameters or closure values. A map node over a map or
+  scan node has no kernel.
 A fold (Reduce or Scan) runs only a leaf so, with a scalar init, no emit
 and a combine `return a OP b`. An operator hands a kernel at least one
 slice. A kernel that meets a row of no element, or an operand it has no
 rule for (a scalar or wrong-rank closure), declines, giving None, before
-any side effect, and the operator makes one call per slice.
+any side effect, and the operator makes one call per slice; so does a
+dot whose product's rows differ in extent, which the call then raises.
 
 A kernel writes its value where the value stays. The caller's
 `at(shape)` gives `(data, offset, strides)`: the element list, the
@@ -37,8 +43,8 @@ with one slice assignment as it computes it, and gives `(dtype, rows)`:
 the dtype that stacking its rows' values gives, and with a trace sink
 the block of each row (below), None for scalars; without one, None.
 Given no `at`, a kernel whose results are scalars (a leaf over rank-1
-operands, a reduce node) gives them as a list instead: a fold folds or
-scans them, and a map node writes them into its own rows.
+operands, a reduce node, a dot) gives them as a list instead: a fold
+folds or scans them, and a map node writes them into its own rows.
 
 The dtype follows the values, as stacking them would: f64 when any
 result is a float, else i64. A map or scan node over a leaf knows its
@@ -57,7 +63,9 @@ the arrays would, once the operator's array is written. So addresses,
 events and runs are those of one call per slice. A leaf's reads are one
 `R` run, and so are the reads of all the rows of a reduce node; a map or
 scan node reports each row's reads as one run, as the row's results are
-stacked between them.
+stacked between them. A dot's product is a block of its size, placed
+as the product's array would be, which one `RRW` run writes and one `R`
+run reads, and which dies before the next row's.
 """
 
 from __future__ import annotations
@@ -103,6 +111,13 @@ def _row_extent(views, axes, what):
         if v.shape[1 - axis] != n:
             raise EvalError(f"{what} sliced extents differ: {n} vs {v.shape[1 - axis]}")
     return n
+
+
+def _row_spans(views, axes):
+    """Per rank-2 view sliced along its axis in `axes`, the flat span of its
+    rows: (element list, offset of row 0, row stride, element stride)."""
+    return [(v.root.data, v.offset, v.strides[axis], v.strides[1 - axis])
+            for v, axis in zip(views, axes)]
 
 
 def _row_ranges(views, axes, n):
@@ -185,7 +200,7 @@ class Kernels:
             if set(ranks) == {2} and op is not None and set(names) <= set(fn.params):
                 return self._row_map(op, [fn.params.index(n) for n in names])
             return None
-        kind, g, combine, init, names = shape
+        kind, g, combine, init, names = shape[:5]
         functions = self.program.functions
         if min(ranks) < 2 or g not in functions:
             return None
@@ -199,18 +214,23 @@ class Kernels:
         comb = self._function(combine) if combine in functions else None
         op = comb and comb.op
         leaf = ir.body_shape(callee)
-        if (set(ranks) == {2} and leaf is not None and leaf[0] == "leaf"
-                and not callee.closure_params and len(callee.params) == len(names)):
+        elementary = (set(ranks) == {2} and leaf is not None and leaf[0] == "leaf"
+                      and not callee.closure_params)
+        if kind == "dot":
+            if not elementary or len(callee.params) != 1 or op is None:
+                return None
+            return self._dot(shape[5], sources, _leaf_values(callee, *leaf[1:])[1], op, init)
+        if elementary and len(callee.params) == len(names):
             if kind != "map" and op is None:
                 return None
             values = _leaf_values(callee, leaf[1], leaf[2])[1]
             divides = "/" in (leaf[1], op and comb.shape[1])
             return self._leaf_node(kind, values, op, init, sources,
                                    sources == list(range(len(ranks))), divides)
-        if kind != "map":
+        # A map node runs only a callee whose kernel gives scalars.
+        if kind != "map" or leaf is None or leaf[0] in ("map", "scan"):
             return None
-        return self._node(fn, self._function(g), sources,
-                          leaf is not None and leaf[0] == "reduce")
+        return self._node(fn, self._function(g), sources, leaf[0] != "leaf")
 
     def _leaf(self, fn, op, names):
         """Kernel of leaf `fn`, None for an array closure operand: its results,
@@ -248,9 +268,7 @@ class Kernels:
             match_shapes((n,), (m,))
             if not n:
                 return None
-            spans = [(v.root.data, v.offset, v.strides[axis], v.strides[1 - axis])
-                     for v, axis in ((a, ax), (b, bx))]
-            (da, oa, sa, ta), (db, ob, sb, tb) = spans
+            (da, oa, sa, ta), (db, ob, sb, tb) = _row_spans((a, b), (ax, bx))
             buf, base, (row, step) = at((extent, n))
             width = n * step
             blocks = [] if trace is not None else None
@@ -310,8 +328,7 @@ class Kernels:
             n = _row_extent(views, axes, what)
             if not n:
                 return None
-            spans = [(v.root.data, v.offset, v.strides[axis], v.strides[1 - axis])
-                     for v, axis in zip(views, axes)]
+            spans = _row_spans(views, axes)
             reads = trace and _row_reads(views, axes, n)
             if not reduces:
                 buf, base, (stride, step) = at((extent, n))
@@ -345,11 +362,49 @@ class Kernels:
             return "f64" if f64 else "i64", blocks
         return node
 
+    def _dot(self, op, sources, values, fold, init):
+        """Kernel of a dot (`ir.body_shape`) over rank-2 operands from
+        `sources` (see `_leaf_node`): per row, the product `a OP b` of the
+        operands' rows, then the reduce of the leaf that gives `values`
+        (`_leaf_values`) with the combine `fold`, without a frame or an
+        array. It declines on a closure operand that is not a rank-1 array
+        and on rows of no element or of different extents, where the
+        product raises. A row's product is a block (see the module
+        docstring), whose `RRW` run reads the rows as `_elementwise` does;
+        the reduce counts a bounds check per element of it. It gives one
+        result per row, written at `at` or, without one, as a list."""
+        f, counters, trace = scalar_op(op), self.config.counters, self.config.trace
+
+        def dot(views, axes, extent, captured, at=None):
+            views, axes = _gathered(views, axes, extent, captured, sources)
+            if views is None:
+                return None
+            (a, b), (ax, bx) = views, axes
+            n = a.shape[1 - ax]
+            if not n or b.shape[1 - bx] != n:
+                return None
+            (da, oa, sa, ta), (db, ob, sb, tb) = _row_spans(views, axes)
+            ranges = trace and _row_ranges(views, axes, n)
+            out = []
+            for i in range(extent):
+                i_a, i_b = oa + i * sa, ob + i * sb
+                product = list(map(f, da[i_a:i_a + n * ta:ta], db[i_b:i_b + n * tb:tb]))
+                if trace is not None:
+                    start = self._placed(Block(n)).addr  # the block dies here
+                    block = range(start, start + n * ELEM_SIZE, ELEM_SIZE)
+                    trace.run(interleave(ranges(i) + [block]), "RRW")
+                    trace.run(block, "R")
+                counters.bounds_checks += n
+                out.append(functools.reduce(fold, values([product]), init))
+            return out if at is None else _scalars(out, at)
+        return dot
+
     def _node(self, fn, callee, sources, reduces):
-        """Kernel of map node `fn`, with callee `callee`, a reduce when
-        `reduces`, over operands that `_leaf_node` does not run: per row,
-        the untiled map without a frame, when the callee's kernel gives
-        scalars (a reduce node's, or a leaf's over rank-1 rows). Each row's
+        """Kernel of map node `fn`, with callee `callee`, a reduce node or a
+        dot when `reduces`, else a leaf, over operands that `_leaf_node`
+        does not run: per row, the untiled map without a frame, when the
+        callee's kernel gives scalars (a reduce node's or a dot's, or a
+        leaf's over rank-1 rows). Each row's
         operands come from `sources` (see `_new_kernel`), and so do the
         callee's closure values, bound per row from the node's own
         parameters. The callee's kernel is looked up at row 0 only, for row

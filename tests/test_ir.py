@@ -325,6 +325,15 @@ def test_desugar_drops_an_allpairs_callee_nothing_references():
     assert "dot" in desugar_allpairs(parse_program(both)).functions
 
 
+def test_desugar_too_deep_a_program_is_an_ir_error():
+    """`desugar_allpairs` takes three frames per level of an expression, so a
+    sum of 400 terms, which parses, is too deep for it: it raises IRError,
+    not RecursionError."""
+    p = parse_program(f"fn main(x) {{ return {' + '.join(['x'] * 400)}; }}")
+    with pytest.raises(ir.IRError, match="^program nests too deeply$"):
+        desugar_allpairs(p)
+
+
 def test_desugar_no_allpairs_is_identity():
     p = parse_program(programs.SUM_ROWS)
     assert desugar_allpairs(p) == p
@@ -389,6 +398,17 @@ fn map_fold(x) { return map(g, x; axes=[0]); }
 fn scaled(x) uses s { return x * s; }
 fn captured(x) uses s { return s; }
 fn scan_emit(x) { return scan(g, combine=c, emit=g, init=0, x; axes=[0]); }
+fn dot(x, y) { p = x * y; return reduce(g, combine=c, init=0.0, p; axes=[0]); }
+fn dot_closure(y) uses x { p = x - y; return reduce(g, combine=c, init=0, p; axes=[0]); }
+fn dot_same(x) { p = x max x; return reduce(g, combine=c, init=1, p; axes=[0]); }
+fn dot_const(x) { p = x * 2; return reduce(g, combine=c, init=0, p; axes=[0]); }
+fn dot_param(p, y) { p = p * y; return reduce(g, combine=c, init=0, p; axes=[0]); }
+fn dot_twice(x, y) { p = x * y; return reduce(g2, combine=c, init=0, p, p; axes=[0, 0]); }
+fn dot_other(x, y) { p = x * y; return reduce(g, combine=c, init=0, x; axes=[0]); }
+fn dot_scan(x, y) { p = x * y; return scan(g, combine=c, init=0, p; axes=[0]); }
+fn dot_map(x, y) { p = x * y; return map(g, p; axes=[0]); }
+fn dot_copy(x) { p = x; return reduce(g, combine=c, init=0, p; axes=[0]); }
+fn two_producers(x, y) { d = x - y; s = d * d; return reduce(g, combine=c, init=0, s; axes=[0]); }
 """
 
 
@@ -412,10 +432,16 @@ def test_body_shape():
         "map_closure": ("map", "g", None, None, ("y",)),
         "reordered": ("reduce", "g2", "c", 0, ("y", "x")),
         "fewer_args": ("reduce", "g", "c", 0, ("x",)),
+        # A reduce over the product of two operands, read nowhere else.
+        "dot": ("dot", "g", "c", 0.0, ("x", "y"), "*"),
+        "dot_closure": ("dot", "g", "c", 0, ("x", "y"), "-"),
+        "dot_same": ("dot", "g", "c", 1, ("x", "x"), "max"),
     }
     for name, shape in shapes.items():
         assert ir.body_shape(p.fn(name)) == shape, name
-    for near_miss in ("computed", "two_stmts", "expr_init", "axis1", "scan_emit"):
+    for near_miss in ("computed", "two_stmts", "expr_init", "axis1", "scan_emit", "dot_const",
+                      "dot_param", "dot_twice", "dot_other", "dot_scan", "dot_map", "dot_copy",
+                      "two_producers"):
         assert ir.body_shape(p.fn(near_miss)) is None, near_miss
     # A combine is `return a OP b` over its own two parameters, in order.
     assert [ir.combine_op(p.fn(name)) for name in
