@@ -6,9 +6,10 @@ published cache-model estimators). One loop, `run_search`, does the
 search. Its starting point is the midpoint of the bounds; each round
 draws a batch of candidates, one Gaussian sample per slot with standard
 deviation half the bound gap, clamped into bounds. The cheapest candidate
-that beats the best point becomes the new best. The search stops when the
-evaluation budget is spent or the best point survives a configured number
-of rounds.
+that beats the best point becomes the new best. Before each round the
+search stops when the evaluation budget is spent or the best point has
+survived a configured number of rounds; a round always probes its whole
+batch, so the last one may take the count past the budget.
 """
 
 from __future__ import annotations
@@ -88,6 +89,10 @@ class CostProbe:
 
 @dataclass
 class SearchConfig:
+    """`run_search`'s settings. `max_evaluations` is checked before each
+    round: no round starts once that many candidates, the midpoint
+    included, are logged, and the last round's batch may go past it by up
+    to `batch_size - 1`."""
     batch_size: int = 4
     max_evaluations: int = 40
     no_improve_limit: int = 3
@@ -165,8 +170,12 @@ def _count_nest_arrays(program, spec):
 # ---------------------------------------------------------------------------
 
 def run_search(space, probe, config):
-    """Probe the midpoint of the bounds, then run rounds until the budget
-    or the no-improvement limit is hit. A round draws its whole batch,
+    """Probe the midpoint of the bounds, then run rounds while fewer than
+    `config.max_evaluations` candidates are logged and the no-improvement
+    limit is not hit. Both are checked before a round, never within one:
+    the midpoint and each round's whole batch count, so the search logs
+    1 + batch_size * ceil((max_evaluations - 1) / batch_size) candidates
+    unless the limit stops it first. A round draws its whole batch,
     each candidate redrawn once when it equals the best point, then probes
     the batch in order and accepts its cheapest candidate if that beats
     the best cost; cost ties break toward the lexicographically smallest

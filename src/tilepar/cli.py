@@ -79,7 +79,9 @@ def build_parser():
     tune.add_argument("--probe", choices=["misses", "walltime"], default="misses")
     tune.add_argument("--batch", type=int, default=SearchConfig.batch_size,
                       help="candidates per round")
-    tune.add_argument("--budget", type=int, default=16, help="max candidate evaluations")
+    tune.add_argument("--budget", type=int, default=16,
+                      help="candidates, the midpoint included, after which no new round "
+                           "starts; the last round's batch may pass it by up to --batch - 1")
     tune.add_argument("--cache", help="best-sizes cache file (skips the search on a hit)")
     tune.add_argument("--format", choices=["human", "csv"], default="human")
     tune.set_defaults(handler=cmd_autotune)

@@ -10,15 +10,15 @@ kernel `kernel(views, axes, extent, captured, at=None)`:
 - a map, reduce or scan (a node) over rank-2 operands whose callee is a
   leaf runs once per row without a frame. Its operands are any of its
   parameters, whose rows it takes, and its closure parameters, the same
-  value for every row: a rank-1 closure array is broadcast as a View of
-  stride 0 along the rows, as a tile's fix-up broadcasts its carry. It
-  reads each row as a slice of the flat buffer, without a View per row,
-  and checks the row extents once. A reduce node gives one result per
-  row;
+  value for every row: a rank-1 closure array is read in place as a row
+  of stride 0, the same elements at every row, with no View built for
+  it. It reads each row as a slice of the flat buffer, without a View
+  per row, and checks the row extents once. A reduce node gives one
+  result per row;
 - a dot, `p = a OP b` reduced by a leaf, over rank-2 operands, its
-  parameters or rank-1 closure arrays broadcast as above, runs each
-  row's product and fold without a frame or an array, one result per
-  row;
+  parameters or rank-1 closure arrays read as rows of stride 0 as
+  above, runs each row's product and fold without a frame or an array,
+  one result per row;
 - any other map node runs its callee's kernel once per row without a
   frame, if that kernel gives scalars: a reduce node's, a dot's, or a
   leaf's over rank-1 rows. The callee may read closures, bound per row
@@ -76,8 +76,8 @@ import types
 
 from . import ir
 from .ndarray import (
-    ELEM_SIZE, ArrayValue, Block, View, addresses, elementwise_dtype, interleave, match_shapes,
-    scalar_op, span,
+    ELEM_SIZE, ArrayValue, Block, addresses, elementwise_dtype, interleave, match_shapes, scalar_op,
+    span,
 )
 
 
@@ -103,65 +103,48 @@ def _leaf_values(fn, op, names):
     return shared, lambda columns: list(map(f, *map(columns.__getitem__, picks)))
 
 
-def _row_extent(views, axes, what):
-    """The extent of every row of the rank-2 `views` sliced along `axes`.
-    Rows of different extents raise as `Interpreter._operand_views` does."""
-    n = views[0].shape[1 - axes[0]]
-    for v, axis in zip(views, axes):
-        if v.shape[1 - axis] != n:
-            raise EvalError(f"{what} sliced extents differ: {n} vs {v.shape[1 - axis]}")
-    return n
-
-
-def _row_spans(views, axes):
-    """Per rank-2 view sliced along its axis in `axes`, the flat span of its
-    rows: (element list, offset of row 0, row stride, element stride)."""
-    return [(v.root.data, v.offset, v.strides[axis], v.strides[1 - axis])
-            for v, axis in zip(views, axes)]
-
-
-def _row_ranges(views, axes, n):
-    """`i ->` the byte addresses of row i of each of the rank-2 `views`
-    sliced along `axes`, every row of extent n: one range per view."""
-    spans = [(v.root.addr + v.offset * ELEM_SIZE, v.strides[axis] * ELEM_SIZE,
-              v.strides[1 - axis] * ELEM_SIZE) for v, axis in zip(views, axes)]
-    return lambda i: [range(base + i * row, base + i * row + n * step, step)
-                      for base, row, step in spans]
-
-
-def _row_reads(views, axes, n):
-    """`i ->` the byte addresses a leaf reads at row i of the rank-2 `views`
-    sliced along `axes`, every row of extent n: per index, one per view in
-    order (`ndarray.interleave`). One view's row is its range, with no
-    list built per row: the hot case, as a traced row sum reads one view."""
-    if len(views) == 1:
-        (v,), (axis,) = views, axes
-        base, row = v.root.addr + v.offset * ELEM_SIZE, v.strides[axis] * ELEM_SIZE
-        step = v.strides[1 - axis] * ELEM_SIZE
-        return lambda i: range(base + i * row, base + i * row + n * step, step)
-    ranges = _row_ranges(views, axes, n)
-    return lambda i: interleave(ranges(i))
-
-
-def _gathered(views, axes, extent, captured, sources):
-    """(operands, axes): the operands of a node's operator stacked over the
-    node's `extent` rows, from `sources` (see `Kernels._new_kernel`),
-    and the axis of each that holds the rows. A parameter gives its view;
-    a closure operand, a rank-1 array, is broadcast as a View with stride 0
-    along a new leading axis, as `Interpreter._fix_up` broadcasts a carry.
-    (None, None) when a closure operand is anything else."""
-    out, out_axes = [], []
+def _rows(views, axes, captured, sources):
+    """The rows of each operand of a node's operator, from `sources` (see
+    `Kernels._new_kernel`), as one flat span: (element list, offset of row
+    0, row stride, element stride, row extent, byte address of row 0),
+    strides in elements. A parameter's rows are the slices of its rank-2
+    view along its axis in `axes`. A closure operand, a rank-1 array, is
+    every row itself: it is read in place with row stride 0. None when a
+    closure operand is anything else."""
+    out = []
     for s in sources:
         if type(s) is int:
-            out.append(views[s])
-            out_axes.append(axes[s])
-            continue
-        v = captured[s]
-        if not isinstance(v, ArrayValue) or len(v.shape) != 1:
-            return None, None
-        out.append(View(v.root, v.offset, (extent,) + v.shape, (0,) + v.strides, v.dtype))
-        out_axes.append(0)
-    return out, out_axes
+            v, axis = views[s], axes[s]
+            row, step, n = v.strides[axis], v.strides[1 - axis], v.shape[1 - axis]
+        else:
+            v = captured[s]
+            if not isinstance(v, ArrayValue) or len(v.shape) != 1:
+                return None
+            row, (step,), (n,) = 0, v.strides, v.shape
+        root = v.root
+        out.append((root.data, v.offset, row, step, n, root.addr + v.offset * ELEM_SIZE))
+    return out
+
+
+def _row_ranges(spans, n):
+    """`i ->` the byte addresses of row i of each of `spans` (`_rows`),
+    every row of extent n: one range per span."""
+    steps = [(addr, row * ELEM_SIZE, step * ELEM_SIZE) for _, _, row, step, _, addr in spans]
+    return lambda i: [range(base + i * row, base + i * row + n * step, step)
+                      for base, row, step in steps]
+
+
+def _row_reads(spans, n):
+    """`i ->` the byte addresses a leaf reads at row i of `spans` (`_rows`),
+    every row of extent n: per index, one per span in order
+    (`ndarray.interleave`). One span's row is its range, with no list
+    built per row: the hot case, as a traced row sum reads one operand."""
+    if len(spans) == 1:
+        (_, _, row, step, _, base), = spans
+        row, step = row * ELEM_SIZE, step * ELEM_SIZE
+        return lambda i: range(base + i * row, base + i * row + n * step, step)
+    ranges = _row_ranges(spans, n)
+    return lambda i: interleave(ranges(i))
 
 
 def _scalars(results, at):
@@ -225,8 +208,7 @@ class Kernels:
                 return None
             values = _leaf_values(callee, leaf[1], leaf[2])[1]
             divides = "/" in (leaf[1], op and comb.shape[1])
-            return self._leaf_node(kind, values, op, init, sources,
-                                   sources == list(range(len(ranks))), divides)
+            return self._leaf_node(kind, values, op, init, sources, divides)
         # A map node runs only a callee whose kernel gives scalars.
         if kind != "map" or leaf is None or leaf[0] in ("map", "scan"):
             return None
@@ -263,16 +245,15 @@ class Kernels:
         f, trace = scalar_op(op), self.config.trace
 
         def rows(views, axes, extent, captured, at):
-            (a, ax), (b, bx) = ((views[p], axes[p]) for p in picks)
-            n, m = a.shape[1 - ax], b.shape[1 - bx]
+            spans = _rows(views, axes, captured, picks)
+            (da, oa, sa, ta, n, _), (db, ob, sb, tb, m, _) = spans
             match_shapes((n,), (m,))
             if not n:
                 return None
-            (da, oa, sa, ta), (db, ob, sb, tb) = _row_spans((a, b), (ax, bx))
             buf, base, (row, step) = at((extent, n))
             width = n * step
             blocks = [] if trace is not None else None
-            ranges = trace and _row_ranges([a, b], (ax, bx), n)
+            ranges = trace and _row_ranges(spans, n)
             for i in range(extent):
                 i_a, i_b, o = oa + i * sa, ob + i * sb, base + i * row
                 buf[o:o + width:step] = map(f, da[i_a:i_a + n * ta:ta], db[i_b:i_b + n * tb:tb])
@@ -282,25 +263,26 @@ class Kernels:
                     trace.run(interleave(ranges(i) + [range(start, start + n * ELEM_SIZE,
                                                            ELEM_SIZE)]), "RRW")
                     blocks.append(block)
-            return elementwise_dtype(op, a, b), blocks
+            return elementwise_dtype(op, *[views[p] for p in picks]), blocks
         return rows
 
-    def _leaf_node(self, kind, values, op, init, sources, direct, divides):
+    def _leaf_node(self, kind, values, op, init, sources, divides):
         """Kernel of a node over rank-2 operands whose callee is a leaf with
         `values` (`_leaf_values`): per row, the untiled operator without a
         frame. Its operator's operands come from `sources` (see
-        `_new_kernel`), `direct` when they are the node's parameters, in
-        order: a closure operand, a rank-1 array, is broadcast to every row
-        as a View with stride 0 along the rows, and any other closure value
-        makes it decline. Row i of each operand is the flat
-        span (root, offset + i * strides[axis], strides[1 - axis]); no View
-        is built for it. Row extents are checked once, and rows of no
-        element make it decline. A reduce writes its rows' results at `at`
-        once they are all computed, or gives them as a list without one,
-        and reports the reads of all its rows as one run, as nothing comes
-        between them. A map or a scan writes each row's results as it
-        computes them; it reports each row's reads as a run before the
-        row's block takes the row's results. `divides` says whether the
+        `_new_kernel`), each read as a row span (`_rows`): a closure
+        operand, a rank-1 array, is read in place as a row of stride 0,
+        and any other closure value makes it decline. Row i of each
+        operand is a slice of its flat buffer; no View is built for an
+        operand or a row. Row extents are checked once and raise as
+        `Interpreter._operand_views` does, and rows of no element make it
+        decline. A reduce writes its rows' results at `at` once they are
+        all computed, or gives them as a list without one, and reports the
+        reads of all its rows as one run, as nothing comes between them. A
+        map or a scan writes each row's results as it computes them; it
+        reports each row's reads as a run before the row's block takes the
+        row's results. It looks at the dtypes of its operands' sources, a
+        parameter's view or a closure array. `divides` says whether the
         leaf or the combine is `/`."""
         what, counters, trace = kind.capitalize(), self.config.counters, self.config.trace
         reduces = kind == "reduce"
@@ -321,32 +303,34 @@ class Kernels:
         look_always = divides or type(init) is float
 
         def node(views, axes, extent, captured, at):
-            if not direct:
-                views, axes = _gathered(views, axes, extent, captured, sources)
-                if views is None:
-                    return None
-            n = _row_extent(views, axes, what)
+            spans = _rows(views, axes, captured, sources)
+            if spans is None:
+                return None
+            n = spans[0][4]
+            for _, _, _, _, m, _ in spans:
+                if m != n:
+                    raise EvalError(f"{what} sliced extents differ: {n} vs {m}")
             if not n:
                 return None
-            spans = _row_spans(views, axes)
-            reads = trace and _row_reads(views, axes, n)
+            reads = trace and _row_reads(spans, n)
             if not reduces:
                 buf, base, (stride, step) = at((extent, n))
                 width = n * step
-                look = look_always or "f64" in [v.dtype for v in views]
+                look = look_always or "f64" in [
+                    (views[s] if type(s) is int else captured[s]).dtype for s in sources]
             f64, blocks = False, [] if run_per_row else None
             try:
                 if reduces:
                     out = []
                     for i in range(extent):
                         out.append(row([data[o + i * s:o + i * s + n * t:t]
-                                        for data, o, s, t in spans]))
+                                        for data, o, s, t, _, _ in spans]))
                 else:
                     for i in range(extent):
                         if run_per_row:
                             trace.run(reads(i), "R")
                         got = row([data[o + i * s:o + i * s + n * t:t]
-                                   for data, o, s, t in spans])
+                                   for data, o, s, t, _, _ in spans])
                         o = base + i * stride
                         buf[o:o + width:step] = got
                         if look and float in map(type, got):
@@ -364,27 +348,27 @@ class Kernels:
 
     def _dot(self, op, sources, values, fold, init):
         """Kernel of a dot (`ir.body_shape`) over rank-2 operands from
-        `sources` (see `_leaf_node`): per row, the product `a OP b` of the
-        operands' rows, then the reduce of the leaf that gives `values`
-        (`_leaf_values`) with the combine `fold`, without a frame or an
-        array. It declines on a closure operand that is not a rank-1 array
-        and on rows of no element or of different extents, where the
-        product raises. A row's product is a block (see the module
-        docstring), whose `RRW` run reads the rows as `_elementwise` does;
-        the reduce counts a bounds check per element of it. It gives one
-        result per row, written at `at` or, without one, as a list."""
+        `sources`, read as row spans as `_leaf_node` reads them (a rank-1
+        closure array as a row of stride 0, with no View built for it):
+        per row, the product `a OP b` of the operands' rows, then the
+        reduce of the leaf that gives `values` (`_leaf_values`) with the
+        combine `fold`, without a frame or an array. It declines on a
+        closure operand that is not a rank-1 array and on rows of no
+        element or of different extents, where the product raises. A row's
+        product is a block (see the module docstring), whose `RRW` run
+        reads the rows as `_elementwise` does; the reduce counts a bounds
+        check per element of it. It gives one result per row, written at
+        `at` or, without one, as a list."""
         f, counters, trace = scalar_op(op), self.config.counters, self.config.trace
 
         def dot(views, axes, extent, captured, at=None):
-            views, axes = _gathered(views, axes, extent, captured, sources)
-            if views is None:
+            spans = _rows(views, axes, captured, sources)
+            if spans is None:
                 return None
-            (a, b), (ax, bx) = views, axes
-            n = a.shape[1 - ax]
-            if not n or b.shape[1 - bx] != n:
+            (da, oa, sa, ta, n, _), (db, ob, sb, tb, m, _) = spans
+            if not n or m != n:
                 return None
-            (da, oa, sa, ta), (db, ob, sb, tb) = _row_spans(views, axes)
-            ranges = trace and _row_ranges(views, axes, n)
+            ranges = trace and _row_ranges(spans, n)
             out = []
             for i in range(extent):
                 i_a, i_b = oa + i * sa, ob + i * sb

@@ -103,6 +103,16 @@ def test_budget_safety():
     assert state.evaluations <= cfg.max_evaluations + cfg.batch_size
 
 
+@pytest.mark.parametrize("budget, batch, logged", [(6, 4, 9), (2, 4, 5), (5, 4, 5), (1, 4, 1)])
+def test_budget_is_checked_before_each_round(budget, batch, logged):
+    """The budget stops the search only between rounds: the midpoint and
+    every round's whole batch are logged, so the last round may pass it."""
+    cfg = SearchConfig(batch_size=batch, max_evaluations=budget, no_improve_limit=1000, seed=1)
+    state = run_search(bowl_space(), CostProbe(bowl), cfg)
+    assert (len(state.log), state.evaluations) == (logged, logged)
+    assert logged == 1 + batch * math.ceil((budget - 1) / batch)
+
+
 def test_zero_sigma_terminates_by_no_improvement():
     space = SearchSpace((0,), ((16, 16),))
     cfg = SearchConfig(batch_size=2, max_evaluations=100, no_improve_limit=3, seed=0)

@@ -28,7 +28,7 @@ from tilepar.ir import (
     TILED_OPS, Assign, BinOp, IRError, Map, Program, Reduce, Return, Scan, Var, body_shape,
     desugar_allpairs, parse_program, print_program, reachable, walk_exprs,
 )
-from tilepar.ndarray import NdArray, ShapeError, slice_axis
+from tilepar.ndarray import Allocator, NdArray, ShapeError, View, slice_axis
 from tilepar.semantics import EvalConfig, EvalError, Interpreter, TraceSink, eval_program
 from tilepar.tiling import register_tile, tile_program
 
@@ -797,7 +797,8 @@ def closure_cases():
     """(id, main, inputs, kernel): `main` maps a node whose operands
     include an array `uses` operand, a map node whose callee's closure is
     bound per row, or a binary leaf over rank-2 rows, over inputs of both
-    dtypes and layouts, strided views and empty extents. A closure of the
+    dtypes and layouts (an f64 `uses` array over i64 rows among them),
+    strided views and empty extents. A closure of the
     wrong extent makes the kernel raise as the generic path does; a scalar
     or rank-2 closure makes it decline. `kernel` is (callee, operand
     ranks), whose kernel must exist, or None."""
@@ -806,6 +807,7 @@ def closure_cases():
         main = f"fn main(Y, x) {{ return map({fn}, Y; axes=[0]); }}"
         kernel = (fn, (2,))
         yield f"{fn}-f64", main, [f64(4, 5, layout="col"), cube(5)], kernel
+        yield f"{fn}-f64-uses", main, [matrix(4, 5, "i64", "row"), f64(5)], kernel
         yield f"{fn}-strided", main, [matrix(4, 3, "i64", "row"), column], kernel
         yield f"{fn}-empty-rows", main, [matrix(3, 0, "f64", "row"), cube(0)], kernel
         yield f"{fn}-wrong-extent", main, [matrix(4, 5, "i64", "row"), cube(6)], kernel
@@ -897,6 +899,7 @@ def dot_cases():
         [f64(4, 5), NdArray((4, 5), "i64", "row", [1] * 12 + [0] * 8)], [("ratio", (2, 2))]
     main, kernel = "fn main(Y, x) { return map(shifted, Y; axes=[0]); }", [("shifted", (2,))]
     yield "shifted-f64", main, [f64(4, 5, layout="col"), cube(5)], kernel
+    yield "shifted-f64-uses", main, [matrix(4, 5, "i64", "row"), f64(5)], kernel
     yield "shifted-i64", main, [matrix(4, 3, "i64", "row"),
                                 slice_axis(NdArray((3, 5), "i64", "col", list(range(15))), 1, 2)], \
         kernel
@@ -924,6 +927,32 @@ def test_dot_kernels_match_generic_twins(main, inputs, kernels):
     twin = with_generic_bodies(program)
     for traced in (True, False):
         assert closure_run(program, inputs, traced) == closure_run(twin, inputs, traced)
+
+
+@pytest.mark.parametrize("lib, fn", [pytest.param(CLOSURE_LIB, "dot", id="leaf-node"),
+                                     pytest.param(DOT_LIB, "shifted", id="dot")])
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_uses_operand_read_without_a_view(monkeypatch, lib, fn, traced):
+    """A node kernel reads a rank-1 `uses` operand in place, as a row of
+    stride 0: one call of a leaf node's kernel (`dot`, a reduce over `x`
+    and its row) or of a dot's (`shifted`) builds no `View`."""
+    program = parse_program(lib + "fn main(Y, x) { return map(%s, Y; axes=[0]); }" % fn)
+    interp = Interpreter(program, EvalConfig(trace=TraceSink() if traced else None))
+    kernel = interp._kernel(interp._function(fn), (2,))
+    Y, x = matrix(4, 5, "i64", "col"), f64(5)
+    if traced:
+        interp._allocator = Allocator()
+        for a in (Y, x):
+            interp._allocator.allocate(a, reclaim=False)
+    built, init = [], View.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+    monkeypatch.setattr(View, "__init__", counted)
+    got = kernel([Y], (0,), 4, {"x": x}, None)
+    monkeypatch.undo()
+    assert (len(got), len(built)) == (4, 0)
 
 
 def test_generic_twin_has_no_dot():

@@ -15,7 +15,11 @@ each with its own `NdArray`, and compile the program as `benchmarks/run.py`
 does: parse, desugar, `tile_program`, `register_tile` where the workload
 asks for it, and the bounds' midpoint sizes. Each tree's untiled, tiled and
 traced (`simulate_program`) outputs are checked once against the host
-reference before anything is timed. A round then times, for every workload,
+reference before anything is timed, and so is what is deterministic: the
+traced run's `TraceStats` (accesses, hits, misses, evictions) and the
+tiled run's dispatch `Counters` must be the same in both trees. The script
+prints both trees' figures and, on any difference, exits non-zero, naming
+the workload, before any timing. A round then times, for every workload,
 `--reps` untiled evals, tiled evals and traced tiled runs of each tree, the
 two trees one after the other for each kind, and alternates from round to
 round which tree runs first. Each tree's time in a round is the median of
@@ -23,13 +27,13 @@ its reps.
 
 It prints, per workload and eval, each tree's median over rounds, the
 median over rounds of change / base, and in how many rounds the change read
-lower. Tiled misses are printed for both trees: they are deterministic, so
-they must agree.
+lower.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import importlib
 import importlib.util
@@ -81,16 +85,18 @@ class Side:
         self.mid = spec.sizes(overrides=dict(zip(space.slot_ids, space.midpoint())))
 
     def call(self, kind):
-        """The output of one `kind` call, and the tiled misses when traced."""
+        """The output of one `kind` call and its deterministic figures: the
+        tiled run's `Counters`, the traced run's `TraceStats`, as dicts."""
         semantics = self.tree["semantics"]
         if kind == "untiled":
             return semantics.eval_program(self.program, self.inputs), None
         if kind == "tiled":
             config = semantics.EvalConfig(tile_sizes=self.mid)
-            return semantics.eval_program(self.tiled, self.inputs, config), None
+            value = semantics.eval_program(self.tiled, self.inputs, config)
+            return value, dataclasses.asdict(config.counters)
         stats, value = self.tree["cachesim"].simulate_program(
             self.tiled, self.inputs, MODEL, tile_sizes=self.mid)
-        return value, stats.misses
+        return value, dataclasses.asdict(stats)
 
     def timed(self, kind, reps):
         """Median wall seconds of `reps` calls of `kind`."""
@@ -104,16 +110,16 @@ class Side:
 
 
 def check(wl, expected, side, label):
-    """The tiled misses of `side`, after checking its three outputs."""
-    misses = None
+    """{kind: figures} of `side`'s tiled and traced runs (`Side.call`),
+    after checking its three outputs."""
+    figures = {}
     for kind in EVALS:
-        value, got = side.call(kind)
-        misses = got if got is not None else misses
+        value, figures[kind] = side.call(kind)
         problem = mismatch(NdArray.from_nested(value.to_nested(), value.dtype),
                            expected, wl.out_shape(wl.n))
         if problem:
             raise SystemExit(f"{wl.name} {kind} ({label}): {problem}")
-    return misses
+    return figures
 
 
 def main(argv=None):
@@ -127,14 +133,19 @@ def main(argv=None):
         ap.error("--rounds and --reps must be at least 1")
     trees = {"base": load_tree(args.base, "tilepar_base"),
              "change": load_tree(args.change, "tilepar_change")}
-    sides = {}
+    sides, differ = {}, []
     for name, wl in WORKLOADS.items():
         hosts, _ = wl.make_inputs(0)
         expected = wl.reference(*hosts)
         sides[name] = {label: Side(tree, wl, hosts) for label, tree in trees.items()}
-        misses = {label: check(wl, expected, side, label) for label, side in sides[name].items()}
-        print(f"{name}: tiled misses base {misses['base']}, change {misses['change']}"
-              + ("" if misses["base"] == misses["change"] else "  DIFFER"))
+        figures = {label: check(wl, expected, side, label) for label, side in sides[name].items()}
+        for kind, what in (("tiled", "counters"), ("traced", "trace stats")):
+            base, change = figures["base"][kind], figures["change"][kind]
+            print(f"{name}: {kind} {what} base {base}, change {change}")
+            if base != change:
+                differ.append(f"{name} ({kind} {what})")
+    if differ:
+        raise SystemExit(f"deterministic figures differ: {', '.join(differ)}")
     times = {(name, kind, label): [] for name in sides for kind in EVALS for label in trees}
     for r in range(args.rounds):
         order = ("base", "change") if r % 2 == 0 else ("change", "base")
