@@ -80,14 +80,18 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import types
 from dataclasses import dataclass, field
 
 from . import ir
-from .kernels import NO_CAPTURES, EvalError, Kernels, _scalars
+from .kernels import EvalError, Kernels, _scalars
 from .ndarray import (
     ELEM_SIZE, Allocator, ArrayValue, Block, NdArray, View, addresses, adopt, concat, decompose,
     elementwise, interleave, result_dtype, scalar_op, slice_axis, tile_view, write,
 )
+
+# The captured values of a callee without closure parameters.
+NO_CAPTURES = types.MappingProxyType({})
 
 
 @dataclass

@@ -763,6 +763,54 @@ def test_map_node_declines_at_row_0_without_side_effects(monkeypatch):
     assert assert_same_as_twin(pair, [x, y], monkeypatch, False)[0] == (2, 3, 3)
 
 
+# Callees of a map node that fold each row of Y against their closure `x`,
+# bound per row of X: a reduce over a leaf, one whose leaf divides, a dot.
+FOLD_CALLEES = {
+    "reduce": "fn inner(y) uses x { return reduce(mul2, combine=add2, init=0, x, y; axes=[0, 0]); }",
+    "divide": "fn div(a, b) { return a / b; }\n"
+              "fn inner(y) uses x { return reduce(div, combine=add2, init=0, y, x; axes=[0, 0]); }",
+    "dot": "fn inner(y) uses x { p = y - x; return reduce(sq, combine=add2, init=0, p; axes=[0]); }",
+}
+
+
+def nonzero(shape, dtype, layout, seed):
+    """A random array of `shape` with no zero element."""
+    rng = random.Random(seed)
+    data = [rng.choice((-3, -2, -1, 1, 2, 5)) for _ in range(math.prod(shape))]
+    return NdArray(shape, dtype, layout, [x / 4 for x in data] if dtype == "f64" else data)
+
+
+@pytest.mark.parametrize("callee", sorted(FOLD_CALLEES))
+@pytest.mark.parametrize("dtypes", [("i64", "f64"), ("f64", "i64"), ("i64", "i64")])
+def test_two_level_node_matches_generic_call_per_row(callee, dtypes, monkeypatch):
+    # The node runs X's rows i and Y's rows j, each (i, j) folded over k,
+    # calling `fold` for no row: row- and column-major operands, their last
+    # tiles along axis 0 and, strided, along axis 1, single rows and
+    # elements. Rows of no element, or no row of Y, take the generic path.
+    pair = fold_program("x", "return map(inner, Y; axes=[0]);",
+                        FOLD_CALLEES[callee] + "\nfn main(X, Y) { return map(fold, X; axes=[0]); }",
+                        "uses Y")
+    for m, n, k in ((5, 6, 7), (1, 1, 1), (3, 2, 0), (2, 0, 3)):
+        for layouts in (("row", "col"), ("col", "row")):
+            x, y = nonzero((m, k), dtypes[0], layouts[0], m), nonzero((n, k), dtypes[1], layouts[1], n)
+            x.addr, y.addr = 1024, 8192
+            pairs = [(x, y)]
+            if 0 not in (m, n, k):
+                pairs += [(decompose(x, 0, 2)[-1], decompose(y, 0, 4)[-1]),
+                          (decompose(x, 1, 3)[-1], decompose(y, 1, 3)[-1])]
+            for a, b in pairs:
+                value = assert_same_as_twin(pair, [a, b], monkeypatch, 0 not in (n, k))
+                assert value[0] == (a.shape[0], b.shape[0])
+                if 0 not in (n, k):  # else every value is the int init, or there is none
+                    assert value[1] == ("f64" if "f64" in dtypes or callee == "divide" else "i64")
+    # Unequal k extents: a reduce raises as one call per row does, after
+    # the same checks; a dot's product raises, so its kernel declines.
+    if callee != "dot":
+        x, y = nonzero((2, 3), dtypes[0], "row", 7), nonzero((4, 5), dtypes[1], "col", 8)
+        value = assert_same_as_twin(pair, [x, y], monkeypatch, True)
+        assert value.startswith("Reduce sliced extents differ: ")
+
+
 # (fold's parameters, its body, the rank of the Map's operands)
 NESTS = [
     ("x", "map(sq, x; axes=[0])", 2),  # Map of Map

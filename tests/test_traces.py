@@ -267,9 +267,9 @@ fn ident(r) { return r; }
 fn tile(T) { return scan(ident, combine=add2, init=0, T; axes=[0]); }
 fn main(X) { return tiledscan(tile, slot=0, depth=0, combine=addv, init=0, X; axes=[0]); }
 """, True),
-    # Tiled at depth 2 over rank-3 tiles: each fix-up's `_node` declines
-    # at row 0, as its callee's kernel gives arrays, and each fix-up calls
-    # the combine once per step.
+    # Tiled at depth 2 over rank-3 tiles: each fix-up's combine has no
+    # node kernel, as its callee's kernel gives arrays, and each fix-up
+    # calls the combine once per step.
     "cube_scan": ("""
 fn ident(x) { return x; }
 fn add2(a, b) { return a + b; }
@@ -686,6 +686,7 @@ fn add2(a, b) { return a + b; }
 fn div(a, b) { return a / b; }
 fn copied(x) { return map(ident, x; axes=[0]); }
 fn scanned(x) { return scan(ident, combine=add2, init=0, x; axes=[0]); }
+fn quotients(x) { return scan(ident, combine=div, init=1, x; axes=[0]); }
 fn summed(x) { return reduce(ident, combine=add2, init=0, x; axes=[0]); }
 fn added(x, y) { return map(add2, x, y; axes=[0, 0]); }
 fn divided(x, y) { return map(div, x, y; axes=[0, 0]); }
@@ -705,7 +706,7 @@ def divisors(shape, layout):
 def node_cases():
     """(callee, operand axes, inputs) of `map(callee, ...)` in `main`: map
     and scan nodes over rank-2 and rank-3 operands, i64 and f64, with rows
-    of width 0, i64 inputs whose leaf divides, and two operands of mixed
+    of width 0, i64 inputs whose leaf or combine divides, and two operands of mixed
     layouts sliced along different axes."""
     for fn in ("copied", "scanned"):
         for dtype in ("i64", "f64"):
@@ -730,6 +731,8 @@ def node_cases():
     yield "added2", (1, 1), [NdArray((3, 0, 2), "f64", "col"), NdArray((3, 0, 2), "i64", "row")]
     yield "divided2", (2, 0), [cube(3, 4, 2), divisors((2, 3, 4), "row")]
     yield "divided2", (0, 0), [NdArray((2, 3, 0), "i64", "col"), divisors((2, 3, 0), "row")]
+    for axis in (0, 1):  # i64 rows whose combine divides
+        yield "quotients", (axis,), [divisors((3, 4), ("row", "col")[axis])]
 
 
 @pytest.mark.parametrize("fn, axes, inputs", list(node_cases()))
@@ -783,6 +786,12 @@ fn min2(a, b) { return a min b; }
 fn div(a, b) { return a / b; }
 fn dot(y) uses x { return reduce(mul2, combine=add2, init=0, x, y; axes=[0, 0]); }
 fn dots(x) uses Y { return map(dot, Y; axes=[0]); }
+fn ratio(y) uses x { return reduce(div, combine=add2, init=0, y, x; axes=[0, 0]); }
+fn ratios(x) uses Y { return map(ratio, Y; axes=[0]); }
+fn weighed(y) uses w { return reduce(mul2, combine=min2, init=99, w, y; axes=[0, 0]); }
+fn weighs(x) uses w { return map(weighed, x; axes=[0]); }
+fn scale(y) uses s { return y * s; }
+fn scales(x) uses s { return map(scale, x; axes=[0]); }
 fn scaled(y) uses x { return map(mul2, x, y; axes=[0, 0]); }
 fn prefix(y) uses x { return scan(mul2, combine=add2, init=0, y, x; axes=[0, 0]); }
 fn mins(a, b) { return map(min2, a, b; axes=[0, 0]); }
@@ -798,10 +807,16 @@ def closure_cases():
     include an array `uses` operand, a map node whose callee's closure is
     bound per row, or a binary leaf over rank-2 rows, over inputs of both
     dtypes and layouts (an f64 `uses` array over i64 rows among them),
-    strided views and empty extents. A closure of the
-    wrong extent makes the kernel raise as the generic path does; a scalar
-    or rank-2 closure makes it decline. `kernel` is (callee, operand
-    ranks), whose kernel must exist, or None."""
+    strided views and empty extents. A map node over a fold (`dots`,
+    `ratios`, `weighs`) is one loop over its rows and its callee's: its
+    callee's operands are rows of a rank-3 parameter or a rank-2 `uses`
+    array, its callee's closure a row of a rank-2 parameter or a rank-1
+    `uses` array. A closure of the wrong extent makes the kernel raise as
+    the generic path does; a scalar or rank-2 closure makes it decline.
+    A map node's leaf may read a scalar closure of the node (`scales`),
+    whose dtype the results' follows; an array there makes it decline.
+    `kernel` is (callee, operand ranks), whose kernel must exist, or
+    (callee, operand ranks, None), whose kernel must be None, or None."""
     column = slice_axis(NdArray((3, 5), "i64", "col", list(range(15))), 1, 2)
     for fn in ("dot", "scaled", "prefix"):
         main = f"fn main(Y, x) {{ return map({fn}, Y; axes=[0]); }}"
@@ -818,6 +833,32 @@ def closure_cases():
     yield "dots-wrong-extent", main, [f64(3, 4), matrix(5, 3, "i64", "col")], kernel
     yield "dots-empty", main, [f64(3, 4), matrix(0, 4, "i64", "col")], kernel
     yield "dots-rank-3", main, [f64(3, 4), cube(2, 5, 4)], kernel
+    yield "dots-i64-rows-f64-uses", main, [matrix(3, 4, "i64", "col"), f64(5, 4)], kernel
+    yield "dots-strided", main, [slice_axis(cube(3, 2, 4), 1, 1), slice_axis(cube(5, 3, 4), 1, 2)], \
+        kernel
+    yield "dots-one", main, [f64(1, 1), matrix(1, 1, "i64", "row")], kernel
+    yield "dots-empty-rows", main, [f64(3, 0), matrix(5, 0, "i64", "col")], kernel
+    yield "dots-columns", "fn main(X, Y) { return map(dots, X; axes=[1]); }", \
+        [matrix(4, 3, "i64", "row"), f64(5, 4, layout="col")], kernel
+    main, kernel = "fn main(X, Y) { return map(ratios, X; axes=[0]); }", ("ratios", (2,))
+    yield "ratios", main, [divisors((3, 4), "col"), matrix(5, 4, "i64", "row")], kernel
+    yield "ratios-f64", main, [NdArray((3, 4), "f64", "row", [(i % 7 + 1) / 2 for i in range(12)]),
+                               f64(2, 4, layout="col")], kernel
+    for axis in (0, 1, 2):
+        main, kernel = f"fn main(X, w) {{ return map(weighs, X; axes=[{axis}]); }}", \
+            ("weighs", (3,))
+        k = (4, 4, 3)[axis]
+        yield f"weighs-f64-uses-{axis}", main, [cube(2, 3, 4), f64(k)], kernel
+        yield f"weighs-i64-uses-{axis}", main, [cube(2, 3, 4), cube(k)], kernel
+        yield f"weighs-wrong-extent-{axis}", main, [cube(2, 3, 4), f64(k + 1)], kernel
+        yield f"weighs-empty-rows-{axis}", main, [cube(2, 0, 0), f64(0)], kernel
+    main, kernel = "fn main(X, s) { return map(scales, X; axes=[0]); }", ("scales", (2,))
+    yield "scales-f64-scalar", main, [matrix(3, 4, "i64", "row"), 1.5], kernel
+    yield "scales-i64-scalar", main, [matrix(3, 4, "i64", "col"), -2], kernel
+    yield "scales-array", main, [matrix(3, 4, "i64", "row"), f64(4)], kernel
+    main = "fn main(X, w) { return map(weighs, X; axes=[0]); }"
+    yield "weighs-scalar", main, [cube(2, 3, 4), 3], ("weighs", (3,))
+    yield "weighs-rank-2-uses", main, [cube(2, 3, 4), f64(4, 4)], ("weighs", (3,))
     for op in ("min2", "div"):
         main, kernel = f"fn main(A, B) {{ return map({op}, A, B; axes=[0, 1]); }}", (op, (2, 2))
         yield f"{op}-mixed", main, [matrix(4, 5, "i64", "row"), f64(5, 4, layout="col")], kernel
@@ -829,9 +870,10 @@ def closure_cases():
          NdArray((3, 4), "f64", "row", [0.5] * 12)], ("min2", (2, 2))
     yield "div-by-zero", "fn main(A, B) { return map(div, A, B; axes=[0, 0]); }", \
         [f64(4, 5), NdArray((4, 5), "i64", "row", [1] * 12 + [0] * 8)], ("div", (2, 2))
+    # Rows of rank 2 give arrays, which no map node kernel runs.
     yield "mins-rank-3", "fn main(A, B) { return map(mins, A, B; axes=[2, 0]); }", \
         [cube(3, 4, 2), NdArray((2, 3, 4), "f64", "row", [i / 3 for i in range(24)])], \
-        ("mins", (3, 3))
+        ("mins", (3, 3), None)
 
 
 def closure_run(program, inputs, traced):
@@ -854,8 +896,9 @@ def closure_run(program, inputs, traced):
 def test_closure_and_row_kernels_match_generic_twins(main, inputs, kernel):
     program = parse_program(CLOSURE_LIB + main)
     if kernel is not None:
-        interp = Interpreter(program)
-        assert interp._kernel(interp._function(kernel[0]), kernel[1]) is not None
+        (name, ranks, *none), interp = kernel, Interpreter(program)
+        built = interp._kernel(interp._function(name), ranks)
+        assert built is None if none else built is not None
     for traced in (True, False):
         assert closure_run(program, inputs, traced) == \
             closure_run(with_generic_bodies(program), inputs, traced)
@@ -874,6 +917,13 @@ fn ratio(x, y) { p = x / y; return reduce(ident, combine=max2, init=-inf, p; axe
 fn shifted(y) uses x { p = x - y; return reduce(sq, combine=add2, init=0, p; axes=[0]); }
 """
 
+# Map nodes over a dot whose `x` each binds to its row.
+DOT_NODES = """
+fn shifts(x) uses Y { return map(shifted, Y; axes=[0]); }
+fn quotient(y) uses x { p = y / x; return reduce(ident, combine=add2, init=0, p; axes=[0]); }
+fn quotients(x) uses Y { return map(quotient, Y; axes=[0]); }
+"""
+
 
 def halves(rows, cols, layout):
     """An f64 matrix with no zero element."""
@@ -887,7 +937,9 @@ def dot_cases():
     dot's kernel and whose outer map runs the inner's per row. `kernels`
     lists (function, operand ranks) whose kernel must exist. A `/` row
     that divides by zero raises; rows of different extents, rows of no
-    element, a scalar or rank-2 `uses` operand make the kernel decline."""
+    element, a scalar or rank-2 `uses` operand make the kernel decline.
+    A map node over a dot whose `x` is bound per row (`shifts`,
+    `quotients`) is one loop over its rows and the dot's."""
     for fn in ("dot", "sqdot", "ratio"):
         main, kernel = f"fn main(A, B) {{ return map({fn}, A, B; axes=[0, 1]); }}", [(fn, (2, 2))]
         yield f"{fn}-f64", main, [f64(4, 5, layout="col"), halves(5, 4, "row")], kernel
@@ -915,6 +967,23 @@ def dot_cases():
     yield "allpairs-ratio-by-zero", main, \
         [f64(3, 4), NdArray((5, 4), "i64", "row", [1] * 14 + [0] + [2] * 5)], \
         [("ratio$apo", (2,)), ("ratio$api", (2,))]
+    main, kernel = DOT_NODES + "fn main(X, Y) { return map(shifts, X; axes=[0]); }", \
+        [("shifts", (2,))]
+    yield "shifts-i64", main, [matrix(3, 4, "i64", "row"), matrix(5, 4, "i64", "col")], kernel
+    yield "shifts-mixed", main, [f64(3, 4, layout="col"), matrix(2, 4, "i64", "row")], kernel
+    yield "shifts-strided", main, [slice_axis(cube(3, 2, 4), 1, 1),
+                                   slice_axis(cube(5, 3, 4), 1, 2)], kernel
+    yield "shifts-columns", DOT_NODES + "fn main(X, Y) { return map(shifts, X; axes=[1]); }", \
+        [matrix(4, 3, "i64", "col"), f64(5, 4)], kernel
+    yield "shifts-unequal", main, [matrix(3, 4, "i64", "row"), f64(5, 3)], kernel
+    yield "shifts-empty-rows", main, [matrix(3, 0, "i64", "row"), f64(5, 0)], kernel
+    yield "shifts-no-rows", main, [matrix(3, 4, "i64", "row"), f64(0, 4)], kernel
+    yield "shifts-rank-3", main, [matrix(3, 4, "i64", "row"), cube(2, 5, 4)], kernel
+    main, kernel = DOT_NODES + "fn main(X, Y) { return map(quotients, X; axes=[0]); }", \
+        [("quotients", (2,))]
+    yield "quotients-i64", main, [divisors((3, 4), "col"), matrix(5, 4, "i64", "row")], kernel
+    yield "quotients-by-zero", main, [NdArray((2, 3), "i64", "row", [1, 2, 3, 4, 0, 6]),
+                                      matrix(3, 3, "f64", "col")], kernel
 
 
 @pytest.mark.parametrize("main, inputs, kernels",
@@ -1315,6 +1384,27 @@ def test_benchmark_calls_pinned(name, monkeypatch):
                                                trace=TraceSink() if traced else None))
             seen.append(sum(calls.values()))
         assert tuple(seen) == BENCHMARK_CALL_PINS[name]
+
+
+def test_matmul_builds_no_view_per_node_row(monkeypatch):
+    """A map node over a fold builds no View per row: the untiled matmul's
+    map over `dot$apo` builds none (32, one per row of `Xs`, when each row
+    called the dot's kernel), and its midpoint tiled eval 5,248 (9,120
+    when each register tile's row called its reduce's kernel)."""
+    program, tiled, sizes, inputs = benchmark_case("matmul32-reg")
+    built, init = [], View.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+    monkeypatch.setattr(View, "__init__", counted)
+    seen = []
+    for p, tile_sizes in ((program, {}), (tiled, sizes)):
+        built.clear()
+        eval_program(p, inputs, EvalConfig(tile_sizes=dict(tile_sizes)))
+        seen.append(len(built))
+    monkeypatch.undo()
+    assert seen == [0, 5248]
 
 
 # Every statement of the entry function is a phase, also one inside an if.

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """In-process A/B of two tilepar source trees on the benchmark's workloads.
 
-    python3 tools/ab.py BASE_SRC CHANGE_SRC [--rounds 16] [--reps 9]
+    python3 tools/ab.py BASE_SRC CHANGE_SRC [--rounds 16] [--reps 9] [--workload NAME ...]
 
 BASE_SRC and CHANGE_SRC are `src` directories, each holding a `tilepar`
 package; an older commit's tree can be had with
@@ -9,6 +9,9 @@ package; an older commit's tree can be had with
 distinct package names, so both run on the same host at the same speed.
 Run it from anywhere: the workloads come from `benchmarks/workloads.py` of
 the checkout this script is in, which is imported unchanged.
+
+`--workload NAME`, which may be repeated, checks and times only the named
+workloads; without it, all of them.
 
 For each workload, at seed 0, both trees build their inputs from the same host rows,
 each with its own `NdArray`, and compile the program as `benchmarks/run.py`
@@ -128,6 +131,8 @@ def main(argv=None):
     ap.add_argument("change", help="the changed tree's src directory")
     ap.add_argument("--rounds", type=int, default=16)
     ap.add_argument("--reps", type=int, default=9, help="calls per tree, eval and round")
+    ap.add_argument("--workload", action="append", choices=list(WORKLOADS), metavar="NAME",
+                    help="time only this workload (repeatable; default: all)")
     args = ap.parse_args(argv)
     if args.rounds < 1 or args.reps < 1:
         ap.error("--rounds and --reps must be at least 1")
@@ -135,6 +140,8 @@ def main(argv=None):
              "change": load_tree(args.change, "tilepar_change")}
     sides, differ = {}, []
     for name, wl in WORKLOADS.items():
+        if args.workload and name not in args.workload:
+            continue
         hosts, _ = wl.make_inputs(0)
         expected = wl.reference(*hosts)
         sides[name] = {label: Side(tree, wl, hosts) for label, tree in trees.items()}
