@@ -2,10 +2,14 @@
 
 The search space is seeded by a pessimistic/optimistic pair of analytic
 bounds per slot (`default_estimator`, a conservative stand-in for
-published cache-model estimators). One loop, `run_search`, does the
-search. Its starting point is the midpoint of the bounds; each round
-draws a batch of candidates, one Gaussian sample per slot with standard
-deviation half the bound gap, clamped into bounds. The cheapest candidate
+published cache-model estimators). A cache slot whose nest holds register
+tiles of size r is bounded, centred and searched in whole register tiles:
+its bounds round inward to multiples of r, and its midpoint and every
+candidate are multiples of r, so no cache tile ends in a register
+straggler. One loop, `run_search`, does the search. Its starting point is
+the midpoint of the bounds; each round draws a batch of candidates, one
+Gaussian sample per slot with standard deviation half the bound gap,
+rounded to the slot's step and clamped into bounds. The cheapest candidate
 that beats the best point becomes the new best. Before each round the
 search stops when the evaluation budget is spent or the best point has
 survived a configured number of rounds; a round always probes its whole
@@ -32,21 +36,30 @@ class AutotuneError(Exception):
 class SearchSpace:
     slot_ids: tuple[int, ...]
     bounds: tuple[tuple[int, int], ...]  # per slot: (lo, hi), 1 <= lo <= hi
+    steps: tuple[int, ...] = ()  # per slot: every size is a multiple; () means all 1
 
     def __post_init__(self):
-        for lo, hi in self.bounds:
+        self.steps = self.steps or (1,) * len(self.bounds)
+        for (lo, hi), r in zip(self.bounds, self.steps):
             if not 1 <= lo <= hi:
                 raise AutotuneError(f"invalid bounds ({lo}, {hi})")
+            if r < 1 or lo % r or hi % r:
+                raise AutotuneError(f"bounds ({lo}, {hi}) are not multiples of step {r}")
 
     def midpoint(self):
-        return tuple((lo + hi) // 2 for lo, hi in self.bounds)
+        """Per slot, the multiple of its step nearest (lo + hi) // 2, ties
+        going to the larger."""
+        return tuple(((lo + hi) // 2 + r // 2) // r * r
+                     for (lo, hi), r in zip(self.bounds, self.steps))
 
     def sigmas(self):
         return tuple(max((hi - lo) / 2.0, 0.0) for lo, hi in self.bounds)
 
-    def clamp(self, sizes):
-        return tuple(min(max(s, lo), hi)
-                     for s, (lo, hi) in zip(sizes, self.bounds))
+    def snap(self, values):
+        """`values` rounded to the nearest multiple of each slot's step,
+        then clamped into bounds."""
+        return tuple(min(max(r * round(v / r), lo), hi)
+                     for v, (lo, hi), r in zip(values, self.bounds, self.steps))
 
 
 @dataclass
@@ -121,7 +134,12 @@ def estimate_bounds(program, spec, hw, extents=None):
 
     Slots of one operator nest (one entry-level tiled operator tree) share
     square-shaped bounds; `extents` optionally caps each slot at the
-    extent it slices.
+    extent it slices. A register slot belongs to a nest when its path
+    starts at a function that one of the nest's tiled operators names;
+    each runtime slot of such a nest then takes the register slots' size
+    r as its step (their least common multiple, should they differ), its
+    bounds rounded inward to multiples of r. A slot whose bounds hold no
+    multiple of r keeps them, with step 1.
     """
     slots = spec.runtime_slots()
     if not slots:
@@ -129,19 +147,30 @@ def estimate_bounds(program, spec, hw, extents=None):
     groups = {}
     for slot in slots:
         groups.setdefault(_nest_key(slot.path), []).append(slot)
-    arrays_by_nest = _count_nest_arrays(program, spec)
-    bounds = {}
+    arrays_by_nest, functions_by_nest = _nest_operators(program, spec)
+    register_sizes = {}  # function name -> sizes of the register slots tiling it
+    for s in spec.slots:
+        if s.kind == "register":
+            register_sizes.setdefault(s.path.split("/")[0], set()).add(s.size)
+    bounds, steps = {}, {}
     for nest, group in groups.items():
         n_arrays = max(arrays_by_nest.get(nest, 1) + 1, 2)  # inputs + output
         lo, hi = default_estimator(len(group), n_arrays, hw.l1_bytes)
+        step = math.lcm(*(r for f in functions_by_nest.get(nest, ())
+                          for r in register_sizes.get(f, ())))
         for slot in group:
             s_lo, s_hi = lo, hi
             if extents and slot.id in extents:
                 s_hi = min(s_hi, max(1, extents[slot.id]))
                 s_lo = min(s_lo, s_hi)
-            bounds[slot.id] = (max(1, s_lo), max(1, s_hi))
+            r_lo, r_hi = -(-s_lo // step) * step, s_hi // step * step
+            if r_lo <= r_hi:
+                bounds[slot.id], steps[slot.id] = (r_lo, r_hi), step
+            else:
+                bounds[slot.id], steps[slot.id] = (s_lo, s_hi), 1
     ordered = tuple(sorted(bounds))
-    return SearchSpace(ordered, tuple(bounds[i] for i in ordered))
+    return SearchSpace(ordered, tuple(bounds[i] for i in ordered),
+                       tuple(steps[i] for i in ordered))
 
 
 def _nest_key(path):
@@ -151,18 +180,23 @@ def _nest_key(path):
     return parts[0] + "/" + parts[1]
 
 
-def _count_nest_arrays(program, spec):
-    """Distinct array operands appearing in each nest's tiled operators."""
+def _nest_operators(program, spec):
+    """Per nest, the number of distinct array operands of its tiled
+    operators, and the set of functions those operators name (with None
+    for an operator without a combine or an emit)."""
     slot_paths = {s.id: s.path for s in spec.slots}
-    names = {}
+    names, functions = {}, {}
     for fn in program.functions.values():
         for e in ir.walk_exprs(fn.body):
             if isinstance(e, ir.TILED_OPS):
-                bucket = names.setdefault(_nest_key(slot_paths.get(e.slot, "")), set())
+                nest = _nest_key(slot_paths.get(e.slot, ""))
+                bucket = names.setdefault(nest, set())
                 for a in e.args:
                     if isinstance(a, ir.Var):
                         bucket.add(a.name)
-    return {nest: len(vs) for nest, vs in names.items()}
+                functions.setdefault(nest, set()).update(
+                    (e.fn, getattr(e, "combine", None), getattr(e, "emit", None)))
+    return {nest: len(vs) for nest, vs in names.items()}, functions
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +209,10 @@ def run_search(space, probe, config):
     limit is not hit. Both are checked before a round, never within one:
     the midpoint and each round's whole batch count, so the search logs
     1 + batch_size * ceil((max_evaluations - 1) / batch_size) candidates
-    unless the limit stops it first. A round draws its whole batch,
-    each candidate redrawn once when it equals the best point, then probes
+    unless the limit stops it first. A round draws its whole batch, one
+    Gaussian sample per slot snapped to the slot's step and bounds
+    (`SearchSpace.snap`), each candidate redrawn once when it equals the
+    best point, then probes
     the batch in order and accepts its cheapest candidate if that beats
     the best cost; cost ties break toward the lexicographically smallest
     candidate. When no candidate ever has a cost, the best point stays
@@ -197,8 +233,7 @@ def run_search(space, probe, config):
         return results[sizes]
 
     def draw():
-        return space.clamp(tuple(int(round(rng.gauss(b, s)))
-                                 for b, s in zip(state.best, sigmas)))
+        return space.snap(rng.gauss(b, s) for b, s in zip(state.best, sigmas))
 
     rng = random.Random(config.seed)
     sigmas = space.sigmas()

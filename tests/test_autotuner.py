@@ -7,7 +7,7 @@ import random
 import pytest
 
 from tilepar.autotuner import (
-    CostProbe, SearchConfig, SearchSpace, autotune,
+    AutotuneError, CostProbe, SearchConfig, SearchSpace, autotune,
     default_estimator, estimate_bounds, format_log, run_search,
 )
 from tilepar.cachesim import CacheModel, HardwareInfo, simulate_program
@@ -77,6 +77,80 @@ def test_matmul_bounds_working_set():
         assert lo <= hi
         # Optimistic square tiles keep the estimated working set within L1.
         assert 3 * (hi ** 3) * 8 <= 32 * 1024 * (hi ** 2) * 3
+
+
+def matmul_space(registers, extents=None):
+    """The bounds of 32 x 32 matmul on the benchmark's machine (32 KB L1,
+    16 registers), cache-tiled and, when `registers`, register-tiled."""
+    from tilepar.ir import desugar_allpairs
+    from tilepar.tiling import register_tile
+    hw = HardwareInfo(l1_bytes=32 * 1024, registers=16)
+    res = tile_program(desugar_allpairs(parse_program(programs.MATMUL)), arg_ranks=[2, 2])
+    tiled, spec = register_tile(res.program, res.spec, hw) if registers else (res.program, res.spec)
+    return estimate_bounds(tiled, spec, hw, extents=extents or {0: 32, 1: 32, 2: 32})
+
+
+def test_matmul_bounds_in_whole_register_tiles():
+    """Register tiles of 4 sit in the nest's tile functions, so every cache
+    slot is bounded and centred in multiples of 4: 3-9 rounds inward to
+    4-8, and 6 goes to 8, the larger of the two nearest multiples."""
+    with_registers = matmul_space(True)
+    assert with_registers.bounds == ((4, 8),) * 3
+    assert with_registers.steps == (4, 4, 4)
+    assert with_registers.midpoint() == (8, 8, 8)
+    cache_only = matmul_space(False)
+    assert cache_only.bounds == ((3, 9),) * 3
+    assert cache_only.steps == (1, 1, 1)
+    assert cache_only.midpoint() == (6, 6, 6)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_stepped_candidates_are_whole_register_tiles(seed):
+    """Every candidate of a stepped slot is a multiple of its step within
+    its bounds: on matmul's space and on a wider one with mixed steps."""
+    cfg = SearchConfig(batch_size=4, max_evaluations=40, no_improve_limit=100, seed=seed)
+    for space in (matmul_space(True),
+                  SearchSpace((0, 1, 2), ((4, 32), (8, 16), (3, 20)), (4, 8, 1))):
+        state = run_search(space, CostProbe(lambda s: float(sum(s))), cfg)
+        for rec in state.log:
+            for s, (lo, hi), r in zip(rec.candidate, space.bounds, space.steps):
+                assert s % r == 0 and lo <= s <= hi
+        assert len({rec.candidate for rec in state.log}) > 4
+
+
+def test_slot_with_no_whole_register_tile_keeps_its_bounds():
+    """Extents of 3 and 2 hold no multiple of 4: those slots keep their
+    bounds with step 1, and the third slot is still stepped."""
+    space = matmul_space(True, extents={0: 3, 1: 2, 2: 32})
+    assert space.bounds == ((3, 3), (2, 2), (4, 8))
+    assert space.steps == (1, 1, 4)
+    assert space.midpoint() == (3, 2, 8)
+
+
+@pytest.mark.parametrize("bounds, step, mid", [((4, 8), 4, 8), ((4, 12), 4, 8),
+                                               ((8, 16), 8, 16), ((3, 9), 3, 6), ((4, 4), 4, 4)])
+def test_midpoint_is_the_nearest_multiple_ties_up(bounds, step, mid):
+    assert SearchSpace((0,), (bounds,), (step,)).midpoint() == (mid,)
+
+
+def test_stepped_bounds_must_be_multiples():
+    with pytest.raises(AutotuneError):
+        SearchSpace((0,), ((3, 8),), (4,))
+
+
+def test_bare_space_logs_unstepped_candidates():
+    """A SearchSpace given no steps draws as with step 1 everywhere, and
+    logs the candidates it logged before slots had steps."""
+    def smooth(sizes):
+        return 1.0 + sum((s - 40) ** 2 for s in sizes) / 4096.0
+
+    cfg = SearchConfig(batch_size=4, max_evaluations=13, no_improve_limit=100, seed=11)
+    logs = [[r.candidate for r in run_search(space, CostProbe(smooth), cfg).log]
+            for space in (SearchSpace((0, 1), ((3, 90), (5, 5))),
+                          SearchSpace((0, 1), ((3, 90), (5, 5)), (1, 1)))]
+    assert logs[0] == logs[1] == [
+        (46, 5), (3, 5), (89, 5), (3, 5), (67, 5), (3, 5), (77, 5), (90, 5),
+        (42, 5), (90, 5), (8, 5), (46, 5), (27, 5)]
 
 
 # -- search mechanics --------------------------------------------------------------

@@ -945,7 +945,9 @@ def test_tiled_matmul_and_row_scan_calls(monkeypatch):
 
 def test_tiled_matmul32_reg_calls_and_arrays(monkeypatch):
     # The benchmark's register-tiled matmul: 32 x 32, row-major f64, cache
-    # tiles 6 x 6 x 6 and register tiles of 4. A map or scan node stacks
+    # tiles 6 x 6 x 6, each ending in a 2-wide straggler, and register
+    # tiles of 4 (the benchmark's midpoint is 8 x 8 x 8, whole register
+    # tiles, with 1,381 calls: `BENCHMARK_CALL_PINS`). A map or scan node stacks
     # its rows' results into one element list, so only the array that an
     # operator returns is built; an array per row would make 12,666. The
     # product is fused into the fold: as written, the program made 6,000
