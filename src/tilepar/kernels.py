@@ -2,94 +2,99 @@
 per slice (`Kernels`, which `semantics.Interpreter` inherits).
 
 An operator runs a callee that `ir.body_shape` describes through its
-kernel `kernel(views, axes, extent, captured, at=None)`:
-- a leaf over rank-1 operands is one loop over a slice of each flat
-  buffer (scalar closure operands broadcast), one result per slice;
-- a leaf `a OP b` over rank-2 operands of its own parameters runs each
-  row's elementwise operation without a frame or a View;
-- a map, reduce or scan (a node) over rank-2 operands whose callee is a
-  leaf runs once per row without a frame. Its operands are any of its
-  parameters, whose rows it takes, and its closure parameters, the same
-  value for every row: a rank-1 closure array is read in place as a row
-  of stride 0, the same elements at every row, with no View built for
-  it. It reads each row as a slice of the flat buffer, without a View
-  per row, and checks the row extents once. A map node's leaf may read
-  the node's scalar closures, the same at every element. A reduce node
-  gives one result per row;
-- a dot, `p = a OP b` reduced by a leaf, over rank-2 operands, its
-  parameters or rank-1 closure arrays read as rows of stride 0 as
-  above, runs each row's product and fold without a frame or an array,
-  one result per row;
-- a map node whose callee is such a reduce node or dot (a fold) runs as
-  one loop over two levels: i over the node's rows, j over the rows of
-  the callee's operator, each (i, j) folded over k, without a frame, a
-  View or a call of the callee's kernel. Each operand of the fold is one
-  flat span with an i, a j and a k stride: an operand of the callee's
-  operator is a row of the node's rank-3 parameter, or the node's rank-2
-  closure value (i stride 0); a closure of the callee, bound per row, is
-  a row of the node's rank-2 parameter (j stride 0), or the node's rank-1
-  closure array (both strides 0). Any other map node, over a map or scan
-  node or over a leaf whose rows are not rank 1, has no kernel.
+kernel `kernel(views, axes, extent, captured, at=None)`. `_new_kernel`
+alone decides which description (`Kernel`), if any, a callee gets for
+its operands' ranks, and one driver (`Kernels._driven`) runs every
+description. A description is data:
+- `leaves`, its operands: each read in place as one flat span with an i,
+  a j and a k stride (`_spans`), a parameter's view or a closure's array
+  (a rank-1 `uses` array is a row of strides 0), never through a View;
+- `top`, its levels: the operator's slices are the rows i (0), the rows j
+  of a fold with one row i (1), or the k elements of one row i (2: a leaf
+  over rank-1 operands);
+- its row body: `values`, a leaf's values over a row's columns (with a
+  scan's combine, its steps); with `fold` = (op, init) each row (i, j) is
+  reduced to one result, with `product` each row is first `a OP b`;
+- `shared`, the closures it broadcasts along k, which must be scalars;
+- `unequal`, how rows of unequal extents raise (None: it declines);
+  `operator`, the operands of row i's own operator, whose bounds checks it
+  counts; `always` and `typed`, its dtype rule (below).
+
+These are the callees with a description:
+- a leaf over rank-1 operands: one row of scalar results;
+- a leaf `a OP b` over rank-2 operands of its own parameters (a row map):
+  each row's product;
+- a map or scan node over rank-2 operands whose callee is a leaf: each row
+  of its operator, whose scalar closures its leaf may read;
+- a reduce node or a dot (`p = a OP b` reduced) over rank-2 operands
+  (`_fold`): one result per row j;
+- a map node whose callee is such a fold (`_node`): rows i of the node,
+  rows j of the callee's operator, each folded over k. An operand of the
+  callee's operator is a row of the node's rank-3 parameter or its rank-2
+  closure; a closure of the callee, bound per row, is a row of the node's
+  rank-2 parameter or its rank-1 closure.
 A fold (Reduce or Scan) runs only a leaf so, with a scalar init, no emit
 and a combine `return a OP b`. An operator hands a kernel at least one
 slice. A kernel that meets a row of no element, or an operand it has no
 rule for (a scalar or wrong-rank closure), declines, giving None, before
 any side effect, and the operator makes one call per slice; so does a
-dot whose product's rows differ in extent, which the call then raises.
+dot whose rows differ in extent, which the call then raises.
 
-A kernel writes its value where the value stays. The caller's
-`at(shape)` gives `(data, offset, strides)`: the element list, the
-offset of element 0 and the strides of the place, of `shape`, where the
-kernel writes its results stacked along a new leading axis, its rows
-first. That place is the value's in a tiled operator's output, with the
-stacked axis first, or a new array whose element list the kernel fills.
-A kernel calls `at` once, after the last point where it can decline,
-with `(extent,)` plus the shape of one row's value. It writes each row
-with one slice assignment as it computes it, and gives `(dtype, rows)`:
-the dtype that stacking its rows' values gives, and with a trace sink
-the block of each row (below), None for scalars; without one, None.
-Given no `at`, a kernel whose results are scalars (a leaf over rank-1
-operands, a reduce node, a dot) gives them as a list instead: a fold
-folds or scans them, and a map node writes them into its own rows.
+The driver alone calls `at`, counts bounds checks, looks for f64
+results, places row blocks and reports reads. `at(shape)` gives `(data,
+offset, strides)`, the place where the kernel writes its results stacked
+along a new leading axis: the value's place in a tiled operator's output,
+or a new array's element list. The driver calls it once, after the last
+point where it can decline, with `(extent,)` for scalar results (`top`
+1 or 2) or `(extent, n)` for rows, and writes each row i with one slice
+assignment. It gives `(dtype, blocks)`: the dtype that stacking the
+rows' values gives and, with a trace sink, each row's block (None for
+scalars). Given no `at`, scalar results come back as a list, which a fold
+folds or scans, or a map node writes into its rows.
 
 The dtype follows the values, as stacking them would: f64 when any
-result is a float, else i64. A map or scan node over a leaf knows its
-results are ints without a look at them when every operand is i64,
-which holds ints only (`ndarray`), no `/` makes them and the init is an
-int; else it looks at each row's results until one holds a float. A
-leaf `a OP b` over rows gives `ndarray.elementwise_dtype`, and a map
-node f64 when any row's value is. All give the values, trace events,
-allocations, counters and errors of one call per slice.
+result is a float, else i64. The driver looks at each row's results until
+one holds a float, unless every operand is i64 (which holds ints only,
+`ndarray`), every shared scalar is an int and the description does not
+say `always` (a `/` in its leaf or combine, a float init, a fold). A row
+map (`typed`) takes `ndarray.elementwise_dtype`: f64 when any operand is.
 
-One call per slice would build an array for each row of a map or scan
-node. With a trace sink the node models each of them by an address-only
-`ndarray.Block` of the same size. It reports the same `W` or `RW` run
-over the block as the array's stack would, and lets the blocks die where
-the arrays would, once the operator's array is written. So addresses,
-events and runs are those of one call per slice. A leaf's reads are one
-`R` run, and so are the reads of all the rows of a reduce node; a map or
-scan node reports each row's reads as one run, as the row's results are
-stacked between them. A dot's product is a block of its size, placed
-as the product's array would be, which one `RRW` run writes and one `R`
-run reads, and which dies before the next row's. A map node over a fold
-reports, per row i, the fold's reads of its rows j as the fold does
-alone, then places the row's block.
+Checks are counted as one call per slice counts them: per row i, its
+operator's per operand and element; per fold of a row j, its operator's.
+Reads are reported as one call per slice reports them. Without a product,
+one `R` run reads a row i's operands, index by index (all its rows j for
+a fold). A product is an address-only `ndarray.Block` of its size, placed
+as the product's array would be and written by one `RRW` run with its
+operands' reads: a row map's is its row's block; a dot's is read by one
+`R` run and dies before the next row's. One call per slice would build an
+array for each row of a map, scan or map node; the driver places an
+address-only block of the same size for it and reports the `W` run its
+stack would (`_row_block`), so addresses, events and runs are those of
+one call per slice. When a row raises, the driver finds, on that path
+only, how far it got (`_failed`): checks and reads cover the rows j before
+it and the elements it read before it raised, as one call per slice
+would; a fold's leaf values are all read before its combine runs.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
+from itertools import count, repeat
 
 from . import ir
-from .ndarray import (
-    ELEM_SIZE, ArrayValue, Block, addresses, elementwise_dtype, interleave, match_shapes, scalar_op,
-    span,
-)
+from .ndarray import ELEM_SIZE, ArrayValue, Block, interleave, match_shapes, scalar_op
 
 
 class EvalError(Exception):
     """An error of the program under evaluation."""
+
+
+# A kernel as data (see the module docstring), which `Kernels._driven` runs.
+Kernel = collections.namedtuple(
+    "Kernel", "leaves top values fold product shared unequal operator always typed",
+    defaults=(None, None, None, (), None, None, True, False))
 
 
 def _leaf_values(fn, op, names):
@@ -117,89 +122,116 @@ def _sources(fn, names):
     return [fn.params.index(n) if n in fn.params else n for n in names]
 
 
-def _spans(views, axes, captured, leaves):
-    """Each operand a node kernel reads, from `leaves`, as one flat span
-    over three indices: i over the node's rows, j over the rows of its
-    callee's operator (`Kernels._node`) and k over the elements of a row:
-    (element list, offset of element (0, 0, 0), i stride, j stride, k
-    stride, k extent, byte address of element (0, 0, 0)), strides in
-    elements. A leaf is (source, stepped): the index of a parameter of the
-    node or the name of one of its closure parameters (`_sources`), and
-    whether the operand takes rows j or is the same at every j (j stride
-    0). A parameter is a view: its axis in `axes` is i, and its other axes
-    are j, if stepped, and k. A closure value is the same at every i (i
-    stride 0): an array of rank 2, if stepped, else of rank 1, read in
-    place. None when a value is of another rank or a closure value is not
-    an array."""
-    out = []
+def _spans(views, axes, captured, leaves, top):
+    """(spans, k, f64): each operand a kernel reads, from `leaves`, as one
+    flat span over three indices: i over the kernel's rows, j over the
+    rows of a fold and k over the elements of a row: (element list, offset
+    of element (0, 0, 0), i stride, j stride, k stride, k extent, the
+    operand, whose root's address traces read), strides in elements; their one k
+    extent, None when they differ; and whether any operand is f64. A leaf
+    is (source, stepped): the index of a parameter of the callee or the
+    name of one of its closure parameters (`_sources`), and whether the
+    operand takes rows j or is the same at every j (j stride 0). A
+    parameter is a view whose axis in `axes` is index `top` (0 i, 1 j, 2
+    k) and whose other axes are j, if stepped, and k. A closure value is
+    the same at every i and, unless stepped, every j: an array of rank 2,
+    if stepped, else of rank 1, read in place. None when a value is of
+    another rank or a closure value is not an array."""
+    out, f64 = [], False
     for s, stepped in leaves:
-        if type(s) is int:
-            v, axis = views[s], axes[s]
-            rank, i = 2 + stepped, v.strides[axis]
+        if type(s) is int:  # a view of the rank its kernel was built for
+            v = views[s]
+            axis = axes[s] if top < 2 else None
         else:
-            v, axis, i = captured[s], None, 0
-            if not isinstance(v, ArrayValue):
+            v, axis = captured[s], None
+            if not isinstance(v, ArrayValue) or len(v.shape) != 1 + stepped:
                 return None
-            rank = 1 + stepped
-        if len(v.shape) != rank:
-            return None
-        # j and k are the first and the last axis other than i.
+        strides, rank = v.strides, len(v.shape)
+        # j and k are the first and the last axis other than `axis`.
         k = rank - 1 if axis != rank - 1 else rank - 2
-        j = v.strides[1 if axis == 0 else 0] if stepped else 0
-        root = v.root
-        out.append((root.data, v.offset, i, j, v.strides[k], v.shape[k],
-                     root.addr + v.offset * ELEM_SIZE))
+        o = 0 if axis is None else strides[axis]
+        out.append((v.root.data, v.offset, 0 if top else o,
+                    o if top else strides[1 if axis == 0 else 0] if stepped else 0,
+                    strides[k], v.shape[k], v))
+        f64 = f64 or v.dtype == "f64"
+    k = out[0][5]
+    for s in out:
+        if s[5] != k:
+            return out, None, f64
+    return out, k, f64
+
+
+def _differ(what, n, m):
+    """Raise as `Interpreter._operand_views` does on extents n and m of
+    operator `what`."""
+    raise EvalError(f"{what} sliced extents differ: {n} vs {m}")
+
+
+def _slices(spans, n, k, i=None):
+    """Per span of `spans` (`_spans`), the element lists of n of its rows,
+    of k elements each: rows 0 to n - 1 along i or, given i, the rows (i,
+    0) to (i, n - 1) along j. Up to 63 rows are sliced at once, which costs
+    the least per row; more are sliced one by one as they are read, so a
+    long fold, as an untiled 256-row sum, holds one row at a time."""
+    out = []
+    for data, o, si, sj, sk, _, _ in spans:
+        first, step = (o, si) if i is None else (o + i * si, sj)
+        end = first + k * sk
+        out.append([data[first:end:sk]] if n == 1 else
+                   [data[first + j * step:end + j * step:sk] for j in range(n)] if n < 64 else
+                   map(data.__getitem__, map(slice, count(first, step), count(end, step),
+                                             repeat(sk, n))))
     return out
-
-
-def _extent(spans, what):
-    """The one k extent of `spans` (`_spans`). Unequal extents raise as
-    `Interpreter._operand_views` does for operator `what`, or give None
-    when `what` is None."""
-    n = spans[0][5]
-    for *_, m, _ in spans:
-        if m != n:
-            if what is None:
-                return None
-            raise EvalError(f"{what} sliced extents differ: {n} vs {m}")
-    return n
 
 
 def _row_ranges(spans, n):
     """`(i, j) ->` the byte addresses of row (i, j) of each of `spans`
     (`_spans`), every row of extent n: one range per span."""
-    steps = [(addr, si * ELEM_SIZE, sj * ELEM_SIZE, sk * ELEM_SIZE)
-             for _, _, si, sj, sk, _, addr in spans]
+    steps = [(v.root.addr + o * ELEM_SIZE, si * ELEM_SIZE, sj * ELEM_SIZE, sk * ELEM_SIZE)
+             for _, o, si, sj, sk, _, v in spans]
     return lambda i, j=0: [range(b := a + i * si + j * sj, b + n * sk, sk)
                            for a, si, sj, sk in steps]
 
 
 def _row_reads(spans, n):
-    """`(i, j) ->` the byte addresses a leaf reads at row (i, j) of `spans`
+    """`(i, j) ->` the byte addresses a body reads at row (i, j) of `spans`
     (`_spans`), every row of extent n: per index, one per span in order
     (`ndarray.interleave`). One span's row is its range, with no list
     built per row: the hot case, as a traced row sum reads one operand."""
     if len(spans) == 1:
-        (_, _, si, sj, sk, _, a), = spans
-        si, sj, sk = si * ELEM_SIZE, sj * ELEM_SIZE, sk * ELEM_SIZE
+        (_, o, si, sj, sk, _, v), = spans
+        a, si, sj, sk = v.root.addr + o * ELEM_SIZE, si * ELEM_SIZE, sj * ELEM_SIZE, sk * ELEM_SIZE
         return lambda i, j=0: range(b := a + i * si + j * sj, b + n * sk, sk)
     ranges = _row_ranges(spans, n)
     return lambda i, j=0: interleave(ranges(i, j))
 
 
-def _scalars(results, at):
-    """(dtype, None): scalar `results`, one per slice, written stacked at
-    `at` (see the module docstring), and their dtype: f64 when any is a
-    float, else i64, also when there is none (a stack of no value)."""
-    data, offset, (step,) = at((len(results),))
-    if results:
-        data[offset:offset + len(results) * step:step] = results
-    return "f64" if float in map(type, results) else "i64", None
+def _failed(d, rows):
+    """(J, E) of a row of description `d` that raised (see
+    `Kernels._effects`), given the columns of each of its rows j in
+    `rows`: they run one at a time, then the one that raised an element
+    at a time. `d.values` gives an item per element read, up to and with
+    the one at which it raises, or, when only a fold's combine raises,
+    all of them."""
+    for j, row in enumerate(rows):
+        if d.product is not None:
+            try:
+                row = [list(map(d.product, *row))]
+            except Exception:
+                return j, None
+        e = 0
+        try:
+            for _ in d.values(*row):
+                e += 1
+            if d.fold is not None:
+                functools.reduce(d.fold[0], d.values(*row), d.fold[1])
+        except Exception:
+            return j, min(e + 1, len(row[0]))
 
 
 class Kernels:
-    """The kernel builders of `semantics.Interpreter`. They use its
-    `config` and `program`, and its `_function`, `_placed`, `_fill` and
+    """The kernel driver of `semantics.Interpreter`. It uses its `config`
+    and `program`, and its `_function`, `_placed`, `_fill` and
     `_operand_views`."""
 
     def _kernel(self, f, ranks):
@@ -213,15 +245,22 @@ class Kernels:
         return f.kernels[ranks]
 
     def _new_kernel(self, f, ranks):
+        """The kernel (`_driven`) of `f`'s description for operands of `ranks`,
+        or None: the one place that decides which description, if any, a
+        callee gets."""
         fn, shape = f.fn, f.shape
         if shape is None or len(ranks) != len(fn.params):
             return None
         if shape[0] == "leaf":
             op, names = shape[1], shape[2]
             if set(ranks) == {1}:
-                return self._leaf(fn, op, names)
+                shared, values = _leaf_values(fn, op, names)
+                return self._driven(Kernel([(p, False) for p in range(len(fn.params))], 2, values,
+                                           shared=shared, always=op == "/"))
             if set(ranks) == {2} and op is not None and set(names) <= set(fn.params):
-                return self._row_map(op, [fn.params.index(n) for n in names])
+                return self._driven(Kernel(
+                    [(fn.params.index(n), False) for n in names], 0, product=scalar_op(op),
+                    unequal=lambda n, m: match_shapes((n,), (m,)), always=op == "/", typed=True))
             return None
         kind, g, combine, init, names = shape[:5]
         functions = self.program.functions
@@ -232,7 +271,7 @@ class Kernels:
             return None
         if kind in ("reduce", "dot"):
             fold = self._fold(f) if set(ranks) == {2} else None
-            return fold and self._fold_node(*fold)
+            return fold and self._driven(fold[1]._replace(leaves=[(s, False) for s in fold[0]]))
         sources = _sources(fn, names)
         leaf = ir.body_shape(callee)
         if set(ranks) != {2} or not leaf or leaf[0] != "leaf" or len(callee.params) != len(names):
@@ -244,147 +283,27 @@ class Kernels:
         # A map's leaf may read closures of the node, not rows of its parameters.
         if (op is None or callee.closure_params) if kind == "scan" else set(shared) & set(fn.params):
             return None
-        return self._leaf_node(kind, values, op, init, sources, shared,
-                               "/" in (leaf[1], op and comb.shape[1]))
-
-    def _leaf(self, fn, op, names):
-        """Kernel of leaf `fn`, None for an array closure operand: its results,
-        written at `at` or, without one, as a list (`_scalars`). It reports
-        reads as the generic path does: per index, one per view in order."""
-        shared, values = _leaf_values(fn, op, names)
-        trace = self.config.trace
-
-        def leaf(views, axes, extent, captured, at=None):
-            columns = [v.root.data[span(v)] for v in views]
-            for n in shared:
-                if isinstance(captured[n], ArrayValue):
-                    return None
-                columns.append([captured[n]] * extent)
-            if trace is not None:
-                trace.run(interleave(list(map(addresses, views))), "R")
-            results = list(values(*columns))
-            return results if at is None else _scalars(results, at)
-        return leaf
-
-    def _row_map(self, op, picks):
-        """Kernel of a leaf `a OP b` over the parameters `picks` when the
-        operands are rank 2: per row, the elementwise operation
-        (`_elementwise`) over the two rows, without a frame or a View. A
-        row's values are written, then its block is placed, then one `RRW`
-        run reads both rows and writes the block. Row extents are checked
-        once and raise as `ndarray.elementwise` does (`match_shapes`); rows
-        of no element make it decline. Its dtype is the elementwise
-        result's (`elementwise_dtype`)."""
-        f, trace = scalar_op(op), self.config.trace
-        leaves = [(p, False) for p in picks]
-
-        def rows(views, axes, extent, captured, at):
-            spans = _spans(views, axes, captured, leaves)
-            (da, oa, sa, _, ta, n, _), (db, ob, sb, _, tb, m, _) = spans
-            match_shapes((n,), (m,))
-            if not n:
-                return None
-            buf, base, (row, step) = at((extent, n))
-            width = n * step
-            blocks = [] if trace is not None else None
-            ranges = trace and _row_ranges(spans, n)
-            for i in range(extent):
-                i_a, i_b, o = oa + i * sa, ob + i * sb, base + i * row
-                buf[o:o + width:step] = map(f, da[i_a:i_a + n * ta:ta], db[i_b:i_b + n * tb:tb])
-                if blocks is not None:
-                    block = self._placed(Block(n))
-                    start = block.addr
-                    trace.run(interleave(ranges(i) + [range(start, start + n * ELEM_SIZE,
-                                                           ELEM_SIZE)]), "RRW")
-                    blocks.append(block)
-            return elementwise_dtype(op, *[views[p] for p in picks]), blocks
-        return rows
-
-    def _leaf_node(self, kind, values, op, init, sources, shared, divides):
-        """Kernel of a map or scan node over rank-2 operands whose callee is a
-        leaf with `values` (`_leaf_values`): per row, the untiled operator
-        without a frame. Its operator's operands come from `sources`
-        (`_sources`), each read as a row span (`_spans`): a closure
-        operand, a rank-1 array, is read in place as a row of stride 0,
-        and any other closure value makes it decline. Row i of each
-        operand is a slice of its flat buffer; no View is built for an
-        operand or a row. The closures the leaf reads, the node's own
-        closures `shared`, are scalars the same at every element; an array
-        makes it decline. Row extents are checked once and raise as
-        `Interpreter._operand_views` does, and rows of no element make it
-        decline. It writes each row's results as it computes them and
-        reports the row's reads as a run before the row's block takes the
-        row's results. It looks at the dtypes of its operands' sources, a
-        parameter's view or a closure array, and of `shared`. `divides`
-        says whether the leaf or the combine is `/`."""
-        what, counters, trace = kind.capitalize(), self.config.counters, self.config.trace
-        arity, leaves = len(sources), [(s, False) for s in sources]
         if kind == "scan":
-            def row(columns):
-                return list(itertools.islice(itertools.accumulate(values(*columns), op,
-                                                                  initial=init), 1, None))
-        else:
-            def row(columns):
-                return list(values(*columns))
-        # Whether the results must be looked at for a float whatever the
-        # operands' dtypes (see the module docstring).
-        look_always = divides or type(init) is float
+            g_values = values
 
-        def node(views, axes, extent, captured, at):
-            spans = _spans(views, axes, captured, leaves)
-            if spans is None:
-                return None
-            n = _extent(spans, what)
-            if not n:
-                return None
-            look = look_always or "f64" in [
-                (views[s] if type(s) is int else captured[s]).dtype for s in sources]
-            broadcast = []
-            for c in shared:
-                x = captured[c]
-                if isinstance(x, ArrayValue):
-                    return None
-                look = look or type(x) is float
-                broadcast.append([x] * n)
-            reads = trace and _row_reads(spans, n)
-            buf, base, (stride, step) = at((extent, n))
-            width = n * step
-            f64, blocks = False, [] if trace is not None else None
-            try:
-                for i in range(extent):
-                    if trace is not None:
-                        trace.run(reads(i), "R")
-                    columns = [data[o + i * s:o + i * s + n * t:t]
-                               for data, o, s, _, t, _, _ in spans]
-                    columns += broadcast
-                    got = row(columns)
-                    o = base + i * stride
-                    buf[o:o + width:step] = got
-                    if look and float in map(type, got):
-                        look, f64 = False, True
-                    if blocks is not None:
-                        blocks.append(self._row_block(n))
-            finally:  # rows 0..i were checked and read, also when row i raised
-                counters.bounds_checks += arity * n * (i + 1)
-            return "f64" if f64 else "i64", blocks
-        return node
+            def values(*columns):
+                return itertools.islice(itertools.accumulate(g_values(*columns), op, initial=init),
+                                        1, None)
+        return self._driven(Kernel(
+            [(s, False) for s in sources], 0, values, shared=shared,
+            unequal=functools.partial(_differ, kind.capitalize()), operator=sources,
+            always="/" in (leaf[1], op and comb.shape[1]) or type(init) is float))
 
     def _fold(self, f):
-        """(sources, rows, strict) of `f`, a reduce node or a dot
+        """(sources, description) of `f`, a reduce node or a dot
         (`ir.body_shape`), whose G is a leaf without closure parameters
         that takes one parameter per operand of f's operator (one, the
         product, for a dot) and whose combine has an `op`; else None. The
-        operands of f's operator come from `sources` (`_sources`).
-        `rows(spans, k, n, i)` folds each of the rows (i, 0) to (i, n - 1)
-        of `spans` (`_spans`), all of k elements, without a frame, and
-        gives the n results. A reduce folds G's values of the rows; it
-        counts a bounds check per operand and element of each row it folded
-        and reports the reads of all those rows as one `R` run, also when a
-        row raises. A dot's product `a OP b` of two rows is a block (see
-        the module docstring), whose `RRW` run reads the rows as
-        `_elementwise` does; the reduce over it counts a bounds check per
-        element. `strict`: rows of unequal extents raise, as a reduce's do;
-        a dot's product raises, so its kernel declines."""
+        operands of f's operator come from `sources` (`_sources`); the
+        description, without its leaves, folds each row (i, j) over k to
+        one result: G's values of the row's operands, or of a dot's
+        product `a OP b`, reduced by the combine. A reduce's rows of
+        unequal extents raise; a dot's product would, so it declines."""
         if f.shape is None or f.shape[0] not in ("reduce", "dot"):
             return None
         kind, g, combine, init, names = f.shape[:5]
@@ -395,128 +314,126 @@ class Kernels:
         if (not leaf or leaf[0] != "leaf" or callee.closure_params or op is None
                 or len(callee.params) != (1 if kind == "dot" else len(names))):
             return None
-        sources = _sources(f.fn, names)
-        values = _leaf_values(callee, *leaf[1:])[1]
-        counters, trace = self.config.counters, self.config.trace
-        if kind == "dot":
-            product = scalar_op(f.shape[5])
-
-            def rows(spans, k, n, i):
-                (da, oa, ia, sa, ta, _, _), (db, ob, ib, sb, tb, _, _) = spans
-                oa, ob = oa + i * ia, ob + i * ib
-                ranges = trace and _row_ranges(spans, k)
-                out = []
-                for j in range(n):
-                    a, b = oa + j * sa, ob + j * sb
-                    p = list(map(product, da[a:a + k * ta:ta], db[b:b + k * tb:tb]))
-                    if trace is not None:
-                        start = self._placed(Block(k)).addr  # the block dies here
-                        block = range(start, start + k * ELEM_SIZE, ELEM_SIZE)
-                        trace.run(interleave(ranges(i, j) + [block]), "RRW")
-                        trace.run(block, "R")
-                    counters.bounds_checks += k
-                    out.append(functools.reduce(op, values(p), init))
-                return out
-            return sources, rows, False
-        arity = len(sources)
-
-        def rows(spans, k, n, i):
-            # Per span: the element list, the first and the end offset of
-            # row (i, 0), and the j and k strides.
-            ends = [(data, o + i * si, o + i * si + k * sk, sj, sk)
-                    for data, o, si, sj, sk, _, _ in spans]
-            out = []
-            try:
-                if arity == 1:  # the hot case, a row sum: no list per row
-                    (data, o, e, s, t), = ends
-                    for j in range(n):
-                        out.append(functools.reduce(op, values(data[o + j * s:e + j * s:t]), init))
-                else:
-                    for j in range(n):
-                        out.append(functools.reduce(op, values(*[data[o + j * s:e + j * s:t]
-                                                                 for data, o, e, s, t in ends]), init))
-            finally:  # rows 0..j were checked and read, also when row j raised
-                counters.bounds_checks += arity * k * (j + 1)
-                if trace is not None:
-                    trace.run(itertools.chain.from_iterable(map(
-                        _row_reads(spans, k), itertools.repeat(i), range(j + 1))), "R")
-            return out
-        return sources, rows, True
-
-    def _fold_node(self, sources, rows, strict):
-        """Kernel of a reduce node or a dot with `_fold`'s `sources`, `rows`
-        and `strict` over rank-2 operands, read as row spans (`_spans`):
-        one result per row, written at `at` or, without one, given as a
-        list. It declines on a closure operand that is not a rank-1 array,
-        on rows of no element and, unless `strict`, on rows of unequal
-        extents."""
-        what, leaves = "Reduce" if strict else None, [(s, False) for s in sources]
-
-        def fold(views, axes, extent, captured, at=None):
-            spans = _spans(views, axes, captured, leaves)
-            k = spans and _extent(spans, what)
-            if not k:
-                return None
-            # The operator's rows are the fold's rows j, of one i.
-            out = rows([(data, o, 0, si, sk, m, addr) for data, o, si, _, sk, m, addr in spans],
-                       k, extent, 0)
-            return out if at is None else _scalars(out, at)
-        return fold
+        dot = kind == "dot"
+        return _sources(f.fn, names), Kernel(
+            None, 1, _leaf_values(callee, *leaf[1:])[1], (op, init),
+            scalar_op(f.shape[5]) if dot else None,
+            unequal=None if dot else functools.partial(_differ, "Reduce"))
 
     def _node(self, fn, ranks, callee, sources):
-        """Kernel of map node `fn` over operands of `ranks` whose callee,
-        `callee`, is a reduce node or a dot that `_fold` runs; else None:
-        one loop over the node's rows i and the rows j of the callee's
-        operator, whose operands come from `sources` (`_sources`),
-        each (i, j) folded over k by the fold's `rows`, with each operand
-        of the fold one span (`_spans`; see the module docstring). Row 0's
-        operands are checked once, as one call per row checks them
-        (`Interpreter._operand_views`, then the fold's row extents). It
-        declines before any side effect when a closure value is of another
-        rank, the rows have no slice or the fold's rows no element. Per row
-        it counts the checks of its operator, lets the fold count and
-        report the row's reads, writes the row's scalars at the row's place
-        and places the row's block (`_row_block`)."""
+        """The kernel of map node `fn` over operands of `ranks` whose callee,
+        `callee`, is a reduce node or a dot that `_fold` describes, whose
+        operator's operands come from `sources` (`_sources`); else None. An
+        operand of the fold is a row of a parameter of rank 3 or a closure
+        value of rank 2, stepped, or a closure of the callee, bound per
+        row: a row of a parameter of rank 2 or a closure value of rank 1."""
         fold = self._fold(callee)
         if fold is None or len(sources) != len(callee.fn.params):
             return None
-        inner, rows, strict = fold
+        inner, d = fold
         binds = dict(zip(callee.fn.closure_params, _sources(fn, callee.fn.closure_params)))
         leaves = [(sources[t], True) if type(t) is int else (binds[t], False) for t in inner]
-        # A parameter's rows are the fold's operands of rank 2, or the
-        # callee's closures of rank 1.
         if any(ranks[s] != 2 + stepped for s, stepped in leaves if type(s) is int):
             return None
-        arity, counters, trace = len(sources), self.config.counters, self.config.trace
-        what = "Reduce" if strict else None
+        return self._driven(d._replace(leaves=leaves, top=0, operator=sources))
 
-        def node(views, axes, extent, captured, at):
-            # Axis 0 of a parameter's row is its axis 1 when it is sliced along 0.
-            operands = [views[s] if type(s) is int else captured[s] for s in sources]
-            n = self._operand_views(
-                operands, [int(not axes[s]) if type(s) is int else 0 for s in sources], "Map")[1]
-            spans = n and _spans(views, axes, captured, leaves)
-            if not spans:
+    def _driven(self, d):
+        """The kernel of description `d` (`Kernel`; see the module docstring)."""
+        counters, trace, reduce = self.config.counters, self.config.trace, functools.reduce
+        leaves, top, values, fold, product, shared, unequal, operator, always, typed = d
+        op, init = fold or (None, None)
+        # Per element of a row, the checks of row i's operator and of a fold's.
+        arity_i, arity_j = len(operator or ()), 1 if product else len(leaves)
+
+        def kernel(views, axes, extent, captured, at=None):
+            spans, k, f64s = _spans(views, axes, captured, leaves, top) or (None, 0, False)
+            if k == 0 or k is None and unequal is None:
                 return None
-            counters.bounds_checks += arity * n  # row 0's, before the fold checks its extents
-            k = _extent(spans, what)
-            if not k:
-                counters.bounds_checks -= arity * n
+            scalars = [captured[c] for c in shared] if shared else ()
+            if scalars and any(isinstance(x, ArrayValue) for x in scalars):
                 return None
-            buf, base, (stride, step) = at((extent, n))
-            width = n * step
-            f64, blocks = False, [] if trace is not None else None
-            for i in range(extent):
-                if i:
-                    counters.bounds_checks += arity * n
-                got = rows(spans, k, n, i)
-                o = base + i * stride
-                buf[o:o + width:step] = got
-                f64 = f64 or float in map(type, got)
-                if blocks is not None:
-                    blocks.append(self._row_block(n))
-            return "f64" if f64 else "i64", blocks
-        return node
+            n = extent if top else k  # rows j of a fold, or else the elements of a row
+            if fold and operator:  # a map node: its operator checks row 0's operands
+                n = self._operand_views(
+                    [views[s] if type(s) is int else captured[s] for s in operator],
+                    [int(not axes[s]) if type(s) is int else 0 for s in operator], "Map")[1]
+                if not n:
+                    return None
+            if k is None:  # a map node's operator counts its checks before its fold raises
+                counters.bounds_checks += arity_i * n if fold else 0
+                unequal(spans[0][5], next(s[5] for s in spans if s[5] != spans[0][5]))
+            ci, cj, js = arity_i * n, arity_j * k if fold else 0, n if fold else 1
+            f64 = typed and f64s
+            look = not f64 and (always or not typed and (f64s or float in map(type, scalars)))
+            out = None if at else [None] * extent
+            buf, base, strides = at((extent,) if top else (extent, n)) if at else (out, 0, (1,))
+            stride, step, rows = strides[0], strides[-1], 1 if top else extent
+            broadcast = [repeat([x] * k) for x in scalars] if scalars else ()
+            if not fold:  # each row's results, as the loop asks for them
+                columns = _slices(spans, rows, k)
+                results = map(list, map(map, repeat(product), *columns) if product
+                              else map(values, *columns, *broadcast))
+            blocks = effects = None
+            if trace is not None:
+                blocks = None if top else []
+                effects = self._effects(spans, k, fold, product, js, blocks)
+            for i in range(rows):
+                try:
+                    if fold:
+                        columns = _slices(spans, n, k, i)
+                        if product:
+                            columns = [map(list, map(map, repeat(product), *columns))]
+                        got = list(map(reduce, repeat(op), map(values, *columns), repeat(init)))
+                    else:
+                        got = next(results)
+                except Exception:
+                    J, E = _failed(d, zip(*_slices(spans, js, k, i), *broadcast))
+                    counters.bounds_checks += (ci + cj * js) * i + ci + cj * (J + (E is not None))
+                    if effects:
+                        effects(i, J, E)
+                    raise
+                if effects:
+                    effects(i, js)
+                place = base + i * stride
+                buf[place:place + n * step:step] = got
+                if look and float in map(type, got):
+                    look, f64 = False, True
+            counters.bounds_checks += (ci + cj * js) * rows
+            return out if out is not None else ("f64" if f64 else "i64", blocks)
+        return kernel
+
+    def _effects(self, spans, k, fold, product, js, blocks):
+        """`(i, J, E=None) ->` report the trace of row i of a kernel over
+        `spans` (`_driven`) as far as it ran: J of its rows j whole and,
+        unless E is None, E elements of row J, which raised there. Without
+        a product, one `R` run reads the rows' operands. A product's block
+        is placed and written by an `RRW` run with its operands' reads; a
+        fold's, a dot's, then dies after an `R` run reads it, and a row's,
+        of a row map, is the row's block. A row that ran whole places its
+        row block (`_row_block`) unless it has one."""
+        trace, width = self.config.trace, js if fold else k
+        reads = product is None and _row_reads(spans, k)
+        ranges = product is not None and _row_ranges(spans, k)
+
+        def effects(i, J, E=None):
+            if product is None:
+                rows = [reads(i, j) for j in range(J)]
+                if E:
+                    rows.append(_row_reads(spans, E)(i, J))
+                trace.run(rows[0] if len(rows) == 1 else itertools.chain.from_iterable(rows), "R")
+            for j in range(J + (E is not None) if product else 0):
+                if fold:
+                    start = self._placed(Block(k)).addr  # the block dies here
+                else:
+                    blocks.append(self._placed(Block(k)))
+                    start = blocks[-1].addr
+                block = range(start, start + k * ELEM_SIZE, ELEM_SIZE)
+                trace.run(interleave(ranges(i, j) + [block]), "RRW")
+                if fold:
+                    trace.run(block if j < J else block[:E], "R")
+            if J == js and blocks is not None and (fold or product is None):
+                blocks.append(self._row_block(width))
+        return effects
 
     def _row_block(self, size):
         """An address-only block of `size` elements, placed and written as

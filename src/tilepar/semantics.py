@@ -84,7 +84,7 @@ import types
 from dataclasses import dataclass, field
 
 from . import ir
-from .kernels import EvalError, Kernels, _scalars
+from .kernels import EvalError, Kernels
 from .ndarray import (
     ELEM_SIZE, Allocator, ArrayValue, Block, NdArray, View, addresses, adopt, concat, decompose,
     elementwise, interleave, result_dtype, scalar_op, slice_axis, tile_view, write,
@@ -224,6 +224,16 @@ def _widened(place, shape):
     if len(shape) <= axis or shape[axis] != min(dest.k, dest.extent - t * dest.k):
         return None
     return shape[:axis] + (dest.extent,) + shape[axis + 1:]
+
+
+def _scalars(values, at):
+    """(dtype, None): the scalars `values` written stacked at `at` (see
+    `kernels`), and their dtype: f64 when any is a float, else i64, also
+    when there is none (a stack of no value)."""
+    data, offset, (step,) = at((len(values),))
+    if values:
+        data[offset:offset + len(values) * step:step] = values
+    return "f64" if float in map(type, values) else "i64", None
 
 
 def _arrays(values, at):
@@ -627,7 +637,7 @@ class Interpreter(Kernels):
         """Stack the equal-shaped `values`, a list, along a new `axis`,
         written at `place` (`_written`): Map and Scan outputs, array
         literals, and tiled-scan steps. Scalars are written as a kernel
-        writes its scalar results (`kernels._scalars`), arrays each at its
+        writes its scalar results (`_scalars`), arrays each at its
         step (`_arrays`)."""
         kinds = set(map(type, values))
         if kinds.isdisjoint(ArrayValue):

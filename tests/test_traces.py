@@ -28,7 +28,7 @@ from tilepar.ir import (
     TILED_OPS, Assign, BinOp, IRError, Map, Program, Reduce, Return, Scan, Var, body_shape,
     desugar_allpairs, parse_program, print_program, reachable, walk_exprs,
 )
-from tilepar.ndarray import Allocator, NdArray, ShapeError, View, slice_axis
+from tilepar.ndarray import ALIGN, ELEM_SIZE, Allocator, NdArray, ShapeError, View, slice_axis
 from tilepar.semantics import EvalConfig, EvalError, Interpreter, TraceSink, eval_program
 from tilepar.tiling import register_tile, tile_program
 
@@ -703,11 +703,25 @@ def divisors(shape, layout):
     return NdArray(shape, "i64", layout, [i % 3 + 1 for i in range(math.prod(shape))])
 
 
+def matrix_1_to_12():
+    """The 3 x 4 row-major i64 matrix of 1 to 12."""
+    return NdArray((3, 4), "i64", "row", list(range(1, 13)))
+
+
+def zero_at_1_1():
+    """`matrix_1_to_12` with element (1, 1) set to 0: a `/` by it raises
+    part way through row 1."""
+    data = list(range(1, 13))
+    data[5] = 0
+    return NdArray((3, 4), "i64", "row", data)
+
+
 def node_cases():
     """(callee, operand axes, inputs) of `map(callee, ...)` in `main`: map
     and scan nodes over rank-2 and rank-3 operands, i64 and f64, with rows
-    of width 0, i64 inputs whose leaf or combine divides, and two operands of mixed
-    layouts sliced along different axes."""
+    of width 0, i64 inputs whose leaf or combine divides (by zero part way
+    through a row, too), and two operands of mixed layouts sliced along
+    different axes."""
     for fn in ("copied", "scanned"):
         for dtype in ("i64", "f64"):
             for axis in (0, 1):
@@ -733,13 +747,18 @@ def node_cases():
     yield "divided2", (0, 0), [NdArray((2, 3, 0), "i64", "col"), divisors((2, 3, 0), "row")]
     for axis in (0, 1):  # i64 rows whose combine divides
         yield "quotients", (axis,), [divisors((3, 4), ("row", "col")[axis])]
+    # A zero part way through row 1: the leaf's or the combine's `/` raises there.
+    yield "divided", (0, 0), [matrix_1_to_12(), zero_at_1_1()]
+    yield "quotients", (0,), [zero_at_1_1()]
 
 
 @pytest.mark.parametrize("fn, axes, inputs", list(node_cases()))
 def test_node_values_match_generic_twins(fn, axes, inputs):
     """A map or scan node stacks its rows' results into one element list.
     The array built from it has the value, dtype (int and float elements
-    included), trace and counters of one call per row, traced and not."""
+    included), trace and counters of one call per row, traced and not; a
+    row that raises leaves the error, trace and counters of one call per
+    row."""
     names = ", ".join(f"X{i}" for i in range(len(inputs)))
     program = parse_program(NODE_LIB + f"fn main({names}) {{ return map({fn}, {names}; "
                             f"axes=[{', '.join(map(str, axes))}]); }}")
@@ -748,16 +767,8 @@ def test_node_values_match_generic_twins(fn, axes, inputs):
     # A map node over a map or scan nest has no kernel: its callee's gives arrays.
     assert (kernel is None) == (fn in ("copied2", "scanned2", "added2", "divided2"))
     for traced in (True, False):
-        runs = []
-        for p in (program, with_generic_bodies(program)):
-            config = EvalConfig(trace=TraceSink() if traced else None)
-            value = Interpreter(p, config).run(inputs)
-            events = config.trace.events if traced else []
-            c = config.counters
-            runs.append(((value.shape, value.dtype, [(type(x), x) for x in value.data]),
-                         len(events), digest(events),
-                         (c.full_tile_calls, c.straggler_calls, c.bounds_checks)))
-        assert runs[0] == runs[1]
+        assert closure_run(program, inputs, traced) == \
+            closure_run(with_generic_bodies(program), inputs, traced)
 
 
 def test_empty_rows_take_the_dtype_of_their_own_maps():
@@ -870,6 +881,13 @@ def closure_cases():
          NdArray((3, 4), "f64", "row", [0.5] * 12)], ("min2", (2, 2))
     yield "div-by-zero", "fn main(A, B) { return map(div, A, B; axes=[0, 0]); }", \
         [f64(4, 5), NdArray((4, 5), "i64", "row", [1] * 12 + [0] * 8)], ("div", (2, 2))
+    # A `/` that raises part way through the operator's elements, or through
+    # row 1 of a two-level node's fold.
+    yield "leaf-div-by-zero", "fn main(A, B) { return map(div, A, B; axes=[0, 0]); }", \
+        [NdArray((4,), "i64", "row", [1, 2, 3, 4]), NdArray((4,), "i64", "row", [1, 0, 3, 4])], \
+        ("div", (1, 1))
+    yield "ratios-by-zero", "fn main(X, Y) { return map(ratios, X; axes=[0]); }", \
+        [zero_at_1_1(), zero_at_1_1()], ("ratios", (2,))
     # Rows of rank 2 give arrays, which no map node kernel runs.
     yield "mins-rank-3", "fn main(A, B) { return map(mins, A, B; axes=[2, 0]); }", \
         [cube(3, 4, 2), NdArray((2, 3, 4), "f64", "row", [i / 3 for i in range(24)])], \
@@ -1050,7 +1068,10 @@ def test_no_sink_run_without_events():
         program = parse_program(NODE_LIB + f"fn main({names}) {{ return map({fn}, {names}; "
                                 f"axes=[{', '.join(map(str, axes))}]); }}")
         for p in (program, with_generic_bodies(program)):
-            eval_program(p, inputs, EvalConfig(trace=NoEmptyRunSink()))
+            try:
+                eval_program(p, inputs, EvalConfig(trace=NoEmptyRunSink()))
+            except EvalError:  # a case that divides by zero
+                pass
 
 
 def observed(program, inputs, tile_sizes):
@@ -1370,6 +1391,41 @@ def test_benchmark_trace_pinned(name):
             counters.bounds_checks) == BENCHMARK_COUNTER_PINS[name]
     assert counters.tiles_placed == BENCHMARK_PLACED_PINS[name]
     assert totals(simulate(events, benchmark_workloads().MODEL)) == BENCHMARK_SIM_PINS[name]
+
+
+# (entries, sha256) of the allocation log of each workload's traced midpoint
+# run: every (alloc or free, bytes, address) in the order the allocator
+# sees them. A refactor that moves a free, and so perhaps no miss, fails here.
+BENCHMARK_ALLOCATION_PINS = {
+    "rowsum-col256-tune": (
+        555, "079ad900a2793a4ae9ca96dc3fa9def5a3c1a92bbeaf214789cabc274498288b"),
+    "matmul32-reg": (
+        8940, "869ef597566295685808ce57bdbd921f8be5f373e66668216b823f4ff3af80b7"),
+    "prefixscan-col192": (
+        6501, "5c2c5141c603483f2a6d46fe69a63f16ed41d8059867242a54978dc3d232f449"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_ALLOCATION_PINS))
+def test_benchmark_allocations_pinned(name, monkeypatch):
+    _, tiled, sizes, inputs = benchmark_case(name)
+    log, allocate, release = [], Allocator.allocate, Allocator._release
+
+    def allocated(self, arr, reclaim=True):
+        allocate(self, arr, reclaim)
+        log.append(("alloc", (max(1, arr.size) * ELEM_SIZE + ALIGN - 1) // ALIGN * ALIGN,
+                    arr.addr))
+        return arr
+
+    def released(self, ref):
+        log.append(("free", *self.live[ref]))
+        release(self, ref)
+    monkeypatch.setattr(Allocator, "allocate", allocated)
+    monkeypatch.setattr(Allocator, "_release", released)
+    traced_run(tiled, inputs, sizes)
+    got = (len(log), hashlib.sha256(repr(log).encode()).hexdigest())
+    monkeypatch.undo()
+    assert got == BENCHMARK_ALLOCATION_PINS[name]
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARK_CALL_PINS))

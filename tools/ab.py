@@ -20,9 +20,11 @@ asks for it, and the bounds' midpoint sizes. Each tree's untiled, tiled and
 traced (`simulate_program`) outputs are checked once against the host
 reference before anything is timed, and so is what is deterministic: the
 traced run's `TraceStats` (accesses, hits, misses, evictions) and the
-tiled run's dispatch `Counters` must be the same in both trees. The script
-prints both trees' figures and, on any difference, exits non-zero, naming
-the workload, before any timing. A round then times, for every workload,
+tiled run's dispatch `Counters` must be the same in both trees, and so must
+the traced run's events: their count and sha256 (`outcomes.DigestSink`),
+so a shift of addresses that keeps every miss count is caught too. The
+script prints both trees' figures and, on any difference, exits non-zero,
+naming the workload, before any timing. A round then times, for every workload,
 `--reps` untiled evals, tiled evals and traced tiled runs of each tree, the
 two trees one after the other for each kind, and alternates from round to
 round which tree runs first. Each tree's time in a round is the median of
@@ -48,6 +50,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 
+from outcomes import DigestSink  # noqa: E402
 from tilepar.ndarray import NdArray  # noqa: E402
 from workloads import HW, MODEL, WORKLOADS, mismatch  # noqa: E402
 
@@ -101,6 +104,14 @@ class Side:
             self.tiled, self.inputs, MODEL, tile_sizes=self.mid)
         return value, dataclasses.asdict(stats)
 
+    def digest(self):
+        """(events, sha256) of the tiled run's trace at the midpoint sizes."""
+        sink = DigestSink()
+        semantics = self.tree["semantics"]
+        semantics.eval_program(self.tiled, self.inputs,
+                               semantics.EvalConfig(tile_sizes=self.mid, trace=sink))
+        return sink.events, sink.hash.hexdigest()
+
     def timed(self, kind, reps):
         """Median wall seconds of `reps` calls of `kind`."""
         times = []
@@ -114,8 +125,8 @@ class Side:
 
 def check(wl, expected, side, label):
     """{kind: figures} of `side`'s tiled and traced runs (`Side.call`),
-    after checking its three outputs."""
-    figures = {}
+    after checking its three outputs, and its trace digest (`Side.digest`)."""
+    figures = {"digest": side.digest()}
     for kind in EVALS:
         value, figures[kind] = side.call(kind)
         problem = mismatch(NdArray.from_nested(value.to_nested(), value.dtype),
@@ -146,11 +157,12 @@ def main(argv=None):
         expected = wl.reference(*hosts)
         sides[name] = {label: Side(tree, wl, hosts) for label, tree in trees.items()}
         figures = {label: check(wl, expected, side, label) for label, side in sides[name].items()}
-        for kind, what in (("tiled", "counters"), ("traced", "trace stats")):
+        for kind, what in (("tiled", "tiled counters"), ("traced", "traced trace stats"),
+                           ("digest", "traced event digest")):
             base, change = figures["base"][kind], figures["change"][kind]
-            print(f"{name}: {kind} {what} base {base}, change {change}")
+            print(f"{name}: {what} base {base}, change {change}")
             if base != change:
-                differ.append(f"{name} ({kind} {what})")
+                differ.append(f"{name} ({what})")
     if differ:
         raise SystemExit(f"deterministic figures differ: {', '.join(differ)}")
     times = {(name, kind, label): [] for name in sides for kind in EVALS for label in trees}
