@@ -46,11 +46,15 @@ offset, strides)`, the place where the kernel writes its results stacked
 along a new leading axis: the value's place in a tiled operator's output,
 or a new array's element list. The driver calls it once, after the last
 point where it can decline, with `(extent,)` for scalar results (`top`
-1 or 2) or `(extent, n)` for rows, and writes each row i with one slice
-assignment. It gives `(dtype, blocks)`: the dtype that stacking the
-rows' values gives and, with a trace sink, each row's block (None for
-scalars). Given no `at`, scalar results come back as a list, which a fold
-folds or scans, or a map node writes into its rows.
+1 or 2) or `(extent, n)` for rows. A fold over more than one row i (a
+map node) computes the results of all its rows i and j in one pass
+(`_pairs`), slicing each distinct row of an operand once; other
+descriptions compute row i's results as the loop reaches it. The driver
+then writes each row i with one slice assignment and reports its
+effects, in order. It gives `(dtype, blocks)`: the dtype
+that stacking the rows' values gives and, with a trace sink, each row's
+block (None for scalars). Given no `at`, scalar results come back as a
+list, which a fold folds or scans, or a map node writes into its rows.
 
 The dtype follows the values, as stacking them would: f64 when any
 result is a float, else i64. The driver looks at each row's results until
@@ -70,10 +74,13 @@ operands' reads: a row map's is its row's block; a dot's is read by one
 array for each row of a map, scan or map node; the driver places an
 address-only block of the same size for it and reports the `W` run its
 stack would (`_row_block`), so addresses, events and runs are those of
-one call per slice. When a row raises, the driver finds, on that path
-only, how far it got (`_failed`): checks and reads cover the rows j before
-it and the elements it read before it raised, as one call per slice
-would; a fold's leaf values are all read before its combine runs.
+one call per slice. When a fold's pass raises, the driver re-runs its rows
+i one at a time, on that path only, up to the row that raises; the rows
+before it are written and reported as above. When a row raises, the
+driver finds, on that path only, how far it got (`_failed`): checks and
+reads cover the rows j before it and the elements it read before it
+raised, as one call per slice would; a fold's leaf values are all read
+before its combine runs.
 """
 
 from __future__ import annotations
@@ -184,6 +191,30 @@ def _slices(spans, n, k, i=None):
     return out
 
 
+def _pairs(spans, rows, n, k):
+    """Per span of `spans` (`_spans`), the element lists of its rows (i, j)
+    for i < rows and j < n, row i's before row i + 1's, of k elements
+    each, every distinct row sliced once: a span of i stride 0 gives its n
+    rows j, the same for every i; one of j stride 0 a row per i, repeated
+    n times (one row, with i stride 0 too); one that steps along both a
+    row per (i, j), sliced as it is read."""
+    out = []
+    for data, o, si, sj, sk, _, _ in spans:
+        end = o + k * sk
+        if not (si or sj):
+            out.append(repeat(data[o:end:sk], rows * n))
+        elif not sj:
+            out.append(itertools.chain.from_iterable(map(
+                repeat, [data[o + i * si:end + i * si:sk] for i in range(rows)], repeat(n))))
+        elif not si:
+            out.append([data[o + j * sj:end + j * sj:sk] for j in range(n)] * rows)
+        else:
+            starts = [o + i * si + j * sj for i in range(rows) for j in range(n)]
+            out.append(map(data.__getitem__,
+                           map(slice, starts, map((k * sk).__add__, starts), repeat(sk))))
+    return out
+
+
 def _row_ranges(spans, n):
     """`(i, j) ->` the byte addresses of row (i, j) of each of `spans`
     (`_spans`), every row of extent n: one range per span."""
@@ -207,12 +238,14 @@ def _row_reads(spans, n):
 
 
 def _failed(d, rows):
-    """(J, E) of a row of description `d` that raised (see
+    """(J, E) of a row i of description `d` that raised (see
     `Kernels._effects`), given the columns of each of its rows j in
     `rows`: they run one at a time, then the one that raised an element
-    at a time. `d.values` gives an item per element read, up to and with
-    the one at which it raises, or, when only a fold's combine raises,
-    all of them."""
+    at a time. A fold over more than one row i computes its rows i and j
+    in one pass; when that raises, its rows i are re-run one at a time,
+    and the first that raises again comes here. `d.values` gives an item
+    per element read, up to and with the one at which it raises, or, when
+    only a fold's combine raises, all of them."""
     for j, row in enumerate(rows):
         if d.product is not None:
             try:
@@ -345,6 +378,23 @@ class Kernels:
         # Per element of a row, the checks of row i's operator and of a fold's.
         arity_i, arity_j = len(operator or ()), 1 if product else len(leaves)
 
+        def folded(columns):
+            """The results of a fold over `columns` (`_slices`, `_pairs`):
+            each of their rows, after a dot's product, one list per row
+            made as it is read, reduced to one."""
+            if product:
+                columns = [map(list, map(map, repeat(product), *columns))]
+            return list(map(reduce, repeat(op), map(values, *columns), repeat(init)))
+
+        def passed(spans, rows, n, k):
+            """Each of `rows` rows i's n results of a fold over `spans`, all
+            computed in one pass (`_pairs`); None if the pass raises."""
+            try:
+                got = folded(_pairs(spans, rows, n, k))
+            except Exception:
+                return None
+            return iter([got[i * n:i * n + n] for i in range(rows)])
+
         def kernel(views, axes, extent, captured, at=None):
             spans, k, f64s = _spans(views, axes, captured, leaves, top) or (None, 0, False)
             if k == 0 or k is None and unequal is None:
@@ -369,7 +419,9 @@ class Kernels:
             buf, base, strides = at((extent,) if top else (extent, n)) if at else (out, 0, (1,))
             stride, step, rows = strides[0], strides[-1], 1 if top else extent
             broadcast = [repeat([x] * k) for x in scalars] if scalars else ()
-            if not fold:  # each row's results, as the loop asks for them
+            if fold:  # rows i in one pass; one row, or a pass that raised, row by row below
+                results = rows > 1 and passed(spans, rows, n, k)
+            else:  # each row's results, as the loop asks for them
                 columns = _slices(spans, rows, k)
                 results = map(list, map(map, repeat(product), *columns) if product
                               else map(values, *columns, *broadcast))
@@ -379,13 +431,7 @@ class Kernels:
                 effects = self._effects(spans, k, fold, product, js, blocks)
             for i in range(rows):
                 try:
-                    if fold:
-                        columns = _slices(spans, n, k, i)
-                        if product:
-                            columns = [map(list, map(map, repeat(product), *columns))]
-                        got = list(map(reduce, repeat(op), map(values, *columns), repeat(init)))
-                    else:
-                        got = next(results)
+                    got = next(results) if results else folded(_slices(spans, n, k, i))
                 except Exception:
                     J, E = _failed(d, zip(*_slices(spans, js, k, i), *broadcast))
                     counters.bounds_checks += (ci + cj * js) * i + ci + cj * (J + (E is not None))

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from tilepar import kernels as node_kernels
 from tilepar.autotuner import estimate_bounds
 from tilepar.bench import MATMUL_SRC, SQDIST_SRC, SUM_ROWS_SRC
 from tilepar.cachesim import CacheModel, Simulator, simulate, simulate_program, trace_program
@@ -943,6 +944,54 @@ fn quotients(x) uses Y { return map(quotient, Y; axes=[0]); }
 """
 
 
+# Map nodes over a reduce node whose operands are the rows j of a `uses`
+# matrix (`totals`: i stride 0), or the rows (i, j) of a rank-3 parameter
+# (both strides) and a rank-1 `uses` row (neither: `weighs`, `parts`).
+GRID_NODES = """
+fn mul2(a, b) { return a * b; }
+fn div(a, b) { return a / b; }
+fn summed(y) { return reduce(ident, combine=add2, init=0, y; axes=[0]); }
+fn totals(x) uses Y { return map(summed, Y; axes=[0]); }
+fn weighed(y) uses w { return reduce(mul2, combine=add2, init=0, w, y; axes=[0, 0]); }
+fn weighs(x) uses w { return map(weighed, x; axes=[0]); }
+fn part(y) uses w { return reduce(div, combine=add2, init=0, w, y; axes=[0, 0]); }
+fn parts(x) uses w { return map(part, x; axes=[0]); }
+"""
+
+
+def grid_cases():
+    """(id, main, inputs, kernels) of map nodes over a reduce node or a dot
+    (`DOT_NODES`, `GRID_NODES`) with at least 3 rows i and 3 rows j, as
+    many rows i as rows j in none, over each stride pattern of their
+    operands (`kernels._pairs`), of both dtypes. `shifts` and `quotients`
+    bind row i of X (j stride 0) and fold the rows j of a `uses` matrix
+    (i stride 0). The i64 `/` cases raise at a 0 of X: `quotients` first
+    at row i 2 and row j 0 (X's row 2 is every row j's divisor), `parts`
+    at row i 1 and row j 2, its leaf dividing by X's row (1, 2)."""
+    main = "fn main(X, Y) { return map(%s, X; axes=[0]); }"
+    yield "grid-shifts-i64", main % "shifts", \
+        [matrix(4, 5, "i64", "row"), matrix(6, 5, "i64", "col")], [("shifts", (2,))]
+    yield "grid-shifts-mixed", main % "shifts", \
+        [f64(5, 3, layout="col"), matrix(3, 3, "i64", "row")], [("shifts", (2,))]
+    yield "grid-totals-i64", main % "totals", \
+        [matrix(4, 2, "i64", "col"), matrix(3, 5, "i64", "row")], [("totals", (2,))]
+    yield "grid-totals-f64", main % "totals", \
+        [matrix(3, 2, "i64", "row"), f64(5, 4, layout="col")], [("totals", (2,))]
+    yield "grid-quotients-by-zero", main % "quotients", \
+        [NdArray((4, 3), "i64", "col", [1, 2, 3, 4, 5, 6, 0, 8, 9, 10, 11, 12]),
+         f64(5, 3, layout="col")], [("quotients", (2,))]
+    main = "fn main(X, w) { return map(%s, X; axes=[%d]); }"
+    for axis, shape in ((0, (4, 3, 5)), (2, (3, 5, 4))):
+        yield f"grid-weighs-i64-{axis}", main % ("weighs", axis), [cube(*shape), cube(5)], \
+            [("weighs", (3,))]
+        yield f"grid-weighs-f64-{axis}", main % ("weighs", axis), [cube(*shape), f64(5)], \
+            [("weighs", (3,))]
+    data = [i % 4 + 1 for i in range(60)]
+    data[1 * 15 + 2 * 5] = 0  # X[1, 2, 0] of a 4 x 3 x 5 row-major X
+    yield "grid-parts-by-zero", main % ("parts", 0), \
+        [NdArray((4, 3, 5), "i64", "row", data), cube(5)], [("parts", (3,))]
+
+
 def halves(rows, cols, layout):
     """An f64 matrix with no zero element."""
     return NdArray((rows, cols), "f64", layout, [(i % 7 + 1) / 2 for i in range(rows * cols)])
@@ -1002,6 +1051,8 @@ def dot_cases():
     yield "quotients-i64", main, [divisors((3, 4), "col"), matrix(5, 4, "i64", "row")], kernel
     yield "quotients-by-zero", main, [NdArray((2, 3), "i64", "row", [1, 2, 3, 4, 0, 6]),
                                       matrix(3, 3, "f64", "col")], kernel
+    for case in grid_cases():
+        yield case[0], DOT_NODES + GRID_NODES + case[1], *case[2:]
 
 
 @pytest.mark.parametrize("main, inputs, kernels",
@@ -1014,6 +1065,25 @@ def test_dot_kernels_match_generic_twins(main, inputs, kernels):
     twin = with_generic_bodies(program)
     for traced in (True, False):
         assert closure_run(program, inputs, traced) == closure_run(twin, inputs, traced)
+
+
+def test_grid_cases_cover_every_stride_pattern(monkeypatch):
+    """The grid cases run their map nodes in one pass (`kernels._pairs`)
+    over at least 3 rows i and 3 rows j, not as many of each, untraced
+    and traced, with operands of each stride pattern: i stride 0, j
+    stride 0, both and neither."""
+    seen, pairs = set(), node_kernels._pairs
+
+    def recorded(spans, rows, n, k):
+        if rows >= 3 and n >= 3 and rows != n:
+            seen.update((bool(si), bool(sj), traced) for _, _, si, sj, *_ in spans)
+        return pairs(spans, rows, n, k)
+    monkeypatch.setattr(node_kernels, "_pairs", recorded)
+    for _, main, inputs, _ in grid_cases():
+        program = desugar_allpairs(parse_program(DOT_LIB + DOT_NODES + GRID_NODES + main))
+        for traced in (False, True):
+            closure_run(program, inputs, traced)
+    assert seen == set(itertools.product((False, True), repeat=3))
 
 
 @pytest.mark.parametrize("lib, fn", [pytest.param(CLOSURE_LIB, "dot", id="leaf-node"),
