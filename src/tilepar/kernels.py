@@ -73,14 +73,19 @@ operands' reads: a row map's is its row's block; a dot's is read by one
 `R` run and dies before the next row's. One call per slice would build an
 array for each row of a map, scan or map node; the driver places an
 address-only block of the same size for it and reports the `W` run its
-stack would (`_row_block`), so addresses, events and runs are those of
-one call per slice. When a fold's pass raises, the driver re-runs its rows
-i one at a time, on that path only, up to the row that raises; the rows
-before it are written and reported as above. When a row raises, the
-driver finds, on that path only, how far it got (`_failed`): checks and
-reads cover the rows j before it and the elements it read before it
-raised, as one call per slice would; a fold's leaf values are all read
-before its combine runs.
+stack would (`_row_block`), so addresses and events are those of one
+call per slice. Runs are not: a kernel reports per row i one `R` run of
+its reads, or per row j of a product its `RRW` run (and a dot's `R`
+run), and then its row block's `W` run, where one call per slice
+reports a run per call it makes, as per element of a rank-1 leaf. So a
+kernel sends at most as many runs as the calls would, often fewer, with
+the same events in the same order. When a fold's pass raises, the
+driver re-runs its rows i one at a time, on that path only, up to the
+row that raises; the rows before it are written and reported as above.
+When a row raises, the driver finds, on that path only, how far it got
+(`_failed`): checks and reads cover the rows j before it and the
+elements it read before it raised, as one call per slice would; a
+fold's leaf values are all read before its combine runs.
 """
 
 from __future__ import annotations
@@ -88,7 +93,8 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-from itertools import count, repeat
+from itertools import count, cycle, repeat
+from operator import add
 
 from . import ir
 from .ndarray import ELEM_SIZE, ArrayValue, Block, interleave, match_shapes, scalar_op
@@ -215,26 +221,21 @@ def _pairs(spans, rows, n, k):
     return out
 
 
-def _row_ranges(spans, n):
-    """`(i, j) ->` the byte addresses of row (i, j) of each of `spans`
-    (`_spans`), every row of extent n: one range per span."""
-    steps = [(v.root.addr + o * ELEM_SIZE, si * ELEM_SIZE, sj * ELEM_SIZE, sk * ELEM_SIZE)
-             for _, o, si, sj, sk, _, v in spans]
-    return lambda i, j=0: [range(b := a + i * si + j * sj, b + n * sk, sk)
-                           for a, si, sj, sk in steps]
-
-
-def _row_reads(spans, n):
-    """`(i, j) ->` the byte addresses a body reads at row (i, j) of `spans`
-    (`_spans`), every row of extent n: per index, one per span in order
-    (`ndarray.interleave`). One span's row is its range, with no list
-    built per row: the hot case, as a traced row sum reads one operand."""
+def _reads(spans, J, k, E=None):
+    """The byte addresses a body reads in J rows j of k elements of
+    `spans`, each (base, j stride, k stride) in bytes, and, if E, in the
+    first E elements of row J: per row j and index, one per span in turn
+    (`ndarray.interleave`). One span's rows are ranges, with no list built
+    per row: the hot case, as a traced row sum reads one operand."""
     if len(spans) == 1:
-        (_, o, si, sj, sk, _, v), = spans
-        a, si, sj, sk = v.root.addr + o * ELEM_SIZE, si * ELEM_SIZE, sj * ELEM_SIZE, sk * ELEM_SIZE
-        return lambda i, j=0: range(b := a + i * si + j * sj, b + n * sk, sk)
-    ranges = _row_ranges(spans, n)
-    return lambda i, j=0: interleave(ranges(i, j))
+        (b, sj, sk), = spans
+        rows = [range(c := b + j * sj, c + k * sk, sk) for j in range(J)]
+    else:
+        rows = [interleave([range(c := b + j * sj, c + k * sk, sk) for b, sj, sk in spans])
+                for j in range(J)]
+    if E:
+        rows.append(interleave([range(c := b + J * sj, c + E * sk, sk) for b, sj, sk in spans]))
+    return rows[0] if len(rows) == 1 else itertools.chain.from_iterable(rows)
 
 
 def _failed(d, rows):
@@ -428,7 +429,7 @@ class Kernels:
             blocks = effects = None
             if trace is not None:
                 blocks = None if top else []
-                effects = self._effects(spans, k, fold, product, js, blocks)
+                effects = self._effects(spans, k, fold, product, rows, js, blocks)
             for i in range(rows):
                 try:
                     got = next(results) if results else folded(_slices(spans, n, k, i))
@@ -448,7 +449,7 @@ class Kernels:
             return out if out is not None else ("f64" if f64 else "i64", blocks)
         return kernel
 
-    def _effects(self, spans, k, fold, product, js, blocks):
+    def _effects(self, spans, k, fold, product, rows, js, blocks):
         """`(i, J, E=None) ->` report the trace of row i of a kernel over
         `spans` (`_driven`) as far as it ran: J of its rows j whole and,
         unless E is None, E elements of row J, which raised there. Without
@@ -456,26 +457,52 @@ class Kernels:
         is placed and written by an `RRW` run with its operands' reads; a
         fold's, a dot's, then dies after an `R` run reads it, and a row's,
         of a row map, is the row's block. A row that ran whole places its
-        row block (`_row_block`) unless it has one."""
+        row block (`_row_block`) unless it has one.
+
+        Over `rows` > 1 rows i, the reads of a row i of two or more spans
+        (a product's block one more, of k stride `ELEM_SIZE`) are one list
+        per call: their byte offsets from each span's base over the rows j
+        (a product's one), index by index, one per span in turn, which
+        each row adds to its own bases; a row that raised reads a prefix
+        of it. Else a row reads its ranges (`_reads`): one row i's list
+        would serve one use, and one span's rows are ranges already."""
         trace, width = self.config.trace, js if fold else k
-        reads = product is None and _row_reads(spans, k)
-        ranges = product is not None and _row_ranges(spans, k)
+        # Per span, the byte address of its element (0, 0, 0) and its i and
+        # j strides; per span, and then a product's block, its k stride.
+        steps = [(v.root.addr + o * ELEM_SIZE, si * ELEM_SIZE, sj * ELEM_SIZE)
+                 for _, o, si, sj, _, _, v in spans]
+        ks = [sk * ELEM_SIZE for _, _, _, _, sk, _, _ in spans]
+        if product is not None:
+            ks.append(ELEM_SIZE)
+        if rows == 1 or len(ks) == 1:
+            offsets = None
+        elif product is None:
+            pairs = [(sj, sk) for (_, _, sj), sk in zip(steps, ks)]
+            offsets = [j * sj + e * sk for j in range(js) for e in range(k) for sj, sk in pairs]
+        else:  # the reads of one row j, and then its block's writes
+            offsets = [e * sk for e in range(k) for sk in ks]
 
         def effects(i, J, E=None):
             if product is None:
-                rows = [reads(i, j) for j in range(J)]
-                if E:
-                    rows.append(_row_reads(spans, E)(i, J))
-                trace.run(rows[0] if len(rows) == 1 else itertools.chain.from_iterable(rows), "R")
+                if offsets is None:
+                    reads = _reads([(a + i * si, sj, sk) for (a, si, sj), sk in zip(steps, ks)],
+                                   J, k, E)
+                else:
+                    part = offsets if J == js else offsets[:(J * k + E) * len(steps)]
+                    reads = map(add, part, cycle([a + i * si for a, si, _ in steps]))
+                trace.run(reads, "R")
             for j in range(J + (E is not None) if product else 0):
                 if fold:
                     start = self._placed(Block(k)).addr  # the block dies here
                 else:
                     blocks.append(self._placed(Block(k)))
                     start = blocks[-1].addr
-                block = range(start, start + k * ELEM_SIZE, ELEM_SIZE)
-                trace.run(interleave(ranges(i, j) + [block]), "RRW")
+                bases = [a + i * si + j * sj for a, si, sj in steps]
+                bases.append(start)
+                trace.run(_reads([(b, 0, sk) for b, sk in zip(bases, ks)], 1, k) if offsets is None
+                          else map(add, offsets, cycle(bases)), "RRW")
                 if fold:
+                    block = range(start, start + k * ELEM_SIZE, ELEM_SIZE)
                     trace.run(block if j < J else block[:E], "R")
             if J == js and blocks is not None and (fold or product is None):
                 blocks.append(self._row_block(width))

@@ -10,6 +10,7 @@ the case uses one) is pinned the same way: generated names and slot ids
 depend on the order in which the tiler visits the program.
 """
 
+import collections
 import hashlib
 import importlib.util
 import itertools
@@ -195,6 +196,24 @@ class CountingSink:
 # Sink runs of the traced tiled run. A stack, a concat and a reduce node's
 # reads are one run each; a map or scan node reports each row's reads.
 RUN_PINS = {"matmul_reg": 271, "row_scan": 66}
+
+
+# (sink runs, events) of each benchmark workload's traced midpoint run
+# (`benchmark_case`). A kernel reports the same events as one call per
+# slice but may split them into runs its own way; these pin that split.
+BENCHMARK_RUN_PINS = {
+    "rowsum-col256-tune": (553, 77568),
+    "matmul32-reg": (6565, 146432),
+    "prefixscan-col192": (6651, 309696),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_RUN_PINS))
+def test_benchmark_sink_runs_pinned(name):
+    _, tiled, sizes, inputs = benchmark_case(name)
+    sink = CountingSink()
+    eval_program(tiled, inputs, EvalConfig(tile_sizes=sizes, trace=sink))
+    assert (sink.runs, sink.events) == BENCHMARK_RUN_PINS[name]
 
 
 @pytest.mark.parametrize("name", sorted(RUN_PINS))
@@ -753,6 +772,14 @@ def node_cases():
     yield "quotients", (0,), [zero_at_1_1()]
 
 
+def node_program(fn, axes, inputs):
+    """The program of a node case (`node_cases`): `main` maps `fn` over
+    `inputs` along `axes`."""
+    names = ", ".join(f"X{i}" for i in range(len(inputs)))
+    return parse_program(NODE_LIB + f"fn main({names}) {{ return map({fn}, {names}; "
+                         f"axes=[{', '.join(map(str, axes))}]); }}")
+
+
 @pytest.mark.parametrize("fn, axes, inputs", list(node_cases()))
 def test_node_values_match_generic_twins(fn, axes, inputs):
     """A map or scan node stacks its rows' results into one element list.
@@ -760,9 +787,7 @@ def test_node_values_match_generic_twins(fn, axes, inputs):
     included), trace and counters of one call per row, traced and not; a
     row that raises leaves the error, trace and counters of one call per
     row."""
-    names = ", ".join(f"X{i}" for i in range(len(inputs)))
-    program = parse_program(NODE_LIB + f"fn main({names}) {{ return map({fn}, {names}; "
-                            f"axes=[{', '.join(map(str, axes))}]); }}")
+    program = node_program(fn, axes, inputs)
     interp = Interpreter(program)
     kernel = interp._kernel(interp._function(fn), tuple(x.rank for x in inputs))
     # A map node over a map or scan nest has no kernel: its callee's gives arrays.
@@ -1086,6 +1111,35 @@ def test_grid_cases_cover_every_stride_pattern(monkeypatch):
     assert seen == set(itertools.product((False, True), repeat=3))
 
 
+def test_twin_cases_reach_every_failed_row_path(monkeypatch):
+    """The twin cases report a row that raised (`Kernels._effects`) from
+    a call's offset list (more than one row i, two or more spans or a
+    product) and from its ranges, with and without a product. Among them
+    is a prefix of the offset list that ends part way through a row j of
+    two or more spans after at least one whole row j, which the twins
+    check to the event."""
+    paths, effects = collections.Counter(), node_kernels.Kernels._effects
+
+    def recorded(self, spans, k, fold, product, rows, js, blocks):
+        report = effects(self, spans, k, fold, product, rows, js, blocks)
+        listed = rows > 1 and len(spans) + (product is not None) > 1
+
+        def counted(i, J, E=None):
+            if J < js or E is not None:  # row i raised
+                paths[listed, product is None,
+                      listed and J >= 1 and E is not None and 0 < E < k] += 1
+            report(i, J, E)
+        return counted
+    monkeypatch.setattr(node_kernels.Kernels, "_effects", recorded)
+    runs = [(parse_program(CLOSURE_LIB + case[1]), case[2]) for case in closure_cases()]
+    runs += [(desugar_allpairs(parse_program(DOT_LIB + case[1])), case[2]) for case in dot_cases()]
+    runs += [(node_program(*case), case[2]) for case in node_cases()]
+    for program, inputs in runs:
+        closure_run(program, inputs, True)
+    assert {path[:2] for path in paths} == set(itertools.product((False, True), repeat=2))
+    assert paths[True, True, True] >= 1
+
+
 @pytest.mark.parametrize("lib, fn", [pytest.param(CLOSURE_LIB, "dot", id="leaf-node"),
                                      pytest.param(DOT_LIB, "shifted", id="dot")])
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
@@ -1134,9 +1188,7 @@ def test_no_sink_run_without_events():
         value = eval_program(p, [matrix(3, 0, "i64", "row")], EvalConfig(trace=sink))
         assert (value.shape, sink.runs) == ((3, 0), 0)
     for fn, axes, inputs in node_cases():
-        names = ", ".join(f"X{i}" for i in range(len(inputs)))
-        program = parse_program(NODE_LIB + f"fn main({names}) {{ return map({fn}, {names}; "
-                                f"axes=[{', '.join(map(str, axes))}]); }}")
+        program = node_program(fn, axes, inputs)
         for p in (program, with_generic_bodies(program)):
             try:
                 eval_program(p, inputs, EvalConfig(trace=NoEmptyRunSink()))

@@ -2,6 +2,7 @@
 """In-process A/B of two tilepar source trees on the benchmark's workloads.
 
     python3 tools/ab.py BASE_SRC CHANGE_SRC [--rounds 16] [--reps 9] [--workload NAME ...]
+                        [--eval KIND ...]
 
 BASE_SRC and CHANGE_SRC are `src` directories, each holding a `tilepar`
 package; an older commit's tree can be had with
@@ -11,7 +12,11 @@ Run it from anywhere: the workloads come from `benchmarks/workloads.py` of
 the checkout this script is in, which is imported unchanged.
 
 `--workload NAME`, which may be repeated, checks and times only the named
-workloads; without it, all of them.
+workloads; without it, all of them. `--eval KIND`, also repeatable, times
+only the named kinds of eval (`untiled`, `tiled`, `traced`); without it,
+all three. Every kind is still checked, so a change to the trace alone
+can time its traced runs alone and still have its outputs and counters
+compared.
 
 For each workload, at seed 0, both trees build their inputs from the same host rows,
 each with its own `NdArray`, and compile the program as `benchmarks/run.py`
@@ -25,10 +30,10 @@ the traced run's events: their count and sha256 (`outcomes.DigestSink`),
 so a shift of addresses that keeps every miss count is caught too. The
 script prints both trees' figures and, on any difference, exits non-zero,
 naming the workload, before any timing. A round then times, for every workload,
-`--reps` untiled evals, tiled evals and traced tiled runs of each tree, the
-two trees one after the other for each kind, and alternates from round to
-round which tree runs first. Each tree's time in a round is the median of
-its reps.
+`--reps` untiled evals, tiled evals and traced tiled runs of each tree (the
+kinds `--eval` names), the two trees one after the other for each kind, and
+alternates from round to round which tree runs first. Each tree's time in a
+round is the median of its reps.
 
 It prints, per workload and eval, each tree's median over rounds, the
 median over rounds of change / base, and in how many rounds the change read
@@ -144,9 +149,13 @@ def main(argv=None):
     ap.add_argument("--reps", type=int, default=9, help="calls per tree, eval and round")
     ap.add_argument("--workload", action="append", choices=list(WORKLOADS), metavar="NAME",
                     help="time only this workload (repeatable; default: all)")
+    ap.add_argument("--eval", action="append", choices=EVALS, metavar="KIND", dest="evals",
+                    help="time only this kind of eval: untiled, tiled or traced "
+                         "(repeatable; default: all three)")
     args = ap.parse_args(argv)
     if args.rounds < 1 or args.reps < 1:
         ap.error("--rounds and --reps must be at least 1")
+    kinds = [kind for kind in EVALS if kind in (args.evals or EVALS)]
     trees = {"base": load_tree(args.base, "tilepar_base"),
              "change": load_tree(args.change, "tilepar_change")}
     sides, differ = {}, []
@@ -165,18 +174,18 @@ def main(argv=None):
                 differ.append(f"{name} ({what})")
     if differ:
         raise SystemExit(f"deterministic figures differ: {', '.join(differ)}")
-    times = {(name, kind, label): [] for name in sides for kind in EVALS for label in trees}
+    times = {(name, kind, label): [] for name in sides for kind in kinds for label in trees}
     for r in range(args.rounds):
         order = ("base", "change") if r % 2 == 0 else ("change", "base")
         for name, pair in sides.items():
-            for kind in EVALS:
+            for kind in kinds:
                 for label in order:
                     times[name, kind, label].append(pair[label].timed(kind, args.reps))
         print(f"round {r + 1}/{args.rounds} done", file=sys.stderr)
     print(f"{'workload':<20} {'eval':<8} {'base ms':>9} {'change ms':>9} "
           f"{'change/base':>11} {'rounds lower':>12}")
     for name in sides:
-        for kind in EVALS:
+        for kind in kinds:
             base, change = times[name, kind, "base"], times[name, kind, "change"]
             ratios = [c / b for b, c in zip(base, change)]
             lower = sum(c < b for b, c in zip(base, change))
