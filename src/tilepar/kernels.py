@@ -459,28 +459,29 @@ class Kernels:
         of a row map, is the row's block. A row that ran whole places its
         row block (`_row_block`) unless it has one.
 
-        Over `rows` > 1 rows i, the reads of a row i of two or more spans
-        (a product's block one more, of k stride `ELEM_SIZE`) are one list
-        per call: their byte offsets from each span's base over the rows j
-        (a product's one), index by index, one per span in turn, which
-        each row adds to its own bases; a row that raised reads a prefix
-        of it. Else a row reads its ranges (`_reads`): one row i's list
-        would serve one use, and one span's rows are ranges already."""
+        A product's `RRW` run is one list per call: the byte offsets of a
+        row j's reads from each span's base and of its block's writes (k
+        stride `ELEM_SIZE`) from the block's start, index by index, one
+        per span in turn, which each row j adds to its own bases. Without
+        a product, over `rows` > 1 rows i of two or more spans, a row i's
+        reads are likewise one list per call, over its rows j; a row that
+        raised reads a prefix of it. Else a row reads its ranges
+        (`_reads`): one row i's list would be built for one use, which
+        measured slower than ranges, and one span's rows are ranges."""
         trace, width = self.config.trace, js if fold else k
         # Per span, the byte address of its element (0, 0, 0) and its i and
         # j strides; per span, and then a product's block, its k stride.
         steps = [(v.root.addr + o * ELEM_SIZE, si * ELEM_SIZE, sj * ELEM_SIZE)
                  for _, o, si, sj, _, _, v in spans]
         ks = [sk * ELEM_SIZE for _, _, _, _, sk, _, _ in spans]
-        if product is not None:
+        if product is not None:  # the reads of one row j, and then its block's writes
             ks.append(ELEM_SIZE)
-        if rows == 1 or len(ks) == 1:
+            offsets = [e * sk for e in range(k) for sk in ks]
+        elif rows == 1 or len(ks) == 1:
             offsets = None
-        elif product is None:
+        else:
             pairs = [(sj, sk) for (_, _, sj), sk in zip(steps, ks)]
             offsets = [j * sj + e * sk for j in range(js) for e in range(k) for sj, sk in pairs]
-        else:  # the reads of one row j, and then its block's writes
-            offsets = [e * sk for e in range(k) for sk in ks]
 
         def effects(i, J, E=None):
             if product is None:
@@ -499,8 +500,7 @@ class Kernels:
                     start = blocks[-1].addr
                 bases = [a + i * si + j * sj for a, si, sj in steps]
                 bases.append(start)
-                trace.run(_reads([(b, 0, sk) for b, sk in zip(bases, ks)], 1, k) if offsets is None
-                          else map(add, offsets, cycle(bases)), "RRW")
+                trace.run(map(add, offsets, cycle(bases)), "RRW")
                 if fold:
                     block = range(start, start + k * ELEM_SIZE, ELEM_SIZE)
                     trace.run(block if j < J else block[:E], "R")
